@@ -52,10 +52,10 @@ type (
 	// ProofCache memoizes proofs across loads of the same program.
 	ProofCache = loader.ProofCache
 	// RemoteProver proves encoded refinement conditions out of process
-	// (see WithRemoteProver; internal/proofrpc.Client implements it).
+	// (see WithRemoteProver; Fleet implements it).
 	RemoteProver = loader.RemoteProver
-	// Fleet is the resilient multi-daemon proving client: it rendezvous-
-	// hashes the obligation key space across several bcfd daemons, with
+	// Fleet is the remote proving client: it rendezvous-hashes the
+	// obligation key space across one or more bcfd daemons, with
 	// health-probed circuit breakers per backend, hedged requests for
 	// slow keys, failover on transport faults, and admission control that
 	// the loader converts into bounded waits (see NewRemoteFleet).
@@ -205,12 +205,14 @@ func WithProofCache(c *ProofCache) Option {
 }
 
 // WithRemoteProver proves refinement conditions through p — typically a
-// proofrpc client talking to a bcfd daemon — instead of the in-process
-// solver. Transport failures (daemon down, timeout, corrupt reply) fall
-// back to local proving transparently; authoritative remote answers
-// (counterexamples, solver failures) are final. The kernel-side checker
-// still validates every proof, so a misbehaving daemon can cause
-// rejection or fallback but never an unsound accept.
+// Fleet (see NewRemoteFleet) talking to bcfd daemons — instead of the
+// in-process solver. Transport failures (daemon down, timeout, corrupt
+// reply) fall back to local proving transparently; authoritative remote
+// answers (counterexamples, solver failures) are final. A Fleet's
+// admission-control rejections become bounded client-side waits rather
+// than failures. The kernel-side checker still validates every proof, so
+// a misbehaving daemon can cause rejection or fallback but never an
+// unsound accept.
 func WithRemoteProver(p RemoteProver) Option {
 	return func(o *loader.Options) { o.Remote = p }
 }
@@ -222,23 +224,16 @@ func WithRemoteOnly() Option {
 	return func(o *loader.Options) { o.RemoteOnly = true }
 }
 
-// NewRemoteFleet builds the resilient multi-daemon proving client over
-// the given bcfd endpoints ("unix:/path" or "host:port"). Close the
-// fleet when done. Pass it to WithRemoteFleet; the degradation ladder —
-// failover to a replica, hedging past a slow backend, in-process
-// fallback when the whole fleet is unreachable — is transparent, and the
-// kernel-side checker still validates every proof, so no backend
-// (however broken or malicious) can cause an unsound accept.
+// NewRemoteFleet builds the remote proving client over the given bcfd
+// endpoints ("unix:/path" or "host:port"; one endpoint is a fleet of
+// one). Close the fleet when done. Pass it to WithRemoteProver; the
+// degradation ladder — failover to a replica, hedging past a slow
+// backend, in-process fallback when the whole fleet is unreachable — is
+// transparent, and the kernel-side checker still validates every proof,
+// so no backend (however broken or malicious) can cause an unsound
+// accept.
 func NewRemoteFleet(opts FleetOptions) (*Fleet, error) {
 	return prooffleet.New(opts)
-}
-
-// WithRemoteFleet proves refinement conditions through a multi-daemon
-// fleet. Equivalent to WithRemoteProver(f) and provided for symmetry;
-// admission-control rejections from the fleet become bounded client-side
-// waits rather than failures.
-func WithRemoteFleet(f *Fleet) Option {
-	return func(o *loader.Options) { o.Remote = f }
 }
 
 // WithTelemetry threads a metrics registry and/or span tracer through

@@ -207,7 +207,7 @@ func TestPublicRemoteFleet(t *testing.T) {
 	}
 	defer fleet.Close()
 
-	rep := Verify(apiFig2(), WithBCF(), WithRemoteFleet(fleet))
+	rep := Verify(apiFig2(), WithBCF(), WithRemoteProver(fleet))
 	if !rep.Accepted {
 		t.Fatalf("rejected: %v", rep.Err)
 	}
@@ -228,7 +228,7 @@ func TestPublicRemoteFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer deadFleet.Close()
-	rep = Verify(apiFig2(), WithBCF(), WithRemoteFleet(deadFleet))
+	rep = Verify(apiFig2(), WithBCF(), WithRemoteProver(deadFleet))
 	if !rep.Accepted {
 		t.Fatalf("rejected with dead fleet: %v", rep.Err)
 	}

@@ -21,8 +21,8 @@
 //
 // Remote proving (single daemon or a fleet):
 //
-//	bcfbench -remote unix:/run/bcfd.sock           # one daemon via proofrpc
-//	bcfbench -remote unix:/a.sock,unix:/b.sock,unix:/c.sock   # prooffleet
+//	bcfbench -remote unix:/run/bcfd.sock           # one daemon (a fleet of one)
+//	bcfbench -remote unix:/a.sock,unix:/b.sock,unix:/c.sock   # three-daemon fleet
 //	bcfbench -remote ...,... -hedge 5ms            # fixed hedging delay
 //	bcfbench -remote ...,... -hedge -1ns           # hedging off
 //
@@ -55,7 +55,6 @@ import (
 	"bcf/internal/loader"
 	"bcf/internal/obs"
 	"bcf/internal/prooffleet"
-	"bcf/internal/proofrpc"
 )
 
 // benchReport is the machine-readable output of -json: the acceptance
@@ -90,8 +89,8 @@ type benchReport struct {
 	RemoteProofs       int `json:"remote_proofs,omitempty"`
 	RemoteFallbacks    int `json:"remote_fallbacks,omitempty"`
 	RemoteBackpressure int `json:"remote_backpressure,omitempty"`
-	// Fleet routing/resilience counters and latency percentiles when
-	// -remote named more than one endpoint. HedgeDelayMS records the
+	// Fleet routing/resilience counters and latency percentiles with
+	// -remote (one endpoint is a fleet of one). HedgeDelayMS records the
 	// -hedge flag (-1 = hedging disabled, 0 = percentile-derived).
 	HedgeDelayMS float64           `json:"hedge_delay_ms,omitempty"`
 	Fleet        *prooffleet.Stats `json:"fleet,omitempty"`
@@ -170,36 +169,25 @@ func main() {
 		tracer = obs.NewTracer().WithProcess(os.Getpid(), "bcfbench")
 	}
 
-	// A single -remote endpoint keeps the plain proofrpc client; a
-	// comma-separated list builds a prooffleet with rendezvous routing,
-	// breakers and hedging. Both propagate the tracer's context on the
-	// wire so the daemons record their spans under this run's trace ID.
+	// -remote builds a prooffleet over its comma-separated endpoints (one
+	// endpoint is a fleet of one) with rendezvous routing, breakers and
+	// hedging. It propagates the tracer's context on the wire so the
+	// daemons record their spans under this run's trace ID.
 	var remoteProver loader.RemoteProver
 	var fleet *prooffleet.Fleet
-	var client *proofrpc.Client
 	if *remote != "" {
-		if endpoints := splitEndpoints(*remote); len(endpoints) > 1 {
-			f, err := prooffleet.New(prooffleet.Options{
-				Endpoints:  endpoints,
-				HedgeDelay: *hedge,
-				Obs:        reg,
-				Trace:      tracer,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			fleet = f
-			remoteProver = f
-		} else {
-			c, err := proofrpc.Dial(*remote, proofrpc.ClientOptions{Obs: reg, Trace: tracer})
-			if err != nil {
-				fatal(err)
-			}
-			defer c.Close()
-			client = c
-			remoteProver = c
+		f, err := prooffleet.New(prooffleet.Options{
+			Endpoints:  prooffleet.SplitEndpoints(*remote),
+			HedgeDelay: *hedge,
+			Obs:        reg,
+			Trace:      tracer,
+		})
+		if err != nil {
+			fatal(err)
 		}
+		defer f.Close()
+		fleet = f
+		remoteProver = f
 	}
 
 	if *listen != "" {
@@ -311,15 +299,9 @@ func main() {
 			// Pull the spans each daemon recorded under this run's trace ID
 			// and merge them — clock-offset corrected — so the single output
 			// file shows client and daemon timelines stitched together.
-			if remoteProver != nil {
+			if fleet != nil {
 				sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				var serr error
-				switch {
-				case fleet != nil:
-					serr = fleet.Stitch(sctx)
-				case client != nil:
-					serr = client.StitchSpans(sctx)
-				}
+				serr := fleet.Stitch(sctx)
 				cancel()
 				if serr != nil {
 					fmt.Fprintln(os.Stderr, "bcfbench: span stitch:", serr)
@@ -414,18 +396,6 @@ type reportMeta struct {
 	fleet      *prooffleet.Fleet
 	coldWallMS int64
 	warmWallMS int64
-}
-
-// splitEndpoints parses the -remote flag: a comma-separated endpoint
-// list with empty elements dropped.
-func splitEndpoints(s string) []string {
-	var out []string
-	for _, e := range strings.Split(s, ",") {
-		if e = strings.TrimSpace(e); e != "" {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 func writeJSON(path string, ev *eval.Evaluation, reg *obs.Registry, meta reportMeta) error {

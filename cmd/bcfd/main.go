@@ -12,7 +12,7 @@
 //	bcfd -http :9191                               # /metrics (Prometheus text)
 //
 // Clients: bcfverify -remote unix:/run/bcfd.sock, bcfbench -remote ...,
-// or any loader configured with proofrpc.Client. A SIGINT/SIGTERM
+// or any loader configured with a prooffleet.Fleet. A SIGINT/SIGTERM
 // drains gracefully: in-flight obligations finish, then the daemon
 // exits.
 package main

@@ -11,7 +11,7 @@
 //	bcffuzz -sabotage collapse-add -stop-on-failure       # detection drill
 //	bcffuzz -listen tcp::7072 ...                  # also accept remote workers
 //	bcffuzz -connect tcp:mgr:7072                  # pure worker process
-//	bcffuzz -remote unix:/run/bcfd.sock ...        # prove via bcfd / fleet
+//	bcffuzz -remote unix:/run/bcfd.sock ...        # prove via bcfd (comma-separated = fleet)
 //
 // The campaign is deterministic for a fixed -seed and -execs budget at
 // any -workers count. Exit status: 0 clean, 1 oracle violations found,
@@ -26,7 +26,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -86,21 +85,12 @@ func main() {
 
 	var remoteProver loader.RemoteProver
 	if *remote != "" {
-		if endpoints := splitEndpoints(*remote); len(endpoints) > 1 {
-			f, err := prooffleet.New(prooffleet.Options{Endpoints: endpoints, Obs: reg})
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			remoteProver = f
-		} else {
-			client, err := proofrpc.Dial(*remote, proofrpc.ClientOptions{Obs: reg})
-			if err != nil {
-				fatal(err)
-			}
-			defer client.Close()
-			remoteProver = client
+		f, err := prooffleet.New(prooffleet.Options{Endpoints: prooffleet.SplitEndpoints(*remote), Obs: reg})
+		if err != nil {
+			fatal(err)
 		}
+		defer f.Close()
+		remoteProver = f
 	}
 
 	exec := fuzzcamp.ExecOptions{
@@ -217,14 +207,4 @@ func main() {
 	if stats.UniqueFailures > 0 {
 		os.Exit(1)
 	}
-}
-
-func splitEndpoints(s string) []string {
-	var out []string
-	for _, e := range strings.Split(s, ",") {
-		if e = strings.TrimSpace(e); e != "" {
-			out = append(out, e)
-		}
-	}
-	return out
 }

@@ -29,7 +29,7 @@ import (
 	"bcf/internal/bcferr"
 	"bcf/internal/elf"
 	"bcf/internal/obs"
-	"bcf/internal/proofrpc"
+	"bcf/internal/prooffleet"
 )
 
 func main() {
@@ -41,7 +41,7 @@ func main() {
 	parallelPaths := flag.Int("parallel-paths", 0, "verifier path-exploration workers (<=1 = sequential DFS)")
 	progType := flag.String("type", "tracepoint", "program type: tracepoint|xdp|socket_filter|sched_cls|cgroup_skb (ignored for ELF input)")
 	stats := flag.Bool("stats", false, "dump the telemetry metrics snapshot as JSON after the verdict")
-	remote := flag.String("remote", "", "prove via a bcfd daemon at this address (unix:/path or host:port)")
+	remote := flag.String("remote", "", "prove via bcfd daemon(s): unix:/path or host:port, comma-separated for a fleet")
 	remoteOnly := flag.Bool("remote-only", false, "with -remote: fail instead of falling back to the in-process solver")
 	listen := flag.String("listen", "", "serve /metrics, /debug/journal and /debug/pprof on this address while verifying")
 	flag.Parse()
@@ -110,12 +110,15 @@ func main() {
 		}()
 	}
 	if *remote != "" {
-		client, err := proofrpc.Dial(*remote, proofrpc.ClientOptions{Obs: reg})
+		fleet, err := bcf.NewRemoteFleet(bcf.FleetOptions{
+			Endpoints: prooffleet.SplitEndpoints(*remote),
+			Obs:       reg,
+		})
 		if err != nil {
 			fatal(err)
 		}
-		defer client.Close()
-		opts = append(opts, bcf.WithRemoteProver(client))
+		defer fleet.Close()
+		opts = append(opts, bcf.WithRemoteProver(fleet))
 		if *remoteOnly {
 			opts = append(opts, bcf.WithRemoteOnly())
 		}

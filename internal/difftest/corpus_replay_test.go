@@ -11,12 +11,12 @@ import (
 	"bcf/internal/faultinject"
 	"bcf/internal/loader"
 	"bcf/internal/proofd"
-	"bcf/internal/proofrpc"
+	"bcf/internal/prooffleet"
 )
 
 // startDaemon runs an in-process bcfd on a Unix socket and returns a
-// connected proofrpc client with the given fault hook armed.
-func startDaemon(t *testing.T, hook proofrpc.FaultHook) *proofrpc.Client {
+// fleet of one (probing and hedging off) with the given fault hook armed.
+func startDaemon(t *testing.T, hook prooffleet.FaultHook) *prooffleet.Fleet {
 	t.Helper()
 	s := proofd.New(proofd.Options{})
 	sock := filepath.Join(t.TempDir(), "bcfd.sock")
@@ -32,7 +32,12 @@ func startDaemon(t *testing.T, hook proofrpc.FaultHook) *proofrpc.Client {
 		s.Shutdown(ctx)
 		<-done
 	})
-	c, err := proofrpc.Dial("unix:"+sock, proofrpc.ClientOptions{Fault: hook})
+	c, err := prooffleet.New(prooffleet.Options{
+		Endpoints:     []string{"unix:" + sock},
+		ProbeInterval: -1,
+		HedgeDelay:    -1,
+		Fault:         hook,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,20 +48,20 @@ func startDaemon(t *testing.T, hook proofrpc.FaultHook) *proofrpc.Client {
 // TestCorpusReplayParallelAndFaultyRemote replays every regression
 // program through all three oracles with parallel path exploration
 // (ParallelPaths=4), and through the accept-implies-safe oracle again
-// with proving routed to a remote daemon whose RPC path drops, stalls
+// with proving routed to a remote daemon whose RPC path flaps, stalls
 // and corrupts replies (faultinject). Verdicts must match the
 // sequential in-process path everywhere: parallelism changes only
 // wall-clock, and remote transport faults degrade to local fallback,
 // never to a different verdict.
 func TestCorpusReplayParallelAndFaultyRemote(t *testing.T) {
-	// One injector for the whole sweep: drop the first RPC send, stall
+	// One injector for the whole sweep: flap the first dispatch, stall
 	// the second reply, corrupt the third — then repeat nothing (later
 	// requests run clean), so the client exercises both its failure and
 	// recovery paths.
 	inj := faultinject.New(99).
-		Arm(faultinject.RPCDrop, 0).
-		Arm(faultinject.RPCDelay, 1).
-		Arm(faultinject.RPCCorrupt, 2).
+		Arm(faultinject.FleetFlap, 0).
+		Arm(faultinject.FleetSlow, 1).
+		Arm(faultinject.FleetByzantine, 2).
 		SetDelay(time.Millisecond)
 	remote := startDaemon(t, inj)
 
@@ -105,7 +110,9 @@ func TestCorpusReplayParallelAndFaultyRemote(t *testing.T) {
 			}
 		})
 	}
-	if !inj.FiredAny() {
-		t.Error("no RPC fault fired; the faulty-remote leg of this test is vacuous")
+	for _, p := range []faultinject.Point{faultinject.FleetFlap, faultinject.FleetSlow, faultinject.FleetByzantine} {
+		if inj.Fired(p) == 0 {
+			t.Errorf("%v never fired; the faulty-remote leg of this test is vacuous", p)
+		}
 	}
 }

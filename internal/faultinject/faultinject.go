@@ -47,14 +47,6 @@ const (
 	SATBudget
 	// DropResume abandons the load: the session never sees a Resume.
 	DropResume
-	// RPCDrop severs the client connection before a remote proving
-	// request is written (a crashed or unreachable daemon).
-	RPCDrop
-	// RPCDelay stalls the remote reply (a slow daemon; exercises the
-	// client's request deadline).
-	RPCDelay
-	// RPCCorrupt flips one bit of the remote reply payload on the wire.
-	RPCCorrupt
 	// FleetFlap makes a fleet dispatch fail as if the backend bounced
 	// (accepts, then dies mid-request). Fires for any backend.
 	FleetFlap
@@ -92,12 +84,6 @@ func (p Point) String() string {
 		return "sat-budget"
 	case DropResume:
 		return "drop-resume"
-	case RPCDrop:
-		return "rpc-drop"
-	case RPCDelay:
-		return "rpc-delay"
-	case RPCCorrupt:
-		return "rpc-corrupt"
 	case FleetFlap:
 		return "fleet-flap"
 	case FleetPartition:
@@ -111,9 +97,9 @@ func (p Point) String() string {
 }
 
 // corruptingPoints are the points whose firing must force a rejection
-// (they tamper with bytes crossing the trust boundary). The RPC and
-// Fleet points are deliberately absent: a corrupted, dropped, slow or
-// byzantine remote reply is a transport fault the client degrades —
+// (they tamper with bytes crossing the trust boundary). The Fleet points
+// are deliberately absent: a dropped, slow or byzantine remote reply is
+// a transport fault the client degrades —
 // failover to a replica or in-process fallback — so the load may still
 // legitimately be accepted, on a fully checked proof.
 var corruptingPoints = []Point{CondCorrupt, CondTruncate, ProofCorrupt, ProofTruncate, ProofReplay}
@@ -361,43 +347,7 @@ func (in *Injector) Proof(round int, b []byte) (out []byte, drop bool) {
 	return b, false
 }
 
-// ---- proofrpc.FaultHook (client side of the RPC path) ----
-
-// RPCSend may sever the connection before request req is written; the
-// client reports the attempt as a transport failure and retries or
-// falls back.
-func (in *Injector) RPCSend(req int) error {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.fires(RPCDrop, req) {
-		in.log(RPCDrop, req, "connection dropped")
-		return errors.New("faultinject: rpc connection dropped (injected)")
-	}
-	return nil
-}
-
-// RPCRecv may stall and/or corrupt the reply payload for request req.
-// A flipped proof byte fails the client's sanity decode, so it surfaces
-// as a transport failure, never as proof bytes handed to the checker.
-func (in *Injector) RPCRecv(req int, payload []byte) []byte {
-	in.mu.Lock()
-	delay := time.Duration(0)
-	if in.fires(RPCDelay, req) {
-		delay = in.delay
-		in.log(RPCDelay, req, delay.String())
-	}
-	if in.fires(RPCCorrupt, req) {
-		payload = in.flip(payload)
-		in.log(RPCCorrupt, req, "reply bit flipped")
-	}
-	in.mu.Unlock()
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-	return payload
-}
-
-// ---- prooffleet.FaultHook (multi-daemon fleet client) ----
+// ---- prooffleet.FaultHook (the remote proving client) ----
 
 // FleetDispatch may make backend unreachable for dispatch seq: a flap
 // hits whichever backend the dispatch landed on, a partition only the

@@ -53,7 +53,7 @@ type FaultHook interface {
 // RemoteProver proves a refinement condition out of process, working at
 // the wire-format level: it receives the exact condition bytes the
 // kernel emitted and returns encoded proof bytes ready for submission.
-// proofrpc.Client implements it over the bcfd daemon. Errors matching
+// prooffleet.Fleet implements it over one or more bcfd daemons. Errors matching
 // bcferr.ErrRemoteUnavailable are transport failures (dead daemon,
 // timeout, corrupt frame); everything else is an authoritative proving
 // outcome, with counterexamples carried via bcferr.WithCounterexample.

@@ -42,16 +42,14 @@ const (
 	MCacheMisses        = "bcf_proof_cache_misses_total"
 	MCacheCoalesced     = "bcf_proof_cache_coalesced_total" // singleflight piggybacks
 
-	// Remote proving, client side (proofrpc.Client + loader fallback).
+	// Remote proving, client side (loader fallback accounting plus the
+	// proof sources internal/prooffleet observes).
 	MRemoteProofs       = "bcf_remote_proofs_total"             // obligations proven by the daemon
 	MRemoteFallbacks    = "bcf_remote_fallbacks_total"          // transport failures degraded to in-process
-	MRemoteRequests     = "bcf_remote_requests_total"           // RPC attempts, label: outcome=ok|transport|error
-	MRemoteRetries      = "bcf_remote_retries_total"            // attempts beyond the first
 	MRemoteSource       = "bcf_remote_source_total"             // label: src=solved|mem|disk|coalesced
-	MRemoteSeconds      = "bcf_remote_seconds"                  // whole ProveBytes call incl. retries
 	MRemoteBackpressure = "bcf_remote_backpressure_waits_total" // bounded waits behind fleet admission control
 
-	// Resilient proving fleet, client side (internal/prooffleet).
+	// Remote proving client (internal/prooffleet).
 	MFleetDispatches   = "fleet_dispatches_total"    // label: backend
 	MFleetFailovers    = "fleet_failovers_total"     // primary dead, key rehashed to a survivor
 	MFleetHedges       = "fleet_hedges_total"        // hedge requests launched

@@ -12,7 +12,7 @@ import (
 	"bcf/internal/corpus"
 	"bcf/internal/faultinject"
 	"bcf/internal/loader"
-	"bcf/internal/proofrpc"
+	"bcf/internal/prooffleet"
 )
 
 // chaosLoadOpts mirrors the hardened-loop soak configuration: generous
@@ -28,33 +28,26 @@ func chaosLoadOpts(remote loader.RemoteProver) loader.Options {
 	}
 }
 
-func faultyClient(t *testing.T, endpoint string, inj *faultinject.Injector) *proofrpc.Client {
+func faultyClient(t *testing.T, endpoint string, inj *faultinject.Injector) *prooffleet.Fleet {
 	t.Helper()
-	network, addr, err := proofrpc.ParseAddr(endpoint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := proofrpc.NewClient(proofrpc.ClientOptions{
-		Network:        network,
-		Addr:           addr,
+	return newFleetOfOne(t, prooffleet.Options{
+		Endpoints:      []string{endpoint},
 		RequestTimeout: 5 * time.Second,
-		RetryBackoff:   time.Millisecond,
 		Fault:          inj,
 	})
-	t.Cleanup(func() { c.Close() })
-	return c
 }
 
 // TestChaosRemoteProving is the soak test for the RPC proving path: a
-// slice of the §6 corpus is loaded against a real daemon while the
-// client-side injector drops connections, stalls replies and corrupts
-// reply payloads. Invariants, per (program, schedule) pair:
+// slice of the §6 corpus is loaded against a real daemon through a fleet
+// of one while the client-side injector flaps the backend, stalls
+// replies and corrupts reply payloads. Invariants, per (program,
+// schedule) pair:
 //
 //  1. termination — no injected fault may hang the load;
 //  2. degradation — an RPC fault ends in a classified error or a
 //     transparent fallback to the in-process solver, never in limbo:
-//     if the injector fired and the load still succeeded, fallbacks or
-//     retries absorbed every failure;
+//     if the injector fired and the load still succeeded, fallbacks
+//     absorbed every failure;
 //  3. soundness — an accept under injection implies the clean
 //     in-process load of the same program also accepts. The kernel-side
 //     checker validates every proof regardless of where it was found,
@@ -66,6 +59,7 @@ func TestChaosRemoteProving(t *testing.T) {
 	entries := corpus.Generate()
 	_, endpoint := startServer(t, Options{})
 
+	fired := 0
 	for i := 0; i < len(entries); i += 64 { // 8 programs across families
 		e := entries[i]
 		clean := loader.Load(e.Prog, chaosLoadOpts(nil))
@@ -75,20 +69,21 @@ func TestChaosRemoteProving(t *testing.T) {
 			inj := faultinject.New(seed)
 			switch s {
 			case 0:
-				inj.Arm(faultinject.RPCDrop) // every request: daemon unreachable
+				inj.Arm(faultinject.FleetFlap) // every request: daemon unreachable
 			case 1:
-				inj.Arm(faultinject.RPCCorrupt) // every reply: bytes mangled
+				inj.Arm(faultinject.FleetByzantine) // every reply: bytes mangled
 			case 2:
-				inj.Arm(faultinject.RPCDelay).SetDelay(10 * time.Millisecond)
+				inj.Arm(faultinject.FleetSlow).SetDelay(10 * time.Millisecond)
 			case 3:
 				// Mixed: first request dropped, second reply corrupted.
-				inj.Arm(faultinject.RPCDrop, 0).Arm(faultinject.RPCCorrupt, 1)
+				inj.Arm(faultinject.FleetFlap, 0).Arm(faultinject.FleetByzantine, 1)
 			}
 			client := faultyClient(t, endpoint, inj)
 
 			start := time.Now()
 			res := loader.Load(e.Prog, chaosLoadOpts(client))
 			elapsed := time.Since(start)
+			fired += len(inj.Events())
 
 			if elapsed > 30*time.Second {
 				t.Fatalf("%s seed %d: load ran %v, past its deadline", e.Prog.Name, seed, elapsed)
@@ -126,6 +121,9 @@ func TestChaosRemoteProving(t *testing.T) {
 			}
 		}
 	}
+	if fired == 0 {
+		t.Error("no RPC fault fired; the soak is vacuous")
+	}
 }
 
 // TestChaosDaemonKilledMidRun kills the daemon between loads: proving
@@ -142,16 +140,10 @@ func TestChaosDaemonKilledMidRun(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- s.Serve(l) }()
 
-	network, addr, err := proofrpc.ParseAddr("unix:" + sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	client := proofrpc.NewClient(proofrpc.ClientOptions{
-		Network: network, Addr: addr,
+	client := newFleetOfOne(t, prooffleet.Options{
+		Endpoints:      []string{"unix:" + sock},
 		ConnectTimeout: time.Second,
-		RetryBackoff:   time.Millisecond,
 	})
-	defer client.Close()
 
 	// Find a corpus entry that actually proves something remotely.
 	var probe int = -1

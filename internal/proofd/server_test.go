@@ -13,7 +13,7 @@ import (
 	"bcf/internal/bcferr"
 	"bcf/internal/expr"
 	"bcf/internal/obs"
-	"bcf/internal/proofrpc"
+	"bcf/internal/prooffleet"
 )
 
 // startServer runs a server on a Unix socket and returns its endpoint.
@@ -38,19 +38,25 @@ func startServer(t *testing.T, opts Options) (*Server, string) {
 	return s, "unix:" + sock
 }
 
-func dialClient(t *testing.T, endpoint string, reg *obs.Registry) *proofrpc.Client {
+// dialClient returns a remote proving client for one daemon: a fleet of
+// one with probing and hedging off, so the daemon sees only the frames
+// the test sends.
+func dialClient(t *testing.T, endpoint string, reg *obs.Registry) *prooffleet.Fleet {
 	t.Helper()
-	network, addr, err := proofrpc.ParseAddr(endpoint)
+	return newFleetOfOne(t, prooffleet.Options{Endpoints: []string{endpoint}, Obs: reg})
+}
+
+// newFleetOfOne builds opts into a fleet with active probing and hedging
+// disabled, closed at test end.
+func newFleetOfOne(t *testing.T, opts prooffleet.Options) *prooffleet.Fleet {
+	t.Helper()
+	opts.ProbeInterval, opts.HedgeDelay = -1, -1
+	f, err := prooffleet.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := proofrpc.NewClient(proofrpc.ClientOptions{
-		Network: network, Addr: addr,
-		RetryBackoff: time.Millisecond,
-		Obs:          reg,
-	})
-	t.Cleanup(func() { c.Close() })
-	return c
+	t.Cleanup(func() { f.Close() })
+	return f
 }
 
 // encodedCond builds the wire bytes of a provable condition

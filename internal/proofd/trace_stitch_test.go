@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"bcf/internal/obs"
-	"bcf/internal/proofrpc"
+	"bcf/internal/prooffleet"
 )
 
 // stitchEvents runs the client tracer through WriteJSON and back — the
@@ -39,8 +39,9 @@ func argString(e obs.TraceEvent, key string) string {
 // daemon with its own tracer, ships the daemon's spans back, and checks
 // the merged client trace is one tree: the daemon's proofd-prove span
 // carries the client's trace ID and is parented on the client's
-// remote-prove RPC span, with the solve span nested below it — the
-// single-Perfetto-file acceptance path of bcfbench -remote -tracefile.
+// backend-prove span (one per backend attempt, under fleet-prove), with
+// the solve span nested below it — the single-Perfetto-file acceptance
+// path of bcfbench -remote -tracefile.
 func TestTraceStitchEndToEnd(t *testing.T) {
 	daemonTracer := obs.NewTracerCap(0).WithProcess(1, "bcfd")
 	srv := New(Options{Obs: obs.NewRegistry(), Trace: daemonTracer})
@@ -58,12 +59,10 @@ func TestTraceStitchEndToEnd(t *testing.T) {
 	}()
 
 	clientTracer := obs.NewTracer().WithProcess(2, "client")
-	c := proofrpc.NewClient(proofrpc.ClientOptions{
-		Network: "tcp", Addr: l.Addr().String(),
-		RetryBackoff: time.Millisecond,
-		Trace:        clientTracer,
+	c := newFleetOfOne(t, prooffleet.Options{
+		Endpoints: []string{"tcp:" + l.Addr().String()},
+		Trace:     clientTracer,
 	})
-	defer c.Close()
 
 	ctx := context.Background()
 	for _, varID := range []uint32{1, 2} {
@@ -71,7 +70,7 @@ func TestTraceStitchEndToEnd(t *testing.T) {
 			t.Fatalf("prove var %d: %v", varID, err)
 		}
 	}
-	if err := c.StitchSpans(ctx); err != nil {
+	if err := c.Stitch(ctx); err != nil {
 		t.Fatalf("stitch: %v", err)
 	}
 
@@ -85,7 +84,7 @@ func TestTraceStitchEndToEnd(t *testing.T) {
 	daemonNamed := false
 	for _, e := range events {
 		switch {
-		case e.Ph == "X" && e.Name == "remote-prove":
+		case e.Ph == "X" && e.Name == "backend-prove":
 			rpcSpans[argString(e, "span_id")] = e
 		case e.Ph == "X" && e.Name == "proofd-prove":
 			daemonProves = append(daemonProves, e)
@@ -96,7 +95,7 @@ func TestTraceStitchEndToEnd(t *testing.T) {
 		}
 	}
 	if len(rpcSpans) != 2 {
-		t.Fatalf("remote-prove spans = %d, want 2", len(rpcSpans))
+		t.Fatalf("backend-prove spans = %d, want 2", len(rpcSpans))
 	}
 	if len(daemonProves) != 2 {
 		t.Fatalf("merged proofd-prove spans = %d, want 2", len(daemonProves))
@@ -156,18 +155,16 @@ func TestTraceStitchTimelineAlignment(t *testing.T) {
 	}()
 
 	clientTracer := obs.NewTracer()
-	c := proofrpc.NewClient(proofrpc.ClientOptions{
-		Network: "tcp", Addr: l.Addr().String(),
-		RetryBackoff: time.Millisecond,
-		Trace:        clientTracer,
+	c := newFleetOfOne(t, prooffleet.Options{
+		Endpoints: []string{"tcp:" + l.Addr().String()},
+		Trace:     clientTracer,
 	})
-	defer c.Close()
 
 	ctx := context.Background()
 	if _, err := c.ProveBytes(ctx, encodedCond(t, 7)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.StitchSpans(ctx); err != nil {
+	if err := c.Stitch(ctx); err != nil {
 		t.Fatal(err)
 	}
 
@@ -175,7 +172,7 @@ func TestTraceStitchTimelineAlignment(t *testing.T) {
 	var rpc, daemon *obs.TraceEvent
 	for i := range events {
 		switch events[i].Name {
-		case "remote-prove":
+		case "backend-prove":
 			rpc = &events[i]
 		case "proofd-prove":
 			daemon = &events[i]

@@ -1,12 +1,12 @@
-// Package prooffleet is the resilient multi-daemon proving client: it
-// spreads the content-addressed obligation key space across N bcfd
-// backends by rendezvous hashing and wraps every dispatch in a full
-// resilience stack — per-backend health (active ping/health probes plus
-// passive error-rate tracking) feeding a three-state circuit breaker,
-// hedged requests for slow keys, token-bucket + inflight admission
-// control with typed backpressure, and rendezvous-rehash failover so a
-// dead backend's key range migrates to the survivors without
-// stampeding any single one of them.
+// Package prooffleet is the remote proving client: it spreads the
+// content-addressed obligation key space across N bcfd backends by
+// rendezvous hashing (a single endpoint is a fleet of one) and wraps
+// every dispatch in a full resilience stack — per-backend health
+// (active ping/health probes plus passive error-rate tracking) feeding
+// a three-state circuit breaker, hedged requests for slow keys,
+// token-bucket + inflight admission control with typed backpressure,
+// and rendezvous-rehash failover so a dead backend's key range migrates
+// to the survivors without stampeding any single one of them.
 //
 // The design leans entirely on the paper's trust argument: the kernel
 // re-checks every proof, so the proving tier can be aggressively
@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,12 +110,16 @@ type Options struct {
 	Fault FaultHook
 }
 
-// Fleet is a multi-daemon proving client. It implements
+// Fleet is the remote proving client. It implements
 // loader.RemoteProver: ProveBytes consistent-hashes the obligation onto
 // a backend and degrades through hedging, failover and (by returning
 // bcferr.ErrRemoteUnavailable) the loader's in-process fallback.
-// Admission-control rejections return bcferr.ErrBackpressure, which the
-// loader converts into a bounded wait, not a failure.
+// Authoritative replies — a counterexample or a classified daemon error
+// — are final: no failover, no fallback. Admission-control rejections
+// return bcferr.ErrBackpressure, which the loader converts into a
+// bounded wait, not a failure. A fleet of one endpoint has the same
+// contract: its transport faults trip the one breaker and surface as
+// bcferr.ErrRemoteUnavailable.
 type Fleet struct {
 	opts     Options
 	backends []*backend
@@ -133,8 +138,7 @@ type Fleet struct {
 	probeStop chan struct{}
 	probeDone chan struct{}
 
-	mu     sync.Mutex
-	closed bool
+	closed atomic.Bool
 }
 
 // backend is one bcfd daemon: its multiplexed connection (redialed on
@@ -226,16 +230,28 @@ func New(opts Options) (*Fleet, error) {
 	return f, nil
 }
 
+// SplitEndpoints parses a comma-separated endpoint list (the CLIs'
+// -remote flag), dropping empty elements.
+func SplitEndpoints(s string) []string {
+	var out []string
+	for _, e := range strings.Split(s, ",") {
+		if e = strings.TrimSpace(e); e != "" {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// errClosed reports a call on a closed fleet.
+var errClosed = unavailable("prooffleet: fleet closed")
+
 // Close stops the prober and drops every backend connection. In-flight
-// requests fail as transport errors (the loader falls back in process).
+// requests fail as transport errors (the loader falls back in process);
+// later calls return bcferr.ErrRemoteUnavailable without dialing.
 func (f *Fleet) Close() error {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
+	if !f.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	f.closed = true
-	f.mu.Unlock()
 	if f.probeStop != nil {
 		close(f.probeStop)
 		<-f.probeDone
@@ -318,7 +334,7 @@ func (f *Fleet) hedgeDelay() time.Duration {
 func (f *Fleet) Ping(ctx context.Context) error {
 	var lastErr error
 	for _, b := range f.backends {
-		conn, err := b.muxConn(f.opts.ConnectTimeout)
+		conn, err := f.muxConn(b)
 		if err != nil {
 			lastErr = err
 			continue
@@ -336,6 +352,9 @@ func (f *Fleet) Ping(ctx context.Context) error {
 // encoded proof. It implements loader.RemoteProver; see the Fleet doc
 // for the error contract.
 func (f *Fleet) ProveBytes(ctx context.Context, cond []byte) ([]byte, error) {
+	if f.closed.Load() {
+		return nil, errClosed
+	}
 	if err := f.admit.Admit(time.Now()); err != nil {
 		f.backpressure.Add(1)
 		f.opts.Obs.Counter(obs.MFleetBackpressure).Inc()
@@ -501,7 +520,7 @@ func (f *Fleet) proveOn(ctx context.Context, b *backend, cond []byte, hedge bool
 			return fail(unavailable("prooffleet: %v", ferr))
 		}
 	}
-	conn, derr := b.muxConn(f.opts.ConnectTimeout)
+	conn, derr := f.muxConn(b)
 	if derr != nil {
 		return fail(unavailable("prooffleet: %v", derr))
 	}
@@ -527,7 +546,7 @@ func (f *Fleet) proveOn(ctx context.Context, b *backend, cond []byte, hedge bool
 		}
 		body = f.opts.Fault.FleetProof(b.id, seq, body)
 	}
-	out, src, ierr, tr := proofrpc.InterpretReply(proofrpc.TProve, rf.Type, body)
+	out, src, ierr, tr := proofrpc.InterpretReply(rf.Type, body)
 	if tr {
 		// Readable frame, garbage content: a byzantine backend. The
 		// sanity decode inside InterpretReply caught it before the bytes
@@ -569,7 +588,7 @@ func (f *Fleet) Stitch(ctx context.Context) error {
 	hi, lo := f.opts.Trace.TraceID()
 	var firstErr error
 	for i, b := range f.backends {
-		conn, err := b.muxConn(f.opts.ConnectTimeout)
+		conn, err := f.muxConn(b)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -594,10 +613,15 @@ func (f *Fleet) Stitch(ctx context.Context) error {
 }
 
 // muxConn returns the backend's live multiplexed connection, redialing
-// a poisoned or absent one.
-func (b *backend) muxConn(connectTimeout time.Duration) (*proofrpc.MuxConn, error) {
+// a poisoned or absent one. A closed fleet never dials: the check runs
+// under b.mu, which Close takes after setting closed, so a dial racing
+// Close is either refused here or closed there.
+func (f *Fleet) muxConn(b *backend) (*proofrpc.MuxConn, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if f.closed.Load() {
+		return nil, errClosed
+	}
 	if b.conn != nil && b.conn.Err() == nil {
 		return b.conn, nil
 	}
@@ -605,7 +629,7 @@ func (b *backend) muxConn(connectTimeout time.Duration) (*proofrpc.MuxConn, erro
 		b.conn.Close()
 		b.conn = nil
 	}
-	c, err := proofrpc.DialMux(b.network, b.addr, connectTimeout)
+	c, err := proofrpc.DialMux(b.network, b.addr, f.opts.ConnectTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -642,7 +666,7 @@ func (f *Fleet) probe(b *backend) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), f.opts.ConnectTimeout)
 	defer cancel()
-	conn, err := b.muxConn(f.opts.ConnectTimeout)
+	conn, err := f.muxConn(b)
 	if err == nil {
 		var h proofrpc.Health
 		h, err = conn.Health(ctx)

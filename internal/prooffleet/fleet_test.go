@@ -15,6 +15,7 @@ import (
 	"bcf/internal/bcfenc"
 	"bcf/internal/bcferr"
 	"bcf/internal/expr"
+	"bcf/internal/obs"
 	"bcf/internal/proofd"
 )
 
@@ -207,6 +208,115 @@ func TestFleetAuthoritativeCounterexample(t *testing.T) {
 	}
 }
 
+// TestFleetAuthoritativeRemoteError: a daemon's TError reply is a
+// classified, authoritative outcome — it neither fails over to the other
+// backend nor looks like unavailability (which would trigger fallback).
+func TestFleetAuthoritativeRemoteError(t *testing.T) {
+	_, ep1 := startDaemon(t, proofd.Options{})
+	_, ep2 := startDaemon(t, proofd.Options{})
+	f := newFleet(t, Options{Endpoints: []string{ep1, ep2}, ProbeInterval: -1, HedgeDelay: -1})
+	_, err := f.ProveBytes(context.Background(), []byte("not a condition"))
+	if err == nil || errors.Is(err, bcferr.ErrRemoteUnavailable) {
+		t.Fatalf("want authoritative remote error, got %v", err)
+	}
+	if bcferr.ClassOf(err) != bcferr.ClassProtocol {
+		t.Fatalf("class = %v, want protocol", bcferr.ClassOf(err))
+	}
+	if st := f.Stats(); st.Dispatches != 1 || st.Failovers != 0 {
+		t.Fatalf("dispatches=%d failovers=%d, want 1 and 0", st.Dispatches, st.Failovers)
+	}
+}
+
+// TestFleetContextCancelled: a caller that gives up mid-request gets
+// ErrRemoteUnavailable promptly, not after the daemon answers.
+func TestFleetContextCancelled(t *testing.T) {
+	const delay = 500 * time.Millisecond
+	_, ep := startDaemon(t, proofd.Options{ChaosDelay: delay})
+	f := newFleet(t, Options{Endpoints: []string{ep}, ProbeInterval: -1})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := f.ProveBytes(ctx, encodedCond(t, 1))
+	if !errors.Is(err, bcferr.ErrRemoteUnavailable) {
+		t.Fatalf("err = %v, want ErrRemoteUnavailable", err)
+	}
+	if elapsed := time.Since(start); elapsed >= delay {
+		t.Fatalf("cancelled prove took %v, as long as the daemon's reply", elapsed)
+	}
+}
+
+// TestFleetClosed: after Close, ProveBytes, Ping and Stitch report
+// ErrRemoteUnavailable without dialing the daemon again.
+func TestFleetClosed(t *testing.T) {
+	reg := obs.NewRegistry()
+	_, ep := startDaemon(t, proofd.Options{Obs: reg})
+	f := newFleet(t, Options{Endpoints: []string{ep}, ProbeInterval: -1, Trace: obs.NewTracer()})
+	ctx := context.Background()
+	if _, err := f.ProveBytes(ctx, encodedCond(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	conns := reg.Counter(obs.MDaemonConns).Value()
+	f.Close()
+	if _, err := f.ProveBytes(ctx, encodedCond(t, 2)); !errors.Is(err, bcferr.ErrRemoteUnavailable) {
+		t.Fatalf("ProveBytes after close: err = %v, want ErrRemoteUnavailable", err)
+	}
+	if err := f.Ping(ctx); !errors.Is(err, bcferr.ErrRemoteUnavailable) {
+		t.Fatalf("Ping after close: err = %v, want ErrRemoteUnavailable", err)
+	}
+	if err := f.Stitch(ctx); !errors.Is(err, bcferr.ErrRemoteUnavailable) {
+		t.Fatalf("Stitch after close: err = %v, want ErrRemoteUnavailable", err)
+	}
+	// Give a leaked dial time to reach the daemon's accept loop.
+	time.Sleep(20 * time.Millisecond)
+	if n := reg.Counter(obs.MDaemonConns).Value(); n != conns {
+		t.Fatalf("daemon accepted %d connections after Close", n-conns)
+	}
+}
+
+// TestFleetCloseRacesCalls closes the fleet while goroutines are proving:
+// every call ends in a proof or ErrRemoteUnavailable, and no connection
+// dialed around Close survives it.
+func TestFleetCloseRacesCalls(t *testing.T) {
+	_, ep := startDaemon(t, proofd.Options{})
+	f := newFleet(t, Options{Endpoints: []string{ep}, ProbeInterval: -1})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 16; i++ {
+				_, err := f.ProveBytes(context.Background(), encodedCond(t, uint32(g*100+i+1)))
+				if err != nil && !errors.Is(err, bcferr.ErrRemoteUnavailable) {
+					t.Errorf("prove racing Close: %v", err)
+					return
+				}
+			}
+		}(g)
+	}
+	time.Sleep(time.Millisecond)
+	f.Close()
+	wg.Wait()
+	for _, b := range f.backends {
+		b.mu.Lock()
+		live := b.conn
+		b.mu.Unlock()
+		if live != nil {
+			t.Fatalf("backend %s kept a connection after Close", b.id)
+		}
+	}
+}
+
+func TestSplitEndpoints(t *testing.T) {
+	got := SplitEndpoints(" unix:/a.sock, ,tcp:h:1,,b:2 ")
+	want := []string{"unix:/a.sock", "tcp:h:1", "b:2"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("SplitEndpoints = %q, want %q", got, want)
+	}
+	if got := SplitEndpoints(""); len(got) != 0 {
+		t.Fatalf("SplitEndpoints(\"\") = %q, want none", got)
+	}
+}
+
 func TestFleetBackpressure(t *testing.T) {
 	_, ep := startDaemon(t, proofd.Options{})
 	f := newFleet(t, Options{
@@ -304,8 +414,8 @@ func TestFleetByzantineBackendFailsOver(t *testing.T) {
 // corruptBackend flips proof bytes from one backend (byzantine prover).
 type corruptBackend struct{ backend string }
 
-func (c corruptBackend) FleetDispatch(string, int) error        { return nil }
-func (c corruptBackend) FleetDelay(string, int) time.Duration   { return 0 }
+func (c corruptBackend) FleetDispatch(string, int) error      { return nil }
+func (c corruptBackend) FleetDelay(string, int) time.Duration { return 0 }
 func (c corruptBackend) FleetProof(b string, _ int, p []byte) []byte {
 	if b != c.backend || len(p) == 0 {
 		return p
@@ -426,7 +536,7 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatal("trickle bound ignored")
 	}
 	b.Success()
-	if !b.Allow(now.Add(2*time.Second)) {
+	if !b.Allow(now.Add(2 * time.Second)) {
 		t.Fatal("slot not returned after success")
 	}
 	b.Success()

@@ -1,70 +1,12 @@
 package proofrpc
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"math/rand/v2"
-	"net"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"bcf/internal/bcfenc"
 	"bcf/internal/bcferr"
-	"bcf/internal/obs"
 )
-
-// Client defaults.
-const (
-	DefaultConnectTimeout = 1 * time.Second
-	DefaultRequestTimeout = 30 * time.Second
-	DefaultMaxRetries     = 2
-	DefaultRetryBackoff   = 25 * time.Millisecond
-	DefaultMaxIdleConns   = 8
-)
-
-// FaultHook intercepts the client side of the RPC path (test
-// instrumentation; internal/faultinject implements it). A nil hook
-// costs nothing.
-type FaultHook interface {
-	// RPCSend runs before a request attempt is written; a non-nil error
-	// models the connection dropping mid-flight.
-	RPCSend(req int) error
-	// RPCRecv may delay and/or replace the reply payload (slow daemon,
-	// corrupted bytes on the wire).
-	RPCRecv(req int, payload []byte) []byte
-}
-
-// ClientOptions configure a Client.
-type ClientOptions struct {
-	// Network and Addr name the daemon endpoint ("unix" + socket path,
-	// or "tcp" + host:port). ParseAddr derives them from one string.
-	Network, Addr string
-	// ConnectTimeout bounds each dial (0 = DefaultConnectTimeout).
-	ConnectTimeout time.Duration
-	// RequestTimeout bounds each request attempt end to end, in addition
-	// to the caller's context (0 = DefaultRequestTimeout).
-	RequestTimeout time.Duration
-	// MaxRetries is how many times a transport failure is retried with
-	// backoff before the request is reported unavailable (<0 = none,
-	// 0 = DefaultMaxRetries).
-	MaxRetries int
-	// RetryBackoff is the base backoff, doubled per retry
-	// (0 = DefaultRetryBackoff).
-	RetryBackoff time.Duration
-	// MaxIdleConns bounds the pooled idle connections
-	// (0 = DefaultMaxIdleConns).
-	MaxIdleConns int
-	// Obs, when non-nil, receives request/retry/fallback counters and
-	// the per-source proof counts reported by the daemon.
-	Obs *obs.Registry
-	// Trace, when non-nil, records one span per RPC.
-	Trace *obs.Tracer
-	// Fault injects RPC faults (tests only).
-	Fault FaultHook
-}
 
 // ParseAddr turns a user-facing endpoint string into a (network, addr)
 // pair: "unix:/path" and "tcp:host:port" are explicit; a bare string
@@ -84,392 +26,30 @@ func ParseAddr(s string) (network, addr string, err error) {
 	}
 }
 
-// Client talks to a bcfd daemon. It implements loader.RemoteProver: a
-// ProveBytes call ships the condition over the wire and returns the
-// daemon's proof bytes. Transport failures are retried with bounded
-// backoff and ultimately reported as bcferr.ErrRemoteUnavailable, which
-// the loader turns into an in-process fallback — a dead daemon degrades
-// to local proving, never to a hang.
-//
-// The client keeps a small pool of idle connections; concurrent
-// requests each use their own connection (one outstanding request per
-// connection keeps the protocol trivially correlated).
-type Client struct {
-	opts ClientOptions
-
-	mu     sync.Mutex
-	idle   []net.Conn
-	closed bool
-
-	reqSeq atomic.Uint64
-}
-
-// NewClient returns a client for the given endpoint; it does not dial
-// until the first request.
-func NewClient(opts ClientOptions) *Client {
-	if opts.ConnectTimeout <= 0 {
-		opts.ConnectTimeout = DefaultConnectTimeout
-	}
-	if opts.RequestTimeout <= 0 {
-		opts.RequestTimeout = DefaultRequestTimeout
-	}
-	if opts.MaxRetries == 0 {
-		opts.MaxRetries = DefaultMaxRetries
-	}
-	if opts.MaxRetries < 0 {
-		opts.MaxRetries = 0
-	}
-	if opts.RetryBackoff <= 0 {
-		opts.RetryBackoff = DefaultRetryBackoff
-	}
-	if opts.MaxIdleConns <= 0 {
-		opts.MaxIdleConns = DefaultMaxIdleConns
-	}
-	return &Client{opts: opts}
-}
-
-// Dial is shorthand for NewClient with the endpoint parsed by
-// ParseAddr; opts.Network/Addr are overwritten, everything else is kept.
-func Dial(endpoint string, opts ClientOptions) (*Client, error) {
-	network, addr, err := ParseAddr(endpoint)
-	if err != nil {
-		return nil, err
-	}
-	opts.Network, opts.Addr = network, addr
-	return NewClient(opts), nil
-}
-
-// Close drops every pooled connection. In-flight requests finish on
-// their own connections; later requests fail to dial.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	idle := c.idle
-	c.idle, c.closed = nil, true
-	c.mu.Unlock()
-	for _, conn := range idle {
-		conn.Close()
-	}
-	return nil
-}
-
 // unavailable wraps a transport-level failure so that
 // errors.Is(err, bcferr.ErrRemoteUnavailable) holds.
 func unavailable(format string, args ...any) error {
 	return fmt.Errorf(format+": %w", append(args, bcferr.ErrRemoteUnavailable)...)
 }
 
-func (c *Client) acquire() (net.Conn, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, unavailable("proofrpc: client closed")
-	}
-	if n := len(c.idle); n > 0 {
-		conn := c.idle[n-1]
-		c.idle = c.idle[:n-1]
-		c.mu.Unlock()
-		return conn, nil
-	}
-	c.mu.Unlock()
-	conn, err := net.DialTimeout(c.opts.Network, c.opts.Addr, c.opts.ConnectTimeout)
-	if err != nil {
-		return nil, unavailable("proofrpc: dial %s %s: %v", c.opts.Network, c.opts.Addr, err)
-	}
-	return conn, nil
-}
-
-func (c *Client) release(conn net.Conn) {
-	conn.SetDeadline(time.Time{})
-	c.mu.Lock()
-	if !c.closed && len(c.idle) < c.opts.MaxIdleConns {
-		c.idle = append(c.idle, conn)
-		c.mu.Unlock()
-		return
-	}
-	c.mu.Unlock()
-	conn.Close()
-}
-
-// Ping round-trips a liveness frame.
-func (c *Client) Ping(ctx context.Context) error {
-	_, err := c.roundTrip(ctx, TPing, nil, obs.TraceContext{})
-	return err
-}
-
-// ClockOffset estimates the daemon↔client clock difference from one
-// TPing round trip: the daemon stamps its wall clock into the TPong and
-// the client assumes the stamp was taken mid-flight, so
-// offset ≈ daemonNano − (sendNano + RTT/2). Used to place shipped-back
-// daemon spans on the client timeline. A daemon that does not stamp its
-// pongs yields offset 0.
-func (c *Client) ClockOffset(ctx context.Context) (offset time.Duration, rtt time.Duration, err error) {
-	t0 := time.Now()
-	body, err := c.roundTrip(ctx, TPing, nil, obs.TraceContext{})
-	rtt = time.Since(t0)
-	if err != nil {
-		return 0, rtt, err
-	}
-	nano, err := DecodePongPayload(body)
-	if err != nil || nano == 0 {
-		return 0, rtt, err
-	}
-	mid := t0.Add(rtt / 2).UnixNano()
-	return time.Duration(nano - mid), rtt, nil
-}
-
-// traceContext builds the trace context a request frame should carry:
-// the caller's span from ctx when one was propagated (the loader seeds
-// it with the load span), else a fresh root span reference is not
-// invented — an untraced client sends untraced frames. The ship-spans
-// flag rides whenever the client records a trace, so the daemon keeps
-// the matching spans for a later Stitch.
-func (c *Client) traceContext(ctx context.Context, sp obs.Span) obs.TraceContext {
-	if c.opts.Trace == nil {
-		return obs.TraceContext{}
-	}
-	tc := sp.Context()
-	tc.Flags |= obs.FlagShipSpans
-	return tc
-}
-
-// ProveBytes ships one encoded condition to the daemon and returns the
-// encoded proof. It implements loader.RemoteProver; see the Client doc
-// for the error contract. When the client has a tracer, the RPC span
-// nests under any span context propagated via obs.ContextWithSpan and
-// the frame carries the span's trace context so the daemon's cache-tier
-// spans land in the same trace.
-func (c *Client) ProveBytes(ctx context.Context, cond []byte) ([]byte, error) {
-	var t0 time.Time
-	if c.opts.Obs != nil {
-		t0 = time.Now()
-	}
-	sp := c.opts.Trace.StartUnder(obs.SpanFromContext(ctx), obs.CatRPC, "remote-prove")
-	reply, err := c.roundTrip(ctx, TProve, cond, c.traceContext(ctx, sp))
-	outcome := "ok"
-	if err != nil {
-		outcome = "error"
-	}
-	sp.EndArgs(map[string]any{"outcome": outcome})
-	if c.opts.Obs != nil {
-		c.opts.Obs.StageHistogram(obs.MRemoteSeconds).Since(t0)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return reply, nil
-}
-
-// FetchSpans asks the daemon for the spans it recorded under the given
-// trace ID (ship-spans-back mode).
-func (c *Client) FetchSpans(ctx context.Context, hi, lo uint64) (obs.ExportedTrace, error) {
-	var ex obs.ExportedTrace
-	body, err := c.roundTrip(ctx, TSpans, EncodeSpansRequest(hi, lo), obs.TraceContext{})
-	if err != nil {
-		return ex, err
-	}
-	if err := json.Unmarshal(body, &ex); err != nil {
-		return ex, unavailable("proofrpc: bad %s payload: %v", TypeString(TSpansOK), err)
-	}
-	return ex, nil
-}
-
-// StitchSpans pulls the daemon's spans for this client's trace and
-// merges them into the client tracer under their own process track
-// (pid 1000), with timestamps corrected by a ClockOffset estimate — so
-// one WriteFile after a traced run yields a single Perfetto file
-// showing both sides of every RPC. A no-op without a tracer.
-func (c *Client) StitchSpans(ctx context.Context) error {
-	if c.opts.Trace == nil {
-		return nil
-	}
-	offset, _, err := c.ClockOffset(ctx)
-	if err != nil {
-		return err
-	}
-	hi, lo := c.opts.Trace.TraceID()
-	ex, err := c.FetchSpans(ctx, hi, lo)
-	if err != nil {
-		return err
-	}
-	c.opts.Trace.Merge(ex, 1000, "bcfd:"+c.opts.Addr, offset)
-	return nil
-}
-
-// roundTrip performs one request with retry-with-backoff on transport
-// failures. Reply interpretation (proof / counterexample / remote
-// error) happens inside each attempt so that a corrupt-but-readable
-// reply is retried like any other transport fault.
-//
-// The backoff is jittered (uniform over [base/2, base·1.5), base
-// doubling per retry) so that a fleet of clients retrying against a
-// recovering daemon does not stampede it in lockstep, and every sleep
-// races ctx.Done(): a cancelled load stops retrying immediately instead
-// of serving out the remainder of its schedule.
-func (c *Client) roundTrip(ctx context.Context, typ uint32, payload []byte, tc obs.TraceContext) ([]byte, error) {
-	var lastErr error
-	for attempt := 0; attempt <= c.opts.MaxRetries; attempt++ {
-		if attempt > 0 {
-			c.opts.Obs.Counter(obs.MRemoteRetries).Inc()
-			backoff := jitter(c.opts.RetryBackoff << (attempt - 1))
-			timer := time.NewTimer(backoff)
-			select {
-			case <-ctx.Done():
-				timer.Stop()
-				return nil, unavailable("proofrpc: %v", ctx.Err())
-			case <-timer.C:
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, unavailable("proofrpc: %v", err)
-		}
-		reply, err, transport := c.attempt(ctx, typ, payload, tc)
-		switch {
-		case err == nil:
-			c.opts.Obs.Counter(obs.Label(obs.MRemoteRequests, "outcome", "ok")).Inc()
-			return reply, nil
-		case transport:
-			c.opts.Obs.Counter(obs.Label(obs.MRemoteRequests, "outcome", "transport")).Inc()
-			lastErr = err
-			continue
-		default:
-			// Authoritative remote outcome: no retry, no fallback.
-			c.opts.Obs.Counter(obs.Label(obs.MRemoteRequests, "outcome", "error")).Inc()
-			return nil, err
-		}
-	}
-	return nil, lastErr
-}
-
-// attempt runs one request on one connection. transport=true marks
-// failures of the wire, not of the prover.
-func (c *Client) attempt(ctx context.Context, typ uint32, payload []byte, tc obs.TraceContext) (reply []byte, err error, transport bool) {
-	req := int(c.reqSeq.Add(1) - 1)
-	if c.opts.Fault != nil {
-		if ferr := c.opts.Fault.RPCSend(req); ferr != nil {
-			return nil, unavailable("proofrpc: %v", ferr), true
-		}
-	}
-	conn, err := c.acquire()
-	if err != nil {
-		return nil, err, true
-	}
-	deadline := time.Now().Add(c.opts.RequestTimeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	conn.SetDeadline(deadline)
-	// A context cancelled without a deadline (caller gave up, load
-	// aborted) must not leave this attempt blocked until RequestTimeout:
-	// expire the connection's deadline immediately so the pending read or
-	// write returns. stopWatchdog joins the goroutine, so after it returns
-	// nobody else touches the connection's deadline (the release path
-	// resets it before pooling).
-	watchdog := make(chan struct{})
-	watchdogDone := make(chan struct{})
-	go func() {
-		defer close(watchdogDone)
-		select {
-		case <-ctx.Done():
-			conn.SetDeadline(time.Now())
-		case <-watchdog:
-		}
-	}()
-	stopWatchdog := func() {
-		close(watchdog)
-		<-watchdogDone
-	}
-
-	f := &Frame{Type: typ, ReqID: uint64(req), Payload: payload, Trace: tc}
-	if err := WriteFrame(conn, f); err != nil {
-		stopWatchdog()
-		conn.Close()
-		return nil, unavailable("proofrpc: write: %v", err), true
-	}
-	rf, err := ReadFrame(conn)
-	if err != nil {
-		stopWatchdog()
-		conn.Close()
-		return nil, unavailable("proofrpc: read: %v", err), true
-	}
-	stopWatchdog()
-	body := rf.Payload
-	if c.opts.Fault != nil {
-		body = c.opts.Fault.RPCRecv(req, body)
-	}
-	if rf.ReqID != uint64(req) {
-		conn.Close()
-		return nil, unavailable("proofrpc: reply for request %d, want %d", rf.ReqID, req), true
-	}
-	out, err, transport := c.interpret(typ, rf.Type, body)
-	if transport {
-		conn.Close()
-		return nil, err, true
-	}
-	c.release(conn)
-	return out, err, false
-}
-
-// jitter spreads d uniformly over [d/2, 3d/2) so retry schedules across
-// a fleet of clients decorrelate.
-func jitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return d
-	}
-	return d/2 + time.Duration(rand.Int64N(int64(d)))
-}
-
-// interpret maps a reply frame to the request's outcome, counting proof
-// sources into the client's registry.
-func (c *Client) interpret(reqType, replyType uint32, body []byte) (out []byte, err error, transport bool) {
-	out, src, err, transport := InterpretReply(reqType, replyType, body)
-	if err == nil && !transport && replyType == TProofOK {
-		c.opts.Obs.Counter(obs.Label(obs.MRemoteSource, "src", SrcString(src))).Inc()
-	}
-	return out, err, transport
-}
-
-// InterpretReply maps a reply frame to the outcome of the request that
-// elicited it. transport=true marks failures of the wire (malformed or
+// InterpretReply maps the reply frame to a TProve request to its
+// outcome. transport=true marks failures of the wire (malformed or
 // mismatched replies, undecodable proof bytes) as opposed to
 // authoritative proving outcomes; transport errors match
 // bcferr.ErrRemoteUnavailable. src is the daemon-reported proof source
-// for TProofOK replies. Both the classic Client and the prooffleet
-// backends route replies through here, so a byzantine daemon is
-// classified identically no matter which transport carried its bytes.
-func InterpretReply(reqType, replyType uint32, body []byte) (out []byte, src byte, err error, transport bool) {
+// of a TProofOK reply. Every reply a remote prover accepts passes
+// through here, so a byzantine daemon is classified in one place.
+func InterpretReply(replyType uint32, body []byte) (proof []byte, src byte, err error, transport bool) {
 	switch replyType {
-	case TPong:
-		if reqType != TPing {
-			return nil, 0, unavailable("proofrpc: unexpected %s reply to %s", TypeString(replyType), TypeString(reqType)), true
-		}
-		// The pong body (daemon wall clock, possibly empty) flows back so
-		// ClockOffset can read it; Ping discards it.
-		return append([]byte(nil), body...), 0, nil, false
-
-	case THealthOK:
-		if reqType != THealth {
-			return nil, 0, unavailable("proofrpc: unexpected %s reply to %s", TypeString(replyType), TypeString(reqType)), true
-		}
-		return append([]byte(nil), body...), 0, nil, false
-
-	case TSpansOK:
-		if reqType != TSpans {
-			return nil, 0, unavailable("proofrpc: unexpected %s reply to %s", TypeString(replyType), TypeString(reqType)), true
-		}
-		return append([]byte(nil), body...), 0, nil, false
-
 	case TProofOK:
-		if reqType != TProve {
-			return nil, 0, unavailable("proofrpc: unexpected %s reply to %s", TypeString(replyType), TypeString(reqType)), true
-		}
 		if len(body) < 1 {
 			return nil, 0, unavailable("proofrpc: empty proof reply"), true
 		}
 		src, proofBytes := body[0], body[1:]
 		// Sanity-decode before handing the bytes to the kernel boundary:
-		// a corrupted reply becomes a transport fault (retry, then local
-		// fallback) instead of a guaranteed kernel-side rejection. The
-		// kernel checker remains the soundness gate either way.
+		// a corrupted reply becomes a transport fault (failover, then
+		// local fallback) instead of a guaranteed kernel-side rejection.
+		// The kernel checker remains the soundness gate either way.
 		if _, derr := bcfenc.DecodeProof(proofBytes); derr != nil {
 			return nil, src, unavailable("proofrpc: undecodable proof from daemon: %v", derr), true
 		}
@@ -491,6 +71,6 @@ func InterpretReply(reqType, replyType uint32, body []byte) (out []byte, src byt
 		return nil, 0, bcferr.New(bcferr.Class(class), "proofrpc: remote: %s", msg), false
 
 	default:
-		return nil, 0, unavailable("proofrpc: unexpected reply type %s", TypeString(replyType)), true
+		return nil, 0, unavailable("proofrpc: unexpected %s reply to %s", TypeString(replyType), TypeString(TProve)), true
 	}
 }

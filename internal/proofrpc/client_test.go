@@ -1,4 +1,8 @@
-package proofrpc
+package proofrpc_test
+
+// The remote proving client is a prooffleet.Fleet; a single endpoint is a
+// fleet of one. These tests drive that client against a scripted frame
+// server, pinning how each reply the wire can carry is classified.
 
 import (
 	"context"
@@ -13,12 +17,14 @@ import (
 	"bcf/internal/bcferr"
 	"bcf/internal/expr"
 	"bcf/internal/obs"
+	"bcf/internal/prooffleet"
+	"bcf/internal/proofrpc"
 	"bcf/internal/solver"
 )
 
 // fakeServer speaks raw frames on a Unix socket; handle maps each
 // request to a reply (nil = close the connection without replying).
-func fakeServer(t *testing.T, handle func(*Frame) *Frame) string {
+func fakeServer(t *testing.T, handle func(*proofrpc.Frame) *proofrpc.Frame) string {
 	t.Helper()
 	sock := filepath.Join(t.TempDir(), "fake.sock")
 	l, err := net.Listen("unix", sock)
@@ -35,7 +41,7 @@ func fakeServer(t *testing.T, handle func(*Frame) *Frame) string {
 			go func() {
 				defer conn.Close()
 				for {
-					f, err := ReadFrame(conn)
+					f, err := proofrpc.ReadFrame(conn)
 					if err != nil {
 						return
 					}
@@ -44,7 +50,7 @@ func fakeServer(t *testing.T, handle func(*Frame) *Frame) string {
 						return
 					}
 					reply.ReqID = f.ReqID
-					if err := WriteFrame(conn, reply); err != nil {
+					if err := proofrpc.WriteFrame(conn, reply); err != nil {
 						return
 					}
 				}
@@ -54,20 +60,21 @@ func fakeServer(t *testing.T, handle func(*Frame) *Frame) string {
 	return "unix:" + sock
 }
 
-func newTestClient(t *testing.T, endpoint string, reg *obs.Registry) *Client {
+// newTestClient builds a fleet of one with probing and hedging off, so
+// every frame the server sees comes from the call under test.
+func newTestClient(t *testing.T, endpoint string, reg *obs.Registry) *prooffleet.Fleet {
 	t.Helper()
-	network, addr, err := ParseAddr(endpoint)
+	c, err := prooffleet.New(prooffleet.Options{
+		Endpoints:      []string{endpoint},
+		ConnectTimeout: time.Second,
+		RequestTimeout: 2 * time.Second,
+		ProbeInterval:  -1,
+		HedgeDelay:     -1,
+		Obs:            reg,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewClient(ClientOptions{
-		Network:        network,
-		Addr:           addr,
-		ConnectTimeout: time.Second,
-		RequestTimeout: 2 * time.Second,
-		RetryBackoff:   time.Millisecond,
-		Obs:            reg,
-	})
 	t.Cleanup(func() { c.Close() })
 	return c
 }
@@ -90,12 +97,12 @@ func validProof(t *testing.T) []byte {
 
 func TestClientPingAndProve(t *testing.T) {
 	proof := validProof(t)
-	endpoint := fakeServer(t, func(f *Frame) *Frame {
+	endpoint := fakeServer(t, func(f *proofrpc.Frame) *proofrpc.Frame {
 		switch f.Type {
-		case TPing:
-			return &Frame{Type: TPong}
-		case TProve:
-			return &Frame{Type: TProofOK, Payload: append([]byte{SrcDisk}, proof...)}
+		case proofrpc.TPing:
+			return &proofrpc.Frame{Type: proofrpc.TPong}
+		case proofrpc.TProve:
+			return &proofrpc.Frame{Type: proofrpc.TProofOK, Payload: append([]byte{proofrpc.SrcDisk}, proof...)}
 		}
 		return nil
 	})
@@ -117,8 +124,8 @@ func TestClientPingAndProve(t *testing.T) {
 }
 
 func TestClientCounterexample(t *testing.T) {
-	endpoint := fakeServer(t, func(f *Frame) *Frame {
-		return &Frame{Type: TCex, Payload: EncodeCexPayload(map[uint32]uint64{7: 99})}
+	endpoint := fakeServer(t, func(f *proofrpc.Frame) *proofrpc.Frame {
+		return &proofrpc.Frame{Type: proofrpc.TCex, Payload: proofrpc.EncodeCexPayload(map[uint32]uint64{7: 99})}
 	})
 	c := newTestClient(t, endpoint, nil)
 	_, err := c.ProveBytes(context.Background(), []byte("cond"))
@@ -138,9 +145,9 @@ func TestClientCounterexample(t *testing.T) {
 }
 
 func TestClientRemoteError(t *testing.T) {
-	endpoint := fakeServer(t, func(f *Frame) *Frame {
-		return &Frame{Type: TError,
-			Payload: EncodeErrorPayload(uint32(bcferr.ClassSolverTimeout), "budget exhausted")}
+	endpoint := fakeServer(t, func(f *proofrpc.Frame) *proofrpc.Frame {
+		return &proofrpc.Frame{Type: proofrpc.TError,
+			Payload: proofrpc.EncodeErrorPayload(uint32(bcferr.ClassSolverTimeout), "budget exhausted")}
 	})
 	c := newTestClient(t, endpoint, nil)
 	_, err := c.ProveBytes(context.Background(), []byte("cond"))
@@ -164,50 +171,56 @@ func TestClientDeadDaemonUnavailable(t *testing.T) {
 	}
 }
 
-func TestClientCorruptProofRetriesThenUnavailable(t *testing.T) {
+// A readable frame carrying garbage proof bytes fails the sanity decode:
+// one attempt, counted as byzantine, reported unavailable so the loader
+// falls back. The client does not resend to the same endpoint.
+func TestClientCorruptProofUnavailable(t *testing.T) {
 	var requests atomic.Int32
-	endpoint := fakeServer(t, func(f *Frame) *Frame {
+	endpoint := fakeServer(t, func(f *proofrpc.Frame) *proofrpc.Frame {
 		requests.Add(1)
-		// Valid frame, garbage proof bytes: must fail the sanity decode.
-		return &Frame{Type: TProofOK, Payload: []byte{SrcSolved, 0xde, 0xad, 0xbe, 0xef}}
+		return &proofrpc.Frame{Type: proofrpc.TProofOK, Payload: []byte{proofrpc.SrcSolved, 0xde, 0xad, 0xbe, 0xef}}
 	})
-	reg := obs.NewRegistry()
-	c := newTestClient(t, endpoint, reg)
+	c := newTestClient(t, endpoint, nil)
 	_, err := c.ProveBytes(context.Background(), []byte("cond"))
 	if !errors.Is(err, bcferr.ErrRemoteUnavailable) {
 		t.Fatalf("err = %v, want ErrRemoteUnavailable", err)
 	}
-	if n := requests.Load(); n != int32(1+DefaultMaxRetries) {
-		t.Fatalf("server saw %d attempts, want %d", n, 1+DefaultMaxRetries)
+	if n := requests.Load(); n != 1 {
+		t.Fatalf("server saw %d attempts, want 1", n)
 	}
-	if n := reg.Counter(obs.MRemoteRetries).Value(); n != int64(DefaultMaxRetries) {
-		t.Fatalf("retry counter = %d, want %d", n, DefaultMaxRetries)
+	if n := c.Stats().Byzantine; n != 1 {
+		t.Fatalf("byzantine replies = %d, want 1", n)
 	}
 }
 
+// A connection dropped mid-request fails that request as unavailable;
+// the next request redials and succeeds.
 func TestClientRecoversAfterDroppedConn(t *testing.T) {
 	proof := validProof(t)
 	var requests atomic.Int32
-	endpoint := fakeServer(t, func(f *Frame) *Frame {
+	endpoint := fakeServer(t, func(f *proofrpc.Frame) *proofrpc.Frame {
 		if requests.Add(1) == 1 {
-			return nil // first attempt: connection drops before the reply
+			return nil // first request: connection drops before the reply
 		}
-		return &Frame{Type: TProofOK, Payload: append([]byte{SrcSolved}, proof...)}
+		return &proofrpc.Frame{Type: proofrpc.TProofOK, Payload: append([]byte{proofrpc.SrcSolved}, proof...)}
 	})
 	c := newTestClient(t, endpoint, nil)
+	if _, err := c.ProveBytes(context.Background(), []byte("cond")); !errors.Is(err, bcferr.ErrRemoteUnavailable) {
+		t.Fatalf("dropped request: err = %v, want ErrRemoteUnavailable", err)
+	}
 	got, err := c.ProveBytes(context.Background(), []byte("cond"))
 	if err != nil {
 		t.Fatalf("prove after dropped conn: %v", err)
 	}
 	if string(got) != string(proof) {
-		t.Fatal("proof bytes mangled after retry")
+		t.Fatal("proof bytes mangled after redial")
 	}
 }
 
 func TestClientContextCancelled(t *testing.T) {
-	endpoint := fakeServer(t, func(f *Frame) *Frame {
+	endpoint := fakeServer(t, func(f *proofrpc.Frame) *proofrpc.Frame {
 		time.Sleep(50 * time.Millisecond)
-		return &Frame{Type: TPong}
+		return &proofrpc.Frame{Type: proofrpc.TPong}
 	})
 	c := newTestClient(t, endpoint, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
@@ -219,7 +232,7 @@ func TestClientContextCancelled(t *testing.T) {
 }
 
 func TestClientClosed(t *testing.T) {
-	endpoint := fakeServer(t, func(f *Frame) *Frame { return &Frame{Type: TPong} })
+	endpoint := fakeServer(t, func(f *proofrpc.Frame) *proofrpc.Frame { return &proofrpc.Frame{Type: proofrpc.TPong} })
 	c := newTestClient(t, endpoint, nil)
 	if err := c.Ping(context.Background()); err != nil {
 		t.Fatal(err)
@@ -227,68 +240,5 @@ func TestClientClosed(t *testing.T) {
 	c.Close()
 	if err := c.Ping(context.Background()); !errors.Is(err, bcferr.ErrRemoteUnavailable) {
 		t.Fatalf("err after close = %v, want ErrRemoteUnavailable", err)
-	}
-}
-
-// TestClientCancelMidRetryBackoff is the regression test for the retry
-// loop honoring ctx.Done() between attempts: with a multi-second base
-// backoff and a server that always drops the connection, cancelling the
-// context during the first backoff sleep must end the call immediately —
-// not after the remaining retry schedule has been slept out.
-func TestClientCancelMidRetryBackoff(t *testing.T) {
-	var drops atomic.Int64
-	endpoint := fakeServer(t, func(f *Frame) *Frame {
-		drops.Add(1)
-		return nil // hang up without replying: transport fault, client retries
-	})
-	network, addr, err := ParseAddr(endpoint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewClient(ClientOptions{
-		Network: network, Addr: addr,
-		ConnectTimeout: time.Second,
-		RequestTimeout: time.Second,
-		RetryBackoff:   10 * time.Second, // would sleep ~5s+ before attempt 2
-		MaxRetries:     3,
-	})
-	defer c.Close()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		// Let the first attempt fail and the backoff sleep begin.
-		time.Sleep(100 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	_, err = c.ProveBytes(ctx, []byte("cond"))
-	elapsed := time.Since(start)
-
-	if !errors.Is(err, bcferr.ErrRemoteUnavailable) {
-		t.Fatalf("err = %v, want ErrRemoteUnavailable", err)
-	}
-	if elapsed > 2*time.Second {
-		t.Fatalf("cancelled call took %v; retry backoff ignored ctx.Done()", elapsed)
-	}
-	if got := drops.Load(); got != 1 {
-		t.Fatalf("server saw %d attempts, want exactly 1 (cancel fired mid-backoff)", got)
-	}
-}
-
-// TestClientBackoffJitterSpread checks that the jittered backoff is not
-// a fixed point: two clients with the same base must not always sleep
-// the same schedule (anti-stampede).
-func TestClientBackoffJitterSpread(t *testing.T) {
-	base := 80 * time.Millisecond
-	seen := map[time.Duration]bool{}
-	for i := 0; i < 64; i++ {
-		d := jitter(base)
-		if d < base/2 || d >= base/2+base {
-			t.Fatalf("jitter(%v) = %v outside [base/2, 1.5*base)", base, d)
-		}
-		seen[d] = true
-	}
-	if len(seen) < 8 {
-		t.Fatalf("jitter produced only %d distinct values in 64 draws", len(seen))
 	}
 }

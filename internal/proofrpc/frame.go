@@ -1,7 +1,7 @@
 // Package proofrpc is the wire protocol of the remote proving service:
 // a versioned, length-prefixed frame format carried over TCP or Unix
-// sockets, plus the client used by the loader to offload proof search
-// to a bcfd daemon.
+// sockets, plus the multiplexed connection and reply classifier that
+// internal/prooffleet (the one remote proving client) builds on.
 //
 // The protocol deliberately mirrors the kernel↔user boundary discipline
 // of the BCF design: payloads are the exact internal/bcfenc condition

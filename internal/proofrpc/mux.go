@@ -15,10 +15,9 @@ import (
 // MuxConn multiplexes concurrent requests over one connection: every
 // request carries a fresh request ID, a single reader goroutine
 // demultiplexes replies back to their callers, and replies may arrive in
-// any order. This is the fleet-scale transport — one connection per
-// backend carries every in-flight obligation instead of the classic
-// Client's one-outstanding-request-per-connection discipline, so N
-// concurrent loads cost one socket, not N.
+// any order. This is the fleet's transport: one connection per backend
+// carries every in-flight obligation, so N concurrent loads cost one
+// socket, not N.
 //
 // A MuxConn is single-use: the first transport error (read failure,
 // malformed frame, unmatched request ID) poisons it, fails every pending
@@ -37,11 +36,9 @@ type MuxConn struct {
 	seq atomic.Uint64
 }
 
-// DialMux dials network/addr and starts the reply demultiplexer.
+// DialMux dials network/addr, waiting at most connectTimeout (0 = no
+// bound), and starts the reply demultiplexer.
 func DialMux(network, addr string, connectTimeout time.Duration) (*MuxConn, error) {
-	if connectTimeout <= 0 {
-		connectTimeout = DefaultConnectTimeout
-	}
 	conn, err := net.DialTimeout(network, addr, connectTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("proofrpc: dial %s %s: %w", network, addr, err)

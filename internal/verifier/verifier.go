@@ -169,15 +169,15 @@ type Refiner interface {
 	Refine(req *RefineRequest) (*RefineResult, error)
 }
 
-// Stats aggregates per-verification counters; the benchmark harness reads
-// them to regenerate Table 3.
+// Stats aggregates per-verification counters (Table 3). At ParallelPaths>1
+// a rejected load's counters and PeakStackDepth depend on scheduling.
 type Stats struct {
-	InsnProcessed  int
-	PathsExplored  int
-	StatesPruned   int
-	PeakStackDepth int
-	Refinements    int // granted refinements
-	RefineAttempts int // requests issued to the Refiner
+	InsnProcessed  int // deterministic on any accepted load
+	PathsExplored  int // deterministic on any accepted load
+	StatesPruned   int // deterministic on any accepted load
+	PeakStackDepth int // frontier high-water mark: scheduling-dependent at ParallelPaths>1
+	Refinements    int // granted refinements; deterministic on any accepted load
+	RefineAttempts int // requests issued to the Refiner; deterministic on any accepted load
 }
 
 // RegRange declares the fixpoint range of one register at a loop head.
