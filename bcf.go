@@ -181,10 +181,10 @@ func WithInsnLimit(n int) Option {
 	return func(o *loader.Options) { o.Verifier.InsnLimit = n }
 }
 
-// WithParallelPaths explores pending branch paths with n concurrent
-// workers inside the verifier (n <= 1 keeps the sequential DFS, the
-// default). The accept/reject verdict and the reported error are
-// identical at any worker count; see DESIGN.md, "Parallel verification".
+// WithParallelPaths explores pending branch paths with n workers inside
+// the verifier (n <= 1: one worker, the default). A prune that loses its
+// race at n > 1 spends extra budget and, with a stateful or failing
+// refiner, can change the verdict; see verifier.Config.ParallelPaths.
 func WithParallelPaths(n int) Option {
 	return func(o *loader.Options) { o.Verifier.ParallelPaths = n }
 }

@@ -113,7 +113,7 @@ func main() {
 	src := flag.String("src", ".", "repository root (for Table 1 line counts)")
 	quiet := flag.Bool("q", false, "suppress progress output")
 	parallel := flag.Int("parallel", 0, "worker-pool size (0 = GOMAXPROCS)")
-	parallelPaths := flag.Int("parallel-paths", 0, "verifier path-exploration workers per load (<=1 = sequential DFS)")
+	parallelPaths := flag.Int("parallel-paths", 0, "verifier path-exploration workers per load (<=1 = one worker)")
 	verifBench := flag.String("verifier-bench", "", "run the parallel-verifier speedup benchmark, write BENCH JSON to this path, and exit")
 	verifBenchDepth := flag.Int("verifier-bench-depth", 11, "fork depth of the verifier benchmark program (2^depth paths)")
 	verifBenchReps := flag.Int("verifier-bench-reps", 5, "timing repetitions per worker count in -verifier-bench")

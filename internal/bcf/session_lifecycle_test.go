@@ -14,6 +14,22 @@ import (
 	"bcf/internal/verifier"
 )
 
+// waitVerdict waits until the session's own verification goroutine has
+// delivered its verdict: doneCh is buffered with capacity 1, so a pending
+// verdict shows as one queued value, and a session that already consumed
+// it (Abort) is finished. Unlike the process-wide goroutine count, this
+// cannot be satisfied early by unrelated goroutines exiting.
+func waitVerdict(t *testing.T, sess *Session) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !sess.finished && len(sess.doneCh) != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("session never reached a verdict")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 func waitBaseline(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -40,6 +56,7 @@ func TestSessionWatchdogReclaimsAbandonedSession(t *testing.T) {
 	}
 	// Abandon the session: no Resume, no Abort. The watchdog must
 	// terminate the pump goroutine on its own.
+	waitVerdict(t, sess)
 	waitBaseline(t, base)
 	// A straggling Resume after the watchdog fired must not deadlock and
 	// must report the watchdog verdict.
@@ -60,6 +77,7 @@ func TestSessionAbortMidCondition(t *testing.T) {
 		t.Fatal("expected a pending condition")
 	}
 	sess.Abort()
+	waitVerdict(t, sess)
 	waitBaseline(t, base)
 	lr = sess.Resume(nil, nil)
 	if !lr.Done || lr.Err == nil {

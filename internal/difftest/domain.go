@@ -21,7 +21,7 @@ type ObsNode struct {
 
 // TreeObserver implements verifier.Observer by materializing the analysis
 // tree. The verifier threads the parent token through branch forks, so
-// the tree mirrors its DFS exactly. With ParallelPaths > 1 both sides of
+// the tree mirrors its DFS exactly. With several path workers both sides of
 // a fork may call Step concurrently under the same parent, so appends
 // are serialized; child order then reflects scheduling, which is fine —
 // trace matching never depends on sibling order.

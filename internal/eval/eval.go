@@ -91,7 +91,7 @@ type Options struct {
 	// order regardless.
 	Parallelism int
 	// ParallelPaths is the verifier-internal path-exploration worker
-	// count per load (<=1 = sequential DFS). It composes with
+	// count per load (<=1 = one worker). It composes with
 	// Parallelism: the total goroutine budget is roughly the product, so
 	// large values of both oversubscribe deliberately.
 	ParallelPaths int

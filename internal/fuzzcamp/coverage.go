@@ -123,9 +123,9 @@ func DecodeBitmap(buf []byte) (*Bitmap, int, error) {
 //     bucket at a pc means the verifier's domains entered a state they
 //     had never held there.
 //
-// Step is mutex-serialized, so the observer is safe under
-// ParallelPaths > 1; campaigns keep the verifier sequential anyway so
-// the explored-path set (and thus the bitmap) is reproducible.
+// Step is mutex-serialized, so the observer is safe with several path
+// workers; campaigns keep the verifier at one worker anyway, because only
+// there is the explored-path set (and thus the bitmap) reproducible.
 type CovObserver struct {
 	mu sync.Mutex
 	bm *Bitmap

@@ -19,8 +19,9 @@ import "bcf/internal/tnum"
 // The *VState is live verifier state: observers must copy what they keep
 // and must not mutate it.
 //
-// Concurrency: with Config.ParallelPaths > 1, sibling paths are walked by
-// different goroutines, so Step is called concurrently — possibly with
+// Concurrency: with one path worker (Config.ParallelPaths <= 1) Step runs
+// on the goroutine that called Verify. With more, sibling paths are walked
+// by different goroutines, so Step is called concurrently — possibly with
 // the same parent token, since both sides of a fork descend from the
 // forking instruction's token. Observers used with a parallel verifier
 // must synchronize their own bookkeeping; tokens themselves are handed

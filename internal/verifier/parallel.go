@@ -8,19 +8,21 @@ import (
 	"bcf/internal/obs"
 )
 
-// Parallel path exploration.
+// Path exploration.
 //
-// When Config.ParallelPaths > 1 the verifier replaces its LIFO branch
-// stack with a work-stealing frontier drained by a fixed pool of
-// workers. Correctness rests on three invariants:
+// The verifier explores pending branch paths from a work-stealing
+// frontier drained by max(Config.ParallelPaths, 1) workers. The calling
+// goroutine runs worker 0, so one worker is a plain LIFO loop on the
+// calling goroutine: exactly the sequential DFS. Correctness at any
+// worker count rests on three invariants:
 //
 //  1. Every branchItem carries a pathOrder, a coordinate in the order
-//     the sequential DFS would have popped it. orderBefore compares two
-//     coordinates without materializing the global order.
-//  2. An explored-state entry only prunes walks ordered after the walk
-//     that recorded it (see pruned in prune.go). Combined with the
-//     monotone transfer functions and anti-monotone checks, this keeps
-//     the accept/reject verdict identical to the sequential run.
+//     the sequential DFS pops it. orderBefore compares two coordinates
+//     without materializing the global order.
+//  2. An explored-state entry prunes a walk only when the sequential DFS
+//     would have consulted it there: the recorder runs no later than the
+//     walk, and every walk of the recorder's subtree that runs earlier
+//     has finished (see visibleTo). With one worker this always holds.
 //  3. Workers never return an error early; they record (error, order)
 //     candidates, and Verify reports the minimum-order candidate — the
 //     error the sequential DFS would have hit first.
@@ -36,20 +38,23 @@ import (
 // before any earlier-pushed sibling.
 type pathOrder struct {
 	parent *pathOrder
-	depth  int32
-	seq    int32
+	// next is the sibling forked right after this one. It is written by
+	// the parent's walk and read only once that walk is done.
+	next  *pathOrder
+	depth int32
+	seq   int32
 	// open counts the unfinished walks in this coordinate's subtree: 1
 	// for its own walk while running, plus one per direct child whose
-	// subtree is still open. Zero means every descendant has finished —
-	// the point at which this walk's pruning-table entries become
-	// visible to walks outside the subtree (see pruned). Maintained only
-	// under parallel exploration.
+	// subtree is still open. Zero means every descendant has finished.
 	open atomic.Int32
+	// done is set once this coordinate's own walk has finished.
+	done atomic.Bool
 }
 
-// orderFinish retires one walk: its own count drops, and each subtree
-// that thereby closes propagates the close to its parent.
-func orderFinish(o *pathOrder) {
+// finish retires o's walk: it is done, its own count drops, and each
+// subtree that thereby closes propagates the close to its parent.
+func (o *pathOrder) finish() {
+	o.done.Store(true)
 	for o != nil && o.open.Add(-1) == 0 {
 		o = o.parent
 	}
@@ -80,6 +85,42 @@ func orderBefore(a, b *pathOrder) bool {
 	// Siblings under the common ancestor: the later-pushed child pops
 	// first off the sequential LIFO stack.
 	return sa > sb
+}
+
+// visibleTo reports whether an explored entry recorded by walk r may
+// prune walk w: the sequential DFS runs r no later than w, and every
+// walk of r's subtree that it runs before w has finished. A recorder
+// outside w's ancestry needs its whole subtree closed. An ancestor
+// needs, at each step of the chain from w up to it, the parent's own
+// walk done and the children forked after the chain child closed, since
+// those pop first. The rule also makes retraction race-free for every
+// prune the sequential DFS would make: retractions come only from r's
+// subtree, and all of it that runs before w has landed.
+func visibleTo(r, w *pathOrder) bool {
+	if r == w {
+		return true
+	}
+	if !orderBefore(r, w) {
+		return false
+	}
+	if r.open.Load() == 0 {
+		return true
+	}
+	for c := w; c.depth > r.depth; c = c.parent {
+		p := c.parent
+		if !p.done.Load() {
+			return false
+		}
+		for k := c.next; k != nil; k = k.next {
+			if k.open.Load() != 0 {
+				return false
+			}
+		}
+		if p == r {
+			return true
+		}
+	}
+	return false
 }
 
 // candidate is a recorded path error plus where it sits in DFS order.
@@ -119,7 +160,6 @@ type frontier struct {
 	deques  [][]branchItem
 	pending int // queued + in-flight items; 0 after the root push means done
 	queued  int
-	peak    int
 }
 
 func newFrontier(workers int) *frontier {
@@ -134,9 +174,6 @@ func (f *frontier) push(w int, it branchItem) {
 	f.deques[w] = append(f.deques[w], it)
 	f.pending++
 	f.queued++
-	if f.queued > f.peak {
-		f.peak = f.queued
-	}
 	f.mu.Unlock()
 	f.cond.Signal()
 }
@@ -144,18 +181,20 @@ func (f *frontier) push(w int, it branchItem) {
 // pop returns the newest item of worker w's own deque (preserving DFS
 // locality), or steals the *oldest* item of the fullest victim deque —
 // the item closest to the DFS root, hence the largest untouched subtree.
-// It blocks while the frontier is empty but work is still in flight, and
-// returns ok=false once everything has drained.
-func (f *frontier) pop(w int) (branchItem, bool) {
+// queued is the frontier size just before the pop. It blocks while the
+// frontier is empty but work is still in flight, and returns ok=false
+// once everything has drained.
+func (f *frontier) pop(w int) (it branchItem, queued int, ok bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for {
+		queued = f.queued
 		if d := f.deques[w]; len(d) > 0 {
-			it := d[len(d)-1]
+			it = d[len(d)-1]
 			d[len(d)-1] = branchItem{}
 			f.deques[w] = d[:len(d)-1]
 			f.queued--
-			return it, true
+			return it, queued, true
 		}
 		victim := -1
 		for i := range f.deques {
@@ -164,14 +203,14 @@ func (f *frontier) pop(w int) (branchItem, bool) {
 			}
 		}
 		if victim >= 0 {
-			it := f.deques[victim][0]
+			it = f.deques[victim][0]
 			f.deques[victim][0] = branchItem{}
 			f.deques[victim] = f.deques[victim][1:]
 			f.queued--
-			return it, true
+			return it, queued, true
 		}
 		if f.pending == 0 {
-			return branchItem{}, false
+			return branchItem{}, 0, false
 		}
 		f.cond.Wait()
 	}
@@ -189,60 +228,38 @@ func (f *frontier) done() {
 	}
 }
 
-// verifierWorkerTIDBase spaces parallel path workers away from the
-// loader/kernel thread IDs in the Perfetto trace.
+// verifierWorkerTIDBase spaces path workers 1..N-1 away from the
+// loader/kernel thread IDs in the Perfetto trace; worker 0 traces on the
+// caller's thread.
 const verifierWorkerTIDBase = 10
-
-// verifyParallel drains the branch frontier with cfg.ParallelPaths
-// workers and reports the minimum-order outcome.
-func (v *Verifier) verifyParallel(root branchItem) error {
-	workers := v.cfg.ParallelPaths
-	f := newFrontier(workers)
-	root.order.open.Store(1)
-	f.push(0, root)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			v.pathWorker(f, w)
-		}(w)
-	}
-	wg.Wait()
-	if p := int64(f.peak); p > v.peakFrontier.Load() {
-		v.peakFrontier.Store(p)
-	}
-	if b := v.best.Load(); b != nil {
-		// A real path error always wins over budget exhaustion: the
-		// parallel run can only error where the sequential run errors,
-		// and the sequential run stops there before burning the rest of
-		// its budget.
-		return b.err
-	}
-	if v.budgetHit.Load() {
-		return v.budgetErr
-	}
-	return nil
-}
 
 func (v *Verifier) pathWorker(f *frontier, w int) {
 	tr := v.cfg.Trace
-	if tr != nil {
+	if tr != nil && w > 0 {
 		tr = tr.WithThread(verifierWorkerTIDBase+w, fmt.Sprintf("verifier worker %d", w))
 	}
 	push := func(it branchItem) { f.push(w, it) }
 	for {
-		item, ok := f.pop(w)
+		item, queued, ok := f.pop(w)
 		if !ok {
 			return
 		}
-		if v.outranked(item.order) {
-			// The sequential DFS would have stopped on an earlier error
-			// before popping this item: drop it unexplored (it forked no
-			// children, so retiring it closes its subtree).
-			orderFinish(item.order)
+		if v.budgetHit.Load() || v.outranked(item.order) {
+			// The sequential DFS would have stopped, on the budget or on
+			// an earlier error, before popping this item: drop it
+			// unexplored (it forked no children, so retiring it closes
+			// its subtree). After the budget trips no walk can charge an
+			// instruction, so the drop loses nothing at any worker count.
+			item.order.finish()
 			f.done()
 			continue
+		}
+		// PeakStackDepth counts walked pops only: with one worker, the
+		// sequential DFS's stack depth before each pop.
+		for p := v.peakFrontier.Load(); int64(queued) > p; p = v.peakFrontier.Load() {
+			if v.peakFrontier.CompareAndSwap(p, int64(queued)) {
+				break
+			}
 		}
 		v.pathsExplored.Add(1)
 		var err error
@@ -257,7 +274,7 @@ func (v *Verifier) pathWorker(f *frontier, w int) {
 		if err != nil && err != v.budgetErr {
 			v.recordCandidate(err, item.order)
 		}
-		orderFinish(item.order)
+		item.order.finish()
 		f.done()
 	}
 }

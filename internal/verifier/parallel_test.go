@@ -2,6 +2,7 @@ package verifier
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -41,6 +42,20 @@ func sameError(t *testing.T, want, got error, ctx string) {
 		t.Fatalf("%s: error mismatch:\nwant insn %d kind %v msg %q\ngot  insn %d kind %v msg %q",
 			ctx, w.InsnIdx, w.Kind, w.Msg, g.InsnIdx, g.Kind, g.Msg)
 	}
+}
+
+// goid returns the current goroutine's id, read from its stack header.
+func goid() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// goidObserver records the goroutines the verifier's Step calls run on.
+type goidObserver map[string]bool
+
+func (o goidObserver) Step(parent any, pc int, st *VState) any {
+	o[goid()] = true
+	return nil
 }
 
 // TestSharedFieldsPrecomputed pins the shared-state construction fixes:
@@ -208,9 +223,19 @@ func TestParallelFrontierStress(t *testing.T) {
 	`, 24) + `
 		exit
 	`)
-	seqErr, _ := verifyAt(ladder, 1, 0)
+	seqErr, seqStats := verifyAt(ladder, 1, 0)
 	if seqErr != nil {
 		t.Fatalf("ladder should verify: %v", seqErr)
+	}
+	// One worker is the sequential DFS, pinned exactly, and it walks every
+	// path on the calling goroutine.
+	if want := (Stats{InsnProcessed: 168, PathsExplored: 48, StatesPruned: 46, PeakStackDepth: 24}); seqStats != want {
+		t.Fatalf("one-worker ladder stats drifted: got %+v, want %+v", seqStats, want)
+	}
+	walkers := goidObserver{}
+	if err := New(ladder, Config{ParallelPaths: 1, Observer: walkers}).Verify(); err != nil ||
+		len(walkers) != 1 || !walkers[goid()] {
+		t.Fatalf("one-worker walks ran on goroutines %v, caller %s (err %v)", walkers, goid(), err)
 	}
 	for _, workers := range []int{2, 8} {
 		for rep := 0; rep < 3; rep++ {

@@ -15,10 +15,10 @@ const maxExploredPerInsn = 64
 
 // exploredEntry is one recorded state plus the DFS-order coordinate of
 // the walk that recorded it; the coordinate restricts pruning visibility
-// under parallel exploration (see parallel.go). dead is set when a later
-// path-conditional refinement retracts the entry (retractEntries): its
-// "explored without error" claim then holds only under branch
-// constraints a pruned state need not share.
+// (see visibleTo). dead is set when a later path-conditional refinement
+// retracts the entry (retractEntries): its "explored without error"
+// claim then holds only under branch constraints a pruned state need not
+// share.
 type exploredEntry struct {
 	st    *VState
 	order *pathOrder
@@ -56,44 +56,21 @@ func computePrunePoints(prog *ebpf.Program) []bool {
 	return points
 }
 
-// isPrunePoint reports whether pc is a position where explored states
-// are recorded. The bitmap is precomputed in New — it used to be built
-// lazily from inside the walk loop, a data race once paths walk
-// concurrently.
-func (v *Verifier) isPrunePoint(pc int) bool { return v.prunePoints[pc] }
-
 // pruned reports whether an already-explored state at pc subsumes st; if
 // not, st is recorded for future pruning and the entry's liveness flag
-// is returned for retraction bookkeeping. Under parallel exploration an
-// entry is only eligible to prune a walk ordered after the walk that
-// recorded it — the visibility rule that keeps verdicts and reported
-// errors identical to the sequential DFS regardless of timing — and,
-// except for the recording walk itself, only once the recorder's whole
-// subtree has finished. The subtree gate makes the dead flag race-free:
-// a retraction can only come from a walk whose history passes through
-// the entry (a subtree member), so once the subtree is closed any
-// retraction has already landed. The recorder may keep pruning against
-// its own entries mid-flight (loop revisits): its history shares every
-// branch a later refinement could condition on.
+// is returned for retraction bookkeeping. An entry prunes only a walk it
+// is visible to (visibleTo), which keeps verdicts and reported errors
+// those of the sequential DFS. Subsumption is checked first: it is the
+// cheaper test and rejects most entries. The dead flag is read last,
+// once visibility guarantees every retraction the sequential DFS would
+// have seen has landed.
 func (v *Verifier) pruned(pc int, st *VState, order *pathOrder) (bool, *atomic.Bool) {
-	par := v.cfg.ParallelPaths > 1
 	sh := &v.explored[pc]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for i := range sh.entries {
 		e := &sh.entries[i]
-		if e.dead.Load() {
-			continue
-		}
-		if par {
-			if !orderBefore(e.order, order) {
-				continue
-			}
-			if e.order != order && e.order.open.Load() != 0 {
-				continue
-			}
-		}
-		if statesSubsume(e.st, st) {
+		if statesSubsume(e.st, st) && visibleTo(e.order, order) && !e.dead.Load() {
 			return true, nil
 		}
 	}

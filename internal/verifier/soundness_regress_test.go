@@ -105,14 +105,30 @@ func refinePruneProg() *ebpf.Program {
 // the failed check itself, its refinement fails, and the program is
 // rejected. Before the fix the second path was pruned and the program
 // accepted despite a concrete out-of-bounds read.
+//
+// With several workers the retraction races the second path's prune
+// check, so that case runs many times: a prune must never read the
+// entry's liveness before the recorder's retraction is guaranteed.
 func TestRefinementRetractsTrackEntries(t *testing.T) {
-	ref := &anchorRefiner{anchor: func(int) int { return 0 }}
-	v := New(refinePruneProg(), Config{Refiner: ref})
-	if err := v.Verify(); err == nil {
-		t.Fatalf("expected rejection: second path must not be pruned by a path-conditionally refined entry")
-	}
-	if ref.calls < 2 {
-		t.Fatalf("refiner called %d times, want 2: the second path never reached the check", ref.calls)
+	for _, workers := range []int{1, 2, 8} {
+		reps := 500
+		if workers == 1 {
+			reps = 1
+		}
+		for rep := 0; rep < reps; rep++ {
+			ref := &anchorRefiner{anchor: func(int) int { return 0 }}
+			v := New(refinePruneProg(), Config{Refiner: ref, ParallelPaths: workers})
+			if err := v.Verify(); err == nil {
+				t.Fatalf("workers=%d: expected rejection: second path must not be pruned by a path-conditionally refined entry", workers)
+			}
+			if ref.calls < 2 {
+				t.Fatalf("workers=%d: refiner called %d times, want 2: the second path never reached the check", workers, ref.calls)
+			}
+			want := Stats{InsnProcessed: 22, PathsExplored: 2, PeakStackDepth: 2, Refinements: 1, RefineAttempts: 2}
+			if st := v.Stats(); workers == 1 && st != want {
+				t.Fatalf("one-worker stats drifted: got %+v, want %+v", st, want)
+			}
+		}
 	}
 }
 
@@ -128,5 +144,9 @@ func TestRefinementKeepsPreTrackEntries(t *testing.T) {
 	}
 	if ref.calls != 1 {
 		t.Fatalf("refiner called %d times, want 1", ref.calls)
+	}
+	want := Stats{InsnProcessed: 22, PathsExplored: 3, StatesPruned: 1, PeakStackDepth: 2, Refinements: 1, RefineAttempts: 1}
+	if st := v.Stats(); st != want {
+		t.Fatalf("stats drifted: got %+v, want %+v", st, want)
 	}
 }

@@ -169,15 +169,19 @@ type Refiner interface {
 	Refine(req *RefineRequest) (*RefineResult, error)
 }
 
-// Stats aggregates per-verification counters (Table 3). At ParallelPaths>1
-// a rejected load's counters and PeakStackDepth depend on scheduling.
+// Stats aggregates per-verification counters (Table 3). At
+// ParallelPaths<=1 every field is deterministic. At ParallelPaths>1
+// PeakStackDepth and a rejected load's counters depend on scheduling, as
+// do all counters once a prune can lose its race (see
+// Config.ParallelPaths); where none fires, as on the embedded corpus, an
+// accepted load's other fields match the one-worker run.
 type Stats struct {
-	InsnProcessed  int // deterministic on any accepted load
-	PathsExplored  int // deterministic on any accepted load
-	StatesPruned   int // deterministic on any accepted load
-	PeakStackDepth int // frontier high-water mark: scheduling-dependent at ParallelPaths>1
-	Refinements    int // granted refinements; deterministic on any accepted load
-	RefineAttempts int // requests issued to the Refiner; deterministic on any accepted load
+	InsnProcessed  int
+	PathsExplored  int
+	StatesPruned   int
+	PeakStackDepth int // largest frontier seen by a pop that walked its item
+	Refinements    int // granted refinements
+	RefineAttempts int // requests issued to the Refiner
 }
 
 // RegRange declares the fixpoint range of one register at a loop head.
@@ -222,14 +226,15 @@ type Config struct {
 	// Trace, when non-nil, records a span per verification run and per
 	// explored path, plus prune instants.
 	Trace *obs.Tracer
-	// ParallelPaths is the number of workers that explore pending branch
-	// paths concurrently; values <= 1 select the sequential DFS (the
-	// default). The accept/reject verdict and the reported Error are
-	// deterministic at any worker count — the verifier reports the error
-	// the sequential DFS would have hit first (see DESIGN.md, "Parallel
-	// verification"). Exploration statistics (paths explored, states
-	// pruned) may legitimately differ from the sequential run. When > 1,
-	// the Observer (if any) must tolerate concurrent Step calls.
+	// ParallelPaths is the number of path-exploration workers; values
+	// <= 1 mean one worker on the calling goroutine (the default), which
+	// is the sequential DFS. More workers report the error the DFS hits
+	// first, and a state prunes a walk only once its recorder and every
+	// walk of the recorder's subtree the DFS runs earlier have finished
+	// (DESIGN.md, "Parallel verification"). A walk reaching such a join
+	// too early explores on: that changes the stats, spends InsnLimit,
+	// and with a stateful or failing Refiner can change the verdict.
+	// When > 1, the Observer (if any) must tolerate concurrent Step calls.
 	ParallelPaths int
 }
 
@@ -242,8 +247,8 @@ type Verifier struct {
 	prog *ebpf.Program
 	cfg  Config
 
-	// Counters are shared by every path worker when ParallelPaths > 1,
-	// so they live as atomics; Stats() materializes a snapshot.
+	// Counters are shared by every path worker, so they live as atomics;
+	// Stats() materializes a snapshot.
 	insnProcessed  atomic.Int64
 	pathsExplored  atomic.Int64
 	statesPruned   atomic.Int64
@@ -257,7 +262,7 @@ type Verifier struct {
 	// explored is the pruning table, sharded per pc so concurrent
 	// subsumption checks at different instructions never contend.
 	explored []exploredShard
-	// prunePoints is precomputed in New; walkers only ever read it.
+	// prunePoints marks the pcs where explored states are recorded.
 	prunePoints []bool
 	idGen       atomic.Uint32
 
@@ -276,8 +281,6 @@ type Verifier struct {
 	// session speaks a strictly alternating condition/proof conversation
 	// with the loader, and the refiner's bookkeeping is unsynchronized.
 	refineMu sync.Mutex
-	// refineSiteHits guards against a Refiner that makes no progress.
-	refineSiteHits map[int]int
 }
 
 // New prepares a verifier for prog.
@@ -285,19 +288,14 @@ func New(prog *ebpf.Program, cfg Config) *Verifier {
 	if cfg.InsnLimit == 0 {
 		cfg.InsnLimit = DefaultInsnLimit
 	}
-	v := &Verifier{
-		prog:           prog,
-		cfg:            cfg,
-		explored:       make([]exploredShard, len(prog.Insns)),
-		refineSiteHits: map[int]int{},
+	return &Verifier{
+		prog:        prog,
+		cfg:         cfg,
+		explored:    make([]exploredShard, len(prog.Insns)),
+		prunePoints: computePrunePoints(prog),
 		budgetErr: &Error{InsnIdx: -1, Kind: CheckOther,
 			Msg: fmt.Sprintf("BPF program is too large. Processed %d insn", cfg.InsnLimit)},
 	}
-	// Precomputed at construction: isPrunePoint used to build this
-	// lazily from inside the walk loop, a data race once paths walk
-	// concurrently.
-	v.prunePoints = computePrunePoints(prog)
-	return v
 }
 
 // Stats returns the counters of the last Verify run.
@@ -375,42 +373,38 @@ func (v *Verifier) Verify() error {
 		r.Counter(obs.MInsnsProcessed).Add(int64(st.InsnProcessed))
 		r.Counter(obs.MPathsExplored).Add(int64(st.PathsExplored))
 		r.Counter(obs.MStatesPruned).Add(int64(st.StatesPruned))
-		if v.cfg.ParallelPaths > 1 {
-			r.Gauge(obs.MVerifierWorkers).Set(int64(v.cfg.ParallelPaths))
-		}
+		r.Gauge(obs.MVerifierWorkers).Set(int64(max(v.cfg.ParallelPaths, 1)))
 	}
 	return err
 }
 
+// verify drains the branch frontier from the entry state and reports the
+// minimum-order outcome. The calling goroutine runs worker 0; only
+// workers 1..N-1 get their own goroutine.
 func (v *Verifier) verify() error {
 	if err := v.prog.Validate(); err != nil {
 		return &Error{InsnIdx: 0, Kind: CheckOther, Msg: err.Error()}
 	}
-	root := branchItem{st: entryState(), pc: 0, node: nil, order: &pathOrder{}}
-	if v.cfg.ParallelPaths > 1 {
-		return v.verifyParallel(root)
+	workers := max(v.cfg.ParallelPaths, 1)
+	f := newFrontier(workers)
+	root := &pathOrder{}
+	root.open.Store(1)
+	f.push(0, branchItem{st: entryState(), order: root})
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			v.pathWorker(f, w)
+		}(w)
 	}
-	stack := []branchItem{root}
-	push := func(it branchItem) { stack = append(stack, it) }
-	for len(stack) > 0 {
-		if d := int64(len(stack)); d > v.peakFrontier.Load() {
-			v.peakFrontier.Store(d)
-		}
-		item := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		v.pathsExplored.Add(1)
-		var err error
-		if v.cfg.Trace != nil {
-			psp := v.cfg.Trace.StartArgs(obs.CatVerifier, "path",
-				map[string]any{"pc": item.pc})
-			err = v.walk(item, push)
-			psp.End()
-		} else {
-			err = v.walk(item, push)
-		}
-		if err != nil {
-			return err
-		}
+	v.pathWorker(f, 0)
+	wg.Wait()
+	if b := v.best.Load(); b != nil {
+		return b.err // a real path error outranks budget exhaustion
+	}
+	if v.budgetHit.Load() {
+		return v.budgetErr
 	}
 	return nil
 }
@@ -421,17 +415,15 @@ func (v *Verifier) verify() error {
 // order however the frontier schedules them.
 func (v *Verifier) walk(item branchItem, push func(branchItem)) error {
 	st, pc, node, obsTok := item.st, item.pc, item.node, item.obs
-	par := v.cfg.ParallelPaths > 1
-	childSeq := int32(0)
+	var lastKid *pathOrder
 	fork := func(it branchItem) {
-		childSeq++
-		it.order = &pathOrder{parent: item.order, depth: item.order.depth + 1, seq: childSeq}
-		if par {
-			// Subtree accounting for prune-entry eligibility (see
-			// pruned): the child's subtree opens under this walk's.
-			it.order.open.Store(1)
-			item.order.open.Add(1)
+		it.order = &pathOrder{parent: item.order, depth: item.order.depth + 1, seq: 1}
+		if lastKid != nil {
+			it.order.seq, lastKid.next = lastKid.seq+1, it.order
 		}
+		lastKid = it.order
+		it.order.open.Store(1) // the child's subtree opens under this walk's
+		item.order.open.Add(1)
 		push(it)
 	}
 	for {
@@ -455,8 +447,8 @@ func (v *Verifier) walk(item branchItem, push func(branchItem)) error {
 		}
 		// Pruning at jump targets.
 		var entryDead *atomic.Bool
-		if !v.cfg.NoPruning && v.isPrunePoint(pc) {
-			if par && v.outranked(item.order) {
+		if !v.cfg.NoPruning && v.prunePoints[pc] {
+			if v.outranked(item.order) {
 				// A candidate error ordered before this path exists; the
 				// sequential DFS would have stopped before walking further
 				// here, so nothing this path does can matter.
@@ -786,7 +778,6 @@ func (v *Verifier) refine(st *VState, pc int, regno ebpf.Reg, kind CheckKind,
 	// iteration (§6.3: up to 16k refinements per program), so there is no
 	// per-site cap; termination is ensured by the progress check below
 	// and by the global instruction budget.
-	v.refineSiteHits[pc]++
 	v.refineAttempts.Add(1)
 	req := &RefineRequest{
 		Prog:    v.prog,
