@@ -50,8 +50,6 @@ type Refiner struct {
 	// DisableBackward runs symbolic tracking from the path start instead
 	// of the computed suffix (ablation).
 	DisableBackward bool
-	// Limits passed to the proof checker.
-	Limits proof.Limits
 	// Obs and Trace, when non-nil, receive per-round counters,
 	// stage-latency histograms, and refine/track/encode/check spans
 	// (keyed by refinement round). Nil costs only a nil check.
@@ -63,7 +61,7 @@ type Refiner struct {
 
 // NewRefiner returns a refiner delegating to the given service.
 func NewRefiner(service ProofService) *Refiner {
-	return &Refiner{Service: service, Limits: proof.DefaultLimits}
+	return &Refiner{Service: service}
 }
 
 // Stats returns the accumulated measurements.
@@ -233,7 +231,7 @@ func (r *Refiner) delegate(cond *expr.Expr, tk *tracker, req *verifier.RefineReq
 	checkStart := time.Now()
 	pf, err := bcfenc.DecodeProof(proofBytes)
 	if err == nil {
-		err = proof.CheckWithLimits(cond, pf, r.Limits)
+		err = proof.Check(cond, pf)
 	}
 	rs.CheckDuration = time.Since(checkStart)
 	csp.End()

@@ -146,7 +146,7 @@ func TestSessionConditionBytesAreSelfContained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cond.Cond.CheckWellFormed(); err != nil {
+	if err := cond.Cond.CheckWellFormed(nil); err != nil {
 		t.Fatal(err)
 	}
 	if cond.Cond.Width != 1 {

@@ -189,26 +189,23 @@ func (pr *poolReader) node(off uint32) (*expr.Expr, error) {
 		}
 		args = append(args, child)
 	}
-	e := &expr.Expr{Op: op, Width: width, Aux: aux, K: k, Args: args}
-	rebuilt := rebuild(e)
-	if err := rebuilt.CheckWellFormed(); err != nil {
+	if op == expr.OpConst || op == expr.OpVar {
+		// A leaf keeps only its width and payload, as expr.Const and
+		// expr.Var build it: the header's aux and argument words are
+		// ignored, and a constant is masked to its width.
+		aux, args = 0, nil
+		if op == expr.OpConst {
+			k &= expr.Mask(width)
+		}
+	}
+	// The children are decoded and checked already, so this one rule
+	// application per node keeps decoding linear in the pool.
+	e, err := expr.Rebuild(op, width, aux, k, args)
+	if err != nil {
 		return nil, fmt.Errorf("bcfenc: node at %d: %w", off, err)
 	}
-	pr.nodes[off] = rebuilt
-	return rebuilt, nil
-}
-
-// rebuild reconstructs the node through the expr constructors so internal
-// hashes are populated.
-func rebuild(e *expr.Expr) *expr.Expr {
-	switch e.Op {
-	case expr.OpConst:
-		return expr.Const(e.K, e.Width)
-	case expr.OpVar:
-		return expr.Var(uint32(e.K), e.Width)
-	}
-	// Generic reconstruction preserving op/width/aux.
-	return expr.Rebuild(e.Op, e.Width, e.Aux, e.K, e.Args)
+	pr.nodes[off] = e
+	return e, nil
 }
 
 // ---- condition messages ----
@@ -219,13 +216,11 @@ type Condition struct {
 	Cond *expr.Expr
 }
 
-// EncodeCondition serializes a refinement condition.
+// EncodeCondition serializes a refinement condition. The term is
+// written as given: its nodes were type-checked when they were built.
 func EncodeCondition(c *Condition) ([]byte, error) {
 	if c.Cond == nil || c.Cond.Width != 1 {
 		return nil, fmt.Errorf("bcfenc: condition must be a boolean term")
-	}
-	if err := c.Cond.CheckWellFormed(); err != nil {
-		return nil, err
 	}
 	p := newPool()
 	root := p.put(c.Cond)

@@ -2,6 +2,7 @@ package bcfenc
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"bcf/internal/expr"
@@ -157,7 +158,7 @@ func TestDecodeFuzz(t *testing.T) {
 		buf := append([]byte{}, condBuf...)
 		buf[rng.Intn(len(buf))] ^= byte(1 << rng.Intn(8))
 		if c, err := DecodeCondition(buf); err == nil {
-			if werr := c.Cond.CheckWellFormed(); werr != nil {
+			if werr := c.Cond.CheckWellFormed(nil); werr != nil {
 				t.Fatalf("decoder accepted malformed condition: %v", werr)
 			}
 		}
@@ -166,7 +167,7 @@ func TestDecodeFuzz(t *testing.T) {
 		if p, err := DecodeProof(pb); err == nil {
 			for _, s := range p.Steps {
 				for _, a := range s.Args {
-					if werr := a.CheckWellFormed(); werr != nil {
+					if werr := a.CheckWellFormed(nil); werr != nil {
 						t.Fatalf("decoder accepted malformed proof arg: %v", werr)
 					}
 				}
@@ -183,6 +184,72 @@ func TestTruncationFuzz(t *testing.T) {
 	for n := 0; n < len(condBuf); n++ {
 		if _, err := DecodeCondition(condBuf[:n]); err == nil {
 			t.Fatalf("truncated message (%d bytes) accepted", n)
+		}
+	}
+}
+
+// allocBytes returns the fewest bytes f allocated over three runs.
+func allocBytes(f func()) uint64 {
+	best := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	return best
+}
+
+// chainCond is x+c0+c1+...+c(n-1) <= 15: a term n additions deep with
+// no shared subterms.
+func chainCond(n int) *expr.Expr {
+	e := expr.Var(0, 64)
+	for i := 0; i < n; i++ {
+		e = expr.Add(e, expr.Const(uint64(i), 64))
+	}
+	return expr.Ule(e, expr.Const(15, 64))
+}
+
+// TestDecodeLinearInDepth pins decoding to work linear in the pool:
+// doubling the depth of a chain may at most about double the bytes
+// allocated. Walking each decoded node's whole subterm again would make
+// it quadratic (about 4x).
+func TestDecodeLinearInDepth(t *testing.T) {
+	const n = 1000
+	encode := func(depth int) (cond, pf []byte) {
+		c := chainCond(depth)
+		cond, err := EncodeCondition(&Condition{Cond: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pf, err = EncodeProof(&proof.Proof{Steps: []proof.Step{{Rule: proof.RuleRefl, Args: []*expr.Expr{c}}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cond, pf
+	}
+	c1, p1 := encode(n)
+	c2, p2 := encode(2 * n)
+	decodeCond := func(b []byte) error { _, err := DecodeCondition(b); return err }
+	decodeProof := func(b []byte) error { _, err := DecodeProof(b); return err }
+	for _, m := range []struct {
+		name       string
+		decode     func([]byte) error
+		small, big []byte
+	}{{"DecodeCondition", decodeCond, c1, c2}, {"DecodeProof", decodeProof, p1, p2}} {
+		bytesFor := func(buf []byte) uint64 {
+			return allocBytes(func() {
+				if err := m.decode(buf); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		small, big := bytesFor(m.small), bytesFor(m.big)
+		ratio := float64(big) / float64(small)
+		t.Logf("%s: depth %d allocates %d B, depth %d allocates %d B (%.2fx)", m.name, n, small, 2*n, big, ratio)
+		if ratio > 2.5 {
+			t.Errorf("%s: doubling the depth multiplied allocation by %.2fx, want at most 2.5x", m.name, ratio)
 		}
 	}
 }

@@ -50,7 +50,7 @@ func FuzzDecodeCondition(f *testing.F) {
 		if c.Cond == nil || c.Cond.Width != 1 {
 			t.Fatal("decoder returned a non-boolean condition without error")
 		}
-		if err := c.Cond.CheckWellFormed(); err != nil {
+		if err := c.Cond.CheckWellFormed(nil); err != nil {
 			t.Fatalf("decoded condition is malformed: %v", err)
 		}
 		re, err := EncodeCondition(c)
@@ -87,7 +87,7 @@ func FuzzDecodeProof(f *testing.F) {
 				if a == nil {
 					t.Fatalf("step %d: decoder produced a nil arg", i)
 				}
-				if err := a.CheckWellFormed(); err != nil {
+				if err := a.CheckWellFormed(nil); err != nil {
 					t.Fatalf("step %d: malformed arg: %v", i, err)
 				}
 			}

@@ -27,13 +27,11 @@ type CNF struct {
 }
 
 // Encode lowers a width-1 term to CNF that is satisfiable iff some
-// assignment to the term's variables makes it true.
+// assignment to the term's variables makes it true. f must be
+// well-formed, as every term built or decoded by package expr is.
 func Encode(f *expr.Expr) (*CNF, error) {
 	if f.Width != 1 {
 		return nil, fmt.Errorf("bitblast: formula must have width 1, got %d", f.Width)
-	}
-	if err := f.CheckWellFormed(); err != nil {
-		return nil, err
 	}
 	e := &encoder{
 		cache:  map[uint64][]cacheEntry{},

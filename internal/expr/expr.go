@@ -8,6 +8,15 @@
 // words, every term denotes a function over finitely many bounded
 // variables, so validity of conditions is decidable (§4, Workload
 // Delegation).
+//
+// Well-formedness is one node-local typing rule, applied when a node is
+// built: every constructor panics on a violation, and Rebuild (used by
+// the wire-format decoder) returns it as an error. Since children are
+// checked when they are built, a term made only through this package is
+// well-formed by construction, and checking it costs one rule
+// application per node. CheckWellFormed re-walks terms whose nodes may
+// bypass the constructors (struct literals); the proof checker runs it
+// once at entry.
 package expr
 
 import (
@@ -119,13 +128,25 @@ func SignExtend(v uint64, width uint8) int64 {
 	return int64(v<<shift) >> shift
 }
 
-func newExpr(op Op, width uint8, aux uint8, k uint64, args ...*Expr) *Expr {
+func newExpr(op Op, width uint8, aux uint8, k uint64, args ...*Expr) (*Expr, error) {
 	e := &Expr{Op: op, Width: width, Aux: aux, K: k, Args: args}
+	if err := e.typecheck(); err != nil {
+		return nil, err
+	}
 	h := uint64(op)<<56 ^ uint64(width)<<48 ^ uint64(aux)<<40 ^ mix(k)
 	for _, a := range args {
 		h = h*0x9e3779b97f4a7c15 + a.hash
 	}
 	e.hash = h
+	return e, nil
+}
+
+// must is how the exported constructors apply the typing rule: building
+// an ill-typed term from Go code is a programming error.
+func must(e *Expr, err error) *Expr {
+	if err != nil {
+		panic(err)
+	}
 	return e
 }
 
@@ -138,7 +159,7 @@ func mix(x uint64) uint64 {
 
 // Const returns the constant term of the given width.
 func Const(v uint64, width uint8) *Expr {
-	return newExpr(OpConst, width, 0, v&Mask(width))
+	return must(newExpr(OpConst, width, 0, v&Mask(width)))
 }
 
 // Bool returns a boolean constant.
@@ -147,7 +168,7 @@ func Bool(v bool) *Expr {
 	if v {
 		k = 1
 	}
-	return newExpr(OpConst, 1, 0, k)
+	return must(newExpr(OpConst, 1, 0, k))
 }
 
 // True and False are the boolean constants.
@@ -158,23 +179,11 @@ var (
 
 // Var returns the variable term with the given id and width.
 func Var(id uint32, width uint8) *Expr {
-	return newExpr(OpVar, width, 0, uint64(id))
-}
-
-func mustSameWidth(op Op, a, b *Expr) {
-	if a.Width != b.Width {
-		panic(fmt.Sprintf("expr: %s operand widths differ: %d vs %d", op, a.Width, b.Width))
-	}
+	return must(newExpr(OpVar, width, 0, uint64(id)))
 }
 
 // Bin builds a binary bit-vector operation.
-func Bin(op Op, a, b *Expr) *Expr {
-	if !op.IsBinaryBV() {
-		panic(fmt.Sprintf("expr: %s is not a binary bit-vector op", op))
-	}
-	mustSameWidth(op, a, b)
-	return newExpr(op, a.Width, 0, 0, a, b)
-}
+func Bin(op Op, a, b *Expr) *Expr { return must(newExpr(op, a.Width, 0, 0, a, b)) }
 
 // Convenience binary constructors.
 func Add(a, b *Expr) *Expr  { return Bin(OpAdd, a, b) }
@@ -190,52 +199,37 @@ func Lshr(a, b *Expr) *Expr { return Bin(OpLshr, a, b) }
 func Ashr(a, b *Expr) *Expr { return Bin(OpAshr, a, b) }
 
 // Not returns the bitwise complement.
-func Not(a *Expr) *Expr { return newExpr(OpNot, a.Width, 0, 0, a) }
+func Not(a *Expr) *Expr { return must(newExpr(OpNot, a.Width, 0, 0, a)) }
 
 // Neg returns the two's-complement negation.
-func Neg(a *Expr) *Expr { return newExpr(OpNeg, a.Width, 0, 0, a) }
+func Neg(a *Expr) *Expr { return must(newExpr(OpNeg, a.Width, 0, 0, a)) }
 
-// ZExt zero-extends a to the given width.
+// ZExt zero-extends a to the given width (a itself at equal width).
 func ZExt(a *Expr, width uint8) *Expr {
-	if width < a.Width {
-		panic("expr: ZExt to narrower width")
-	}
 	if width == a.Width {
 		return a
 	}
-	return newExpr(OpZExt, width, 0, 0, a)
+	return must(newExpr(OpZExt, width, 0, 0, a))
 }
 
-// SExt sign-extends a to the given width.
+// SExt sign-extends a to the given width (a itself at equal width).
 func SExt(a *Expr, width uint8) *Expr {
-	if width < a.Width {
-		panic("expr: SExt to narrower width")
-	}
 	if width == a.Width {
 		return a
 	}
-	return newExpr(OpSExt, width, 0, 0, a)
+	return must(newExpr(OpSExt, width, 0, 0, a))
 }
 
-// Extract returns bits [lo, lo+width) of a.
+// Extract returns bits [lo, lo+width) of a (a itself for all its bits).
 func Extract(a *Expr, lo uint8, width uint8) *Expr {
-	if uint(lo)+uint(width) > uint(a.Width) {
-		panic(fmt.Sprintf("expr: Extract [%d,%d) from width %d", lo, lo+width, a.Width))
-	}
 	if lo == 0 && width == a.Width {
 		return a
 	}
-	return newExpr(OpExtract, width, lo, 0, a)
+	return must(newExpr(OpExtract, width, lo, 0, a))
 }
 
 // Pred builds a comparison predicate.
-func Pred(op Op, a, b *Expr) *Expr {
-	if !op.IsPredicate() {
-		panic(fmt.Sprintf("expr: %s is not a predicate", op))
-	}
-	mustSameWidth(op, a, b)
-	return newExpr(op, 1, 0, 0, a, b)
-}
+func Pred(op Op, a, b *Expr) *Expr { return must(newExpr(op, 1, 0, 0, a, b)) }
 
 // Convenience predicate constructors.
 func Eq(a, b *Expr) *Expr  { return Pred(OpEq, a, b) }
@@ -247,37 +241,17 @@ func Sle(a, b *Expr) *Expr { return Pred(OpSle, a, b) }
 // Ne returns not(a = b).
 func Ne(a, b *Expr) *Expr { return BoolNot(Eq(a, b)) }
 
-func mustBool(op Op, args ...*Expr) {
-	for _, a := range args {
-		if a.Width != 1 {
-			panic(fmt.Sprintf("expr: %s needs boolean operands", op))
-		}
-	}
-}
-
 // BoolAnd returns the conjunction of a and b.
-func BoolAnd(a, b *Expr) *Expr {
-	mustBool(OpBoolAnd, a, b)
-	return newExpr(OpBoolAnd, 1, 0, 0, a, b)
-}
+func BoolAnd(a, b *Expr) *Expr { return must(newExpr(OpBoolAnd, 1, 0, 0, a, b)) }
 
 // BoolOr returns the disjunction of a and b.
-func BoolOr(a, b *Expr) *Expr {
-	mustBool(OpBoolOr, a, b)
-	return newExpr(OpBoolOr, 1, 0, 0, a, b)
-}
+func BoolOr(a, b *Expr) *Expr { return must(newExpr(OpBoolOr, 1, 0, 0, a, b)) }
 
 // BoolNot returns the negation of a.
-func BoolNot(a *Expr) *Expr {
-	mustBool(OpBoolNot, a)
-	return newExpr(OpBoolNot, 1, 0, 0, a)
-}
+func BoolNot(a *Expr) *Expr { return must(newExpr(OpBoolNot, 1, 0, 0, a)) }
 
 // Implies returns a => b.
-func Implies(a, b *Expr) *Expr {
-	mustBool(OpImplies, a, b)
-	return newExpr(OpImplies, 1, 0, 0, a, b)
-}
+func Implies(a, b *Expr) *Expr { return must(newExpr(OpImplies, 1, 0, 0, a, b)) }
 
 // Conj folds a list of booleans into a conjunction; empty list is true.
 func Conj(es ...*Expr) *Expr {
@@ -457,10 +431,14 @@ func (e *Expr) Vars() map[uint32]uint8 {
 	return out
 }
 
-// Rebuild constructs a node from decoded parts, recomputing the
-// structural hash. Callers (the wire-format decoder) must validate the
-// result with CheckWellFormed.
-func Rebuild(op Op, width uint8, aux uint8, k uint64, args []*Expr) *Expr {
+// Rebuild constructs a node from decoded parts, computing its
+// structural hash. It applies the same typing rule as the constructors
+// but returns a violation as an error, so the wire-format decoder can
+// build every node from untrusted bytes without panicking. Only the new
+// node is checked: args must themselves be well-formed, as they are when
+// they came from Rebuild or a constructor. Unlike Const, Rebuild rejects
+// a constant with bits above its width.
+func Rebuild(op Op, width uint8, aux uint8, k uint64, args []*Expr) (*Expr, error) {
 	return newExpr(op, width, aux, k, args...)
 }
 
@@ -477,9 +455,8 @@ func (e *Expr) IsGround() bool {
 	return true
 }
 
-// ReplaceArg returns a copy of t with child i replaced by c. The result
-// is checked for well-formedness so rule application cannot construct
-// ill-typed terms.
+// ReplaceArg returns a copy of t with child i replaced by c. The new node
+// is type-checked, so rule application cannot construct ill-typed terms.
 func ReplaceArg(t *Expr, i int, c *Expr) (*Expr, error) {
 	if i < 0 || i >= len(t.Args) {
 		return nil, fmt.Errorf("expr: child index %d out of range", i)
@@ -487,11 +464,7 @@ func ReplaceArg(t *Expr, i int, c *Expr) (*Expr, error) {
 	args := make([]*Expr, len(t.Args))
 	copy(args, t.Args)
 	args[i] = c
-	out := newExpr(t.Op, t.Width, t.Aux, t.K, args...)
-	if err := out.CheckWellFormed(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return newExpr(t.Op, t.Width, t.Aux, t.K, args...)
 }
 
 // String renders the term in SMT-LIB-like prefix notation.
@@ -543,67 +516,24 @@ func ValidWidth(w uint8) bool {
 	return false
 }
 
-// CheckWellFormed validates widths and arities over the whole term; the
-// proof checker calls this during its format/type stage.
-func (e *Expr) CheckWellFormed() error {
-	seen := map[*Expr]bool{}
+// CheckWellFormed applies the typing rule to every node reachable from
+// e. seen holds the nodes already validated and is updated, so one set
+// shared across several terms walks each distinct node once in total;
+// nil means a fresh set. Terms built through this package are
+// well-formed by construction; this walk is for terms that may contain
+// struct literals, and the proof checker runs it once at entry.
+func (e *Expr) CheckWellFormed(seen map[*Expr]bool) error {
+	if seen == nil {
+		seen = map[*Expr]bool{}
+	}
 	var walk func(*Expr) error
 	walk = func(n *Expr) error {
 		if seen[n] {
 			return nil
 		}
 		seen[n] = true
-		if !ValidWidth(n.Width) {
-			return fmt.Errorf("expr: invalid width %d", n.Width)
-		}
-		wantArgs := 0
-		switch {
-		case n.Op == OpConst || n.Op == OpVar:
-			wantArgs = 0
-			if n.K&^Mask(n.Width) != 0 && n.Op == OpConst {
-				return fmt.Errorf("expr: constant %#x exceeds width %d", n.K, n.Width)
-			}
-		case n.Op == OpNot || n.Op == OpNeg || n.Op == OpBoolNot ||
-			n.Op == OpZExt || n.Op == OpSExt || n.Op == OpExtract:
-			wantArgs = 1
-		case n.Op.IsBinaryBV() || n.Op.IsPredicate() || n.Op.IsBoolConnective():
-			wantArgs = 2
-		default:
-			return fmt.Errorf("expr: invalid op %d", n.Op)
-		}
-		if len(n.Args) != wantArgs {
-			return fmt.Errorf("expr: %s arity %d, want %d", n.Op, len(n.Args), wantArgs)
-		}
-		switch {
-		case n.Op.IsBinaryBV():
-			if n.Args[0].Width != n.Width || n.Args[1].Width != n.Width {
-				return fmt.Errorf("expr: %s width mismatch", n.Op)
-			}
-		case n.Op.IsPredicate():
-			if n.Width != 1 || n.Args[0].Width != n.Args[1].Width {
-				return fmt.Errorf("expr: %s width mismatch", n.Op)
-			}
-		case n.Op.IsBoolConnective():
-			if n.Width != 1 || n.Args[0].Width != 1 ||
-				(len(n.Args) > 1 && n.Args[1].Width != 1) {
-				return fmt.Errorf("expr: %s needs boolean operands", n.Op)
-			}
-		case n.Op == OpBoolNot:
-			if n.Width != 1 || n.Args[0].Width != 1 {
-				return fmt.Errorf("expr: not needs a boolean operand")
-			}
-		case n.Op == OpNot || n.Op == OpNeg:
-			if n.Args[0].Width != n.Width {
-				return fmt.Errorf("expr: %s width mismatch", n.Op)
-			}
-		case n.Op == OpZExt || n.Op == OpSExt:
-			if n.Args[0].Width >= n.Width || n.Width == 1 || n.Args[0].Width == 1 {
-				return fmt.Errorf("expr: %s width mismatch", n.Op)
-			}
-		case n.Op == OpExtract:
-			if uint(n.Aux)+uint(n.Width) > uint(n.Args[0].Width) || n.Args[0].Width == 1 {
-				return fmt.Errorf("expr: extract out of range")
-			}
+		if err := n.typecheck(); err != nil {
+			return err
 		}
 		for _, a := range n.Args {
 			if err := walk(a); err != nil {
@@ -613,4 +543,59 @@ func (e *Expr) CheckWellFormed() error {
 		return nil
 	}
 	return walk(e)
+}
+
+// typecheck is the typing rule for one node: a legal width and op, the
+// op's arity, operand widths, constants within their width and extracts
+// within their operand. It looks at the node's operands only through
+// their widths.
+func (e *Expr) typecheck() error {
+	if !ValidWidth(e.Width) {
+		return fmt.Errorf("expr: invalid width %d", e.Width)
+	}
+	wantArgs := 0
+	switch {
+	case e.Op == OpConst || e.Op == OpVar:
+		if e.K&^Mask(e.Width) != 0 && e.Op == OpConst {
+			return fmt.Errorf("expr: constant %#x exceeds width %d", e.K, e.Width)
+		}
+	case e.Op == OpNot || e.Op == OpNeg || e.Op == OpBoolNot ||
+		e.Op == OpZExt || e.Op == OpSExt || e.Op == OpExtract:
+		wantArgs = 1
+	case e.Op.IsBinaryBV() || e.Op.IsPredicate() || e.Op.IsBoolConnective():
+		wantArgs = 2
+	default:
+		return fmt.Errorf("expr: invalid op %d", e.Op)
+	}
+	if len(e.Args) != wantArgs {
+		return fmt.Errorf("expr: %s arity %d, want %d", e.Op, len(e.Args), wantArgs)
+	}
+	switch {
+	case e.Op.IsBinaryBV():
+		if e.Args[0].Width != e.Width || e.Args[1].Width != e.Width {
+			return fmt.Errorf("expr: %s width mismatch", e.Op)
+		}
+	case e.Op.IsPredicate():
+		if e.Width != 1 || e.Args[0].Width != e.Args[1].Width {
+			return fmt.Errorf("expr: %s width mismatch", e.Op)
+		}
+	case e.Op.IsBoolConnective():
+		if e.Width != 1 || e.Args[0].Width != 1 ||
+			(len(e.Args) > 1 && e.Args[1].Width != 1) {
+			return fmt.Errorf("expr: %s needs boolean operands", e.Op)
+		}
+	case e.Op == OpNot || e.Op == OpNeg:
+		if e.Args[0].Width != e.Width {
+			return fmt.Errorf("expr: %s width mismatch", e.Op)
+		}
+	case e.Op == OpZExt || e.Op == OpSExt:
+		if e.Args[0].Width >= e.Width || e.Width == 1 || e.Args[0].Width == 1 {
+			return fmt.Errorf("expr: %s width mismatch", e.Op)
+		}
+	case e.Op == OpExtract:
+		if uint(e.Aux)+uint(e.Width) > uint(e.Args[0].Width) || e.Args[0].Width == 1 {
+			return fmt.Errorf("expr: extract out of range")
+		}
+	}
+	return nil
 }

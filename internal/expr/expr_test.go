@@ -230,29 +230,6 @@ func TestSizeAndVars(t *testing.T) {
 	}
 }
 
-func TestCheckWellFormed(t *testing.T) {
-	good := Ule(Add(Var(0, 64), Const(1, 64)), Const(15, 64))
-	if err := good.CheckWellFormed(); err != nil {
-		t.Errorf("good term rejected: %v", err)
-	}
-	// Hand-construct malformed nodes (bypassing constructors).
-	bad := []*Expr{
-		{Op: OpAdd, Width: 64, Args: []*Expr{Var(0, 64)}},               // arity
-		{Op: OpAdd, Width: 64, Args: []*Expr{Var(0, 64), Var(1, 32)}},   // width
-		{Op: OpConst, Width: 8, K: 0x1ff},                               // oversized const
-		{Op: OpEq, Width: 64, Args: []*Expr{Var(0, 64), Var(1, 64)}},    // pred width
-		{Op: OpVar, Width: 7, K: 0},                                     // bad width
-		{Op: OpBoolAnd, Width: 1, Args: []*Expr{Var(0, 64), Var(1, 1)}}, // bool operand
-		{Op: OpExtract, Width: 32, Aux: 40, Args: []*Expr{Var(0, 64)}},  // range
-		{Op: Op(200), Width: 64},                                        // bad op
-	}
-	for i, e := range bad {
-		if err := e.CheckWellFormed(); err == nil {
-			t.Errorf("bad term %d accepted", i)
-		}
-	}
-}
-
 func TestStringRendering(t *testing.T) {
 	s := Var(0, 64)
 	e := Ule(Add(And(s, Const(0xf, 64)), Const(1, 64)), Const(16, 64))

@@ -37,10 +37,12 @@ func CheckWithLimits(cond *expr.Expr, p *Proof, lim Limits) error {
 	if cond == nil || cond.Width != 1 {
 		return fmt.Errorf("proof: condition must be a boolean term")
 	}
-	if err := cond.CheckWellFormed(); err != nil {
+	// Stage 1: format and type checking, the boundary's one whole-term
+	// walk; a shared visited set checks each distinct node once.
+	wellFormed, sized := map[*expr.Expr]bool{}, map[*expr.Expr]bool{}
+	if err := cond.CheckWellFormed(wellFormed); err != nil {
 		return fmt.Errorf("proof: malformed condition: %w", err)
 	}
-	// Stage 1: format and type checking.
 	if len(p.Steps) == 0 {
 		return fmt.Errorf("proof: empty proof")
 	}
@@ -61,10 +63,11 @@ func CheckWithLimits(cond *expr.Expr, p *Proof, lim Limits) error {
 			if a == nil {
 				return fmt.Errorf("proof: step %d: nil argument", i)
 			}
-			if a.Size() > lim.MaxArgNodes {
+			if !sized[a] && a.Size() > lim.MaxArgNodes {
 				return fmt.Errorf("proof: step %d: argument too large", i)
 			}
-			if err := a.CheckWellFormed(); err != nil {
+			sized[a] = true
+			if err := a.CheckWellFormed(wellFormed); err != nil {
 				return fmt.Errorf("proof: step %d: malformed argument: %w", i, err)
 			}
 		}

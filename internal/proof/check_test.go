@@ -2,6 +2,7 @@ package proof
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"bcf/internal/expr"
@@ -236,4 +237,50 @@ func TestStepString(t *testing.T) {
 			t.Fatalf("empty step string at %d", i)
 		}
 	}
+}
+
+// TestStageOneLinearInSharedArgs pins the checker's format and type
+// stage to work linear in distinct nodes: a proof of n steps that all
+// share one n-node argument, doubled in both, may at most about double
+// the bytes allocated. Sizing and validating the shared argument once per
+// step would make it quadratic (about 4x).
+func TestStageOneLinearInSharedArgs(t *testing.T) {
+	const n = 1000
+	bytesFor := func(n int) uint64 {
+		arg := expr.Var(0, 64)
+		for i := 0; i < n; i++ {
+			arg = expr.Add(arg, expr.Const(uint64(i), 64))
+		}
+		// Each step is valid, so every one passes stages 1 and 2; the
+		// last does not conclude false, so Check fails in stage 3.
+		p := &Proof{Steps: make([]Step, n)}
+		for i := range p.Steps {
+			p.Steps[i] = Step{Rule: RuleRefl, Args: []*expr.Expr{arg}}
+		}
+		cond := fig2Cond(15)
+		return allocBytes(func() {
+			if err := Check(cond, p); err == nil {
+				t.Fatal("a proof that never concludes false was accepted")
+			}
+		})
+	}
+	small, big := bytesFor(n), bytesFor(2*n)
+	ratio := float64(big) / float64(small)
+	t.Logf("%d steps allocate %d B, %d steps allocate %d B (%.2fx)", n, small, 2*n, big, ratio)
+	if ratio > 2.5 {
+		t.Errorf("doubling steps and argument size multiplied allocation by %.2fx, want at most 2.5x", ratio)
+	}
+}
+
+// allocBytes returns the fewest bytes f allocated over three runs.
+func allocBytes(f func()) uint64 {
+	best := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	return best
 }

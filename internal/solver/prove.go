@@ -69,16 +69,14 @@ type Outcome struct {
 
 // Prove decides the validity of a refinement condition. ctx bounds the
 // search: when it is cancelled or its deadline passes, Prove returns a
-// solver-timeout error (nil ctx means no deadline).
+// solver-timeout error (nil ctx means no deadline). cond must be
+// well-formed, as every term built or decoded by package expr is.
 func Prove(ctx context.Context, cond *expr.Expr, opts Options) (*Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if cond == nil || cond.Width != 1 {
 		return nil, fmt.Errorf("solver: condition must be boolean")
-	}
-	if err := cond.CheckWellFormed(); err != nil {
-		return nil, fmt.Errorf("solver: malformed condition: %w", err)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, bcferr.Wrap(bcferr.ClassSolverTimeout, fmt.Errorf("solver: %w", err))
