@@ -36,7 +36,9 @@ func (v *Verifier) applyInvariants(st *VState, pc int) error {
 			widened.Var = tnum.Range(rr.UMin, rr.UMax)
 			widened.sync()
 			*reg = widened
-			v.logf("%d: widened R%d to declared fixpoint [%d,%d]", pc, rr.Reg, rr.UMin, rr.UMax)
+			if v.cfg.Debug {
+				v.logf("%d: widened R%d to declared fixpoint [%d,%d]", pc, rr.Reg, rr.UMin, rr.UMax)
+			}
 		}
 	}
 	return nil

@@ -9,10 +9,11 @@ import (
 // checkCondJmp analyzes a conditional jump: it statically resolves the
 // branch when the abstraction allows, otherwise forks the state, refines
 // both sides with the branch condition, and hands the taken side to push
-// (the walk's fork callback, which stamps the child's DFS order before
-// queuing it on the frontier). It returns the next pc for the current
-// walk. The pushed side gets a cloned state and its own pathNode, so the
-// two sides share nothing mutable even when walked by different workers.
+// (the walk's fork callback, which gives the child its own pathNode and
+// DFS order before queuing it on the frontier). It returns the next pc
+// for the current walk. The pushed side gets a cloned state and its own
+// node, so the two sides share nothing mutable even when walked by
+// different workers.
 func (v *Verifier) checkCondJmp(st *VState, pc int, ins ebpf.Instruction, node *pathNode, obsTok any, push func(branchItem)) (int, error) {
 	is32 := ins.Class() == ebpf.ClassJMP32
 	op := ins.JmpOp()
@@ -39,8 +40,7 @@ func (v *Verifier) checkCondJmp(st *VState, pc int, ins ebpf.Instruction, node *
 		takenNull := op == ebpf.JmpJEQ
 		markPtrOrNull(other, dst.ID, takenNull)
 		markPtrOrNull(st, dst.ID, !takenNull)
-		push(branchItem{st: other, pc: target,
-			node: &pathNode{parent: node.parent, idx: int32(pc), taken: true, entry: node.entry}, obs: obsTok})
+		push(branchItem{st: other, pc: target, obs: obsTok})
 		node.taken = false
 		return pc + 1, nil
 	}
@@ -69,8 +69,7 @@ func (v *Verifier) checkCondJmp(st *VState, pc int, ins ebpf.Instruction, node *
 			if !is32 {
 				learnPktRange(st, other, dst, srcReg, op)
 			}
-			push(branchItem{st: other, pc: target,
-				node: &pathNode{parent: node.parent, idx: int32(pc), taken: true, entry: node.entry}, obs: obsTok})
+			push(branchItem{st: other, pc: target, obs: obsTok})
 			node.taken = false
 			return pc + 1, nil
 		}
@@ -108,8 +107,7 @@ func (v *Verifier) checkCondJmp(st *VState, pc int, ins ebpf.Instruction, node *
 	if srcReg != nil {
 		syncLinked(st, fSrc.ID, fSrc)
 	}
-	push(branchItem{st: other, pc: target,
-		node: &pathNode{parent: node.parent, idx: int32(pc), taken: true, entry: node.entry}, obs: obsTok})
+	push(branchItem{st: other, pc: target, obs: obsTok})
 	node.taken = false
 	return pc + 1, nil
 }

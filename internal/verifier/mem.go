@@ -285,7 +285,7 @@ func (v *Verifier) writeStack(st *VState, reg *RegState, off int16, size int, sr
 		}
 		for i := s0; i <= s1 && i < NumStackSlots; i++ {
 			if i >= 0 {
-				st.Stack[i] = StackSlot{Kind: SlotMisc}
+				st.setSlot(i, StackSlot{Kind: SlotMisc})
 			}
 		}
 		return
@@ -298,7 +298,7 @@ func (v *Verifier) writeStack(st *VState, reg *RegState, off int16, size int, sr
 	if size == 8 && fixed%8 == 0 && src != nil {
 		// Register-sized aligned spill: preserve the full abstract state.
 		if s0 >= 0 && s0 < NumStackSlots {
-			st.Stack[s0] = StackSlot{Kind: SlotSpill, Spill: *src}
+			st.setSlot(s0, StackSlot{Kind: SlotSpill, Spill: *src})
 		}
 		return
 	}
@@ -310,7 +310,7 @@ func (v *Verifier) writeStack(st *VState, reg *RegState, off int16, size int, sr
 	}
 	lo := ebpf.StackSize + int(fixed)
 	for i := max(s0, 0); i <= s1 && i < NumStackSlots; i++ {
-		if st.Stack[i].Kind == SlotZero && kind == SlotZero {
+		if kind == SlotZero && st.slot(i).Kind == SlotZero {
 			continue
 		}
 		k := kind
@@ -323,7 +323,7 @@ func (v *Verifier) writeStack(st *VState, reg *RegState, off int16, size int, sr
 			// (fuzz-domain regression).
 			k = SlotMisc
 		}
-		st.Stack[i] = StackSlot{Kind: k}
+		st.setSlot(i, StackSlot{Kind: k})
 	}
 }
 
@@ -336,12 +336,9 @@ func (v *Verifier) readStack(st *VState, reg *RegState, off int16, size int) Reg
 	fixed := int64(reg.Off) + int64(off) + int64(reg.Var.Value)
 	s0, s1 := slotRange(fixed, size)
 	// Stay total past the frame edge (see writeStack): out-of-range slots
-	// read as untracked data.
+	// read as SlotInvalid, hence as untracked data.
 	if size == 8 && fixed%8 == 0 {
-		if s0 < 0 || s0 >= NumStackSlots {
-			return loadedScalar(size)
-		}
-		slot := st.Stack[s0]
+		slot := st.slot(s0)
 		switch slot.Kind {
 		case SlotSpill:
 			return slot.Spill // fill restores the spilled register
@@ -353,7 +350,7 @@ func (v *Verifier) readStack(st *VState, reg *RegState, off int16, size int) Reg
 	// Sub-register read: if all covered slots are zero, the result is 0.
 	allZero := true
 	for i := s0; i <= s1; i++ {
-		if i < 0 || i >= NumStackSlots || st.Stack[i].Kind != SlotZero {
+		if st.slot(i).Kind != SlotZero {
 			allZero = false
 		}
 	}
@@ -371,7 +368,7 @@ func (v *Verifier) checkStackRead(st *VState, pc int, fixed int64, size int) err
 		if i < 0 || i >= NumStackSlots {
 			return &Error{InsnIdx: pc, Kind: CheckStackAccess, Msg: "stack access out of frame"}
 		}
-		if st.Stack[i].Kind == SlotInvalid {
+		if st.slot(i).Kind == SlotInvalid {
 			return &Error{InsnIdx: pc, Kind: CheckOther,
 				Msg: fmt.Sprintf("invalid indirect read from stack off %d", fixed)}
 		}
@@ -385,7 +382,7 @@ func (v *Verifier) markStackWritten(st *VState, fixed int64, size int) {
 	s0, s1 := slotRange(fixed, size)
 	for i := s0; i <= s1; i++ {
 		if i >= 0 && i < NumStackSlots {
-			st.Stack[i] = StackSlot{Kind: SlotMisc}
+			st.setSlot(i, StackSlot{Kind: SlotMisc})
 		}
 	}
 }

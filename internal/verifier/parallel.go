@@ -27,9 +27,11 @@ import (
 //     candidates, and Verify reports the minimum-order candidate — the
 //     error the sequential DFS would have hit first.
 //
-// Cloned states share nothing mutable across workers: VState.clone is a
-// full value copy (no interior pointers), pathNode chains are immutable
-// after construction, and pushed branches get their own node.
+// Cloned states share nothing mutable across workers: VState.clone
+// copies Stack's backing array and no other VState field is a reference;
+// a pathNode is immutable once its walk moves past it (nodes come from a
+// per-walk slab whose filled slots are never rewritten); and pushed
+// branches get their own node.
 
 // pathOrder locates a branch item in sequential DFS order. The k-th
 // branch pushed during one walk gets seq k under that walk's coordinate;

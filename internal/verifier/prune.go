@@ -117,8 +117,16 @@ func statesSubsume(old, new *VState) bool {
 			return false
 		}
 	}
-	for i := range old.Stack {
-		if !slotSubsumes(&old.Stack[i], &new.Stack[i], ids) {
+	// Slot-wise over the full frame. A slot past old's depth is
+	// SlotInvalid under old, which subsumes anything, so the walk stops
+	// at old's depth; a slot past new's depth is SlotInvalid under new.
+	var invalid StackSlot
+	for j := range old.Stack {
+		nw := &invalid
+		if j < len(new.Stack) {
+			nw = &new.Stack[j]
+		}
+		if !slotSubsumes(&old.Stack[j], nw, ids) {
 			return false
 		}
 	}

@@ -11,6 +11,7 @@ package verifier
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"bcf/internal/ebpf"
 	"bcf/internal/tnum"
@@ -362,6 +363,10 @@ const NumStackSlots = ebpf.StackSize / 8
 
 // VState is the verifier state for one analysis path position.
 //
+// Stack[j] is the frame slot at fp-8*(j+1), only as deep as the deepest
+// slot written (the kernel's allocated_stack); every slot past it is
+// SlotInvalid. Access frame slots through slot and setSlot.
+//
 // PktRange is the number of bytes past ctx->data proven readable on this
 // path (the kernel's pkt_range analog, learned from data/data_end
 // comparisons). It is state-level, not per-register, because every packet
@@ -369,22 +374,40 @@ const NumStackSlots = ebpf.StackSize / 8
 // for one applies to all.
 type VState struct {
 	Regs     [ebpf.MaxReg]RegState
-	Stack    [NumStackSlots]StackSlot
+	Stack    []StackSlot
 	PktRange uint32
 }
 
-// clone deep-copies the state (arrays copy by value).
+// slot returns frame slot i (0 is fp-512, NumStackSlots-1 is fp-8); a
+// slot outside the frame reads as SlotInvalid.
+func (s *VState) slot(i int) StackSlot {
+	if j := NumStackSlots - 1 - i; uint(j) < uint(len(s.Stack)) {
+		return s.Stack[j]
+	}
+	return StackSlot{}
+}
+
+// setSlot stores frame slot i, growing Stack to reach it.
+func (s *VState) setSlot(i int, slot StackSlot) {
+	j := NumStackSlots - 1 - i
+	if j >= len(s.Stack) {
+		s.Stack = append(s.Stack, make([]StackSlot, j+1-len(s.Stack))...)
+	}
+	s.Stack[j] = slot
+}
+
+// clone deep-copies the state.
 //
-// Memory-safety contract for parallel path exploration: VState holds
-// only fixed-size arrays of plain-value structs — no slices, maps or
-// pointers — so the value copy is a complete deep copy and a cloned
+// Memory-safety contract for parallel path exploration: clone copies
+// Stack's backing array, and no other field of VState, RegState or
+// StackSlot is a reference (no slices, maps or pointers), so a cloned
 // state shares nothing mutable with its origin. Branch forks and
 // explored-table recordings rely on this to hand states across worker
-// goroutines without further synchronization; any field added to
-// RegState or StackSlot must preserve it (or extend clone to copy the
-// referent).
+// goroutines without further synchronization; any reference field added
+// to these types must be copied here too.
 func (s *VState) clone() *VState {
 	c := *s
+	c.Stack = slices.Clone(s.Stack)
 	return &c
 }
 

@@ -1,0 +1,132 @@
+package verifier
+
+import "testing"
+
+// stackState builds an entry state with the given frame slots, keyed by
+// their fp-relative offset (-8 … -512).
+func stackState(slots map[int]StackSlot) *VState {
+	st := entryState()
+	for off, s := range slots {
+		st.setSlot(NumStackSlots+off/8, s)
+	}
+	return st
+}
+
+func spillConst(c uint64) StackSlot { return StackSlot{Kind: SlotSpill, Spill: constScalar(c)} }
+
+var (
+	miscSlot = StackSlot{Kind: SlotMisc}
+	zeroSlot = StackSlot{Kind: SlotZero}
+)
+
+// statesSubsumeFullFrame is statesSubsume over a fixed 64-slot frame,
+// the reference the depth-sized comparison must agree with.
+func statesSubsumeFullFrame(old, new *VState) bool {
+	if old.PktRange > new.PktRange {
+		return false
+	}
+	ids := idMap{}
+	for i := range old.Regs {
+		if !regSubsumes(&old.Regs[i], &new.Regs[i], ids) {
+			return false
+		}
+	}
+	for i := range NumStackSlots {
+		o, n := old.slot(i), new.slot(i)
+		if !slotSubsumes(&o, &n, ids) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestStackDepthIsDeepestWrite(t *testing.T) {
+	st := entryState()
+	if len(st.Stack) != 0 {
+		t.Fatalf("entry state has %d stack slots, want 0", len(st.Stack))
+	}
+	st.setSlot(NumStackSlots-8, miscSlot) // fp-64
+	if len(st.Stack) != 8 {
+		t.Fatalf("a write at fp-64 gave depth %d, want 8", len(st.Stack))
+	}
+	st.setSlot(NumStackSlots-1, spillConst(1)) // fp-8: no growth
+	if len(st.Stack) != 8 {
+		t.Fatalf("a write at fp-8 changed depth to %d, want 8", len(st.Stack))
+	}
+	for i := range NumStackSlots - 8 {
+		if k := st.slot(i).Kind; k != SlotInvalid {
+			t.Fatalf("slot %d past the depth reads %v, want SlotInvalid", i, k)
+		}
+	}
+	st.setSlot(0, miscSlot) // fp-512
+	if len(st.Stack) != NumStackSlots {
+		t.Fatalf("a write at fp-512 gave depth %d, want %d", len(st.Stack), NumStackSlots)
+	}
+}
+
+// A clone shares no Stack storage with its origin, in either direction
+// and whether or not a write grows the stack.
+func TestCloneSharesNoStack(t *testing.T) {
+	orig := stackState(map[int]StackSlot{-8: spillConst(5), -16: miscSlot})
+	c := orig.clone()
+	c.Stack[0].Spill.UMax = 99
+	c.setSlot(NumStackSlots-2, zeroSlot)
+	c.setSlot(0, miscSlot)
+	if got := orig.slot(NumStackSlots - 1); got != spillConst(5) {
+		t.Errorf("mutating the clone's spill changed the origin: %+v", got)
+	}
+	if got := orig.slot(NumStackSlots - 2); got != miscSlot {
+		t.Errorf("overwriting a clone slot changed the origin: %+v", got)
+	}
+	if len(orig.Stack) != 2 {
+		t.Errorf("growing the clone changed the origin's depth to %d", len(orig.Stack))
+	}
+	orig.setSlot(NumStackSlots-1, miscSlot)
+	if got := c.slot(NumStackSlots - 1); got.Kind != SlotSpill || got.Spill.UMax != 99 {
+		t.Errorf("mutating the origin changed the clone: %+v", got)
+	}
+}
+
+// statesSubsume answers as the full-frame comparison does when old and
+// new have different allocated depths.
+func TestStatesSubsumeAcrossStackDepths(t *testing.T) {
+	cases := []struct {
+		name     string
+		old, new map[int]StackSlot
+		want     bool
+	}{
+		{"both empty", nil, nil, true},
+		{"old shallower, misc over a spill", map[int]StackSlot{-8: miscSlot},
+			map[int]StackSlot{-8: spillConst(5), -64: spillConst(7)}, true},
+		{"old shallower, spill mismatch", map[int]StackSlot{-8: spillConst(4)},
+			map[int]StackSlot{-8: spillConst(5), -64: spillConst(7)}, false},
+		{"old deeper, spill past new's depth", map[int]StackSlot{-8: miscSlot, -64: spillConst(7)},
+			map[int]StackSlot{-8: spillConst(5)}, false},
+		{"old deeper, misc past new's depth", map[int]StackSlot{-8: spillConst(5), -64: miscSlot},
+			map[int]StackSlot{-8: spillConst(5)}, true},
+		{"fp-512 spill in old only", map[int]StackSlot{-512: spillConst(3)},
+			map[int]StackSlot{-8: miscSlot}, false},
+		{"fp-512 spill in new only", map[int]StackSlot{-8: miscSlot},
+			map[int]StackSlot{-512: spillConst(3)}, true},
+		{"fp-512 spill in both", map[int]StackSlot{-512: spillConst(3)},
+			map[int]StackSlot{-512: spillConst(3), -8: miscSlot}, true},
+		{"zero vs zero spill, new deeper", map[int]StackSlot{-16: zeroSlot},
+			map[int]StackSlot{-16: spillConst(0), -256: spillConst(9)}, true},
+		{"zero vs zero spill, old deeper", map[int]StackSlot{-16: zeroSlot, -256: miscSlot},
+			map[int]StackSlot{-16: spillConst(0)}, true},
+		{"zero past new's depth", map[int]StackSlot{-16: zeroSlot}, nil, false},
+		{"zero vs non-zero spill", map[int]StackSlot{-16: zeroSlot},
+			map[int]StackSlot{-16: spillConst(1)}, false},
+		{"zero spill vs zero", map[int]StackSlot{-16: spillConst(0)},
+			map[int]StackSlot{-16: zeroSlot}, false},
+	}
+	for _, c := range cases {
+		old, new := stackState(c.old), stackState(c.new)
+		if got := statesSubsume(old, new); got != c.want {
+			t.Errorf("%s: statesSubsume = %v, want %v", c.name, got, c.want)
+		}
+		if ref := statesSubsumeFullFrame(old, new); ref != c.want {
+			t.Errorf("%s: full-frame reference = %v, want %v", c.name, ref, c.want)
+		}
+	}
+}

@@ -85,6 +85,21 @@ type pathNode struct {
 	entry *atomic.Bool
 }
 
+// nodeSlab hands out one walk's pathNodes from chunks of 8, 16, … up to
+// 256 nodes rather than one heap object per instruction. A chunk is never
+// appended past its capacity, so nodes never move, and it stays alive
+// while any of its nodes is reachable (e.g. from a forked child's path).
+type nodeSlab struct{ chunk []pathNode }
+
+// node returns a fresh node appended under parent.
+func (s *nodeSlab) node(parent *pathNode, idx int, entry *atomic.Bool) *pathNode {
+	if len(s.chunk) == cap(s.chunk) {
+		s.chunk = make([]pathNode, 0, min(max(2*cap(s.chunk), 8), 256))
+	}
+	s.chunk = append(s.chunk, pathNode{parent: parent, idx: int32(idx), entry: entry})
+	return &s.chunk[len(s.chunk)-1]
+}
+
 // PathStep is one element of the reconstructed analysis path handed to
 // the Refiner (oldest first).
 type PathStep struct {
@@ -317,10 +332,9 @@ func (v *Verifier) Log() []string {
 	return v.log
 }
 
+// logf appends a Debug log line. Callers guard it with cfg.Debug: the
+// arguments are built (and allocated) before the call, too late to skip.
 func (v *Verifier) logf(format string, args ...any) {
-	if !v.cfg.Debug {
-		return
-	}
 	line := fmt.Sprintf(format, args...)
 	v.logMu.Lock()
 	v.log = append(v.log, line)
@@ -415,8 +429,12 @@ func (v *Verifier) verify() error {
 // order however the frontier schedules them.
 func (v *Verifier) walk(item branchItem, push func(branchItem)) error {
 	st, pc, node, obsTok := item.st, item.pc, item.node, item.obs
+	var slab nodeSlab
 	var lastKid *pathOrder
+	// fork queues the taken side of the conditional jump at node.
 	fork := func(it branchItem) {
+		it.node = slab.node(node.parent, int(node.idx), node.entry)
+		it.node.taken = true
 		it.order = &pathOrder{parent: item.order, depth: item.order.depth + 1, seq: 1}
 		if lastKid != nil {
 			it.order.seq, lastKid.next = lastKid.seq+1, it.order
@@ -458,13 +476,17 @@ func (v *Verifier) walk(item branchItem, push func(branchItem)) error {
 			hit, entryDead = v.pruned(pc, st, item.order)
 			if hit {
 				v.statesPruned.Add(1)
-				v.logf("%d: pruned", pc)
+				if v.cfg.Debug {
+					v.logf("%d: pruned", pc)
+				}
 				v.cfg.Trace.Instant(obs.CatVerifier, "prune", nil)
 				return nil
 			}
 		}
-		v.logf("%d: %s", pc, ins.String())
-		node = &pathNode{parent: node, idx: int32(pc), entry: entryDead}
+		if v.cfg.Debug {
+			v.logf("%d: %s", pc, ins.String())
+		}
+		node = slab.node(node, pc, entryDead)
 		if v.cfg.Observer != nil {
 			obsTok = v.cfg.Observer.Step(obsTok, pc, st)
 		}
@@ -508,7 +530,9 @@ func (v *Verifier) walk(item branchItem, push func(branchItem)) error {
 				if err := v.checkExit(st, pc, node); err != nil {
 					return pathDone(err)
 				}
-				v.logf("%d: exit, path ok", pc)
+				if v.cfg.Debug {
+					v.logf("%d: exit, path ok", pc)
+				}
 				return nil
 			case ebpf.JmpJA:
 				if ins.Class() == ebpf.ClassJMP32 {
@@ -798,7 +822,9 @@ func (v *Verifier) refine(st *VState, pc int, regno ebpf.Reg, kind CheckKind,
 		retractEntries(node, len(req.Path), res.TrackStart)
 	}
 	if err != nil {
-		v.logf("%d: refinement failed: %v", pc, err)
+		if v.cfg.Debug {
+			v.logf("%d: refinement failed: %v", pc, err)
+		}
 		// Surface the refinement failure as the cause of the original
 		// safety error: the rejection reason stays the failed check, but
 		// the class of the failure (proof rejected, timeout, protocol)
@@ -810,7 +836,9 @@ func (v *Verifier) refine(st *VState, pc int, regno ebpf.Reg, kind CheckKind,
 	}
 	if res.Pruned {
 		v.refinements.Add(1)
-		v.logf("%d: path proven infeasible, pruned", pc)
+		if v.cfg.Debug {
+			v.logf("%d: path proven infeasible, pruned", pc)
+		}
 		return errInfeasiblePath
 	}
 	reg := &st.Regs[regno]
@@ -821,6 +849,8 @@ func (v *Verifier) refine(st *VState, pc int, regno ebpf.Reg, kind CheckKind,
 		return orig
 	}
 	v.refinements.Add(1)
-	v.logf("%d: refined R%d to [%d, %d]", pc, regno, res.Lo, res.Hi)
+	if v.cfg.Debug {
+		v.logf("%d: refined R%d to [%d, %d]", pc, regno, res.Lo, res.Hi)
+	}
 	return nil
 }
