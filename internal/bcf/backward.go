@@ -18,16 +18,17 @@ import (
 	"bcf/internal/verifier"
 )
 
-// backwardAnalysis walks the analysis path in reverse from the failing
-// instruction to the earliest definition the target register transitively
-// depends on, returning the path index at which symbolic tracking must
-// start (§4, Listing 4). The dependency set holds registers and — for
-// register-sized fills through the frame pointer — stack slots.
-func backwardAnalysis(prog *ebpf.Program, path []verifier.PathStep, target ebpf.Reg) int {
-	// The last path entry is the failing instruction itself; dependencies
-	// are the values flowing into it, so scanning starts just before it.
-	end := len(path) - 1
-
+// backwardAnalysis walks the analysis path newest first (Path.Backward),
+// from the failing instruction back to the earliest definition the
+// target register transitively depends on, and returns how many steps
+// before the failing instruction symbolic tracking must start (§4,
+// Listing 4). It stops there, so its cost follows the tracked suffix, not
+// the path length; when the dependencies reach past the path start it
+// returns the whole path's length minus one. The dependency set holds
+// registers and — for register-sized fills through the frame pointer —
+// stack slots. Ranging over the concrete Path, rather than any sequence,
+// lets the compiler inline the iterator, so the walk allocates nothing.
+func backwardAnalysis(prog *ebpf.Program, path verifier.Path, target ebpf.Reg) int {
 	regs := uint16(1) << target
 	slots := map[int16]bool{}
 	need := func() bool { return regs != 0 || len(slots) > 0 }
@@ -35,13 +36,14 @@ func backwardAnalysis(prog *ebpf.Program, path []verifier.PathStep, target ebpf.
 	delReg := func(r ebpf.Reg) { regs &^= 1 << r }
 	hasReg := func(r ebpf.Reg) bool { return regs&(1<<r) != 0 }
 
-	start := 0
-	for i := end - 1; i >= 0; i-- {
-		if !need() {
-			start = i + 1
-			break
+	// The newest step is the failing instruction itself; dependencies are
+	// the values flowing into it, so the scan starts just before it.
+	back := -1
+	for step := range path.Backward() {
+		if back++; back == 0 {
+			continue
 		}
-		ins := prog.Insns[path[i].Idx]
+		ins := prog.Insns[step.Idx]
 		switch ins.Class() {
 		case ebpf.ClassALU, ebpf.ClassALU64:
 			if !hasReg(ins.Dst) {
@@ -96,9 +98,9 @@ func backwardAnalysis(prog *ebpf.Program, path []verifier.PathStep, target ebpf.
 				}
 			}
 		}
+		if !need() {
+			break
+		}
 	}
-	if need() {
-		start = 0
-	}
-	return start
+	return max(back, 0)
 }

@@ -25,6 +25,18 @@ func linearPath(n int) []verifier.PathStep {
 	return mkPath(idxs...)
 }
 
+// trackStart runs backwardAnalysis over a Path of the steps and returns
+// the index of the first tracked step, checking it against the
+// index-based reference scan.
+func trackStart(t *testing.T, p *ebpf.Program, path []verifier.PathStep, target ebpf.Reg) int {
+	t.Helper()
+	start := len(path) - 1 - backwardAnalysis(p, verifier.NewPath(path...), target)
+	if ref := refBackwardAnalysis(p, path, target); start != ref {
+		t.Fatalf("backward analysis starts at %d, reference at %d", start, ref)
+	}
+	return start
+}
+
 func TestBackwardAnalysisListing4(t *testing.T) {
 	// Mirrors the paper's Listing 4: the suffix must start at the mov
 	// feeding the final dependency chain.
@@ -42,7 +54,7 @@ func TestBackwardAnalysisListing4(t *testing.T) {
 		exit
 	`)}
 	path := linearPath(10)
-	start := backwardAnalysis(p, path, ebpf.R1)
+	start := trackStart(t, p, path, ebpf.R1)
 	// Chain: r1 needs def (insn 5) and r3 (insn 7) which needs r2
 	// (insn 2). Earliest definition: insn 2.
 	if start != 2 {
@@ -59,7 +71,7 @@ func TestBackwardAnalysisCallBoundary(t *testing.T) {
 		r0 = *(u8 *)(r1 +0) ; 4
 		exit
 	`)}
-	start := backwardAnalysis(p, linearPath(5), ebpf.R1)
+	start := trackStart(t, p, linearPath(5), ebpf.R1)
 	if start != 0 {
 		t.Fatalf("start = %d, want 0 (r6 defined at insn 0)", start)
 	}
@@ -75,7 +87,7 @@ func TestBackwardAnalysisSpillChain(t *testing.T) {
 		r0 = *(u8 *)(r1 +0)      ; 5
 		exit
 	`)}
-	start := backwardAnalysis(p, linearPath(6), ebpf.R1)
+	start := trackStart(t, p, linearPath(6), ebpf.R1)
 	if start != 1 {
 		t.Fatalf("start = %d, want 1 (spilled value defined at insn 1)", start)
 	}
@@ -88,7 +100,7 @@ func TestBackwardAnalysisImmediateDef(t *testing.T) {
 		r0 = *(u8 *)(r1 +0) ; 2
 		exit
 	`)}
-	start := backwardAnalysis(p, linearPath(3), ebpf.R1)
+	start := trackStart(t, p, linearPath(3), ebpf.R1)
 	if start != 1 {
 		t.Fatalf("start = %d, want 1", start)
 	}
@@ -112,7 +124,7 @@ func track(t *testing.T, src string, taken map[int]bool) *tracker {
 		path = append(path, verifier.PathStep{Idx: i, Taken: taken[i]})
 	}
 	tk := newTracker(p)
-	if err := tk.run(path, 0); err != nil {
+	if err := tk.run(path); err != nil {
 		t.Fatal(err)
 	}
 	return tk

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"bcf/internal/bcferr"
 	"bcf/internal/bcfenc"
+	"bcf/internal/bcferr"
 	"bcf/internal/expr"
 	"bcf/internal/obs"
 	"bcf/internal/proof"
@@ -26,7 +26,6 @@ type ProofService interface {
 // RequestStats records per-refinement measurements (Table 3).
 type RequestStats struct {
 	TrackLen      int           // instructions symbolically tracked
-	BackwardLen   int           // instructions scanned backward
 	CondBytes     int           // encoded condition size
 	ProofBytes    int           // encoded proof size
 	CheckDuration time.Duration // kernel-side proof check time
@@ -102,7 +101,7 @@ func (r *Refiner) refine(req *verifier.RefineRequest) (*verifier.RefineResult, e
 	if r.Service == nil {
 		return nil, fmt.Errorf("bcf: no proof service configured")
 	}
-	if len(req.Path) == 0 {
+	if req.Path == (verifier.Path{}) {
 		return nil, fmt.Errorf("bcf: empty analysis path")
 	}
 
@@ -112,15 +111,18 @@ func (r *Refiner) refine(req *verifier.RefineRequest) (*verifier.RefineResult, e
 	}
 	tsp := r.Trace.Start(obs.CatRefine, "track")
 
-	// 1. Backward analysis pinpoints the suffix start.
-	start := 0
-	if !r.DisableBackward {
-		start = backwardAnalysis(req.Prog, req.Path, req.Reg)
+	// 1. Backward analysis finds how far back the track reaches.
+	var back int
+	if r.DisableBackward {
+		back = req.Path.Len() - 1
+	} else {
+		back = backwardAnalysis(req.Prog, req.Path, req.Reg)
 	}
 
-	// 2. Symbolic tracking re-executes the suffix.
+	// 2. Symbolic tracking re-executes the suffix, the only part of the
+	// path that is copied.
 	tk := newTracker(req.Prog)
-	err := tk.run(req.Path, start)
+	err := tk.run(req.Path.Tail(back + 1))
 	tsp.End()
 	if r.Obs != nil {
 		r.Obs.StageHistogram(obs.MTrackSeconds).Since(trackStart)
@@ -138,10 +140,10 @@ func (r *Refiner) refine(req *verifier.RefineRequest) (*verifier.RefineResult, e
 			return nil, fmt.Errorf("bcf: no path constraints to refute")
 		}
 		cond := expr.BoolNot(expr.Conj(tk.constr...))
-		if err := r.delegate(cond, tk, req, start); err != nil {
+		if err := r.delegate(cond, tk); err != nil {
 			return nil, err
 		}
-		return &verifier.RefineResult{Pruned: true, TrackStart: start}, nil
+		return &verifier.RefineResult{Pruned: true, Anchor: back + 1}, nil
 	}
 
 	// 3. The target expression: a scalar's value, or the variable part of
@@ -176,17 +178,17 @@ func (r *Refiner) refine(req *verifier.RefineRequest) (*verifier.RefineResult, e
 	if len(tk.constr) > 0 {
 		cond = expr.Implies(expr.Conj(tk.constr...), bound)
 	}
-	if err := r.delegate(cond, tk, req, start); err != nil {
+	if err := r.delegate(cond, tk); err != nil {
 		return nil, err
 	}
-	return &verifier.RefineResult{Lo: req.WantLo, Hi: req.WantHi, TrackStart: start}, nil
+	return &verifier.RefineResult{Lo: req.WantLo, Hi: req.WantHi, Anchor: back + 1}, nil
 }
 
 // delegate ships the condition to user space and validates the returned
 // proof with the in-kernel checker (§4 steps 2 and 3). The condition
 // object itself never leaves kernel space; only its encoding does, and
 // the proof must establish exactly the stored condition.
-func (r *Refiner) delegate(cond *expr.Expr, tk *tracker, req *verifier.RefineRequest, start int) error {
+func (r *Refiner) delegate(cond *expr.Expr, tk *tracker) error {
 	var encStart time.Time
 	if r.Obs != nil {
 		encStart = time.Now()
@@ -215,7 +217,6 @@ func (r *Refiner) delegate(cond *expr.Expr, tk *tracker, req *verifier.RefineReq
 	}
 	rs := RequestStats{
 		TrackLen:     tk.steps,
-		BackwardLen:  len(req.Path) - 1 - start,
 		CondBytes:    len(condBytes),
 		UserDuration: userDur,
 	}

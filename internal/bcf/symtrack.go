@@ -87,12 +87,11 @@ func low32(e *expr.Expr) *expr.Expr { return fold(expr.Extract(e, 0, 32)) }
 // zext64 zero-extends back to 64 bits.
 func zext64(e *expr.Expr) *expr.Expr { return fold(expr.ZExt(e, 64)) }
 
-// run symbolically executes path[start:len-1] (the failing instruction
-// itself has not executed). It returns an error for suffixes the tracker
-// cannot follow.
-func (tk *tracker) run(path []verifier.PathStep, start int) error {
-	for i := start; i < len(path)-1; i++ {
-		step := path[i]
+// run symbolically executes the tracked steps, oldest first, up to but
+// not including the last one: the failing instruction, which has not
+// executed. It returns an error for suffixes the tracker cannot follow.
+func (tk *tracker) run(track []verifier.PathStep) error {
+	for _, step := range track[:len(track)-1] {
 		ins := tk.prog.Insns[step.Idx]
 		tk.steps++
 		if err := tk.exec(ins, step.Taken); err != nil {

@@ -55,16 +55,16 @@ func EmitObject(obj *Object) ([]byte, error) {
 	// Section plan: 0 NULL, 1 .strtab, 2 .symtab, [maps], [.btf.bcf],
 	// program sections, relocation sections.
 	type shdr struct {
-		nameOff  uint32
-		typ      uint32
-		flags    uint64
-		off      uint64
-		size     uint64
-		link     uint32
-		info     uint32
-		align    uint64
-		entsize  uint64
-		body     []byte
+		nameOff uint32
+		typ     uint32
+		flags   uint64
+		off     uint64
+		size    uint64
+		link    uint32
+		info    uint32
+		align   uint64
+		entsize uint64
+		body    []byte
 	}
 	hdrs := []shdr{{}} // SHT_NULL
 	strtabIdx := len(hdrs)

@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"bcf/internal/bcf"
-	"bcf/internal/bcferr"
 	"bcf/internal/bcfenc"
+	"bcf/internal/bcferr"
 	"bcf/internal/ebpf"
 	"bcf/internal/expr"
 	"bcf/internal/faultinject"

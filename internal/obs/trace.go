@@ -356,9 +356,9 @@ func (s Span) EndArgs(extra map[string]any) {
 	sink.mu.Lock()
 	sink.add(TraceEvent{
 		Name: s.name, Cat: s.cat, Ph: "X",
-		TS:   float64(s.begin.Sub(sink.start).Nanoseconds()) / 1e3,
-		Dur:  float64(end.Sub(s.begin).Nanoseconds()) / 1e3,
-		PID:  s.t.pid, TID: s.t.tid, Args: args,
+		TS:  float64(s.begin.Sub(sink.start).Nanoseconds()) / 1e3,
+		Dur: float64(end.Sub(s.begin).Nanoseconds()) / 1e3,
+		PID: s.t.pid, TID: s.t.tid, Args: args,
 	})
 	sink.mu.Unlock()
 }

@@ -17,10 +17,10 @@ func FuzzCheckProof(f *testing.F) {
 
 	// Structured seeds: plausible step streams for the generator below.
 	f.Add([]byte{})
-	f.Add([]byte{1, 0, 0})                            // lone assume
-	f.Add([]byte{1, 0, 0, 9, 2, 0, 0, 0})             // assume + contradiction
-	f.Add([]byte{1, 0, 0, 22, 0, 1, 0, 0})            // assume + eval_const
-	f.Add([]byte{60, 1, 0, 2, 0, 61, 2, 0, 1, 0, 7})  // bb_clause + resolve
+	f.Add([]byte{1, 0, 0})                           // lone assume
+	f.Add([]byte{1, 0, 0, 9, 2, 0, 0, 0})            // assume + contradiction
+	f.Add([]byte{1, 0, 0, 22, 0, 1, 0, 0})           // assume + eval_const
+	f.Add([]byte{60, 1, 0, 2, 0, 61, 2, 0, 1, 0, 7}) // bb_clause + resolve
 	for r := byte(1); r < 64; r += 3 {
 		f.Add([]byte{1, 0, 0, r, 1, 0, 1, 0, 0, r + 1, 2, 0, 1, 2, 3})
 	}

@@ -39,7 +39,7 @@ func walkAllocs(t *testing.T, p *ebpf.Program) (float64, Stats) {
 // path-node slab, and a small fraction of an allocation per instruction
 // on a forking workload.
 func TestWalkAllocsPerInsn(t *testing.T) {
-	if raceEnabled {
+	if RaceEnabled {
 		t.Skip("the race detector perturbs allocation counts")
 	}
 	short, _ := walkAllocs(t, straightLine(64))

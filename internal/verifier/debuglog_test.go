@@ -13,7 +13,7 @@ import (
 type grantRefiner struct{}
 
 func (grantRefiner) Refine(req *RefineRequest) (*RefineResult, error) {
-	return &RefineResult{Lo: req.WantLo, Hi: req.WantHi, TrackStart: len(req.Path) - 1}, nil
+	return &RefineResult{Lo: req.WantLo, Hi: req.WantHi, Anchor: 1}, nil
 }
 
 // TestDebugLogGolden pins the Debug log byte for byte on small programs
@@ -118,7 +118,7 @@ func TestDebugLogGolden(t *testing.T) {
 			name: "refine-infeasible-then-failed",
 			prog: refinePruneProg(),
 			cfg: func() Config {
-				return Config{Refiner: &anchorRefiner{anchor: func(int) int { return 0 }}}
+				return Config{Refiner: &anchorRefiner{anchor: Path.Len}}
 			},
 			err:   "insn 17: invalid access to map value, value_size=16 off=16 size=4 (R1 max offset 16): no more proofs",
 			stats: Stats{InsnProcessed: 22, PathsExplored: 2, PeakStackDepth: 2, Refinements: 1, RefineAttempts: 2},

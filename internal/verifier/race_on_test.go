@@ -2,6 +2,6 @@
 
 package verifier
 
-// raceEnabled reports a -race build, whose instrumentation perturbs
+// RaceEnabled reports a -race build, whose instrumentation perturbs
 // allocation counts.
-const raceEnabled = true
+const RaceEnabled = true

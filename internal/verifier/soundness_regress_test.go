@@ -65,7 +65,7 @@ func TestPartialZeroStoreOverZeroSlot(t *testing.T) {
 // test's verdict is decided by whether the pruning entries recorded by
 // the first path survive for the second.
 type anchorRefiner struct {
-	anchor func(pathLen int) int
+	anchor func(Path) int
 	calls  int
 }
 
@@ -74,7 +74,7 @@ func (r *anchorRefiner) Refine(req *RefineRequest) (*RefineResult, error) {
 	if r.calls > 1 {
 		return nil, fmt.Errorf("no more proofs")
 	}
-	return &RefineResult{Pruned: true, TrackStart: r.anchor(len(req.Path))}, nil
+	return &RefineResult{Pruned: true, Anchor: r.anchor(req.Path)}, nil
 }
 
 // refinePruneProg forks two histories at a `goto +0` no-op branch that
@@ -104,29 +104,39 @@ func refinePruneProg() *ebpf.Program {
 // is inside the track and must be retracted, so the second path reaches
 // the failed check itself, its refinement fails, and the program is
 // rejected. Before the fix the second path was pruned and the program
-// accepted despite a concrete out-of-bounds read.
+// accepted despite a concrete out-of-bounds read. An anchor left at its
+// zero value means the whole path, so it must behave identically.
 //
 // With several workers the retraction races the second path's prune
 // check, so that case runs many times: a prune must never read the
 // entry's liveness before the recorder's retraction is guaranteed.
 func TestRefinementRetractsTrackEntries(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		reps := 500
-		if workers == 1 {
-			reps = 1
-		}
-		for rep := 0; rep < reps; rep++ {
-			ref := &anchorRefiner{anchor: func(int) int { return 0 }}
-			v := New(refinePruneProg(), Config{Refiner: ref, ParallelPaths: workers})
-			if err := v.Verify(); err == nil {
-				t.Fatalf("workers=%d: expected rejection: second path must not be pruned by a path-conditionally refined entry", workers)
+	anchors := []struct {
+		name   string
+		anchor func(Path) int
+	}{
+		{"path start", Path.Len},
+		{"zero value", func(Path) int { return 0 }},
+	}
+	for _, a := range anchors {
+		for _, workers := range []int{1, 2, 8} {
+			reps := 500
+			if workers == 1 {
+				reps = 1
 			}
-			if ref.calls < 2 {
-				t.Fatalf("workers=%d: refiner called %d times, want 2: the second path never reached the check", workers, ref.calls)
-			}
-			want := Stats{InsnProcessed: 22, PathsExplored: 2, PeakStackDepth: 2, Refinements: 1, RefineAttempts: 2}
-			if st := v.Stats(); workers == 1 && st != want {
-				t.Fatalf("one-worker stats drifted: got %+v, want %+v", st, want)
+			for rep := 0; rep < reps; rep++ {
+				ref := &anchorRefiner{anchor: a.anchor}
+				v := New(refinePruneProg(), Config{Refiner: ref, ParallelPaths: workers})
+				if err := v.Verify(); err == nil {
+					t.Fatalf("%s, workers=%d: expected rejection: second path must not be pruned by a path-conditionally refined entry", a.name, workers)
+				}
+				if ref.calls < 2 {
+					t.Fatalf("%s, workers=%d: refiner called %d times, want 2: the second path never reached the check", a.name, workers, ref.calls)
+				}
+				want := Stats{InsnProcessed: 22, PathsExplored: 2, PeakStackDepth: 2, Refinements: 1, RefineAttempts: 2}
+				if st := v.Stats(); workers == 1 && st != want {
+					t.Fatalf("%s: one-worker stats drifted: got %+v, want %+v", a.name, st, want)
+				}
 			}
 		}
 	}
@@ -137,7 +147,7 @@ func TestRefinementRetractsTrackEntries(t *testing.T) {
 // valid, and the identical-state second path may legitimately prune.
 // Pins that retraction does not overreach.
 func TestRefinementKeepsPreTrackEntries(t *testing.T) {
-	ref := &anchorRefiner{anchor: func(pathLen int) int { return pathLen - 1 }}
+	ref := &anchorRefiner{anchor: func(Path) int { return 1 }}
 	v := New(refinePruneProg(), Config{Refiner: ref})
 	if err := v.Verify(); err != nil {
 		t.Fatalf("expected accept (second path pruned by a still-valid entry), got: %v", err)

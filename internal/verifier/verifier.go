@@ -2,6 +2,7 @@ package verifier
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -72,8 +73,8 @@ func (e *Error) Error() string {
 func (e *Error) Unwrap() error { return e.Cause }
 
 // pathNode is one step of the immutable per-path history. Each analyzed
-// instruction appends a node; branch pushes share the prefix. BCF
-// reconstructs the analysis path by walking parents.
+// instruction appends a node; branch pushes share the prefix. The
+// Refiner reads the analysis path through a Path view of the chain.
 type pathNode struct {
 	parent *pathNode
 	idx    int32
@@ -100,35 +101,70 @@ func (s *nodeSlab) node(parent *pathNode, idx int, entry *atomic.Bool) *pathNode
 	return &s.chunk[len(s.chunk)-1]
 }
 
-// PathStep is one element of the reconstructed analysis path handed to
-// the Refiner (oldest first).
+// PathStep is one step of the analysis path handed to the Refiner.
 type PathStep struct {
 	Idx   int
 	Taken bool
 }
 
-// reconstructPath materializes the node chain, oldest first.
-func reconstructPath(n *pathNode) []PathStep {
-	count := 0
-	for p := n; p != nil; p = p.parent {
-		count++
+// Path is a read-only view of the analysis path that ends at the failing
+// instruction. It shares the walk's immutable node chain, so handing it
+// to the Refiner copies nothing; a refiner reads back from the failing
+// instruction only as far as its track reaches.
+type Path struct{ n *pathNode }
+
+// Backward yields the path's steps newest first, starting with the
+// failing instruction.
+func (p Path) Backward() iter.Seq[PathStep] {
+	return func(yield func(PathStep) bool) {
+		for n := p.n; n != nil; n = n.parent {
+			if !yield(PathStep{Idx: int(n.idx), Taken: n.taken}) {
+				return
+			}
+		}
 	}
-	out := make([]PathStep, count)
-	for p := n; p != nil; p = p.parent {
-		count--
-		out[count] = PathStep{Idx: int(p.idx), Taken: p.taken}
-	}
-	return out
 }
 
-// RefineRequest describes a failed check that BCF may repair. WantLo and
+// Tail materializes the newest k steps (all of them on a shorter path),
+// oldest first. It is the only copy of the path a refinement makes.
+func (p Path) Tail(k int) []PathStep {
+	out := make([]PathStep, max(k, 0))
+	i := len(out)
+	for n := p.n; n != nil && i > 0; n = n.parent {
+		i--
+		out[i] = PathStep{Idx: int(n.idx), Taken: n.taken}
+	}
+	return out[i:]
+}
+
+// NewPath builds a Path over steps, oldest first, outside any walk: for
+// driving a Refiner by hand, as tests do.
+func NewPath(steps ...PathStep) Path {
+	var n *pathNode
+	for _, s := range steps {
+		n = &pathNode{parent: n, idx: int32(s.Idx), taken: s.Taken}
+	}
+	return Path{n}
+}
+
+// Len walks the whole chain and returns the number of steps.
+func (p Path) Len() int {
+	count := 0
+	for n := p.n; n != nil; n = n.parent {
+		count++
+	}
+	return count
+}
+
+// RefineRequest describes a failed check that BCF may repair. Path ends
+// at the failing instruction InsnIdx, which has not executed. WantLo and
 // WantHi give the unsigned range the target value (the scalar register's
 // value, or the variable part of a pointer register's offset) must be
 // proven to lie in for the check to pass.
 type RefineRequest struct {
 	Prog    *ebpf.Program
 	State   *VState
-	Path    []PathStep
+	Path    Path
 	InsnIdx int
 	Reg     ebpf.Reg
 	Kind    CheckKind
@@ -140,37 +176,41 @@ type RefineRequest struct {
 // refiner instead proved the current path's constraints unsatisfiable:
 // the verifier abandons the (infeasible) path rather than refining.
 //
-// TrackStart is the index into RefineRequest.Path of the first
-// instruction the proof's symbolic track covers. The proof is valid for
-// any execution that traverses Path[TrackStart:] — its variables are
-// fresh at the anchor — but says nothing about executions that reach a
-// mid-track instruction by a different route. The verifier uses it to
-// retract the pruning-table entries the refinement invalidates; the zero
-// value (anchor at the path start) is maximally conservative.
+// Anchor is the length of the proof's symbolic track counted back from
+// the failing instruction, which it includes: 1 anchors the track at the
+// failing instruction itself, k at the k-th newest step of Path. The
+// proof is valid for any execution that traverses those k steps (its
+// variables are fresh at the anchor) but says nothing about executions
+// that reach a mid-track instruction by a different route. The verifier
+// uses it to retract the pruning-table entries the refinement
+// invalidates. The zero value means the whole path, the most
+// conservative anchor.
 type RefineResult struct {
-	Lo, Hi     uint64
-	Pruned     bool
-	TrackStart int
+	Lo, Hi uint64
+	Pruned bool
+	Anchor int
 }
 
 // errInfeasiblePath is the sentinel used internally when BCF proves the
 // current analysis path unreachable; the walk treats it as path end.
 var errInfeasiblePath = &Error{Kind: CheckNone, Msg: "path proven infeasible"}
 
-// retractEntries kills the pruning-table entries recorded along the
-// current path at positions after a refinement's track anchor. A granted
-// refinement proves its condition only for executions traversing
-// Path[anchor:], so an entry inside the track — whose continuation was
-// vindicated by that proof — must not prune a state that reaches the
-// same pc along a different history: the proof does not cover it, and
-// pruning there once accepted a program with a concrete out-of-bounds
-// read (fuzz-accept-safe regression). Entries at or before the anchor
-// stay: the track's variables are fresh at the anchor, so the proof
-// covers every execution their subtrees admit. node sits at position
-// pathLen-1; flags are shared with forked siblings, and setting one is
-// idempotent, so re-sweeping after a second refinement is harmless.
-func retractEntries(node *pathNode, pathLen, anchor int) {
-	for p, pos := node, pathLen-1; p != nil && pos > anchor; p, pos = p.parent, pos-1 {
+// retractEntries kills the pruning-table entries recorded inside a
+// refinement's track: those of the newest anchor-1 nodes from node (the
+// failing instruction) back, or of every node but the path's first when
+// anchor is 0. A granted refinement proves its condition only for
+// executions traversing the track, so an entry inside it — whose
+// continuation was vindicated by that proof — must not prune a state
+// that reaches the same pc along a different history: the proof does not
+// cover it, and pruning there once accepted a program with a concrete
+// out-of-bounds read (fuzz-accept-safe regression). The anchor's own
+// entry and those before it stay: the track's variables are fresh at
+// the anchor, so the proof covers every execution their subtrees admit.
+// The sweep walks only the track. Flags are shared with forked siblings,
+// and setting one is idempotent, so re-sweeping after a second
+// refinement is harmless.
+func retractEntries(node *pathNode, anchor int) {
+	for p, k := node, 1; p.parent != nil && (anchor == 0 || k < anchor); p, k = p.parent, k+1 {
 		if p.entry != nil {
 			p.entry.Store(true)
 		}
@@ -806,7 +846,7 @@ func (v *Verifier) refine(st *VState, pc int, regno ebpf.Reg, kind CheckKind,
 	req := &RefineRequest{
 		Prog:    v.prog,
 		State:   st,
-		Path:    reconstructPath(node),
+		Path:    Path{node},
 		InsnIdx: pc,
 		Reg:     regno,
 		Kind:    kind,
@@ -819,7 +859,7 @@ func (v *Verifier) refine(st *VState, pc int, regno ebpf.Reg, kind CheckKind,
 		// track: this path's earlier "explored without error" claims no
 		// longer transfer to states that arrive mid-track by a different
 		// route. Retract those pruning entries before using the result.
-		retractEntries(node, len(req.Path), res.TrackStart)
+		retractEntries(node, res.Anchor)
 	}
 	if err != nil {
 		if v.cfg.Debug {

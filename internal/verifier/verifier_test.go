@@ -1,6 +1,7 @@
 package verifier
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -501,4 +502,27 @@ func TestAtomicAddInvalidatesSpill(t *testing.T) {
 		r0 = *(u8 *)(r1 +0)
 		exit
 	`+lookupEpilogue, testMap16), "")
+}
+
+// TestPathView pins the Path view's three reads: Backward newest first,
+// Tail oldest first and clamped to the path, Len over the whole chain.
+func TestPathView(t *testing.T) {
+	steps := []PathStep{{Idx: 0}, {Idx: 1, Taken: true}, {Idx: 5}, {Idx: 6}}
+	p := NewPath(steps...)
+	if n := p.Len(); n != 4 {
+		t.Fatalf("Len() = %d, want 4", n)
+	}
+	back := slices.Collect(p.Backward())
+	slices.Reverse(back)
+	if !slices.Equal(back, steps) {
+		t.Fatalf("Backward reversed = %v, want %v", back, steps)
+	}
+	for k, want := range map[int][]PathStep{0: {}, 1: steps[3:], 3: steps[1:], 4: steps, 9: steps} {
+		if got := p.Tail(k); !slices.Equal(got, want) {
+			t.Errorf("Tail(%d) = %v, want %v", k, got, want)
+		}
+	}
+	if n := (Path{}).Len(); n != 0 {
+		t.Errorf("zero Path has Len() %d", n)
+	}
 }
