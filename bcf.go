@@ -181,14 +181,6 @@ func WithInsnLimit(n int) Option {
 	return func(o *loader.Options) { o.Verifier.InsnLimit = n }
 }
 
-// WithParallelPaths explores pending branch paths with n workers inside
-// the verifier (n <= 1: one worker, the default). A prune that loses its
-// race at n > 1 spends extra budget and, with a stateful or failing
-// refiner, can change the verdict; see verifier.Config.ParallelPaths.
-func WithParallelPaths(n int) Option {
-	return func(o *loader.Options) { o.Verifier.ParallelPaths = n }
-}
-
 // WithDebug records a verifier log into the report.
 func WithDebug() Option {
 	return func(o *loader.Options) { o.Verifier.Debug = true }

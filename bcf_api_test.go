@@ -149,16 +149,13 @@ func TestPublicLoopInvariantOption(t *testing.T) {
 			exit
 		`),
 	}
-	for _, workers := range []int{1, 2, 8} {
-		noInv := Verify(prog, WithInsnLimit(1000), WithParallelPaths(workers))
-		if noInv.Accepted {
-			t.Fatalf("workers=%d: expected budget exhaustion without invariant", workers)
-		}
-		withInv := Verify(prog, WithInsnLimit(1000), WithParallelPaths(workers),
-			WithLoopInvariant(2, 6, 0, ^uint64(0)))
-		if !withInv.Accepted {
-			t.Fatalf("workers=%d: invariant variant rejected: %v", workers, withInv.Err)
-		}
+	noInv := Verify(prog, WithInsnLimit(1000))
+	if noInv.Accepted {
+		t.Fatal("expected budget exhaustion without invariant")
+	}
+	withInv := Verify(prog, WithInsnLimit(1000), WithLoopInvariant(2, 6, 0, ^uint64(0)))
+	if !withInv.Accepted {
+		t.Fatalf("invariant variant rejected: %v", withInv.Err)
 	}
 }
 

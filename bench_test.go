@@ -442,25 +442,18 @@ func BenchmarkVerifierBaseline(b *testing.B) {
 	}
 }
 
-// BenchmarkVerifierParallel measures parallel path exploration on the
-// worst-case stress program (2^11 mutually incomparable paths, pruning
-// never fires, so exploration work is fixed regardless of schedule).
-// Compare the p1/p2/p4/p8 ns/op to read off the frontier's wall-clock
-// scaling; insns/op pins the work as schedule-independent. The CI gate
-// on BENCH_parallel_verifier.json (job verifier-parallel) tracks the
-// same quantity via cmd/bcfbench -verifier-bench.
-func BenchmarkVerifierParallel(b *testing.B) {
+// BenchmarkVerifierStress measures one verifier walk over the worst-case
+// stress program: 2^11 mutually incomparable paths, so pruning never
+// fires and the whole tree is walked.
+func BenchmarkVerifierStress(b *testing.B) {
 	prog := corpus.ParallelStress(11, 64, 0)
-	for _, p := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rep := Verify(prog, WithInsnLimit(1_000_000), WithParallelPaths(p))
-				if !rep.Accepted {
-					b.Fatal(rep.Err)
-				}
-				b.ReportMetric(float64(rep.Stats.InsnProcessed), "insns/op")
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rep := Verify(prog, WithInsnLimit(1_000_000))
+		if !rep.Accepted {
+			b.Fatal(rep.Err)
+		}
+		b.ReportMetric(float64(rep.Stats.InsnProcessed), "insns/op")
 	}
 }
 

@@ -113,10 +113,6 @@ func main() {
 	src := flag.String("src", ".", "repository root (for Table 1 line counts)")
 	quiet := flag.Bool("q", false, "suppress progress output")
 	parallel := flag.Int("parallel", 0, "worker-pool size (0 = GOMAXPROCS)")
-	parallelPaths := flag.Int("parallel-paths", 0, "verifier path-exploration workers per load (<=1 = one worker)")
-	verifBench := flag.String("verifier-bench", "", "run the parallel-verifier speedup benchmark, write BENCH JSON to this path, and exit")
-	verifBenchDepth := flag.Int("verifier-bench-depth", 11, "fork depth of the verifier benchmark program (2^depth paths)")
-	verifBenchReps := flag.Int("verifier-bench-reps", 5, "timing repetitions per worker count in -verifier-bench")
 	jsonPath := flag.String("json", "", "write a machine-readable timing/acceptance report to this path")
 	n := flag.Int("n", 0, "evaluate only the first N corpus programs (0 = all 512)")
 	metrics := flag.Bool("metrics", false, "collect telemetry and print the per-stage metrics table")
@@ -129,17 +125,6 @@ func main() {
 	coldwarm := flag.Bool("coldwarm", false, "run the corpus twice and report cold vs warm-cache timing")
 	elfDir := flag.String("elf-dir", "", "evaluate a directory of ELF objects (.o) instead of the synthetic corpus")
 	flag.Parse()
-
-	if *verifBench != "" {
-		workers := *parallelPaths
-		if workers <= 1 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if err := runVerifierBench(*verifBench, workers, *verifBenchDepth, *verifBenchReps, *quiet); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	wantAll := *table == "" && *fig == ""
 	needRun := wantAll || *table == "accept" || *table == "3" || *table == "duration" ||
@@ -249,16 +234,15 @@ func main() {
 		}
 		runOnce := func(cache *loader.ProofCache) *eval.Evaluation {
 			return eval.RunOpts(eval.Options{
-				Entries:       entries,
-				InsnLimit:     *limit,
-				Parallelism:   *parallel,
-				ParallelPaths: *parallelPaths,
-				Limit:         *n,
-				Cache:         cache,
-				Remote:        remoteProver,
-				Progress:      progress,
-				Obs:           reg,
-				Trace:         tracer,
+				Entries:     entries,
+				InsnLimit:   *limit,
+				Parallelism: *parallel,
+				Limit:       *n,
+				Cache:       cache,
+				Remote:      remoteProver,
+				Progress:    progress,
+				Obs:         reg,
+				Trace:       tracer,
 			})
 		}
 		if *coldwarm {

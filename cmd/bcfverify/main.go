@@ -38,7 +38,6 @@ func main() {
 	bin := flag.Bool("bin", false, "input is raw bytecode, not assembly")
 	valueSize := flag.Uint("map-value-size", 16, "value size of map[0]")
 	insnLimit := flag.Int("insn-limit", 0, "analyzed-instruction budget (0 = kernel default)")
-	parallelPaths := flag.Int("parallel-paths", 0, "verifier path-exploration workers (<=1 = one worker)")
 	progType := flag.String("type", "tracepoint", "program type: tracepoint|xdp|socket_filter|sched_cls|cgroup_skb (ignored for ELF input)")
 	stats := flag.Bool("stats", false, "dump the telemetry metrics snapshot as JSON after the verdict")
 	remote := flag.String("remote", "", "prove via bcfd daemon(s): unix:/path or host:port, comma-separated for a fleet")
@@ -92,9 +91,6 @@ func main() {
 	}
 	if *insnLimit > 0 {
 		opts = append(opts, bcf.WithInsnLimit(*insnLimit))
-	}
-	if *parallelPaths > 1 {
-		opts = append(opts, bcf.WithParallelPaths(*parallelPaths))
 	}
 	var reg *bcf.Registry
 	if *stats || *listen != "" {

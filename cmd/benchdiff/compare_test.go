@@ -107,7 +107,6 @@ func TestCompareZeroBaseline(t *testing.T) {
 // file referencing a path the artifact does not have.
 func TestCompareCommittedArtifacts(t *testing.T) {
 	cases := []struct{ artifact, rules string }{
-		{"../../BENCH_parallel_verifier.json", "../../.github/benchdiff/verifier.json"},
 		{"../../BENCH_remote_fleet.json", "../../.github/benchdiff/fleet.json"},
 	}
 	for _, c := range cases {

@@ -81,10 +81,8 @@ func (l SessionLimits) withDefaults() SessionLimits {
 // concurrent use by multiple goroutines (neither is a real load).
 //
 // The protocol is a single conversation: one outstanding condition, one
-// proof, strictly alternating. That holds at any
-// verifier.Config.ParallelPaths: the verifier serializes all refinement
-// requests behind an internal lock, so path workers never emit
-// concurrent conditions into the shared buffer.
+// proof, strictly alternating. The verifier is one sequential walk, so
+// its refinement requests never overlap.
 type Session struct {
 	prog *ebpf.Program
 	v    *verifier.Verifier

@@ -14,7 +14,7 @@ import (
 // exactly (bit i of r0 set iff rung i was taken). Every pair of paths
 // therefore carries mutually incomparable constants and state pruning
 // never fires: the verifier must walk all 2^depth paths, which is what
-// BenchmarkVerifierParallel and the frontier stress tests want.
+// BenchmarkVerifierStress and the path-explosion benchmark want.
 //
 // tail appends that many straight-line ALU instructions per path so each
 // walk does nontrivial work after its last fork.

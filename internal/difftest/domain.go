@@ -3,7 +3,6 @@ package difftest
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"bcf/internal/ebpf"
 	"bcf/internal/verifier"
@@ -21,12 +20,8 @@ type ObsNode struct {
 
 // TreeObserver implements verifier.Observer by materializing the analysis
 // tree. The verifier threads the parent token through branch forks, so
-// the tree mirrors its DFS exactly. With several path workers both sides of
-// a fork may call Step concurrently under the same parent, so appends
-// are serialized; child order then reflects scheduling, which is fine —
-// trace matching never depends on sibling order.
+// the tree mirrors its DFS exactly.
 type TreeObserver struct {
-	mu    sync.Mutex
 	Roots []*ObsNode
 	Nodes int
 }
@@ -35,8 +30,6 @@ type TreeObserver struct {
 // the instruction that follows it.
 func (o *TreeObserver) Step(parent any, pc int, st *verifier.VState) any {
 	n := &ObsNode{PC: pc, Regs: st.Regs}
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	o.Nodes++
 	if parent == nil {
 		o.Roots = append(o.Roots, n)

@@ -1,7 +1,6 @@
 package elf_test
 
 import (
-	"fmt"
 	"testing"
 
 	"bcf/internal/corpus"
@@ -30,20 +29,6 @@ type loadFingerprint struct {
 	Granted       int
 	Failed        int
 	Requests      int
-}
-
-// verdictOnly strips the exploration counters, keeping the fields that
-// stay deterministic even when a parallel load stops early.
-func (fp loadFingerprint) verdictOnly() loadFingerprint {
-	return loadFingerprint{Accepted: fp.Accepted, Err: fp.Err, ErrClass: fp.ErrClass}
-}
-
-// scheduleFree zeroes the verifier counters that depend on worker
-// scheduling at ParallelPaths>1 (see verifier.Stats), keeping everything
-// an accepted parallel load reproduces exactly.
-func (fp loadFingerprint) scheduleFree() loadFingerprint {
-	fp.VerifierStats.PeakStackDepth = 0
-	return fp
 }
 
 func fingerprint(res *loader.Result) loadFingerprint {
@@ -76,51 +61,27 @@ func TestRoundTripVerdictIdentity(t *testing.T) {
 	if testing.Short() {
 		stride = 16
 	}
-	for _, pp := range []int{1, 4} {
-		pp := pp
-		t.Run(fmt.Sprintf("parallel-%d", pp), func(t *testing.T) {
-			opts := func() loader.Options {
-				return loader.Options{
-					EnableBCF: true,
-					Verifier: verifier.Config{
-						InsnLimit:     rtInsnLimit,
-						ParallelPaths: pp,
-					},
-				}
+	// The subtest name is kept stable as the test's ID.
+	t.Run("parallel-1", func(t *testing.T) {
+		opts := loader.Options{EnableBCF: true, Verifier: verifier.Config{InsnLimit: rtInsnLimit}}
+		for i := 0; i < len(entries); i += stride {
+			e := entries[i]
+			data, err := elf.EmitProgram(e.Prog)
+			if err != nil {
+				t.Fatalf("entry %d (%s): emit: %v", e.Index, e.Prog.Name, err)
 			}
-			for i := 0; i < len(entries); i += stride {
-				e := entries[i]
-				data, err := elf.EmitProgram(e.Prog)
-				if err != nil {
-					t.Fatalf("entry %d (%s): emit: %v", e.Index, e.Prog.Name, err)
-				}
-				obj, err := elf.ParseObject(data)
-				if err != nil {
-					t.Fatalf("entry %d (%s): parse: %v", e.Index, e.Prog.Name, err)
-				}
-				direct := fingerprint(loader.Load(e.Prog, opts()))
-				viaELF := fingerprint(loader.Load(obj.Programs[0], opts()))
-				switch {
-				case pp > 1 && !direct.Accepted:
-					// A parallel rejection (or budget abort) cancels
-					// workers mid-path, so the exploration counters depend
-					// on scheduling — two loads of the *same* Program
-					// object already disagree on them. The verdict and
-					// error identity stay deterministic; compare those.
-					direct, viaELF = direct.verdictOnly(), viaELF.verdictOnly()
-				case pp > 1:
-					// An accepted parallel load walks every path, but the
-					// frontier high-water mark still depends on how the
-					// workers interleave (see verifier.Stats).
-					direct, viaELF = direct.scheduleFree(), viaELF.scheduleFree()
-				}
-				if direct != viaELF {
-					t.Errorf("entry %d (%s/%s): verdict differs across ELF round trip:\ndirect: %+v\nelf:    %+v",
-						e.Index, e.Family, e.Prog.Name, direct, viaELF)
-				}
+			obj, err := elf.ParseObject(data)
+			if err != nil {
+				t.Fatalf("entry %d (%s): parse: %v", e.Index, e.Prog.Name, err)
 			}
-		})
-	}
+			direct := fingerprint(loader.Load(e.Prog, opts))
+			viaELF := fingerprint(loader.Load(obj.Programs[0], opts))
+			if direct != viaELF {
+				t.Errorf("entry %d (%s/%s): verdict differs across ELF round trip:\ndirect: %+v\nelf:    %+v",
+					e.Index, e.Family, e.Prog.Name, direct, viaELF)
+			}
+		}
+	})
 }
 
 // TestRoundTripVerdictIdentityXDP covers the packet-pointer model, which

@@ -90,11 +90,6 @@ type Options struct {
 	// they fan out across workers; Results and Baseline stay in corpus
 	// order regardless.
 	Parallelism int
-	// ParallelPaths is the verifier-internal path-exploration worker
-	// count per load (<=1 = one worker). It composes with
-	// Parallelism: the total goroutine budget is roughly the product, so
-	// large values of both oversubscribe deliberately.
-	ParallelPaths int
 	// Cache is the proof cache shared by all workers (and by each
 	// worker's baseline+BCF load pair). nil allocates a fresh cache for
 	// the run. Sharing one cache across programs lets identical
@@ -189,7 +184,7 @@ func RunOpts(opts Options) *Evaluation {
 						fmt.Sprintf("%s/%s/%s", e.Project, e.Source, e.Variant))
 				}
 				base := loader.Load(e.Prog, loader.Options{
-					Verifier:   verifier.Config{InsnLimit: opts.InsnLimit, ParallelPaths: opts.ParallelPaths},
+					Verifier:   verifier.Config{InsnLimit: opts.InsnLimit},
 					ProofCache: cache,
 					Obs:        opts.Obs,
 					Trace:      tr,
@@ -197,7 +192,7 @@ func RunOpts(opts Options) *Evaluation {
 				ev.Baseline[i] = base.Accepted
 				res := loader.Load(e.Prog, loader.Options{
 					EnableBCF:  true,
-					Verifier:   verifier.Config{InsnLimit: opts.InsnLimit, ParallelPaths: opts.ParallelPaths},
+					Verifier:   verifier.Config{InsnLimit: opts.InsnLimit},
 					ProofCache: cache,
 					Remote:     opts.Remote,
 					Obs:        opts.Obs,

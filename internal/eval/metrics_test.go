@@ -76,8 +76,15 @@ func TestEvaluationPopulatesTelemetry(t *testing.T) {
 	if hits := snap.Counter(obs.MCacheHits); int(hits) != ev.Cache.Hits {
 		t.Errorf("cache hits: metric %d != eval %d", hits, ev.Cache.Hits)
 	}
-	if misses := snap.Counter(obs.MCacheMisses); int(misses) != ev.Cache.Misses {
-		t.Errorf("cache misses: metric %d != eval %d", misses, ev.Cache.Misses)
+	// The cache counts a lookup that joins a concurrent in-flight
+	// computation as a miss and as coalesced; the registry counts it as
+	// coalesced only.
+	coalesced := snap.Counter(obs.MCacheCoalesced)
+	if int(coalesced) != ev.Cache.Coalesced {
+		t.Errorf("cache coalesced: metric %d != eval %d", coalesced, ev.Cache.Coalesced)
+	}
+	if misses := snap.Counter(obs.MCacheMisses); int(misses+coalesced) != ev.Cache.Misses {
+		t.Errorf("cache misses: metric %d + coalesced %d != eval %d", misses, coalesced, ev.Cache.Misses)
 	}
 
 	// The trace must parse and contain one process per program, with the

@@ -32,7 +32,6 @@ const (
 	MInsnsProcessed     = "bcf_verifier_insns_total"
 	MPathsExplored      = "bcf_verifier_paths_total"
 	MStatesPruned       = "bcf_verifier_pruned_total"
-	MVerifierWorkers    = "bcf_verifier_workers" // gauge: path workers of the last verification run
 	MRefineRequests     = "bcf_refine_requests_total"
 	MRefinementsGranted = "bcf_refinements_granted_total"
 	MRefinementsFailed  = "bcf_refinements_failed_total"

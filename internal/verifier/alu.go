@@ -373,7 +373,7 @@ func aluScalar(dst *RegState, src *RegState, op uint8, is32 bool) {
 	// Constant folding fast path.
 	if dst.IsConst() && src.IsConst() {
 		if v, ok := foldConst(dst.ConstVal(), src.ConstVal(), op, is32); ok {
-			*dst = constScalar(v)
+			dst.setConst(v)
 			return
 		}
 	}

@@ -253,3 +253,43 @@ func TestApplyRefinedRangeProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestAluSourceAliasesDestination pins checkALU's source-aliasing rule:
+// for every ALU op at both widths, `r1 op= r1` computes what
+// `r1 op= r2` computes when r2 holds an exact copy of r1. The 64-bit
+// transfer functions read src after writing dst, so checkALU must copy a
+// source that is also the destination.
+func TestAluSourceAliasesDestination(t *testing.T) {
+	x := unknownScalar()
+	x.UMin, x.UMax = 3, 40
+	x.Var = tnum.Tnum{Value: 1, Mask: 0x2e} // odd, bits 1-3 and 5 unknown
+	x.sync()
+	if x.IsConst() || !x.wellFormed() {
+		t.Fatalf("fixture is not a well-formed non-constant scalar: %s", x.String())
+	}
+	ops := []uint8{ebpf.AluADD, ebpf.AluSUB, ebpf.AluMUL, ebpf.AluDIV, ebpf.AluOR, ebpf.AluAND,
+		ebpf.AluLSH, ebpf.AluRSH, ebpf.AluMOD, ebpf.AluXOR, ebpf.AluMOV, ebpf.AluARSH}
+	widths := []struct {
+		name string
+		alu  func(op uint8, dst, src ebpf.Reg) ebpf.Instruction
+	}{{"alu64", ebpf.Alu64Reg}, {"alu32", ebpf.Alu32Reg}}
+	for _, w := range widths {
+		for _, op := range ops {
+			run := func(src ebpf.Reg) RegState {
+				st := entryState()
+				st.Regs[ebpf.R1], st.Regs[ebpf.R2] = x, x
+				v := New(mapProg("r0 = 0\nexit"), Config{})
+				ins := w.alu(op, ebpf.R1, src)
+				if err := v.checkALU(st, 0, &ins); err != nil {
+					t.Fatalf("%s %s: %v", w.name, ebpf.AluOpName(op), err)
+				}
+				return st.Regs[ebpf.R1]
+			}
+			aliased, copied := run(ebpf.R1), run(ebpf.R2)
+			if aliased != copied {
+				t.Errorf("%s r1 %s r1 = %s, but with a copy of the source %s",
+					w.name, ebpf.AluOpName(op), aliased.String(), copied.String())
+			}
+		}
+	}
+}

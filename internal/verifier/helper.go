@@ -8,7 +8,7 @@ import (
 
 // checkCall verifies a helper call's arguments against the helper's
 // contract and models the call's effect on the register state.
-func (v *Verifier) checkCall(st *VState, pc int, ins ebpf.Instruction, node *pathNode) error {
+func (v *Verifier) checkCall(st *VState, pc int, ins *ebpf.Instruction, node int32) error {
 	if ins.UsesSrcReg() || ins.Off != 0 {
 		return &Error{InsnIdx: pc, Kind: CheckOther, Msg: "unsupported call form"}
 	}
@@ -106,7 +106,7 @@ func (v *Verifier) checkCall(st *VState, pc int, ins ebpf.Instruction, node *pat
 
 // checkHelperMemArg validates a fixed-size memory argument (map key or
 // value pointers).
-func (v *Verifier) checkHelperMemArg(st *VState, pc int, regno ebpf.Reg, size int, write bool, node *pathNode) error {
+func (v *Verifier) checkHelperMemArg(st *VState, pc int, regno ebpf.Reg, size int, write bool, node int32) error {
 	reg := &st.Regs[regno]
 	switch reg.Type {
 	case PtrToStack, PtrToMapValue:
@@ -130,7 +130,7 @@ func (v *Verifier) checkHelperMemArg(st *VState, pc int, regno ebpf.Reg, size in
 // access [mem, mem+size) must lie within the memory region for every
 // possible size value. This is a primary BCF refinement site (cf. the
 // paper's Listing 7 and Listing 9 case studies).
-func (v *Verifier) checkHelperSize(st *VState, pc int, memReg, sizeReg ebpf.Reg, write, zeroOK bool, node *pathNode) error {
+func (v *Verifier) checkHelperSize(st *VState, pc int, memReg, sizeReg ebpf.Reg, write, zeroOK bool, node int32) error {
 	for {
 		err := v.checkHelperSizeOnce(st, pc, memReg, sizeReg, write, zeroOK)
 		if err == nil {

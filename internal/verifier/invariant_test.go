@@ -29,25 +29,17 @@ func TestLoopWithoutInvariantHitsBudget(t *testing.T) {
 	}
 }
 
-// invariantWorkers are the ParallelPaths values every loop-invariant
-// verdict must hold at: the inductiveness check is a prune against the
-// loop head's widened entry, which a back-edge walk must see at any
-// worker count.
-var invariantWorkers = []int{1, 2, 8}
-
 func TestLoopInvariantSinglePass(t *testing.T) {
 	p := mapProg(loopProgSrc)
-	for _, workers := range invariantWorkers {
-		// The loop head is the insn at the "loop" label: index 2.
-		v := New(p, Config{InsnLimit: 2000, ParallelPaths: workers, LoopInvariants: []LoopInvariant{
-			{Insn: 2, Regs: []RegRange{{Reg: ebpf.R6, UMin: 0, UMax: ^uint64(0)}}},
-		}})
-		if err := v.Verify(); err != nil {
-			t.Fatalf("workers=%d: invariant should make the loop converge: %v", workers, err)
-		}
-		if v.Stats().InsnProcessed > 100 {
-			t.Errorf("workers=%d: loop not analyzed in a single pass: %d insns", workers, v.Stats().InsnProcessed)
-		}
+	// The loop head is the insn at the "loop" label: index 2.
+	v := New(p, Config{InsnLimit: 2000, LoopInvariants: []LoopInvariant{
+		{Insn: 2, Regs: []RegRange{{Reg: ebpf.R6, UMin: 0, UMax: ^uint64(0)}}},
+	}})
+	if err := v.Verify(); err != nil {
+		t.Fatalf("invariant should make the loop converge: %v", err)
+	}
+	if v.Stats().InsnProcessed > 100 {
+		t.Errorf("loop not analyzed in a single pass: %d insns", v.Stats().InsnProcessed)
 	}
 }
 
@@ -82,13 +74,11 @@ func TestLoopInvariantBoundedCounterUsable(t *testing.T) {
 	if p.Insns[head].AluOp() != ebpf.AluADD {
 		t.Fatalf("loop head index drifted: %v", p.Insns[head])
 	}
-	for _, workers := range invariantWorkers {
-		v := New(p, Config{InsnLimit: 2000, ParallelPaths: workers, LoopInvariants: []LoopInvariant{
-			{Insn: head, Regs: []RegRange{{Reg: ebpf.R6, UMin: 0, UMax: 0xf}}},
-		}})
-		if err := v.Verify(); err != nil {
-			t.Fatalf("workers=%d: bounded invariant rejected: %v", workers, err)
-		}
+	v := New(p, Config{InsnLimit: 2000, LoopInvariants: []LoopInvariant{
+		{Insn: head, Regs: []RegRange{{Reg: ebpf.R6, UMin: 0, UMax: 0xf}}},
+	}})
+	if err := v.Verify(); err != nil {
+		t.Fatalf("bounded invariant rejected: %v", err)
 	}
 }
 
@@ -96,26 +86,22 @@ func TestLoopInvariantViolationRejected(t *testing.T) {
 	// Declaring a fixpoint the body escapes must be rejected (the
 	// verifier validates, never trusts).
 	p := mapProg(loopProgSrc)
-	for _, workers := range invariantWorkers {
-		v := New(p, Config{InsnLimit: 2000, ParallelPaths: workers, LoopInvariants: []LoopInvariant{
-			{Insn: 2, Regs: []RegRange{{Reg: ebpf.R6, UMin: 0, UMax: 5}}},
-		}})
-		err := v.Verify()
-		if err == nil || !strings.Contains(err.Error(), "invariant violated") {
-			t.Fatalf("workers=%d: expected invariant violation, got %v", workers, err)
-		}
+	v := New(p, Config{InsnLimit: 2000, LoopInvariants: []LoopInvariant{
+		{Insn: 2, Regs: []RegRange{{Reg: ebpf.R6, UMin: 0, UMax: 5}}},
+	}})
+	err := v.Verify()
+	if err == nil || !strings.Contains(err.Error(), "invariant violated") {
+		t.Fatalf("expected invariant violation, got %v", err)
 	}
 }
 
 func TestLoopInvariantOnPointerRejected(t *testing.T) {
 	p := mapProg(loopProgSrc)
-	for _, workers := range invariantWorkers {
-		v := New(p, Config{InsnLimit: 2000, ParallelPaths: workers, LoopInvariants: []LoopInvariant{
-			{Insn: 2, Regs: []RegRange{{Reg: ebpf.R7, UMin: 0, UMax: 5}}},
-		}})
-		err := v.Verify()
-		if err == nil || !strings.Contains(err.Error(), "not a scalar") {
-			t.Fatalf("workers=%d: expected scalar-only error, got %v", workers, err)
-		}
+	v := New(p, Config{InsnLimit: 2000, LoopInvariants: []LoopInvariant{
+		{Insn: 2, Regs: []RegRange{{Reg: ebpf.R7, UMin: 0, UMax: 5}}},
+	}})
+	err := v.Verify()
+	if err == nil || !strings.Contains(err.Error(), "not a scalar") {
+		t.Fatalf("expected scalar-only error, got %v", err)
 	}
 }

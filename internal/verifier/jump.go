@@ -8,13 +8,11 @@ import (
 
 // checkCondJmp analyzes a conditional jump: it statically resolves the
 // branch when the abstraction allows, otherwise forks the state, refines
-// both sides with the branch condition, and hands the taken side to push
-// (the walk's fork callback, which gives the child its own pathNode and
-// DFS order before queuing it on the frontier). It returns the next pc
-// for the current walk. The pushed side gets a cloned state and its own
-// node, so the two sides share nothing mutable even when walked by
-// different workers.
-func (v *Verifier) checkCondJmp(st *VState, pc int, ins ebpf.Instruction, node *pathNode, obsTok any, push func(branchItem)) (int, error) {
+// both sides with the branch condition, and queues the taken side, with
+// a cloned state and its own node, through v.fork. It returns the next
+// pc for the current walk and records the direction the walk takes in
+// the jump's node (a fresh node reads not-taken).
+func (v *Verifier) checkCondJmp(st *VState, pc int, ins *ebpf.Instruction, node int32, obsTok any) (int, error) {
 	is32 := ins.Class() == ebpf.ClassJMP32
 	op := ins.JmpOp()
 	dst := &st.Regs[ins.Dst]
@@ -22,7 +20,8 @@ func (v *Verifier) checkCondJmp(st *VState, pc int, ins ebpf.Instruction, node *
 		return 0, &Error{InsnIdx: pc, Kind: CheckOther, Msg: fmt.Sprintf("R%d !read_ok", ins.Dst)}
 	}
 	var srcReg *RegState
-	srcImm := constScalar(uint64(ins.Imm))
+	var srcImm RegState
+	srcImm.setConst(uint64(ins.Imm))
 	if ins.UsesSrcReg() {
 		srcReg = &st.Regs[ins.Src]
 		if srcReg.Type == NotInit {
@@ -40,8 +39,7 @@ func (v *Verifier) checkCondJmp(st *VState, pc int, ins ebpf.Instruction, node *
 		takenNull := op == ebpf.JmpJEQ
 		markPtrOrNull(other, dst.ID, takenNull)
 		markPtrOrNull(st, dst.ID, !takenNull)
-		push(branchItem{st: other, pc: target, obs: obsTok})
-		node.taken = false
+		v.fork(node, other, target, obsTok)
 		return pc + 1, nil
 	}
 
@@ -49,10 +47,10 @@ func (v *Verifier) checkCondJmp(st *VState, pc int, ins ebpf.Instruction, node *
 	if dst.Type.IsPtr() && dst.Type != PtrToMapValueOrNull && srcReg == nil && ins.Imm == 0 &&
 		(op == ebpf.JmpJEQ || op == ebpf.JmpJNE) {
 		if op == ebpf.JmpJNE { // always taken
-			node.taken = true
+			v.nodes.at(node).taken = true
 			return target, nil
 		}
-		node.taken = false // JEQ 0 never taken
+		// JEQ 0 never taken.
 		return pc + 1, nil
 	}
 
@@ -69,8 +67,7 @@ func (v *Verifier) checkCondJmp(st *VState, pc int, ins ebpf.Instruction, node *
 			if !is32 {
 				learnPktRange(st, other, dst, srcReg, op)
 			}
-			push(branchItem{st: other, pc: target, obs: obsTok})
-			node.taken = false
+			v.fork(node, other, target, obsTok)
 			return pc + 1, nil
 		}
 		return 0, &Error{InsnIdx: pc, Kind: CheckOther,
@@ -80,10 +77,9 @@ func (v *Verifier) checkCondJmp(st *VState, pc int, ins ebpf.Instruction, node *
 	// Scalar comparison: try to resolve statically.
 	switch isBranchTaken(dst, src, op, is32) {
 	case branchAlways:
-		node.taken = true
+		v.nodes.at(node).taken = true
 		return target, nil
 	case branchNever:
-		node.taken = false
 		return pc + 1, nil
 	}
 
@@ -107,8 +103,7 @@ func (v *Verifier) checkCondJmp(st *VState, pc int, ins ebpf.Instruction, node *
 	if srcReg != nil {
 		syncLinked(st, fSrc.ID, fSrc)
 	}
-	push(branchItem{st: other, pc: target, obs: obsTok})
-	node.taken = false
+	v.fork(node, other, target, obsTok)
 	return pc + 1, nil
 }
 
@@ -173,7 +168,7 @@ func markPtrOrNull(st *VState, id uint32, isNull bool) {
 			return
 		}
 		if isNull {
-			*r = constScalar(0)
+			r.setConst(0)
 		} else {
 			r.Type = PtrToMapValue
 			r.ID = 0

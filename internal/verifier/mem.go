@@ -13,7 +13,7 @@ import (
 const maxPacketOff = 0xffff
 
 // checkLoad verifies an LDX instruction and models its effect.
-func (v *Verifier) checkLoad(st *VState, pc int, ins ebpf.Instruction, node *pathNode) error {
+func (v *Verifier) checkLoad(st *VState, pc int, ins *ebpf.Instruction, node int32) error {
 	src := &st.Regs[ins.Src]
 	if src.Type == NotInit {
 		return &Error{InsnIdx: pc, Kind: CheckOther, Msg: fmt.Sprintf("R%d !read_ok", ins.Src)}
@@ -70,7 +70,7 @@ func loadedScalar(size int) RegState {
 }
 
 // checkStore verifies ST/STX instructions and models their effect.
-func (v *Verifier) checkStore(st *VState, pc int, ins ebpf.Instruction, node *pathNode) error {
+func (v *Verifier) checkStore(st *VState, pc int, ins *ebpf.Instruction, node int32) error {
 	dst := &st.Regs[ins.Dst]
 	if dst.Type == NotInit {
 		return &Error{InsnIdx: pc, Kind: CheckOther, Msg: fmt.Sprintf("R%d !read_ok", ins.Dst)}
@@ -108,7 +108,7 @@ func (v *Verifier) checkStore(st *VState, pc int, ins ebpf.Instruction, node *pa
 
 // checkMemAccess validates one access of `size` bytes at reg+off,
 // triggering BCF refinement at the instrumented rejection sites.
-func (v *Verifier) checkMemAccess(st *VState, pc int, regno ebpf.Reg, off int16, size int, write bool, node *pathNode) error {
+func (v *Verifier) checkMemAccess(st *VState, pc int, regno ebpf.Reg, off int16, size int, write bool, node int32) error {
 	for {
 		reg := &st.Regs[regno]
 		err := v.checkMemAccessOnce(st, pc, reg, regno, off, size, write)
@@ -273,7 +273,7 @@ func slotRange(off int64, size int) (int, int) {
 }
 
 // writeStack models the effect of a store through a stack pointer.
-func (v *Verifier) writeStack(st *VState, reg *RegState, off int16, size int, src *RegState, ins ebpf.Instruction) {
+func (v *Verifier) writeStack(st *VState, reg *RegState, off int16, size int, src *RegState, ins *ebpf.Instruction) {
 	if !reg.Var.IsConst() {
 		// Variable offset write: smudge every slot it may touch.
 		minOff := int64(reg.Off) + int64(off) + reg.SMin

@@ -19,13 +19,8 @@ import "bcf/internal/tnum"
 // The *VState is live verifier state: observers must copy what they keep
 // and must not mutate it.
 //
-// Concurrency: with one path worker (Config.ParallelPaths <= 1) Step runs
-// on the goroutine that called Verify. With more, sibling paths are walked
-// by different goroutines, so Step is called concurrently — possibly with
-// the same parent token, since both sides of a fork descend from the
-// forking instruction's token. Observers used with a parallel verifier
-// must synchronize their own bookkeeping; tokens themselves are handed
-// back unread by the verifier.
+// Step runs on the goroutine that called Verify, one call at a time, in
+// the DFS order of the walk; tokens are handed back unread.
 type Observer interface {
 	Step(parent any, pc int, st *VState) any
 }

@@ -1,9 +1,6 @@
 package verifier
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"bcf/internal/ebpf"
 	"bcf/internal/tnum"
 )
@@ -13,24 +10,13 @@ import (
 // bounding memory like the kernel's state-list heuristics.
 const maxExploredPerInsn = 64
 
-// exploredEntry is one recorded state plus the DFS-order coordinate of
-// the walk that recorded it; the coordinate restricts pruning visibility
-// (see visibleTo). dead is set when a later path-conditional refinement
-// retracts the entry (retractEntries): its "explored without error"
-// claim then holds only under branch constraints a pruned state need not
-// share.
+// exploredEntry is one recorded state. dead indexes Verifier.dead, set
+// when a later path-conditional refinement retracts the entry
+// (retractEntries): its "explored without error" claim then holds only
+// under branch constraints a pruned state need not share.
 type exploredEntry struct {
-	st    *VState
-	order *pathOrder
-	dead  *atomic.Bool
-}
-
-// exploredShard holds the explored states of a single pc behind its own
-// lock, so concurrent subsumption checks at different instructions never
-// serialize the run.
-type exploredShard struct {
-	mu      sync.Mutex
-	entries []exploredEntry
+	st   *VState
+	dead int32
 }
 
 // computePrunePoints marks every jump target and post-branch
@@ -56,54 +42,62 @@ func computePrunePoints(prog *ebpf.Program) []bool {
 	return points
 }
 
-// pruned reports whether an already-explored state at pc subsumes st; if
-// not, st is recorded for future pruning and the entry's liveness flag
-// is returned for retraction bookkeeping. An entry prunes only a walk it
-// is visible to (visibleTo), which keeps verdicts and reported errors
-// those of the sequential DFS. Subsumption is checked first: it is the
-// cheaper test and rejects most entries. The dead flag is read last,
-// once visibility guarantees every retraction the sequential DFS would
-// have seen has landed.
-func (v *Verifier) pruned(pc int, st *VState, order *pathOrder) (bool, *atomic.Bool) {
-	sh := &v.explored[pc]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for i := range sh.entries {
-		e := &sh.entries[i]
-		if statesSubsume(e.st, st) && visibleTo(e.order, order) && !e.dead.Load() {
-			return true, nil
+// pruned reports whether a live explored state at pc subsumes st; if
+// not, st is recorded for future pruning and the entry's index into
+// v.dead is returned for retraction bookkeeping (-1 when the pc's list
+// is full).
+func (v *Verifier) pruned(pc int, st *VState) (bool, int32) {
+	entries := v.explored[pc]
+	if len(entries) > 0 && v.ids == nil {
+		v.ids = new(idMap)
+	}
+	for i := range entries {
+		e := &entries[i]
+		if !v.dead[e.dead] && statesSubsume(e.st, st, v.ids) {
+			return true, -1
 		}
 	}
-	if len(sh.entries) >= maxExploredPerInsn {
-		return false, nil
+	if len(entries) >= maxExploredPerInsn {
+		return false, -1
 	}
-	dead := new(atomic.Bool)
-	sh.entries = append(sh.entries, exploredEntry{st: st.clone(), order: order, dead: dead})
+	dead := int32(len(v.dead))
+	v.dead = append(v.dead, false)
+	v.explored[pc] = append(entries, exploredEntry{st: st.clone(), dead: dead})
 	return false, dead
 }
 
-// idMap tracks the correspondence of register identities between an old
-// (explored) and a new state, so that linkage assumptions in the old
-// state are only relied on when the new state has them too.
-type idMap map[uint32]uint32
+// idMap pairs the register identities of an old (explored) state with
+// those of a new state, so that linkage assumptions in the old state are
+// only relied on when the new state has them too. It is the kernel's
+// env->idmap_scratch: a fixed array reused across statesSubsume calls,
+// which reset n and never zero it. Every register and spilled slot adds
+// at most one pair, so it cannot overflow.
+type idMap struct {
+	pairs [ebpf.MaxReg + NumStackSlots][2]uint32
+	n     int
+}
 
-func (m idMap) match(oldID, newID uint32) bool {
+func (m *idMap) match(oldID, newID uint32) bool {
 	if oldID == 0 {
 		return true // old state assumed no linkage: always safe
 	}
 	if newID == 0 {
 		return false // old relied on linkage the new state lacks
 	}
-	if cur, ok := m[oldID]; ok {
-		return cur == newID
+	for _, p := range m.pairs[:m.n] {
+		if p[0] == oldID {
+			return p[1] == newID
+		}
 	}
-	m[oldID] = newID
+	m.pairs[m.n] = [2]uint32{oldID, newID}
+	m.n++
 	return true
 }
 
 // statesSubsume reports whether every concrete state admitted by `new`
 // was admitted by `old` (states_equal with range liveness, conservative).
-func statesSubsume(old, new *VState) bool {
+// ids is scratch space.
+func statesSubsume(old, new *VState, ids *idMap) bool {
 	// The old exploration's subtree may contain packet accesses proven
 	// safe only up to old.PktRange; a new state with a smaller proven
 	// range would not survive them (kernel: rold->range > rcur->range is
@@ -111,7 +105,7 @@ func statesSubsume(old, new *VState) bool {
 	if old.PktRange > new.PktRange {
 		return false
 	}
-	ids := idMap{}
+	ids.n = 0
 	for i := range old.Regs {
 		if !regSubsumes(&old.Regs[i], &new.Regs[i], ids) {
 			return false
@@ -134,7 +128,7 @@ func statesSubsume(old, new *VState) bool {
 }
 
 // regSubsumes reports whether old's abstraction covers new's (regsafe).
-func regSubsumes(old, new *RegState, ids idMap) bool {
+func regSubsumes(old, new *RegState, ids *idMap) bool {
 	if old.Type == NotInit {
 		// Old exploration never read this register (it would have been
 		// rejected), so its contents are irrelevant.
@@ -169,7 +163,7 @@ func rangeSubsumes(old, new *RegState) bool {
 }
 
 // slotSubsumes checks stack slot compatibility (stacksafe).
-func slotSubsumes(old, new *StackSlot, ids idMap) bool {
+func slotSubsumes(old, new *StackSlot, ids *idMap) bool {
 	switch old.Kind {
 	case SlotInvalid, SlotMisc:
 		// Invalid: never read under old (reads rejected), so contents are

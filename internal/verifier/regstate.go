@@ -93,13 +93,21 @@ func unknownScalar() RegState {
 
 // constScalar returns the scalar known to be exactly v.
 func constScalar(v uint64) RegState {
-	r := RegState{Type: Scalar, Var: tnum.Const(v)}
+	var r RegState
+	r.setConst(v)
+	return r
+}
+
+// setConst makes the register the scalar known to be exactly v. It
+// writes every field in place, so the hot path never copies a RegState.
+func (r *RegState) setConst(v uint64) {
+	r.Type, r.Off, r.MapIdx, r.ID = Scalar, 0, 0, 0
+	r.Var = tnum.Const(v)
 	r.UMin, r.UMax = v, v
 	r.SMin, r.SMax = int64(v), int64(v)
 	v32 := uint32(v)
 	r.U32Min, r.U32Max = v32, v32
 	r.S32Min, r.S32Max = int32(v32), int32(v32)
-	return r
 }
 
 // zeroVarPtr resets the variable-offset tracking of a pointer register.
@@ -396,15 +404,10 @@ func (s *VState) setSlot(i int, slot StackSlot) {
 	s.Stack[j] = slot
 }
 
-// clone deep-copies the state.
-//
-// Memory-safety contract for parallel path exploration: clone copies
-// Stack's backing array, and no other field of VState, RegState or
-// StackSlot is a reference (no slices, maps or pointers), so a cloned
-// state shares nothing mutable with its origin. Branch forks and
-// explored-table recordings rely on this to hand states across worker
-// goroutines without further synchronization; any reference field added
-// to these types must be copied here too.
+// clone deep-copies the state: it copies Stack's backing array, and no
+// other field of VState, RegState or StackSlot is a reference, so a
+// clone shares nothing mutable with its origin. Any reference field
+// added to these types must be copied here too.
 func (s *VState) clone() *VState {
 	c := *s
 	c.Stack = slices.Clone(s.Stack)

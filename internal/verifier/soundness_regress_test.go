@@ -106,10 +106,6 @@ func refinePruneProg() *ebpf.Program {
 // rejected. Before the fix the second path was pruned and the program
 // accepted despite a concrete out-of-bounds read. An anchor left at its
 // zero value means the whole path, so it must behave identically.
-//
-// With several workers the retraction races the second path's prune
-// check, so that case runs many times: a prune must never read the
-// entry's liveness before the recorder's retraction is guaranteed.
 func TestRefinementRetractsTrackEntries(t *testing.T) {
 	anchors := []struct {
 		name   string
@@ -119,25 +115,17 @@ func TestRefinementRetractsTrackEntries(t *testing.T) {
 		{"zero value", func(Path) int { return 0 }},
 	}
 	for _, a := range anchors {
-		for _, workers := range []int{1, 2, 8} {
-			reps := 500
-			if workers == 1 {
-				reps = 1
-			}
-			for rep := 0; rep < reps; rep++ {
-				ref := &anchorRefiner{anchor: a.anchor}
-				v := New(refinePruneProg(), Config{Refiner: ref, ParallelPaths: workers})
-				if err := v.Verify(); err == nil {
-					t.Fatalf("%s, workers=%d: expected rejection: second path must not be pruned by a path-conditionally refined entry", a.name, workers)
-				}
-				if ref.calls < 2 {
-					t.Fatalf("%s, workers=%d: refiner called %d times, want 2: the second path never reached the check", a.name, workers, ref.calls)
-				}
-				want := Stats{InsnProcessed: 22, PathsExplored: 2, PeakStackDepth: 2, Refinements: 1, RefineAttempts: 2}
-				if st := v.Stats(); workers == 1 && st != want {
-					t.Fatalf("%s: one-worker stats drifted: got %+v, want %+v", a.name, st, want)
-				}
-			}
+		ref := &anchorRefiner{anchor: a.anchor}
+		v := New(refinePruneProg(), Config{Refiner: ref})
+		if err := v.Verify(); err == nil {
+			t.Fatalf("%s: expected rejection: second path must not be pruned by a path-conditionally refined entry", a.name)
+		}
+		if ref.calls < 2 {
+			t.Fatalf("%s: refiner called %d times, want 2: the second path never reached the check", a.name, ref.calls)
+		}
+		want := Stats{InsnProcessed: 22, PathsExplored: 2, PeakStackDepth: 2, Refinements: 1, RefineAttempts: 2}
+		if st := v.Stats(); st != want {
+			t.Fatalf("%s: stats drifted: got %+v, want %+v", a.name, st, want)
 		}
 	}
 }

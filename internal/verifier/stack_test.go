@@ -1,6 +1,10 @@
 package verifier
 
-import "testing"
+import (
+	"testing"
+
+	"bcf/internal/ebpf"
+)
 
 // stackState builds an entry state with the given frame slots, keyed by
 // their fp-relative offset (-8 … -512).
@@ -25,7 +29,7 @@ func statesSubsumeFullFrame(old, new *VState) bool {
 	if old.PktRange > new.PktRange {
 		return false
 	}
-	ids := idMap{}
+	ids := &idMap{}
 	for i := range old.Regs {
 		if !regSubsumes(&old.Regs[i], &new.Regs[i], ids) {
 			return false
@@ -122,11 +126,46 @@ func TestStatesSubsumeAcrossStackDepths(t *testing.T) {
 	}
 	for _, c := range cases {
 		old, new := stackState(c.old), stackState(c.new)
-		if got := statesSubsume(old, new); got != c.want {
+		if got := statesSubsume(old, new, &idMap{}); got != c.want {
 			t.Errorf("%s: statesSubsume = %v, want %v", c.name, got, c.want)
 		}
 		if ref := statesSubsumeFullFrame(old, new); ref != c.want {
 			t.Errorf("%s: full-frame reference = %v, want %v", c.name, ref, c.want)
 		}
+	}
+}
+
+// TestStatesSubsumeAllocsZero pins that a subsumption check allocates
+// nothing: the identity map is a reused fixed array, also for states
+// whose scalar IDs link registers with spilled slots.
+func TestStatesSubsumeAllocsZero(t *testing.T) {
+	if RaceEnabled {
+		t.Skip("the race detector perturbs allocation counts")
+	}
+	linked := func(id uint32) *VState {
+		st := entryState()
+		r := unknownScalar()
+		r.UMax, r.ID = 100, id
+		r.sync()
+		st.Regs[ebpf.R6], st.Regs[ebpf.R7] = r, r
+		st.setSlot(NumStackSlots-1, StackSlot{Kind: SlotSpill, Spill: r})
+		st.setSlot(NumStackSlots-3, StackSlot{Kind: SlotSpill, Spill: r})
+		return st
+	}
+	old, cur := linked(7), linked(9)
+	broken := linked(9)
+	broken.Stack[2].Spill.ID = 10
+	var ids idMap
+	if !statesSubsume(old, cur, &ids) {
+		t.Fatal("a consistently renamed linkage must subsume")
+	}
+	if statesSubsume(old, broken, &ids) {
+		t.Fatal("a spill that breaks the old linkage must not subsume")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		statesSubsume(old, cur, &ids)
+		statesSubsume(old, broken, &ids)
+	}); n != 0 {
+		t.Errorf("statesSubsume allocates %v times per call pair, want 0", n)
 	}
 }

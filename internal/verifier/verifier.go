@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"iter"
 	"math"
-	"sync"
-	"sync/atomic"
+	"math/bits"
 	"time"
 
 	"bcf/internal/ebpf"
@@ -72,33 +71,49 @@ func (e *Error) Error() string {
 
 func (e *Error) Unwrap() error { return e.Cause }
 
-// pathNode is one step of the immutable per-path history. Each analyzed
-// instruction appends a node; branch pushes share the prefix. The
-// Refiner reads the analysis path through a Path view of the chain.
+// pathNode is one step of the per-path history: 16 bytes and no
+// pointers, held in the Verifier's nodeArena and named by index. Each
+// analyzed instruction appends a node; a forked branch gets its own node
+// for the jump and shares the prefix.
 type pathNode struct {
-	parent *pathNode
+	parent int32 // the previous step; -1 at the path's first step
 	idx    int32
-	taken  bool // meaningful for conditional jumps
-	// entry points at the liveness flag of the pruning-table entry
-	// recorded just before this instruction was analyzed (nil when none
-	// was). A later path-conditional refinement retracts the entries
-	// inside its track by setting the flags (see retractEntries).
-	entry *atomic.Bool
+	// entry indexes Verifier.dead: the pruning-table entry recorded just
+	// before this instruction was analyzed, or -1 when none was. A later
+	// path-conditional refinement retracts the entries inside its track
+	// (see retractEntries).
+	entry int32
+	taken bool // meaningful for conditional jumps
 }
 
-// nodeSlab hands out one walk's pathNodes from chunks of 8, 16, … up to
-// 256 nodes rather than one heap object per instruction. A chunk is never
-// appended past its capacity, so nodes never move, and it stays alive
-// while any of its nodes is reachable (e.g. from a forked child's path).
-type nodeSlab struct{ chunk []pathNode }
+// arenaChunkBits sizes the arena's first chunk: 1<<arenaChunkBits nodes
+// (256 B), so a short program pays little for its arena.
+const arenaChunkBits = 4
 
-// node returns a fresh node appended under parent.
-func (s *nodeSlab) node(parent *pathNode, idx int, entry *atomic.Bool) *pathNode {
-	if len(s.chunk) == cap(s.chunk) {
-		s.chunk = make([]pathNode, 0, min(max(2*cap(s.chunk), 8), 256))
+// nodeArena holds pathNodes in chunks of 16, 32, 64, … nodes. Chunks
+// never move, so a *pathNode stays valid while the arena grows, and the
+// node at index i lives in chunk bits.Len32(i+16)-5.
+type nodeArena struct {
+	chunks [][]pathNode
+	n      int32 // nodes in use
+}
+
+// at returns the node at index i.
+func (a *nodeArena) at(i int32) *pathNode {
+	u := uint32(i) + 1<<arenaChunkBits
+	k := bits.Len32(u) - arenaChunkBits - 1
+	return &a.chunks[k][u-1<<(k+arenaChunkBits)]
+}
+
+// add appends n and returns its index.
+func (a *nodeArena) add(n pathNode) int32 {
+	i := a.n
+	if k := bits.Len32(uint32(i)+1<<arenaChunkBits) - arenaChunkBits - 1; k == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]pathNode, 1<<(k+arenaChunkBits)))
 	}
-	s.chunk = append(s.chunk, pathNode{parent: parent, idx: int32(idx), entry: entry})
-	return &s.chunk[len(s.chunk)-1]
+	a.n++
+	*a.at(i) = n
+	return i
 }
 
 // PathStep is one step of the analysis path handed to the Refiner.
@@ -108,16 +123,35 @@ type PathStep struct {
 }
 
 // Path is a read-only view of the analysis path that ends at the failing
-// instruction. It shares the walk's immutable node chain, so handing it
-// to the Refiner copies nothing; a refiner reads back from the failing
-// instruction only as far as its track reaches.
-type Path struct{ n *pathNode }
+// instruction. It shares the walk's node arena, so handing it to the
+// Refiner copies nothing; a refiner reads back from the failing
+// instruction only as far as its track reaches. A Path from a
+// RefineRequest is valid until Refine returns: the walk then reuses the
+// nodes of finished paths.
+type Path struct {
+	arena *nodeArena
+	n     int32 // the newest step; unused when arena is nil (no steps)
+}
+
+// nodes yields the path's nodes newest first.
+func (p Path) nodes(yield func(*pathNode) bool) {
+	if p.arena == nil {
+		return
+	}
+	for i := p.n; i >= 0; {
+		n := p.arena.at(i)
+		if !yield(n) {
+			return
+		}
+		i = n.parent
+	}
+}
 
 // Backward yields the path's steps newest first, starting with the
 // failing instruction.
 func (p Path) Backward() iter.Seq[PathStep] {
 	return func(yield func(PathStep) bool) {
-		for n := p.n; n != nil; n = n.parent {
+		for n := range p.nodes {
 			if !yield(PathStep{Idx: int(n.idx), Taken: n.taken}) {
 				return
 			}
@@ -130,7 +164,10 @@ func (p Path) Backward() iter.Seq[PathStep] {
 func (p Path) Tail(k int) []PathStep {
 	out := make([]PathStep, max(k, 0))
 	i := len(out)
-	for n := p.n; n != nil && i > 0; n = n.parent {
+	for n := range p.nodes {
+		if i == 0 {
+			break
+		}
 		i--
 		out[i] = PathStep{Idx: int(n.idx), Taken: n.taken}
 	}
@@ -140,17 +177,20 @@ func (p Path) Tail(k int) []PathStep {
 // NewPath builds a Path over steps, oldest first, outside any walk: for
 // driving a Refiner by hand, as tests do.
 func NewPath(steps ...PathStep) Path {
-	var n *pathNode
-	for _, s := range steps {
-		n = &pathNode{parent: n, idx: int32(s.Idx), taken: s.Taken}
+	if len(steps) == 0 {
+		return Path{}
 	}
-	return Path{n}
+	a := &nodeArena{}
+	for i, s := range steps {
+		a.add(pathNode{parent: int32(i) - 1, idx: int32(s.Idx), entry: -1, taken: s.Taken})
+	}
+	return Path{a, a.n - 1}
 }
 
 // Len walks the whole chain and returns the number of steps.
 func (p Path) Len() int {
 	count := 0
-	for n := p.n; n != nil; n = n.parent {
+	for range p.nodes {
 		count++
 	}
 	return count
@@ -206,14 +246,19 @@ var errInfeasiblePath = &Error{Kind: CheckNone, Msg: "path proven infeasible"}
 // out-of-bounds read (fuzz-accept-safe regression). The anchor's own
 // entry and those before it stay: the track's variables are fresh at
 // the anchor, so the proof covers every execution their subtrees admit.
-// The sweep walks only the track. Flags are shared with forked siblings,
-// and setting one is idempotent, so re-sweeping after a second
+// The sweep walks only the track. Forked siblings share the prefix's
+// entries, and killing one is idempotent, so re-sweeping after a second
 // refinement is harmless.
-func retractEntries(node *pathNode, anchor int) {
-	for p, k := node, 1; p.parent != nil && (anchor == 0 || k < anchor); p, k = p.parent, k+1 {
-		if p.entry != nil {
-			p.entry.Store(true)
+func (v *Verifier) retractEntries(node int32, anchor int) {
+	for k := 1; anchor == 0 || k < anchor; k++ {
+		n := v.nodes.at(node)
+		if n.parent < 0 {
+			return
 		}
+		if n.entry >= 0 {
+			v.dead[n.entry] = true
+		}
+		node = n.parent
 	}
 }
 
@@ -224,17 +269,13 @@ type Refiner interface {
 	Refine(req *RefineRequest) (*RefineResult, error)
 }
 
-// Stats aggregates per-verification counters (Table 3). At
-// ParallelPaths<=1 every field is deterministic. At ParallelPaths>1
-// PeakStackDepth and a rejected load's counters depend on scheduling, as
-// do all counters once a prune can lose its race (see
-// Config.ParallelPaths); where none fires, as on the embedded corpus, an
-// accepted load's other fields match the one-worker run.
+// Stats aggregates per-verification counters (Table 3). The walk is one
+// sequential DFS, so every field is deterministic.
 type Stats struct {
 	InsnProcessed  int
 	PathsExplored  int
 	StatesPruned   int
-	PeakStackDepth int // largest frontier seen by a pop that walked its item
+	PeakStackDepth int // largest branch stack seen before a pop
 	Refinements    int // granted refinements
 	RefineAttempts int // requests issued to the Refiner
 }
@@ -281,15 +322,9 @@ type Config struct {
 	// Trace, when non-nil, records a span per verification run and per
 	// explored path, plus prune instants.
 	Trace *obs.Tracer
-	// ParallelPaths is the number of path-exploration workers; values
-	// <= 1 mean one worker on the calling goroutine (the default), which
-	// is the sequential DFS. More workers report the error the DFS hits
-	// first, and a state prunes a walk only once its recorder and every
-	// walk of the recorder's subtree the DFS runs earlier have finished
-	// (DESIGN.md, "Parallel verification"). A walk reaching such a join
-	// too early explores on: that changes the stats, spends InsnLimit,
-	// and with a stateful or failing Refiner can change the verdict.
-	// When > 1, the Observer (if any) must tolerate concurrent Step calls.
+	// Deprecated: ParallelPaths is ignored. Every value, including the
+	// default, means one sequential DFS on the calling goroutine
+	// (DESIGN.md, "Exploration").
 	ParallelPaths int
 }
 
@@ -302,40 +337,29 @@ type Verifier struct {
 	prog *ebpf.Program
 	cfg  Config
 
-	// Counters are shared by every path worker, so they live as atomics;
-	// Stats() materializes a snapshot.
-	insnProcessed  atomic.Int64
-	pathsExplored  atomic.Int64
-	statesPruned   atomic.Int64
-	peakFrontier   atomic.Int64
-	refinements    atomic.Int64
-	refineAttempts atomic.Int64
-
-	logMu sync.Mutex
+	stats Stats
 	log   []string
 
-	// explored is the pruning table, sharded per pc so concurrent
-	// subsumption checks at different instructions never contend.
-	explored []exploredShard
+	// explored is the pruning table: the recorded states of each pc.
+	explored [][]exploredEntry
+	// dead holds the retraction flag of every explored entry.
+	dead []bool
 	// prunePoints marks the pcs where explored states are recorded.
 	prunePoints []bool
-	idGen       atomic.Uint32
+	idGen       uint32
+	// ids is statesSubsume's identity-pair scratch, allocated by the
+	// first comparison and reset per call.
+	ids *idMap
 
-	// budgetErr is the single instruction-budget rejection. Under
-	// parallel exploration the budget trips at a timing-dependent pc, so
-	// the error must not carry one; it is also an identity sentinel that
-	// lets workers tell a budget stop apart from a real path error.
+	// stack holds the pending branches, newest last; nodes holds the
+	// history of the current path and of every pending branch.
+	stack []branchItem
+	nodes nodeArena
+
+	// budgetErr is the single instruction-budget rejection. It carries
+	// no pc (InsnIdx -1): the budget is spent by the whole exploration,
+	// not by the instruction that happens to exhaust it.
 	budgetErr *Error
-	budgetHit atomic.Bool
-
-	// best is the winning candidate error so far: the one the sequential
-	// DFS would have reached first (minimal pathOrder).
-	best atomic.Pointer[candidate]
-
-	// refineMu serializes Refiner calls across path workers: the BCF
-	// session speaks a strictly alternating condition/proof conversation
-	// with the loader, and the refiner's bookkeeping is unsynchronized.
-	refineMu sync.Mutex
 }
 
 // New prepares a verifier for prog.
@@ -346,7 +370,7 @@ func New(prog *ebpf.Program, cfg Config) *Verifier {
 	return &Verifier{
 		prog:        prog,
 		cfg:         cfg,
-		explored:    make([]exploredShard, len(prog.Insns)),
+		explored:    make([][]exploredEntry, len(prog.Insns)),
 		prunePoints: computePrunePoints(prog),
 		budgetErr: &Error{InsnIdx: -1, Kind: CheckOther,
 			Msg: fmt.Sprintf("BPF program is too large. Processed %d insn", cfg.InsnLimit)},
@@ -354,45 +378,29 @@ func New(prog *ebpf.Program, cfg Config) *Verifier {
 }
 
 // Stats returns the counters of the last Verify run.
-func (v *Verifier) Stats() Stats {
-	return Stats{
-		InsnProcessed:  int(v.insnProcessed.Load()),
-		PathsExplored:  int(v.pathsExplored.Load()),
-		StatesPruned:   int(v.statesPruned.Load()),
-		PeakStackDepth: int(v.peakFrontier.Load()),
-		Refinements:    int(v.refinements.Load()),
-		RefineAttempts: int(v.refineAttempts.Load()),
-	}
-}
+func (v *Verifier) Stats() Stats { return v.stats }
 
 // Log returns the verifier log (Debug mode only).
-func (v *Verifier) Log() []string {
-	v.logMu.Lock()
-	defer v.logMu.Unlock()
-	return v.log
-}
+func (v *Verifier) Log() []string { return v.log }
 
 // logf appends a Debug log line. Callers guard it with cfg.Debug: the
 // arguments are built (and allocated) before the call, too late to skip.
 func (v *Verifier) logf(format string, args ...any) {
-	line := fmt.Sprintf(format, args...)
-	v.logMu.Lock()
-	v.log = append(v.log, line)
-	v.logMu.Unlock()
+	v.log = append(v.log, fmt.Sprintf(format, args...))
 }
 
-func (v *Verifier) newID() uint32 { return v.idGen.Add(1) }
+func (v *Verifier) newID() uint32 {
+	v.idGen++
+	return v.idGen
+}
 
-// chargeInsn consumes one unit of the global instruction budget. The
-// counter doubles as the InsnProcessed statistic: a failed charge is
-// rolled back, so the budget is a hard cap and the statistic never
-// exceeds InsnLimit at any ParallelPaths.
+// chargeInsn consumes one unit of the instruction budget, a hard cap:
+// InsnProcessed never exceeds InsnLimit.
 func (v *Verifier) chargeInsn() bool {
-	if v.insnProcessed.Add(1) > int64(v.cfg.InsnLimit) {
-		v.insnProcessed.Add(-1)
-		v.budgetHit.Store(true)
+	if v.stats.InsnProcessed >= v.cfg.InsnLimit {
 		return false
 	}
+	v.stats.InsnProcessed++
 	return true
 }
 
@@ -404,12 +412,13 @@ func pathDone(err error) error {
 	return err
 }
 
+// branchItem is a pending branch: the state and pc of the taken side of
+// a conditional jump, and the jump's node with taken set.
 type branchItem struct {
-	st    *VState
-	pc    int
-	node  *pathNode
-	obs   any        // observer token of the forking instruction
-	order *pathOrder // DFS-order coordinate (see parallel.go)
+	st   *VState
+	pc   int
+	node int32
+	obs  any // observer token of the forking instruction
 }
 
 // Verify runs the analysis and returns nil if the program is safe.
@@ -422,68 +431,57 @@ func (v *Verifier) Verify() error {
 	err := v.verify()
 	sp.End()
 	if r := v.cfg.Obs; r != nil {
-		st := v.Stats()
 		r.StageHistogram(obs.MVerifySeconds).Since(t0)
-		r.Counter(obs.MInsnsProcessed).Add(int64(st.InsnProcessed))
-		r.Counter(obs.MPathsExplored).Add(int64(st.PathsExplored))
-		r.Counter(obs.MStatesPruned).Add(int64(st.StatesPruned))
-		r.Gauge(obs.MVerifierWorkers).Set(int64(max(v.cfg.ParallelPaths, 1)))
+		r.Counter(obs.MInsnsProcessed).Add(int64(v.stats.InsnProcessed))
+		r.Counter(obs.MPathsExplored).Add(int64(v.stats.PathsExplored))
+		r.Counter(obs.MStatesPruned).Add(int64(v.stats.StatesPruned))
 	}
 	return err
 }
 
-// verify drains the branch frontier from the entry state and reports the
-// minimum-order outcome. The calling goroutine runs worker 0; only
-// workers 1..N-1 get their own goroutine.
+// verify explores the program depth first from the entry state: it pops
+// the newest pending branch, walks it, and returns the first path error.
 func (v *Verifier) verify() error {
 	if err := v.prog.Validate(); err != nil {
 		return &Error{InsnIdx: 0, Kind: CheckOther, Msg: err.Error()}
 	}
-	workers := max(v.cfg.ParallelPaths, 1)
-	f := newFrontier(workers)
-	root := &pathOrder{}
-	root.open.Store(1)
-	f.push(0, branchItem{st: entryState(), order: root})
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			v.pathWorker(f, w)
-		}(w)
-	}
-	v.pathWorker(f, 0)
-	wg.Wait()
-	if b := v.best.Load(); b != nil {
-		return b.err // a real path error outranks budget exhaustion
-	}
-	if v.budgetHit.Load() {
-		return v.budgetErr
+	v.stack = append(v.stack, branchItem{st: entryState(), node: -1})
+	for len(v.stack) > 0 {
+		v.stats.PeakStackDepth = max(v.stats.PeakStackDepth, len(v.stack))
+		item := v.stack[len(v.stack)-1]
+		v.stack[len(v.stack)-1] = branchItem{}
+		v.stack = v.stack[:len(v.stack)-1]
+		// Every node past the item's own belongs to a finished walk: the
+		// walk that forked it, or a branch pushed later and popped earlier.
+		v.nodes.n = item.node + 1
+		v.stats.PathsExplored++
+		var err error
+		if tr := v.cfg.Trace; tr != nil {
+			sp := tr.StartArgs(obs.CatVerifier, "path", map[string]any{"pc": item.pc})
+			err = v.walk(item)
+			sp.End()
+		} else {
+			err = v.walk(item)
+		}
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// walk analyzes one path until exit, prune or error, handing the untaken
-// sides of branches to push. Each pushed child is stamped with a
-// pathOrder extending this walk's, so results stay in sequential DFS
-// order however the frontier schedules them.
-func (v *Verifier) walk(item branchItem, push func(branchItem)) error {
+// fork queues the taken side of the conditional jump at node: st at pc,
+// under a copy of the jump's node with taken set.
+func (v *Verifier) fork(node int32, st *VState, pc int, obsTok any) {
+	n := *v.nodes.at(node)
+	n.taken = true
+	v.stack = append(v.stack, branchItem{st: st, pc: pc, node: v.nodes.add(n), obs: obsTok})
+}
+
+// walk analyzes one path until exit, prune or error, pushing the taken
+// sides of undecided branches onto the stack.
+func (v *Verifier) walk(item branchItem) error {
 	st, pc, node, obsTok := item.st, item.pc, item.node, item.obs
-	var slab nodeSlab
-	var lastKid *pathOrder
-	// fork queues the taken side of the conditional jump at node.
-	fork := func(it branchItem) {
-		it.node = slab.node(node.parent, int(node.idx), node.entry)
-		it.node.taken = true
-		it.order = &pathOrder{parent: item.order, depth: item.order.depth + 1, seq: 1}
-		if lastKid != nil {
-			it.order.seq, lastKid.next = lastKid.seq+1, it.order
-		}
-		lastKid = it.order
-		it.order.open.Store(1) // the child's subtree opens under this walk's
-		item.order.open.Add(1)
-		push(it)
-	}
 	for {
 		if !v.chargeInsn() {
 			return v.budgetErr
@@ -491,7 +489,7 @@ func (v *Verifier) walk(item branchItem, push func(branchItem)) error {
 		if pc < 0 || pc >= len(v.prog.Insns) {
 			return &Error{InsnIdx: pc, Kind: CheckOther, Msg: "fell off the end of the program"}
 		}
-		ins := v.prog.Insns[pc]
+		ins := &v.prog.Insns[pc]
 		if ins.IsPlaceholder() {
 			return &Error{InsnIdx: pc, Kind: CheckOther, Msg: "jump into the middle of ld_imm64"}
 		}
@@ -504,18 +502,11 @@ func (v *Verifier) walk(item branchItem, push func(branchItem)) error {
 			}
 		}
 		// Pruning at jump targets.
-		var entryDead *atomic.Bool
+		entry := int32(-1)
 		if !v.cfg.NoPruning && v.prunePoints[pc] {
-			if v.outranked(item.order) {
-				// A candidate error ordered before this path exists; the
-				// sequential DFS would have stopped before walking further
-				// here, so nothing this path does can matter.
-				return nil
-			}
 			var hit bool
-			hit, entryDead = v.pruned(pc, st, item.order)
-			if hit {
-				v.statesPruned.Add(1)
+			if hit, entry = v.pruned(pc, st); hit {
+				v.stats.StatesPruned++
 				if v.cfg.Debug {
 					v.logf("%d: pruned", pc)
 				}
@@ -526,14 +517,14 @@ func (v *Verifier) walk(item branchItem, push func(branchItem)) error {
 		if v.cfg.Debug {
 			v.logf("%d: %s", pc, ins.String())
 		}
-		node = slab.node(node, pc, entryDead)
+		node = v.nodes.add(pathNode{parent: node, idx: int32(pc), entry: entry})
 		if v.cfg.Observer != nil {
 			obsTok = v.cfg.Observer.Step(obsTok, pc, st)
 		}
 
 		switch ins.Class() {
 		case ebpf.ClassALU, ebpf.ClassALU64:
-			if err := v.checkALU(st, pc, ins, node); err != nil {
+			if err := v.checkALU(st, pc, ins); err != nil {
 				return pathDone(err)
 			}
 			pc++
@@ -547,7 +538,7 @@ func (v *Verifier) walk(item branchItem, push func(branchItem)) error {
 				*dst = RegState{Type: ConstPtrToMap, MapIdx: int32(uint32(ins.Imm))}
 				dst.zeroVar()
 			} else {
-				*dst = constScalar(uint64(ins.Imm))
+				dst.setConst(uint64(ins.Imm))
 			}
 			pc += 2
 
@@ -587,7 +578,7 @@ func (v *Verifier) walk(item branchItem, push func(branchItem)) error {
 				pc++
 				continue
 			}
-			next, err := v.checkCondJmp(st, pc, ins, node, obsTok, fork)
+			next, err := v.checkCondJmp(st, pc, ins, node, obsTok)
 			if err != nil {
 				return err
 			}
@@ -606,7 +597,7 @@ func (v *Verifier) walk(item branchItem, push func(branchItem)) error {
 // failed range check instrumented for BCF refinement like any other
 // bounds check: the refiner is asked to prove R0's value lies in the
 // accepted range on this path.
-func (v *Verifier) checkExit(st *VState, pc int, node *pathNode) error {
+func (v *Verifier) checkExit(st *VState, pc int, node int32) error {
 	for {
 		r0 := &st.Regs[ebpf.R0]
 		if r0.Type == NotInit {
@@ -633,7 +624,7 @@ func (v *Verifier) checkExit(st *VState, pc int, node *pathNode) error {
 }
 
 // checkALU verifies one ALU instruction and applies its transfer function.
-func (v *Verifier) checkALU(st *VState, pc int, ins ebpf.Instruction, node *pathNode) error {
+func (v *Verifier) checkALU(st *VState, pc int, ins *ebpf.Instruction) error {
 	is32 := ins.Class() == ebpf.ClassALU
 	op := ins.AluOp()
 	dst := &st.Regs[ins.Dst]
@@ -642,18 +633,23 @@ func (v *Verifier) checkALU(st *VState, pc int, ins ebpf.Instruction, node *path
 		return &Error{InsnIdx: pc, Kind: CheckOther, Msg: "frame pointer is read only"}
 	}
 
-	// Source operand.
-	var src RegState
-	var srcReg *RegState
+	// Source operand: the source register in place, or an immediate
+	// materialized in imm. A source that is also the destination is
+	// copied first: r1 -= r1 and the shifts read src after writing dst.
+	var imm RegState
+	src := &imm
 	if ins.UsesSrcReg() && op != ebpf.AluNEG && op != ebpf.AluEND {
-		srcReg = &st.Regs[ins.Src]
-		if srcReg.Type == NotInit {
+		src = &st.Regs[ins.Src]
+		if src.Type == NotInit {
 			return &Error{InsnIdx: pc, Kind: CheckOther,
 				Msg: fmt.Sprintf("R%d !read_ok", ins.Src)}
 		}
-		src = *srcReg
+		if ins.Src == ins.Dst {
+			imm = *src
+			src = &imm
+		}
 	} else {
-		src = constScalar(uint64(ins.Imm))
+		imm.setConst(uint64(ins.Imm))
 	}
 
 	switch op {
@@ -663,32 +659,29 @@ func (v *Verifier) checkALU(st *VState, pc int, ins ebpf.Instruction, node *path
 				return &Error{InsnIdx: pc, Kind: CheckOther,
 					Msg: fmt.Sprintf("R%d partial copy of pointer", ins.Src)}
 			}
-			*dst = src
+			*dst = *src
 			dst.ID = 0
 			dst.zext32()
 		} else {
-			if ins.UsesSrcReg() && srcReg.Type == Scalar {
+			if ins.UsesSrcReg() && src.Type == Scalar && src.ID == 0 {
 				// Track scalar aliases so branch refinements propagate
 				// (find_equal_scalars).
-				if srcReg.ID == 0 {
-					srcReg.ID = v.newID()
-				}
-				src = *srcReg
+				src.ID = v.newID()
 			}
-			*dst = src
+			*dst = *src
 		}
 		return nil
 
 	case ebpf.AluNEG:
 		if dst.Type != Scalar {
-			return &Error{InsnIdx: pc, Kind: CheckOther, Msg: "R%d pointer arithmetic prohibited"}
+			return &Error{InsnIdx: pc, Kind: CheckOther, Msg: fmt.Sprintf("R%d pointer arithmetic prohibited", ins.Dst)}
 		}
 		if dst.IsConst() {
 			val := dst.ConstVal()
 			if is32 {
-				*dst = constScalar(uint64(uint32(-int32(uint32(val)))))
+				dst.setConst(uint64(uint32(-int32(uint32(val)))))
 			} else {
-				*dst = constScalar(-val)
+				dst.setConst(-val)
 			}
 		} else {
 			dst.markUnknown()
@@ -716,19 +709,18 @@ func (v *Verifier) checkALU(st *VState, pc int, ins ebpf.Instruction, node *path
 	}
 
 	// Pointer arithmetic.
-	dstPtr, srcPtr := dst.Type.IsPtr(), src.Type.IsPtr()
-	if dstPtr || srcPtr {
+	if dst.Type.IsPtr() || src.Type.IsPtr() {
 		if is32 {
 			return &Error{InsnIdx: pc, Kind: CheckOther, Msg: "32-bit pointer arithmetic prohibited"}
 		}
-		return v.adjustPtr(st, pc, ins, dst, &src)
+		return v.adjustPtr(st, pc, ins, dst, src)
 	}
 
 	// Scalar ALU.
 	if (op == ebpf.AluDIV || op == ebpf.AluMOD) && !ins.UsesSrcReg() && ins.Imm == 0 {
 		return &Error{InsnIdx: pc, Kind: CheckOther, Msg: "division by zero"}
 	}
-	aluScalar(dst, &src, op, is32)
+	aluScalar(dst, src, op, is32)
 	if !is32 && op == ebpf.AluADD {
 		v.cfg.Sabotage.collapseAdd(dst)
 	}
@@ -737,7 +729,7 @@ func (v *Verifier) checkALU(st *VState, pc int, ins ebpf.Instruction, node *path
 
 // adjustPtr implements pointer +/- scalar arithmetic
 // (adjust_ptr_min_max_vals).
-func (v *Verifier) adjustPtr(st *VState, pc int, ins ebpf.Instruction, dst *RegState, src *RegState) error {
+func (v *Verifier) adjustPtr(st *VState, pc int, ins *ebpf.Instruction, dst *RegState, src *RegState) error {
 	op := ins.AluOp()
 	if op != ebpf.AluADD && op != ebpf.AluSUB {
 		return &Error{InsnIdx: pc, Kind: CheckOther,
@@ -746,7 +738,12 @@ func (v *Verifier) adjustPtr(st *VState, pc int, ins ebpf.Instruction, dst *RegS
 	var ptr, scalar *RegState
 	switch {
 	case dst.Type.IsPtr() && src.Type.IsPtr():
-		return &Error{InsnIdx: pc, Kind: CheckOther, Msg: "R combined pointer arithmetic prohibited"}
+		opStr := "+="
+		if op == ebpf.AluSUB {
+			opStr = "-="
+		}
+		return &Error{InsnIdx: pc, Kind: CheckOther,
+			Msg: fmt.Sprintf("R%d pointer %s pointer prohibited", ins.Dst, opStr)}
 	case dst.Type.IsPtr():
 		ptr, scalar = dst, src
 	default:
@@ -829,24 +826,19 @@ func applyRefinedRange(reg *RegState, lo, hi uint64) {
 // A request with wantLo > wantHi asks the refiner to prove the current
 // path infeasible instead (no variable range can make the check pass).
 func (v *Verifier) refine(st *VState, pc int, regno ebpf.Reg, kind CheckKind,
-	wantLo, wantHi uint64, node *pathNode, orig error) error {
+	wantLo, wantHi uint64, node int32, orig error) error {
 	if v.cfg.Refiner == nil {
 		return orig
 	}
-	// One refinement conversation at a time: the BCF session's
-	// condition/proof channel protocol is single-conversation, and the
-	// refiner's own accounting is unsynchronized. Path workers queue here.
-	v.refineMu.Lock()
-	defer v.refineMu.Unlock()
 	// Loops legitimately re-refine the same instruction on every
 	// iteration (§6.3: up to 16k refinements per program), so there is no
 	// per-site cap; termination is ensured by the progress check below
 	// and by the global instruction budget.
-	v.refineAttempts.Add(1)
+	v.stats.RefineAttempts++
 	req := &RefineRequest{
 		Prog:    v.prog,
 		State:   st,
-		Path:    Path{node},
+		Path:    Path{&v.nodes, node},
 		InsnIdx: pc,
 		Reg:     regno,
 		Kind:    kind,
@@ -859,7 +851,7 @@ func (v *Verifier) refine(st *VState, pc int, regno ebpf.Reg, kind CheckKind,
 		// track: this path's earlier "explored without error" claims no
 		// longer transfer to states that arrive mid-track by a different
 		// route. Retract those pruning entries before using the result.
-		retractEntries(node, res.Anchor)
+		v.retractEntries(node, res.Anchor)
 	}
 	if err != nil {
 		if v.cfg.Debug {
@@ -875,7 +867,7 @@ func (v *Verifier) refine(st *VState, pc int, regno ebpf.Reg, kind CheckKind,
 		return orig
 	}
 	if res.Pruned {
-		v.refinements.Add(1)
+		v.stats.Refinements++
 		if v.cfg.Debug {
 			v.logf("%d: path proven infeasible, pruned", pc)
 		}
@@ -888,7 +880,7 @@ func (v *Verifier) refine(st *VState, pc int, regno ebpf.Reg, kind CheckKind,
 		// No progress; avoid looping forever.
 		return orig
 	}
-	v.refinements.Add(1)
+	v.stats.Refinements++
 	if v.cfg.Debug {
 		v.logf("%d: refined R%d to [%d, %d]", pc, regno, res.Lo, res.Hi)
 	}
