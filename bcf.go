@@ -259,8 +259,8 @@ func WithContext(ctx context.Context) Option {
 	return func(o *loader.Options) { o.Context = ctx }
 }
 
-// WithLoadTimeout bounds the whole load; an expired load is aborted, the
-// kernel session torn down, and the report classified ClassSolverTimeout.
+// WithLoadTimeout bounds the whole load; an expired load gives up at its
+// next refinement round and the report is classified ClassSolverTimeout.
 func WithLoadTimeout(d time.Duration) Option {
 	return func(o *loader.Options) { o.LoadTimeout = d }
 }
@@ -270,13 +270,8 @@ func WithProveTimeout(d time.Duration) Option {
 	return func(o *loader.Options) { o.ProveTimeout = d }
 }
 
-// WithMaxRounds caps refinement round-trips (negative = unlimited).
-func WithMaxRounds(n int) Option {
-	return func(o *loader.Options) { o.MaxRounds = n }
-}
-
 // WithSessionLimits overrides the kernel-side per-session resource
-// budget (requests, boundary bytes, watchdog).
+// budget: refinement requests (the round cap) and boundary bytes.
 func WithSessionLimits(l SessionLimits) Option {
 	return func(o *loader.Options) { o.Session = l }
 }

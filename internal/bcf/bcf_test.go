@@ -3,6 +3,7 @@ package bcf
 import (
 	"testing"
 
+	"bcf/internal/bcferr"
 	"bcf/internal/ebpf"
 	"bcf/internal/expr"
 	"bcf/internal/verifier"
@@ -301,18 +302,17 @@ func TestSessionAbort(t *testing.T) {
 		`),
 	}
 	sess := NewSession(p, verifier.Config{})
-	lr := sess.Load()
-	if lr.Done {
-		t.Fatalf("expected a pending condition, got done: %v", lr.Err)
-	}
-	if len(lr.Condition) == 0 {
+	var condition []byte
+	err := sess.Run(ProveFunc(func(cond []byte) ([]byte, error) {
+		condition = cond
+		return nil, errAbandoned
+	}))
+	if len(condition) == 0 {
 		t.Fatal("empty condition buffer")
 	}
-	sess.Abort()
-	// After abort the session is finished and rejected.
-	res := sess.Resume(nil, nil)
-	if !res.Done || res.Err == nil {
-		t.Fatalf("aborted session should be done with an error: %+v", res)
+	// User space walked away: the session is finished and rejected.
+	if err == nil || bcferr.ClassOf(err) != bcferr.ClassProtocol {
+		t.Fatalf("abandoned session should be rejected as protocol: %v", err)
 	}
 }
 
@@ -343,11 +343,10 @@ func TestRefinerRejectsForgedProof(t *testing.T) {
 		`),
 	}
 	sess := NewSession(p, verifier.Config{})
-	lr := sess.Load()
-	for !lr.Done {
-		lr = sess.Resume([]byte("not a proof"), nil)
-	}
-	if lr.Err == nil {
+	err := sess.Run(ProveFunc(func([]byte) ([]byte, error) {
+		return []byte("not a proof"), nil
+	}))
+	if err == nil {
 		t.Fatal("forged proof led to acceptance")
 	}
 }

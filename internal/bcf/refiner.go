@@ -23,6 +23,12 @@ type ProofService interface {
 	Prove(condition []byte) (proofBytes []byte, err error)
 }
 
+// ProveFunc adapts an ordinary function to a ProofService.
+type ProveFunc func(condition []byte) (proofBytes []byte, err error)
+
+// Prove calls f.
+func (f ProveFunc) Prove(condition []byte) ([]byte, error) { return f(condition) }
+
 // RequestStats records per-refinement measurements (Table 3).
 type RequestStats struct {
 	TrackLen      int           // instructions symbolically tracked
@@ -204,8 +210,7 @@ func (r *Refiner) delegate(cond *expr.Expr, tk *tracker) error {
 	}
 
 	// The round span covers the whole kernel→user→kernel round trip:
-	// wire transfer, loader work and prover time, as seen from the
-	// verification goroutine.
+	// session accounting, loader work and prover time.
 	rsp := r.Trace.Start(obs.CatRefine, "round")
 	userStart := time.Now()
 	proofBytes, err := r.Service.Prove(condBytes)

@@ -14,22 +14,8 @@ import (
 	"bcf/internal/verifier"
 )
 
-// waitVerdict waits until the session's own verification goroutine has
-// delivered its verdict: doneCh is buffered with capacity 1, so a pending
-// verdict shows as one queued value, and a session that already consumed
-// it (Abort) is finished. Unlike the process-wide goroutine count, this
-// cannot be satisfied early by unrelated goroutines exiting.
-func waitVerdict(t *testing.T, sess *Session) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !sess.finished && len(sess.doneCh) != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("session never reached a verdict")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
+// waitBaseline fails unless the goroutine count is back at base within
+// 5 s.
 func waitBaseline(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -42,74 +28,72 @@ func waitBaseline(t *testing.T, base int) {
 	t.Fatalf("goroutines leaked: %d > baseline %d", runtime.NumGoroutine(), base)
 }
 
-// TestSessionWatchdogReclaimsAbandonedSession is the goroutine-leak
-// regression test: a loader that receives a condition and then walks away
-// must not pin the verifier goroutine forever. The watchdog fires after
-// ResumeTimeout and the session finishes with a protocol error.
+// errAbandoned is user space walking away from a pending condition.
+var errAbandoned = bcferr.New(bcferr.ClassProtocol, "test: user space abandoned the load")
+
+// TestSessionWatchdogReclaimsAbandonedSession: user space that stalls on
+// a condition and then walks away costs the kernel nothing beyond the
+// stall. Run returns a protocol verdict on the caller's goroutine, the
+// stall is booked as user-space time, no goroutine is left behind, and a
+// straggling second Run is refused.
 func TestSessionWatchdogReclaimsAbandonedSession(t *testing.T) {
 	base := runtime.NumGoroutine()
+	const stall = 30 * time.Millisecond
 	sess := NewSession(sessionProg(), verifier.Config{})
-	sess.Limits = SessionLimits{ResumeTimeout: 30 * time.Millisecond}
-	lr := sess.Load()
-	if lr.Done {
-		t.Fatal("expected a pending condition")
+	err := sess.Run(ProveFunc(func([]byte) ([]byte, error) {
+		time.Sleep(stall)
+		return nil, errAbandoned
+	}))
+	if bcferr.ClassOf(err) != bcferr.ClassProtocol {
+		t.Fatalf("abandoned session verdict: %v, want a protocol error", err)
 	}
-	// Abandon the session: no Resume, no Abort. The watchdog must
-	// terminate the pump goroutine on its own.
-	waitVerdict(t, sess)
+	if got := sess.Refiner().Stats().UserTime; got < stall {
+		t.Fatalf("user time %v does not cover the %v stall", got, stall)
+	}
 	waitBaseline(t, base)
-	// A straggling Resume after the watchdog fired must not deadlock and
-	// must report the watchdog verdict.
-	lr = sess.Resume(nil, nil)
-	if !lr.Done || lr.Err == nil {
-		t.Fatalf("post-watchdog resume: %+v", lr)
-	}
-	if bcferr.ClassOf(lr.Err) != bcferr.ClassProtocol {
-		t.Fatalf("watchdog verdict class: %v", lr.Err)
+	if err := sess.Run(honest(t)); bcferr.ClassOf(err) != bcferr.ClassProtocol {
+		t.Fatalf("post-abandon run: %v, want a protocol error", err)
 	}
 }
 
+// TestSessionAbortMidCondition: user space proves the first of two
+// conditions and abandons the second. The verdict is a protocol error,
+// the verifier asks nothing further, and no goroutine is left behind.
 func TestSessionAbortMidCondition(t *testing.T) {
 	base := runtime.NumGoroutine()
-	sess := NewSession(sessionProg(), verifier.Config{})
-	lr := sess.Load()
-	if lr.Done {
-		t.Fatal("expected a pending condition")
+	sess := NewSession(twoRefinementProg(), verifier.Config{})
+	user, calls := honest(t), 0
+	err := sess.Run(ProveFunc(func(cond []byte) ([]byte, error) {
+		if calls++; calls > 1 {
+			return nil, errAbandoned
+		}
+		return user.Prove(cond)
+	}))
+	if err == nil || bcferr.ClassOf(err) != bcferr.ClassProtocol {
+		t.Fatalf("aborted session must be rejected as protocol: %v", err)
 	}
-	sess.Abort()
-	waitVerdict(t, sess)
+	if st := sess.Refiner().Stats(); calls != 2 || st.Granted != 1 || st.Failed != 1 {
+		t.Fatalf("calls %d, stats %+v; want 2 calls, 1 granted, 1 failed", calls, st)
+	}
 	waitBaseline(t, base)
-	lr = sess.Resume(nil, nil)
-	if !lr.Done || lr.Err == nil {
-		t.Fatalf("aborted session must stay rejected: %+v", lr)
-	}
-	// Abort is idempotent.
-	sess.Abort()
-}
-
-func TestSessionAbortBeforeLoad(t *testing.T) {
-	sess := NewSession(sessionProg(), verifier.Config{})
-	sess.Abort()
-	lr := sess.Load()
-	if !lr.Done || lr.Err == nil {
-		t.Fatalf("load after abort must fail: %+v", lr)
-	}
 }
 
 func TestSessionDoubleLoad(t *testing.T) {
+	// A Run from inside user space, while a condition is pending, is a
+	// protocol violation that leaves the running session undisturbed.
 	sess := NewSession(sessionProg(), verifier.Config{})
-	first := sess.Load()
-	if first.Done {
-		t.Fatal("expected a pending condition")
+	user := honest(t)
+	var second error
+	err := sess.Run(ProveFunc(func(cond []byte) ([]byte, error) {
+		second = sess.Run(user)
+		return user.Prove(cond)
+	}))
+	if err != nil {
+		t.Fatalf("first run disturbed by the second: %v", err)
 	}
-	second := sess.Load()
-	if !second.Done || second.Err == nil {
-		t.Fatalf("double load must fail: %+v", second)
+	if second == nil || bcferr.ClassOf(second) != bcferr.ClassProtocol {
+		t.Fatalf("double load class: %v", second)
 	}
-	if bcferr.ClassOf(second.Err) != bcferr.ClassProtocol {
-		t.Fatalf("double load class: %v", second.Err)
-	}
-	sess.Abort()
 }
 
 func TestSessionRequestBudget(t *testing.T) {
@@ -158,25 +142,21 @@ func TestSessionKernelSideFaultHook(t *testing.T) {
 	run := func(p faultinject.Point) error {
 		sess := NewSession(sessionProg(), verifier.Config{})
 		sess.Fault = faultinject.New(7).Arm(p, 0)
-		lr := sess.Load()
-		for !lr.Done {
-			cond, err := bcfenc.DecodeCondition(lr.Condition)
+		return sess.Run(ProveFunc(func(condBytes []byte) ([]byte, error) {
+			cond, err := bcfenc.DecodeCondition(condBytes)
 			if err != nil {
-				lr = sess.Resume(nil, err)
-				continue
+				return nil, err
 			}
 			out, err := solver.Prove(nil, cond.Cond, solver.Options{})
 			if err != nil || !out.Proven {
-				lr = sess.Resume(nil, errNoProof)
-				continue
+				return nil, errNoProof
 			}
 			buf, err := bcfenc.EncodeProof(out.Proof)
 			if err != nil {
 				t.Fatal(err)
 			}
-			lr = sess.Resume(buf, nil)
-		}
-		return lr.Err
+			return buf, nil
+		}))
 	}
 	if err := run(faultinject.CondCorrupt); err == nil {
 		t.Fatal("kernel-side condition corruption led to acceptance")

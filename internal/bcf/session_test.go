@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"bcf/internal/bcfenc"
+	"bcf/internal/bcferr"
 	"bcf/internal/ebpf"
 	"bcf/internal/solver"
 	"bcf/internal/verifier"
@@ -37,12 +38,10 @@ func sessionProg() *ebpf.Program {
 	}
 }
 
-// driveManually plays user space by hand: decode, solve, encode, resume.
-func driveManually(t *testing.T, sess *Session) error {
-	t.Helper()
-	lr := sess.Load()
-	for !lr.Done {
-		cond, err := bcfenc.DecodeCondition(lr.Condition)
+// honest plays user space by hand: decode, solve, encode.
+func honest(t *testing.T) ProofService {
+	return ProveFunc(func(condBytes []byte) ([]byte, error) {
+		cond, err := bcfenc.DecodeCondition(condBytes)
 		if err != nil {
 			t.Fatalf("decode condition: %v", err)
 		}
@@ -51,16 +50,20 @@ func driveManually(t *testing.T, sess *Session) error {
 			t.Fatalf("prove: %v", err)
 		}
 		if !out.Proven {
-			lr = sess.Resume(nil, errNoProof)
-			continue
+			return nil, errNoProof
 		}
 		buf, err := bcfenc.EncodeProof(out.Proof)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lr = sess.Resume(buf, nil)
-	}
-	return lr.Err
+		return buf, nil
+	})
+}
+
+// driveManually runs sess against honest user space.
+func driveManually(t *testing.T, sess *Session) error {
+	t.Helper()
+	return sess.Run(honest(t))
 }
 
 var errNoProof = &verifier.Error{Msg: "no proof"}
@@ -74,8 +77,8 @@ func TestSessionManualDrive(t *testing.T) {
 	if st.Granted != 1 || st.Failed != 0 {
 		t.Fatalf("stats: %+v", st)
 	}
-	if sess.KernelTime() <= 0 || sess.UserTime() <= 0 {
-		t.Fatal("session timing not recorded")
+	if st.UserTime <= 0 {
+		t.Fatal("user-space time not recorded")
 	}
 }
 
@@ -84,52 +87,48 @@ func TestSessionResumeAfterDone(t *testing.T) {
 	if err := driveManually(t, sess); err != nil {
 		t.Fatal(err)
 	}
-	// Further resumes are idempotent and report the final verdict.
-	res := sess.Resume([]byte("junk"), nil)
-	if !res.Done || res.Err != nil {
-		t.Fatalf("post-completion resume: %+v", res)
+	// A second Run on a finished session is refused: user space is not
+	// consulted and the first load's accounting is untouched.
+	called := false
+	err := sess.Run(ProveFunc(func([]byte) ([]byte, error) {
+		called = true
+		return []byte("junk"), nil
+	}))
+	if bcferr.ClassOf(err) != bcferr.ClassProtocol {
+		t.Fatalf("second run: %v, want a protocol error", err)
+	}
+	if called {
+		t.Fatal("second run consulted user space")
+	}
+	if st := sess.Refiner().Stats(); st.Granted != 1 || len(st.Requests) != 1 || len(sess.Rounds()) != 1 {
+		t.Fatalf("second run disturbed the session: %+v, %d rounds", st, len(sess.Rounds()))
 	}
 }
 
 func TestSessionProofFailureRejects(t *testing.T) {
 	sess := NewSession(sessionProg(), verifier.Config{})
-	lr := sess.Load()
-	if lr.Done {
-		t.Fatal("expected a pending condition")
+	calls := 0
+	err := sess.Run(ProveFunc(func([]byte) ([]byte, error) {
+		calls++
+		return nil, errNoProof
+	}))
+	if calls == 0 {
+		t.Fatal("expected a condition")
 	}
-	lr = sess.Resume(nil, errNoProof)
-	for !lr.Done {
-		lr = sess.Resume(nil, errNoProof)
-	}
-	if lr.Err == nil {
+	if err == nil {
 		t.Fatal("refusing to prove must reject the program")
 	}
 }
 
 func TestSessionTruncatedProofRejected(t *testing.T) {
 	sess := NewSession(sessionProg(), verifier.Config{})
-	lr := sess.Load()
-	if lr.Done {
-		t.Fatal("expected a pending condition")
-	}
+	user := honest(t)
 	// A valid proof, truncated: must be rejected by decode or check.
-	cond, err := bcfenc.DecodeCondition(lr.Condition)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := solver.Prove(nil, cond.Cond, solver.Options{})
-	if err != nil || !out.Proven {
-		t.Fatal(err)
-	}
-	buf, err := bcfenc.EncodeProof(out.Proof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lr = sess.Resume(buf[:len(buf)/2], nil)
-	for !lr.Done {
-		lr = sess.Resume(nil, errNoProof)
-	}
-	if lr.Err == nil {
+	err := sess.Run(ProveFunc(func(condBytes []byte) ([]byte, error) {
+		buf, err := user.Prove(condBytes)
+		return buf[:len(buf)/2], err
+	}))
+	if err == nil {
 		t.Fatal("truncated proof led to acceptance")
 	}
 }
@@ -138,21 +137,24 @@ func TestSessionConditionBytesAreSelfContained(t *testing.T) {
 	// The condition crossing the boundary must decode standalone and
 	// reference only well-formed terms (nothing kernel-internal leaks).
 	sess := NewSession(sessionProg(), verifier.Config{})
-	lr := sess.Load()
-	if lr.Done {
-		t.Fatal("expected a pending condition")
+	calls := 0
+	sess.Run(ProveFunc(func(condBytes []byte) ([]byte, error) {
+		calls++
+		cond, err := bcfenc.DecodeCondition(condBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cond.Cond.CheckWellFormed(nil); err != nil {
+			t.Fatal(err)
+		}
+		if cond.Cond.Width != 1 {
+			t.Fatal("condition is not boolean")
+		}
+		return nil, errNoProof
+	}))
+	if calls == 0 {
+		t.Fatal("expected a condition")
 	}
-	cond, err := bcfenc.DecodeCondition(lr.Condition)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cond.Cond.CheckWellFormed(nil); err != nil {
-		t.Fatal(err)
-	}
-	if cond.Cond.Width != 1 {
-		t.Fatal("condition is not boolean")
-	}
-	sess.Abort()
 }
 
 func TestMultipleRefinementsOneLoad(t *testing.T) {

@@ -35,12 +35,14 @@ const (
 	// ClassSolverTimeout: the prover ran out of time or conflict budget
 	// (deadline exceeded, SAT budget exhausted).
 	ClassSolverTimeout
-	// ClassResourceLimit: a protocol resource budget was exhausted —
-	// refinement-round cap, per-session request or byte accounting.
+	// ClassResourceLimit: a protocol resource budget was exhausted — the
+	// session's refinement-request cap (the one round cap) or its
+	// boundary-byte accounting.
 	ClassResourceLimit
-	// ClassProtocol: the protocol itself broke down — aborted or
-	// abandoned sessions, watchdog expiry, dropped resumes, sessions
-	// driven out of order.
+	// ClassProtocol: the protocol itself broke down — user space
+	// abandoning a pending condition (a dropped resume), an undecodable
+	// condition, a session run twice, a remote-only prover whose
+	// transport failed.
 	ClassProtocol
 )
 

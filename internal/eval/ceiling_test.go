@@ -10,7 +10,7 @@ import "testing"
 var kernelSideCeiling = map[string]int{
 	"Verifier":              3110,
 	"Proof Checker":         1084,
-	"Refinement (BCF core)": 1040,
+	"Refinement (BCF core)": 870,
 	"tnum domain":           222,
 }
 

@@ -39,7 +39,7 @@ func TestEvaluationPopulatesTelemetry(t *testing.T) {
 	for _, name := range []string{
 		obs.MLoadSeconds, obs.MVerifySeconds, obs.MKernelSeconds, obs.MUserSeconds,
 		obs.MEncodeSeconds, obs.MRoundSeconds, obs.MProveSeconds,
-		obs.MCheckSeconds, obs.MWireSeconds, obs.MCondBytes, obs.MProofBytes,
+		obs.MCheckSeconds, obs.MCondBytes, obs.MProofBytes,
 	} {
 		h, ok := snap.Histogram(name)
 		if !ok || h.Count == 0 {

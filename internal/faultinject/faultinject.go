@@ -39,13 +39,14 @@ const (
 	ProofTruncate
 	// ProofReplay substitutes the proof from an earlier round.
 	ProofReplay
-	// ProverDelay stalls the prover (exercises deadlines and watchdogs).
+	// ProverDelay stalls the prover (exercises the loader's deadlines).
 	ProverDelay
 	// ProverError makes the prover fail outright (a crashed process).
 	ProverError
 	// SATBudget simulates conflict-budget exhaustion in the SAT backend.
 	SATBudget
-	// DropResume abandons the load: the session never sees a Resume.
+	// DropResume abandons the load: the loader returns no proof for the
+	// pending condition and gives up with a protocol error.
 	DropResume
 	// FleetFlap makes a fleet dispatch fail as if the backend bounced
 	// (accepts, then dies mid-request). Fires for any backend.
@@ -318,7 +319,7 @@ func (in *Injector) Prove(round int) error {
 }
 
 // Proof intercepts proof bytes before they are submitted to the kernel.
-// drop=true means the resume is dropped entirely (abandoned session).
+// drop=true means no proof is returned at all (abandoned session).
 func (in *Injector) Proof(round int, b []byte) (out []byte, drop bool) {
 	in.mu.Lock()
 	defer in.mu.Unlock()

@@ -82,12 +82,10 @@ func campaignLoaderOpts(vcfg verifier.Config, remote loader.RemoteProver) loader
 		Verifier:  vcfg,
 		Remote:    remote,
 		Solver:    solver.Options{MaxConflicts: 10_000, MaxClauses: 1 << 16},
-		MaxRounds: 64,
 		Session: bcf.SessionLimits{
 			MaxRequests:   64,
 			MaxCondBytes:  1 << 18,
 			MaxProofBytes: 1 << 18,
-			ResumeTimeout: -1, // watchdogs are wall-clock; budgets do the bounding
 		},
 		DisableEscalation: true,
 	}

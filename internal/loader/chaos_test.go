@@ -19,8 +19,8 @@ import (
 //     (a flipped condition or proof must never produce an accept);
 //  2. classification — every rejection carries a non-None error class,
 //     every accept carries ClassNone;
-//  3. termination — the load returns within its deadline and the session
-//     goroutine is torn down (checked once at the end against baseline).
+//  3. termination — the load returns within its deadline and leaves no
+//     goroutine behind (checked once at the end against baseline).
 //
 // Determinism is checked by replaying one schedule per program with a
 // fresh injector built from the same seed.
@@ -37,8 +37,7 @@ func TestChaosLoadLoop(t *testing.T) {
 			Fault:        inj,
 			LoadTimeout:  20 * time.Second,
 			ProveTimeout: 5 * time.Second,
-			MaxRounds:    256,
-			Session:      bcf.SessionLimits{ResumeTimeout: 10 * time.Second},
+			Session:      bcf.SessionLimits{MaxRequests: 256},
 		}
 	}
 
@@ -90,7 +89,7 @@ func TestChaosLoadLoop(t *testing.T) {
 		t.Fatalf("soak ran only %d loads", runs)
 	}
 
-	// Every session goroutine must be gone once the loads return.
+	// No goroutine may outlive the loads.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) && runtime.NumGoroutine() > baseline {
 		time.Sleep(10 * time.Millisecond)

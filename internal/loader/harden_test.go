@@ -55,8 +55,8 @@ func twoCondProg() *ebpf.Program {
 	`+lookupEpilogue, testMap16)
 }
 
-// waitGoroutineBaseline retries until the goroutine count drops back to
-// the recorded baseline (sessions tear down asynchronously).
+// waitGoroutineBaseline fails unless the goroutine count is back at the
+// recorded baseline within 5 s: a load leaves no goroutine behind.
 func waitGoroutineBaseline(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -95,7 +95,10 @@ func TestLoadDeadlineClassified(t *testing.T) {
 
 func TestRoundCapClassified(t *testing.T) {
 	base := runtime.NumGoroutine()
-	res := Load(twoCondProg(), Options{EnableBCF: true, MaxRounds: 1})
+	res := Load(twoCondProg(), Options{
+		EnableBCF: true,
+		Session:   bcf.SessionLimits{MaxRequests: 1},
+	})
 	if res.Accepted {
 		t.Fatal("round-capped load was accepted")
 	}
@@ -235,12 +238,14 @@ func TestEscalationRetryRuns(t *testing.T) {
 }
 
 func TestSessionLimitsForwarded(t *testing.T) {
+	// The request budget is TestRoundCapClassified's; this one forwards
+	// a byte budget.
 	res := Load(twoCondProg(), Options{
 		EnableBCF: true,
-		Session:   bcf.SessionLimits{MaxRequests: 1},
+		Session:   bcf.SessionLimits{MaxProofBytes: 1},
 	})
 	if res.Accepted {
-		t.Fatal("accepted past the session request budget")
+		t.Fatal("accepted past the session proof-byte budget")
 	}
 	if res.ErrClass != bcferr.ClassResourceLimit {
 		t.Fatalf("class = %v (%v), want resource-limit", res.ErrClass, res.Err)

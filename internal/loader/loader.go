@@ -5,10 +5,10 @@
 //
 // The protocol loop is hardened against a slow or failing prover and a
 // hostile environment: the whole load and each individual condition run
-// under deadlines, refinement rounds are capped, a solver that exhausts
-// its conflict budget gets exactly one escalation retry (straight to
-// bit-blasting with a larger budget), and every failure carries a
-// bcferr.Class so callers can bucket outcomes (§6.2).
+// under deadlines, the kernel session caps refinement rounds, a solver
+// that exhausts its conflict budget gets exactly one escalation retry
+// (straight to bit-blasting with a larger budget), and every failure
+// carries a bcferr.Class so callers can bucket outcomes (§6.2).
 package loader
 
 import (
@@ -28,10 +28,6 @@ import (
 	"bcf/internal/verifier"
 )
 
-// DefaultMaxRounds caps refinement rounds per load. The paper's heaviest
-// program issues ~16k requests; the default leaves 4× headroom.
-const DefaultMaxRounds = 1 << 16
-
 // escalationBudgetFactor multiplies the SAT conflict budget on the single
 // escalation retry after a budget exhaustion.
 const escalationBudgetFactor = 4
@@ -46,7 +42,8 @@ type FaultHook interface {
 	// return an error reported as the prover's outcome.
 	Prove(round int) error
 	// Proof may replace the proof bytes submitted to the kernel;
-	// drop=true abandons the load without resuming the session.
+	// drop=true abandons the load: no proof goes back and the load
+	// fails with a protocol error.
 	Proof(round int, b []byte) (out []byte, drop bool)
 }
 
@@ -70,8 +67,9 @@ type Options struct {
 	Solver solver.Options
 	// Verifier configuration (insn limit, debug log, pruning).
 	Verifier verifier.Config
-	// Session bounds the kernel-side resources of this load (zero fields
-	// take bcf.DefaultSessionLimits).
+	// Session bounds the kernel-side resources of this load; its
+	// MaxRequests is the cap on refinement rounds (zero fields take
+	// bcf.DefaultSessionLimits).
 	Session bcf.SessionLimits
 	// ProofCache, when non-nil, is consulted before invoking the solver
 	// and updated with fresh proofs (§7 Load Time: the verifier is
@@ -110,9 +108,6 @@ type Options struct {
 	// ProveTimeout bounds the prover on each individual condition
 	// (0 = none beyond the whole-load deadline).
 	ProveTimeout time.Duration
-	// MaxRounds caps refinement rounds (0 = DefaultMaxRounds; negative =
-	// unlimited).
-	MaxRounds int
 	// DisableEscalation turns off the budget-exhaustion retry.
 	DisableEscalation bool
 
@@ -181,9 +176,9 @@ func (r *Result) classify() {
 }
 
 // Load verifies a program, driving the full BCF protocol when enabled.
-// It always returns: deadlines, the round cap and the kernel session's
-// own limits bound every path, and an abandoned or failed load aborts the
-// session so the verification goroutine never leaks.
+// Everything runs on the calling goroutine: the verifier calls into the
+// loader's prover for each refinement condition. Load always returns:
+// deadlines and the kernel session's limits bound every path.
 func Load(prog *ebpf.Program, opts Options) *Result {
 	startAll := time.Now()
 	res := &Result{}
@@ -257,52 +252,21 @@ func Load(prog *ebpf.Program, opts Options) *Result {
 		ctx, cancel = context.WithTimeout(ctx, opts.LoadTimeout)
 		defer cancel()
 	}
-	maxRounds := opts.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = DefaultMaxRounds
-	}
-
 	sess := bcf.NewSession(prog, vcfg)
 	sess.Limits = opts.Session
 	sess.Refiner().DisableBackward = opts.DisableBackward
 
-	// finish tears the session down on an early loader-side exit and
-	// collects stats; the session's own verdict is superseded by cause.
-	finish := func(lr bcf.LoadResult, cause error) *Result {
-		if !lr.Done {
-			sess.Abort()
-		}
-		res.Err = lr.Err
-		if cause != nil {
-			res.Err = cause
-		}
-		res.Accepted = res.Err == nil
-		res.classify()
-		res.VerifierStats = sess.Verifier().Stats()
-		res.Log = sess.Verifier().Log()
-		res.RefineStats = sess.Refiner().Stats()
-		res.KernelTime = sess.KernelTime()
-		res.UserTime = sess.UserTime()
-		res.TotalTime = time.Since(startAll)
-		res.CondBytes, res.ProofBytes = sess.Traffic()
-		record()
-		return res
-	}
-
-	lr := sess.Load()
-	for !lr.Done {
+	// cause is a loader-side reason to give up on the load; it supersedes
+	// the verifier's verdict.
+	var cause error
+	user := bcf.ProveFunc(func(condBytes []byte) ([]byte, error) {
 		round := res.Rounds
-		if maxRounds > 0 && round >= maxRounds {
-			return finish(lr, bcferr.New(bcferr.ClassResourceLimit,
-				"loader: refinement round cap reached (%d)", maxRounds))
-		}
 		res.Rounds++
 		if err := ctx.Err(); err != nil {
-			return finish(lr, bcferr.Wrap(bcferr.ClassSolverTimeout,
-				fmt.Errorf("loader: load deadline: %w", err)))
+			cause = bcferr.Wrap(bcferr.ClassSolverTimeout,
+				fmt.Errorf("loader: load deadline: %w", err))
+			return nil, cause
 		}
-
-		condBytes := lr.Condition
 		if opts.Fault != nil {
 			condBytes = opts.Fault.Condition(round, condBytes)
 		}
@@ -327,13 +291,33 @@ func Load(prog *ebpf.Program, opts Options) *Result {
 			var drop bool
 			proofBytes, drop = opts.Fault.Proof(round, proofBytes)
 			if drop {
-				return finish(lr, bcferr.New(bcferr.ClassProtocol,
-					"loader: resume dropped (session abandoned)"))
+				cause = bcferr.New(bcferr.ClassProtocol,
+					"loader: resume dropped (session abandoned)")
+				return nil, cause
 			}
 		}
-		lr = sess.Resume(proofBytes, perr)
+		return proofBytes, perr
+	})
+
+	runStart := time.Now()
+	res.Err = sess.Run(user)
+	runTime := time.Since(runStart)
+	if cause != nil {
+		res.Err = cause
 	}
-	return finish(lr, nil)
+	res.Accepted = res.Err == nil
+	res.classify()
+	res.VerifierStats = sess.Verifier().Stats()
+	res.Log = sess.Verifier().Log()
+	res.RefineStats = sess.Refiner().Stats()
+	// One clock for the §6.3 split: the refiner times every call into
+	// user space, and the kernel side is the rest of the run.
+	res.UserTime = res.RefineStats.UserTime
+	res.KernelTime = runTime - res.UserTime
+	res.TotalTime = time.Since(startAll)
+	res.CondBytes, res.ProofBytes = sess.Traffic()
+	record()
+	return res
 }
 
 // prove resolves one condition: cache (with singleflight), then the

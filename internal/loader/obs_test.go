@@ -43,7 +43,7 @@ func TestLoadPopulatesStageMetrics(t *testing.T) {
 		obs.MLoadSeconds, obs.MVerifySeconds, obs.MKernelSeconds, obs.MUserSeconds,
 		obs.MEncodeSeconds, obs.MTrackSeconds, obs.MRoundSeconds,
 		obs.MProveSeconds, obs.MProveRewriteSeconds,
-		obs.MCheckSeconds, obs.MWireSeconds, obs.MCondBytes, obs.MProofBytes,
+		obs.MCheckSeconds, obs.MCondBytes, obs.MProofBytes,
 	} {
 		h, ok := snap.Histogram(name)
 		if !ok || h.Count == 0 {

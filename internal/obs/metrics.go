@@ -19,7 +19,6 @@ const (
 	MProveRewriteSeconds  = "bcf_prove_rewrite_seconds"  // tier 1: rewrite/lemma engine
 	MProveBitblastSeconds = "bcf_prove_bitblast_seconds" // tier 2: bit-blast + SAT
 	MCheckSeconds         = "bcf_check_seconds"          // kernel-side proof decode + check
-	MWireSeconds          = "bcf_wire_seconds"           // boundary handoff (cond out / proof in)
 
 	// Wire traffic histograms.
 	MCondBytes  = "bcf_cond_bytes"
@@ -97,7 +96,6 @@ const (
 	CatProve    = "prove"
 	CatWire     = "wire"
 	CatCheck    = "check"
-	CatSession  = "session"
 	CatLoad     = "load"
 	CatRPC      = "rpc"
 )

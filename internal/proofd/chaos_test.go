@@ -23,8 +23,7 @@ func chaosLoadOpts(remote loader.RemoteProver) loader.Options {
 		Remote:       remote,
 		LoadTimeout:  20 * time.Second,
 		ProveTimeout: 5 * time.Second,
-		MaxRounds:    256,
-		Session:      bcf.SessionLimits{ResumeTimeout: 10 * time.Second},
+		Session:      bcf.SessionLimits{MaxRequests: 256},
 	}
 }
 

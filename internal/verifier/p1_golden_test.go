@@ -10,11 +10,11 @@ import (
 	"bcf/internal/verifier"
 )
 
-// corpusP1Golden pins the one-worker exploration of the whole corpus with
-// BCF on: per-family sums of every verifier.Stats field, the protocol
-// rounds, and the accept count, at the corpus evaluation budget. The
-// one-worker frontier must reproduce the sequential DFS exactly, so every
-// column here is deterministic.
+// corpusP1Golden pins the exploration of the whole corpus with BCF on:
+// per-family sums of every verifier.Stats field, the protocol rounds, and
+// the accept count, at the corpus evaluation budget. Each load is one
+// sequential DFS on the caller's goroutine, so every column here is
+// deterministic.
 const corpusP1Golden = `family             loads accepted    insns  paths pruned  peak  refined attempts rounds
 split-access          97       97     2108    194      0    97       97       97     97
 helper-size           80       80     2235    240      0   160       80       80     80
@@ -76,6 +76,6 @@ func TestCorpusP1StatsGolden(t *testing.T) {
 	}
 	row("total", &total)
 	if got := b.String(); got != corpusP1Golden {
-		t.Fatalf("one-worker corpus stats drifted:\n--- got ---\n%s--- want ---\n%s", got, corpusP1Golden)
+		t.Fatalf("corpus stats drifted:\n--- got ---\n%s--- want ---\n%s", got, corpusP1Golden)
 	}
 }
