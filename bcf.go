@@ -334,7 +334,7 @@ type RefinementDetail struct {
 	UserNanos  int64
 }
 
-// Refinements returns per-request details of the last Verify.
+// RefinementDetails returns per-request details of the last Verify.
 func (r *Report) RefinementDetails() []RefinementDetail {
 	if r.raw == nil || r.raw.RefineStats == nil {
 		return nil

@@ -34,7 +34,7 @@ type Options struct {
 	Execs int
 	// Batch is the number of work items per round (0 = 32).
 	Batch int
-	// Workers is the local executor pool size used by Run (0 = 4). It
+	// Workers is the local executor pool size used by Run (<= 0 = 4). It
 	// never affects campaign results, only wall-clock time.
 	Workers int
 	// Deadline, when nonzero, stops the campaign at the next round
@@ -65,11 +65,10 @@ type Options struct {
 	Log io.Writer
 }
 
-// WorkItem is one program to run through the oracles. Items are
-// manager-materialized: workers receive concrete programs, never
-// derivation recipes, so corpus state lives only on the manager.
+// WorkItem is one program to run through the oracles. buildRound
+// materializes it from the corpus, so pool workers receive concrete
+// programs and never touch corpus state.
 type WorkItem struct {
-	ID        uint32 // index within the round
 	ExecSeed  int64
 	Adversary bool
 	Prog      *ebpf.Program
@@ -124,25 +123,24 @@ type ReproStats struct {
 }
 
 // Campaign is the deterministic engine: rounds are built from
-// (seed, round, item) plus absorbed corpus state, executed (anywhere),
-// and merged back in item order behind a round barrier. Run drives it
-// with a local worker pool; rpc.go's Manager drives the same engine
-// over proofrpc-framed worker connections.
+// (seed, round, item) plus absorbed corpus state, executed on Run's
+// local worker pool, and merged back in item order behind a round
+// barrier.
 type Campaign struct {
 	opt Options
 
-	corpus    []*corpusEntry
-	cov       Bitmap
-	round     int
-	base      int // round the campaign resumed at (LoadState), 0 when cold
-	execs     int64
-	accepted  int64
-	seen      int64
-	repros    map[string]*Reproducer
-	order     []string
-	covHist   []int
-	stopped   bool
-	promptErr error // first reproducer-promotion write error
+	corpus     []*corpusEntry
+	cov        Bitmap
+	round      int
+	base       int // round the campaign resumed at (LoadState), 0 when cold
+	execs      int64
+	accepted   int64
+	seen       int64
+	repros     map[string]*Reproducer
+	order      []string
+	covHist    []int
+	stopped    bool
+	promoteErr error // first reproducer-promotion write error
 }
 
 type corpusEntry struct {
@@ -179,10 +177,10 @@ func (c *Campaign) totalRounds() int {
 	return 1
 }
 
-// Finished reports whether the campaign should build another round.
+// finished reports whether the campaign should build another round.
 // The round budget is relative to the resume point, so a campaign
 // restored with LoadState runs its full configured budget.
-func (c *Campaign) Finished() bool {
+func (c *Campaign) finished() bool {
 	if c.stopped || c.round-c.base >= c.totalRounds() {
 		return true
 	}
@@ -199,10 +197,10 @@ func itemSeed(seed int64, round, idx int) int64 {
 	return int64(mix64(uint64(seed) ^ uint64(round)*0x9e3779b97f4a7c15 ^ uint64(idx)*0xbf58476d1ce4e5b9))
 }
 
-// BuildRound materializes the next round's work items from the current
+// buildRound materializes the next round's work items from the current
 // corpus: fresh generator programs while the corpus warms up (and for
 // one in FreshEvery items after), corpus mutations otherwise.
-func (c *Campaign) BuildRound() *Round {
+func (c *Campaign) buildRound() *Round {
 	r := &Round{N: c.round}
 	for i := 0; i < c.opt.Batch; i++ {
 		seed := itemSeed(c.opt.Seed, c.round, i)
@@ -226,7 +224,6 @@ func (c *Campaign) BuildRound() *Round {
 		global := c.round*c.opt.Batch + i
 		adv := c.opt.AdversaryEvery > 0 && global%c.opt.AdversaryEvery == 0
 		r.Items = append(r.Items, WorkItem{
-			ID:        uint32(i),
 			ExecSeed:  itemSeed(^c.opt.Seed, c.round, i),
 			Adversary: adv,
 			Prog:      prog,
@@ -235,11 +232,11 @@ func (c *Campaign) BuildRound() *Round {
 	return r
 }
 
-// AbsorbRound merges one round's results in item order: coverage union,
+// absorbRound merges one round's results in item order: coverage union,
 // corpus admission for coverage-growing inputs, failure minimization +
-// dedup. results must be indexed by item ID; a nil entry (skipped item)
-// contributes nothing.
-func (c *Campaign) AbsorbRound(r *Round, results []*ExecResult) {
+// dedup. results must be indexed like r.Items; a nil entry (skipped
+// item) contributes nothing.
+func (c *Campaign) absorbRound(r *Round, results []*ExecResult) {
 	for i := range r.Items {
 		if c.stopped {
 			break
@@ -302,8 +299,8 @@ func (c *Campaign) recordFailure(p *ebpf.Program, f Failure) {
 	}
 	if c.opt.PromoteDir != "" {
 		file, err := WriteReproducer(c.opt.PromoteDir, rep)
-		if err != nil && c.promptErr == nil {
-			c.promptErr = err
+		if err != nil && c.promoteErr == nil {
+			c.promoteErr = fmt.Errorf("fuzzcamp: promoting reproducer %s to %s: %w", key, c.opt.PromoteDir, err)
 		}
 		rep.File = file
 	}
@@ -364,7 +361,9 @@ func (c *Campaign) failurePred(f Failure) func(*ebpf.Program) bool {
 // Run drives the campaign with a local worker pool until the budget,
 // deadline, stop-on-failure or ctx ends it. Results are identical at
 // any worker count: workers only execute; building and merging stay
-// sequential on the round barrier.
+// sequential on the round barrier. The Stats are always returned; the
+// error reports the first reproducer that could not be written to
+// PromoteDir (the campaign itself still ran to its end).
 func (c *Campaign) Run(ctx context.Context) (*Stats, error) {
 	start := time.Now()
 	workers := c.opt.Workers
@@ -372,8 +371,8 @@ func (c *Campaign) Run(ctx context.Context) (*Stats, error) {
 		workers = 4
 	}
 	c.opt.Obs.Gauge(obs.MFuzzWorkers).Set(int64(workers))
-	for !c.Finished() && ctx.Err() == nil {
-		r := c.BuildRound()
+	for !c.finished() && ctx.Err() == nil {
+		r := c.buildRound()
 		results := make([]*ExecResult, len(r.Items))
 		var wg sync.WaitGroup
 		var next atomic.Int64
@@ -396,13 +395,13 @@ func (c *Campaign) Run(ctx context.Context) (*Stats, error) {
 		if ctx.Err() != nil {
 			break
 		}
-		c.AbsorbRound(r, results)
+		c.absorbRound(r, results)
 	}
-	return c.Stats(workers, time.Since(start)), c.promptErr
+	return c.stats(workers, time.Since(start)), c.promoteErr
 }
 
-// Stats snapshots the campaign outcome.
-func (c *Campaign) Stats(workers int, elapsed time.Duration) *Stats {
+// stats snapshots the campaign outcome.
+func (c *Campaign) stats(workers int, elapsed time.Duration) *Stats {
 	s := &Stats{
 		Seed:            c.opt.Seed,
 		Workers:         workers,

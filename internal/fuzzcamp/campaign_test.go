@@ -2,6 +2,7 @@ package fuzzcamp
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -166,5 +167,36 @@ func TestCampaignSabotageDeterministic(t *testing.T) {
 	}
 	if a.UniqueFailures != 1 {
 		t.Fatalf("unique failures = %d, want 1", a.UniqueFailures)
+	}
+}
+
+// TestCampaignPromoteError: a reproducer that cannot be written must not
+// vanish. Run still returns the campaign's Stats, and its error names
+// the promotion path that failed.
+func TestCampaignPromoteError(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "regular")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	promote := filepath.Join(file, "sub")
+	sab := verifier.Sabotage{CollapseAddBounds: true}
+	stats, err := New(Options{
+		Seed: 3, Execs: 2048, Batch: 32, Workers: 4,
+		StopOnFailure: true,
+		PromoteDir:    promote,
+		Exec:          ExecOptions{Sabotage: &sab},
+	}).Run(context.Background())
+	if err == nil {
+		t.Fatal("Run returned no error for an unwritable PromoteDir")
+	}
+	var pathErr *os.PathError
+	if !errors.As(err, &pathErr) || !strings.Contains(err.Error(), promote) {
+		t.Fatalf("err = %v, want a path error naming %s", err, promote)
+	}
+	if stats == nil || stats.UniqueFailures != 1 {
+		t.Fatalf("stats = %+v, want the campaign outcome with its one failure", stats)
+	}
+	if stats.Failures[0].File != "" {
+		t.Fatalf("failure reports file %q that was never written", stats.Failures[0].File)
 	}
 }

@@ -19,8 +19,7 @@
 // derived only from (campaign seed, round, item index) and the corpus
 // state at the round boundary, and results are merged in item order
 // behind a barrier. The campaign outcome is therefore identical at any
-// worker count — locally (worker pool) or distributed (manager/worker
-// fan-out over the proofrpc frame protocol, rpc.go).
+// worker-pool size (Campaign.Run).
 package fuzzcamp
 
 import (
@@ -35,7 +34,7 @@ import (
 // BitmapBits is the size of the decision-coverage signal. 32 Ki bits
 // (4 KiB) comfortably holds the edge and domain-shape populations of the
 // generator's program family while keeping per-item results cheap to
-// ship over the wire.
+// merge and persist.
 const BitmapBits = 1 << 15
 
 const bitmapWords = BitmapBits / 64

@@ -27,7 +27,7 @@ const (
 	OracleCrash
 )
 
-// String returns the oracle's stable slug (wire format, dedup keys,
+// String returns the oracle's stable slug (metric labels, dedup keys,
 // reproducer file names — do not reword).
 func (o Oracle) String() string {
 	switch o {
@@ -44,9 +44,8 @@ func (o Oracle) String() string {
 }
 
 // ExecOptions configure how one work item runs through the oracles.
-// Workers must use the manager's settings (the wire batch carries the
-// per-item bits; these are the campaign-wide ones) or results stop being
-// comparable across worker counts.
+// They are campaign-wide (each WorkItem carries its own seed and
+// adversary bit), so every pool worker runs every item the same way.
 type ExecOptions struct {
 	// Inputs is the number of randomized (ctx, maps) samples per oracle
 	// (0 = 4).

@@ -1,23 +1,26 @@
 package fuzzcamp
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"bcf/internal/ebpf"
 )
 
 // Cross-process corpus persistence: a campaign can save its coverage
 // state (bitmap, corpus programs, round/exec counters) to a directory
 // and a later process can resume from it, so nightly runs keep growing
-// coverage instead of restarting cold. The format reuses the campaign
-// wire helpers; like the worker protocol, nothing in the file is
-// trusted for soundness — programs are structurally validated on load
-// and the bitmap is only ever a mutation-scheduling signal.
+// coverage instead of restarting cold. Nothing in the file is trusted
+// for soundness: the decoder is strict (size caps, no trailing bytes),
+// programs are structurally validated on load and the bitmap is only
+// ever a mutation-scheduling signal.
 //
 // Resuming with the same seed and per-run budget is equivalent to one
 // longer uninterrupted campaign: the saved round counter keeps the
-// per-item seed stream moving forward, and Finished counts rounds
+// per-item seed stream moving forward, and finished counts rounds
 // relative to the resume point so each run gets its full budget.
 
 // corpusStateFile is the single state file inside a -corpus-dir.
@@ -137,4 +140,105 @@ func (c *Campaign) LoadState(dir string) (bool, error) {
 	c.covHist = hist
 	c.corpus = corpus
 	return true, nil
+}
+
+func appendU16(dst []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(dst, v) }
+func appendU32(dst []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(dst, v) }
+func appendU64(dst []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(dst, v) }
+
+type wireReader struct {
+	buf []byte
+	off int
+	err error
+}
+
+func (r *wireReader) take(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if r.off+n > len(r.buf) {
+		r.err = fmt.Errorf("fuzzcamp: truncated state at byte %d (+%d)", r.off, n)
+		return nil
+	}
+	b := r.buf[r.off : r.off+n]
+	r.off += n
+	return b
+}
+
+func (r *wireReader) u8() uint8 {
+	b := r.take(1)
+	if b == nil {
+		return 0
+	}
+	return b[0]
+}
+
+func (r *wireReader) u16() uint16 {
+	b := r.take(2)
+	if b == nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint16(b)
+}
+
+func (r *wireReader) u32() uint32 {
+	b := r.take(4)
+	if b == nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint32(b)
+}
+
+func (r *wireReader) u64() uint64 {
+	b := r.take(8)
+	if b == nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(b)
+}
+
+// appendProg serializes a program: type, name, map geometry and the
+// kernel wire encoding of the instructions.
+func appendProg(dst []byte, p *ebpf.Program) []byte {
+	dst = append(dst, byte(p.Type))
+	dst = appendU16(dst, uint16(len(p.Name)))
+	dst = append(dst, p.Name...)
+	dst = append(dst, byte(len(p.Maps)))
+	for _, m := range p.Maps {
+		dst = appendU16(dst, uint16(len(m.Name)))
+		dst = append(dst, m.Name...)
+		dst = append(dst, byte(m.Type))
+		dst = appendU32(dst, m.KeySize)
+		dst = appendU32(dst, m.ValueSize)
+		dst = appendU32(dst, m.MaxEntries)
+	}
+	raw := ebpf.EncodeProgram(p.Insns)
+	dst = appendU32(dst, uint32(len(raw)))
+	return append(dst, raw...)
+}
+
+func (r *wireReader) prog() *ebpf.Program {
+	p := &ebpf.Program{Type: ebpf.ProgType(r.u8())}
+	p.Name = string(r.take(int(r.u16())))
+	nMaps := int(r.u8())
+	for i := 0; i < nMaps && r.err == nil; i++ {
+		m := &ebpf.MapSpec{}
+		m.Name = string(r.take(int(r.u16())))
+		m.Type = ebpf.MapType(r.u8())
+		m.KeySize = r.u32()
+		m.ValueSize = r.u32()
+		m.MaxEntries = r.u32()
+		p.Maps = append(p.Maps, m)
+	}
+	raw := r.take(int(r.u32()))
+	if r.err != nil {
+		return nil
+	}
+	insns, err := ebpf.DecodeProgram(raw)
+	if err != nil {
+		r.err = err
+		return nil
+	}
+	p.Insns = insns
+	return p
 }

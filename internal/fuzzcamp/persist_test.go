@@ -51,8 +51,10 @@ func TestCorpusStateRoundTrip(t *testing.T) {
 		t.Fatalf("corpus size %d, want %d", len(b.corpus), len(a.corpus))
 	}
 	for i := range a.corpus {
-		if progHash(b.corpus[i].prog) != progHash(a.corpus[i].prog) {
-			t.Fatalf("corpus entry %d differs after reload", i)
+		got, want := b.corpus[i].prog, a.corpus[i].prog
+		if got.Name != want.Name || progHash(got) != progHash(want) {
+			t.Fatalf("corpus entry %d differs after reload: %q/%s, want %q/%s",
+				i, got.Name, progHash(got), want.Name, progHash(want))
 		}
 	}
 }

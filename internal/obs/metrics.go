@@ -86,7 +86,7 @@ const (
 	MFuzzCorpusSize     = "fuzzcamp_corpus_size"           // gauge: inputs kept for growing coverage
 	MFuzzUniqueFailures = "fuzzcamp_unique_failures_total" // deduplicated oracle violations
 	MFuzzFailuresSeen   = "fuzzcamp_failures_seen_total"   // raw oracle violations before dedup, label: oracle
-	MFuzzWorkers        = "fuzzcamp_workers"               // gauge: workers attached to the manager
+	MFuzzWorkers        = "fuzzcamp_workers"               // gauge: size of the local worker pool
 )
 
 // Span categories of the trace taxonomy (DESIGN.md "Observability").

@@ -29,8 +29,9 @@ const FrameMagic = 0x52464342
 // FrameVersion is the protocol version; frames carrying any other
 // version are rejected (no negotiation — the fleet upgrades in lockstep
 // with the wire format, like bcfenc.Version). Version 2 added the flags
-// header word and the optional trace-context block.
-const FrameVersion = 2
+// header word and the optional trace-context block; version 3 dropped
+// the fuzz-campaign types 9–11, renumbering TSpans/TSpansOK to 9/10.
+const FrameVersion = 3
 
 // Frame types.
 const (
@@ -54,18 +55,6 @@ const (
 	THealth
 	// THealthOK answers a THealth: an EncodeHealthPayload snapshot.
 	THealthOK
-	// TFuzzPull asks the fuzz-campaign manager for a batch of work
-	// (internal/fuzzcamp). The payload is empty; the manager answers with
-	// a TFuzzBatch.
-	TFuzzPull
-	// TFuzzBatch carries a batch of campaign work items (or a done
-	// marker) from the manager to a worker. It answers both TFuzzPull and
-	// TFuzzResult, so a worker's steady state is one round trip per
-	// batch: push results, pull the next batch.
-	TFuzzBatch
-	// TFuzzResult carries per-item coverage bitmaps and oracle failures
-	// from a worker back to the manager.
-	TFuzzResult
 	// TSpans asks a daemon to ship back the spans it recorded under one
 	// trace ID (the payload: trace hi u64 | trace lo u64). Clients send
 	// it after a traced run so one Perfetto file can stitch both sides of
@@ -98,12 +87,6 @@ func TypeString(typ uint32) string {
 		return "THealth"
 	case THealthOK:
 		return "THealthOK"
-	case TFuzzPull:
-		return "TFuzzPull"
-	case TFuzzBatch:
-		return "TFuzzBatch"
-	case TFuzzResult:
-		return "TFuzzResult"
 	case TSpans:
 		return "TSpans"
 	case TSpansOK:

@@ -13,7 +13,7 @@ import (
 // Golden frames pin the wire format: any byte-level change to the
 // header layout, CRC polynomial or field order breaks these, which is
 // exactly the point — the daemon and its clients upgrade in lockstep.
-// Version 2 layout: magic | version | type | flags | reqid u64 | len |
+// Version 3 layout: magic | version | type | flags | reqid u64 | len |
 // crc, with an optional 28-byte trace block between header and payload.
 func TestFrameGoldens(t *testing.T) {
 	cases := []struct {
@@ -22,14 +22,14 @@ func TestFrameGoldens(t *testing.T) {
 		golden string
 	}{
 		{"ping", Frame{Type: TPing},
-			"4243465202000000010000000000000000000000000000000000000000000000"},
+			"4243465203000000010000000000000000000000000000000000000000000000"},
 		{"prove", Frame{Type: TProve, ReqID: 7, Payload: []byte("hello")},
-			"424346520200000003000000000000000700000000000000050000004cbb719a68656c6c6f"},
+			"424346520300000003000000000000000700000000000000050000004cbb719a68656c6c6f"},
 		{"proof-ok", Frame{Type: TProofOK, ReqID: 0xdeadbeefcafe, Payload: []byte{SrcDisk, 1, 2, 3}},
-			"42434652020000000400000000000000fecaefbeadde0000040000002239546602010203"},
+			"42434652030000000400000000000000fecaefbeadde0000040000002239546602010203"},
 		{"traced-prove", Frame{Type: TProve, ReqID: 7, Payload: []byte("hello"),
 			Trace: obs.TraceContext{TraceHi: 0x1111, TraceLo: 0x2222, Span: 0x3333, Flags: 1}},
-			"424346520200000003000000010000000700000000000000050000004cbb719a" +
+			"424346520300000003000000010000000700000000000000050000004cbb719a" +
 				"111100000000000022220000000000003333000000000000" +
 				"0100000068656c6c6f"},
 	}
@@ -122,6 +122,7 @@ func TestDecodeFrameRejections(t *testing.T) {
 		{"truncated-payload", valid[:len(valid)-3], "truncated TProve frame"},
 		{"bad-magic", mutate(t, 0, 0x12345678), "bad magic"},
 		{"bad-version", mutate(t, 4, 99), "unsupported version"},
+		{"previous-version", mutate(t, 4, FrameVersion-1), "unsupported version"},
 		{"zero-type", mutate(t, 8, 0), "unknown frame type"},
 		{"huge-type", mutate(t, 8, 1000), "unknown frame type"},
 		{"unknown-flags", mutate(t, 12, 1<<7), "unknown frame flags"},
