@@ -53,9 +53,14 @@ type cacheEntry struct {
 	bits []sat.Lit
 }
 
+// arenaChunk is how many literals the encoder's clause arena allocates
+// at a time.
+const arenaChunk = 1024
+
 type encoder struct {
 	nVars   int
 	clauses [][]sat.Lit
+	arena   []sat.Lit // backs the emitted clauses
 	cache   map[uint64][]cacheEntry
 	inputs  map[uint32][]sat.Lit
 }
@@ -68,10 +73,16 @@ func (e *encoder) newVar() sat.Lit {
 	return sat.Lit(e.nVars)
 }
 
+// emit appends a clause, cutting it from the arena with a full slice
+// expression so no clause can grow into its neighbour.
 func (e *encoder) emit(lits ...sat.Lit) {
-	c := make([]sat.Lit, len(lits))
-	copy(c, lits)
-	e.clauses = append(e.clauses, c)
+	if cap(e.arena)-len(e.arena) < len(lits) {
+		e.arena = make([]sat.Lit, 0, max(arenaChunk, len(lits)))
+	}
+	n := len(e.arena)
+	e.arena = append(e.arena, lits...)
+	m := len(e.arena)
+	e.clauses = append(e.clauses, e.arena[n:m:m])
 }
 
 func (e *encoder) constLit(b bool) sat.Lit {

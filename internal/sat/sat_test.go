@@ -1,9 +1,12 @@
 package sat
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
+
+	"bcf/internal/bcferr"
 )
 
 // bruteForce decides satisfiability by enumeration (nVars <= 20).
@@ -134,7 +137,12 @@ func replayProof(t *testing.T, inputs [][]Lit, p *Proof) {
 // identical to insertion order for ids).
 func solve(t *testing.T, nVars int, clauses [][]Lit) (Result, [][]Lit) {
 	t.Helper()
-	s := New(nVars, true)
+	return solveLog(t, nVars, clauses, true), clauses
+}
+
+func solveLog(t *testing.T, nVars int, clauses [][]Lit, logProof bool) Result {
+	t.Helper()
+	s := New(nVars, logProof)
 	for _, c := range clauses {
 		if err := s.AddClause(c...); err != nil {
 			t.Fatal(err)
@@ -144,7 +152,30 @@ func solve(t *testing.T, nVars int, clauses [][]Lit) (Result, [][]Lit) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, clauses
+	return res
+}
+
+// solveChecked solves the clauses with proof logging on and off. Both
+// runs must give the same answer; each model must satisfy every clause,
+// and the logged refutation must replay.
+func solveChecked(t *testing.T, nVars int, clauses [][]Lit) bool {
+	t.Helper()
+	logged := solveLog(t, nVars, clauses, true)
+	plain := solveLog(t, nVars, clauses, false)
+	if logged.SAT != plain.SAT {
+		t.Fatalf("proof logging changed the answer: logged SAT=%v, unlogged SAT=%v, clauses=%v",
+			logged.SAT, plain.SAT, clauses)
+	}
+	if logged.SAT {
+		checkModel(t, clauses, logged.Model)
+		checkModel(t, clauses, plain.Model)
+	} else {
+		replayProof(t, clauses, logged.Proof)
+		if plain.Proof != nil {
+			t.Fatal("proof logged with logProof=false")
+		}
+	}
+	return logged.SAT
 }
 
 func TestTrivialSAT(t *testing.T) {
@@ -241,29 +272,58 @@ func TestRandom3SATDifferential(t *testing.T) {
 			clauses = append(clauses, c)
 		}
 		wantSAT, _ := bruteForce(n, clauses)
-		res, in := solve(t, n, clauses)
-		if res.SAT != wantSAT {
-			t.Fatalf("iter %d: solver=%v brute=%v clauses=%v", iter, res.SAT, wantSAT, clauses)
-		}
-		if res.SAT {
-			checkModel(t, clauses, res.Model)
-		} else {
-			replayProof(t, in, res.Proof)
+		if got := solveChecked(t, n, clauses); got != wantSAT {
+			t.Fatalf("iter %d: solver=%v brute=%v clauses=%v", iter, got, wantSAT, clauses)
 		}
 	}
 }
 
-func TestConflictBudget(t *testing.T) {
+// php7Solver is a solver loaded with PHP(7), which needs far more than
+// one conflict and far more than 256 search steps to refute.
+func php7Solver(t *testing.T, logProof bool) *Solver {
+	t.Helper()
 	nv, clauses := pigeonhole(7)
-	s := New(nv, false)
+	s := New(nv, logProof)
 	for _, c := range clauses {
 		if err := s.AddClause(c...); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s.MaxConflicts = 10
-	if _, err := s.Solve(); err == nil {
-		t.Skip("solved PHP(7) within 10 conflicts; budget not exercised")
+	return s
+}
+
+func TestConflictBudget(t *testing.T) {
+	for _, logProof := range []bool{false, true} {
+		s := php7Solver(t, logProof)
+		s.MaxConflicts = 1
+		_, err := s.Solve()
+		if c := bcferr.ClassOf(err); c != bcferr.ClassSolverTimeout {
+			t.Fatalf("logProof=%v: Solve with one conflict of budget returned %v (class %s), want a solver timeout",
+				logProof, err, c)
+		}
+	}
+}
+
+func TestInterruptAbortsSolve(t *testing.T) {
+	stop := errors.New("deadline passed")
+	for _, logProof := range []bool{false, true} {
+		s := php7Solver(t, logProof)
+		polls := 0
+		s.Interrupt = func() error {
+			polls++
+			return stop
+		}
+		_, err := s.Solve()
+		if c := bcferr.ClassOf(err); c != bcferr.ClassSolverTimeout {
+			t.Fatalf("logProof=%v: interrupted Solve returned %v (class %s), want a solver timeout",
+				logProof, err, c)
+		}
+		if !errors.Is(err, stop) {
+			t.Fatalf("logProof=%v: interrupted Solve lost the interrupt's error: %v", logProof, err)
+		}
+		if polls != 1 {
+			t.Fatalf("logProof=%v: Interrupt polled %d times, want 1", logProof, polls)
+		}
 	}
 }
 
@@ -285,11 +345,55 @@ func TestLargerRandomInstances(t *testing.T) {
 			}
 			clauses = append(clauses, c)
 		}
-		res, in := solve(t, n, clauses)
-		if res.SAT {
-			checkModel(t, clauses, res.Model)
-		} else {
-			replayProof(t, in, res.Proof)
-		}
+		solveChecked(t, n, clauses)
 	}
+}
+
+// decodeCNF reads a CNF from fuzz bytes: the first byte picks 1..12
+// variables, a zero byte ends a clause, and any other byte b is the
+// literal of variable 1+(b&0x7f)%nVars, negated when b&0x80 is set.
+func decodeCNF(data []byte) (int, [][]Lit) {
+	if len(data) == 0 {
+		return 0, nil
+	}
+	nVars := 1 + int(data[0])%12
+	var clauses [][]Lit
+	var c []Lit
+	for _, b := range data[1:] {
+		if b == 0 {
+			clauses = append(clauses, c)
+			c = nil
+			continue
+		}
+		l := Lit(1 + int(b&0x7f)%nVars)
+		if b&0x80 != 0 {
+			l = -l
+		}
+		c = append(c, l)
+	}
+	if c != nil {
+		clauses = append(clauses, c)
+	}
+	return nVars, clauses
+}
+
+func FuzzSolve(f *testing.F) {
+	f.Add([]byte{2, 1, 2, 0, 0x81, 2})                   // SAT
+	f.Add([]byte{1, 1, 0, 0x81})                         // UNSAT units
+	f.Add([]byte{3, 1, 0, 0x81, 2, 0, 0x82, 3, 0, 0x83}) // UNSAT chain
+	f.Add([]byte{2, 1, 0x81, 0, 2, 2})                   // tautology, duplicate
+	f.Add([]byte{1, 0})                                  // empty clause
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 256 {
+			return
+		}
+		nVars, clauses := decodeCNF(data)
+		if nVars == 0 {
+			return
+		}
+		wantSAT, _ := bruteForce(nVars, clauses)
+		if got := solveChecked(t, nVars, clauses); got != wantSAT {
+			t.Fatalf("solver=%v brute=%v clauses=%v", got, wantSAT, clauses)
+		}
+	})
 }
