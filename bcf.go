@@ -55,14 +55,16 @@ type (
 	// (see WithRemoteProver; Fleet implements it).
 	RemoteProver = loader.RemoteProver
 	// Fleet is the remote proving client: it rendezvous-hashes the
-	// obligation key space across one or more bcfd daemons, with
-	// health-probed circuit breakers per backend, hedged requests for
-	// slow keys, failover on transport faults, and admission control that
-	// the loader converts into bounded waits (see NewRemoteFleet).
+	// obligation key space across one or more bcfd daemons and fails a
+	// key over to the next backend on a transport fault, keeping the
+	// failed backend out of the ranking for a short cooldown (see
+	// NewRemoteFleet).
 	Fleet = prooffleet.Fleet
-	// FleetOptions configure NewRemoteFleet.
+	// FleetOptions configure NewRemoteFleet: endpoints, dial and
+	// request timeouts, and telemetry. HedgeDelay is ignored.
 	FleetOptions = prooffleet.Options
-	// FleetStats snapshots a fleet's resilience counters.
+	// FleetStats snapshots a fleet's dispatch, failover and per-backend
+	// down counters.
 	FleetStats = prooffleet.Stats
 	// VerifierStats are the analyzer's counters.
 	VerifierStats = verifier.Stats
@@ -154,10 +156,8 @@ type Report struct {
 	CacheHits int
 	// RemoteProofs/RemoteFallbacks count obligations proven by the
 	// remote daemon versus degraded to the in-process solver (see
-	// WithRemoteProver); RemoteBackpressure counts bounded waits behind
-	// the fleet's admission control.
+	// WithRemoteProver).
 	RemoteProofs, RemoteFallbacks int
-	RemoteBackpressure            int
 	// Counterexample holds a violating assignment from the last failed
 	// refinement condition, when one was found.
 	Counterexample map[uint32]uint64
@@ -200,11 +200,9 @@ func WithProofCache(c *ProofCache) Option {
 // Fleet (see NewRemoteFleet) talking to bcfd daemons — instead of the
 // in-process solver. Transport failures (daemon down, timeout, corrupt
 // reply) fall back to local proving transparently; authoritative remote
-// answers (counterexamples, solver failures) are final. A Fleet's
-// admission-control rejections become bounded client-side waits rather
-// than failures. The kernel-side checker still validates every proof, so
-// a misbehaving daemon can cause rejection or fallback but never an
-// unsound accept.
+// answers (counterexamples, solver failures) are final. The kernel-side
+// checker still validates every proof, so a misbehaving daemon can cause
+// rejection or fallback but never an unsound accept.
 func WithRemoteProver(p RemoteProver) Option {
 	return func(o *loader.Options) { o.Remote = p }
 }
@@ -219,11 +217,10 @@ func WithRemoteOnly() Option {
 // NewRemoteFleet builds the remote proving client over the given bcfd
 // endpoints ("unix:/path" or "host:port"; one endpoint is a fleet of
 // one). Close the fleet when done. Pass it to WithRemoteProver; the
-// degradation ladder — failover to a replica, hedging past a slow
-// backend, in-process fallback when the whole fleet is unreachable — is
-// transparent, and the kernel-side checker still validates every proof,
-// so no backend (however broken or malicious) can cause an unsound
-// accept.
+// degradation ladder — failover to a replica, in-process fallback when
+// the whole fleet is unreachable — is transparent, and the kernel-side
+// checker still validates every proof, so no backend (however broken or
+// malicious) can cause an unsound accept.
 func NewRemoteFleet(opts FleetOptions) (*Fleet, error) {
 	return prooffleet.New(opts)
 }
@@ -299,19 +296,18 @@ func Verify(prog *Program, opts ...Option) *Report {
 	}
 	res := loader.Load(prog, lo)
 	rep := &Report{
-		Accepted:           res.Accepted,
-		Err:                res.Err,
-		Class:              res.ErrClass,
-		Stats:              res.VerifierStats,
-		KernelNanos:        res.KernelTime.Nanoseconds(),
-		UserNanos:          res.UserTime.Nanoseconds(),
-		CacheHits:          res.CacheHits,
-		RemoteProofs:       res.RemoteProofs,
-		RemoteFallbacks:    res.RemoteFallbacks,
-		RemoteBackpressure: res.RemoteBackpressure,
-		Counterexample:     res.Counterexample,
-		Log:                res.Log,
-		raw:                res,
+		Accepted:        res.Accepted,
+		Err:             res.Err,
+		Class:           res.ErrClass,
+		Stats:           res.VerifierStats,
+		KernelNanos:     res.KernelTime.Nanoseconds(),
+		UserNanos:       res.UserTime.Nanoseconds(),
+		CacheHits:       res.CacheHits,
+		RemoteProofs:    res.RemoteProofs,
+		RemoteFallbacks: res.RemoteFallbacks,
+		Counterexample:  res.Counterexample,
+		Log:             res.Log,
+		raw:             res,
 	}
 	// Wire totals come from the session's per-round traffic ledger — the
 	// single source of truth — not from re-summing refiner stats.

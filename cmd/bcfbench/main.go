@@ -23,8 +23,6 @@
 //
 //	bcfbench -remote unix:/run/bcfd.sock           # one daemon (a fleet of one)
 //	bcfbench -remote unix:/a.sock,unix:/b.sock,unix:/c.sock   # three-daemon fleet
-//	bcfbench -remote ...,... -hedge 5ms            # fixed hedging delay
-//	bcfbench -remote ...,... -hedge -1ns           # hedging off
 //
 // Observability (the telemetry layer of internal/obs):
 //
@@ -86,14 +84,11 @@ type benchReport struct {
 	CacheEvictions   int     `json:"cache_evictions"`
 	CacheSize        int     `json:"cache_size"`
 	// Remote-proving outcome split (zero without -remote).
-	RemoteProofs       int `json:"remote_proofs,omitempty"`
-	RemoteFallbacks    int `json:"remote_fallbacks,omitempty"`
-	RemoteBackpressure int `json:"remote_backpressure,omitempty"`
-	// Fleet routing/resilience counters and latency percentiles with
-	// -remote (one endpoint is a fleet of one). HedgeDelayMS records the
-	// -hedge flag (-1 = hedging disabled, 0 = percentile-derived).
-	HedgeDelayMS float64           `json:"hedge_delay_ms,omitempty"`
-	Fleet        *prooffleet.Stats `json:"fleet,omitempty"`
+	RemoteProofs    int `json:"remote_proofs,omitempty"`
+	RemoteFallbacks int `json:"remote_fallbacks,omitempty"`
+	// Fleet routing and failover counters with -remote (one endpoint is
+	// a fleet of one).
+	Fleet *prooffleet.Stats `json:"fleet,omitempty"`
 	// Cold/warm comparison of -coldwarm: the same corpus run twice.
 	// Locally the runs share one proof cache; remotely each run gets a
 	// fresh local cache so warm hits exercise the daemon's stores.
@@ -121,7 +116,6 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile after the run to this path")
 	listen := flag.String("listen", "", "serve /metrics (Prometheus text) and /debug/pprof on this address while running")
 	remote := flag.String("remote", "", "prove via bcfd daemon(s): unix:/path or host:port, comma-separated for a fleet")
-	hedge := flag.Duration("hedge", 0, "fleet hedging delay (0 = derive from latency percentiles, negative = off)")
 	coldwarm := flag.Bool("coldwarm", false, "run the corpus twice and report cold vs warm-cache timing")
 	elfDir := flag.String("elf-dir", "", "evaluate a directory of ELF objects (.o) instead of the synthetic corpus")
 	flag.Parse()
@@ -155,17 +149,16 @@ func main() {
 	}
 
 	// -remote builds a prooffleet over its comma-separated endpoints (one
-	// endpoint is a fleet of one) with rendezvous routing, breakers and
-	// hedging. It propagates the tracer's context on the wire so the
-	// daemons record their spans under this run's trace ID.
+	// endpoint is a fleet of one) with rendezvous routing and failover.
+	// It propagates the tracer's context on the wire so the daemons
+	// record their spans under this run's trace ID.
 	var remoteProver loader.RemoteProver
 	var fleet *prooffleet.Fleet
 	if *remote != "" {
 		f, err := prooffleet.New(prooffleet.Options{
-			Endpoints:  prooffleet.SplitEndpoints(*remote),
-			HedgeDelay: *hedge,
-			Obs:        reg,
-			Trace:      tracer,
+			Endpoints: prooffleet.SplitEndpoints(*remote),
+			Obs:       reg,
+			Trace:     tracer,
 		})
 		if err != nil {
 			fatal(err)
@@ -269,7 +262,6 @@ func main() {
 		if *jsonPath != "" {
 			meta := reportMeta{
 				remoteAddr: *remote,
-				hedge:      *hedge,
 				fleet:      fleet,
 				coldWallMS: coldWall,
 				warmWallMS: warmWall,
@@ -376,7 +368,6 @@ func effectiveParallelism(requested, size int) int {
 // reportMeta carries the invocation context into the JSON report.
 type reportMeta struct {
 	remoteAddr string
-	hedge      time.Duration
 	fleet      *prooffleet.Fleet
 	coldWallMS int64
 	warmWallMS int64
@@ -389,38 +380,33 @@ func writeJSON(path string, ev *eval.Evaluation, reg *obs.Registry, meta reportM
 		programNS += r.TotalTime.Nanoseconds()
 	}
 	rep := benchReport{
-		GoVersion:          runtime.Version(),
-		GOMAXPROCS:         runtime.GOMAXPROCS(0),
-		Remote:             meta.remoteAddr != "",
-		RemoteAddr:         meta.remoteAddr,
-		Corpus:             len(ev.Results),
-		InsnLimit:          ev.InsnLimit,
-		Parallelism:        ev.Parallelism,
-		WallMS:             ev.WallClock.Milliseconds(),
-		ProgramMS:          programNS / 1e6,
-		BaselineAccepted:   acc.BaselineAccepted,
-		BCFAccepted:        acc.BCFAccepted,
-		WeakCondition:      acc.WeakCondition,
-		InsnLimitReject:    acc.InsnLimit,
-		Untriggered:        acc.Untriggered,
-		CacheHits:          ev.Cache.Hits,
-		CacheMisses:        ev.Cache.Misses,
-		CacheHitRate:       ev.Cache.HitRate(),
-		CacheEvictions:     ev.Cache.Evictions,
-		CacheSize:          ev.Cache.Size,
-		RemoteProofs:       ev.RemoteProofs,
-		RemoteFallbacks:    ev.RemoteFallbacks,
-		RemoteBackpressure: ev.RemoteBackpressure,
-		ColdWallMS:         meta.coldWallMS,
-		WarmWallMS:         meta.warmWallMS,
+		GoVersion:        runtime.Version(),
+		GOMAXPROCS:       runtime.GOMAXPROCS(0),
+		Remote:           meta.remoteAddr != "",
+		RemoteAddr:       meta.remoteAddr,
+		Corpus:           len(ev.Results),
+		InsnLimit:        ev.InsnLimit,
+		Parallelism:      ev.Parallelism,
+		WallMS:           ev.WallClock.Milliseconds(),
+		ProgramMS:        programNS / 1e6,
+		BaselineAccepted: acc.BaselineAccepted,
+		BCFAccepted:      acc.BCFAccepted,
+		WeakCondition:    acc.WeakCondition,
+		InsnLimitReject:  acc.InsnLimit,
+		Untriggered:      acc.Untriggered,
+		CacheHits:        ev.Cache.Hits,
+		CacheMisses:      ev.Cache.Misses,
+		CacheHitRate:     ev.Cache.HitRate(),
+		CacheEvictions:   ev.Cache.Evictions,
+		CacheSize:        ev.Cache.Size,
+		RemoteProofs:     ev.RemoteProofs,
+		RemoteFallbacks:  ev.RemoteFallbacks,
+		ColdWallMS:       meta.coldWallMS,
+		WarmWallMS:       meta.warmWallMS,
 	}
 	if meta.fleet != nil {
 		stats := meta.fleet.Stats()
 		rep.Fleet = &stats
-		rep.HedgeDelayMS = float64(meta.hedge) / float64(time.Millisecond)
-		if meta.hedge < 0 {
-			rep.HedgeDelayMS = -1
-		}
 	}
 	if meta.warmWallMS > 0 {
 		rep.WarmSpeedup = warmSpeedup(meta.coldWallMS, meta.warmWallMS)

@@ -46,7 +46,6 @@ func main() {
 	proveTimeout := flag.Duration("prove-timeout", 0, "per-obligation solver deadline (0 = none)")
 	maxConflicts := flag.Int64("max-conflicts", 0, "SAT conflict budget per obligation (0 = solver default)")
 	drain := flag.Duration("drain", proofd.DefaultDrainTimeout, "graceful shutdown drain budget")
-	chaosDelay := flag.Duration("chaos-delay", 0, "stall every prove by this much (fleet hedging/drain drills)")
 	quiet := flag.Bool("q", false, "suppress the startup banner")
 	flag.Parse()
 
@@ -68,7 +67,6 @@ func main() {
 		ProveTimeout: *proveTimeout,
 		Cache:        loader.NewProofCacheCap(*cacheCap),
 		MaxInflight:  *maxInflight,
-		ChaosDelay:   *chaosDelay,
 		Obs:          reg,
 		Trace:        tracer,
 	}

@@ -40,7 +40,7 @@ type Verdict struct {
 	Reason   string
 }
 
-// lookup resolves a dotted path ("hedge_on.fleet.latency_p99_ms")
+// lookup resolves a dotted path ("fleet.failovers")
 // through nested JSON objects to a numeric leaf.
 func lookup(doc map[string]any, dotted string) (float64, bool) {
 	cur := any(doc)

@@ -107,7 +107,7 @@ func TestCompareZeroBaseline(t *testing.T) {
 // file referencing a path the artifact does not have.
 func TestCompareCommittedArtifacts(t *testing.T) {
 	cases := []struct{ artifact, rules string }{
-		{"../../BENCH_remote_fleet.json", "../../.github/benchdiff/fleet.json"},
+		{"../../BENCH_elf_frontend.json", "../../.github/benchdiff/elf.json"},
 	}
 	for _, c := range cases {
 		var base map[string]any

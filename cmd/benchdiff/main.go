@@ -1,12 +1,12 @@
 // Command benchdiff is the perf-regression gate: it compares a freshly
 // measured BENCH_*.json artifact against the committed baseline under a
 // per-metric tolerance file and exits non-zero on regression, so CI can
-// fail a push that slows the fleet or the ELF frontend down.
+// fail a push that slows the ELF frontend down.
 //
 // Usage:
 //
-//	benchdiff -baseline BENCH_remote_fleet.json -new new.json \
-//	          -rules .github/benchdiff/fleet.json
+//	benchdiff -baseline BENCH_elf_frontend.json -new new.json \
+//	          -rules .github/benchdiff/elf.json
 //
 // The rules file is a JSON array of {path, min_ratio, max_ratio,
 // optional, note}: path is a dotted selector into the (possibly nested)

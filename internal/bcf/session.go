@@ -7,16 +7,6 @@ import (
 	"bcf/internal/verifier"
 )
 
-// FaultHook intercepts the byte streams at the kernel boundary (test
-// instrumentation, e.g. internal/faultinject). A nil hook costs nothing.
-type FaultHook interface {
-	// CondOut may mutate the condition bytes leaving the kernel.
-	CondOut(round int, b []byte) []byte
-	// ProofIn may mutate the proof bytes entering the kernel, before the
-	// decoder and checker see them.
-	ProofIn(round int, b []byte) []byte
-}
-
 // SessionLimits bound what a single load session may consume. Nothing in
 // user space is trusted: a loader that floods the kernel with requests or
 // traffic must not pin kernel memory. Its liveness is bounded on the
@@ -73,17 +63,14 @@ type Session struct {
 	// Limits may be adjusted between NewSession and Run; zero fields
 	// take defaults.
 	Limits SessionLimits
-	// Fault, when non-nil, intercepts boundary bytes (tests only).
-	Fault FaultHook
 
 	user ProofService
 	ran  bool
 
 	// Per-session accounting. rounds is the single source of truth for
 	// boundary traffic: one entry per refinement request, recording the
-	// bytes that actually crossed in each direction (after any
-	// fault-injection mutation). Traffic() and the cumulative limit
-	// counters both derive from it.
+	// bytes that crossed in each direction. Traffic() and the cumulative
+	// limit counters both derive from it.
 	requests   int
 	condBytes  int
 	proofBytes int
@@ -116,12 +103,9 @@ func (ss sessionService) Prove(cond []byte) ([]byte, error) {
 		return nil, bcferr.New(bcferr.ClassResourceLimit,
 			"bcf: session exceeded %d refinement requests", s.Limits.MaxRequests)
 	}
-	if s.Fault != nil {
-		cond = s.Fault.CondOut(round, cond)
-	}
-	// Account the bytes that actually cross the boundary (post-fault):
-	// the per-round record is the authoritative traffic ledger, and the
-	// cumulative counters backing the limits are its running sums.
+	// Account the bytes that cross the boundary: the per-round record is
+	// the authoritative traffic ledger, and the cumulative counters
+	// backing the limits are its running sums.
 	s.rounds = append(s.rounds, RoundTraffic{CondBytes: len(cond)})
 	s.condBytes += len(cond)
 	if s.condBytes > s.Limits.MaxCondBytes {
@@ -136,9 +120,6 @@ func (ss sessionService) Prove(cond []byte) ([]byte, error) {
 			map[string]any{"round": round, "bytes": len(cond)})
 	}
 	pb, err := s.user.Prove(cond)
-	if s.Fault != nil && pb != nil {
-		pb = s.Fault.ProofIn(round, pb)
-	}
 	s.rounds[len(s.rounds)-1].ProofBytes = len(pb)
 	s.proofBytes += len(pb)
 	if s.obs != nil {

@@ -134,16 +134,20 @@ func TestSessionProofByteBudget(t *testing.T) {
 	}
 }
 
-// TestSessionKernelSideFaultHook exercises the kernel-boundary hook pair:
-// CondOut corrupts the condition as it leaves the kernel, ProofIn corrupts
-// the proof as it enters. In both cases the honest prover/checker pair
-// must reject the load rather than accept corrupted state.
+// TestSessionKernelSideFaultHook corrupts the bytes at the kernel
+// boundary by wrapping the ProofService passed to Run: the condition as
+// it leaves the kernel, or the proof as it enters. In both cases the
+// honest prover/checker pair must reject the load rather than accept
+// corrupted state.
 func TestSessionKernelSideFaultHook(t *testing.T) {
 	run := func(p faultinject.Point) error {
+		inj := faultinject.New(7).Arm(p, 0)
 		sess := NewSession(sessionProg(), verifier.Config{})
-		sess.Fault = faultinject.New(7).Arm(p, 0)
+		round := 0
 		return sess.Run(ProveFunc(func(condBytes []byte) ([]byte, error) {
-			cond, err := bcfenc.DecodeCondition(condBytes)
+			r := round
+			round++
+			cond, err := bcfenc.DecodeCondition(inj.Condition(r, condBytes))
 			if err != nil {
 				return nil, err
 			}
@@ -155,6 +159,7 @@ func TestSessionKernelSideFaultHook(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			buf, _ = inj.Proof(r, buf)
 			return buf, nil
 		}))
 	}

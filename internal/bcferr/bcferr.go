@@ -146,14 +146,6 @@ func Wrap(c Class, err error) error {
 // every other remote error is an authoritative proving outcome.
 var ErrRemoteUnavailable = errors.New("bcf: remote prover unavailable")
 
-// ErrBackpressure marks an admission-control rejection by the remote
-// proving tier: the fleet client's token bucket or inflight bound is
-// exhausted, so the obligation was never dispatched. Unlike
-// ErrRemoteUnavailable it is a *healthy* signal — the service is up but
-// saturated — and the loader responds by waiting in a bounded queue and
-// retrying rather than by falling back or failing the load.
-var ErrBackpressure = errors.New("bcf: remote proving backpressure")
-
 // cexError attaches a falsifying assignment to an error without
 // disturbing the class chain. It lets a prover (local or remote) report
 // "the condition is violated, here is the model" through a single error

@@ -14,30 +14,32 @@ import (
 	"bcf/internal/prooffleet"
 )
 
-// startDaemon runs an in-process bcfd on a Unix socket and returns a
-// fleet of one (probing and hedging off) with the given fault hook armed.
-func startDaemon(t *testing.T, hook prooffleet.FaultHook) *prooffleet.Fleet {
+// startFleet runs two in-process bcfd daemons on Unix sockets and
+// returns a fleet over both with the given fault hook armed. A transport
+// fault takes a backend down for prooffleet.DownFor, so two backends let
+// one sweep see a fault on each before every dispatch falls back.
+func startFleet(t *testing.T, hook prooffleet.FaultHook) *prooffleet.Fleet {
 	t.Helper()
-	s := proofd.New(proofd.Options{})
-	sock := filepath.Join(t.TempDir(), "bcfd.sock")
-	l, err := net.Listen("unix", sock)
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	var endpoints []string
+	for _, name := range []string{"a.sock", "b.sock"} {
+		s := proofd.New(proofd.Options{})
+		sock := filepath.Join(dir, name)
+		l, err := net.Listen("unix", sock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- s.Serve(l) }()
+		t.Cleanup(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			s.Shutdown(ctx)
+			<-done
+		})
+		endpoints = append(endpoints, "unix:"+sock)
 	}
-	done := make(chan error, 1)
-	go func() { done <- s.Serve(l) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-		<-done
-	})
-	c, err := prooffleet.New(prooffleet.Options{
-		Endpoints:     []string{"unix:" + sock},
-		ProbeInterval: -1,
-		HedgeDelay:    -1,
-		Fault:         hook,
-	})
+	c, err := prooffleet.New(prooffleet.Options{Endpoints: endpoints, Fault: hook})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,21 +50,22 @@ func startDaemon(t *testing.T, hook prooffleet.FaultHook) *prooffleet.Fleet {
 // TestCorpusReplayParallelAndFaultyRemote replays every regression
 // program through the domain and accept-implies-safe oracles, and
 // through the accept-implies-safe oracle again with proving routed to a
-// remote daemon whose RPC path flaps, stalls and corrupts replies
+// two-daemon fleet whose RPC path flaps, stalls and corrupts replies
 // (faultinject). The remote verdicts must match the in-process ones:
 // transport faults degrade to local fallback, never to a different
 // verdict.
 func TestCorpusReplayParallelAndFaultyRemote(t *testing.T) {
 	// One injector for the whole sweep: flap the first dispatch, stall
-	// the second reply, corrupt the third — then repeat nothing (later
-	// requests run clean), so the client exercises both its failure and
-	// recovery paths.
+	// the second reply, corrupt the third — then repeat nothing. The flap
+	// fails the first key over to the other backend, which serves the
+	// stalled reply; the corrupt reply takes that backend down too, and
+	// the loads that follow fall back in process.
 	inj := faultinject.New(99).
 		Arm(faultinject.FleetFlap, 0).
 		Arm(faultinject.FleetSlow, 1).
 		Arm(faultinject.FleetByzantine, 2).
 		SetDelay(time.Millisecond)
-	remote := startDaemon(t, inj)
+	remote := startFleet(t, inj)
 
 	const seed = 1234
 	for _, reg := range corpus.MustRegressions() {

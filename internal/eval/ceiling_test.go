@@ -10,7 +10,7 @@ import "testing"
 var kernelSideCeiling = map[string]int{
 	"Verifier":              3110,
 	"Proof Checker":         1084,
-	"Refinement (BCF core)": 870,
+	"Refinement (BCF core)": 852,
 	"tnum domain":           222,
 }
 

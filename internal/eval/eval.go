@@ -48,12 +48,9 @@ type ProgramResult struct {
 	InsnProcessed int
 
 	// RemoteProofs/RemoteFallbacks count obligations proven by the
-	// remote daemon versus degraded to the in-process solver;
-	// RemoteBackpressure counts bounded waits behind fleet admission
-	// control.
-	RemoteProofs       int
-	RemoteFallbacks    int
-	RemoteBackpressure int
+	// remote daemon versus degraded to the in-process solver.
+	RemoteProofs    int
+	RemoteFallbacks int
 }
 
 // Evaluation aggregates the full run.
@@ -69,12 +66,10 @@ type Evaluation struct {
 	WallClock time.Duration
 	// Cache is the final snapshot of the shared proof cache.
 	Cache loader.CacheStats
-	// RemoteProofs/RemoteFallbacks/RemoteBackpressure total the
-	// per-program remote-proving counters (zero when the run had no
-	// remote prover).
-	RemoteProofs       int
-	RemoteFallbacks    int
-	RemoteBackpressure int
+	// RemoteProofs/RemoteFallbacks total the per-program
+	// remote-proving counters (zero when the run had no remote prover).
+	RemoteProofs    int
+	RemoteFallbacks int
 }
 
 // Options configure an evaluation run.
@@ -214,7 +209,6 @@ func RunOpts(opts Options) *Evaluation {
 	for _, r := range ev.Results {
 		ev.RemoteProofs += r.RemoteProofs
 		ev.RemoteFallbacks += r.RemoteFallbacks
-		ev.RemoteBackpressure += r.RemoteBackpressure
 	}
 	return ev
 }
@@ -222,19 +216,18 @@ func RunOpts(opts Options) *Evaluation {
 // newProgramResult flattens one load result into the evaluation row.
 func newProgramResult(e corpus.Entry, res *loader.Result) ProgramResult {
 	pr := ProgramResult{
-		Entry:              e,
-		Accepted:           res.Accepted,
-		Err:                res.Err,
-		ErrClass:           res.ErrClass,
-		CondBytes:          res.CondBytes,
-		ProofBytes:         res.ProofBytes,
-		KernelTime:         res.KernelTime,
-		UserTime:           res.UserTime,
-		TotalTime:          res.TotalTime,
-		InsnProcessed:      res.VerifierStats.InsnProcessed,
-		RemoteProofs:       res.RemoteProofs,
-		RemoteFallbacks:    res.RemoteFallbacks,
-		RemoteBackpressure: res.RemoteBackpressure,
+		Entry:           e,
+		Accepted:        res.Accepted,
+		Err:             res.Err,
+		ErrClass:        res.ErrClass,
+		CondBytes:       res.CondBytes,
+		ProofBytes:      res.ProofBytes,
+		KernelTime:      res.KernelTime,
+		UserTime:        res.UserTime,
+		TotalTime:       res.TotalTime,
+		InsnProcessed:   res.VerifierStats.InsnProcessed,
+		RemoteProofs:    res.RemoteProofs,
+		RemoteFallbacks: res.RemoteFallbacks,
 	}
 	if res.RefineStats != nil {
 		pr.Refinements = res.RefineStats.Granted

@@ -6,9 +6,10 @@
 // budget, and abandoning a session without resuming it.
 //
 // An Injector is armed with named injection points and a schedule of
-// protocol rounds; the loader and bcf.Session expose small hook
-// interfaces (loader.FaultHook, bcf.FaultHook) that an Injector
-// satisfies. The hooks are nil by default and cost nothing when unset.
+// protocol rounds; the loader and the remote proving client expose small
+// hook interfaces (loader.FaultHook, prooffleet.FaultHook) that an
+// Injector satisfies. The hooks are nil by default and cost nothing when
+// unset.
 // All randomness (which byte to flip, where to truncate) derives from
 // the seed, so a failing schedule replays exactly.
 package faultinject
@@ -55,8 +56,8 @@ const (
 	// the scheduled dispatches (a network partition: some clients can
 	// reach some daemons).
 	FleetPartition
-	// FleetSlow stalls a backend's reply (slow trickle; exercises hedging
-	// and request deadlines).
+	// FleetSlow stalls a backend's reply (slow trickle; exercises request
+	// deadlines).
 	FleetSlow
 	// FleetByzantine flips one bit of a backend's proof reply (a
 	// compromised or buggy prover returning garbage).
@@ -407,27 +408,4 @@ func (in *Injector) partitioned(backend string) bool {
 		h *= 1099511628211
 	}
 	return (h^in.partitionSalt)&1 == 0
-}
-
-// ---- bcf.FaultHook (kernel-boundary side) ----
-
-// CondOut intercepts condition bytes as they leave the kernel.
-func (in *Injector) CondOut(round int, b []byte) []byte {
-	return in.Condition(round, b)
-}
-
-// ProofIn intercepts proof bytes as they enter the kernel, before the
-// decoder and checker see them.
-func (in *Injector) ProofIn(round int, b []byte) []byte {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.fires(ProofCorrupt, round) {
-		b = in.flip(b)
-		in.log(ProofCorrupt, round, "bit flipped at kernel entry")
-	}
-	if in.fires(ProofTruncate, round) {
-		b = in.cut(b)
-		in.log(ProofTruncate, round, "truncated at kernel entry")
-	}
-	return b
 }

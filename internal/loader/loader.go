@@ -15,7 +15,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"os"
 	"time"
 
@@ -89,16 +88,6 @@ type Options struct {
 	// becomes the load's outcome (CI smoke tests that must not silently
 	// mask a dead daemon).
 	RemoteOnly bool
-	// BackpressureWait bounds the total time one obligation may queue
-	// client-side when the remote prover signals admission-control
-	// rejection (bcferr.ErrBackpressure). Backpressure means the fleet is
-	// healthy but saturated, so the loader waits — bounded, jittered,
-	// growing retries — rather than stampeding the fleet or instantly
-	// spilling to the local solver. When the bound is exhausted the
-	// rejection degrades like a transport failure (fallback, or the
-	// load's outcome under RemoteOnly). 0 = DefaultBackpressureWait;
-	// negative = no waiting.
-	BackpressureWait time.Duration
 
 	// Context cancels the whole load when done (nil = Background).
 	Context context.Context
@@ -153,11 +142,9 @@ type Result struct {
 	CacheHits int
 	// RemoteProofs counts obligations proven by the remote service;
 	// RemoteFallbacks counts transport failures that degraded to the
-	// in-process prover; RemoteBackpressure counts bounded waits spent in
-	// the client-side queue behind the fleet's admission control.
-	RemoteProofs       int
-	RemoteFallbacks    int
-	RemoteBackpressure int
+	// in-process prover.
+	RemoteProofs    int
+	RemoteFallbacks int
 	// Log is the verifier debug log (Config.Debug only).
 	Log []string
 }
@@ -354,7 +341,7 @@ func prove(ctx context.Context, condBytes []byte, opts Options, res *Result) (pr
 // reported by the daemon is the authoritative outcome.
 func proveUncached(ctx context.Context, condBytes []byte, opts Options, res *Result) ([]byte, error) {
 	if opts.Remote != nil {
-		out, rerr := remoteProve(ctx, condBytes, opts, res)
+		out, rerr := opts.Remote.ProveBytes(ctx, condBytes)
 		switch {
 		case rerr == nil:
 			res.RemoteProofs++
@@ -378,58 +365,6 @@ func proveUncached(ctx context.Context, condBytes []byte, opts Options, res *Res
 		}
 	}
 	return proveLocal(ctx, condBytes, opts, res)
-}
-
-// Backpressure-wait tuning: total bound, initial retry sleep and the cap
-// each doubling respects. Sleeps are jittered (uniform over
-// [wait/2, wait·1.5)) so that a worker pool draining one saturated fleet
-// does not retry in lockstep.
-const (
-	DefaultBackpressureWait = 2 * time.Second
-	backpressureBaseWait    = 2 * time.Millisecond
-	backpressureMaxWait     = 100 * time.Millisecond
-)
-
-// remoteProve ships one obligation to the remote prover, absorbing
-// admission-control rejections: bcferr.ErrBackpressure means the fleet
-// is healthy but saturated, so the obligation queues here — bounded,
-// jittered, growing waits — instead of failing or spilling to the local
-// solver while remote capacity is seconds away. An exhausted bound (or a
-// cancelled load) turns the rejection into ErrRemoteUnavailable, feeding
-// the ordinary degradation ladder in proveUncached.
-func remoteProve(ctx context.Context, condBytes []byte, opts Options, res *Result) ([]byte, error) {
-	bound := opts.BackpressureWait
-	if bound == 0 {
-		bound = DefaultBackpressureWait
-	}
-	deadline := time.Now().Add(bound)
-	wait := backpressureBaseWait
-	for {
-		out, err := opts.Remote.ProveBytes(ctx, condBytes)
-		if !errors.Is(err, bcferr.ErrBackpressure) {
-			return out, err
-		}
-		if bound < 0 || !time.Now().Add(wait).Before(deadline) || ctx.Err() != nil {
-			return nil, fmt.Errorf("loader: backpressure wait exhausted: %w", bcferr.ErrRemoteUnavailable)
-		}
-		res.RemoteBackpressure++
-		opts.Obs.Counter(obs.MRemoteBackpressure).Inc()
-		d := wait/2 + rand.N(wait)
-		if j := opts.Obs.Journal(); j != nil {
-			j.Recordf(obs.JKindBackpress, "loader", d.Microseconds(),
-				"fleet saturated, queuing obligation for %v", d)
-		}
-		timer := time.NewTimer(d)
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			return nil, fmt.Errorf("loader: backpressure wait cancelled: %w", bcferr.ErrRemoteUnavailable)
-		case <-timer.C:
-		}
-		if wait < backpressureMaxWait {
-			wait *= 2
-		}
-	}
 }
 
 // proveLocal translates one condition and invokes the in-process solver

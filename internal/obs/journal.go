@@ -11,15 +11,13 @@ import (
 // Journal kinds — the event vocabulary the flight recorder captures.
 // Kinds are short stable strings so dumps grep cleanly.
 const (
-	JKindRefine    = "refine-round"    // one abstraction-refinement round
-	JKindBreaker   = "breaker"         // circuit-breaker state transition
-	JKindHedge     = "hedge"           // hedged-request outcome
-	JKindFallback  = "remote-fallback" // remote prove fell back to local
-	JKindBackpress = "backpressure"    // admission rejected / waited
-	JKindFuzz      = "fuzz-verdict"    // fuzz-oracle verdict
-	JKindLoadFail  = "load-failure"    // program load rejected / errored
-	JKindRPC       = "rpc-error"       // transport-level RPC failure
-	JKindPanic     = "panic"           // recovered daemon panic
+	JKindRefine   = "refine-round"    // one abstraction-refinement round
+	JKindBreaker  = "breaker"         // fleet backend marked down
+	JKindFallback = "remote-fallback" // remote prove fell back to local
+	JKindFuzz     = "fuzz-verdict"    // fuzz-oracle verdict
+	JKindLoadFail = "load-failure"    // program load rejected / errored
+	JKindRPC      = "rpc-error"       // transport-level RPC failure
+	JKindPanic    = "panic"           // recovered daemon panic
 )
 
 // JournalEntry is one flight-recorder record. Fields are flat scalars —

@@ -35,12 +35,12 @@ func TestJournalRing(t *testing.T) {
 func TestJournalPartialFill(t *testing.T) {
 	j := NewJournal(8)
 	j.Record(JKindBreaker, "fleet", "open", 2)
-	j.Recordf(JKindHedge, "fleet", 1, "winner=%s", "b1")
+	j.Recordf(JKindFallback, "loader", 1, "backend=%s", "b1")
 	if got := j.Len(); got != 2 {
 		t.Fatalf("Len = %d, want 2", got)
 	}
 	entries := j.Entries()
-	if entries[0].Kind != JKindBreaker || entries[1].Detail != "winner=b1" {
+	if entries[0].Kind != JKindBreaker || entries[1].Detail != "backend=b1" {
 		t.Fatalf("unexpected entries: %+v", entries)
 	}
 }
@@ -204,8 +204,8 @@ func TestZeroAlloc(t *testing.T) {
 		{"nil-tracer-derive", func() {
 			_ = tr.WithProcess(1, "p").WithThread(2, "t").WithParent(TraceContext{TraceHi: 1})
 		}},
-		{"nil-journal-record", func() { j.Record(JKindHedge, "fleet", "win", 1) }},
-		{"nil-registry-journal-record", func() { reg.Journal().Record(JKindHedge, "fleet", "win", 1) }},
+		{"nil-journal-record", func() { j.Record(JKindFallback, "loader", "fallback", 1) }},
+		{"nil-registry-journal-record", func() { reg.Journal().Record(JKindFallback, "loader", "fallback", 1) }},
 		{"nil-registry-counter", func() { reg.Counter(MRemoteProofs).Inc() }},
 		{"span-context-nil", func() { _ = Span{}.Context() }},
 		{"ctx-from-empty", func() { _ = SpanFromContext(ctx) }},
@@ -220,7 +220,7 @@ func TestZeroAlloc(t *testing.T) {
 	// lookup is one atomic load and the nil result no-ops.
 	live := NewRegistry()
 	if n := testing.AllocsPerRun(200, func() {
-		live.Journal().Record(JKindHedge, "fleet", "win", 1)
+		live.Journal().Record(JKindFallback, "loader", "fallback", 1)
 	}); n != 0 {
 		t.Errorf("registry-without-journal record: %v allocs/op, want 0", n)
 	}
@@ -239,7 +239,7 @@ func BenchmarkDisabledJournal(b *testing.B) {
 	var j *Journal
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		j.Record(JKindHedge, "fleet", "win", 1)
+		j.Record(JKindFallback, "loader", "fallback", 1)
 	}
 }
 
@@ -247,6 +247,6 @@ func BenchmarkEnabledJournal(b *testing.B) {
 	j := NewJournal(512)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		j.Record(JKindHedge, "fleet", "win", int64(i))
+		j.Record(JKindFallback, "loader", "fallback", int64(i))
 	}
 }

@@ -42,22 +42,15 @@ const (
 
 	// Remote proving, client side (loader fallback accounting plus the
 	// proof sources internal/prooffleet observes).
-	MRemoteProofs       = "bcf_remote_proofs_total"             // obligations proven by the daemon
-	MRemoteFallbacks    = "bcf_remote_fallbacks_total"          // transport failures degraded to in-process
-	MRemoteSource       = "bcf_remote_source_total"             // label: src=solved|mem|disk|coalesced
-	MRemoteBackpressure = "bcf_remote_backpressure_waits_total" // bounded waits behind fleet admission control
+	MRemoteProofs    = "bcf_remote_proofs_total"    // obligations proven by the daemon
+	MRemoteFallbacks = "bcf_remote_fallbacks_total" // transport failures degraded to in-process
+	MRemoteSource    = "bcf_remote_source_total"    // label: src=solved|mem|disk|coalesced
 
 	// Remote proving client (internal/prooffleet).
 	MFleetDispatches   = "fleet_dispatches_total"    // label: backend
 	MFleetFailovers    = "fleet_failovers_total"     // primary dead, key rehashed to a survivor
-	MFleetHedges       = "fleet_hedges_total"        // hedge requests launched
-	MFleetHedgeWins    = "fleet_hedge_wins_total"    // hedges that answered before the primary
-	MFleetBackpressure = "fleet_backpressure_total"  // admission-control rejections
 	MFleetByzantine    = "fleet_byzantine_total"     // undecodable/garbage proofs, label: backend
-	MFleetProbes       = "fleet_probes_total"        // label: backend, outcome=ok|fail
-	MFleetBreakerOpens = "fleet_breaker_opens_total" // label: backend
-	MFleetBreakerState = "fleet_breaker_state"       // gauge, label: backend (0 closed, 1 half-open, 2 open)
-	MFleetInflight     = "fleet_inflight"            // gauge: obligations inside admission
+	MFleetBreakerOpens = "fleet_breaker_opens_total" // backend marked down, label: backend
 	MFleetSeconds      = "fleet_prove_seconds"       // whole fleet ProveBytes call
 
 	// Remote proving, daemon side (internal/proofd).

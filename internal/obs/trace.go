@@ -365,7 +365,7 @@ func (s Span) EndArgs(extra map[string]any) {
 
 // Instant records a zero-duration event (thread scope). When the handle
 // has a parent span, the event carries the trace identity so it lands
-// inside the right story (breaker rejections, hedge outcomes).
+// inside the right story.
 func (t *Tracer) Instant(cat, name string, args map[string]any) {
 	if t == nil {
 		return

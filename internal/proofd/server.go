@@ -49,9 +49,8 @@ type Options struct {
 	// (0 = proofrpc.MaxPayload).
 	MaxPayload int
 	// ChaosDelay, when positive, stalls every prove request by this much
-	// before it is served. A chaos-drill knob (bcfd -chaos-delay): a
-	// deliberately slow daemon in an otherwise healthy fleet exercises
-	// the client's hedging and health-scoring paths with real latency.
+	// before it is served (tests only): it holds a request inflight so
+	// drain and multiplexing tests can act while it waits.
 	ChaosDelay time.Duration
 	// Obs and Trace, when non-nil, receive the daemon's metrics/spans.
 	Obs   *obs.Registry
@@ -298,10 +297,6 @@ func (s *Server) handle(f *proofrpc.Frame) *proofrpc.Frame {
 		// the clock offset for span stitching.
 		return &proofrpc.Frame{Type: proofrpc.TPong,
 			Payload: proofrpc.EncodePongPayload(time.Now().UnixNano())}
-	case proofrpc.THealth:
-		s.opts.Obs.Counter(obs.Label(obs.MDaemonRequests, "type", "health")).Inc()
-		return &proofrpc.Frame{Type: proofrpc.THealthOK,
-			Payload: proofrpc.EncodeHealthPayload(s.health())}
 	case proofrpc.TSpans:
 		s.opts.Obs.Counter(obs.Label(obs.MDaemonRequests, "type", "spans")).Inc()
 		hi, lo, err := proofrpc.DecodeSpansRequest(f.Payload)
@@ -318,8 +313,7 @@ func (s *Server) handle(f *proofrpc.Frame) *proofrpc.Frame {
 		s.inflight <- struct{}{} // backpressure beyond MaxInflight
 		s.opts.Obs.Gauge(obs.MDaemonInflight).Add(1)
 		if s.opts.ChaosDelay > 0 {
-			// Stall inside the semaphore so the slowness is visible as
-			// inflight load in health snapshots, like a slow solve would be.
+			// Stall inside the semaphore, where a slow solve would wait.
 			time.Sleep(s.opts.ChaosDelay)
 		}
 		defer func() {
@@ -353,19 +347,6 @@ func (s *Server) handle(f *proofrpc.Frame) *proofrpc.Frame {
 			Payload: proofrpc.EncodeErrorPayload(uint32(bcferr.ClassProtocol),
 				fmt.Sprintf("unexpected request type %s", proofrpc.TypeString(f.Type))),
 		}
-	}
-}
-
-// health snapshots the daemon's load for a THealthOK reply.
-func (s *Server) health() proofrpc.Health {
-	s.mu.Lock()
-	draining := s.closed
-	s.mu.Unlock()
-	return proofrpc.Health{
-		Inflight:    uint32(len(s.inflight)),
-		MaxInflight: uint32(s.opts.MaxInflight),
-		CacheSize:   uint32(s.cache.Snapshot().Size),
-		Draining:    draining,
 	}
 }
 

@@ -39,18 +39,15 @@ func startServer(t *testing.T, opts Options) (*Server, string) {
 }
 
 // dialClient returns a remote proving client for one daemon: a fleet of
-// one with probing and hedging off, so the daemon sees only the frames
-// the test sends.
+// one, so the daemon sees only the frames the test sends.
 func dialClient(t *testing.T, endpoint string, reg *obs.Registry) *prooffleet.Fleet {
 	t.Helper()
 	return newFleetOfOne(t, prooffleet.Options{Endpoints: []string{endpoint}, Obs: reg})
 }
 
-// newFleetOfOne builds opts into a fleet with active probing and hedging
-// disabled, closed at test end.
+// newFleetOfOne builds opts into a fleet, closed at test end.
 func newFleetOfOne(t *testing.T, opts prooffleet.Options) *prooffleet.Fleet {
 	t.Helper()
-	opts.ProbeInterval, opts.HedgeDelay = -1, -1
 	f, err := prooffleet.New(opts)
 	if err != nil {
 		t.Fatal(err)

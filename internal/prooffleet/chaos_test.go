@@ -26,7 +26,7 @@ func chaosLoadOpts(remote loader.RemoteProver) loader.Options {
 }
 
 // faultyFleet builds a 3-backend fleet wired to the injector, with
-// breaker and timeouts tightened so a soak iterates quickly.
+// timeouts tightened so a soak iterates quickly.
 func faultyFleet(t *testing.T, endpoints []string, inj *faultinject.Injector) *Fleet {
 	t.Helper()
 	var hook FaultHook
@@ -34,13 +34,10 @@ func faultyFleet(t *testing.T, endpoints []string, inj *faultinject.Injector) *F
 		hook = inj
 	}
 	f, err := New(Options{
-		Endpoints:       endpoints,
-		ConnectTimeout:  500 * time.Millisecond,
-		RequestTimeout:  5 * time.Second,
-		ProbeInterval:   25 * time.Millisecond,
-		BreakerCooldown: 100 * time.Millisecond,
-		HedgeDelay:      20 * time.Millisecond,
-		Fault:           hook,
+		Endpoints:      endpoints,
+		ConnectTimeout: 500 * time.Millisecond,
+		RequestTimeout: 5 * time.Second,
+		Fault:          hook,
 	})
 	if err != nil {
 		t.Fatal(err)

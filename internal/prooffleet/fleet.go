@@ -1,20 +1,16 @@
-// Package prooffleet is the remote proving client: it spreads the
+// Package prooffleet is the remote proving client. It spreads the
 // content-addressed obligation key space across N bcfd backends by
-// rendezvous hashing (a single endpoint is a fleet of one) and wraps
-// every dispatch in a full resilience stack — per-backend health
-// (active ping/health probes plus passive error-rate tracking) feeding
-// a three-state circuit breaker, hedged requests for slow keys,
-// token-bucket + inflight admission control with typed backpressure,
-// and rendezvous-rehash failover so a dead backend's key range migrates
-// to the survivors without stampeding any single one of them.
+// rendezvous hashing (a single endpoint is a fleet of one) and fails a
+// key over down its ranking when a backend has a transport fault.
 //
-// The design leans entirely on the paper's trust argument: the kernel
-// re-checks every proof, so the proving tier can be aggressively
-// fault-tolerant with zero soundness risk. A backend may lie, hang, die
-// or return garbage; the worst it can cost is latency, because every
-// degradation path ends at the loader's transparent in-process fallback
-// (the terminal state of the degradation ladder) and every accepted
-// proof still passes the kernel-side checker.
+// Nothing a backend returns is trusted: the kernel re-checks every
+// proof, so a backend that lies, hangs or dies can cost load time but
+// never a verdict. The client therefore does three things. It routes
+// each obligation to its rendezvous primary. It fails over on transport
+// errors, including byzantine replies the sanity decode catches, and
+// keeps a failed backend out of the ranking for DownFor. When no backend
+// answers it reports bcferr.ErrRemoteUnavailable, which the loader turns
+// into its in-process fallback.
 package prooffleet
 
 import (
@@ -34,13 +30,12 @@ import (
 
 // Fleet defaults.
 const (
-	DefaultConnectTimeout  = 1 * time.Second
-	DefaultRequestTimeout  = 30 * time.Second
-	DefaultProbeInterval   = 250 * time.Millisecond
-	DefaultHedgePercentile = 90.0
-	DefaultHedgeMinSamples = 16
-	DefaultHedgeMinDelay   = 1 * time.Millisecond
-	DefaultMaxInflight     = 256
+	DefaultConnectTimeout = 1 * time.Second
+	DefaultRequestTimeout = 30 * time.Second
+	// DownFor is how long one transport failure keeps a backend out of
+	// the ranking. The first dispatch that ranks it after that tries it
+	// again.
+	DownFor = 500 * time.Millisecond
 )
 
 // FaultHook intercepts fleet dispatches (test instrumentation;
@@ -67,41 +62,13 @@ type Options struct {
 
 	// ConnectTimeout bounds each dial (0 = DefaultConnectTimeout).
 	ConnectTimeout time.Duration
-	// RequestTimeout bounds each dispatch end to end, in addition to the
+	// RequestTimeout bounds each backend attempt, in addition to the
 	// caller's context (0 = DefaultRequestTimeout).
 	RequestTimeout time.Duration
 
-	// HedgeDelay, when positive, is a fixed delay after which a second
-	// backend is tried for a still-unanswered obligation. Zero derives
-	// the delay from the observed latency distribution (HedgePercentile
-	// of recent successes); negative disables hedging.
+	// HedgeDelay is ignored: the fleet sends each obligation to one
+	// backend at a time. The field stays so existing callers compile.
 	HedgeDelay time.Duration
-	// HedgePercentile picks the latency percentile the derived hedge
-	// delay tracks (0 = DefaultHedgePercentile).
-	HedgePercentile float64
-	// HedgeMinSamples is how many latency samples must accumulate before
-	// derived hedging arms (0 = DefaultHedgeMinSamples).
-	HedgeMinSamples int
-
-	// MaxInflight bounds concurrently-admitted obligations
-	// (0 = DefaultMaxInflight; negative = unlimited).
-	MaxInflight int
-	// RatePerSec, when positive, bounds the sustained dispatch rate with
-	// a token bucket of the given Burst (Burst 0 = one second of rate).
-	RatePerSec float64
-	Burst      int
-
-	// ProbeInterval is the active health-probe period (0 =
-	// DefaultProbeInterval; negative disables active probing).
-	ProbeInterval time.Duration
-
-	// BreakerFailures consecutive transport failures trip a backend's
-	// breaker open (0 = 3). BreakerCooldown is the open dwell time
-	// before the probationary trickle (0 = 500ms). BreakerProbation is
-	// how many trickle successes close it again (0 = 2).
-	BreakerFailures  int
-	BreakerCooldown  time.Duration
-	BreakerProbation int
 
 	// Obs and Trace, when non-nil, receive fleet metrics and spans.
 	Obs   *obs.Registry
@@ -111,71 +78,61 @@ type Options struct {
 }
 
 // Fleet is the remote proving client. It implements
-// loader.RemoteProver: ProveBytes consistent-hashes the obligation onto
-// a backend and degrades through hedging, failover and (by returning
-// bcferr.ErrRemoteUnavailable) the loader's in-process fallback.
-// Authoritative replies — a counterexample or a classified daemon error
-// — are final: no failover, no fallback. Admission-control rejections
-// return bcferr.ErrBackpressure, which the loader converts into a
-// bounded wait, not a failure. A fleet of one endpoint has the same
-// contract: its transport faults trip the one breaker and surface as
-// bcferr.ErrRemoteUnavailable.
+// loader.RemoteProver: ProveBytes sends the obligation to its
+// rendezvous primary and fails over down the ranking on transport
+// errors. Authoritative replies (a proof, a counterexample or a
+// classified daemon error) are final: no failover, no fallback. When
+// every backend has failed or is down, ProveBytes returns an error
+// wrapping bcferr.ErrRemoteUnavailable, and the loader falls back in
+// process. A fleet of one endpoint has the same contract.
 type Fleet struct {
 	opts     Options
 	backends []*backend
-	admit    *admission
-	lat      *latencyDigest
 
 	seq atomic.Int64 // fleet-wide dispatch sequence (fault schedules)
 
-	dispatches   atomic.Int64
-	failovers    atomic.Int64
-	hedges       atomic.Int64
-	hedgeWins    atomic.Int64
-	backpressure atomic.Int64
-	byzantine    atomic.Int64
-
-	probeStop chan struct{}
-	probeDone chan struct{}
+	dispatches atomic.Int64
+	failovers  atomic.Int64
+	byzantine  atomic.Int64
 
 	closed atomic.Bool
 }
 
 // backend is one bcfd daemon: its multiplexed connection (redialed on
-// poisoning), circuit breaker and health signals.
+// poisoning) and the end of its current cooldown.
 type backend struct {
 	id            string // endpoint as configured (metrics label, hashing)
 	network, addr string
 
-	breaker *breaker
-	health  *healthTracker
-
-	draining   atomic.Bool
+	// downUntil is the end of the backend's cooldown in Unix
+	// nanoseconds; the backend is down while the clock is before it.
+	downUntil  atomic.Int64
 	dispatches atomic.Int64
-
-	// lastBreakerState is the breaker state last seen by noteBreaker, so
-	// transitions (not steady states) reach the flight recorder.
-	lastBreakerState atomic.Int32
+	opens      atomic.Int64 // transitions into the down state
 
 	mu   sync.Mutex
 	conn *proofrpc.MuxConn
 }
 
-// noteBreaker journals a breaker state transition the moment it is
-// observed (the breaker itself has no callback hook; every path that
-// feeds it passes through here right after).
-func (f *Fleet) noteBreaker(b *backend) {
-	st := int32(b.breaker.State())
-	if prev := b.lastBreakerState.Swap(st); prev != st {
-		if j := f.opts.Obs.Journal(); j != nil {
-			j.Recordf(obs.JKindBreaker, "fleet", int64(st),
-				"backend %s: %s -> %s", b.id, BreakerState(prev).String(), BreakerState(st).String())
-		}
+func (b *backend) down(now time.Time) bool { return now.UnixNano() < b.downUntil.Load() }
+
+// markDown takes b out of the ranking for DownFor after a transport
+// failure. A transition from up to down is counted and journalled; a
+// failure while already down only extends the cooldown.
+func (f *Fleet) markDown(b *backend, cause error) {
+	now := time.Now()
+	if prev := b.downUntil.Swap(now.Add(DownFor).UnixNano()); prev > now.UnixNano() {
+		return
+	}
+	n := b.opens.Add(1)
+	f.opts.Obs.Counter(obs.Label(obs.MFleetBreakerOpens, "backend", b.id)).Inc()
+	if j := f.opts.Obs.Journal(); j != nil {
+		j.Recordf(obs.JKindBreaker, "fleet", n, "backend %s down for %v: %v", b.id, DownFor, cause)
 	}
 }
 
 // New builds a fleet client over the given backends. It does not dial
-// until the first request or probe.
+// until the first request.
 func New(opts Options) (*Fleet, error) {
 	if len(opts.Endpoints) == 0 {
 		return nil, fmt.Errorf("prooffleet: no endpoints")
@@ -186,46 +143,13 @@ func New(opts Options) (*Fleet, error) {
 	if opts.RequestTimeout <= 0 {
 		opts.RequestTimeout = DefaultRequestTimeout
 	}
-	if opts.HedgePercentile <= 0 {
-		opts.HedgePercentile = DefaultHedgePercentile
-	}
-	if opts.HedgeMinSamples <= 0 {
-		opts.HedgeMinSamples = DefaultHedgeMinSamples
-	}
-	if opts.MaxInflight == 0 {
-		opts.MaxInflight = DefaultMaxInflight
-	}
-	if opts.ProbeInterval == 0 {
-		opts.ProbeInterval = DefaultProbeInterval
-	}
-
-	f := &Fleet{
-		opts:  opts,
-		admit: newAdmission(opts.RatePerSec, opts.Burst, opts.MaxInflight, time.Now()),
-		lat:   newLatencyDigest(),
-	}
-	bcfg := breakerConfig{
-		failures:  opts.BreakerFailures,
-		cooldown:  opts.BreakerCooldown,
-		probation: opts.BreakerProbation,
-	}
+	f := &Fleet{opts: opts}
 	for _, ep := range opts.Endpoints {
 		network, addr, err := proofrpc.ParseAddr(ep)
 		if err != nil {
 			return nil, fmt.Errorf("prooffleet: endpoint %q: %w", ep, err)
 		}
-		f.backends = append(f.backends, &backend{
-			id:      ep,
-			network: network,
-			addr:    addr,
-			breaker: newBreaker(bcfg),
-			health:  newHealthTracker(),
-		})
-	}
-	if opts.ProbeInterval > 0 {
-		f.probeStop = make(chan struct{})
-		f.probeDone = make(chan struct{})
-		go f.probeLoop()
+		f.backends = append(f.backends, &backend{id: ep, network: network, addr: addr})
 	}
 	return f, nil
 }
@@ -245,16 +169,12 @@ func SplitEndpoints(s string) []string {
 // errClosed reports a call on a closed fleet.
 var errClosed = unavailable("prooffleet: fleet closed")
 
-// Close stops the prober and drops every backend connection. In-flight
-// requests fail as transport errors (the loader falls back in process);
-// later calls return bcferr.ErrRemoteUnavailable without dialing.
+// Close drops every backend connection. In-flight requests fail as
+// transport errors (the loader falls back in process); later calls
+// return bcferr.ErrRemoteUnavailable without dialing.
 func (f *Fleet) Close() error {
 	if !f.closed.CompareAndSwap(false, true) {
 		return nil
-	}
-	if f.probeStop != nil {
-		close(f.probeStop)
-		<-f.probeDone
 	}
 	for _, b := range f.backends {
 		b.mu.Lock()
@@ -279,8 +199,7 @@ func unavailable(format string, args ...any) error {
 // every client agrees on a key's primary — cache affinity — and when a
 // backend dies its keys migrate to their individual second choices,
 // spreading the orphaned range across all survivors instead of
-// stampeding a single neighbor. Draining backends sink to the back of
-// the order without changing the relative ranking of the rest.
+// stampeding a single neighbor.
 func (f *Fleet) rank(key []byte) []*backend {
 	type scored struct {
 		b     *backend
@@ -293,41 +212,12 @@ func (f *Fleet) rank(key []byte) []*backend {
 		h.Write([]byte(b.id))
 		sc[i] = scored{b, h.Sum64()}
 	}
-	sort.Slice(sc, func(i, j int) bool {
-		di, dj := sc[i].b.draining.Load(), sc[j].b.draining.Load()
-		if di != dj {
-			return !di // non-draining first
-		}
-		return sc[i].score > sc[j].score
-	})
+	sort.Slice(sc, func(i, j int) bool { return sc[i].score > sc[j].score })
 	out := make([]*backend, len(sc))
 	for i, s := range sc {
 		out[i] = s.b
 	}
 	return out
-}
-
-// hedgeDelay derives the current hedge delay: a fixed configured value,
-// or the configured percentile of recently observed latencies once
-// enough samples exist. Zero means "don't hedge this request".
-func (f *Fleet) hedgeDelay() time.Duration {
-	if f.opts.HedgeDelay < 0 {
-		return 0
-	}
-	if f.opts.HedgeDelay > 0 {
-		return f.opts.HedgeDelay
-	}
-	if f.lat.Count() < f.opts.HedgeMinSamples {
-		return 0
-	}
-	d := f.lat.Percentile(f.opts.HedgePercentile)
-	if d < DefaultHedgeMinDelay {
-		d = DefaultHedgeMinDelay
-	}
-	if max := f.opts.RequestTimeout / 2; d > max {
-		d = max
-	}
-	return d
 }
 
 // Ping probes the first reachable backend (connectivity check).
@@ -355,17 +245,6 @@ func (f *Fleet) ProveBytes(ctx context.Context, cond []byte) ([]byte, error) {
 	if f.closed.Load() {
 		return nil, errClosed
 	}
-	if err := f.admit.Admit(time.Now()); err != nil {
-		f.backpressure.Add(1)
-		f.opts.Obs.Counter(obs.MFleetBackpressure).Inc()
-		return nil, fmt.Errorf("prooffleet: admission: %w", err)
-	}
-	f.opts.Obs.Gauge(obs.MFleetInflight).Add(1)
-	defer func() {
-		f.opts.Obs.Gauge(obs.MFleetInflight).Add(-1)
-		f.admit.Release()
-	}()
-
 	var t0 time.Time
 	if f.opts.Obs != nil {
 		t0 = time.Now()
@@ -383,111 +262,44 @@ func (f *Fleet) ProveBytes(ctx context.Context, cond []byte) ([]byte, error) {
 	return out, err
 }
 
-// outcome is one backend attempt's result.
-type outcome struct {
-	proof     []byte
-	err       error
-	transport bool
-	hedge     bool
-}
-
-// dispatch drives one obligation through the resilience stack: primary
-// by rendezvous rank, a hedge to the next-ranked backend when the
-// primary is slow (first answer wins, loser cancelled), and failover
-// down the ranking on transport failures. Authoritative answers
-// (proofs, counterexamples, remote solver errors) end the dispatch
-// immediately; exhausting every backend reports
-// bcferr.ErrRemoteUnavailable so the loader falls back in process.
+// dispatch tries the ranked backends that are not down, one at a time
+// on the caller's goroutine, until one gives an authoritative answer (a
+// proof, a counterexample or a remote solver error). A transport failure
+// moves on to the next backend. If none answers, the last transport
+// error is returned; if every backend was down, nothing is dialed.
 func (f *Fleet) dispatch(ctx context.Context, cond []byte, tc obs.TraceContext) ([]byte, error) {
-	ranked := f.rank(cond)
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel() // releases the hedge loser
-
-	results := make(chan outcome, len(ranked))
-	next, launched := 0, 0
-	launch := func(hedge bool) bool {
-		for next < len(ranked) {
-			b := ranked[next]
-			next++
-			if !b.breaker.Allow(time.Now()) {
-				// Breaker rejections are instants, not spans: nothing ran,
-				// but the trace should show the road not taken.
-				f.opts.Trace.WithParent(tc).Instant(obs.CatRPC, "breaker-reject",
-					map[string]any{"backend": b.id})
-				continue
-			}
-			launched++
-			go func(b *backend) {
-				proof, err, transport := f.proveOn(cctx, b, cond, hedge, tc)
-				results <- outcome{proof, err, transport, hedge}
-			}(b)
-			return true
-		}
-		return false
-	}
-
-	if !launch(false) {
-		return nil, unavailable("prooffleet: every backend's breaker is open")
-	}
-	var hedgeTimer *time.Timer
-	var hedgeFire <-chan time.Time
-	if d := f.hedgeDelay(); d > 0 && next < len(ranked) {
-		hedgeTimer = time.NewTimer(d)
-		hedgeFire = hedgeTimer.C
-		defer hedgeTimer.Stop()
-	}
-
 	var lastErr error
-	for launched > 0 {
-		select {
-		case <-ctx.Done():
-			return nil, unavailable("prooffleet: %v", ctx.Err())
-		case <-hedgeFire:
-			hedgeFire = nil
-			if launch(true) {
-				f.hedges.Add(1)
-				f.opts.Obs.Counter(obs.MFleetHedges).Inc()
-			}
-		case o := <-results:
-			launched--
-			switch {
-			case o.err == nil:
-				if o.hedge {
-					f.hedgeWins.Add(1)
-					f.opts.Obs.Counter(obs.MFleetHedgeWins).Inc()
-					f.opts.Trace.WithParent(tc).Instant(obs.CatRPC, "hedge-win", nil)
-					if j := f.opts.Obs.Journal(); j != nil {
-						j.Record(obs.JKindHedge, "fleet", "hedge beat primary", 1)
-					}
-				}
-				return o.proof, nil
-			case !o.transport:
-				// Authoritative remote outcome: counterexample or solver
-				// error. No failover — every backend runs the same
-				// deterministic solver.
-				return nil, o.err
-			default:
-				lastErr = o.err
-				if launch(o.hedge) {
-					f.failovers.Add(1)
-					f.opts.Obs.Counter(obs.MFleetFailovers).Inc()
-				}
-			}
+	tried := 0
+	for _, b := range f.rank(cond) {
+		if b.down(time.Now()) {
+			continue
 		}
+		if tried > 0 {
+			f.failovers.Add(1)
+			f.opts.Obs.Counter(obs.MFleetFailovers).Inc()
+		}
+		tried++
+		proof, err, transport := f.proveOn(ctx, b, cond, tc)
+		if !transport {
+			return proof, err
+		}
+		lastErr = err
+		if ctx.Err() != nil {
+			break
+		}
+	}
+	if tried == 0 {
+		return nil, unavailable("prooffleet: every backend is down")
 	}
 	return nil, lastErr
 }
 
-// proveOn runs one obligation against one backend, recording breaker,
-// health and latency signals. transport=true marks wire failures (the
-// dispatch loop fails over); a cancelled context is *forgiven* — a
-// hedge loser is not evidence the backend is unhealthy. Each attempt is
-// its own child span under the fleet-prove span (tc), so a hedged
-// dispatch shows as sibling spans — the one that ends outcome=proof
-// won, a loser ends outcome=cancelled. The span ends inside this
-// function because a losing attempt may still be running after dispatch
-// has returned the winner.
-func (f *Fleet) proveOn(ctx context.Context, b *backend, cond []byte, hedge bool, tc obs.TraceContext) (proof []byte, err error, transport bool) {
+// proveOn runs one obligation against one backend. transport=true marks
+// a wire failure or a byzantine reply: the dispatch loop fails over, and
+// the backend goes down for DownFor unless the caller's context ended,
+// which says nothing about the backend. Each attempt is its own
+// backend-prove span under the fleet-prove span (tc).
+func (f *Fleet) proveOn(ctx context.Context, b *backend, cond []byte, tc obs.TraceContext) (proof []byte, err error, transport bool) {
 	seq := int(f.seq.Add(1) - 1)
 	b.dispatches.Add(1)
 	f.dispatches.Add(1)
@@ -496,7 +308,7 @@ func (f *Fleet) proveOn(ctx context.Context, b *backend, cond []byte, hedge bool
 	sp := f.opts.Trace.StartUnder(tc, obs.CatRPC, "backend-prove")
 	outcome := "transport"
 	defer func() {
-		sp.EndArgs(map[string]any{"backend": b.id, "hedge": hedge, "outcome": outcome})
+		sp.EndArgs(map[string]any{"backend": b.id, "outcome": outcome})
 	}()
 	// The wire carries this attempt's span, so the daemon's tier spans
 	// nest under the exact backend attempt that caused them.
@@ -504,14 +316,11 @@ func (f *Fleet) proveOn(ctx context.Context, b *backend, cond []byte, hedge bool
 	wtc.Flags |= obs.FlagShipSpans
 
 	fail := func(err error) ([]byte, error, bool) {
-		defer f.noteBreaker(b)
 		if ctx.Err() != nil {
 			outcome = "cancelled"
-			b.breaker.Forgive()
 			return nil, unavailable("prooffleet: %v", ctx.Err()), true
 		}
-		b.breaker.Failure(time.Now())
-		b.health.Observe(true)
+		f.markDown(b, err)
 		return nil, err, true
 	}
 
@@ -527,7 +336,6 @@ func (f *Fleet) proveOn(ctx context.Context, b *backend, cond []byte, hedge bool
 	rctx, rcancel := context.WithTimeout(ctx, f.opts.RequestTimeout)
 	defer rcancel()
 
-	start := time.Now()
 	rf, derr := conn.DoTraced(rctx, proofrpc.TProve, cond, wtc)
 	if derr != nil {
 		return fail(unavailable("prooffleet: backend %s: %v", b.id, derr))
@@ -538,10 +346,7 @@ func (f *Fleet) proveOn(ctx context.Context, b *backend, cond []byte, hedge bool
 			select {
 			case <-time.After(d):
 			case <-ctx.Done():
-				outcome = "cancelled"
-				b.breaker.Forgive()
-				f.noteBreaker(b)
-				return nil, unavailable("prooffleet: %v", ctx.Err()), true
+				return fail(ctx.Err())
 			}
 		}
 		body = f.opts.Fault.FleetProof(b.id, seq, body)
@@ -560,17 +365,9 @@ func (f *Fleet) proveOn(ctx context.Context, b *backend, cond []byte, hedge bool
 		// Authoritative remote outcome (counterexample, classified solver
 		// error): the wire and the backend behaved.
 		outcome = "error"
-		b.breaker.Success()
-		b.health.Observe(false)
-		f.noteBreaker(b)
 		return nil, ierr, false
 	}
-	elapsed := time.Since(start)
 	outcome = "proof"
-	b.breaker.Success()
-	b.health.Observe(false)
-	f.noteBreaker(b)
-	f.lat.Observe(elapsed)
 	f.opts.Obs.Counter(obs.Label(obs.MRemoteSource, "src", proofrpc.SrcString(src))).Inc()
 	return out, nil, false
 }
@@ -637,112 +434,38 @@ func (f *Fleet) muxConn(b *backend) (*proofrpc.MuxConn, error) {
 	return c, nil
 }
 
-// probeLoop is the active health prober: every ProbeInterval each
-// backend answers a THealth frame. Outcomes feed the breaker exactly
-// like request outcomes do — which is also how an open breaker finds
-// its way back: once the cooldown elapses, the probe takes the first
-// probationary slot.
-func (f *Fleet) probeLoop() {
-	defer close(f.probeDone)
-	ticker := time.NewTicker(f.opts.ProbeInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-f.probeStop:
-			return
-		case <-ticker.C:
-		}
-		for _, b := range f.backends {
-			f.probe(b)
-		}
-	}
-}
-
-// probe runs one active health check against one backend.
-func (f *Fleet) probe(b *backend) {
-	defer f.exportBreakerState(b)
-	if !b.breaker.Allow(time.Now()) {
-		return // open and cooling (or trickle busy): stay off the wire
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), f.opts.ConnectTimeout)
-	defer cancel()
-	conn, err := f.muxConn(b)
-	if err == nil {
-		var h proofrpc.Health
-		h, err = conn.Health(ctx)
-		if err == nil {
-			b.draining.Store(h.Draining)
-		}
-	}
-	if err != nil {
-		b.breaker.Failure(time.Now())
-		b.health.Observe(true)
-		f.opts.Obs.Counter(obs.Labels(obs.MFleetProbes, "backend", b.id, "outcome", "fail")).Inc()
-		return
-	}
-	b.breaker.Success()
-	b.health.Observe(false)
-	f.opts.Obs.Counter(obs.Labels(obs.MFleetProbes, "backend", b.id, "outcome", "ok")).Inc()
-}
-
-func (f *Fleet) exportBreakerState(b *backend) {
-	f.noteBreaker(b)
-	if f.opts.Obs == nil {
-		return
-	}
-	g := f.opts.Obs.Gauge(obs.Label(obs.MFleetBreakerState, "backend", b.id))
-	g.Set(int64(b.breaker.State()))
-}
-
-// BackendStats is one backend's health snapshot.
+// BackendStats is one backend's snapshot.
 type BackendStats struct {
-	Endpoint     string       `json:"endpoint"`
-	State        BreakerState `json:"-"`
-	StateName    string       `json:"state"`
-	Dispatches   int64        `json:"dispatches"`
-	ErrorRate    float64      `json:"error_rate"`
-	BreakerOpens int          `json:"breaker_opens"`
-	Draining     bool         `json:"draining,omitempty"`
+	Endpoint   string `json:"endpoint"`
+	Dispatches int64  `json:"dispatches"`
+	// Opens counts the backend's transitions into the down state.
+	Opens int64 `json:"opens"`
+	// Down reports that the backend is inside its cooldown.
+	Down bool `json:"down,omitempty"`
 }
 
 // Stats is a fleet-wide snapshot (bcfbench's BENCH JSON embeds it).
 type Stats struct {
-	Backends     []BackendStats `json:"backends"`
-	Dispatches   int64          `json:"dispatches"`
-	Failovers    int64          `json:"failovers"`
-	Hedges       int64          `json:"hedges"`
-	HedgeWins    int64          `json:"hedge_wins"`
-	Backpressure int64          `json:"backpressure"`
-	Byzantine    int64          `json:"byzantine"`
-	// Latency percentiles over the recent-success window, milliseconds.
-	LatencyP50MS float64 `json:"latency_p50_ms"`
-	LatencyP90MS float64 `json:"latency_p90_ms"`
-	LatencyP99MS float64 `json:"latency_p99_ms"`
+	Backends   []BackendStats `json:"backends"`
+	Dispatches int64          `json:"dispatches"`
+	Failovers  int64          `json:"failovers"`
+	Byzantine  int64          `json:"byzantine"`
 }
 
-// Stats snapshots the fleet's resilience counters.
+// Stats snapshots the fleet's counters.
 func (f *Fleet) Stats() Stats {
 	s := Stats{
-		Dispatches:   f.dispatches.Load(),
-		Failovers:    f.failovers.Load(),
-		Hedges:       f.hedges.Load(),
-		HedgeWins:    f.hedgeWins.Load(),
-		Backpressure: f.backpressure.Load(),
-		Byzantine:    f.byzantine.Load(),
-		LatencyP50MS: float64(f.lat.Percentile(50)) / 1e6,
-		LatencyP90MS: float64(f.lat.Percentile(90)) / 1e6,
-		LatencyP99MS: float64(f.lat.Percentile(99)) / 1e6,
+		Dispatches: f.dispatches.Load(),
+		Failovers:  f.failovers.Load(),
+		Byzantine:  f.byzantine.Load(),
 	}
+	now := time.Now()
 	for _, b := range f.backends {
-		st := b.breaker.State()
 		s.Backends = append(s.Backends, BackendStats{
-			Endpoint:     b.id,
-			State:        st,
-			StateName:    st.String(),
-			Dispatches:   b.dispatches.Load(),
-			ErrorRate:    b.health.ErrorRate(),
-			BreakerOpens: b.breaker.Opens(),
-			Draining:     b.draining.Load(),
+			Endpoint:   b.id,
+			Dispatches: b.dispatches.Load(),
+			Opens:      b.opens.Load(),
+			Down:       b.down(now),
 		})
 	}
 	return s

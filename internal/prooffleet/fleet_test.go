@@ -84,8 +84,7 @@ func TestFleetProveAcrossBackends(t *testing.T) {
 	_, ep2 := startDaemon(t, proofd.Options{})
 	_, ep3 := startDaemon(t, proofd.Options{})
 	f := newFleet(t, Options{
-		Endpoints:     []string{ep1, ep2, ep3},
-		ProbeInterval: -1,
+		Endpoints: []string{ep1, ep2, ep3},
 	})
 
 	ctx := context.Background()
@@ -117,8 +116,8 @@ func TestFleetProveAcrossBackends(t *testing.T) {
 // backend's keys from stampeding a single neighbor.
 func TestFleetRankDeterministicAndStable(t *testing.T) {
 	eps := []string{"unix:/tmp/a", "unix:/tmp/b", "unix:/tmp/c", "unix:/tmp/d"}
-	f := newFleet(t, Options{Endpoints: eps, ProbeInterval: -1})
-	sub := newFleet(t, Options{Endpoints: eps[:3], ProbeInterval: -1})
+	f := newFleet(t, Options{Endpoints: eps})
+	sub := newFleet(t, Options{Endpoints: eps[:3]})
 
 	for i := 0; i < 64; i++ {
 		key := []byte(fmt.Sprintf("obligation-%d", i))
@@ -153,8 +152,6 @@ func TestFleetFailoverFromDeadBackend(t *testing.T) {
 	f := newFleet(t, Options{
 		Endpoints:      []string{live, dead},
 		ConnectTimeout: 200 * time.Millisecond,
-		ProbeInterval:  -1,
-		HedgeDelay:     -1,
 	})
 
 	ctx := context.Background()
@@ -168,8 +165,8 @@ func TestFleetFailoverFromDeadBackend(t *testing.T) {
 		t.Fatal("no failovers recorded despite a dead backend")
 	}
 	for _, b := range st.Backends {
-		if b.Endpoint == dead && b.State == BreakerClosed && b.BreakerOpens == 0 {
-			t.Fatalf("dead backend's breaker never reacted: %+v", b)
+		if b.Endpoint == dead && !b.Down && b.Opens == 0 {
+			t.Fatalf("dead backend never went down: %+v", b)
 		}
 	}
 }
@@ -182,8 +179,6 @@ func TestFleetAllBackendsDeadUnavailable(t *testing.T) {
 			"unix:" + filepath.Join(dir, "b.sock"),
 		},
 		ConnectTimeout: 100 * time.Millisecond,
-		ProbeInterval:  -1,
-		HedgeDelay:     -1,
 	})
 	_, err := f.ProveBytes(context.Background(), encodedCond(t, 1))
 	if !errors.Is(err, bcferr.ErrRemoteUnavailable) {
@@ -195,7 +190,7 @@ func TestFleetAllBackendsDeadUnavailable(t *testing.T) {
 // authoritative remote outcome — no failover, no fallback signal.
 func TestFleetAuthoritativeCounterexample(t *testing.T) {
 	_, ep := startDaemon(t, proofd.Options{})
-	f := newFleet(t, Options{Endpoints: []string{ep}, ProbeInterval: -1})
+	f := newFleet(t, Options{Endpoints: []string{ep}})
 	_, err := f.ProveBytes(context.Background(), falsifiableCond(t))
 	if err == nil {
 		t.Fatal("falsifiable condition proved")
@@ -214,7 +209,7 @@ func TestFleetAuthoritativeCounterexample(t *testing.T) {
 func TestFleetAuthoritativeRemoteError(t *testing.T) {
 	_, ep1 := startDaemon(t, proofd.Options{})
 	_, ep2 := startDaemon(t, proofd.Options{})
-	f := newFleet(t, Options{Endpoints: []string{ep1, ep2}, ProbeInterval: -1, HedgeDelay: -1})
+	f := newFleet(t, Options{Endpoints: []string{ep1, ep2}})
 	_, err := f.ProveBytes(context.Background(), []byte("not a condition"))
 	if err == nil || errors.Is(err, bcferr.ErrRemoteUnavailable) {
 		t.Fatalf("want authoritative remote error, got %v", err)
@@ -232,7 +227,7 @@ func TestFleetAuthoritativeRemoteError(t *testing.T) {
 func TestFleetContextCancelled(t *testing.T) {
 	const delay = 500 * time.Millisecond
 	_, ep := startDaemon(t, proofd.Options{ChaosDelay: delay})
-	f := newFleet(t, Options{Endpoints: []string{ep}, ProbeInterval: -1})
+	f := newFleet(t, Options{Endpoints: []string{ep}})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -250,7 +245,7 @@ func TestFleetContextCancelled(t *testing.T) {
 func TestFleetClosed(t *testing.T) {
 	reg := obs.NewRegistry()
 	_, ep := startDaemon(t, proofd.Options{Obs: reg})
-	f := newFleet(t, Options{Endpoints: []string{ep}, ProbeInterval: -1, Trace: obs.NewTracer()})
+	f := newFleet(t, Options{Endpoints: []string{ep}, Trace: obs.NewTracer()})
 	ctx := context.Background()
 	if _, err := f.ProveBytes(ctx, encodedCond(t, 1)); err != nil {
 		t.Fatal(err)
@@ -278,7 +273,7 @@ func TestFleetClosed(t *testing.T) {
 // dialed around Close survives it.
 func TestFleetCloseRacesCalls(t *testing.T) {
 	_, ep := startDaemon(t, proofd.Options{})
-	f := newFleet(t, Options{Endpoints: []string{ep}, ProbeInterval: -1})
+	f := newFleet(t, Options{Endpoints: []string{ep}})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -317,68 +312,6 @@ func TestSplitEndpoints(t *testing.T) {
 	}
 }
 
-func TestFleetBackpressure(t *testing.T) {
-	_, ep := startDaemon(t, proofd.Options{})
-	f := newFleet(t, Options{
-		Endpoints:     []string{ep},
-		ProbeInterval: -1,
-		RatePerSec:    0.001, // refills a token every ~17 minutes
-		Burst:         1,
-	})
-	ctx := context.Background()
-	if _, err := f.ProveBytes(ctx, encodedCond(t, 1)); err != nil {
-		t.Fatalf("first prove: %v", err)
-	}
-	_, err := f.ProveBytes(ctx, encodedCond(t, 2))
-	if !errors.Is(err, bcferr.ErrBackpressure) {
-		t.Fatalf("err = %v, want ErrBackpressure", err)
-	}
-	if errors.Is(err, bcferr.ErrRemoteUnavailable) {
-		t.Fatal("backpressure must not look like unavailability (it would trigger fallback)")
-	}
-	if st := f.Stats(); st.Backpressure == 0 {
-		t.Fatal("backpressure not counted")
-	}
-}
-
-// TestFleetHedgeSlowPrimary: a key whose primary is deliberately slow
-// gets hedged to the fast replica, and the hedge wins.
-func TestFleetHedgeSlowPrimary(t *testing.T) {
-	_, slow := startDaemon(t, proofd.Options{ChaosDelay: 400 * time.Millisecond})
-	_, fast := startDaemon(t, proofd.Options{})
-	f := newFleet(t, Options{
-		Endpoints:     []string{slow, fast},
-		ProbeInterval: -1,
-		HedgeDelay:    25 * time.Millisecond,
-	})
-
-	// Pick a condition whose rendezvous primary is the slow backend.
-	var cond []byte
-	for i := uint32(1); ; i++ {
-		c := encodedCond(t, i)
-		if f.rank(c)[0].id == slow {
-			cond = c
-			break
-		}
-	}
-	start := time.Now()
-	proof, err := f.ProveBytes(context.Background(), cond)
-	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(proof) == 0 {
-		t.Fatal("empty proof")
-	}
-	if elapsed >= 400*time.Millisecond {
-		t.Fatalf("prove took %v; hedge did not rescue the slow primary", elapsed)
-	}
-	st := f.Stats()
-	if st.Hedges == 0 || st.HedgeWins == 0 {
-		t.Fatalf("hedges=%d hedgeWins=%d, want both > 0", st.Hedges, st.HedgeWins)
-	}
-}
-
 // TestFleetByzantineBackendFailsOver: a backend returning garbage proof
 // bytes is detected by the client-side sanity decode and the key fails
 // over to an honest replica.
@@ -387,10 +320,8 @@ func TestFleetByzantineBackendFailsOver(t *testing.T) {
 	_, ep2 := startDaemon(t, proofd.Options{})
 	liar := ep1
 	f := newFleet(t, Options{
-		Endpoints:     []string{ep1, ep2},
-		ProbeInterval: -1,
-		HedgeDelay:    -1,
-		Fault:         corruptBackend{backend: liar},
+		Endpoints: []string{ep1, ep2},
+		Fault:     corruptBackend{backend: liar},
 	})
 	ctx := context.Background()
 	for i := uint32(1); i <= 8; i++ {
@@ -427,52 +358,80 @@ func (c corruptBackend) FleetProof(b string, _ int, p []byte) []byte {
 	return out
 }
 
-// TestFleetBreakerRecovery: kill a backend, watch its breaker open, then
-// restart it on the same socket and watch active probes walk the breaker
-// through half-open back to closed.
-func TestFleetBreakerRecovery(t *testing.T) {
-	dir := t.TempDir()
-	sock := filepath.Join(dir, "flappy.sock")
-	s1, ep := startDaemonAt(t, proofd.Options{}, sock)
+// TestFleetBackendDownCooldown: one transport failure takes a backend
+// down. During the cooldown its keys go to the survivor without touching
+// it; after the cooldown a daemon restarted on the same socket serves
+// them again.
+func TestFleetBackendDownCooldown(t *testing.T) {
+	_, survivor := startDaemon(t, proofd.Options{})
+	sock := filepath.Join(t.TempDir(), "flappy.sock")
+	s1, flappy := startDaemonAt(t, proofd.Options{}, sock)
+	reg := obs.NewRegistry()
+	reg.SetJournal(obs.NewJournal(0))
 	f := newFleet(t, Options{
-		Endpoints:       []string{ep},
-		ConnectTimeout:  100 * time.Millisecond,
-		ProbeInterval:   20 * time.Millisecond,
-		BreakerFailures: 2,
-		BreakerCooldown: 100 * time.Millisecond,
-		HedgeDelay:      -1,
+		Endpoints:      []string{flappy, survivor},
+		ConnectTimeout: 100 * time.Millisecond,
+		Obs:            reg,
 	})
+	// Conditions whose rendezvous primary is the flappy backend.
+	var keys [][]byte
+	for i := uint32(1); len(keys) < 6; i++ {
+		if c := encodedCond(t, i); f.rank(c)[0].id == flappy {
+			keys = append(keys, c)
+		}
+	}
 	ctx := context.Background()
-	if _, err := f.ProveBytes(ctx, encodedCond(t, 1)); err != nil {
+	if _, err := f.ProveBytes(ctx, keys[0]); err != nil {
 		t.Fatalf("warm prove: %v", err)
 	}
-
-	// Kill the backend; probes and failed proves should trip the breaker.
 	sctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	s1.Shutdown(sctx)
 	cancel()
-	deadline := time.Now().Add(10 * time.Second)
-	for f.backends[0].breaker.State() != BreakerOpen {
-		f.ProveBytes(ctx, encodedCond(t, 2)) // feed the breaker
-		if time.Now().After(deadline) {
-			t.Fatal("breaker never opened after backend death")
-		}
-		time.Sleep(10 * time.Millisecond)
+
+	// One transport failure: the key fails over and the backend is down.
+	if _, err := f.ProveBytes(ctx, keys[1]); err != nil {
+		t.Fatalf("prove over a dead primary: %v", err)
+	}
+	st := f.Stats()
+	if !st.Backends[0].Down || st.Backends[0].Opens != 1 {
+		t.Fatalf("after one failure: %+v, want down with one open", st.Backends[0])
+	}
+	if n := reg.Counter(obs.Label(obs.MFleetBreakerOpens, "backend", flappy)).Value(); n != 1 {
+		t.Fatalf("%s = %d, want 1", obs.MFleetBreakerOpens, n)
+	}
+	if es := reg.Journal().Entries(); len(es) != 1 || es[0].Kind != obs.JKindBreaker {
+		t.Fatalf("journal = %+v, want one %s entry", es, obs.JKindBreaker)
 	}
 
-	// Restart on the same socket; probes must close the breaker again.
-	startDaemonAt(t, proofd.Options{}, sock)
-	for f.backends[0].breaker.State() != BreakerClosed {
-		if time.Now().After(deadline) {
-			t.Fatalf("breaker stuck %v after backend restart", f.backends[0].breaker.State())
+	// During the cooldown the dead backend sees no dispatch.
+	before := f.Stats()
+	for _, k := range keys[2:5] {
+		if _, err := f.ProveBytes(ctx, k); err != nil {
+			t.Fatalf("prove during cooldown: %v", err)
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
-	if _, err := f.ProveBytes(ctx, encodedCond(t, 3)); err != nil {
-		t.Fatalf("prove after recovery: %v", err)
+	after := f.Stats()
+	if after.Backends[0].Dispatches != before.Backends[0].Dispatches {
+		t.Fatalf("down backend dispatched %d times during its cooldown",
+			after.Backends[0].Dispatches-before.Backends[0].Dispatches)
 	}
-	if f.Stats().Backends[0].BreakerOpens == 0 {
-		t.Fatal("breaker opens not counted")
+	if got := after.Backends[1].Dispatches - before.Backends[1].Dispatches; got != 3 {
+		t.Fatalf("survivor took %d of the 3 keys", got)
+	}
+
+	// After the cooldown, a restarted daemon on the same socket serves.
+	startDaemonAt(t, proofd.Options{}, sock)
+	time.Sleep(DownFor)
+	if _, err := f.ProveBytes(ctx, keys[5]); err != nil {
+		t.Fatalf("prove after the cooldown: %v", err)
+	}
+	final := f.Stats()
+	if final.Backends[0].Dispatches != after.Backends[0].Dispatches+1 || final.Backends[0].Down {
+		t.Fatalf("restarted backend did not serve its key: %+v", final.Backends[0])
+	}
+	if final.Backends[0].Opens != 1 || final.Failovers != after.Failovers {
+		t.Fatalf("opens=%d failovers=%d after recovery, want 1 and %d",
+			final.Backends[0].Opens, final.Failovers, after.Failovers)
 	}
 }
 
@@ -482,8 +441,7 @@ func TestFleetConcurrentLoad(t *testing.T) {
 	_, ep1 := startDaemon(t, proofd.Options{})
 	_, ep2 := startDaemon(t, proofd.Options{})
 	f := newFleet(t, Options{
-		Endpoints:     []string{ep1, ep2},
-		ProbeInterval: 10 * time.Millisecond,
+		Endpoints: []string{ep1, ep2},
 	})
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
@@ -504,122 +462,5 @@ func TestFleetConcurrentLoad(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-}
-
-func TestBreakerStateMachine(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := newBreaker(breakerConfig{failures: 2, cooldown: time.Second, probation: 2, trickle: 1})
-	if !b.Allow(now) || b.State() != BreakerClosed {
-		t.Fatal("fresh breaker not closed")
-	}
-	b.Failure(now)
-	if b.State() != BreakerClosed {
-		t.Fatal("one failure tripped a threshold-2 breaker")
-	}
-	b.Failure(now)
-	if b.State() != BreakerOpen {
-		t.Fatal("threshold failures did not trip")
-	}
-	if b.Allow(now.Add(500 * time.Millisecond)) {
-		t.Fatal("open breaker allowed during cooldown")
-	}
-	// Cooldown over: first Allow takes the probationary slot...
-	if !b.Allow(now.Add(2 * time.Second)) {
-		t.Fatal("half-open denied first probe")
-	}
-	if b.State() != BreakerHalfOpen {
-		t.Fatal("not half-open after cooldown")
-	}
-	// ...and the trickle bound denies a second concurrent one.
-	if b.Allow(now.Add(2 * time.Second)) {
-		t.Fatal("trickle bound ignored")
-	}
-	b.Success()
-	if !b.Allow(now.Add(2 * time.Second)) {
-		t.Fatal("slot not returned after success")
-	}
-	b.Success()
-	if b.State() != BreakerClosed {
-		t.Fatal("probation quota met but breaker not closed")
-	}
-
-	// Half-open failure reopens immediately.
-	b.Failure(now.Add(3 * time.Second))
-	b.Failure(now.Add(3 * time.Second))
-	if !b.Allow(now.Add(5 * time.Second)) {
-		t.Fatal("half-open denied after second cooldown")
-	}
-	b.Failure(now.Add(5 * time.Second))
-	if b.State() != BreakerOpen {
-		t.Fatal("half-open failure did not reopen")
-	}
-	if b.Opens() != 3 {
-		t.Fatalf("opens = %d, want 3", b.Opens())
-	}
-
-	// Forgive returns the slot without judging the backend.
-	if !b.Allow(now.Add(10 * time.Second)) {
-		t.Fatal("half-open denied after third cooldown")
-	}
-	b.Forgive()
-	if b.State() != BreakerHalfOpen {
-		t.Fatal("forgive changed state")
-	}
-	if !b.Allow(now.Add(10 * time.Second)) {
-		t.Fatal("forgiven slot not reusable")
-	}
-}
-
-func TestAdmissionTokenBucket(t *testing.T) {
-	now := time.Unix(1000, 0)
-	a := newAdmission(2, 2, 0, now) // 2/s, burst 2, unlimited inflight
-	if err := a.Admit(now); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Admit(now); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Admit(now); !errors.Is(err, bcferr.ErrBackpressure) {
-		t.Fatalf("burst exceeded but err = %v", err)
-	}
-	// Half a second refills one token at 2/s.
-	if err := a.Admit(now.Add(500 * time.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-
-	b := newAdmission(0, 0, 1, now) // inflight bound only
-	if err := b.Admit(now); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Admit(now); !errors.Is(err, bcferr.ErrBackpressure) {
-		t.Fatalf("inflight exceeded but err = %v", err)
-	}
-	b.Release()
-	if err := b.Admit(now); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLatencyDigestPercentile(t *testing.T) {
-	d := newLatencyDigest()
-	if d.Percentile(99) != 0 {
-		t.Fatal("empty digest nonzero")
-	}
-	for i := 1; i <= 100; i++ {
-		d.Observe(time.Duration(i) * time.Millisecond)
-	}
-	if got := d.Percentile(50); got < 45*time.Millisecond || got > 55*time.Millisecond {
-		t.Fatalf("p50 = %v", got)
-	}
-	if got := d.Percentile(99); got < 95*time.Millisecond {
-		t.Fatalf("p99 = %v", got)
-	}
-	// Overflow the ring: old samples age out.
-	for i := 0; i < latencyWindow; i++ {
-		d.Observe(time.Second)
-	}
-	if got := d.Percentile(50); got != time.Second {
-		t.Fatalf("p50 after overwrite = %v", got)
 	}
 }

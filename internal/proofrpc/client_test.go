@@ -60,16 +60,14 @@ func fakeServer(t *testing.T, handle func(*proofrpc.Frame) *proofrpc.Frame) stri
 	return "unix:" + sock
 }
 
-// newTestClient builds a fleet of one with probing and hedging off, so
-// every frame the server sees comes from the call under test.
+// newTestClient builds a fleet of one, so every frame the server sees
+// comes from the call under test.
 func newTestClient(t *testing.T, endpoint string, reg *obs.Registry) *prooffleet.Fleet {
 	t.Helper()
 	c, err := prooffleet.New(prooffleet.Options{
 		Endpoints:      []string{endpoint},
 		ConnectTimeout: time.Second,
 		RequestTimeout: 2 * time.Second,
-		ProbeInterval:  -1,
-		HedgeDelay:     -1,
 		Obs:            reg,
 	})
 	if err != nil {
@@ -193,8 +191,9 @@ func TestClientCorruptProofUnavailable(t *testing.T) {
 	}
 }
 
-// A connection dropped mid-request fails that request as unavailable;
-// the next request redials and succeeds.
+// A connection dropped mid-request fails that request as unavailable
+// and takes the lone backend down; the first request after the cooldown
+// redials and succeeds.
 func TestClientRecoversAfterDroppedConn(t *testing.T) {
 	proof := validProof(t)
 	var requests atomic.Int32
@@ -208,6 +207,7 @@ func TestClientRecoversAfterDroppedConn(t *testing.T) {
 	if _, err := c.ProveBytes(context.Background(), []byte("cond")); !errors.Is(err, bcferr.ErrRemoteUnavailable) {
 		t.Fatalf("dropped request: err = %v, want ErrRemoteUnavailable", err)
 	}
+	time.Sleep(prooffleet.DownFor)
 	got, err := c.ProveBytes(context.Background(), []byte("cond"))
 	if err != nil {
 		t.Fatalf("prove after dropped conn: %v", err)

@@ -30,8 +30,10 @@ const FrameMagic = 0x52464342
 // version are rejected (no negotiation — the fleet upgrades in lockstep
 // with the wire format, like bcfenc.Version). Version 2 added the flags
 // header word and the optional trace-context block; version 3 dropped
-// the fuzz-campaign types 9–11, renumbering TSpans/TSpansOK to 9/10.
-const FrameVersion = 3
+// the fuzz-campaign types 9–11, renumbering TSpans/TSpansOK to 9/10;
+// version 4 dropped THealth/THealthOK, renumbering TSpans/TSpansOK to
+// 7/8.
+const FrameVersion = 4
 
 // Frame types.
 const (
@@ -49,12 +51,6 @@ const (
 	// TError answers a TProve that failed: a bcferr class word followed
 	// by the error message.
 	TError
-	// THealth asks the daemon for a health snapshot; fleet clients use it
-	// as the active probe feeding circuit breakers. Unlike TPing — a bare
-	// liveness round-trip — the reply carries load information.
-	THealth
-	// THealthOK answers a THealth: an EncodeHealthPayload snapshot.
-	THealthOK
 	// TSpans asks a daemon to ship back the spans it recorded under one
 	// trace ID (the payload: trace hi u64 | trace lo u64). Clients send
 	// it after a traced run so one Perfetto file can stitch both sides of
@@ -83,10 +79,6 @@ func TypeString(typ uint32) string {
 		return "TCex"
 	case TError:
 		return "TError"
-	case THealth:
-		return "THealth"
-	case THealthOK:
-		return "THealthOK"
 	case TSpans:
 		return "TSpans"
 	case TSpansOK:
@@ -405,51 +397,4 @@ func DecodePongPayload(buf []byte) (int64, error) {
 		return 0, fmt.Errorf("proofrpc: %s payload %d bytes, want %d", TypeString(TPong), len(buf), pongPayloadLen)
 	}
 	return int64(binary.LittleEndian.Uint64(buf)), nil
-}
-
-// Health is the daemon load snapshot carried by a THealthOK reply. Fleet
-// clients fold it into their per-backend scoring: a draining daemon is
-// taken out of rotation before its socket ever refuses, and a saturated
-// one sheds hedges.
-type Health struct {
-	// Inflight is the number of obligations currently being proven.
-	Inflight uint32
-	// MaxInflight is the daemon's proving-concurrency bound.
-	MaxInflight uint32
-	// CacheSize is the number of proofs in the daemon's memory cache.
-	CacheSize uint32
-	// Draining reports that the daemon is shutting down: it will finish
-	// inflight work but new obligations should go elsewhere.
-	Draining bool
-}
-
-// healthPayloadLen is the fixed THealthOK payload size:
-// inflight u32 | max inflight u32 | cache size u32 | flags u32.
-const healthPayloadLen = 16
-
-// EncodeHealthPayload serializes a Health snapshot for a THealthOK frame.
-func EncodeHealthPayload(h Health) []byte {
-	buf := make([]byte, healthPayloadLen)
-	binary.LittleEndian.PutUint32(buf[0:], h.Inflight)
-	binary.LittleEndian.PutUint32(buf[4:], h.MaxInflight)
-	binary.LittleEndian.PutUint32(buf[8:], h.CacheSize)
-	var flags uint32
-	if h.Draining {
-		flags |= 1
-	}
-	binary.LittleEndian.PutUint32(buf[12:], flags)
-	return buf
-}
-
-// DecodeHealthPayload parses a THealthOK payload.
-func DecodeHealthPayload(buf []byte) (Health, error) {
-	if len(buf) != healthPayloadLen {
-		return Health{}, fmt.Errorf("proofrpc: health payload %d bytes, want %d", len(buf), healthPayloadLen)
-	}
-	return Health{
-		Inflight:    binary.LittleEndian.Uint32(buf[0:]),
-		MaxInflight: binary.LittleEndian.Uint32(buf[4:]),
-		CacheSize:   binary.LittleEndian.Uint32(buf[8:]),
-		Draining:    binary.LittleEndian.Uint32(buf[12:])&1 != 0,
-	}, nil
 }

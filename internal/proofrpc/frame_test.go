@@ -13,7 +13,7 @@ import (
 // Golden frames pin the wire format: any byte-level change to the
 // header layout, CRC polynomial or field order breaks these, which is
 // exactly the point — the daemon and its clients upgrade in lockstep.
-// Version 3 layout: magic | version | type | flags | reqid u64 | len |
+// Version 4 layout: magic | version | type | flags | reqid u64 | len |
 // crc, with an optional 28-byte trace block between header and payload.
 func TestFrameGoldens(t *testing.T) {
 	cases := []struct {
@@ -22,14 +22,14 @@ func TestFrameGoldens(t *testing.T) {
 		golden string
 	}{
 		{"ping", Frame{Type: TPing},
-			"4243465203000000010000000000000000000000000000000000000000000000"},
+			"4243465204000000010000000000000000000000000000000000000000000000"},
 		{"prove", Frame{Type: TProve, ReqID: 7, Payload: []byte("hello")},
-			"424346520300000003000000000000000700000000000000050000004cbb719a68656c6c6f"},
+			"424346520400000003000000000000000700000000000000050000004cbb719a68656c6c6f"},
 		{"proof-ok", Frame{Type: TProofOK, ReqID: 0xdeadbeefcafe, Payload: []byte{SrcDisk, 1, 2, 3}},
-			"42434652030000000400000000000000fecaefbeadde0000040000002239546602010203"},
+			"42434652040000000400000000000000fecaefbeadde0000040000002239546602010203"},
 		{"traced-prove", Frame{Type: TProve, ReqID: 7, Payload: []byte("hello"),
 			Trace: obs.TraceContext{TraceHi: 0x1111, TraceLo: 0x2222, Span: 0x3333, Flags: 1}},
-			"424346520300000003000000010000000700000000000000050000004cbb719a" +
+			"424346520400000003000000010000000700000000000000050000004cbb719a" +
 				"111100000000000022220000000000003333000000000000" +
 				"0100000068656c6c6f"},
 	}
@@ -292,28 +292,5 @@ func TestTypeString(t *testing.T) {
 	}
 	if s := TypeString(999); !strings.Contains(s, "999") {
 		t.Fatalf("unknown type should include the code: %q", s)
-	}
-}
-
-func TestHealthPayloadRoundTrip(t *testing.T) {
-	cases := []Health{
-		{},
-		{Inflight: 7, MaxInflight: 32, CacheSize: 4096},
-		{Inflight: 1, MaxInflight: 1, Draining: true},
-	}
-	for _, h := range cases {
-		got, err := DecodeHealthPayload(EncodeHealthPayload(h))
-		if err != nil {
-			t.Fatalf("decode %+v: %v", h, err)
-		}
-		if got != h {
-			t.Fatalf("round trip %+v -> %+v", h, got)
-		}
-	}
-	if _, err := DecodeHealthPayload([]byte{1, 2, 3}); err == nil {
-		t.Fatal("accepted truncated health payload")
-	}
-	if _, err := DecodeHealthPayload(make([]byte, healthPayloadLen+1)); err == nil {
-		t.Fatal("accepted oversized health payload")
 	}
 }

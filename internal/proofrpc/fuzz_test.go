@@ -3,6 +3,8 @@ package proofrpc
 import (
 	"bytes"
 	"testing"
+
+	"bcf/internal/obs"
 )
 
 // FuzzDecodeFrame hammers the frame decoder — the first parser any byte
@@ -23,11 +25,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(seed(&Frame{Type: TProofOK, ReqID: 1, Payload: []byte{SrcMem, 0, 1, 2, 3}}))
 	f.Add(seed(&Frame{Type: TCex, ReqID: 2, Payload: EncodeCexPayload(map[uint32]uint64{1: 99})}))
 	f.Add(seed(&Frame{Type: TError, ReqID: 3, Payload: EncodeErrorPayload(2, "boom")}))
-	f.Add(seed(&Frame{Type: THealth, ReqID: 4}))
-	f.Add(seed(&Frame{Type: THealthOK, ReqID: 4,
-		Payload: EncodeHealthPayload(Health{Inflight: 3, MaxInflight: 16, CacheSize: 512})}))
-	f.Add(seed(&Frame{Type: THealthOK, ReqID: 5,
-		Payload: EncodeHealthPayload(Health{Draining: true})}))
+	// Span stitching: a traced prove, then the fetch and its reply.
+	f.Add(seed(&Frame{Type: TProve, ReqID: 4, Payload: []byte("traced condition"),
+		Trace: obs.TraceContext{TraceHi: 1, TraceLo: 2, Span: 3, Flags: obs.FlagShipSpans}}))
+	f.Add(seed(&Frame{Type: TSpans, ReqID: 5, Payload: EncodeSpansRequest(1, 2)}))
+	f.Add(seed(&Frame{Type: TSpansOK, ReqID: 5, Payload: []byte(`{"events":[]}`)}))
 	// Multiplexed traffic: high out-of-order request IDs on prove frames.
 	f.Add(seed(&Frame{Type: TProve, ReqID: 1 << 40, Payload: []byte("mux condition")}))
 	f.Add(seed(&Frame{Type: TProofOK, ReqID: (1 << 40) + 1, Payload: []byte{SrcCoalesced, 9, 8, 7}}))

@@ -210,15 +210,3 @@ func (m *MuxConn) FetchSpans(ctx context.Context, hi, lo uint64) (obs.ExportedTr
 	}
 	return ex, nil
 }
-
-// Health round-trips a health probe and returns the daemon's snapshot.
-func (m *MuxConn) Health(ctx context.Context) (Health, error) {
-	rf, err := m.Do(ctx, THealth, nil)
-	if err != nil {
-		return Health{}, err
-	}
-	if rf.Type != THealthOK {
-		return Health{}, fmt.Errorf("proofrpc: unexpected reply type %s to %s", TypeString(rf.Type), TypeString(THealth))
-	}
-	return DecodeHealthPayload(rf.Payload)
-}

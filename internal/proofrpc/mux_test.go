@@ -10,10 +10,10 @@ import (
 )
 
 // muxEchoServer speaks the frame protocol on the server end of a pipe:
-// TPing → TPong, THealth → a canned THealthOK, TProve → TProofOK echoing
+// TPing → TPong, TProve → TProofOK echoing
 // the request payload back (so tests can verify reply routing). Replies
 // can be held and released out of order via the hold callback.
-func muxEchoServer(t *testing.T, conn net.Conn, health Health, hold func(f *Frame) <-chan struct{}) {
+func muxEchoServer(t *testing.T, conn net.Conn, hold func(f *Frame) <-chan struct{}) {
 	t.Helper()
 	var wmu sync.Mutex
 	reply := func(f *Frame) {
@@ -38,8 +38,6 @@ func muxEchoServer(t *testing.T, conn net.Conn, health Health, hold func(f *Fram
 				switch f.Type {
 				case TPing:
 					reply(&Frame{Type: TPong, ReqID: f.ReqID})
-				case THealth:
-					reply(&Frame{Type: THealthOK, ReqID: f.ReqID, Payload: EncodeHealthPayload(health)})
 				case TProve:
 					reply(&Frame{Type: TProofOK, ReqID: f.ReqID, Payload: f.Payload})
 				}
@@ -48,10 +46,10 @@ func muxEchoServer(t *testing.T, conn net.Conn, health Health, hold func(f *Fram
 	}()
 }
 
-func pipeMux(t *testing.T, health Health, hold func(f *Frame) <-chan struct{}) *MuxConn {
+func pipeMux(t *testing.T, hold func(f *Frame) <-chan struct{}) *MuxConn {
 	t.Helper()
 	cli, srv := net.Pipe()
-	muxEchoServer(t, srv, health, hold)
+	muxEchoServer(t, srv, hold)
 	m := NewMuxConn(cli)
 	t.Cleanup(func() {
 		m.Close()
@@ -82,7 +80,7 @@ func TestMuxConcurrentOutOfOrder(t *testing.T) {
 		arrived <- struct{}{}
 		return g
 	}
-	m := pipeMux(t, Health{}, hold)
+	m := pipeMux(t, hold)
 
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -120,21 +118,13 @@ func TestMuxConcurrentOutOfOrder(t *testing.T) {
 	}
 }
 
-// TestMuxPingHealth exercises the two probe frame types end to end.
-func TestMuxPingHealth(t *testing.T) {
-	want := Health{Inflight: 3, MaxInflight: 16, CacheSize: 512, Draining: true}
-	m := pipeMux(t, want, nil)
+// TestMuxPing exercises the liveness handshake end to end.
+func TestMuxPing(t *testing.T) {
+	m := pipeMux(t, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := m.Ping(ctx); err != nil {
 		t.Fatalf("ping: %v", err)
-	}
-	h, err := m.Health(ctx)
-	if err != nil {
-		t.Fatalf("health: %v", err)
-	}
-	if h != want {
-		t.Fatalf("health = %+v, want %+v", h, want)
 	}
 }
 
@@ -158,7 +148,7 @@ func TestMuxDoCancelled(t *testing.T) {
 		}
 		return nil
 	}
-	m := pipeMux(t, Health{}, hold)
+	m := pipeMux(t, hold)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
