@@ -435,6 +435,128 @@ func TestFleetBackendDownCooldown(t *testing.T) {
 	}
 }
 
+// TestBreakerStateMachine walks a backend's two states, up and down.
+// markDown takes it down for DownFor and counts one open; a failure while
+// down only extends the cooldown; a failure after the cooldown is a new
+// open. A cancelled context is not a failure. A fleet whose every backend
+// is down answers ErrRemoteUnavailable without dispatching.
+func TestBreakerStateMachine(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	reg.SetJournal(obs.NewJournal(0))
+	f := newFleet(t, Options{
+		Endpoints: []string{
+			"unix:" + filepath.Join(dir, "a.sock"),
+			"unix:" + filepath.Join(dir, "b.sock"),
+		},
+		ConnectTimeout: 100 * time.Millisecond,
+		Obs:            reg,
+	})
+	b := f.backends[0]
+	if b.down(time.Now()) || b.opens.Load() != 0 {
+		t.Fatal("fresh backend is down")
+	}
+
+	// A cancelled caller says nothing about the backends.
+	cctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := f.ProveBytes(cctx, encodedCond(t, 1)); !errors.Is(err, bcferr.ErrRemoteUnavailable) {
+		t.Fatalf("cancelled prove: err = %v, want ErrRemoteUnavailable", err)
+	}
+	for _, bs := range f.Stats().Backends {
+		if bs.Down || bs.Opens != 0 {
+			t.Fatalf("cancelled context took a backend down: %+v", bs)
+		}
+	}
+
+	// Up → down: counted once, journalled once, down for DownFor.
+	t0 := time.Now()
+	f.markDown(b, errors.New("boom"))
+	if !b.down(time.Now()) || b.opens.Load() != 1 {
+		t.Fatalf("after markDown: down=%v opens=%d, want down with one open", b.down(time.Now()), b.opens.Load())
+	}
+	if b.down(t0.Add(DownFor + time.Second)) {
+		t.Fatal("cooldown outlasts DownFor")
+	}
+	// Down → down: the cooldown moves, the open count does not.
+	first := b.downUntil.Load()
+	f.markDown(b, errors.New("again"))
+	if b.opens.Load() != 1 || b.downUntil.Load() < first {
+		t.Fatalf("failure while down: opens=%d, cooldown end %d → %d", b.opens.Load(), first, b.downUntil.Load())
+	}
+	if n := reg.Counter(obs.Label(obs.MFleetBreakerOpens, "backend", b.id)).Value(); n != 1 {
+		t.Fatalf("%s = %d, want 1", obs.MFleetBreakerOpens, n)
+	}
+	if es := reg.Journal().Entries(); len(es) != 1 || es[0].Kind != obs.JKindBreaker {
+		t.Fatalf("journal = %+v, want one %s entry", es, obs.JKindBreaker)
+	}
+	// Cooldown over, then a new failure: a second open.
+	b.downUntil.Store(time.Now().Add(-time.Nanosecond).UnixNano())
+	if b.down(time.Now()) {
+		t.Fatal("backend still down after its cooldown")
+	}
+	f.markDown(b, errors.New("relapse"))
+	if !b.down(time.Now()) || b.opens.Load() != 2 {
+		t.Fatalf("failure after the cooldown: opens=%d, want 2", b.opens.Load())
+	}
+
+	// Every backend down: unavailable, and nothing is dialed.
+	f.markDown(f.backends[1], errors.New("boom"))
+	before := f.Stats().Dispatches
+	if _, err := f.ProveBytes(context.Background(), encodedCond(t, 2)); !errors.Is(err, bcferr.ErrRemoteUnavailable) {
+		t.Fatalf("all down: err = %v, want ErrRemoteUnavailable", err)
+	}
+	if d := f.Stats().Dispatches - before; d != 0 {
+		t.Fatalf("all-down fleet dispatched %d times", d)
+	}
+}
+
+// TestFleetBreakerRecovery: kill the only backend of a fleet of one and
+// watch one failed prove take it down; while down the fleet answers
+// ErrRemoteUnavailable without dispatching; once the daemon is restarted
+// on the same socket and the cooldown has passed, it serves again.
+func TestFleetBreakerRecovery(t *testing.T) {
+	sock := filepath.Join(t.TempDir(), "flappy.sock")
+	s1, ep := startDaemonAt(t, proofd.Options{}, sock)
+	f := newFleet(t, Options{
+		Endpoints:      []string{ep},
+		ConnectTimeout: 100 * time.Millisecond,
+	})
+	ctx := context.Background()
+	if _, err := f.ProveBytes(ctx, encodedCond(t, 1)); err != nil {
+		t.Fatalf("warm prove: %v", err)
+	}
+
+	sctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	s1.Shutdown(sctx)
+	cancel()
+	if _, err := f.ProveBytes(ctx, encodedCond(t, 2)); !errors.Is(err, bcferr.ErrRemoteUnavailable) {
+		t.Fatalf("prove on a dead backend: err = %v, want ErrRemoteUnavailable", err)
+	}
+	st := f.Stats()
+	if !st.Backends[0].Down || st.Backends[0].Opens != 1 {
+		t.Fatalf("after backend death: %+v, want down with one open", st.Backends[0])
+	}
+
+	// Restarted, but still inside the cooldown: not dialed.
+	startDaemonAt(t, proofd.Options{}, sock)
+	if _, err := f.ProveBytes(ctx, encodedCond(t, 3)); !errors.Is(err, bcferr.ErrRemoteUnavailable) {
+		t.Fatalf("prove during the cooldown: err = %v, want ErrRemoteUnavailable", err)
+	}
+	if d := f.Stats().Dispatches; d != st.Dispatches {
+		t.Fatalf("down backend dispatched %d times during its cooldown", d-st.Dispatches)
+	}
+
+	time.Sleep(DownFor)
+	if _, err := f.ProveBytes(ctx, encodedCond(t, 3)); err != nil {
+		t.Fatalf("prove after recovery: %v", err)
+	}
+	final := f.Stats()
+	if final.Backends[0].Down || final.Backends[0].Opens != 1 {
+		t.Fatalf("after recovery: %+v, want up with one open", final.Backends[0])
+	}
+}
+
 // TestFleetConcurrentLoad drives many goroutines through one fleet to
 // give the race detector something to chew on.
 func TestFleetConcurrentLoad(t *testing.T) {
