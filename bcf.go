@@ -225,8 +225,11 @@ func NewRemoteFleet(opts FleetOptions) (*Fleet, error) {
 	return prooffleet.New(opts)
 }
 
-// WithTelemetry threads a metrics registry and/or span tracer through
-// every layer of the load (verifier, session, refiner, solver, loader).
+// WithTelemetry attaches a metrics registry and/or span tracer to the
+// load. The user-space layers (loader, cache, remote client, solver)
+// report into them as they run; the kernel side (verifier, session,
+// refiner) reports nothing, and the loader derives its metrics, spans
+// and journal entries from the load's record once the verdict is in.
 // Either argument may be nil; a disabled layer costs only a nil check.
 func WithTelemetry(reg *Registry, tr *Tracer) Option {
 	return func(o *loader.Options) {
@@ -309,8 +312,8 @@ func Verify(prog *Program, opts ...Option) *Report {
 		Log:             res.Log,
 		raw:             res,
 	}
-	// Wire totals come from the session's per-round traffic ledger — the
-	// single source of truth — not from re-summing refiner stats.
+	// Wire totals come from the session's traffic accounting, the totals
+	// its limits are checked against, not from re-summing refiner stats.
 	rep.ConditionBytes = res.CondBytes
 	rep.ProofBytes = res.ProofBytes
 	if res.RefineStats != nil {

@@ -7,7 +7,6 @@ import (
 	"bcf/internal/bcfenc"
 	"bcf/internal/bcferr"
 	"bcf/internal/expr"
-	"bcf/internal/obs"
 	"bcf/internal/proof"
 	"bcf/internal/verifier"
 )
@@ -29,23 +28,38 @@ type ProveFunc func(condition []byte) (proofBytes []byte, err error)
 // Prove calls f.
 func (f ProveFunc) Prove(condition []byte) ([]byte, error) { return f(condition) }
 
-// RequestStats records per-refinement measurements (Table 3).
+// RequestStats records one refinement request (Table 3). It is the
+// kernel side's whole report on the request: the loader derives the
+// refinement metrics, spans and journal entries from it.
 type RequestStats struct {
-	TrackLen      int           // instructions symbolically tracked
-	CondBytes     int           // encoded condition size
-	ProofBytes    int           // encoded proof size
-	CheckDuration time.Duration // kernel-side proof check time
-	UserDuration  time.Duration // user-space reasoning time
-	Tier          string        // which prover produced the proof (if reported)
+	Insn       int                // instruction whose check failed
+	Kind       verifier.CheckKind // the failed check
+	Granted    bool               // the proof checked and the refinement was adopted
+	TrackLen   int                // instructions symbolically tracked
+	CondBytes  int                // encoded condition size
+	ProofBytes int                // encoded proof size
+	// Start is when Refine was called and Duration how long it ran;
+	// the stage durations below lie inside that interval, in order.
+	Start          time.Time
+	Duration       time.Duration
+	TrackDuration  time.Duration // backward analysis + symbolic tracking
+	EncodeDuration time.Duration // condition encode
+	UserDuration   time.Duration // user-space reasoning time
+	CheckDuration  time.Duration // kernel-side proof check time; zero when user space returned no proof
 }
 
 // Stats aggregates refiner activity over one program load.
 type Stats struct {
-	Requests  []RequestStats
+	// Requests holds one entry per condition shipped to user space, in
+	// order.
+	Requests []RequestStats
+	// Unshipped is the refinement that failed before its condition was
+	// shipped (nil if none). A failed refinement ends the load, so there
+	// is at most one.
+	Unshipped *RequestStats
 	Granted   int
 	Failed    int
 	UserTime  time.Duration
-	CheckTime time.Duration
 }
 
 // Refiner implements verifier.Refiner using symbolic tracking, the BCF
@@ -55,11 +69,6 @@ type Refiner struct {
 	// DisableBackward runs symbolic tracking from the path start instead
 	// of the computed suffix (ablation).
 	DisableBackward bool
-	// Obs and Trace, when non-nil, receive per-round counters,
-	// stage-latency histograms, and refine/track/encode/check spans
-	// (keyed by refinement round). Nil costs only a nil check.
-	Obs   *obs.Registry
-	Trace *obs.Tracer
 
 	stats Stats
 }
@@ -74,48 +83,32 @@ func (r *Refiner) Stats() *Stats { return &r.stats }
 
 // Refine handles one failed check (verifier.Refiner).
 func (r *Refiner) Refine(req *verifier.RefineRequest) (*verifier.RefineResult, error) {
-	var sp obs.Span
-	if r.Trace != nil {
-		sp = r.Trace.StartArgs(obs.CatRefine, "refine", map[string]any{
-			"round": len(r.stats.Requests), "insn": req.InsnIdx, "kind": req.Kind.String(),
-		})
-	}
-	r.Obs.Counter(obs.MRefineRequests).Inc()
-	round := len(r.stats.Requests)
-	res, err := r.refine(req)
-	if err != nil {
+	rs := RequestStats{Insn: req.InsnIdx, Kind: req.Kind, Start: time.Now()}
+	res, err := r.refine(req, &rs)
+	rs.Duration = time.Since(rs.Start)
+	rs.Granted = err == nil
+	if err == nil {
+		r.stats.Granted++
+	} else {
 		r.stats.Failed++
-		r.Obs.Counter(obs.MRefinementsFailed).Inc()
-		if j := r.Obs.Journal(); j != nil {
-			j.Recordf(obs.JKindRefine, "refiner", int64(round),
-				"round %d: %s at insn %d failed: %v", round, req.Kind, req.InsnIdx, err)
-		}
-		sp.End()
-		return nil, err
 	}
-	r.stats.Granted++
-	r.Obs.Counter(obs.MRefinementsGranted).Inc()
-	if j := r.Obs.Journal(); j != nil {
-		j.Recordf(obs.JKindRefine, "refiner", int64(round),
-			"round %d: %s at insn %d granted", round, req.Kind, req.InsnIdx)
+	// Only a shipped condition has bytes; an encoding is never empty.
+	if rs.CondBytes > 0 {
+		r.stats.Requests = append(r.stats.Requests, rs)
+	} else {
+		u := rs
+		r.stats.Unshipped = &u
 	}
-	sp.End()
-	return res, nil
+	return res, err
 }
 
-func (r *Refiner) refine(req *verifier.RefineRequest) (*verifier.RefineResult, error) {
+func (r *Refiner) refine(req *verifier.RefineRequest, rs *RequestStats) (*verifier.RefineResult, error) {
 	if r.Service == nil {
 		return nil, fmt.Errorf("bcf: no proof service configured")
 	}
 	if req.Path == (verifier.Path{}) {
 		return nil, fmt.Errorf("bcf: empty analysis path")
 	}
-
-	var trackStart time.Time
-	if r.Obs != nil {
-		trackStart = time.Now()
-	}
-	tsp := r.Trace.Start(obs.CatRefine, "track")
 
 	// 1. Backward analysis finds how far back the track reaches.
 	var back int
@@ -129,10 +122,7 @@ func (r *Refiner) refine(req *verifier.RefineRequest) (*verifier.RefineResult, e
 	// path that is copied.
 	tk := newTracker(req.Prog)
 	err := tk.run(req.Path.Tail(back + 1))
-	tsp.End()
-	if r.Obs != nil {
-		r.Obs.StageHistogram(obs.MTrackSeconds).Since(trackStart)
-	}
+	rs.TrackDuration = time.Since(rs.Start)
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +136,7 @@ func (r *Refiner) refine(req *verifier.RefineRequest) (*verifier.RefineResult, e
 			return nil, fmt.Errorf("bcf: no path constraints to refute")
 		}
 		cond := expr.BoolNot(expr.Conj(tk.constr...))
-		if err := r.delegate(cond, tk); err != nil {
+		if err := r.delegate(cond, tk, rs); err != nil {
 			return nil, err
 		}
 		return &verifier.RefineResult{Pruned: true, Anchor: back + 1}, nil
@@ -184,7 +174,7 @@ func (r *Refiner) refine(req *verifier.RefineRequest) (*verifier.RefineResult, e
 	if len(tk.constr) > 0 {
 		cond = expr.Implies(expr.Conj(tk.constr...), bound)
 	}
-	if err := r.delegate(cond, tk); err != nil {
+	if err := r.delegate(cond, tk, rs); err != nil {
 		return nil, err
 	}
 	return &verifier.RefineResult{Lo: req.WantLo, Hi: req.WantHi, Anchor: back + 1}, nil
@@ -194,59 +184,36 @@ func (r *Refiner) refine(req *verifier.RefineRequest) (*verifier.RefineResult, e
 // proof with the in-kernel checker (§4 steps 2 and 3). The condition
 // object itself never leaves kernel space; only its encoding does, and
 // the proof must establish exactly the stored condition.
-func (r *Refiner) delegate(cond *expr.Expr, tk *tracker) error {
-	var encStart time.Time
-	if r.Obs != nil {
-		encStart = time.Now()
-	}
-	esp := r.Trace.Start(obs.CatRefine, "encode")
+func (r *Refiner) delegate(cond *expr.Expr, tk *tracker, rs *RequestStats) error {
+	encStart := time.Now()
 	condBytes, err := bcfenc.EncodeCondition(&bcfenc.Condition{Cond: cond})
-	esp.End()
-	if r.Obs != nil {
-		r.Obs.StageHistogram(obs.MEncodeSeconds).Since(encStart)
-	}
+	userStart := time.Now()
+	rs.EncodeDuration = userStart.Sub(encStart)
 	if err != nil {
 		return fmt.Errorf("bcf: encoding condition: %w", err)
 	}
 
-	// The round span covers the whole kernel→user→kernel round trip:
+	// The user time covers the whole kernel→user→kernel round trip:
 	// session accounting, loader work and prover time.
-	rsp := r.Trace.Start(obs.CatRefine, "round")
-	userStart := time.Now()
+	rs.TrackLen = tk.steps
+	rs.CondBytes = len(condBytes)
 	proofBytes, err := r.Service.Prove(condBytes)
-	userDur := time.Since(userStart)
-	rsp.End()
-	r.stats.UserTime += userDur
-	if r.Obs != nil {
-		r.Obs.StageHistogram(obs.MRoundSeconds).ObserveDuration(userDur)
-	}
-	rs := RequestStats{
-		TrackLen:     tk.steps,
-		CondBytes:    len(condBytes),
-		UserDuration: userDur,
-	}
+	checkStart := time.Now()
+	rs.UserDuration = checkStart.Sub(userStart)
+	r.stats.UserTime += rs.UserDuration
 	if err != nil {
-		r.stats.Requests = append(r.stats.Requests, rs)
 		// The user error keeps its own class (solver timeout, protocol,
 		// counterexample = unsafe); unclassified failures stay unclassified
 		// and default to an unsafe rejection upstream.
 		return fmt.Errorf("bcf: user space produced no proof: %w", err)
 	}
 
-	csp := r.Trace.Start(obs.CatCheck, "check")
-	checkStart := time.Now()
 	pf, err := bcfenc.DecodeProof(proofBytes)
 	if err == nil {
 		err = proof.Check(cond, pf)
 	}
 	rs.CheckDuration = time.Since(checkStart)
-	csp.End()
-	if r.Obs != nil {
-		r.Obs.StageHistogram(obs.MCheckSeconds).ObserveDuration(rs.CheckDuration)
-	}
 	rs.ProofBytes = len(proofBytes)
-	r.stats.CheckTime += rs.CheckDuration
-	r.stats.Requests = append(r.stats.Requests, rs)
 	if err != nil {
 		return bcferr.Wrap(bcferr.ClassProofRejected,
 			fmt.Errorf("bcf: proof rejected: %w", err))

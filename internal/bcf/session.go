@@ -3,7 +3,6 @@ package bcf
 import (
 	"bcf/internal/bcferr"
 	"bcf/internal/ebpf"
-	"bcf/internal/obs"
 	"bcf/internal/verifier"
 )
 
@@ -67,28 +66,10 @@ type Session struct {
 	user ProofService
 	ran  bool
 
-	// Per-session accounting. rounds is the single source of truth for
-	// boundary traffic: one entry per refinement request, recording the
-	// bytes that crossed in each direction. Traffic() and the cumulative
-	// limit counters both derive from it.
+	// Per-session accounting: the running totals the limits check.
 	requests   int
 	condBytes  int
 	proofBytes int
-	rounds     []RoundTraffic
-
-	// telemetry (nil = disabled); ktrace is the "kernel" trace thread.
-	obs    *obs.Registry
-	ktrace *obs.Tracer
-}
-
-// RoundTraffic records the wire bytes of one refinement round: the
-// condition shipped kernel→user and the proof (possibly empty) shipped
-// back. It is what Session.Traffic sums, and the invariant
-// condBytes+proofBytes == Σ per-round wire sizes is pinned by a
-// regression test.
-type RoundTraffic struct {
-	CondBytes  int
-	ProofBytes int
 }
 
 // sessionService is the ProofService the Refiner sees. It enforces the
@@ -97,38 +78,18 @@ type sessionService struct{ s *Session }
 
 func (ss sessionService) Prove(cond []byte) ([]byte, error) {
 	s := ss.s
-	round := s.requests
 	s.requests++
 	if s.requests > s.Limits.MaxRequests {
 		return nil, bcferr.New(bcferr.ClassResourceLimit,
 			"bcf: session exceeded %d refinement requests", s.Limits.MaxRequests)
 	}
-	// Account the bytes that cross the boundary: the per-round record is
-	// the authoritative traffic ledger, and the cumulative counters
-	// backing the limits are its running sums.
-	s.rounds = append(s.rounds, RoundTraffic{CondBytes: len(cond)})
 	s.condBytes += len(cond)
 	if s.condBytes > s.Limits.MaxCondBytes {
 		return nil, bcferr.New(bcferr.ClassResourceLimit,
 			"bcf: session exceeded %d cumulative condition bytes", s.Limits.MaxCondBytes)
 	}
-	if s.obs != nil {
-		s.obs.StageHistogram(obs.MCondBytes).Observe(float64(len(cond)))
-	}
-	if s.ktrace != nil {
-		s.ktrace.Instant(obs.CatWire, "cond-out",
-			map[string]any{"round": round, "bytes": len(cond)})
-	}
 	pb, err := s.user.Prove(cond)
-	s.rounds[len(s.rounds)-1].ProofBytes = len(pb)
 	s.proofBytes += len(pb)
-	if s.obs != nil {
-		s.obs.StageHistogram(obs.MProofBytes).Observe(float64(len(pb)))
-	}
-	if s.ktrace != nil {
-		s.ktrace.Instant(obs.CatWire, "proof-in",
-			map[string]any{"round": round, "bytes": len(pb)})
-	}
 	if s.proofBytes > s.Limits.MaxProofBytes {
 		return nil, bcferr.New(bcferr.ClassResourceLimit,
 			"bcf: session exceeded %d cumulative proof bytes", s.Limits.MaxProofBytes)
@@ -136,18 +97,12 @@ func (ss sessionService) Prove(cond []byte) ([]byte, error) {
 	return pb, err
 }
 
-// NewSession prepares a load session for prog. Telemetry handles ride in
-// on cfg (Obs, Trace): the verifier and refiner report under a "kernel"
-// trace thread (tid 1), and the caller's own track (tid 0) is labelled
-// "loader".
+// NewSession prepares a load session for prog. The session reports
+// nothing itself: the verifier's and the refiner's Stats are the record
+// of the load.
 func NewSession(prog *ebpf.Program, cfg verifier.Config) *Session {
-	s := &Session{obs: cfg.Obs}
-	cfg.Trace.WithThread(0, "loader") // emits the track's name; nil-safe
-	s.ktrace = cfg.Trace.WithThread(1, "kernel")
-	cfg.Trace = s.ktrace
+	s := &Session{}
 	s.ref = NewRefiner(sessionService{s})
-	s.ref.Obs = cfg.Obs
-	s.ref.Trace = s.ktrace
 	cfg.Refiner = s.ref
 	s.v = verifier.New(prog, cfg)
 	return s
@@ -160,20 +115,9 @@ func (s *Session) Refiner() *Refiner { return s.ref }
 func (s *Session) Verifier() *verifier.Verifier { return s.v }
 
 // Traffic reports the cumulative boundary traffic (valid once Run has
-// returned). It is derived from the per-round ledger, so it is always
-// exactly the sum of the Rounds() wire sizes.
+// returned): the running totals the session limits are checked against.
 func (s *Session) Traffic() (condBytes, proofBytes int) {
-	for _, rt := range s.rounds {
-		condBytes += rt.CondBytes
-		proofBytes += rt.ProofBytes
-	}
-	return condBytes, proofBytes
-}
-
-// Rounds returns the per-round wire-traffic ledger (valid once Run has
-// returned). The slice is a copy.
-func (s *Session) Rounds() []RoundTraffic {
-	return append([]RoundTraffic(nil), s.rounds...)
+	return s.condBytes, s.proofBytes
 }
 
 // Run verifies the program, calling user once per refinement condition,

@@ -100,8 +100,11 @@ func TestSessionResumeAfterDone(t *testing.T) {
 	if called {
 		t.Fatal("second run consulted user space")
 	}
-	if st := sess.Refiner().Stats(); st.Granted != 1 || len(st.Requests) != 1 || len(sess.Rounds()) != 1 {
-		t.Fatalf("second run disturbed the session: %+v, %d rounds", st, len(sess.Rounds()))
+	cond, proof := sess.Traffic()
+	st := sess.Refiner().Stats()
+	if st.Granted != 1 || len(st.Requests) != 1 ||
+		cond != st.Requests[0].CondBytes || proof != st.Requests[0].ProofBytes {
+		t.Fatalf("second run disturbed the session: %+v, traffic (%d, %d)", st, cond, proof)
 	}
 }
 

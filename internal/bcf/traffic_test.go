@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"bcf/internal/ebpf"
-	"bcf/internal/obs"
 	"bcf/internal/verifier"
 )
 
@@ -46,11 +45,10 @@ func twoRoundProg() *ebpf.Program {
 	}
 }
 
-// TestTrafficLedgerInvariant pins the single-source-of-truth contract of
-// the per-round traffic ledger: Traffic() must equal the sum of the
-// per-round wire sizes (Rounds()), which in a fault-free load must in
-// turn match the refiner's per-request accounting. A regression here
-// means two layers are counting boundary bytes independently again.
+// TestTrafficLedgerInvariant pins the session's traffic totals to the
+// refiner's record: in a fault-free load, Traffic() must equal the sum
+// of the per-request wire sizes byte for byte. A regression here means
+// the session and the refiner count boundary bytes differently.
 func TestTrafficLedgerInvariant(t *testing.T) {
 	progs := map[string]*ebpf.Program{
 		"one-round":  sessionProg(),
@@ -70,67 +68,20 @@ func TestTrafficLedgerInvariant(t *testing.T) {
 func checkLedger(t *testing.T, sess *Session) {
 	t.Helper()
 	condTotal, proofTotal := sess.Traffic()
-	rounds := sess.Rounds()
-	if len(rounds) == 0 {
-		t.Fatal("no rounds recorded")
+	st := sess.Refiner().Stats()
+	if len(st.Requests) == 0 {
+		t.Fatal("no requests recorded")
 	}
 	var condSum, proofSum int
-	for _, r := range rounds {
-		if r.CondBytes <= 0 || r.ProofBytes <= 0 {
-			t.Fatalf("round with empty wire traffic: %+v", r)
+	for _, q := range st.Requests {
+		if q.CondBytes <= 0 || q.ProofBytes <= 0 {
+			t.Fatalf("request with empty wire traffic: %+v", q)
 		}
-		condSum += r.CondBytes
-		proofSum += r.ProofBytes
+		condSum += q.CondBytes
+		proofSum += q.ProofBytes
 	}
 	if condTotal != condSum || proofTotal != proofSum {
-		t.Fatalf("Traffic() = (%d, %d), ledger sums = (%d, %d)",
+		t.Fatalf("Traffic() = (%d, %d), record sums = (%d, %d)",
 			condTotal, proofTotal, condSum, proofSum)
-	}
-	// Fault-free load: the refiner's per-request stats must agree with
-	// the wire ledger byte for byte.
-	st := sess.Refiner().Stats()
-	if len(st.Requests) != len(rounds) {
-		t.Fatalf("refiner saw %d requests, ledger has %d rounds", len(st.Requests), len(rounds))
-	}
-	var rCond, rProof int
-	for _, q := range st.Requests {
-		rCond += q.CondBytes
-		rProof += q.ProofBytes
-	}
-	if rCond != condTotal || rProof != proofTotal {
-		t.Fatalf("refiner stats (%d, %d) != session ledger (%d, %d)",
-			rCond, rProof, condTotal, proofTotal)
-	}
-}
-
-// TestTrafficLedgerMatchesTelemetry cross-checks the third observer: the
-// wire-size histograms in the metrics registry must record one sample per
-// round and sum to the ledger totals.
-func TestTrafficLedgerMatchesTelemetry(t *testing.T) {
-	reg := obs.NewRegistry()
-	sess := NewSession(sessionProg(), verifier.Config{Obs: reg})
-	if err := driveManually(t, sess); err != nil {
-		t.Fatalf("rejected: %v", err)
-	}
-	checkLedger(t, sess)
-	condTotal, proofTotal := sess.Traffic()
-	rounds := len(sess.Rounds())
-
-	snap := reg.Snapshot()
-	ch, ok := snap.Histogram(obs.MCondBytes)
-	if !ok {
-		t.Fatalf("%s not recorded", obs.MCondBytes)
-	}
-	if int(ch.Count) != rounds || int(ch.Sum) != condTotal {
-		t.Fatalf("%s: count=%d sum=%v, ledger: rounds=%d cond=%d",
-			obs.MCondBytes, ch.Count, ch.Sum, rounds, condTotal)
-	}
-	ph, ok := snap.Histogram(obs.MProofBytes)
-	if !ok {
-		t.Fatalf("%s not recorded", obs.MProofBytes)
-	}
-	if int(ph.Count) != rounds || int(ph.Sum) != proofTotal {
-		t.Fatalf("%s: count=%d sum=%v, ledger: rounds=%d proof=%d",
-			obs.MProofBytes, ph.Count, ph.Sum, rounds, proofTotal)
 	}
 }

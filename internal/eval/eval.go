@@ -36,8 +36,8 @@ type ProgramResult struct {
 	ProofSizes     []int
 	CheckDurations []time.Duration
 
-	// Wire totals from the session's per-round traffic ledger (the
-	// single source of truth; see bcf.Session.Rounds).
+	// Wire totals from the session's traffic accounting (see
+	// bcf.Session.Traffic).
 	CondBytes  int
 	ProofBytes int
 

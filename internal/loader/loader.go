@@ -100,10 +100,13 @@ type Options struct {
 	// DisableEscalation turns off the budget-exhaustion retry.
 	DisableEscalation bool
 
-	// Obs and Trace, when non-nil, are threaded through every layer of
-	// the load (verifier, session, refiner, solver): per-stage latency
-	// histograms, outcome counters and the load/session span timeline.
-	// Nil — the default — costs only a nil check on each hot path.
+	// Obs and Trace, when non-nil, receive the load's telemetry:
+	// per-stage latency histograms, outcome counters, the span timeline
+	// and flight-recorder entries. The user-space layers (loader, cache,
+	// remote client, solver) report as they run; the kernel side reports
+	// nothing, and Load derives its metrics, its spans (tid 1, "kernel")
+	// and its journal entries from the verifier's and the refiner's Stats
+	// once the verdict is in. Nil — the default — costs only a nil check.
 	Obs   *obs.Registry
 	Trace *obs.Tracer
 
@@ -132,8 +135,8 @@ type Result struct {
 	KernelTime time.Duration
 	UserTime   time.Duration
 	TotalTime  time.Duration
-	// Boundary traffic totals, sourced from the session's per-round wire
-	// ledger (the single source of truth; zero when BCF is disabled).
+	// Boundary traffic totals, sourced from the session's traffic
+	// accounting (bcf.Session.Traffic; zero when BCF is disabled).
 	CondBytes  int
 	ProofBytes int
 	// Counterexample from the last failed condition, if any.
@@ -169,21 +172,13 @@ func (r *Result) classify() {
 func Load(prog *ebpf.Program, opts Options) *Result {
 	startAll := time.Now()
 	res := &Result{}
-	// Thread telemetry into the verifier config (and from there into the
-	// session and refiner); an explicitly configured registry on the
-	// verifier wins.
-	vcfg := opts.Verifier
-	if vcfg.Obs == nil {
-		vcfg.Obs = opts.Obs
-	}
-	if vcfg.Trace == nil {
-		vcfg.Trace = opts.Trace
-	}
-	reg := vcfg.Obs
-	opts.Obs, opts.Trace = vcfg.Obs, vcfg.Trace
+	reg := opts.Obs
 	reg.Counter(obs.MLoadsTotal).Inc()
-	lsp := vcfg.Trace.Start(obs.CatLoad, "load")
+	lsp := opts.Trace.Start(obs.CatLoad, "load")
+	var runStart time.Time
+	var runTime time.Duration
 	record := func() {
+		kernelTelemetry(reg, opts.Trace, runStart, runTime, res)
 		lsp.End()
 		if reg == nil {
 			return
@@ -214,8 +209,10 @@ func Load(prog *ebpf.Program, opts Options) *Result {
 		}
 	}
 	if !opts.EnableBCF {
-		v := verifier.New(prog, vcfg)
+		v := verifier.New(prog, opts.Verifier)
+		runStart = time.Now()
 		err := v.Verify()
+		runTime = time.Since(runStart)
 		res.Accepted = err == nil
 		res.Err = err
 		res.classify()
@@ -239,7 +236,7 @@ func Load(prog *ebpf.Program, opts Options) *Result {
 		ctx, cancel = context.WithTimeout(ctx, opts.LoadTimeout)
 		defer cancel()
 	}
-	sess := bcf.NewSession(prog, vcfg)
+	sess := bcf.NewSession(prog, opts.Verifier)
 	sess.Limits = opts.Session
 	sess.Refiner().DisableBackward = opts.DisableBackward
 
@@ -286,9 +283,9 @@ func Load(prog *ebpf.Program, opts Options) *Result {
 		return proofBytes, perr
 	})
 
-	runStart := time.Now()
+	runStart = time.Now()
 	res.Err = sess.Run(user)
-	runTime := time.Since(runStart)
+	runTime = time.Since(runStart)
 	if cause != nil {
 		res.Err = cause
 	}
@@ -305,6 +302,89 @@ func Load(prog *ebpf.Program, opts Options) *Result {
 	res.CondBytes, res.ProofBytes = sess.Traffic()
 	record()
 	return res
+}
+
+// kernelTelemetry reports the kernel side of a finished load from its
+// record: the verifier run that started at start and took dur, its
+// Stats, and the refiner's Stats. It records the verifier and
+// refinement metrics, one refine-round journal entry per granted
+// request, and the "kernel" track (tid 1 of tr): a verify span and each
+// request's spans (refineSpans).
+func kernelTelemetry(reg *obs.Registry, tr *obs.Tracer, start time.Time, dur time.Duration, res *Result) {
+	if reg == nil && tr == nil {
+		return
+	}
+	vs := res.VerifierStats
+	reg.StageHistogram(obs.MVerifySeconds).ObserveDuration(dur)
+	reg.Counter(obs.MInsnsProcessed).Add(int64(vs.InsnProcessed))
+	reg.Counter(obs.MPathsExplored).Add(int64(vs.PathsExplored))
+	reg.Counter(obs.MStatesPruned).Add(int64(vs.StatesPruned))
+	tr.WithThread(0, "loader") // emits the track's name; nil-safe
+	kt := tr.WithThread(1, "kernel")
+	kt.Complete(obs.CatVerifier, "verify", start, start.Add(dur), nil)
+
+	st := res.RefineStats
+	if st == nil {
+		return
+	}
+	// A counter series exists only once it has counted something.
+	if n := st.Granted + st.Failed; n > 0 {
+		reg.Counter(obs.MRefineRequests).Add(int64(n))
+	}
+	if st.Granted > 0 {
+		reg.Counter(obs.MRefinementsGranted).Add(int64(st.Granted))
+	}
+	if st.Failed > 0 {
+		reg.Counter(obs.MRefinementsFailed).Add(int64(st.Failed))
+	}
+	reqs := st.Requests
+	if st.Unshipped != nil {
+		reqs = append(reqs[:len(reqs):len(reqs)], *st.Unshipped)
+	}
+	journal := reg.Journal()
+	for i, q := range reqs {
+		reg.StageHistogram(obs.MTrackSeconds).ObserveDuration(q.TrackDuration)
+		if kt != nil {
+			refineSpans(kt, i, q)
+		}
+		if q.CondBytes == 0 {
+			continue // failed before its condition was shipped
+		}
+		reg.StageHistogram(obs.MEncodeSeconds).ObserveDuration(q.EncodeDuration)
+		reg.StageHistogram(obs.MRoundSeconds).ObserveDuration(q.UserDuration)
+		reg.StageHistogram(obs.MCondBytes).Observe(float64(q.CondBytes))
+		reg.StageHistogram(obs.MProofBytes).Observe(float64(q.ProofBytes))
+		if q.CheckDuration > 0 {
+			reg.StageHistogram(obs.MCheckSeconds).ObserveDuration(q.CheckDuration)
+		}
+		if q.Granted && journal != nil {
+			journal.Recordf(obs.JKindRefine, "refiner", int64(i),
+				"round %d: %s at insn %d granted", i, q.Kind, q.Insn)
+		}
+	}
+}
+
+// refineSpans records one refinement request on the kernel track: a
+// refine span holding track, and for a shipped condition encode, round
+// (with the wire sizes) and check. The request records durations, not
+// stage start times, so track starts with the request and the later
+// stages are laid end to end back from its end, the order they ran in.
+func refineSpans(kt *obs.Tracer, round int, q bcf.RequestStats) {
+	end := q.Start.Add(q.Duration)
+	kt.Complete(obs.CatRefine, "refine", q.Start, end,
+		map[string]any{"round": round, "insn": q.Insn, "kind": q.Kind.String()})
+	kt.Complete(obs.CatRefine, "track", q.Start, q.Start.Add(q.TrackDuration), nil)
+	if q.CondBytes == 0 {
+		return
+	}
+	if q.CheckDuration > 0 {
+		kt.Complete(obs.CatCheck, "check", end.Add(-q.CheckDuration), end, nil)
+		end = end.Add(-q.CheckDuration)
+	}
+	kt.Complete(obs.CatRefine, "round", end.Add(-q.UserDuration), end,
+		map[string]any{"cond_bytes": q.CondBytes, "proof_bytes": q.ProofBytes})
+	end = end.Add(-q.UserDuration)
+	kt.Complete(obs.CatRefine, "encode", end.Add(-q.EncodeDuration), end, nil)
 }
 
 // prove resolves one condition: cache (with singleflight), then the

@@ -1,9 +1,11 @@
 package loader
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
+	"bcf/internal/corpus"
 	"bcf/internal/ebpf"
 	"bcf/internal/faultinject"
 	"bcf/internal/obs"
@@ -62,7 +64,7 @@ func TestLoadPopulatesStageMetrics(t *testing.T) {
 		t.Error("prove-tier counter not incremented")
 	}
 
-	// The session wire ledger must agree with the result and the metrics.
+	// The session's traffic totals must agree with the metrics.
 	if res.CondBytes == 0 || res.ProofBytes == 0 {
 		t.Fatalf("result wire totals empty: %+v", res)
 	}
@@ -127,5 +129,170 @@ func TestInjectedFailureCountedInjected(t *testing.T) {
 	}
 	if snap.Counter(obs.Label(obs.MFaultsInjected, "point", faultinject.ProofCorrupt.String())) == 0 {
 		t.Fatal("faultinject_fired_total not incremented")
+	}
+}
+
+// kernelTrack decodes tr and returns its complete events on tid 1, the
+// kernel track.
+func kernelTrack(t *testing.T, tr *obs.Tracer) []obs.TraceEvent {
+	t.Helper()
+	var sb strings.Builder
+	if err := tr.WriteJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var tf struct{ TraceEvents []obs.TraceEvent }
+	if err := json.Unmarshal([]byte(sb.String()), &tf); err != nil {
+		t.Fatal(err)
+	}
+	var out []obs.TraceEvent
+	for _, e := range tf.TraceEvents {
+		if e.TID == 1 && e.Ph == "X" {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// within reports whether event in lies inside event out on the timeline.
+func within(in, out obs.TraceEvent) bool {
+	const slack = 1e-3 // µs: the trace's float rounding
+	return in.TS >= out.TS-slack && in.TS+in.Dur <= out.TS+out.Dur+slack
+}
+
+// TestKernelTelemetryFromRecord pins the kernel side's derived views to
+// the record they come from: on a two-round load, every kernel-side
+// metric, the kernel track and the journal's refine-round entries must
+// agree with the verifier's and the refiner's Stats.
+func TestKernelTelemetryFromRecord(t *testing.T) {
+	reg := obs.NewRegistry()
+	journal := obs.NewJournal(0)
+	reg.SetJournal(journal)
+	tr := obs.NewTracer()
+	res := Load(twoCondProg(), Options{EnableBCF: true, Obs: reg, Trace: tr})
+	if !res.Accepted {
+		t.Fatalf("rejected: %v", res.Err)
+	}
+	st := res.RefineStats
+	if len(st.Requests) != 2 || st.Unshipped != nil {
+		t.Fatalf("want two shipped requests, got %+v", st)
+	}
+	snap := reg.Snapshot()
+
+	for _, c := range []struct {
+		name  string
+		count int
+		sum   int
+	}{
+		{obs.MCondBytes, len(st.Requests), res.CondBytes},
+		{obs.MProofBytes, len(st.Requests), res.ProofBytes},
+	} {
+		h, _ := snap.Histogram(c.name)
+		if int(h.Count) != c.count || int(h.Sum) != c.sum {
+			t.Errorf("%s: count=%d sum=%v, record: %d requests, %d bytes", c.name, h.Count, h.Sum, c.count, c.sum)
+		}
+	}
+	if got := snap.Counter(obs.MRefineRequests); got != int64(st.Granted+st.Failed) {
+		t.Errorf("%s = %d, record: %d granted + %d failed", obs.MRefineRequests, got, st.Granted, st.Failed)
+	}
+	proved := 0
+	for _, q := range st.Requests {
+		if q.CheckDuration > 0 {
+			proved++
+		}
+	}
+	if h, _ := snap.Histogram(obs.MCheckSeconds); int(h.Count) != proved || proved != 2 {
+		t.Errorf("%s: count=%d, record: %d rounds returned a proof", obs.MCheckSeconds, h.Count, proved)
+	}
+	for _, c := range snap.Counters {
+		if c.Name == obs.MRefinementsFailed {
+			t.Errorf("accepted load created a %s series", obs.MRefinementsFailed)
+		}
+	}
+
+	var verify, refines []obs.TraceEvent
+	stages := map[string][]obs.TraceEvent{}
+	for _, e := range kernelTrack(t, tr) {
+		switch e.Name {
+		case "verify":
+			verify = append(verify, e)
+		case "refine":
+			refines = append(refines, e)
+		default:
+			stages[e.Name] = append(stages[e.Name], e)
+		}
+	}
+	if len(verify) != 1 || len(refines) != len(st.Requests) {
+		t.Fatalf("kernel track: %d verify, %d refine spans; want 1 and %d", len(verify), len(refines), len(st.Requests))
+	}
+	stageNames := []string{"track", "encode", "round", "check"}
+	for _, name := range stageNames {
+		if len(stages[name]) != len(refines) {
+			t.Fatalf("kernel track: %d %s spans for %d requests", len(stages[name]), name, len(refines))
+		}
+	}
+	for i, r := range refines {
+		if !within(r, verify[0]) {
+			t.Errorf("refine %d lies outside verify", i)
+		}
+		if r.Args["round"] != float64(i) || r.Args["insn"] != float64(st.Requests[i].Insn) {
+			t.Errorf("refine %d args %v, record %+v", i, r.Args, st.Requests[i])
+		}
+		for _, name := range stageNames {
+			if !within(stages[name][i], r) {
+				t.Errorf("%s span of request %d lies outside its refine span", name, i)
+			}
+		}
+		args := stages["round"][i].Args
+		if args["cond_bytes"] != float64(st.Requests[i].CondBytes) || args["proof_bytes"] != float64(st.Requests[i].ProofBytes) {
+			t.Errorf("round %d args %v, record %+v", i, args, st.Requests[i])
+		}
+	}
+
+	granted := 0
+	for _, e := range journal.Entries() {
+		if e.Kind == obs.JKindRefine {
+			granted++
+		}
+	}
+	if granted != st.Granted {
+		t.Errorf("journal holds %d %s entries for %d granted requests", granted, obs.JKindRefine, st.Granted)
+	}
+}
+
+// TestUnshippedRefinementReported: a refinement that fails before its
+// condition is shipped (the corpus's "refinement not triggered" family)
+// still shows its refine and track spans, its track time and its
+// failure, and ships no bytes.
+func TestUnshippedRefinementReported(t *testing.T) {
+	var p *ebpf.Program
+	for _, e := range corpus.Generate() {
+		if e.Expect == corpus.ExpectRejectUntriggered {
+			p = e.Prog
+			break
+		}
+	}
+	reg := obs.NewRegistry()
+	tr := obs.NewTracer()
+	res := Load(p, Options{EnableBCF: true, Obs: reg, Trace: tr})
+	st := res.RefineStats
+	if res.Accepted || len(st.Requests) != 0 || st.Unshipped == nil || st.Unshipped.Granted {
+		t.Fatalf("want one unshipped failed refinement: accepted=%v %+v", res.Accepted, st)
+	}
+	snap := reg.Snapshot()
+	if snap.Counter(obs.MRefinementsFailed) != 1 || snap.Counter(obs.MRefineRequests) != 1 {
+		t.Errorf("failure counters: %+v", snap.Counters)
+	}
+	if h, _ := snap.Histogram(obs.MTrackSeconds); h.Count != 1 {
+		t.Errorf("%s count = %d, want 1", obs.MTrackSeconds, h.Count)
+	}
+	if _, ok := snap.Histogram(obs.MCondBytes); ok {
+		t.Errorf("%s recorded for an unshipped condition", obs.MCondBytes)
+	}
+	names := map[string]int{}
+	for _, e := range kernelTrack(t, tr) {
+		names[e.Name]++
+	}
+	if names["verify"] != 1 || names["refine"] != 1 || names["track"] != 1 || len(names) != 3 {
+		t.Errorf("kernel track spans %v, want verify, refine and track once each", names)
 	}
 }

@@ -304,6 +304,7 @@ func TestNilSafety(t *testing.T) {
 		sp := tr.Start("cat", "name")
 		sp.End()
 		tr.Instant("cat", "name", nil)
+		tr.Complete("cat", "name", time.Time{}, time.Time{}, nil)
 		_ = tr.WithProcess(1, "p")
 		_ = tr.WithThread(1, "t")
 		_ = tr.Len()

@@ -333,11 +333,23 @@ func (s Span) End() { s.EndArgs(nil) }
 // EndArgs closes the span, merging extra arguments into any set at
 // Start. The span's trace/span/parent identity is folded into args so
 // trace files are self-describing and stitchable with jq alone.
-func (s Span) EndArgs(extra map[string]any) {
+func (s Span) EndArgs(extra map[string]any) { s.endAt(time.Now(), extra) }
+
+// Complete records a finished span that ran from start to end, for a
+// caller that timed the work itself and reports it afterwards.
+func (t *Tracer) Complete(cat, name string, start, end time.Time, args map[string]any) {
+	if t == nil {
+		return
+	}
+	sp := t.StartArgs(cat, name, args)
+	sp.begin = start
+	sp.endAt(end, nil)
+}
+
+func (s Span) endAt(end time.Time, extra map[string]any) {
 	if s.t == nil {
 		return
 	}
-	end := time.Now()
 	args := s.args
 	if args == nil {
 		args = make(map[string]any, len(extra)+3)

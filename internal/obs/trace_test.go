@@ -145,6 +145,30 @@ func TestTraceSharedSink(t *testing.T) {
 	}
 }
 
+// TestTraceComplete: a span recorded after the fact lands at the start
+// and duration it was given, with its args and trace identity.
+func TestTraceComplete(t *testing.T) {
+	tr := NewTracer().WithThread(1, "kernel")
+	start := time.Now().Add(time.Millisecond)
+	tr.Complete("refine", "round", start, start.Add(250*time.Microsecond), map[string]any{"cond_bytes": 7})
+	var got []chromeEvent
+	for _, e := range decodeTrace(t, tr).TraceEvents {
+		if e.Ph == "X" {
+			got = append(got, e)
+		}
+	}
+	if len(got) != 1 {
+		t.Fatalf("complete events = %d, want 1", len(got))
+	}
+	e := got[0]
+	if e.Name != "round" || e.Cat != "refine" || *e.TID != 1 || e.Dur != 250 || *e.TS < 1000 {
+		t.Fatalf("event %+v", e)
+	}
+	if e.Args["cond_bytes"] != float64(7) || e.Args["span_id"] == nil || e.Args["trace_id"] == nil {
+		t.Fatalf("args %v", e.Args)
+	}
+}
+
 // TestNilTracerWritesEmptyTrace: a nil tracer must still produce a
 // well-formed (empty) trace file.
 func TestNilTracerWritesEmptyTrace(t *testing.T) {

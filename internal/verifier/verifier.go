@@ -5,10 +5,8 @@ import (
 	"iter"
 	"math"
 	"math/bits"
-	"time"
 
 	"bcf/internal/ebpf"
-	"bcf/internal/obs"
 	"bcf/internal/tnum"
 )
 
@@ -316,12 +314,6 @@ type Config struct {
 	// Sabotage deliberately weakens the verifier for oracle mutation
 	// tests. Never set outside tests.
 	Sabotage *Sabotage
-	// Obs, when non-nil, receives the verifier's counters and the
-	// per-run latency histogram. Nil costs only a nil check.
-	Obs *obs.Registry
-	// Trace, when non-nil, records a span per verification run and per
-	// explored path, plus prune instants.
-	Trace *obs.Tracer
 	// Deprecated: ParallelPaths is ignored. Every value, including the
 	// default, means one sequential DFS on the calling goroutine
 	// (DESIGN.md, "Exploration").
@@ -421,27 +413,10 @@ type branchItem struct {
 	obs  any // observer token of the forking instruction
 }
 
-// Verify runs the analysis and returns nil if the program is safe.
+// Verify runs the analysis and returns nil if the program is safe. It
+// explores the program depth first from the entry state: it pops the
+// newest pending branch, walks it, and returns the first path error.
 func (v *Verifier) Verify() error {
-	var t0 time.Time
-	if v.cfg.Obs != nil {
-		t0 = time.Now()
-	}
-	sp := v.cfg.Trace.Start(obs.CatVerifier, "verify")
-	err := v.verify()
-	sp.End()
-	if r := v.cfg.Obs; r != nil {
-		r.StageHistogram(obs.MVerifySeconds).Since(t0)
-		r.Counter(obs.MInsnsProcessed).Add(int64(v.stats.InsnProcessed))
-		r.Counter(obs.MPathsExplored).Add(int64(v.stats.PathsExplored))
-		r.Counter(obs.MStatesPruned).Add(int64(v.stats.StatesPruned))
-	}
-	return err
-}
-
-// verify explores the program depth first from the entry state: it pops
-// the newest pending branch, walks it, and returns the first path error.
-func (v *Verifier) verify() error {
 	if err := v.prog.Validate(); err != nil {
 		return &Error{InsnIdx: 0, Kind: CheckOther, Msg: err.Error()}
 	}
@@ -455,15 +430,7 @@ func (v *Verifier) verify() error {
 		// walk that forked it, or a branch pushed later and popped earlier.
 		v.nodes.n = item.node + 1
 		v.stats.PathsExplored++
-		var err error
-		if tr := v.cfg.Trace; tr != nil {
-			sp := tr.StartArgs(obs.CatVerifier, "path", map[string]any{"pc": item.pc})
-			err = v.walk(item)
-			sp.End()
-		} else {
-			err = v.walk(item)
-		}
-		if err != nil {
+		if err := v.walk(item); err != nil {
 			return err
 		}
 	}
@@ -510,7 +477,6 @@ func (v *Verifier) walk(item branchItem) error {
 				if v.cfg.Debug {
 					v.logf("%d: pruned", pc)
 				}
-				v.cfg.Trace.Instant(obs.CatVerifier, "prune", nil)
 				return nil
 			}
 		}
