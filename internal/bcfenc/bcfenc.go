@@ -102,7 +102,8 @@ func nodeHeader(e *expr.Expr) uint32 {
 }
 
 // put encodes a node (and transitively its children), returning its word
-// offset within the pool.
+// offset within the pool. expr's typing rule gives a node at most two
+// arguments, within the decoder's maxNodeArgs.
 func (p *pool) put(e *expr.Expr) uint32 {
 	for _, ent := range p.index[e.Hash()] {
 		if expr.Equal(ent.node, e) {
@@ -110,7 +111,8 @@ func (p *pool) put(e *expr.Expr) uint32 {
 		}
 	}
 	// Children first so references always point backward.
-	argOffs := make([]uint32, len(e.Args))
+	var offs [maxNodeArgs]uint32
+	argOffs := offs[:len(e.Args)]
 	for i, a := range e.Args {
 		argOffs[i] = p.put(a)
 	}
@@ -133,21 +135,21 @@ func (p *pool) put(e *expr.Expr) uint32 {
 // poolReader decodes an expression pool.
 type poolReader struct {
 	words []uint32
-	nodes map[uint32]*expr.Expr // word offset -> decoded node
+	nodes []*expr.Expr // by word offset: the node decoded there, or nil
 }
 
 func newPoolReader(words []uint32) *poolReader {
-	return &poolReader{words: words, nodes: map[uint32]*expr.Expr{}}
+	return &poolReader{words: words, nodes: make([]*expr.Expr, len(words))}
 }
 
 // node decodes the node at the given word offset, with cycle and bounds
 // protection (references must point strictly backward).
 func (pr *poolReader) node(off uint32) (*expr.Expr, error) {
-	if e, ok := pr.nodes[off]; ok {
-		return e, nil
-	}
 	if int(off) >= len(pr.words) {
 		return nil, fmt.Errorf("bcfenc: node offset %d out of range", off)
+	}
+	if e := pr.nodes[off]; e != nil {
+		return e, nil
 	}
 	h := pr.words[off]
 	op := expr.Op(h & 0xff)
@@ -299,61 +301,64 @@ const (
 	stepExtraClause = 2
 )
 
-// EncodeProof serializes a proof.
+// EncodeProof serializes a proof. A first pass puts every argument in
+// the pool and counts the message's words; a second writes the message
+// into a buffer of exactly that size.
 func EncodeProof(p *proof.Proof) ([]byte, error) {
 	pool := newPool()
-	type encStep struct {
-		head    uint32
-		prems   []uint32
-		argOffs []uint32
-		extra   uint32
-	}
-	steps := make([]encStep, 0, len(p.Steps))
+	var argOffs []uint32
+	words := 4 // magic, version, pool length, step count
 	for i := range p.Steps {
 		s := &p.Steps[i]
 		if len(s.Premises) > 255 || len(s.Args) > 15 {
 			return nil, fmt.Errorf("bcfenc: step %d too wide", i)
 		}
-		es := encStep{
-			prems: s.Premises,
-		}
 		for _, a := range s.Args {
 			if a == nil {
 				return nil, fmt.Errorf("bcfenc: step %d: nil arg", i)
 			}
-			es.argOffs = append(es.argOffs, pool.put(a))
+			argOffs = append(argOffs, pool.put(a))
 		}
-		extras := uint32(0)
-		switch s.Rule {
-		case proof.RuleResolve:
-			extras = stepExtraPivot
-			es.extra = uint32(s.Pivot)
-		case proof.RuleBitblastClause:
-			extras = stepExtraClause
-			es.extra = uint32(s.ClauseIdx)
+		words += 1 + len(s.Premises) + len(s.Args)
+		if kind, _ := stepExtra(s); kind != 0 {
+			words++
 		}
-		es.head = uint32(s.Rule) | uint32(len(s.Premises))<<16 | uint32(len(s.Args))<<24 | extras<<28
-		steps = append(steps, es)
 	}
-	var w writer
+	poolWords := len(pool.w.buf) / 4
+	w := writer{buf: make([]byte, 0, 4*(words+poolWords))}
 	w.u32(MagicProof)
 	w.u32(Version)
-	w.u32(uint32(len(pool.w.buf) / 4))
-	w.u32(uint32(len(steps)))
+	w.u32(uint32(poolWords))
+	w.u32(uint32(len(p.Steps)))
 	w.buf = append(w.buf, pool.w.buf...)
-	for _, es := range steps {
-		w.u32(es.head)
-		for _, pm := range es.prems {
+	for i := range p.Steps {
+		s := &p.Steps[i]
+		kind, extra := stepExtra(s)
+		w.u32(uint32(s.Rule) | uint32(len(s.Premises))<<16 | uint32(len(s.Args))<<24 | kind<<28)
+		for _, pm := range s.Premises {
 			w.u32(pm)
 		}
-		for _, ao := range es.argOffs {
-			w.u32(ao)
+		for range s.Args {
+			w.u32(argOffs[0])
+			argOffs = argOffs[1:]
 		}
-		if es.head>>28 != 0 {
-			w.u32(es.extra)
+		if kind != 0 {
+			w.u32(extra)
 		}
 	}
 	return w.buf, nil
+}
+
+// stepExtra returns the kind and value of a step's extra word, or kind 0
+// when the step has none.
+func stepExtra(s *proof.Step) (kind, extra uint32) {
+	switch s.Rule {
+	case proof.RuleResolve:
+		return stepExtraPivot, uint32(s.Pivot)
+	case proof.RuleBitblastClause:
+		return stepExtraClause, uint32(s.ClauseIdx)
+	}
+	return 0, 0
 }
 
 // DecodeProof parses a proof message.
@@ -393,7 +398,12 @@ func DecodeProof(buf []byte) (*proof.Proof, error) {
 		words[i] = v
 	}
 	pr := newPoolReader(words)
-	out := &proof.Proof{Steps: make([]proof.Step, 0, nSteps)}
+	// Each step takes at least one of the remaining words and each
+	// premise one more, so they bound the step count and the one array
+	// every step's premises are cut from.
+	rest := (len(buf) - r.off) / 4
+	prems := make([]uint32, 0, rest)
+	out := &proof.Proof{Steps: make([]proof.Step, 0, min(int(nSteps), rest))}
 	for i := uint32(0); i < nSteps; i++ {
 		head, err := r.u32()
 		if err != nil {
@@ -409,7 +419,10 @@ func DecodeProof(buf []byte) (*proof.Proof, error) {
 			if err != nil {
 				return nil, err
 			}
-			s.Premises = append(s.Premises, pm)
+			prems = append(prems, pm)
+		}
+		if nprems > 0 {
+			s.Premises = prems[len(prems)-nprems : len(prems) : len(prems)]
 		}
 		for j := 0; j < nargs; j++ {
 			ao, err := r.u32()

@@ -3,6 +3,7 @@ package bcfenc
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"bcf/internal/expr"
@@ -114,6 +115,101 @@ func TestProofRoundTripBitblastTier(t *testing.T) {
 	}
 	if err := proof.Check(cond, back); err != nil {
 		t.Fatalf("decoded bitblast proof rejected: %v", err)
+	}
+
+	// Every step's premises are a full-slice view (len == cap) of the
+	// decoder's one premise array, so appending to one step's premises
+	// copies instead of overwriting the next step's.
+	var withPrems []int
+	resolves := 0
+	for i, s := range back.Steps {
+		if len(s.Premises) != cap(s.Premises) {
+			t.Fatalf("step %d: premises len %d, cap %d", i, len(s.Premises), cap(s.Premises))
+		}
+		if len(s.Premises) > 0 {
+			withPrems = append(withPrems, i)
+		}
+		if s.Rule == proof.RuleResolve {
+			resolves++
+		}
+	}
+	if resolves < 2 {
+		t.Fatalf("want a multi-step resolution proof, got %d resolution steps", resolves)
+	}
+	for k := 0; k+1 < len(withPrems); k++ {
+		cur, next := &back.Steps[withPrems[k]], &back.Steps[withPrems[k+1]]
+		want := slices.Clone(next.Premises)
+		cur.Premises = append(cur.Premises, 0xdeadbeef)
+		if !slices.Equal(next.Premises, want) {
+			t.Fatalf("appending to step %d's premises changed step %d's: %v, want %v",
+				withPrems[k], withPrems[k+1], next.Premises, want)
+		}
+	}
+}
+
+// TestDecodeRejectsBadNodeReferences feeds hand-built pools to both
+// decoders: a root or argument offset past the pool, and a node that
+// refers to itself or to a later node, must each be rejected.
+func TestDecodeRejectsBadNodeReferences(t *testing.T) {
+	// Offset 0: a 64-bit variable (header, id). Offset 2: a bvnot whose
+	// argument word is patched per case. Offset 4: (= var bvnot), the
+	// root.
+	pool := func(ref uint32) []uint32 {
+		return []uint32{
+			uint32(expr.OpVar) | 64<<8, 0,
+			uint32(expr.OpNot) | 64<<8 | 1<<24, ref,
+			uint32(expr.OpEq) | 1<<8 | 2<<24, 0, 2,
+		}
+	}
+	cond := func(root uint32, words []uint32) []byte {
+		var w writer
+		w.u32(MagicCondition)
+		w.u32(Version)
+		w.u32(uint32(len(words)))
+		w.u32(root)
+		for _, x := range words {
+			w.u32(x)
+		}
+		return w.buf
+	}
+	prf := func(arg uint32, words []uint32) []byte {
+		var w writer
+		w.u32(MagicProof)
+		w.u32(Version)
+		w.u32(uint32(len(words)))
+		w.u32(1)
+		for _, x := range words {
+			w.u32(x)
+		}
+		w.u32(uint32(proof.RuleRefl) | 1<<24)
+		w.u32(arg)
+		return w.buf
+	}
+	// The well-formed pool decodes, so each rejection below is the bad
+	// reference's.
+	if _, err := DecodeCondition(cond(4, pool(0))); err != nil {
+		t.Fatalf("well-formed condition rejected: %v", err)
+	}
+	if _, err := DecodeProof(prf(4, pool(0))); err != nil {
+		t.Fatalf("well-formed proof rejected: %v", err)
+	}
+	decodeCond := func(b []byte) error { _, err := DecodeCondition(b); return err }
+	decodeProof := func(b []byte) error { _, err := DecodeProof(b); return err }
+	for _, tc := range []struct {
+		name   string
+		decode func([]byte) error
+		msg    []byte
+	}{
+		{"condition root at the pool's end", decodeCond, cond(7, pool(0))},
+		{"condition root far past the pool", decodeCond, cond(1<<20, pool(0))},
+		{"proof argument at the pool's end", decodeProof, prf(7, pool(0))},
+		{"self reference", decodeProof, prf(2, pool(2))},
+		{"forward reference", decodeProof, prf(4, pool(4))},
+		{"forward reference past the pool", decodeProof, prf(4, pool(1<<20))},
+	} {
+		if tc.decode(tc.msg) == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }
 

@@ -34,7 +34,7 @@ func Encode(f *expr.Expr) (*CNF, error) {
 		return nil, fmt.Errorf("bitblast: formula must have width 1, got %d", f.Width)
 	}
 	e := &encoder{
-		cache:  map[uint64][]cacheEntry{},
+		heads:  map[uint64]int32{},
 		inputs: map[uint32][]sat.Lit{},
 	}
 	// Variable 1 is the constant-true anchor.
@@ -45,24 +45,32 @@ func Encode(f *expr.Expr) (*CNF, error) {
 		return nil, err
 	}
 	e.emit(root)
-	return &CNF{NVars: e.nVars, Clauses: e.clauses, Inputs: e.inputs}, nil
+	// Each clause is a full-slice view of the literal buffer, so no
+	// clause can grow into its neighbour.
+	clauses := make([][]sat.Lit, len(e.ends))
+	start := int32(0)
+	for i, end := range e.ends {
+		clauses[i] = e.lits[start:end:end]
+		start = end
+	}
+	return &CNF{NVars: e.nVars, Clauses: clauses, Inputs: e.inputs}, nil
 }
 
+// cacheEntry is one structurally hash-consed node; entries whose nodes
+// share a hash are chained through next.
 type cacheEntry struct {
 	node *expr.Expr
 	bits []sat.Lit
+	next int32 // 1 + the index of the next entry in the chain, or 0
 }
 
-// arenaChunk is how many literals the encoder's clause arena allocates
-// at a time.
-const arenaChunk = 1024
-
 type encoder struct {
-	nVars   int
-	clauses [][]sat.Lit
-	arena   []sat.Lit // backs the emitted clauses
-	cache   map[uint64][]cacheEntry
-	inputs  map[uint32][]sat.Lit
+	nVars  int
+	lits   []sat.Lit        // every emitted clause's literals, back to back
+	ends   []int32          // clause i ends at lits[ends[i]]
+	heads  map[uint64]int32 // structural hash -> 1 + its chain's first entry
+	cache  []cacheEntry
+	inputs map[uint32][]sat.Lit
 }
 
 func litTrue(e *encoder) sat.Lit  { return 1 }
@@ -73,16 +81,10 @@ func (e *encoder) newVar() sat.Lit {
 	return sat.Lit(e.nVars)
 }
 
-// emit appends a clause, cutting it from the arena with a full slice
-// expression so no clause can grow into its neighbour.
+// emit appends a clause to the literal buffer.
 func (e *encoder) emit(lits ...sat.Lit) {
-	if cap(e.arena)-len(e.arena) < len(lits) {
-		e.arena = make([]sat.Lit, 0, max(arenaChunk, len(lits)))
-	}
-	n := len(e.arena)
-	e.arena = append(e.arena, lits...)
-	m := len(e.arena)
-	e.clauses = append(e.clauses, e.arena[n:m:m])
+	e.lits = append(e.lits, lits...)
+	e.ends = append(e.ends, int32(len(e.lits)))
 }
 
 func (e *encoder) constLit(b bool) sat.Lit {
@@ -94,16 +96,19 @@ func (e *encoder) constLit(b bool) sat.Lit {
 
 // lookup finds the cached bits for a structurally equal node.
 func (e *encoder) lookup(n *expr.Expr) ([]sat.Lit, bool) {
-	for _, ent := range e.cache[n.Hash()] {
-		if expr.Equal(ent.node, n) {
+	for i := e.heads[n.Hash()]; i != 0; i = e.cache[i-1].next {
+		if ent := &e.cache[i-1]; expr.Equal(ent.node, n) {
 			return ent.bits, true
 		}
 	}
 	return nil, false
 }
 
+// store caches a node that lookup missed, so a chain never holds two
+// equal nodes and its order does not matter.
 func (e *encoder) store(n *expr.Expr, bits []sat.Lit) {
-	e.cache[n.Hash()] = append(e.cache[n.Hash()], cacheEntry{node: n, bits: bits})
+	e.cache = append(e.cache, cacheEntry{node: n, bits: bits, next: e.heads[n.Hash()]})
+	e.heads[n.Hash()] = int32(len(e.cache))
 }
 
 // ---- gate constructors (with constant folding) ----

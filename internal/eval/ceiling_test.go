@@ -17,7 +17,7 @@ import (
 // lowers it.
 var kernelSideCeiling = map[string]int{
 	"Verifier":              3077,
-	"Proof Checker":         1084,
+	"Proof Checker":         1083,
 	"Refinement (BCF core)": 767,
 	"tnum domain":           222,
 }

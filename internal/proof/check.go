@@ -74,7 +74,7 @@ func CheckWithLimits(cond *expr.Expr, p *Proof, lim Limits) error {
 	}
 
 	// Stage 2: rule application.
-	ck := &checker{cond: cond, notCond: expr.BoolNot(cond), lim: lim}
+	ck := &checker{notCond: expr.BoolNot(cond), lim: lim}
 	concl := make([]Conclusion, len(p.Steps))
 	for i := range p.Steps {
 		c, err := ck.apply(&p.Steps[i], concl[:i])
@@ -94,10 +94,15 @@ func CheckWithLimits(cond *expr.Expr, p *Proof, lim Limits) error {
 }
 
 type checker struct {
-	cond    *expr.Expr
 	notCond *expr.Expr
 	cnf     *bitblast.CNF
 	lim     Limits
+	// resolve's state, sized by blast: a stamp per literal (2v for +v,
+	// 2v+1 for -v), bumped once per step so it never wraps, and the
+	// arena resolvents are cut from, 1024 literals at a time.
+	mark  []uint32
+	stamp uint32
+	arena []sat.Lit
 }
 
 // blast lazily bit-blasts ¬cond (shared with the prover by determinism).
@@ -107,7 +112,7 @@ func (ck *checker) blast() (*bitblast.CNF, error) {
 		if err != nil {
 			return nil, err
 		}
-		ck.cnf = cnf
+		ck.cnf, ck.mark = cnf, make([]uint32, 2*cnf.NVars+2)
 	}
 	return ck.cnf, nil
 }
@@ -423,14 +428,7 @@ func (ck *checker) apply(s *Step, prior []Conclusion) (Conclusion, error) {
 		if err != nil {
 			return Conclusion{}, err
 		}
-		if s.Pivot <= 0 {
-			return Conclusion{}, fmt.Errorf("invalid pivot %d", s.Pivot)
-		}
-		res, err := resolve(a, b, int(s.Pivot), ck.lim.MaxClauseLen)
-		if err != nil {
-			return Conclusion{}, err
-		}
-		return clauseC(res), nil
+		return ck.resolve(a, b, int(s.Pivot))
 	}
 
 	// Rewrite catalog and interval lemmas.
@@ -443,34 +441,35 @@ func (ck *checker) apply(s *Step, prior []Conclusion) (Conclusion, error) {
 	return Conclusion{}, fmt.Errorf("unhandled rule")
 }
 
-// resolve computes the binary resolvent on pivot.
-func resolve(a, b []sat.Lit, pivot int, maxLen int) ([]sat.Lit, error) {
-	pos, neg := false, false
-	seen := map[sat.Lit]bool{}
-	var out []sat.Lit
-	add := func(c []sat.Lit) {
+// resolve computes the binary resolvent on pivot. Clauses derive from
+// the bit-blasted ¬C, so every literal's variable has a stamp slot, and
+// no literal's variable is a pivot below 1.
+func (ck *checker) resolve(a, b []sat.Lit, pivot int) (Conclusion, error) {
+	if n := len(a) + len(b); cap(ck.arena)-len(ck.arena) < n {
+		ck.arena = make([]sat.Lit, 0, max(1024, n))
+	}
+	ck.stamp++
+	start, polarities := len(ck.arena), 0
+	for _, c := range [2][]sat.Lit{a, b} {
 		for _, l := range c {
-			if l.Var() == pivot {
-				if l > 0 {
-					pos = true
-				} else {
-					neg = true
-				}
-				continue
+			i := 2 * l.Var()
+			if l < 0 {
+				i++
 			}
-			if !seen[l] {
-				seen[l] = true
-				out = append(out, l)
+			if l.Var() == pivot {
+				polarities |= 1 << (i & 1)
+			} else if ck.mark[i] != ck.stamp {
+				ck.mark[i] = ck.stamp
+				ck.arena = append(ck.arena, l)
 			}
 		}
 	}
-	add(a)
-	add(b)
-	if !pos || !neg {
-		return nil, fmt.Errorf("pivot %d does not occur with both polarities", pivot)
+	if polarities != 3 {
+		return Conclusion{}, fmt.Errorf("pivot %d does not occur with both polarities", pivot)
 	}
-	if len(out) > maxLen {
-		return nil, fmt.Errorf("resolvent too large")
+	end := len(ck.arena)
+	if end-start > ck.lim.MaxClauseLen {
+		return Conclusion{}, fmt.Errorf("resolvent too large")
 	}
-	return out, nil
+	return clauseC(ck.arena[start:end:end]), nil
 }

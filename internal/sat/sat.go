@@ -8,15 +8,16 @@
 // resolution proof that the in-kernel checker replays in linear time
 // (§4 Workload Delegation, §5 Proof Check).
 //
-// The solver's state is addressed by index, not by map. Watch lists live
-// in a slice indexed by literal (2v for +v, 2v+1 for -v); AddClause
-// dedupes against a per-literal stamp array; conflict analysis and
-// level-0 elimination mark variables in per-variable arrays they reuse.
-// Clause literals are copied into a chunked arena and clause headers come
-// from a chunked slab, so adding a clause allocates only when a chunk
-// fills and a *clause never moves. None of this changes a decision: the
-// same clauses in the same order give the same model or the same
-// refutation, step for step.
+// The solver's state is addressed by index and holds no pointer per
+// clause. Every clause's literals sit in one literal slice and its header
+// {start, n, id} in one header slice; watchers and per-variable reasons
+// name a clause by its header index, so both slices may move as they grow
+// and the collector never scans them. Watch lists live in a slice indexed
+// by literal (2v for +v, 2v+1 for -v); AddClause dedupes against a
+// per-literal stamp array; conflict analysis and level-0 elimination mark
+// variables in per-variable arrays they reuse. None of this changes a
+// decision: the same clauses in the same order give the same model or the
+// same refutation, step for step.
 package sat
 
 import (
@@ -77,21 +78,30 @@ const (
 	valFalse      int8 = -1
 )
 
+// clause is a header into Solver.lits: the clause's literals are
+// lits[start : start+n].
 type clause struct {
-	lits []Lit
-	id   int32 // proof clause id
+	start, n int32
+	id       int32 // proof clause id
 }
+
+// The bit-blaster's CNF has at most about two clauses per variable
+// (gates with constant inputs fold away, and input bits have none) and
+// two and a half literals per clause; reserve sizes the clause storage
+// for that, leaving room for learned clauses.
+const (
+	clausesPerVar = 2
+	litsPerClause = 3
+)
+
+// noClause is the reason of a decision or an unassigned variable, and
+// propagate's answer when nothing conflicts.
+const noClause int32 = -1
 
 type watcher struct {
-	c       *clause
+	c       int32 // index into Solver.clauses
 	blocker Lit
 }
-
-// Chunk sizes of the clause slab and the literal arena.
-const (
-	slabChunk = 256
-	litChunk  = 1024
-)
 
 // Solver holds the CDCL state. Create with New, add clauses, then Solve.
 type Solver struct {
@@ -100,7 +110,7 @@ type Solver struct {
 	assign   []int8      // per variable
 	level    []int32     // decision level per variable
 	pos      []int32     // trail position per variable
-	reason   []*clause
+	reason   []int32     // per variable: the implying clause, or noClause
 	trail    []Lit
 	trailLim []int32
 	qhead    int
@@ -111,11 +121,10 @@ type Solver struct {
 	heap     []int32 // max-heap of variables by activity
 	phase    []bool
 
-	// Clause storage: headers in slabs (inputs first, then learned
-	// clauses), literals in lits. A chunk is filled up to its capacity and
-	// then replaced by a fresh one, so nothing stored ever moves.
-	slabs [][]clause
-	lits  []Lit
+	// Clause storage: headers (inputs first, then learned clauses) over
+	// one literal slice.
+	clauses []clause
+	lits    []Lit
 
 	litStamp []uint32 // per literal: the AddClause call that last saw it
 	stamp    uint32
@@ -146,7 +155,7 @@ type Solver struct {
 // answer carries a resolution refutation.
 func New(nVars int, logProof bool) *Solver {
 	n := nVars + 1
-	ints := make([]int32, 3*n)
+	ints := make([]int32, 4*n)
 	bools := make([]bool, 3*n)
 	s := &Solver{
 		nVars:    nVars,
@@ -154,8 +163,8 @@ func New(nVars int, logProof bool) *Solver {
 		assign:   make([]int8, n),
 		level:    ints[:n:n],
 		pos:      ints[n : 2*n : 2*n],
-		heapIdx:  ints[2*n:],
-		reason:   make([]*clause, n),
+		heapIdx:  ints[2*n : 3*n : 3*n],
+		reason:   ints[3*n:],
 		trail:    make([]Lit, 0, nVars),
 		activity: make([]float64, n),
 		heap:     make([]int32, 0, nVars),
@@ -168,6 +177,7 @@ func New(nVars int, logProof bool) *Solver {
 	}
 	for v := 1; v <= nVars; v++ {
 		s.heapIdx[v] = -1
+		s.reason[v] = noClause
 		s.heapInsert(int32(v))
 	}
 	return s
@@ -198,7 +208,7 @@ func (s *Solver) AddClause(lits ...Lit) error {
 		clear(s.litStamp)
 		s.stamp = 1
 	}
-	s.reserve(len(lits))
+	s.reserve()
 	start := len(s.lits)
 	for _, l := range lits {
 		if s.litStamp[l.Neg().index()] == s.stamp {
@@ -216,33 +226,34 @@ func (s *Solver) AddClause(lits ...Lit) error {
 	}
 	// A unit input clause is asserted at level 0 by Solve; longer ones
 	// are watched there.
-	s.newClause(s.lits[start:len(s.lits):len(s.lits)], id)
+	s.clauses = append(s.clauses, clause{start: int32(start), n: int32(len(s.lits) - start), id: id})
 	return nil
 }
 
-// reserve makes room for n more literals in the arena.
-func (s *Solver) reserve(n int) {
-	if cap(s.lits)-len(s.lits) < n {
-		s.lits = make([]Lit, 0, max(litChunk, n))
+// reserve sizes the clause storage on the first AddClause, so a
+// bit-blasted condition's clauses fit in one allocation each; a denser
+// input grows by appending.
+func (s *Solver) reserve() {
+	if s.clauses == nil {
+		nc := clausesPerVar * s.nVars
+		s.clauses = make([]clause, 0, nc)
+		s.lits = make([]Lit, 0, litsPerClause*nc)
 	}
 }
 
-// newClause takes a header from the slab.
-func (s *Solver) newClause(lits []Lit, id int32) *clause {
-	if len(s.slabs) == 0 || len(s.slabs[len(s.slabs)-1]) == slabChunk {
-		s.slabs = append(s.slabs, make([]clause, 0, slabChunk))
-	}
-	slab := &s.slabs[len(s.slabs)-1]
-	*slab = append(*slab, clause{lits: lits, id: id})
-	return &(*slab)[len(*slab)-1]
-}
-
-// learn stores a learned clause, copying its literals into the arena.
-func (s *Solver) learn(lits []Lit, id int32) *clause {
-	s.reserve(len(lits))
+// learn stores a learned clause, copying its literals into the literal
+// slice, and returns its header index.
+func (s *Solver) learn(lits []Lit, id int32) int32 {
 	start := len(s.lits)
 	s.lits = append(s.lits, lits...)
-	return s.newClause(s.lits[start:len(s.lits):len(s.lits)], id)
+	s.clauses = append(s.clauses, clause{start: int32(start), n: int32(len(lits)), id: id})
+	return int32(len(s.clauses) - 1)
+}
+
+// litsOf returns clause ci's literals, in place: propagate reorders them.
+func (s *Solver) litsOf(ci int32) []Lit {
+	c := s.clauses[ci]
+	return s.lits[c.start : c.start+c.n : c.start+c.n]
 }
 
 // watchInputs builds the input clauses' watch lists in one allocation.
@@ -252,13 +263,11 @@ func (s *Solver) learn(lits []Lit, id int32) *clause {
 func (s *Solver) watchInputs() {
 	counts := make([]int32, len(s.watches))
 	total := 0
-	for _, slab := range s.slabs {
-		for i := range slab {
-			if c := &slab[i]; len(c.lits) >= 2 {
-				counts[c.lits[0].Neg().index()]++
-				counts[c.lits[1].Neg().index()]++
-				total += 2
-			}
+	for _, c := range s.clauses {
+		if c.n >= 2 {
+			counts[s.lits[c.start].Neg().index()]++
+			counts[s.lits[c.start+1].Neg().index()]++
+			total += 2
 		}
 	}
 	all := make([]watcher, total)
@@ -268,24 +277,23 @@ func (s *Solver) watchInputs() {
 		s.watches[i] = all[off:off:end]
 		off = end
 	}
-	for _, slab := range s.slabs {
-		for i := range slab {
-			if c := &slab[i]; len(c.lits) >= 2 {
-				s.watch(c)
-			}
+	for ci, c := range s.clauses {
+		if c.n >= 2 {
+			s.watch(int32(ci))
 		}
 	}
 }
 
-func (s *Solver) watch(c *clause) {
-	w0, w1 := c.lits[0].Neg().index(), c.lits[1].Neg().index()
-	s.watches[w0] = append(s.watches[w0], watcher{c: c, blocker: c.lits[1]})
-	s.watches[w1] = append(s.watches[w1], watcher{c: c, blocker: c.lits[0]})
+func (s *Solver) watch(ci int32) {
+	lits := s.litsOf(ci)
+	w0, w1 := lits[0].Neg().index(), lits[1].Neg().index()
+	s.watches[w0] = append(s.watches[w0], watcher{c: ci, blocker: lits[1]})
+	s.watches[w1] = append(s.watches[w1], watcher{c: ci, blocker: lits[0]})
 }
 
 func (s *Solver) decisionLevel() int32 { return int32(len(s.trailLim)) }
 
-func (s *Solver) enqueue(l Lit, from *clause) bool {
+func (s *Solver) enqueue(l Lit, from int32) bool {
 	switch s.value(l) {
 	case valTrue:
 		return true
@@ -305,17 +313,18 @@ func (s *Solver) enqueue(l Lit, from *clause) bool {
 	return true
 }
 
-// propagate performs unit propagation; returns a conflicting clause or nil.
-func (s *Solver) propagate() *clause {
+// propagate performs unit propagation; returns a conflicting clause or
+// noClause.
+func (s *Solver) propagate() int32 {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		ws := s.watches[p.index()]
 		kept := ws[:0]
-		var confl *clause
+		confl := noClause
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if confl != nil {
+			if confl != noClause {
 				kept = append(kept, ws[i:]...)
 				break
 			}
@@ -323,22 +332,22 @@ func (s *Solver) propagate() *clause {
 				kept = append(kept, w)
 				continue
 			}
-			c := w.c
+			c, lits := w.c, s.litsOf(w.c)
 			// Normalize: false literal at position 1.
-			if c.lits[0] == p.Neg() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == p.Neg() {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			if s.value(c.lits[0]) == valTrue {
-				kept = append(kept, watcher{c: c, blocker: c.lits[0]})
+			if s.value(lits[0]) == valTrue {
+				kept = append(kept, watcher{c: c, blocker: lits[0]})
 				continue
 			}
 			// Find a new watch.
 			found := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != valFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					wi := c.lits[1].Neg().index()
-					s.watches[wi] = append(s.watches[wi], watcher{c: c, blocker: c.lits[0]})
+			for k := 2; k < len(lits); k++ {
+				if s.value(lits[k]) != valFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					wi := lits[1].Neg().index()
+					s.watches[wi] = append(s.watches[wi], watcher{c: c, blocker: lits[0]})
 					found = true
 					break
 				}
@@ -348,19 +357,19 @@ func (s *Solver) propagate() *clause {
 			}
 			// Unit or conflicting.
 			kept = append(kept, w)
-			if s.value(c.lits[0]) == valFalse {
+			if s.value(lits[0]) == valFalse {
 				confl = c
 				s.qhead = len(s.trail)
 			} else {
-				s.enqueue(c.lits[0], c)
+				s.enqueue(lits[0], c)
 			}
 		}
 		s.watches[p.index()] = kept
-		if confl != nil {
+		if confl != noClause {
 			return confl
 		}
 	}
-	return nil
+	return noClause
 }
 
 // ---- EVSIDS variable order (binary max-heap) ----
@@ -459,7 +468,7 @@ func (s *Solver) backtrack(lvl int32) {
 		v := s.trail[i].Var()
 		s.phase[v] = s.assign[v] == valTrue
 		s.assign[v] = valUnassigned
-		s.reason[v] = nil
+		s.reason[v] = noClause
 		s.heapInsert(int32(v))
 	}
 	s.trail = s.trail[:bound]
@@ -484,15 +493,15 @@ func (s *Solver) logResolve(a, b int32, pivot int) int32 {
 // way derives exactly the learned clause: level-0 literals dropped from
 // the clause are eliminated from the resolvent by resolving against
 // their unit-implication reasons.
-func (s *Solver) analyze(confl *clause) ([]Lit, int32, int32) {
+func (s *Solver) analyze(confl int32) ([]Lit, int32, int32) {
 	learnt := append(s.learnt[:0], 0) // slot 0 reserved for the asserting literal
 	counter := 0
 	var p Lit
 	idx := len(s.trail) - 1
-	accID := confl.id
+	accID := s.clauses[confl].id
 	c := confl
 	for {
-		for _, q := range c.lits {
+		for _, q := range s.litsOf(c) {
 			if q == p {
 				continue
 			}
@@ -526,7 +535,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int32, int32) {
 			break
 		}
 		c = s.reason[p.Var()]
-		accID = s.logResolve(accID, c.id, p.Var())
+		accID = s.logResolve(accID, s.clauses[c].id, p.Var())
 	}
 	// Every current-level mark was cleared as it was resolved; the rest
 	// are the learned clause's.
@@ -561,25 +570,22 @@ func (s *Solver) Solve() (Result, error) {
 		return Result{SAT: false, Proof: s.proofOut()}, nil
 	}
 	s.watchInputs()
-	// Assert unit input clauses at level 0. Every clause in the slabs is
-	// an input until the search learns one.
-	for _, slab := range s.slabs {
-		for i := range slab {
-			c := &slab[i]
-			if len(c.lits) != 1 {
-				continue
+	// Assert unit input clauses at level 0. Every stored clause is an
+	// input until the search learns one.
+	for ci, c := range s.clauses {
+		if c.n != 1 {
+			continue
+		}
+		if l := s.lits[c.start]; !s.enqueue(l, int32(ci)) {
+			// Conflicting units: resolve with the clause that implied the
+			// opposite assignment to derive the empty clause.
+			if other := s.reason[l.Var()]; other != noClause {
+				s.logResolve(c.id, s.clauses[other].id, l.Var())
 			}
-			if !s.enqueue(c.lits[0], c) {
-				// Conflicting units: resolve with the clause that implied
-				// the opposite assignment to derive the empty clause.
-				if other := s.reason[c.lits[0].Var()]; other != nil {
-					s.logResolve(c.id, other.id, c.lits[0].Var())
-				}
-				return Result{SAT: false, Proof: s.proofOut()}, nil
-			}
+			return Result{SAT: false, Proof: s.proofOut()}, nil
 		}
 	}
-	if confl := s.propagate(); confl != nil {
+	if confl := s.propagate(); confl != noClause {
 		s.emptyFromLevel0Conflict(confl)
 		return Result{SAT: false, Proof: s.proofOut()}, nil
 	}
@@ -596,7 +602,7 @@ func (s *Solver) Solve() (Result, error) {
 			}
 		}
 		confl := s.propagate()
-		if confl != nil {
+		if confl != noClause {
 			s.conflCount++
 			conflictsSinceRestart++
 			if s.MaxConflicts > 0 && s.conflCount > s.MaxConflicts {
@@ -617,8 +623,8 @@ func (s *Solver) Solve() (Result, error) {
 				// Learned unit contradicts level-0: resolve to empty.
 				if s.decisionLevel() == 0 {
 					r := s.reason[learnt[0].Var()]
-					if r != nil && s.logProof {
-						s.logResolve(id, r.id, learnt[0].Var())
+					if r != noClause && s.logProof {
+						s.logResolve(id, s.clauses[r].id, learnt[0].Var())
 					}
 					return Result{SAT: false, Proof: s.proofOut()}, nil
 				}
@@ -645,20 +651,20 @@ func (s *Solver) Solve() (Result, error) {
 		if !s.phase[v] {
 			l = -l
 		}
-		s.enqueue(l, nil)
+		s.enqueue(l, noClause)
 	}
 }
 
 // emptyFromLevel0Conflict derives the empty clause from a conflict at
 // decision level 0 by resolving with the unit-implication reasons.
-func (s *Solver) emptyFromLevel0Conflict(confl *clause) int32 {
+func (s *Solver) emptyFromLevel0Conflict(confl int32) int32 {
 	if !s.logProof {
 		return -1
 	}
-	for _, l := range confl.lits {
+	for _, l := range s.litsOf(confl) {
 		s.markLevel0(l.Var())
 	}
-	return s.eliminateLevel0(confl.id)
+	return s.eliminateLevel0(s.clauses[confl].id)
 }
 
 func (s *Solver) proofOut() *Proof {
@@ -695,11 +701,11 @@ func (s *Solver) eliminateLevel0(accID int32) int32 {
 		s.lvl0[v] = false
 		s.lvl0N--
 		r := s.reason[v]
-		if r == nil {
+		if r == noClause {
 			continue
 		}
-		accID = s.logResolve(accID, r.id, v)
-		for _, q := range r.lits {
+		accID = s.logResolve(accID, s.clauses[r].id, v)
+		for _, q := range s.litsOf(r) {
 			if w := q.Var(); w != v {
 				s.markLevel0(w)
 			}
