@@ -16,7 +16,7 @@ import (
 // in its own diff, and says why in CHANGES.md; a change that shrinks one
 // lowers it.
 var kernelSideCeiling = map[string]int{
-	"Verifier":              3077,
+	"Verifier":              2682,
 	"Proof Checker":         1083,
 	"Refinement (BCF core)": 767,
 	"tnum domain":           222,

@@ -45,9 +45,6 @@ type Options struct {
 	// MaxInflight bounds concurrently-served prove requests
 	// (0 = 2×GOMAXPROCS).
 	MaxInflight int
-	// MaxPayload overrides the per-frame payload budget
-	// (0 = proofrpc.MaxPayload).
-	MaxPayload int
 	// ChaosDelay, when positive, stalls every prove request by this much
 	// before it is served (tests only): it holds a request inflight so
 	// drain and multiplexing tests can act while it waits.
@@ -91,9 +88,6 @@ type srvConn struct {
 func New(opts Options) *Server {
 	if opts.MaxInflight <= 0 {
 		opts.MaxInflight = defaultMaxInflightFactor * runtime.GOMAXPROCS(0)
-	}
-	if opts.MaxPayload <= 0 || opts.MaxPayload > proofrpc.MaxPayload {
-		opts.MaxPayload = proofrpc.MaxPayload
 	}
 	cache := opts.Cache
 	if cache == nil {
@@ -236,19 +230,11 @@ func (s *Server) serveConn(sc *srvConn) {
 	for {
 		f, err := proofrpc.ReadFrame(sc.conn)
 		if err != nil {
-			// EOF, peer reset, or a malformed/oversized frame.
+			// EOF, peer reset, or a malformed frame; ReadFrame is the one
+			// size check, rejecting a payload over proofrpc.MaxPayload.
 			if !isClosedErr(err) {
 				s.opts.Obs.Counter(obs.MDaemonRejects).Inc()
 			}
-			return
-		}
-		if len(f.Payload) > s.opts.MaxPayload {
-			s.opts.Obs.Counter(obs.MDaemonRejects).Inc()
-			s.reply(sc, f.ReqID, &proofrpc.Frame{
-				Type: proofrpc.TError,
-				Payload: proofrpc.EncodeErrorPayload(uint32(bcferr.ClassResourceLimit),
-					fmt.Sprintf("payload %d bytes exceeds server limit %d", len(f.Payload), s.opts.MaxPayload)),
-			})
 			return
 		}
 		if !s.tryStart(sc) {

@@ -7,368 +7,149 @@ import (
 	"bcf/internal/tnum"
 )
 
-// markRangesUnknown64 widens the 64-bit interval domains (keeping tnum).
-func (r *RegState) markRangesUnknown64() {
-	r.UMin, r.UMax = 0, math.MaxUint64
-	r.SMin, r.SMax = math.MinInt64, math.MaxInt64
-}
-
 // markRangesUnknown32 widens the 32-bit interval domains.
 func (r *RegState) markRangesUnknown32() {
 	r.U32Min, r.U32Max = 0, math.MaxUint32
 	r.S32Min, r.S32Max = math.MinInt32, math.MaxInt32
 }
 
-func signedAddOverflows(a, b int64) bool {
+func addOverflows[S signed](a, b S) bool {
 	s := a + b
 	return (b > 0 && s < a) || (b < 0 && s > a)
 }
 
-func signedSubOverflows(a, b int64) bool {
+func subOverflows[S signed](a, b S) bool {
 	s := a - b
 	return (b < 0 && s < a) || (b > 0 && s > a)
 }
 
-func signedAddOverflows32(a, b int32) bool {
-	s := a + b
-	return (b > 0 && s < a) || (b < 0 && s > a)
-}
-
-func signedSubOverflows32(a, b int32) bool {
-	s := a - b
-	return (b < 0 && s < a) || (b > 0 && s > a)
-}
-
-// scalarAdd implements scalar_min_max_add + the tnum update.
-func scalarAdd(dst *RegState, src *RegState) {
-	if signedAddOverflows(dst.SMin, src.SMin) || signedAddOverflows(dst.SMax, src.SMax) {
-		dst.SMin, dst.SMax = math.MinInt64, math.MaxInt64
-	} else {
-		dst.SMin += src.SMin
-		dst.SMax += src.SMax
-	}
-	if dst.UMin+src.UMin < dst.UMin || dst.UMax+src.UMax < dst.UMax {
-		dst.UMin, dst.UMax = 0, math.MaxUint64
-	} else {
-		dst.UMin += src.UMin
-		dst.UMax += src.UMax
-	}
-	dst.Var = tnum.Add(dst.Var, src.Var)
-	dst.markRangesUnknown32()
-}
-
-func scalarSub(dst *RegState, src *RegState) {
-	if signedSubOverflows(dst.SMin, src.SMax) || signedSubOverflows(dst.SMax, src.SMin) {
-		dst.SMin, dst.SMax = math.MinInt64, math.MaxInt64
-	} else {
-		dst.SMin -= src.SMax
-		dst.SMax -= src.SMin
-	}
-	if dst.UMin < src.UMax {
-		dst.UMin, dst.UMax = 0, math.MaxUint64
-	} else {
-		dst.UMin -= src.UMax
-		dst.UMax -= src.UMin
-	}
-	dst.Var = tnum.Sub(dst.Var, src.Var)
-	dst.markRangesUnknown32()
-}
-
-func scalarMul(dst *RegState, src *RegState) {
-	dst.Var = tnum.Mul(dst.Var, src.Var)
-	if dst.SMin < 0 || src.SMin < 0 ||
-		dst.UMax > math.MaxUint32 || src.UMax > math.MaxUint32 {
-		dst.markRangesUnknown64()
-	} else {
-		dst.UMin *= src.UMin
-		dst.UMax *= src.UMax
-		if dst.UMax > uint64(math.MaxInt64) {
-			dst.SMin, dst.SMax = math.MinInt64, math.MaxInt64
+// alu applies "d op= s" at the interval's width: the kernel's
+// scalar{,32}_min_max_* with the matching tnum op. It reports false when
+// the width has no transfer function for op (division, modulo, a shift
+// by a possibly out-of-range amount, an arithmetic shift by a
+// non-constant), whose result the caller makes unknown. A 32-bit
+// result's tnum may carry into the high word: set32 keeps only its low
+// word, and the bounds read it through U.
+func (d *interval[U, S]) alu(op uint8, s *interval[U, S]) bool {
+	switch op {
+	case ebpf.AluADD:
+		if addOverflows(d.SMin, s.SMin) || addOverflows(d.SMax, s.SMax) {
+			d.unknownS()
 		} else {
-			dst.SMin = int64(dst.UMin)
-			dst.SMax = int64(dst.UMax)
+			d.SMin += s.SMin
+			d.SMax += s.SMax
 		}
-	}
-	dst.markRangesUnknown32()
-}
-
-func scalarAnd(dst *RegState, src *RegState) {
-	dst.Var = tnum.And(dst.Var, src.Var)
-	negative := dst.SMin < 0 || src.SMin < 0
-	dst.UMin = dst.Var.Value
-	dst.UMax = minU(dst.UMax, src.UMax)
-	dst.UMax = minU(dst.UMax, dst.Var.Value|dst.Var.Mask)
-	if negative {
-		dst.SMin, dst.SMax = math.MinInt64, math.MaxInt64
-	} else {
-		dst.SMin = int64(dst.UMin)
-		dst.SMax = int64(dst.UMax)
-	}
-	dst.markRangesUnknown32()
-}
-
-func scalarOr(dst *RegState, src *RegState) {
-	negative := dst.SMin < 0 || src.SMin < 0
-	dst.Var = tnum.Or(dst.Var, src.Var)
-	dst.UMin = maxU(dst.UMin, src.UMin)
-	dst.UMin = maxU(dst.UMin, dst.Var.Value)
-	dst.UMax = dst.Var.Value | dst.Var.Mask
-	if negative {
-		dst.SMin, dst.SMax = math.MinInt64, math.MaxInt64
-	} else {
-		dst.SMin = int64(dst.UMin)
-		dst.SMax = int64(dst.UMax)
-	}
-	dst.markRangesUnknown32()
-}
-
-func scalarXor(dst *RegState, src *RegState) {
-	nonNegative := dst.SMin >= 0 && src.SMin >= 0
-	dst.Var = tnum.Xor(dst.Var, src.Var)
-	dst.UMin = dst.Var.Value
-	dst.UMax = dst.Var.Value | dst.Var.Mask
-	if nonNegative {
-		dst.SMin = int64(dst.UMin)
-		dst.SMax = int64(dst.UMax)
-	} else {
-		dst.SMin, dst.SMax = math.MinInt64, math.MaxInt64
-	}
-	dst.markRangesUnknown32()
-}
-
-func scalarLsh(dst *RegState, src *RegState) {
-	if src.UMax >= 64 {
-		dst.markUnknown()
-		return
-	}
-	if src.IsConst() {
-		sh := uint(src.ConstVal())
-		dst.Var = dst.Var.Lsh(sh)
-		if dst.UMax <= math.MaxUint64>>sh {
-			dst.UMin <<= sh
-			dst.UMax <<= sh
+		if d.UMin+s.UMin < d.UMin || d.UMax+s.UMax < d.UMax {
+			d.unknownU()
 		} else {
-			dst.UMin, dst.UMax = 0, math.MaxUint64
+			d.UMin += s.UMin
+			d.UMax += s.UMax
 		}
-	} else {
-		dst.Var = tnum.Unknown
-		if dst.UMax <= math.MaxUint64>>uint(src.UMax) {
-			dst.UMin <<= uint(src.UMin)
-			dst.UMax <<= uint(src.UMax)
+		d.Var = tnum.Add(d.Var, s.Var)
+	case ebpf.AluSUB:
+		if subOverflows(d.SMin, s.SMax) || subOverflows(d.SMax, s.SMin) {
+			d.unknownS()
 		} else {
-			dst.UMin, dst.UMax = 0, math.MaxUint64
+			d.SMin -= s.SMax
+			d.SMax -= s.SMin
 		}
-	}
-	dst.SMin, dst.SMax = math.MinInt64, math.MaxInt64
-	dst.markRangesUnknown32()
-}
-
-func scalarRsh(dst *RegState, src *RegState) {
-	if src.UMax >= 64 {
-		dst.markUnknown()
-		return
-	}
-	if src.IsConst() {
-		sh := uint(src.ConstVal())
-		dst.Var = dst.Var.Rsh(sh)
-		dst.UMin >>= sh
-		dst.UMax >>= sh
-	} else {
-		dst.Var = tnum.Unknown
-		dst.UMin >>= uint(src.UMax)
-		dst.UMax >>= uint(src.UMin)
-	}
-	// A logical right shift always produces a non-negative value, which
-	// sync derives from the unsigned range.
-	dst.SMin, dst.SMax = math.MinInt64, math.MaxInt64
-	dst.markRangesUnknown32()
-}
-
-func scalarArsh(dst *RegState, src *RegState) {
-	if !src.IsConst() || src.ConstVal() >= 64 {
-		dst.markUnknown()
-		return
-	}
-	sh := uint(src.ConstVal())
-	dst.Var = dst.Var.Arsh(sh, 64)
-	dst.SMin >>= sh
-	dst.SMax >>= sh
-	dst.UMin, dst.UMax = 0, math.MaxUint64
-	dst.markRangesUnknown32()
-}
-
-// ---------- 32-bit variants ----------
-
-// load32 extracts the 32-bit view of a register for 32-bit transfer
-// functions: tnum subreg plus 32-bit interval bounds.
-type reg32 struct {
-	Var        tnum.Tnum
-	UMin, UMax uint32
-	SMin, SMax int32
-}
-
-func (r *RegState) view32() reg32 {
-	return reg32{Var: r.Var.Subreg(), UMin: r.U32Min, UMax: r.U32Max, SMin: r.S32Min, SMax: r.S32Max}
-}
-
-func (r *reg32) isConst() bool { return r.Var.Subreg().IsConst() }
-
-// store32 writes the 32-bit result back and zero-extends into 64 bits.
-func (dst *RegState) store32(v reg32) {
-	dst.Var = v.Var.Cast(4)
-	dst.U32Min, dst.U32Max = v.UMin, v.UMax
-	dst.S32Min, dst.S32Max = v.SMin, v.SMax
-	dst.zext32()
-}
-
-func scalarAdd32(d *reg32, s reg32) {
-	if signedAddOverflows32(d.SMin, s.SMin) || signedAddOverflows32(d.SMax, s.SMax) {
-		d.SMin, d.SMax = math.MinInt32, math.MaxInt32
-	} else {
-		d.SMin += s.SMin
-		d.SMax += s.SMax
-	}
-	if d.UMin+s.UMin < d.UMin || d.UMax+s.UMax < d.UMax {
-		d.UMin, d.UMax = 0, math.MaxUint32
-	} else {
-		d.UMin += s.UMin
-		d.UMax += s.UMax
-	}
-	d.Var = tnum.Add(d.Var, s.Var).Cast(4)
-}
-
-func scalarSub32(d *reg32, s reg32) {
-	if signedSubOverflows32(d.SMin, s.SMax) || signedSubOverflows32(d.SMax, s.SMin) {
-		d.SMin, d.SMax = math.MinInt32, math.MaxInt32
-	} else {
-		d.SMin -= s.SMax
-		d.SMax -= s.SMin
-	}
-	if d.UMin < s.UMax {
-		d.UMin, d.UMax = 0, math.MaxUint32
-	} else {
-		d.UMin -= s.UMax
-		d.UMax -= s.UMin
-	}
-	d.Var = tnum.Sub(d.Var, s.Var).Cast(4)
-}
-
-func scalarMul32(d *reg32, s reg32) {
-	d.Var = tnum.Mul(d.Var, s.Var).Cast(4)
-	if d.SMin < 0 || s.SMin < 0 || d.UMax > math.MaxUint16 || s.UMax > math.MaxUint16 {
-		d.UMin, d.UMax = 0, math.MaxUint32
-		d.SMin, d.SMax = math.MinInt32, math.MaxInt32
-		return
-	}
-	d.UMin *= s.UMin
-	d.UMax *= s.UMax
-	if d.UMax > uint32(math.MaxInt32) {
-		d.SMin, d.SMax = math.MinInt32, math.MaxInt32
-	} else {
-		d.SMin = int32(d.UMin)
-		d.SMax = int32(d.UMax)
-	}
-}
-
-func scalarAnd32(d *reg32, s reg32) {
-	negative := d.SMin < 0 || s.SMin < 0
-	d.Var = tnum.And(d.Var, s.Var).Cast(4)
-	d.UMin = uint32(d.Var.Value)
-	d.UMax = minU32(d.UMax, s.UMax)
-	d.UMax = minU32(d.UMax, uint32(d.Var.Value|d.Var.Mask))
-	if negative {
-		d.SMin, d.SMax = math.MinInt32, math.MaxInt32
-	} else {
-		d.SMin = int32(d.UMin)
-		d.SMax = int32(d.UMax)
-	}
-}
-
-func scalarOr32(d *reg32, s reg32) {
-	negative := d.SMin < 0 || s.SMin < 0
-	d.Var = tnum.Or(d.Var, s.Var).Cast(4)
-	d.UMin = maxU32(d.UMin, s.UMin)
-	d.UMin = maxU32(d.UMin, uint32(d.Var.Value))
-	d.UMax = uint32(d.Var.Value | d.Var.Mask)
-	if negative {
-		d.SMin, d.SMax = math.MinInt32, math.MaxInt32
-	} else {
-		d.SMin = int32(d.UMin)
-		d.SMax = int32(d.UMax)
-	}
-}
-
-func scalarXor32(d *reg32, s reg32) {
-	nonNegative := d.SMin >= 0 && s.SMin >= 0
-	d.Var = tnum.Xor(d.Var, s.Var).Cast(4)
-	d.UMin = uint32(d.Var.Value)
-	d.UMax = uint32(d.Var.Value | d.Var.Mask)
-	if nonNegative {
-		d.SMin = int32(d.UMin)
-		d.SMax = int32(d.UMax)
-	} else {
-		d.SMin, d.SMax = math.MinInt32, math.MaxInt32
-	}
-}
-
-func scalarLsh32(d *reg32, s reg32) bool {
-	if s.UMax >= 32 {
-		return false
-	}
-	if s.isConst() {
-		sh := uint(s.Var.Value)
-		d.Var = d.Var.Lsh(sh).Cast(4)
-		if d.UMax <= math.MaxUint32>>sh {
-			d.UMin <<= sh
-			d.UMax <<= sh
+		if d.UMin < s.UMax {
+			d.unknownU()
 		} else {
-			d.UMin, d.UMax = 0, math.MaxUint32
+			d.UMin -= s.UMax
+			d.UMax -= s.UMin
 		}
-	} else {
-		d.Var = tnum.Unknown.Cast(4)
-		if d.UMax <= math.MaxUint32>>uint(s.UMax) {
+		d.Var = tnum.Sub(d.Var, s.Var)
+	case ebpf.AluMUL:
+		d.Var = tnum.Mul(d.Var, s.Var)
+		half := ^U(0) >> (d.bits() / 2)
+		if d.SMin < 0 || s.SMin < 0 || d.UMax > half || s.UMax > half {
+			d.unknownU()
+			d.unknownS()
+		} else {
+			d.UMin *= s.UMin
+			d.UMax *= s.UMax
+			d.signedFromUnsigned(d.UMax <= ^U(0)>>1)
+		}
+	case ebpf.AluAND:
+		nonNegative := d.SMin >= 0 && s.SMin >= 0
+		d.Var = tnum.And(d.Var, s.Var)
+		d.UMin = U(d.Var.Value)
+		d.UMax = min(d.UMax, s.UMax, U(d.Var.Max()))
+		d.signedFromUnsigned(nonNegative)
+	case ebpf.AluOR:
+		nonNegative := d.SMin >= 0 && s.SMin >= 0
+		d.Var = tnum.Or(d.Var, s.Var)
+		d.UMin = max(d.UMin, s.UMin, U(d.Var.Value))
+		d.UMax = U(d.Var.Max())
+		d.signedFromUnsigned(nonNegative)
+	case ebpf.AluXOR:
+		nonNegative := d.SMin >= 0 && s.SMin >= 0
+		d.Var = tnum.Xor(d.Var, s.Var)
+		d.UMin, d.UMax = U(d.Var.Value), U(d.Var.Max())
+		d.signedFromUnsigned(nonNegative)
+	case ebpf.AluLSH:
+		if s.UMax >= U(d.bits()) {
+			return false
+		}
+		if s.Var.IsConst() {
+			d.Var = d.Var.Lsh(uint(s.Var.Value))
+		} else {
+			d.Var = tnum.Unknown
+		}
+		if d.UMax <= ^U(0)>>uint(s.UMax) {
 			d.UMin <<= uint(s.UMin)
 			d.UMax <<= uint(s.UMax)
 		} else {
-			d.UMin, d.UMax = 0, math.MaxUint32
+			d.unknownU()
 		}
-	}
-	d.SMin, d.SMax = math.MinInt32, math.MaxInt32
-	return true
-}
-
-func scalarRsh32(d *reg32, s reg32) bool {
-	if s.UMax >= 32 {
-		return false
-	}
-	if s.isConst() {
-		sh := uint(s.Var.Value)
-		d.Var = d.Var.Rsh(sh)
-		d.UMin >>= sh
-		d.UMax >>= sh
-	} else {
-		d.Var = tnum.Unknown.Cast(4)
+		d.unknownS()
+	case ebpf.AluRSH:
+		if s.UMax >= U(d.bits()) {
+			return false
+		}
+		if s.Var.IsConst() {
+			d.Var = d.Var.Rsh(uint(s.Var.Value))
+		} else {
+			d.Var = tnum.Unknown
+		}
 		d.UMin >>= uint(s.UMax)
 		d.UMax >>= uint(s.UMin)
-	}
-	d.SMin, d.SMax = math.MinInt32, math.MaxInt32
-	return true
-}
-
-func scalarArsh32(d *reg32, s reg32) bool {
-	if !s.isConst() || s.Var.Value >= 32 {
+		// A logical right shift always produces a non-negative value,
+		// which sync derives from the unsigned range.
+		d.unknownS()
+	case ebpf.AluARSH:
+		if !s.Var.IsConst() || s.Var.Value >= uint64(d.bits()) {
+			return false
+		}
+		sh := uint(s.Var.Value)
+		d.Var = d.Var.Arsh(sh, uint8(d.bits()))
+		d.SMin >>= sh
+		d.SMax >>= sh
+		d.unknownU()
+	default:
 		return false
 	}
-	sh := uint(s.Var.Value)
-	d.Var = d.Var.Arsh(sh, 32)
-	d.SMin >>= sh
-	d.SMax >>= sh
-	d.UMin, d.UMax = 0, math.MaxUint32
 	return true
 }
 
-// aluScalar applies "dst op= src" for two scalar operands and returns
-// whether the op is supported. dst is updated in place (including sync).
+// alu64 applies a 64-bit "r op= src" to r's tnum and bounds, leaving the
+// low word's bounds for sync to derive. An op without a transfer
+// function makes r an unknown scalar.
+func (r *RegState) alu64(op uint8, src *RegState) {
+	d, s := r.view64(), src.view64()
+	if !d.alu(op, &s) {
+		r.markUnknown()
+		return
+	}
+	r.set64(d)
+	r.markRangesUnknown32()
+	r.sync()
+}
+
+// aluScalar applies "dst op= src" for two scalar operands, in place
+// (including sync). Both operands are read into views before dst is
+// written, so src may be dst.
 func aluScalar(dst *RegState, src *RegState, op uint8, is32 bool) {
 	// Constant folding fast path.
 	if dst.IsConst() && src.IsConst() {
@@ -377,72 +158,20 @@ func aluScalar(dst *RegState, src *RegState, op uint8, is32 bool) {
 			return
 		}
 	}
+	dst.ID = 0
 	if !is32 {
-		switch op {
-		case ebpf.AluADD:
-			scalarAdd(dst, src)
-		case ebpf.AluSUB:
-			scalarSub(dst, src)
-		case ebpf.AluMUL:
-			scalarMul(dst, src)
-		case ebpf.AluAND:
-			scalarAnd(dst, src)
-		case ebpf.AluOR:
-			scalarOr(dst, src)
-		case ebpf.AluXOR:
-			scalarXor(dst, src)
-		case ebpf.AluLSH:
-			scalarLsh(dst, src)
-		case ebpf.AluRSH:
-			scalarRsh(dst, src)
-		case ebpf.AluARSH:
-			scalarArsh(dst, src)
-		case ebpf.AluDIV, ebpf.AluMOD:
-			dst.markUnknown()
-		default:
-			dst.markUnknown()
-		}
-		dst.ID = 0
-		dst.sync()
+		dst.alu64(op, src)
 		return
 	}
 	d, s := dst.view32(), src.view32()
-	ok := true
-	switch op {
-	case ebpf.AluADD:
-		scalarAdd32(&d, s)
-	case ebpf.AluSUB:
-		scalarSub32(&d, s)
-	case ebpf.AluMUL:
-		scalarMul32(&d, s)
-	case ebpf.AluAND:
-		scalarAnd32(&d, s)
-	case ebpf.AluOR:
-		scalarOr32(&d, s)
-	case ebpf.AluXOR:
-		scalarXor32(&d, s)
-	case ebpf.AluLSH:
-		ok = scalarLsh32(&d, s)
-	case ebpf.AluRSH:
-		ok = scalarRsh32(&d, s)
-	case ebpf.AluARSH:
-		ok = scalarArsh32(&d, s)
-	default:
-		ok = false
+	if !d.alu(op, &s) {
+		// The low word becomes unknown; the top is zeroed as for every
+		// ALU32 result.
+		dst.markUnknown()
+	} else {
+		dst.set32(d)
 	}
-	dst.ID = 0
-	if !ok {
-		// Unsupported 32-bit op: the low word becomes unknown, the top is
-		// zeroed as for every ALU32 result.
-		u := unknownScalar()
-		u.Var = tnum.Unknown.Cast(4)
-		u.UMax = math.MaxUint32
-		u.SMin, u.SMax = 0, math.MaxUint32
-		*dst = u
-		dst.sync()
-		return
-	}
-	dst.store32(d)
+	dst.zext32()
 }
 
 // foldConst computes op on two known constants with eBPF semantics.

@@ -1,8 +1,6 @@
 package verifier
 
 import (
-	"math"
-
 	"bcf/internal/ebpf"
 	"bcf/internal/tnum"
 )
@@ -19,97 +17,91 @@ const (
 // isBranchTaken decides a conditional jump statically when the abstract
 // values allow it, mirroring the kernel's is_branch_taken.
 func isBranchTaken(dst, src *RegState, op uint8, is32 bool) branchOutcome {
-	type b struct {
-		umin, umax uint64
-		smin, smax int64
-		tn         tnum.Tnum
-	}
-	var d, s b
 	if is32 {
-		d = b{uint64(dst.U32Min), uint64(dst.U32Max), int64(dst.S32Min), int64(dst.S32Max), dst.Var.Subreg()}
-		s = b{uint64(src.U32Min), uint64(src.U32Max), int64(src.S32Min), int64(src.S32Max), src.Var.Subreg()}
-	} else {
-		d = b{dst.UMin, dst.UMax, dst.SMin, dst.SMax, dst.Var}
-		s = b{src.UMin, src.UMax, src.SMin, src.SMax, src.Var}
+		d, s := dst.view32(), src.view32()
+		return d.taken(&s, op)
 	}
+	d, s := dst.view64(), src.view64()
+	return d.taken(&s, op)
+}
+
+// taken decides "d op s" at the interval's width when the bounds allow.
+func (d *interval[U, S]) taken(s *interval[U, S], op uint8) branchOutcome {
 	switch op {
-	case ebpf.JmpJEQ:
-		if d.umin == d.umax && s.umin == s.umax && d.umin == s.umin {
-			return branchAlways
+	case ebpf.JmpJEQ, ebpf.JmpJNE:
+		eq, ne := branchAlways, branchNever
+		if op == ebpf.JmpJNE {
+			eq, ne = ne, eq
 		}
-		if d.umax < s.umin || d.umin > s.umax || d.smax < s.smin || d.smin > s.smax {
-			return branchNever
+		if d.UMin == d.UMax && s.UMin == s.UMax && d.UMin == s.UMin {
+			return eq
 		}
-	case ebpf.JmpJNE:
-		if d.umin == d.umax && s.umin == s.umax && d.umin == s.umin {
-			return branchNever
-		}
-		if d.umax < s.umin || d.umin > s.umax || d.smax < s.smin || d.smin > s.smax {
-			return branchAlways
+		if d.UMax < s.UMin || d.UMin > s.UMax || d.SMax < s.SMin || d.SMin > s.SMax {
+			return ne
 		}
 	case ebpf.JmpJGT:
-		if d.umin > s.umax {
+		if d.UMin > s.UMax {
 			return branchAlways
 		}
-		if d.umax <= s.umin {
+		if d.UMax <= s.UMin {
 			return branchNever
 		}
 	case ebpf.JmpJGE:
-		if d.umin >= s.umax {
+		if d.UMin >= s.UMax {
 			return branchAlways
 		}
-		if d.umax < s.umin {
+		if d.UMax < s.UMin {
 			return branchNever
 		}
 	case ebpf.JmpJLT:
-		if d.umax < s.umin {
+		if d.UMax < s.UMin {
 			return branchAlways
 		}
-		if d.umin >= s.umax {
+		if d.UMin >= s.UMax {
 			return branchNever
 		}
 	case ebpf.JmpJLE:
-		if d.umax <= s.umin {
+		if d.UMax <= s.UMin {
 			return branchAlways
 		}
-		if d.umin > s.umax {
+		if d.UMin > s.UMax {
 			return branchNever
 		}
 	case ebpf.JmpJSGT:
-		if d.smin > s.smax {
+		if d.SMin > s.SMax {
 			return branchAlways
 		}
-		if d.smax <= s.smin {
+		if d.SMax <= s.SMin {
 			return branchNever
 		}
 	case ebpf.JmpJSGE:
-		if d.smin >= s.smax {
+		if d.SMin >= s.SMax {
 			return branchAlways
 		}
-		if d.smax < s.smin {
+		if d.SMax < s.SMin {
 			return branchNever
 		}
 	case ebpf.JmpJSLT:
-		if d.smax < s.smin {
+		if d.SMax < s.SMin {
 			return branchAlways
 		}
-		if d.smin >= s.smax {
+		if d.SMin >= s.SMax {
 			return branchNever
 		}
 	case ebpf.JmpJSLE:
-		if d.smax <= s.smin {
+		if d.SMax <= s.SMin {
 			return branchAlways
 		}
-		if d.smin > s.smax {
+		if d.SMin > s.SMax {
 			return branchNever
 		}
 	case ebpf.JmpJSET:
-		if s.tn.IsConst() {
-			v := s.tn.Value
-			if d.tn.Value&v != 0 {
+		if s.Var.IsConst() {
+			v := s.Var.Value
+			if d.Var.Value&v != 0 {
 				return branchAlways
 			}
-			if (d.tn.Value|d.tn.Mask)&v == 0 {
+			if d.Var.Max()&v == 0 {
 				return branchNever
 			}
 		}
@@ -148,218 +140,124 @@ func negateJmpOp(op uint8) (uint8, bool) {
 // regSetMinMax refines dst and src (both scalars) under the assumption
 // that the branch with operation op evaluated to `taken`, mirroring
 // reg_set_min_max. The refinement operates on the width selected by is32
-// and re-syncs all domains.
+// and re-syncs all domains. Both operands are refined as copies and
+// written back dst first, so for `jX rN, rN` the source's refinement is
+// the one rN keeps, at either width.
 func regSetMinMax(dst, src *RegState, op uint8, taken bool, is32 bool) {
 	if dst.Type != Scalar || src.Type != Scalar {
 		return
 	}
-	effOp := op
-	if !taken {
-		if op == ebpf.JmpJSET {
-			// !(dst & src): with a constant mask every masked bit is zero.
-			if src.IsConst() {
-				clearKnownBits(dst, src.ConstVal(), is32)
-			}
-			return
+	if op == ebpf.JmpJSET {
+		// Taken, dst & src != 0: with a single-bit constant mask that bit
+		// is one. Not taken: with a constant mask every masked bit is zero.
+		if v := src.ConstVal(); src.IsConst() && (!taken || v != 0 && v&(v-1) == 0) {
+			learnBits(dst, v, taken, is32)
 		}
+		return
+	}
+	if !taken {
 		neg, ok := negateJmpOp(op)
 		if !ok {
 			return
 		}
-		effOp = neg
-	} else if op == ebpf.JmpJSET {
-		// dst & src != 0: with a single-bit constant mask that bit is one.
-		if src.IsConst() {
-			v := src.ConstVal()
-			if v != 0 && v&(v-1) == 0 {
-				setKnownBits(dst, v, is32)
-			}
-		}
-		return
+		op = neg
 	}
 	if is32 {
 		d, s := dst.view32(), src.view32()
-		apply32(&d, &s, effOp)
-		writeBack32(dst, d)
-		writeBack32(src, s)
-		return
+		d.refine(&s, op)
+		dst.set32(d)
+		src.set32(s)
+	} else {
+		d, s := dst.view64(), src.view64()
+		d.refine(&s, op)
+		dst.set64(d)
+		src.set64(s)
 	}
-	apply64(dst, src, effOp)
 	dst.sync()
 	src.sync()
 }
 
-// clearKnownBits records that all bits in mask are zero in dst.
-func clearKnownBits(dst *RegState, mask uint64, is32 bool) {
+// learnBits records that the bits of mask (of its low word for JMP32)
+// are all one in dst, or all zero when ones is false.
+func learnBits(dst *RegState, mask uint64, ones, is32 bool) {
 	if is32 {
-		mask &= math.MaxUint32
-		sub := tnum.Intersect(dst.Var.Subreg(), tnum.Tnum{Value: 0, Mask: ^mask & math.MaxUint32})
-		dst.Var = dst.Var.WithSubreg(sub)
-	} else {
-		dst.Var = tnum.Intersect(dst.Var, tnum.Tnum{Value: 0, Mask: ^mask})
+		mask = uint64(uint32(mask))
 	}
+	known := tnum.Tnum{Mask: ^mask}
+	if ones {
+		known.Value = mask
+	}
+	dst.Var = tnum.Intersect(dst.Var, known)
 	dst.sync()
 }
 
-// setKnownBits records that all bits in mask are one in dst.
-func setKnownBits(dst *RegState, mask uint64, is32 bool) {
-	if is32 {
-		mask &= math.MaxUint32
-		sub := tnum.Intersect(dst.Var.Subreg(), tnum.Tnum{Value: mask, Mask: ^mask & math.MaxUint32})
-		dst.Var = dst.Var.WithSubreg(sub)
-	} else {
-		dst.Var = tnum.Intersect(dst.Var, tnum.Tnum{Value: mask, Mask: ^mask})
-	}
-	dst.sync()
-}
-
-// apply64 refines 64-bit bounds of both operands under "dst op src".
-func apply64(dst, src *RegState, op uint8) {
+// refine narrows both intervals under "d op s" (the kernel's
+// regs_refine_cond_op at one width).
+func (d *interval[U, S]) refine(s *interval[U, S], op uint8) {
+	maxS := S(^U(0) >> 1)
 	switch op {
 	case ebpf.JmpJEQ:
 		// Both sides collapse onto the intersection.
-		umin := maxU(dst.UMin, src.UMin)
-		umax := minU(dst.UMax, src.UMax)
-		smin := maxS(dst.SMin, src.SMin)
-		smax := minS(dst.SMax, src.SMax)
-		tn := tnum.Intersect(dst.Var, src.Var)
-		dst.UMin, dst.UMax, dst.SMin, dst.SMax, dst.Var = umin, umax, smin, smax, tn
-		src.UMin, src.UMax, src.SMin, src.SMax, src.Var = umin, umax, smin, smax, tn
+		d.UMin, d.UMax = max(d.UMin, s.UMin), min(d.UMax, s.UMax)
+		d.SMin, d.SMax = max(d.SMin, s.SMin), min(d.SMax, s.SMax)
+		d.Var = tnum.Intersect(d.Var, s.Var)
+		*s = *d
 	case ebpf.JmpJNE:
 		// Only useful when one side is constant at a range endpoint.
-		if src.IsConst() {
-			v := src.ConstVal()
-			if dst.UMin == v && dst.UMin < math.MaxUint64 {
-				dst.UMin++
-			}
-			if dst.UMax == v && dst.UMax > 0 {
-				dst.UMax--
-			}
-			if dst.SMin == int64(v) && dst.SMin < math.MaxInt64 {
-				dst.SMin++
-			}
-			if dst.SMax == int64(v) && dst.SMax > math.MinInt64 {
-				dst.SMax--
-			}
-		}
-	case ebpf.JmpJGT:
-		if src.UMin < math.MaxUint64 {
-			dst.UMin = maxU(dst.UMin, src.UMin+1)
-		}
-		if dst.UMax > 0 {
-			src.UMax = minU(src.UMax, dst.UMax-1)
-		}
-	case ebpf.JmpJGE:
-		dst.UMin = maxU(dst.UMin, src.UMin)
-		src.UMax = minU(src.UMax, dst.UMax)
-	case ebpf.JmpJLT:
-		if src.UMax > 0 {
-			dst.UMax = minU(dst.UMax, src.UMax-1)
-		}
-		if dst.UMin < math.MaxUint64 {
-			src.UMin = maxU(src.UMin, dst.UMin+1)
-		}
-	case ebpf.JmpJLE:
-		dst.UMax = minU(dst.UMax, src.UMax)
-		src.UMin = maxU(src.UMin, dst.UMin)
-	case ebpf.JmpJSGT:
-		if src.SMin < math.MaxInt64 {
-			dst.SMin = maxS(dst.SMin, src.SMin+1)
-		}
-		if dst.SMax > math.MinInt64 {
-			src.SMax = minS(src.SMax, dst.SMax-1)
-		}
-	case ebpf.JmpJSGE:
-		dst.SMin = maxS(dst.SMin, src.SMin)
-		src.SMax = minS(src.SMax, dst.SMax)
-	case ebpf.JmpJSLT:
-		if src.SMax > math.MinInt64 {
-			dst.SMax = minS(dst.SMax, src.SMax-1)
-		}
-		if dst.SMin < math.MaxInt64 {
-			src.SMin = maxS(src.SMin, dst.SMin+1)
-		}
-	case ebpf.JmpJSLE:
-		dst.SMax = minS(dst.SMax, src.SMax)
-		src.SMin = maxS(src.SMin, dst.SMin)
-	}
-}
-
-// apply32 refines 32-bit views of both operands under "dst op src".
-func apply32(d, s *reg32, op uint8) {
-	switch op {
-	case ebpf.JmpJEQ:
-		umin := maxU32(d.UMin, s.UMin)
-		umax := minU32(d.UMax, s.UMax)
-		smin := maxS32(d.SMin, s.SMin)
-		smax := minS32(d.SMax, s.SMax)
-		tn := tnum.Intersect(d.Var, s.Var)
-		d.UMin, d.UMax, d.SMin, d.SMax, d.Var = umin, umax, smin, smax, tn
-		s.UMin, s.UMax, s.SMin, s.SMax, s.Var = umin, umax, smin, smax, tn
-	case ebpf.JmpJNE:
 		if s.Var.IsConst() {
-			v := uint32(s.Var.Value)
-			if d.UMin == v && d.UMin < math.MaxUint32 {
+			v := U(s.Var.Value)
+			if d.UMin == v && d.UMin < ^U(0) {
 				d.UMin++
 			}
 			if d.UMax == v && d.UMax > 0 {
 				d.UMax--
 			}
-			if d.SMin == int32(v) && d.SMin < math.MaxInt32 {
+			if d.SMin == S(v) && d.SMin < maxS {
 				d.SMin++
 			}
-			if d.SMax == int32(v) && d.SMax > math.MinInt32 {
+			if d.SMax == S(v) && d.SMax > ^maxS {
 				d.SMax--
 			}
 		}
 	case ebpf.JmpJGT:
-		if s.UMin < math.MaxUint32 {
-			d.UMin = maxU32(d.UMin, s.UMin+1)
+		if s.UMin < ^U(0) {
+			d.UMin = max(d.UMin, s.UMin+1)
 		}
 		if d.UMax > 0 {
-			s.UMax = minU32(s.UMax, d.UMax-1)
+			s.UMax = min(s.UMax, d.UMax-1)
 		}
 	case ebpf.JmpJGE:
-		d.UMin = maxU32(d.UMin, s.UMin)
-		s.UMax = minU32(s.UMax, d.UMax)
+		d.UMin = max(d.UMin, s.UMin)
+		s.UMax = min(s.UMax, d.UMax)
 	case ebpf.JmpJLT:
 		if s.UMax > 0 {
-			d.UMax = minU32(d.UMax, s.UMax-1)
+			d.UMax = min(d.UMax, s.UMax-1)
 		}
-		if d.UMin < math.MaxUint32 {
-			s.UMin = maxU32(s.UMin, d.UMin+1)
+		if d.UMin < ^U(0) {
+			s.UMin = max(s.UMin, d.UMin+1)
 		}
 	case ebpf.JmpJLE:
-		d.UMax = minU32(d.UMax, s.UMax)
-		s.UMin = maxU32(s.UMin, d.UMin)
+		d.UMax = min(d.UMax, s.UMax)
+		s.UMin = max(s.UMin, d.UMin)
 	case ebpf.JmpJSGT:
-		if s.SMin < math.MaxInt32 {
-			d.SMin = maxS32(d.SMin, s.SMin+1)
+		if s.SMin < maxS {
+			d.SMin = max(d.SMin, s.SMin+1)
 		}
-		if d.SMax > math.MinInt32 {
-			s.SMax = minS32(s.SMax, d.SMax-1)
+		if d.SMax > ^maxS {
+			s.SMax = min(s.SMax, d.SMax-1)
 		}
 	case ebpf.JmpJSGE:
-		d.SMin = maxS32(d.SMin, s.SMin)
-		s.SMax = minS32(s.SMax, d.SMax)
+		d.SMin = max(d.SMin, s.SMin)
+		s.SMax = min(s.SMax, d.SMax)
 	case ebpf.JmpJSLT:
-		if s.SMax > math.MinInt32 {
-			d.SMax = minS32(d.SMax, s.SMax-1)
+		if s.SMax > ^maxS {
+			d.SMax = min(d.SMax, s.SMax-1)
 		}
-		if d.SMin < math.MaxInt32 {
-			s.SMin = maxS32(s.SMin, d.SMin+1)
+		if d.SMin < maxS {
+			s.SMin = max(s.SMin, d.SMin+1)
 		}
 	case ebpf.JmpJSLE:
-		d.SMax = minS32(d.SMax, s.SMax)
-		s.SMin = maxS32(s.SMin, d.SMin)
+		d.SMax = min(d.SMax, s.SMax)
+		s.SMin = max(s.SMin, d.SMin)
 	}
-}
-
-// writeBack32 merges refined 32-bit knowledge into the full register
-// without touching the upper 32 bits (JMP32 only informs the low word).
-func writeBack32(r *RegState, v reg32) {
-	r.Var = r.Var.WithSubreg(v.Var)
-	r.U32Min, r.U32Max = v.UMin, v.UMax
-	r.S32Min, r.S32Max = v.SMin, v.SMax
-	r.sync()
 }

@@ -128,60 +128,93 @@ func (r *RegState) IsConst() bool { return r.Var.IsConst() }
 // ConstVal returns the constant value (valid when IsConst).
 func (r *RegState) ConstVal() uint64 { return r.Var.Value }
 
-// updateBounds64 tightens 64-bit bounds from var_off
-// (__update_reg64_bounds).
-func (r *RegState) updateBounds64() {
-	r.SMin = maxS(r.SMin, int64(r.Var.Value|(r.Var.Mask&(uint64(1)<<63))))
-	r.SMax = minS(r.SMax, int64(r.Var.Value|(r.Var.Mask&uint64(math.MaxInt64))))
-	r.UMin = maxU(r.UMin, r.Var.Value)
-	r.UMax = minU(r.UMax, r.Var.Value|r.Var.Mask)
+// unsigned and signed are the two widths the interval domains are kept
+// at: the whole register and its low word.
+type (
+	unsigned interface{ uint32 | uint64 }
+	signed   interface{ int32 | int64 }
+)
+
+// interval is one width's view of a scalar: its tnum (view32 reads the
+// low word's) and its unsigned and signed bounds. view64 and view32 read the whole
+// register and its low word; the transfer functions and branch
+// refinements are written once over it, where the kernel keeps a
+// scalar_min_max_* and a scalar32_min_max_* copy of each.
+type interval[U unsigned, S signed] struct {
+	Var        tnum.Tnum
+	UMin, UMax U
+	SMin, SMax S
 }
 
-// updateBounds32 tightens 32-bit bounds from the subreg of var_off.
-func (r *RegState) updateBounds32() {
-	v := r.Var.Subreg()
-	r.S32Min = maxS32(r.S32Min, int32(uint32(v.Value)|(uint32(v.Mask)&(uint32(1)<<31))))
-	r.S32Max = minS32(r.S32Max, int32(uint32(v.Value)|(uint32(v.Mask)&uint32(math.MaxInt32))))
-	r.U32Min = maxU32(r.U32Min, uint32(v.Value))
-	r.U32Max = minU32(r.U32Max, uint32(v.Value|v.Mask))
+func (r *RegState) view64() interval[uint64, int64] {
+	return interval[uint64, int64]{r.Var, r.UMin, r.UMax, r.SMin, r.SMax}
 }
 
-// deduceBounds64 cross-learns between signed and unsigned 64-bit bounds
-// (__reg64_deduce_bounds).
-func (r *RegState) deduceBounds64() {
-	// Learn unsigned from signed when sign is fixed.
-	if r.SMin >= 0 {
-		r.UMin = maxU(r.UMin, uint64(r.SMin))
-		r.UMax = minU(r.UMax, uint64(r.SMax))
-	} else if r.SMax < 0 {
-		r.UMin = maxU(r.UMin, uint64(r.SMin))
-		r.UMax = minU(r.UMax, uint64(r.SMax))
+func (r *RegState) view32() interval[uint32, int32] {
+	return interval[uint32, int32]{r.Var.Subreg(), r.U32Min, r.U32Max, r.S32Min, r.S32Max}
+}
+
+// set64 stores a whole-register view back.
+func (r *RegState) set64(b interval[uint64, int64]) {
+	r.Var, r.UMin, r.UMax, r.SMin, r.SMax = b.Var, b.UMin, b.UMax, b.SMin, b.SMax
+}
+
+// set32 stores a low-word view back, keeping the high word's tnum bits.
+func (r *RegState) set32(b interval[uint32, int32]) {
+	r.Var = r.Var.WithSubreg(b.Var)
+	r.U32Min, r.U32Max, r.S32Min, r.S32Max = b.UMin, b.UMax, b.SMin, b.SMax
+}
+
+// bits is the width of the interval, 64 or 32.
+func (b *interval[U, S]) bits() uint {
+	if uint64(^U(0)) > math.MaxUint32 {
+		return 64
 	}
-	// Learn signed from unsigned when the range stays in one half.
-	if r.UMax <= uint64(math.MaxInt64) {
-		r.SMin = maxS(r.SMin, int64(r.UMin))
-		r.SMax = minS(r.SMax, int64(r.UMax))
-	} else if r.UMin > uint64(math.MaxInt64) {
-		r.SMin = maxS(r.SMin, int64(r.UMin))
-		r.SMax = minS(r.SMax, int64(r.UMax))
+	return 32
+}
+
+func (b *interval[U, S]) unknownU() { b.UMin, b.UMax = 0, ^U(0) }
+
+func (b *interval[U, S]) unknownS() {
+	b.SMax = S(^U(0) >> 1)
+	b.SMin = ^b.SMax
+}
+
+// signedFromUnsigned copies the unsigned bounds into the signed ones when
+// ok (the operands were non-negative) and the unsigned range does not
+// cross the sign boundary, and forgets them otherwise. OR and XOR take
+// their unsigned maximum from the tnum, which sync can leave with the
+// sign bit unknown even when the bounds know it is clear; copying that
+// maximum would leave an empty signed range.
+func (b *interval[U, S]) signedFromUnsigned(ok bool) {
+	if ok && S(b.UMin) <= S(b.UMax) {
+		b.SMin, b.SMax = S(b.UMin), S(b.UMax)
+	} else {
+		b.unknownS()
 	}
 }
 
-// deduceBounds32 is the 32-bit analog.
-func (r *RegState) deduceBounds32() {
-	if r.S32Min >= 0 {
-		r.U32Min = maxU32(r.U32Min, uint32(r.S32Min))
-		r.U32Max = minU32(r.U32Max, uint32(r.S32Max))
-	} else if r.S32Max < 0 {
-		r.U32Min = maxU32(r.U32Min, uint32(r.S32Min))
-		r.U32Max = minU32(r.U32Max, uint32(r.S32Max))
+// tighten narrows one width's bounds to its tnum, then each against the
+// other (__update_reg{32,64}_bounds, then __reg{32,64}_deduce_bounds).
+// It takes the fields by pointer rather than as an interval: sync runs
+// after every ALU op, and copying a view in and out there is measurably
+// slower.
+func tighten[U unsigned, S signed](t tnum.Tnum, umin, umax *U, smin, smax *S) {
+	sign := ^U(0)>>1 + 1
+	v, m := U(t.Value), U(t.Mask)
+	*smin = max(*smin, S(v|m&sign))
+	*smax = min(*smax, S(v|m&^sign))
+	*umin = max(*umin, v)
+	*umax = min(*umax, v|m)
+	// With the sign fixed, the signed range is an unsigned one.
+	if *smin >= 0 || *smax < 0 {
+		*umin = max(*umin, U(*smin))
+		*umax = min(*umax, U(*smax))
 	}
-	if r.U32Max <= uint32(math.MaxInt32) {
-		r.S32Min = maxS32(r.S32Min, int32(r.U32Min))
-		r.S32Max = minS32(r.S32Max, int32(r.U32Max))
-	} else if r.U32Min > uint32(math.MaxInt32) {
-		r.S32Min = maxS32(r.S32Min, int32(r.U32Min))
-		r.S32Max = minS32(r.S32Max, int32(r.U32Max))
+	// An unsigned range within one half is a signed one.
+	if *umax < sign || *umin >= sign {
+		*smin = max(*smin, S(*umin))
+		*smax = min(*smax, S(*umax))
 	}
 }
 
@@ -189,16 +222,16 @@ func (r *RegState) deduceBounds32() {
 // low word (__reg_combine_64_into_32).
 func (r *RegState) combine64Into32() {
 	if r.UMax <= math.MaxUint32 {
-		r.U32Min = maxU32(r.U32Min, uint32(r.UMin))
-		r.U32Max = minU32(r.U32Max, uint32(r.UMax))
+		r.U32Min = max(r.U32Min, uint32(r.UMin))
+		r.U32Max = min(r.U32Max, uint32(r.UMax))
 	}
 	if r.SMin >= math.MinInt32 && r.SMax <= math.MaxInt32 && r.SMin <= r.SMax {
 		// Whole signed range fits in s32; low word equals the value if the
 		// unsigned range also fits, which deduce handles; be conservative
 		// and only learn when the value is the low word exactly.
 		if r.UMax <= math.MaxUint32 {
-			r.S32Min = maxS32(r.S32Min, int32(r.SMin))
-			r.S32Max = minS32(r.S32Max, int32(r.SMax))
+			r.S32Min = max(r.S32Min, int32(r.SMin))
+			r.S32Max = min(r.S32Max, int32(r.SMax))
 		}
 	}
 }
@@ -214,16 +247,12 @@ func (r *RegState) boundOffset() {
 // sync re-establishes consistency across all five domains after a
 // transfer function updated some of them (reg_bounds_sync).
 func (r *RegState) sync() {
-	r.updateBounds64()
-	r.deduceBounds64()
-	r.updateBounds32()
-	r.deduceBounds32()
+	tighten(r.Var, &r.UMin, &r.UMax, &r.SMin, &r.SMax)
+	tighten(r.Var, &r.U32Min, &r.U32Max, &r.S32Min, &r.S32Max)
 	r.combine64Into32()
 	r.boundOffset()
-	r.updateBounds64()
-	r.deduceBounds64()
-	r.updateBounds32()
-	r.deduceBounds32()
+	tighten(r.Var, &r.UMin, &r.UMax, &r.SMin, &r.SMax)
+	tighten(r.Var, &r.U32Min, &r.U32Max, &r.S32Min, &r.S32Max)
 }
 
 // zext32 truncates the register to its low 32 bits, zero-extending
@@ -298,55 +327,6 @@ func (r *RegState) String() string {
 		return "pkt_end"
 	}
 	return "inval"
-}
-
-func maxU(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-func minU(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-func maxS(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-func minS(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-func maxU32(a, b uint32) uint32 {
-	if a > b {
-		return a
-	}
-	return b
-}
-func minU32(a, b uint32) uint32 {
-	if a < b {
-		return a
-	}
-	return b
-}
-func maxS32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
-}
-func minS32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // StackSlotKind describes one 8-byte stack slot.

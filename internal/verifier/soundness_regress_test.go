@@ -148,3 +148,27 @@ func TestRefinementKeepsPreTrackEntries(t *testing.T) {
 		t.Fatalf("stats drifted: got %+v, want %+v", st, want)
 	}
 }
+
+// 32-bit OR and XOR copy the unsigned result range into the signed one
+// when both operands are non-negative, and take the unsigned maximum
+// from the tnum. One sync can leave the low word's tnum sign bit unknown
+// while its bounds know the bit is clear: below, the 64-bit signed range
+// turns non-negative only after the tnum is narrowed. Copying that
+// maximum left an empty s32 range, which admits no concrete result.
+func TestAlu32OrXorSignBitUnknownToTnum(t *testing.T) {
+	r := unknownScalar()
+	r.UMax = 2358161854
+	r.SMin, r.SMax = -3940278922, 460789998
+	r.S32Min, r.S32Max = -39785, 6363428
+	r.sync()
+	if r.S32Min < 0 || r.Var.Mask&(1<<31) == 0 {
+		t.Fatalf("fixture lost its shape (non-negative low word, tnum sign bit unknown): %+v", boundsOf(&r))
+	}
+	for _, op := range []uint8{ebpf.AluOR, ebpf.AluXOR} {
+		d, zero := r, constScalar(0)
+		aluScalar(&d, &zero, op, true)
+		if !d.wellFormed() || !d.contains(6363428) {
+			t.Errorf("w %s= 0 on %+v gave %+v, which excludes 6363428", ebpf.AluOpName(op), boundsOf(&r), boundsOf(&d))
+		}
+	}
+}

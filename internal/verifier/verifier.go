@@ -600,8 +600,8 @@ func (v *Verifier) checkALU(st *VState, pc int, ins *ebpf.Instruction) error {
 	}
 
 	// Source operand: the source register in place, or an immediate
-	// materialized in imm. A source that is also the destination is
-	// copied first: r1 -= r1 and the shifts read src after writing dst.
+	// materialized in imm. A source that is also the destination needs no
+	// copy: the transfer functions read both operands before writing dst.
 	var imm RegState
 	src := &imm
 	if ins.UsesSrcReg() && op != ebpf.AluNEG && op != ebpf.AluEND {
@@ -609,10 +609,6 @@ func (v *Verifier) checkALU(st *VState, pc int, ins *ebpf.Instruction) error {
 		if src.Type == NotInit {
 			return &Error{InsnIdx: pc, Kind: CheckOther,
 				Msg: fmt.Sprintf("R%d !read_ok", ins.Src)}
-		}
-		if ins.Src == ins.Dst {
-			imm = *src
-			src = &imm
 		}
 	} else {
 		imm.setConst(uint64(ins.Imm))
@@ -652,10 +648,7 @@ func (v *Verifier) checkALU(st *VState, pc int, ins *ebpf.Instruction) error {
 		} else {
 			dst.markUnknown()
 			if is32 {
-				dst.Var = tnum.Unknown.Cast(4)
-				dst.UMax = math.MaxUint32
-				dst.SMin, dst.SMax = 0, math.MaxUint32
-				dst.sync()
+				dst.zext32()
 			}
 		}
 		return nil
@@ -743,26 +736,10 @@ func (v *Verifier) adjustPtr(st *VState, pc int, ins *ebpf.Instruction, dst *Reg
 			return &Error{InsnIdx: pc, Kind: CheckOther, Msg: "pointer offset out of range"}
 		}
 		out.Off = int32(newOff)
-	} else if op == ebpf.AluADD {
-		tmp := out
-		scalarAdd(&tmp, scalar)
-		tmp.sync()
-		out.Var = tmp.Var
-		out.UMin, out.UMax = tmp.UMin, tmp.UMax
-		out.SMin, out.SMax = tmp.SMin, tmp.SMax
-		out.U32Min, out.U32Max = tmp.U32Min, tmp.U32Max
-		out.S32Min, out.S32Max = tmp.S32Min, tmp.S32Max
 	} else {
-		// Subtracting an unknown scalar from a pointer: the kernel keeps
-		// the pointer but with an unknown variable offset.
-		tmp := out
-		scalarSub(&tmp, scalar)
-		tmp.sync()
-		out.Var = tmp.Var
-		out.UMin, out.UMax = tmp.UMin, tmp.UMax
-		out.SMin, out.SMax = tmp.SMin, tmp.SMax
-		out.U32Min, out.U32Max = tmp.U32Min, tmp.U32Max
-		out.S32Min, out.S32Max = tmp.S32Min, tmp.S32Max
+		// An unknown scalar moves the variable offset, whose bounds follow
+		// the scalar transfer function; the pointer stays a pointer.
+		out.alu64(op, scalar)
 	}
 	*dst = out
 	return nil
@@ -771,8 +748,8 @@ func (v *Verifier) adjustPtr(st *VState, pc int, ins *ebpf.Instruction, dst *Reg
 // applyRefinedRange adopts a proof-checked refinement of the target
 // register's value (or pointer variable offset).
 func applyRefinedRange(reg *RegState, lo, hi uint64) {
-	reg.UMin = maxU(reg.UMin, lo)
-	reg.UMax = minU(reg.UMax, hi)
+	reg.UMin = max(reg.UMin, lo)
+	reg.UMax = min(reg.UMax, hi)
 	if reg.UMin > reg.UMax {
 		// The refinement proved a range disjoint from the current one;
 		// the path is infeasible. Collapse to the proven range.
