@@ -17,7 +17,7 @@ import (
 // lowers it.
 var kernelSideCeiling = map[string]int{
 	"Verifier":              2682,
-	"Proof Checker":         1083,
+	"Proof Checker":         1020,
 	"Refinement (BCF core)": 767,
 	"tnum domain":           222,
 }

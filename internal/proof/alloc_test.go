@@ -13,19 +13,19 @@ import (
 	"bcf/internal/verifier"
 )
 
-// bitblastRound is one corpus round the bit-blast tier proved: the
-// condition the kernel holds and the proof bytes it receives.
-type bitblastRound struct {
+// proofRound is one corpus round a prover tier proved: the condition
+// the kernel holds and the proof bytes it receives.
+type proofRound struct {
 	cond  *expr.Expr
 	proof []byte
 }
 
-// corpusBitblastRounds verifies every corpus program at the evaluation
-// budget, proving each condition with solver.Prove at default options,
-// and returns the rounds the bit-blast tier proved.
-func corpusBitblastRounds(t *testing.T) []bitblastRound {
+// corpusRounds verifies every corpus program at the evaluation budget,
+// proving each condition with solver.Prove at default options, and
+// returns the proved rounds by the tier that proved them.
+func corpusRounds(t *testing.T) map[solver.Tier][]proofRound {
 	t.Helper()
-	var rounds []bitblastRound
+	rounds := map[solver.Tier][]proofRound{}
 	for _, e := range corpus.Generate() {
 		prove := bcf.ProveFunc(func(condBytes []byte) ([]byte, error) {
 			cond, err := bcfenc.DecodeCondition(condBytes)
@@ -43,9 +43,7 @@ func corpusBitblastRounds(t *testing.T) []bitblastRound {
 			if err != nil {
 				t.Fatalf("program %d: encoding proof: %v", e.Index, err)
 			}
-			if out.Tier == solver.TierBitblast {
-				rounds = append(rounds, bitblastRound{cond: cond.Cond, proof: pb})
-			}
+			rounds[out.Tier] = append(rounds[out.Tier], proofRound{cond: cond.Cond, proof: pb})
 			return pb, nil
 		})
 		v := verifier.New(e.Prog, verifier.Config{InsnLimit: 4000, Refiner: bcf.NewRefiner(prove)})
@@ -54,49 +52,64 @@ func corpusBitblastRounds(t *testing.T) []bitblastRound {
 	return rounds
 }
 
-// TestCheckAllocsPerStep bounds what the kernel's side of a bit-blast
-// round allocates per proof step: DecodeProof and Check, replayed over
-// every proof the corpus's bit-blast tier produces. Decoding cuts every
-// step's premises from one array, resolution dedupes with a stamp array
-// and cuts resolvents from an arena, and a bit-blasting step is a view of
-// the re-derived CNF, so the count per step is a fraction. A map or a
-// slice per step put back on this path shows up as one or more per step.
-// Measured: 0.67 allocations per step over the 224 proofs (21,883
-// steps; Go 1.24, linux/amd64). A decoder and checker with a map per
-// resolution step and a slice per step's premises read 3.20.
+// TestCheckAllocsPerStep bounds what the kernel's side of a round
+// allocates per proof step: DecodeProof and Check, replayed over every
+// proof the corpus's prover produces, each tier with its own bound.
+//
+// Bit-blast proofs: decoding cuts every step's premises from one array,
+// resolution dedupes with a stamp array and cuts resolvents from an
+// arena, and a bit-blasting step is a view of the re-derived CNF, so the
+// count per step is a fraction. A map or a slice per step put back on
+// this path shows up as one or more per step. Measured: 0.67 allocations
+// per step over the 224 proofs (21,883 steps; Go 1.24, linux/amd64). A
+// decoder and checker with a map per resolution step and a slice per
+// step's premises read 3.20.
+//
+// Rewrite-tier proofs: each step's argument terms are decoded and each
+// conclusion is a new term, so the count is several per step. Measured:
+// 6.16 per step over the 4,909 proofs (59,997 steps; same toolchain), so
+// one more allocation per step breaks the bound of 7.
 func TestCheckAllocsPerStep(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector perturbs allocation counts")
 	}
-	const (
-		bitblastProofs = 224 // of the 306 bit-blast conditions; the rest have counterexamples
-		maxPerStep     = 1.0
-	)
-	rounds := corpusBitblastRounds(t)
-	if len(rounds) != bitblastProofs {
-		t.Fatalf("corpus produced %d bit-blast proofs, want %d", len(rounds), bitblastProofs)
-	}
-	var allocs float64
-	steps := 0
-	for i, rd := range rounds {
-		p, err := bcfenc.DecodeProof(rd.proof)
-		if err != nil {
-			t.Fatalf("proof %d: %v", i, err)
-		}
-		steps += len(p.Steps)
-		allocs += testing.AllocsPerRun(3, func() {
-			p, err := bcfenc.DecodeProof(rd.proof)
-			if err == nil {
-				err = proof.Check(rd.cond, p)
+	rounds := corpusRounds(t)
+	for _, tc := range []struct {
+		tier       solver.Tier
+		proofs     int
+		maxPerStep float64
+	}{
+		{solver.TierBitblast, 224, 1.0}, // of the 306 bit-blast conditions; the rest have counterexamples
+		{solver.TierRewrite, 4909, 7.0},
+	} {
+		t.Run(tc.tier.String(), func(t *testing.T) {
+			rounds := rounds[tc.tier]
+			if len(rounds) != tc.proofs {
+				t.Fatalf("corpus produced %d %s proofs, want %d", len(rounds), tc.tier, tc.proofs)
 			}
-			if err != nil {
-				t.Fatalf("proof %d: %v", i, err)
+			var allocs float64
+			steps := 0
+			for i, rd := range rounds {
+				p, err := bcfenc.DecodeProof(rd.proof)
+				if err != nil {
+					t.Fatalf("proof %d: %v", i, err)
+				}
+				steps += len(p.Steps)
+				allocs += testing.AllocsPerRun(3, func() {
+					p, err := bcfenc.DecodeProof(rd.proof)
+					if err == nil {
+						err = proof.Check(rd.cond, p)
+					}
+					if err != nil {
+						t.Fatalf("proof %d: %v", i, err)
+					}
+				})
+			}
+			perStep := allocs / float64(steps)
+			t.Logf("%.0f allocations over %d proofs, %d steps: %.2f per step", allocs, len(rounds), steps, perStep)
+			if perStep > tc.maxPerStep {
+				t.Errorf("DecodeProof and Check allocate %.2f times per %s proof step, bound %.1f", perStep, tc.tier, tc.maxPerStep)
 			}
 		})
-	}
-	perStep := allocs / float64(steps)
-	t.Logf("%.0f allocations over %d proofs, %d steps: %.2f per step", allocs, len(rounds), steps, perStep)
-	if perStep > maxPerStep {
-		t.Errorf("DecodeProof and Check allocate %.2f times per proof step, bound %.1f", perStep, maxPerStep)
 	}
 }

@@ -391,17 +391,6 @@ func (ck *checker) apply(s *Step, prior []Conclusion) (Conclusion, error) {
 		}
 		return formulaC(expr.Eq(t, t2)), nil
 
-	case RuleEvalConst:
-		t, err := arg(0)
-		if err != nil {
-			return Conclusion{}, err
-		}
-		if !t.IsGround() {
-			return Conclusion{}, fmt.Errorf("eval argument contains variables")
-		}
-		v := t.Eval(func(uint32) uint64 { return 0 })
-		return formulaC(expr.Eq(t, expr.Const(v, t.Width))), nil
-
 	case RuleBitblastClause:
 		p, err := boolPrem(0)
 		if err != nil {
@@ -431,7 +420,7 @@ func (ck *checker) apply(s *Step, prior []Conclusion) (Conclusion, error) {
 		return ck.resolve(a, b, int(s.Pivot))
 	}
 
-	// Rewrite catalog and interval lemmas.
+	// Rewrites (the catalog and eval) and interval lemmas.
 	if c, err, handled := ck.applyRewrite(s, arg); handled {
 		return c, err
 	}

@@ -223,13 +223,6 @@ func TestMutationFuzz(t *testing.T) {
 	}
 }
 
-func TestProofSizeAccounting(t *testing.T) {
-	p := handProof()
-	if p.Size() == 0 {
-		t.Fatal("zero proof size")
-	}
-}
-
 func TestStepString(t *testing.T) {
 	p := handProof()
 	for i := range p.Steps {

@@ -6,6 +6,64 @@ import (
 	"bcf/internal/expr"
 )
 
+// boundFn is one argument-only interval lemma: for an argument t
+// matching its pattern it returns c, and the lemma concludes (bvule t c).
+type boundFn func(t *expr.Expr) (uint64, bool)
+
+// UpperBound applies the argument-only interval lemma r to t, returning
+// the c of its conclusion (bvule t c); false when r is not such a lemma
+// or t does not match its pattern. Like Rewrite, this is the lemma's one
+// definition, shared by the checker and the prover.
+func UpperBound(r RuleID, t *expr.Expr) (uint64, bool) {
+	if r >= NumRules || bounds[r] == nil {
+		return 0, false
+	}
+	return bounds[r](t)
+}
+
+var bounds = [NumRules]boundFn{
+	// (bvand a c) and (bvand c a) are at most the mask c.
+	RuleLemmaAndUleR: constMask(1),
+	RuleLemmaAndUleL: constMask(0),
+	// Every bit-vector fits in its width.
+	RuleLemmaUleMax: func(t *expr.Expr) (uint64, bool) {
+		return expr.Mask(t.Width), t.Width != 1
+	},
+	// (zero_extend a) fits in a's width.
+	RuleLemmaZExtBound: func(t *expr.Expr) (uint64, bool) {
+		if t.Op != expr.OpZExt {
+			return 0, false
+		}
+		return expr.Mask(t.Args[0].Width), true
+	},
+	// (bvlshr a c) clears the top c bits (the shift is modulo the width).
+	RuleLemmaLshrBound: func(t *expr.Expr) (uint64, bool) {
+		if t.Op != expr.OpLshr {
+			return 0, false
+		}
+		c, ok := t.Args[1].IsConst()
+		return expr.Mask(t.Width) >> (c % uint64(t.Width)), ok
+	},
+	// Remainder by a non-zero constant c is strictly below it.
+	RuleLemmaURemBound: func(t *expr.Expr) (uint64, bool) {
+		if t.Op != expr.OpURem {
+			return 0, false
+		}
+		c, ok := t.Args[1].IsConst()
+		return c - 1, ok && c != 0
+	},
+}
+
+// constMask bounds (bvand ...) by its operand i when that is a constant.
+func constMask(i int) boundFn {
+	return func(t *expr.Expr) (uint64, bool) {
+		if t.Op != expr.OpAnd {
+			return 0, false
+		}
+		return t.Args[i].IsConst()
+	}
+}
+
 // applyLemma handles the interval lemmas over the bvule fragment. These
 // are what the user-space prover uses for interval reasoning (masking,
 // shifting and summing bounded quantities); each side condition is
@@ -15,62 +73,19 @@ func (ck *checker) applyLemma(s *Step,
 	ulePrem func(int) (*expr.Expr, *expr.Expr, error),
 	eqPrem func(int) (*expr.Expr, *expr.Expr, error)) (Conclusion, error, bool) {
 
-	switch s.Rule {
-	case RuleLemmaAndUleR, RuleLemmaAndUleL:
-		// (bvule (bvand a c) c) — the mask bounds the result.
+	// The argument-only lemmas conclude (bvule t c) with c from the table.
+	if bound := bounds[s.Rule]; bound != nil {
 		t, err := arg(0)
 		if err != nil {
 			return Conclusion{}, err, true
 		}
-		if t.Op != expr.OpAnd {
-			return Conclusion{}, errPattern("(bvand ...)"), true
-		}
-		ci := 1
-		if s.Rule == RuleLemmaAndUleL {
-			ci = 0
-		}
-		if _, ok := t.Args[ci].IsConst(); !ok {
-			return Conclusion{}, errPattern("constant mask"), true
-		}
-		return formulaC(expr.Ule(t, t.Args[ci])), nil, true
-
-	case RuleLemmaUleMax:
-		t, err := arg(0)
-		if err != nil {
-			return Conclusion{}, err, true
-		}
-		if t.Width == 1 {
-			return Conclusion{}, fmt.Errorf("bvule needs a bit-vector"), true
-		}
-		return formulaC(expr.Ule(t, expr.Const(expr.Mask(t.Width), t.Width))), nil, true
-
-	case RuleLemmaZExtBound:
-		t, err := arg(0)
-		if err != nil {
-			return Conclusion{}, err, true
-		}
-		if t.Op != expr.OpZExt {
-			return Conclusion{}, errPattern("(zero_extend a)"), true
-		}
-		bound := expr.Mask(t.Args[0].Width)
-		return formulaC(expr.Ule(t, expr.Const(bound, t.Width))), nil, true
-
-	case RuleLemmaLshrBound:
-		t, err := arg(0)
-		if err != nil {
-			return Conclusion{}, err, true
-		}
-		if t.Op != expr.OpLshr {
-			return Conclusion{}, errPattern("(bvlshr a c)"), true
-		}
-		c, ok := t.Args[1].IsConst()
+		c, ok := bound(t)
 		if !ok {
-			return Conclusion{}, errPattern("constant shift"), true
+			return Conclusion{}, errNoMatch, true
 		}
-		sh := c % uint64(t.Width)
-		bound := expr.Mask(t.Width) >> sh
-		return formulaC(expr.Ule(t, expr.Const(bound, t.Width))), nil, true
-
+		return formulaC(expr.Ule(t, expr.Const(c, t.Width))), nil, true
+	}
+	switch s.Rule {
 	case RuleLemmaUleTrans:
 		a, b, err := ulePrem(0)
 		if err != nil {
@@ -197,21 +212,6 @@ func (ck *checker) applyLemma(s *Step,
 			return Conclusion{}, errPattern("(bvudiv/bvurem a b) with a from the premise"), true
 		}
 		return formulaC(expr.Ule(t, c)), nil, true
-
-	case RuleLemmaURemBound:
-		// Remainder by a non-zero constant is strictly below it.
-		t, err := arg(0)
-		if err != nil {
-			return Conclusion{}, err, true
-		}
-		if t.Op != expr.OpURem {
-			return Conclusion{}, errPattern("(bvurem a c)"), true
-		}
-		c, ok := t.Args[1].IsConst()
-		if !ok || c == 0 {
-			return Conclusion{}, errPattern("non-zero constant divisor"), true
-		}
-		return formulaC(expr.Ule(t, expr.Const(c-1, t.Width))), nil, true
 
 	case RuleLemmaZeroUle:
 		t, err := arg(0)

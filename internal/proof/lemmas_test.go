@@ -43,16 +43,30 @@ func mustFail(t *testing.T, name string, steps ...Step) {
 	}
 }
 
-func TestRewriteCatalogPositive(t *testing.T) {
-	x := expr.Var(0, 64)
-	y := expr.Var(1, 64)
-	zero := expr.Const(0, 64)
-	one := expr.Const(1, 64)
+// catalogCase is one application of a rewrite or argument-only bound
+// rule to a term over the w-bit variables x (id 0) and y (id 1).
+type catalogCase struct {
+	rule RuleID
+	arg  *expr.Expr
+}
 
-	cases := []struct {
-		rule RuleID
-		arg  *expr.Expr
-	}{
+// extended returns a term over x of width w and its zero extension: x
+// widened to 2w bits, or x's low word widened to 64 bits at w = 64.
+func extended(w uint8) (narrow, wide *expr.Expr) {
+	narrow = expr.Var(0, w)
+	if w == 64 {
+		narrow = expr.Extract(narrow, 0, 32)
+	}
+	return narrow, expr.ZExt(narrow, min(2*w, 64))
+}
+
+// rewriteCases builds one matching argument per rewrite rule at width w.
+func rewriteCases(w uint8) []catalogCase {
+	x, y := expr.Var(0, w), expr.Var(1, w)
+	zero, one := expr.Const(0, w), expr.Const(1, w)
+	narrow, wide := extended(w)
+	return []catalogCase{
+		{RuleEvalConst, expr.Add(expr.Const(200, w), expr.Mul(expr.Const(3, w), expr.Const(77, w)))},
 		{RuleRwAddSubCancelR, expr.Add(x, expr.Sub(y, x))},
 		{RuleRwAddSubCancelL, expr.Add(expr.Sub(y, x), x)},
 		{RuleRwSubAddCancelR, expr.Sub(expr.Add(x, y), x)},
@@ -64,7 +78,7 @@ func TestRewriteCatalogPositive(t *testing.T) {
 		{RuleRwAndZeroR, expr.And(x, zero)},
 		{RuleRwAndZeroL, expr.And(zero, x)},
 		{RuleRwAndSelf, expr.And(x, x)},
-		{RuleRwAndConstFold, expr.And(expr.And(x, expr.Const(0xff, 64)), expr.Const(0xf, 64))},
+		{RuleRwAndConstFold, expr.And(expr.And(x, expr.Const(0xfe, w)), expr.Const(0x3f, w))},
 		{RuleRwOrZeroR, expr.Or(x, zero)},
 		{RuleRwOrZeroL, expr.Or(zero, x)},
 		{RuleRwOrSelf, expr.Or(x, x)},
@@ -76,16 +90,95 @@ func TestRewriteCatalogPositive(t *testing.T) {
 		{RuleRwMulOneR, expr.Mul(x, one)},
 		{RuleRwMulOneL, expr.Mul(one, x)},
 		{RuleRwShiftZero, expr.Shl(x, zero)},
+		{RuleRwShiftZero, expr.Lshr(x, zero)},
+		{RuleRwShiftZero, expr.Ashr(x, zero)},
 		{RuleRwNotNot, expr.Not(expr.Not(x))},
 		{RuleRwAddComm, expr.Add(x, y)},
 		{RuleRwAndComm, expr.And(x, y)},
-		{RuleRwZExtZero, expr.ZExt(expr.Const(0, 32), 64)},
-		{RuleRwExtractZExt, expr.Extract(expr.ZExt(expr.Var(2, 32), 64), 0, 32)},
+		{RuleRwZExtZero, expr.ZExt(expr.Const(0, narrow.Width), wide.Width)},
+		{RuleRwExtractZExt, expr.Extract(wide, 0, narrow.Width)},
 	}
-	for _, c := range cases {
-		mustApply(t, c.rule.String(), Step{Rule: c.rule, Args: []*expr.Expr{c.arg}})
-		// The same rule on a plain variable never matches.
-		mustFail(t, c.rule.String()+"-mismatch", Step{Rule: c.rule, Args: []*expr.Expr{expr.Var(9, 64)}})
+}
+
+// boundCases builds matching arguments for the argument-only interval
+// lemmas at width w, with shift amounts past the width included.
+func boundCases(w uint8) []catalogCase {
+	x, y := expr.Var(0, w), expr.Var(1, w)
+	_, wide := extended(w)
+	return []catalogCase{
+		{RuleLemmaAndUleR, expr.And(x, expr.Const(0x2c, w))},
+		{RuleLemmaAndUleL, expr.And(expr.Const(0x71, w), expr.Or(x, y))},
+		{RuleLemmaUleMax, expr.Add(x, y)},
+		{RuleLemmaZExtBound, wide},
+		{RuleLemmaLshrBound, expr.Lshr(x, expr.Const(3, w))},
+		{RuleLemmaLshrBound, expr.Lshr(expr.Mul(x, y), expr.Const(uint64(w)+2, w))},
+		{RuleLemmaURemBound, expr.URem(x, expr.Const(10, w))},
+		{RuleLemmaURemBound, expr.URem(expr.Sub(x, y), expr.Const(1, w))},
+	}
+}
+
+// TestRewriteCatalogPositive checks every rewrite and argument-only
+// bound rule at widths 8 and 64: the checker accepts its application to a
+// matching term and rejects it on a non-matching one. With no second copy
+// of the catalog to compare against, the width-8 cases are also judged by
+// semantics: under all 65,536 assignments of x and y, each rewrite's two
+// sides evaluate equal and each term is at most its bound.
+func TestRewriteCatalogPositive(t *testing.T) {
+	covered := map[RuleID]bool{}
+	for _, w := range []uint8{8, 64} {
+		for _, c := range append(rewriteCases(w), boundCases(w)...) {
+			covered[c.rule] = true
+			mustApply(t, c.rule.String(), Step{Rule: c.rule, Args: []*expr.Expr{c.arg}})
+			// The same rule on a plain variable never matches (on a
+			// boolean one for lemma_ule_max, which bounds any bit-vector).
+			bad := expr.Var(9, w)
+			if c.rule == RuleLemmaUleMax {
+				bad = expr.Var(9, 1)
+			}
+			mustFail(t, c.rule.String()+"-mismatch", Step{Rule: c.rule, Args: []*expr.Expr{bad}})
+			if w == 8 {
+				checkSemantics(t, c)
+			}
+		}
+	}
+	for r := RuleInvalid; r < NumRules; r++ {
+		if (rewrites[r] != nil || bounds[r] != nil) && !covered[r] {
+			t.Errorf("%s has no case", r)
+		}
+	}
+}
+
+// checkSemantics evaluates a width-8 case under every assignment of x
+// and y: a rewrite's sides must agree and a bound must hold.
+func checkSemantics(t *testing.T, c catalogCase) {
+	t.Helper()
+	var holds func(env func(uint32) uint64) bool
+	if rhs, ok := Rewrite(c.rule, c.arg); ok {
+		holds = func(env func(uint32) uint64) bool { return c.arg.Eval(env) == rhs.Eval(env) }
+	} else if bound, ok := UpperBound(c.rule, c.arg); ok {
+		holds = func(env func(uint32) uint64) bool { return c.arg.Eval(env) <= bound }
+	} else {
+		t.Fatalf("%s does not match %s", c.rule, c.arg)
+	}
+	for xy := 0; xy < 1<<16; xy++ {
+		env := func(id uint32) uint64 { return uint64(xy>>(8*id)) & 0xff }
+		if !holds(env) {
+			t.Fatalf("%s is unsound on %s at x=%d y=%d", c.rule, c.arg, xy&0xff, xy>>8)
+		}
+	}
+}
+
+// TestCatalogRejectsNonRules: Rewrite and UpperBound answer only for
+// their own rules.
+func TestCatalogRejectsNonRules(t *testing.T) {
+	x := expr.Var(0, 8)
+	for _, r := range []RuleID{RuleInvalid, RuleAssume, RuleLemmaUleTrans, RuleResolve, NumRules, NumRules + 7} {
+		if _, ok := Rewrite(r, expr.Add(x, expr.Const(0, 8))); ok {
+			t.Errorf("Rewrite answered for %s", r)
+		}
+		if _, ok := UpperBound(r, expr.And(x, expr.Const(1, 8))); ok {
+			t.Errorf("UpperBound answered for %s", r)
+		}
 	}
 }
 

@@ -59,15 +59,3 @@ func (s *Step) String() string {
 	}
 	return out
 }
-
-// Size returns a rough node count of the proof for statistics.
-func (p *Proof) Size() int {
-	n := 0
-	for i := range p.Steps {
-		n++
-		for _, a := range p.Steps[i].Args {
-			n += a.Size()
-		}
-	}
-	return n
-}

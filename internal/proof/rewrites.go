@@ -6,206 +6,168 @@ import (
 	"bcf/internal/expr"
 )
 
-// applyRewrite handles the algebraic rewrite catalog: each rule takes the
-// left-hand term as its argument and concludes (= lhs rhs) after the
-// checker verifies the pattern locally.
+// rewriteFn is one rewrite rule: for an argument t matching its pattern
+// it returns rhs, and the rule concludes (= t rhs).
+type rewriteFn func(t *expr.Expr) (*expr.Expr, bool)
+
+// Rewrite applies the rewrite rule r (the algebraic catalog or eval) to
+// t, returning the rhs of the conclusion (= t rhs); false when r is not a
+// rewrite rule or t does not match its pattern. This is the rule's one
+// definition: the checker applies it, and the prover's rewrite tier
+// calls it to find its steps.
+func Rewrite(r RuleID, t *expr.Expr) (*expr.Expr, bool) {
+	if r >= NumRules || rewrites[r] == nil {
+		return nil, false
+	}
+	return rewrites[r](t)
+}
+
+// rewrites is the catalog, indexed by rule; the patterns are listed with
+// the rule ids in rules.go.
+var rewrites = [NumRules]rewriteFn{
+	RuleEvalConst: func(t *expr.Expr) (*expr.Expr, bool) {
+		if !t.IsGround() {
+			return nil, false
+		}
+		return expr.Const(t.Eval(func(uint32) uint64 { return 0 }), t.Width), true
+	},
+	RuleRwAddSubCancelR: cancel(expr.OpAdd, 1, expr.OpSub, 1),
+	RuleRwAddSubCancelL: cancel(expr.OpAdd, 0, expr.OpSub, 1),
+	RuleRwSubAddCancelR: cancel(expr.OpSub, 0, expr.OpAdd, 0),
+	RuleRwSubAddCancelL: cancel(expr.OpSub, 0, expr.OpAdd, 1),
+	RuleRwSubSelf:       sameOperands(expr.OpSub, zeroOf),
+	RuleRwAddZeroR:      constOperand(expr.OpAdd, 1, 0, operand0),
+	RuleRwAddZeroL:      constOperand(expr.OpAdd, 0, 0, operand1),
+	RuleRwSubZero:       constOperand(expr.OpSub, 1, 0, operand0),
+	RuleRwAndZeroR:      constOperand(expr.OpAnd, 1, 0, zeroOf),
+	RuleRwAndZeroL:      constOperand(expr.OpAnd, 0, 0, zeroOf),
+	RuleRwAndSelf:       sameOperands(expr.OpAnd, operand0),
+	RuleRwAndConstFold: func(t *expr.Expr) (*expr.Expr, bool) {
+		if t.Op != expr.OpAnd || t.Args[0].Op != expr.OpAnd {
+			return nil, false
+		}
+		c1, ok1 := t.Args[0].Args[1].IsConst()
+		c2, ok2 := t.Args[1].IsConst()
+		if !ok1 || !ok2 {
+			return nil, false
+		}
+		return expr.And(t.Args[0].Args[0], expr.Const(c1&c2, t.Width)), true
+	},
+	RuleRwOrZeroR:   constOperand(expr.OpOr, 1, 0, operand0),
+	RuleRwOrZeroL:   constOperand(expr.OpOr, 0, 0, operand1),
+	RuleRwOrSelf:    sameOperands(expr.OpOr, operand0),
+	RuleRwXorSelf:   sameOperands(expr.OpXor, zeroOf),
+	RuleRwXorZeroR:  constOperand(expr.OpXor, 1, 0, operand0),
+	RuleRwXorZeroL:  constOperand(expr.OpXor, 0, 0, operand1),
+	RuleRwMulZeroR:  constOperand(expr.OpMul, 1, 0, zeroOf),
+	RuleRwMulZeroL:  constOperand(expr.OpMul, 0, 0, zeroOf),
+	RuleRwMulOneR:   constOperand(expr.OpMul, 1, 1, operand0),
+	RuleRwMulOneL:   constOperand(expr.OpMul, 0, 1, operand1),
+	RuleRwShiftZero: shiftZero,
+	RuleRwNotNot: func(t *expr.Expr) (*expr.Expr, bool) {
+		if t.Op != expr.OpNot || t.Args[0].Op != expr.OpNot {
+			return nil, false
+		}
+		return t.Args[0].Args[0], true
+	},
+	RuleRwAddComm: swap(expr.OpAdd),
+	RuleRwAndComm: swap(expr.OpAnd),
+	RuleRwZExtZero: func(t *expr.Expr) (*expr.Expr, bool) {
+		if t.Op != expr.OpZExt || !isConst(t.Args[0], 0) {
+			return nil, false
+		}
+		return zeroOf(t), true
+	},
+	RuleRwExtractZExt: func(t *expr.Expr) (*expr.Expr, bool) {
+		if t.Op != expr.OpExtract || t.Aux != 0 || t.Args[0].Op != expr.OpZExt ||
+			t.Args[0].Args[0].Width != t.Width {
+			return nil, false
+		}
+		return t.Args[0].Args[0], true
+	},
+}
+
+// applyRewrite handles the rewrite rules: the argument t must match the
+// rule's pattern, and the step concludes (= t rhs).
 func (ck *checker) applyRewrite(s *Step, arg func(int) (*expr.Expr, error)) (Conclusion, error, bool) {
-	var rhs func(t *expr.Expr) (*expr.Expr, error)
-	switch s.Rule {
-	case RuleRwAddSubCancelR:
-		// (bvadd a (bvsub b a)) = b
-		rhs = func(t *expr.Expr) (*expr.Expr, error) {
-			if t.Op == expr.OpAdd && t.Args[1].Op == expr.OpSub &&
-				expr.Equal(t.Args[1].Args[1], t.Args[0]) {
-				return t.Args[1].Args[0], nil
-			}
-			return nil, errPattern("(bvadd a (bvsub b a))")
-		}
-	case RuleRwAddSubCancelL:
-		// (bvadd (bvsub b a) a) = b
-		rhs = func(t *expr.Expr) (*expr.Expr, error) {
-			if t.Op == expr.OpAdd && t.Args[0].Op == expr.OpSub &&
-				expr.Equal(t.Args[0].Args[1], t.Args[1]) {
-				return t.Args[0].Args[0], nil
-			}
-			return nil, errPattern("(bvadd (bvsub b a) a)")
-		}
-	case RuleRwSubAddCancelR:
-		// (bvsub (bvadd a b) a) = b
-		rhs = func(t *expr.Expr) (*expr.Expr, error) {
-			if t.Op == expr.OpSub && t.Args[0].Op == expr.OpAdd &&
-				expr.Equal(t.Args[0].Args[0], t.Args[1]) {
-				return t.Args[0].Args[1], nil
-			}
-			return nil, errPattern("(bvsub (bvadd a b) a)")
-		}
-	case RuleRwSubAddCancelL:
-		// (bvsub (bvadd a b) b) = a
-		rhs = func(t *expr.Expr) (*expr.Expr, error) {
-			if t.Op == expr.OpSub && t.Args[0].Op == expr.OpAdd &&
-				expr.Equal(t.Args[0].Args[1], t.Args[1]) {
-				return t.Args[0].Args[0], nil
-			}
-			return nil, errPattern("(bvsub (bvadd a b) b)")
-		}
-	case RuleRwSubSelf:
-		rhs = binSame(expr.OpSub, func(t *expr.Expr) *expr.Expr { return expr.Const(0, t.Width) })
-	case RuleRwAddZeroR:
-		rhs = constSide(expr.OpAdd, 1, 0, left)
-	case RuleRwAddZeroL:
-		rhs = constSide(expr.OpAdd, 0, 0, right)
-	case RuleRwSubZero:
-		rhs = constSide(expr.OpSub, 1, 0, left)
-	case RuleRwAndZeroR:
-		rhs = constSide(expr.OpAnd, 1, 0, zero)
-	case RuleRwAndZeroL:
-		rhs = constSide(expr.OpAnd, 0, 0, zero)
-	case RuleRwAndSelf:
-		rhs = binSame(expr.OpAnd, func(t *expr.Expr) *expr.Expr { return t.Args[0] })
-	case RuleRwAndConstFold:
-		// (bvand (bvand a c1) c2) = (bvand a (c1 & c2))
-		rhs = func(t *expr.Expr) (*expr.Expr, error) {
-			if t.Op != expr.OpAnd || t.Args[0].Op != expr.OpAnd {
-				return nil, errPattern("(bvand (bvand a c1) c2)")
-			}
-			c1, ok1 := t.Args[0].Args[1].IsConst()
-			c2, ok2 := t.Args[1].IsConst()
-			if !ok1 || !ok2 {
-				return nil, errPattern("constant masks")
-			}
-			return expr.And(t.Args[0].Args[0], expr.Const(c1&c2, t.Width)), nil
-		}
-	case RuleRwOrZeroR:
-		rhs = constSide(expr.OpOr, 1, 0, left)
-	case RuleRwOrZeroL:
-		rhs = constSide(expr.OpOr, 0, 0, right)
-	case RuleRwOrSelf:
-		rhs = binSame(expr.OpOr, func(t *expr.Expr) *expr.Expr { return t.Args[0] })
-	case RuleRwXorSelf:
-		rhs = binSame(expr.OpXor, func(t *expr.Expr) *expr.Expr { return expr.Const(0, t.Width) })
-	case RuleRwXorZeroR:
-		rhs = constSide(expr.OpXor, 1, 0, left)
-	case RuleRwXorZeroL:
-		rhs = constSide(expr.OpXor, 0, 0, right)
-	case RuleRwMulZeroR:
-		rhs = constSide(expr.OpMul, 1, 0, zero)
-	case RuleRwMulZeroL:
-		rhs = constSide(expr.OpMul, 0, 0, zero)
-	case RuleRwMulOneR:
-		rhs = constSide(expr.OpMul, 1, 1, left)
-	case RuleRwMulOneL:
-		rhs = constSide(expr.OpMul, 0, 1, right)
-	case RuleRwShiftZero:
-		rhs = func(t *expr.Expr) (*expr.Expr, error) {
-			if t.Op != expr.OpShl && t.Op != expr.OpLshr && t.Op != expr.OpAshr {
-				return nil, errPattern("shift")
-			}
-			if c, ok := t.Args[1].IsConst(); !ok || c != 0 {
-				return nil, errPattern("zero shift amount")
-			}
-			return t.Args[0], nil
-		}
-	case RuleRwNotNot:
-		rhs = func(t *expr.Expr) (*expr.Expr, error) {
-			if t.Op == expr.OpNot && t.Args[0].Op == expr.OpNot {
-				return t.Args[0].Args[0], nil
-			}
-			return nil, errPattern("(bvnot (bvnot a))")
-		}
-	case RuleRwAddComm:
-		rhs = comm(expr.OpAdd)
-	case RuleRwAndComm:
-		rhs = comm(expr.OpAnd)
-	case RuleRwZExtZero:
-		rhs = func(t *expr.Expr) (*expr.Expr, error) {
-			if t.Op != expr.OpZExt {
-				return nil, errPattern("(zero_extend a)")
-			}
-			if c, ok := t.Args[0].IsConst(); ok && c == 0 {
-				return expr.Const(0, t.Width), nil
-			}
-			return nil, errPattern("zero operand")
-		}
-	case RuleRwExtractZExt:
-		// (extract[0,w] (zext_W a)) = a when w == width(a)
-		rhs = func(t *expr.Expr) (*expr.Expr, error) {
-			if t.Op != expr.OpExtract || t.Aux != 0 || t.Args[0].Op != expr.OpZExt {
-				return nil, errPattern("(extract 0..w (zero_extend a))")
-			}
-			inner := t.Args[0].Args[0]
-			if inner.Width != t.Width {
-				return nil, errPattern("matching widths")
-			}
-			return inner, nil
-		}
-	default:
+	rw := rewrites[s.Rule]
+	if rw == nil {
 		return Conclusion{}, nil, false
 	}
-
 	t, err := arg(0)
 	if err != nil {
 		return Conclusion{}, err, true
 	}
-	out, err := rhs(t)
-	if err != nil {
-		return Conclusion{}, err, true
+	rhs, ok := rw(t)
+	if !ok {
+		return Conclusion{}, errNoMatch, true
 	}
-	if out.Width != t.Width {
+	if rhs.Width != t.Width {
 		return Conclusion{}, fmt.Errorf("rewrite changed width"), true
 	}
-	return formulaC(expr.Eq(t, out)), nil, true
+	return formulaC(expr.Eq(t, rhs)), nil, true
 }
+
+var errNoMatch = fmt.Errorf("argument does not match the rule's pattern")
 
 func errPattern(want string) error {
 	return fmt.Errorf("argument does not match pattern %s", want)
 }
 
-// binSame matches a binary op with structurally equal operands.
-func binSame(op expr.Op, out func(*expr.Expr) *expr.Expr) func(*expr.Expr) (*expr.Expr, error) {
-	return func(t *expr.Expr) (*expr.Expr, error) {
+func isConst(e *expr.Expr, k uint64) bool {
+	c, ok := e.IsConst()
+	return ok && c == k
+}
+
+func operand0(t *expr.Expr) *expr.Expr { return t.Args[0] }
+func operand1(t *expr.Expr) *expr.Expr { return t.Args[1] }
+func zeroOf(t *expr.Expr) *expr.Expr   { return expr.Const(0, t.Width) }
+
+// cancel matches (op ...) whose operand i is (inner ...) with inner
+// operand j equal to op's other operand, and rewrites to inner's other
+// operand: cancel(OpAdd, 1, OpSub, 1) is (bvadd a (bvsub b a)) = b.
+func cancel(op expr.Op, i int, inner expr.Op, j int) rewriteFn {
+	return func(t *expr.Expr) (*expr.Expr, bool) {
+		if t.Op != op || t.Args[i].Op != inner || !expr.Equal(t.Args[i].Args[j], t.Args[1-i]) {
+			return nil, false
+		}
+		return t.Args[i].Args[1-j], true
+	}
+}
+
+// sameOperands matches (op a a).
+func sameOperands(op expr.Op, out func(*expr.Expr) *expr.Expr) rewriteFn {
+	return func(t *expr.Expr) (*expr.Expr, bool) {
 		if t.Op != op || !expr.Equal(t.Args[0], t.Args[1]) {
-			return nil, errPattern(fmt.Sprintf("(%s a a)", op))
+			return nil, false
 		}
-		return out(t), nil
+		return out(t), true
 	}
 }
 
-type rwResult uint8
-
-const (
-	left rwResult = iota
-	right
-	zero
-)
-
-// constSide matches a binary op whose operand `idx` is the constant k and
-// rewrites to the other operand (or to zero).
-func constSide(op expr.Op, idx int, k uint64, res rwResult) func(*expr.Expr) (*expr.Expr, error) {
-	return func(t *expr.Expr) (*expr.Expr, error) {
-		if t.Op != op {
-			return nil, errPattern(op.String())
+// constOperand matches (op ...) whose operand i is the constant k.
+func constOperand(op expr.Op, i int, k uint64, out func(*expr.Expr) *expr.Expr) rewriteFn {
+	return func(t *expr.Expr) (*expr.Expr, bool) {
+		if t.Op != op || !isConst(t.Args[i], k) {
+			return nil, false
 		}
-		c, ok := t.Args[idx].IsConst()
-		if !ok || c != k {
-			return nil, errPattern(fmt.Sprintf("constant %d operand", k))
-		}
-		switch res {
-		case left:
-			return t.Args[0], nil
-		case right:
-			return t.Args[1], nil
-		default:
-			return expr.Const(0, t.Width), nil
-		}
+		return out(t), true
 	}
 }
 
-// comm matches a commutative binary op and swaps the operands.
-func comm(op expr.Op) func(*expr.Expr) (*expr.Expr, error) {
-	return func(t *expr.Expr) (*expr.Expr, error) {
+func shiftZero(t *expr.Expr) (*expr.Expr, bool) {
+	if (t.Op != expr.OpShl && t.Op != expr.OpLshr && t.Op != expr.OpAshr) || !isConst(t.Args[1], 0) {
+		return nil, false
+	}
+	return t.Args[0], true
+}
+
+// swap matches the commutative (op a b) and rewrites to (op b a).
+func swap(op expr.Op) rewriteFn {
+	return func(t *expr.Expr) (*expr.Expr, bool) {
 		if t.Op != op {
-			return nil, errPattern(op.String())
+			return nil, false
 		}
-		return expr.Bin(op, t.Args[1], t.Args[0]), nil
+		return expr.Bin(op, t.Args[1], t.Args[0]), true
 	}
 }

@@ -74,20 +74,18 @@ func (b *builder) deriveUpperBound(t *expr.Expr) (uint64, uint32) {
 	if c, step, ok := b.lookupFact(t); ok {
 		return c, step
 	}
+	// Then a lemma bounding t from its own shape, such as a constant mask.
+	for _, r := range boundOrder[t.Op] {
+		if c, ok := proof.UpperBound(r, t); ok {
+			return c, b.add(r, nil, t)
+		}
+	}
 	switch t.Op {
 	case expr.OpConst:
 		// (bvule c c) by lemma_ule_const.
 		step := b.add(proof.RuleLemmaUleConst, nil, t, t)
 		return t.K, step
 	case expr.OpAnd:
-		if c, ok := t.Args[1].IsConst(); ok {
-			step := b.add(proof.RuleLemmaAndUleR, nil, t)
-			return c, step
-		}
-		if c, ok := t.Args[0].IsConst(); ok {
-			step := b.add(proof.RuleLemmaAndUleL, nil, t)
-			return c, step
-		}
 		// Bound one operand and use monotonicity of masking.
 		c0, s0 := b.deriveUpperBound(t.Args[0])
 		c1, s1 := b.deriveUpperBound(t.Args[1])
@@ -115,19 +113,7 @@ func (b *builder) deriveUpperBound(t *expr.Expr) (uint64, uint32) {
 				return shifted, step
 			}
 		}
-	case expr.OpLshr:
-		if _, ok := t.Args[1].IsConst(); ok {
-			step := b.add(proof.RuleLemmaLshrBound, nil, t)
-			k, _ := t.Args[1].IsConst()
-			return expr.Mask(t.Width) >> (k % uint64(t.Width)), step
-		}
 	case expr.OpUDiv, expr.OpURem:
-		if t.Op == expr.OpURem {
-			if c, ok := t.Args[1].IsConst(); ok && c != 0 {
-				step := b.add(proof.RuleLemmaURemBound, nil, t)
-				return c - 1, step
-			}
-		}
 		c, s := b.deriveUpperBound(t.Args[0])
 		step := b.add(proof.RuleLemmaDivRemLe, prems(s), t)
 		return c, step
@@ -138,16 +124,25 @@ func (b *builder) deriveUpperBound(t *expr.Expr) (uint64, uint32) {
 			return c, step
 		}
 		inner, s := b.deriveUpperBound(t.Args[0])
-		if inner < expr.Mask(t.Args[0].Width) {
+		full, _ := proof.UpperBound(proof.RuleLemmaZExtBound, t)
+		if inner < full {
 			step := b.add(proof.RuleLemmaZExtMono, prems(s), t)
 			return inner, step
 		}
-		step := b.add(proof.RuleLemmaZExtBound, nil, t)
-		return expr.Mask(t.Args[0].Width), step
+		return full, b.add(proof.RuleLemmaZExtBound, nil, t)
 	}
 	// Fallback: every value fits in its width.
-	step := b.add(proof.RuleLemmaUleMax, nil, t)
-	return expr.Mask(t.Width), step
+	c, _ := proof.UpperBound(proof.RuleLemmaUleMax, t)
+	return c, b.add(proof.RuleLemmaUleMax, nil, t)
+}
+
+// boundOrder lists, per root operator, the argument-only lemmas
+// deriveUpperBound tries before bounding t's operands; the checker's
+// catalog (proof.UpperBound) computes each one's bound.
+var boundOrder = [expr.NumOps][]proof.RuleID{
+	expr.OpAnd:  {proof.RuleLemmaAndUleR, proof.RuleLemmaAndUleL},
+	expr.OpLshr: {proof.RuleLemmaLshrBound},
+	expr.OpURem: {proof.RuleLemmaURemBound},
 }
 
 // proveUle tries to emit steps concluding (bvule t hi); reports the step

@@ -58,117 +58,46 @@ func (b *builder) simplify(t *expr.Expr) eqResult {
 	}
 
 	// Ground terms fold to constants.
-	if cur.IsGround() && cur.Op != expr.OpConst {
-		v := cur.Eval(func(uint32) uint64 { return 0 })
-		step := b.add(proof.RuleEvalConst, nil, cur)
-		chain(expr.Const(v, cur.Width), step)
+	if cur.Op != expr.OpConst {
+		if next, ok := proof.Rewrite(proof.RuleEvalConst, cur); ok {
+			step := b.add(proof.RuleEvalConst, nil, cur)
+			chain(next, step)
+		}
 	}
 
 	return eqResult{term: cur, step: accStep, changed: changed}
 }
 
-// topRewrite finds one applicable catalog rewrite at the root of t,
-// returning the rule and the rewritten term (RuleInvalid when none
-// applies). The patterns mirror internal/proof/rewrites.go exactly.
+// rewriteOrder lists, per root operator, the catalog rewrites the
+// rewrite tier tries, in order; the checker's catalog (proof.Rewrite)
+// defines what each one matches and produces. The commutativity rules
+// are left out: applied to a fixpoint they would never stop.
+var rewriteOrder = [expr.NumOps][]proof.RuleID{
+	expr.OpAdd: {proof.RuleRwAddSubCancelR, proof.RuleRwAddSubCancelL,
+		proof.RuleRwAddZeroR, proof.RuleRwAddZeroL},
+	expr.OpSub: {proof.RuleRwSubAddCancelR, proof.RuleRwSubAddCancelL,
+		proof.RuleRwSubSelf, proof.RuleRwSubZero},
+	expr.OpAnd: {proof.RuleRwAndZeroR, proof.RuleRwAndZeroL,
+		proof.RuleRwAndSelf, proof.RuleRwAndConstFold},
+	expr.OpOr:  {proof.RuleRwOrZeroR, proof.RuleRwOrZeroL, proof.RuleRwOrSelf},
+	expr.OpXor: {proof.RuleRwXorSelf, proof.RuleRwXorZeroR, proof.RuleRwXorZeroL},
+	expr.OpMul: {proof.RuleRwMulZeroR, proof.RuleRwMulZeroL,
+		proof.RuleRwMulOneR, proof.RuleRwMulOneL},
+	expr.OpShl:     {proof.RuleRwShiftZero},
+	expr.OpLshr:    {proof.RuleRwShiftZero},
+	expr.OpAshr:    {proof.RuleRwShiftZero},
+	expr.OpNot:     {proof.RuleRwNotNot},
+	expr.OpZExt:    {proof.RuleRwZExtZero},
+	expr.OpExtract: {proof.RuleRwExtractZExt},
+}
+
+// topRewrite finds the first rewrite in rewriteOrder that applies at the
+// root of t, returning the rule and the rewritten term (RuleInvalid when
+// none applies).
 func topRewrite(t *expr.Expr) (proof.RuleID, *expr.Expr) {
-	isConst := func(e *expr.Expr, k uint64) bool {
-		c, ok := e.IsConst()
-		return ok && c == k
-	}
-	switch t.Op {
-	case expr.OpAdd:
-		if t.Args[1].Op == expr.OpSub && expr.Equal(t.Args[1].Args[1], t.Args[0]) {
-			return proof.RuleRwAddSubCancelR, t.Args[1].Args[0]
-		}
-		if t.Args[0].Op == expr.OpSub && expr.Equal(t.Args[0].Args[1], t.Args[1]) {
-			return proof.RuleRwAddSubCancelL, t.Args[0].Args[0]
-		}
-		if isConst(t.Args[1], 0) {
-			return proof.RuleRwAddZeroR, t.Args[0]
-		}
-		if isConst(t.Args[0], 0) {
-			return proof.RuleRwAddZeroL, t.Args[1]
-		}
-	case expr.OpSub:
-		if t.Args[0].Op == expr.OpAdd && expr.Equal(t.Args[0].Args[0], t.Args[1]) {
-			return proof.RuleRwSubAddCancelR, t.Args[0].Args[1]
-		}
-		if t.Args[0].Op == expr.OpAdd && expr.Equal(t.Args[0].Args[1], t.Args[1]) {
-			return proof.RuleRwSubAddCancelL, t.Args[0].Args[0]
-		}
-		if expr.Equal(t.Args[0], t.Args[1]) {
-			return proof.RuleRwSubSelf, expr.Const(0, t.Width)
-		}
-		if isConst(t.Args[1], 0) {
-			return proof.RuleRwSubZero, t.Args[0]
-		}
-	case expr.OpAnd:
-		if isConst(t.Args[1], 0) {
-			return proof.RuleRwAndZeroR, expr.Const(0, t.Width)
-		}
-		if isConst(t.Args[0], 0) {
-			return proof.RuleRwAndZeroL, expr.Const(0, t.Width)
-		}
-		if expr.Equal(t.Args[0], t.Args[1]) {
-			return proof.RuleRwAndSelf, t.Args[0]
-		}
-		if t.Args[0].Op == expr.OpAnd {
-			c1, ok1 := t.Args[0].Args[1].IsConst()
-			c2, ok2 := t.Args[1].IsConst()
-			if ok1 && ok2 {
-				return proof.RuleRwAndConstFold,
-					expr.And(t.Args[0].Args[0], expr.Const(c1&c2, t.Width))
-			}
-		}
-	case expr.OpOr:
-		if isConst(t.Args[1], 0) {
-			return proof.RuleRwOrZeroR, t.Args[0]
-		}
-		if isConst(t.Args[0], 0) {
-			return proof.RuleRwOrZeroL, t.Args[1]
-		}
-		if expr.Equal(t.Args[0], t.Args[1]) {
-			return proof.RuleRwOrSelf, t.Args[0]
-		}
-	case expr.OpXor:
-		if expr.Equal(t.Args[0], t.Args[1]) {
-			return proof.RuleRwXorSelf, expr.Const(0, t.Width)
-		}
-		if isConst(t.Args[1], 0) {
-			return proof.RuleRwXorZeroR, t.Args[0]
-		}
-		if isConst(t.Args[0], 0) {
-			return proof.RuleRwXorZeroL, t.Args[1]
-		}
-	case expr.OpMul:
-		if isConst(t.Args[1], 0) {
-			return proof.RuleRwMulZeroR, expr.Const(0, t.Width)
-		}
-		if isConst(t.Args[0], 0) {
-			return proof.RuleRwMulZeroL, expr.Const(0, t.Width)
-		}
-		if isConst(t.Args[1], 1) {
-			return proof.RuleRwMulOneR, t.Args[0]
-		}
-		if isConst(t.Args[0], 1) {
-			return proof.RuleRwMulOneL, t.Args[1]
-		}
-	case expr.OpShl, expr.OpLshr, expr.OpAshr:
-		if isConst(t.Args[1], 0) {
-			return proof.RuleRwShiftZero, t.Args[0]
-		}
-	case expr.OpNot:
-		if t.Args[0].Op == expr.OpNot {
-			return proof.RuleRwNotNot, t.Args[0].Args[0]
-		}
-	case expr.OpZExt:
-		if isConst(t.Args[0], 0) {
-			return proof.RuleRwZExtZero, expr.Const(0, t.Width)
-		}
-	case expr.OpExtract:
-		if t.Aux == 0 && t.Args[0].Op == expr.OpZExt &&
-			t.Args[0].Args[0].Width == t.Width {
-			return proof.RuleRwExtractZExt, t.Args[0].Args[0]
+	for _, r := range rewriteOrder[t.Op] {
+		if next, ok := proof.Rewrite(r, t); ok {
+			return r, next
 		}
 	}
 	return proof.RuleInvalid, nil

@@ -148,10 +148,14 @@ func regSetMinMax(dst, src *RegState, op uint8, taken bool, is32 bool) {
 		return
 	}
 	if op == ebpf.JmpJSET {
-		// Taken, dst & src != 0: with a single-bit constant mask that bit
-		// is one. Not taken: with a constant mask every masked bit is zero.
-		if v := src.ConstVal(); src.IsConst() && (!taken || v != 0 && v&(v-1) == 0) {
-			learnBits(dst, v, taken, is32)
+		// Taken, dst & src != 0: a single-bit constant mask's bit is one.
+		// Not taken: every bit of a constant mask is zero. JMP32 uses its low word.
+		v := src.ConstVal()
+		if is32 {
+			v = uint64(uint32(v))
+		}
+		if src.IsConst() && (!taken || v != 0 && v&(v-1) == 0) {
+			learnBits(dst, v, taken)
 		}
 		return
 	}
@@ -177,12 +181,8 @@ func regSetMinMax(dst, src *RegState, op uint8, taken bool, is32 bool) {
 	src.sync()
 }
 
-// learnBits records that the bits of mask (of its low word for JMP32)
-// are all one in dst, or all zero when ones is false.
-func learnBits(dst *RegState, mask uint64, ones, is32 bool) {
-	if is32 {
-		mask = uint64(uint32(mask))
-	}
+// learnBits records that mask's bits are all one in dst (zero if !ones).
+func learnBits(dst *RegState, mask uint64, ones bool) {
 	known := tnum.Tnum{Mask: ^mask}
 	if ones {
 		known.Value = mask

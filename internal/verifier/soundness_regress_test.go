@@ -2,6 +2,7 @@ package verifier
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"bcf/internal/ebpf"
@@ -169,6 +170,27 @@ func TestAlu32OrXorSignBitUnknownToTnum(t *testing.T) {
 		aluScalar(&d, &zero, op, true)
 		if !d.wellFormed() || !d.contains(6363428) {
 			t.Errorf("w %s= 0 on %+v gave %+v, which excludes 6363428", ebpf.AluOpName(op), boundsOf(&r), boundsOf(&d))
+		}
+	}
+}
+
+// A taken JMP32 JSET with a single-bit mask sets that bit of the low
+// word, whether the mask is written as 0x80000000 or as the immediate
+// -2^31 (sign-extended to 0xffffffff80000000 in the source register).
+// Before the fix the power-of-two test ran on the 64-bit constant, so
+// `if w1 & 0x80000000` written with the immediate taught nothing.
+func TestJmp32JsetSignExtendedMask(t *testing.T) {
+	for _, mask := range []uint64{0x80000000, 0xffffffff80000000} {
+		d, s := unknownScalar(), constScalar(mask)
+		regSetMinMax(&d, &s, ebpf.JmpJSET, true, true)
+		if d.Var.Value&(1<<31) == 0 || d.Var.Mask&(1<<31) != 0 {
+			t.Errorf("mask %#x: bit 31 not known set: %+v", mask, boundsOf(&d))
+		}
+		if d.S32Min != math.MinInt32 || d.S32Max != -1 {
+			t.Errorf("mask %#x: S32 [%d, %d], want [%d, -1]", mask, d.S32Min, d.S32Max, math.MinInt32)
+		}
+		if !d.wellFormed() || !d.contains(0xffffffff) || !d.contains(0x80000000) {
+			t.Errorf("mask %#x: refinement excludes a value with bit 31 set: %+v", mask, boundsOf(&d))
 		}
 	}
 }
