@@ -119,7 +119,7 @@ func (r *Refiner) refine(req *verifier.RefineRequest, rs *RequestStats) (*verifi
 	}
 
 	// 2. Symbolic tracking re-executes the suffix, the only part of the
-	// path that is copied.
+	// path that is copied, into the round's one term table.
 	tk := newTracker(req.Prog)
 	err := tk.run(req.Path.Tail(back + 1))
 	rs.TrackDuration = time.Since(rs.Start)
@@ -135,7 +135,7 @@ func (r *Refiner) refine(req *verifier.RefineRequest, rs *RequestStats) (*verifi
 		if len(tk.constr) == 0 {
 			return nil, fmt.Errorf("bcf: no path constraints to refute")
 		}
-		cond := expr.BoolNot(expr.Conj(tk.constr...))
+		cond := tk.tab.BoolNot(tk.tab.Conj(tk.constr...))
 		if err := r.delegate(cond, tk, rs); err != nil {
 			return nil, err
 		}
@@ -158,7 +158,7 @@ func (r *Refiner) refine(req *verifier.RefineRequest, rs *RequestStats) (*verifi
 		if tv.kind == kindScalar {
 			return nil, fmt.Errorf("bcf: pointer target not symbolically tracked")
 		}
-		target = fold(expr.Sub(tv.e, expr.Const(uint64(int64(regState.Off)), 64)))
+		target = tk.fold(tk.tab.Sub(tv.e, tk.tab.Const(uint64(int64(regState.Off)), 64)))
 	default:
 		return nil, fmt.Errorf("bcf: target register is uninitialized")
 	}
@@ -166,13 +166,13 @@ func (r *Refiner) refine(req *verifier.RefineRequest, rs *RequestStats) (*verifi
 	// 4. Build the refinement condition: pathC ⇒ target ∈ [WantLo, WantHi]
 	// (Figure 5: the symbolic values must be contained in the refined
 	// abstraction, under the suffix's path constraints).
-	bound := expr.Ule(target, expr.Const(req.WantHi, 64))
+	bound := tk.tab.Ule(target, tk.tab.Const(req.WantHi, 64))
 	if req.WantLo > 0 {
-		bound = expr.BoolAnd(expr.Ule(expr.Const(req.WantLo, 64), target), bound)
+		bound = tk.tab.BoolAnd(tk.tab.Ule(tk.tab.Const(req.WantLo, 64), target), bound)
 	}
 	cond := bound
 	if len(tk.constr) > 0 {
-		cond = expr.Implies(expr.Conj(tk.constr...), bound)
+		cond = tk.tab.Implies(tk.tab.Conj(tk.constr...), bound)
 	}
 	if err := r.delegate(cond, tk, rs); err != nil {
 		return nil, err
@@ -208,7 +208,7 @@ func (r *Refiner) delegate(cond *expr.Expr, tk *tracker, rs *RequestStats) error
 		return fmt.Errorf("bcf: user space produced no proof: %w", err)
 	}
 
-	pf, err := bcfenc.DecodeProof(proofBytes)
+	pf, err := bcfenc.DecodeProofIn(cond.Table(), proofBytes)
 	if err == nil {
 		err = proof.Check(cond, pf)
 	}

@@ -6,6 +6,7 @@ import (
 	"bcf/internal/bcfenc"
 	"bcf/internal/bcferr"
 	"bcf/internal/ebpf"
+	"bcf/internal/expr"
 	"bcf/internal/solver"
 	"bcf/internal/verifier"
 )
@@ -147,7 +148,7 @@ func TestSessionConditionBytesAreSelfContained(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cond.Cond.CheckWellFormed(nil); err != nil {
+		if _, err := expr.NewTable(0).Intern(cond.Cond); err != nil {
 			t.Fatal(err)
 		}
 		if cond.Cond.Width != 1 {

@@ -28,6 +28,7 @@ type symVal struct {
 // (§4 Symbolic Tracking). Unlike classical symbolic execution it never
 // forks: the verifier's recorded branch history fixes every decision.
 type tracker struct {
+	tab    *expr.Table // the round's terms
 	prog   *ebpf.Program
 	regs   [ebpf.MaxReg]*symVal
 	stack  map[int16]*symVal // 8-byte aligned register-size slots only
@@ -37,17 +38,17 @@ type tracker struct {
 }
 
 func newTracker(prog *ebpf.Program) *tracker {
-	return &tracker{prog: prog, stack: map[int16]*symVal{}}
+	return &tracker{tab: expr.NewTable(0), prog: prog, stack: map[int16]*symVal{}}
 }
 
 // fresh introduces a new symbolic variable of the given width, extended
 // to 64 bits. Narrow loads thereby carry their width bound for free (the
 // paper's 32-bit narrowing generalized).
 func (tk *tracker) fresh(width uint8) *expr.Expr {
-	v := expr.Var(tk.nextID, width)
+	v := tk.tab.Var(tk.nextID, width)
 	tk.nextID++
 	if width < 64 {
-		return expr.ZExt(v, 64)
+		return tk.tab.ZExt(v, 64)
 	}
 	return v
 }
@@ -57,7 +58,7 @@ func (tk *tracker) fresh(width uint8) *expr.Expr {
 func (tk *tracker) reg(r ebpf.Reg) *symVal {
 	if tk.regs[r] == nil {
 		if r == ebpf.R10 {
-			tk.regs[r] = &symVal{e: expr.Const(0, 64), kind: kindStackPtr}
+			tk.regs[r] = &symVal{e: tk.tab.Const(0, 64), kind: kindStackPtr}
 		} else {
 			tk.regs[r] = &symVal{e: tk.fresh(64)}
 		}
@@ -74,18 +75,18 @@ func (tk *tracker) setReg(r ebpf.Reg, v symVal) {
 
 // fold constant-folds ground expressions so the fixed/variable split of
 // pointer offsets mirrors the verifier's (which folds through tnum).
-func fold(e *expr.Expr) *expr.Expr {
+func (tk *tracker) fold(e *expr.Expr) *expr.Expr {
 	if e.Op != expr.OpConst && e.IsGround() {
-		return expr.Const(e.Eval(func(uint32) uint64 { return 0 }), e.Width)
+		return tk.tab.Const(e.GroundValue(), e.Width)
 	}
 	return e
 }
 
 // low32 extracts the low word of a 64-bit expression.
-func low32(e *expr.Expr) *expr.Expr { return fold(expr.Extract(e, 0, 32)) }
+func (tk *tracker) low32(e *expr.Expr) *expr.Expr { return tk.fold(tk.tab.Extract(e, 0, 32)) }
 
 // zext64 zero-extends back to 64 bits.
-func zext64(e *expr.Expr) *expr.Expr { return fold(expr.ZExt(e, 64)) }
+func (tk *tracker) zext64(e *expr.Expr) *expr.Expr { return tk.fold(tk.tab.ZExt(e, 64)) }
 
 // run symbolically executes the tracked steps, oldest first, up to but
 // not including the last one: the failing instruction, which has not
@@ -113,9 +114,9 @@ func (tk *tracker) exec(ins ebpf.Instruction, taken bool) error {
 		}
 		if ins.Src == ebpf.PseudoMapFD {
 			// A map pointer: offset tracking starts at zero.
-			tk.setReg(ins.Dst, symVal{e: expr.Const(0, 64), kind: kindPtr})
+			tk.setReg(ins.Dst, symVal{e: tk.tab.Const(0, 64), kind: kindPtr})
 		} else {
-			tk.setReg(ins.Dst, symVal{e: expr.Const(uint64(ins.Imm), 64)})
+			tk.setReg(ins.Dst, symVal{e: tk.tab.Const(uint64(ins.Imm), 64)})
 		}
 		return nil
 	case ebpf.ClassLDX:
@@ -137,7 +138,7 @@ func (tk *tracker) execALU(ins ebpf.Instruction, is32 bool) error {
 	if ins.UsesSrcReg() && op != ebpf.AluNEG && op != ebpf.AluEND {
 		src = tk.reg(ins.Src)
 	} else {
-		src = &symVal{e: expr.Const(uint64(ins.Imm), 64)}
+		src = &symVal{e: tk.tab.Const(uint64(ins.Imm), 64)}
 	}
 
 	if op == ebpf.AluMOV {
@@ -146,7 +147,7 @@ func (tk *tracker) execALU(ins ebpf.Instruction, is32 bool) error {
 				tk.setReg(ins.Dst, symVal{e: tk.fresh(64)})
 				return nil
 			}
-			tk.setReg(ins.Dst, symVal{e: zext64(low32(src.e))})
+			tk.setReg(ins.Dst, symVal{e: tk.zext64(tk.low32(src.e))})
 			return nil
 		}
 		tk.setReg(ins.Dst, *src)
@@ -159,12 +160,12 @@ func (tk *tracker) execALU(ins ebpf.Instruction, is32 bool) error {
 		if !is32 && (op == ebpf.AluADD || op == ebpf.AluSUB) {
 			switch {
 			case dst.kind != kindScalar && src.kind == kindScalar:
-				e := expr.Bin(aluExprOp(op), dst.e, src.e)
-				tk.setReg(ins.Dst, symVal{e: fold(e), kind: dst.kind})
+				e := tk.tab.Bin(aluExprOp(op), dst.e, src.e)
+				tk.setReg(ins.Dst, symVal{e: tk.fold(e), kind: dst.kind})
 				return nil
 			case dst.kind == kindScalar && src.kind != kindScalar && op == ebpf.AluADD:
-				e := expr.Add(src.e, dst.e)
-				tk.setReg(ins.Dst, symVal{e: fold(e), kind: src.kind})
+				e := tk.tab.Add(src.e, dst.e)
+				tk.setReg(ins.Dst, symVal{e: tk.fold(e), kind: src.kind})
 				return nil
 			}
 		}
@@ -174,9 +175,9 @@ func (tk *tracker) execALU(ins ebpf.Instruction, is32 bool) error {
 
 	if op == ebpf.AluNEG {
 		if is32 {
-			tk.setReg(ins.Dst, symVal{e: zext64(fold(expr.Neg(low32(dst.e))))})
+			tk.setReg(ins.Dst, symVal{e: tk.zext64(tk.fold(tk.tab.Neg(tk.low32(dst.e))))})
 		} else {
-			tk.setReg(ins.Dst, symVal{e: fold(expr.Neg(dst.e))})
+			tk.setReg(ins.Dst, symVal{e: tk.fold(tk.tab.Neg(dst.e))})
 		}
 		return nil
 	}
@@ -193,11 +194,11 @@ func (tk *tracker) execALU(ins ebpf.Instruction, is32 bool) error {
 		return nil
 	}
 	if is32 {
-		a, b := low32(dst.e), low32(src.e)
-		tk.setReg(ins.Dst, symVal{e: zext64(fold(expr.Bin(eop, a, b)))})
+		a, b := tk.low32(dst.e), tk.low32(src.e)
+		tk.setReg(ins.Dst, symVal{e: tk.zext64(tk.fold(tk.tab.Bin(eop, a, b)))})
 		return nil
 	}
-	tk.setReg(ins.Dst, symVal{e: fold(expr.Bin(eop, dst.e, src.e))})
+	tk.setReg(ins.Dst, symVal{e: tk.fold(tk.tab.Bin(eop, dst.e, src.e))})
 	return nil
 }
 
@@ -280,7 +281,7 @@ func (tk *tracker) execStore(ins ebpf.Instruction) error {
 			v := *tk.reg(ins.Src)
 			tk.stack[slot] = &v
 		} else {
-			tk.stack[slot] = &symVal{e: expr.Const(uint64(ins.Imm), 64)}
+			tk.stack[slot] = &symVal{e: tk.tab.Const(uint64(ins.Imm), 64)}
 		}
 		return nil
 	}
@@ -309,7 +310,7 @@ func (tk *tracker) execJump(ins ebpf.Instruction, taken bool) error {
 		tk.stack = map[int16]*symVal{}
 		// Map lookups return object pointers whose offset we track.
 		if ebpf.HelperID(ins.Imm) == ebpf.FnMapLookupElem {
-			tk.setReg(ebpf.R0, symVal{e: expr.Const(0, 64), kind: kindPtr})
+			tk.setReg(ebpf.R0, symVal{e: tk.tab.Const(0, 64), kind: kindPtr})
 		}
 		return nil
 	}
@@ -319,7 +320,7 @@ func (tk *tracker) execJump(ins ebpf.Instruction, taken bool) error {
 	if ins.UsesSrcReg() {
 		src = tk.reg(ins.Src)
 	} else {
-		src = &symVal{e: expr.Const(uint64(ins.Imm), 64)}
+		src = &symVal{e: tk.tab.Const(uint64(ins.Imm), 64)}
 	}
 	if dst.kind != kindScalar || src.kind != kindScalar {
 		// Constraints over pointers (null checks) are dropped: sound,
@@ -328,47 +329,47 @@ func (tk *tracker) execJump(ins ebpf.Instruction, taken bool) error {
 	}
 	a, b := dst.e, src.e
 	if is32 {
-		a, b = low32(a), low32(b)
+		a, b = tk.low32(a), tk.low32(b)
 		if !ins.UsesSrcReg() {
-			b = expr.Const(uint64(uint32(ins.Imm)), 32)
+			b = tk.tab.Const(uint64(uint32(ins.Imm)), 32)
 		}
 	}
-	c := condExpr(op, a, b)
+	c := tk.condExpr(op, a, b)
 	if c == nil {
 		return nil
 	}
 	if !taken {
-		c = expr.BoolNot(c)
+		c = tk.tab.BoolNot(c)
 	}
 	tk.constr = append(tk.constr, c)
 	return nil
 }
 
 // condExpr builds the branch predicate for a jump operation.
-func condExpr(op uint8, a, b *expr.Expr) *expr.Expr {
+func (tk *tracker) condExpr(op uint8, a, b *expr.Expr) *expr.Expr {
 	switch op {
 	case ebpf.JmpJEQ:
-		return expr.Eq(a, b)
+		return tk.tab.Eq(a, b)
 	case ebpf.JmpJNE:
-		return expr.Ne(a, b)
+		return tk.tab.Ne(a, b)
 	case ebpf.JmpJGT:
-		return expr.Ult(b, a)
+		return tk.tab.Ult(b, a)
 	case ebpf.JmpJGE:
-		return expr.Ule(b, a)
+		return tk.tab.Ule(b, a)
 	case ebpf.JmpJLT:
-		return expr.Ult(a, b)
+		return tk.tab.Ult(a, b)
 	case ebpf.JmpJLE:
-		return expr.Ule(a, b)
+		return tk.tab.Ule(a, b)
 	case ebpf.JmpJSGT:
-		return expr.Slt(b, a)
+		return tk.tab.Slt(b, a)
 	case ebpf.JmpJSGE:
-		return expr.Sle(b, a)
+		return tk.tab.Sle(b, a)
 	case ebpf.JmpJSLT:
-		return expr.Slt(a, b)
+		return tk.tab.Slt(a, b)
 	case ebpf.JmpJSLE:
-		return expr.Sle(a, b)
+		return tk.tab.Sle(a, b)
 	case ebpf.JmpJSET:
-		return expr.Ne(expr.And(a, b), expr.Const(0, a.Width))
+		return tk.tab.Ne(tk.tab.And(a, b), tk.tab.Const(0, a.Width))
 	}
 	return nil
 }

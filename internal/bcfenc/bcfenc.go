@@ -66,6 +66,16 @@ func (r *reader) u32() (uint32, error) {
 	return v, nil
 }
 
+// words returns the next n words in place.
+func (r *reader) words(n int) (words, error) {
+	if n > (len(r.buf)-r.off)/4 {
+		return nil, fmt.Errorf("bcfenc: truncated message")
+	}
+	w := words(r.buf[r.off : r.off+4*n])
+	r.off += 4 * n
+	return w, nil
+}
+
 func (r *reader) u64() (uint64, error) {
 	lo, err := r.u32()
 	if err != nil {
@@ -80,20 +90,13 @@ func (r *reader) u64() (uint64, error) {
 
 // ---- expression pool ----
 
-// pool encodes expressions with structural deduplication.
+// pool encodes the members of one expr.Table. Members are hash-consed,
+// so writing each node once, at the offset kept under its ID, is the
+// format's structural deduplication.
 type pool struct {
-	w     writer
-	index map[uint64][]poolEntry // structural hash -> entries
-	count int
-}
-
-type poolEntry struct {
-	node *expr.Expr
-	off  uint32 // word offset of the node header within the pool
-}
-
-func newPool() *pool {
-	return &pool{index: map[uint64][]poolEntry{}}
+	w    writer
+	tab  *expr.Table
+	offs []uint32 // by node ID: 1 + the node header's word offset, or 0
 }
 
 // nodeHeader packs op, width, aux and arg count into one word.
@@ -101,20 +104,36 @@ func nodeHeader(e *expr.Expr) uint32 {
 	return uint32(e.Op) | uint32(e.Width)<<8 | uint32(e.Aux)<<16 | uint32(len(e.Args))<<24
 }
 
-// put encodes a node (and transitively its children), returning its word
-// offset within the pool. expr's typing rule gives a node at most two
-// arguments, within the decoder's maxNodeArgs.
-func (p *pool) put(e *expr.Expr) uint32 {
-	for _, ent := range p.index[e.Hash()] {
-		if expr.Equal(ent.node, e) {
-			return ent.off
+// put encodes a term (and transitively its children), returning its word
+// offset within the pool. A term from outside the pool's table is
+// interned into it first, which type-checks its nodes. expr's typing
+// rule gives a node at most two arguments, within the decoder's
+// maxNodeArgs.
+func (p *pool) put(e *expr.Expr) (uint32, error) {
+	if p.tab == nil {
+		if p.tab = e.Table(); p.tab == nil {
+			p.tab = expr.NewTable(0)
 		}
 	}
-	// Children first so references always point backward.
+	m, err := p.tab.Intern(e)
+	if err != nil {
+		return 0, fmt.Errorf("bcfenc: %w", err)
+	}
+	if n := p.tab.Len(); n > len(p.offs) {
+		p.offs = append(p.offs, make([]uint32, n-len(p.offs))...)
+	}
+	return p.write(m), nil
+}
+
+// write emits a member, children first so references point backward.
+func (p *pool) write(e *expr.Expr) uint32 {
+	if off := p.offs[e.ID()]; off != 0 {
+		return off - 1
+	}
 	var offs [maxNodeArgs]uint32
 	argOffs := offs[:len(e.Args)]
 	for i, a := range e.Args {
-		argOffs[i] = p.put(a)
+		argOffs[i] = p.write(a)
 	}
 	off := uint32(len(p.w.buf) / 4)
 	p.w.u32(nodeHeader(e))
@@ -127,31 +146,66 @@ func (p *pool) put(e *expr.Expr) uint32 {
 	for _, ao := range argOffs {
 		p.w.u32(ao)
 	}
-	p.index[e.Hash()] = append(p.index[e.Hash()], poolEntry{node: e, off: off})
-	p.count++
+	p.offs[e.ID()] = off + 1
 	return off
 }
 
-// poolReader decodes an expression pool.
+// poolReader decodes an expression pool, read in place from the
+// message, into a table.
 type poolReader struct {
-	words []uint32
+	words words
+	tab   *expr.Table
 	nodes []*expr.Expr // by word offset: the node decoded there, or nil
 }
 
-func newPoolReader(words []uint32) *poolReader {
-	return &poolReader{words: words, nodes: make([]*expr.Expr, len(words))}
+// words is a little-endian u32 stream.
+type words []byte
+
+func (w words) len() int           { return len(w) / 4 }
+func (w words) at(i uint32) uint32 { return binary.LittleEndian.Uint32(w[4*i:]) }
+
+// newPoolReader decodes pool into tab, or into a new table sized for
+// the pool when tab is nil.
+func newPoolReader(pool words, tab *expr.Table) *poolReader {
+	if tab == nil {
+		tab = expr.NewTable(min(poolNodes(pool), maxPresized))
+	}
+	return &poolReader{words: pool, tab: tab, nodes: make([]*expr.Expr, pool.len())}
+}
+
+// maxPresized caps the nodes a new table is sized for up front: a larger
+// pool's table grows as its nodes are actually decoded.
+const maxPresized = 1 << 12
+
+// poolNodes counts the node headers of a pool laid out by the encoder,
+// where every node is reachable and so becomes a table member. A
+// well-formed node takes at least two words, which bounds the count for
+// any other pool.
+func poolNodes(pool words) int {
+	n := 0
+	for i := 0; i < pool.len() && 2*n < pool.len(); n++ {
+		h := pool.at(uint32(i))
+		i += 1 + int(h>>24)
+		switch expr.Op(h & 0xff) {
+		case expr.OpConst:
+			i += 2
+		case expr.OpVar:
+			i++
+		}
+	}
+	return n
 }
 
 // node decodes the node at the given word offset, with cycle and bounds
 // protection (references must point strictly backward).
 func (pr *poolReader) node(off uint32) (*expr.Expr, error) {
-	if int(off) >= len(pr.words) {
+	if int(off) >= pr.words.len() {
 		return nil, fmt.Errorf("bcfenc: node offset %d out of range", off)
 	}
 	if e := pr.nodes[off]; e != nil {
 		return e, nil
 	}
-	h := pr.words[off]
+	h := pr.words.at(off)
 	op := expr.Op(h & 0xff)
 	width := uint8(h >> 8)
 	aux := uint8(h >> 16)
@@ -163,24 +217,25 @@ func (pr *poolReader) node(off uint32) (*expr.Expr, error) {
 	var k uint64
 	switch op {
 	case expr.OpConst:
-		if int(cur)+2 > len(pr.words) {
+		if int(cur)+2 > pr.words.len() {
 			return nil, fmt.Errorf("bcfenc: truncated const")
 		}
-		k = uint64(pr.words[cur]) | uint64(pr.words[cur+1])<<32
+		k = uint64(pr.words.at(cur)) | uint64(pr.words.at(cur+1))<<32
 		cur += 2
 	case expr.OpVar:
-		if int(cur)+1 > len(pr.words) {
+		if int(cur)+1 > pr.words.len() {
 			return nil, fmt.Errorf("bcfenc: truncated var")
 		}
-		k = uint64(pr.words[cur])
+		k = uint64(pr.words.at(cur))
 		cur++
 	}
-	args := make([]*expr.Expr, 0, nargs)
+	var argBuf [maxNodeArgs]*expr.Expr
+	args := argBuf[:0]
 	for i := 0; i < nargs; i++ {
-		if int(cur) >= len(pr.words) {
+		if int(cur) >= pr.words.len() {
 			return nil, fmt.Errorf("bcfenc: truncated args")
 		}
-		ref := pr.words[cur]
+		ref := pr.words.at(cur)
 		cur++
 		if ref >= off {
 			return nil, fmt.Errorf("bcfenc: forward/self node reference")
@@ -202,7 +257,7 @@ func (pr *poolReader) node(off uint32) (*expr.Expr, error) {
 	}
 	// The children are decoded and checked already, so this one rule
 	// application per node keeps decoding linear in the pool.
-	e, err := expr.Rebuild(op, width, aux, k, args)
+	e, err := pr.tab.Rebuild(op, width, aux, k, args)
 	if err != nil {
 		return nil, fmt.Errorf("bcfenc: node at %d: %w", off, err)
 	}
@@ -218,14 +273,19 @@ type Condition struct {
 	Cond *expr.Expr
 }
 
-// EncodeCondition serializes a refinement condition. The term is
-// written as given: its nodes were type-checked when they were built.
+// EncodeCondition serializes a refinement condition. A condition built
+// in an expr.Table is written from that table; any other term is
+// interned into a new one first, so an ill-typed struct literal is
+// refused rather than written.
 func EncodeCondition(c *Condition) ([]byte, error) {
 	if c.Cond == nil || c.Cond.Width != 1 {
 		return nil, fmt.Errorf("bcfenc: condition must be a boolean term")
 	}
-	p := newPool()
-	root := p.put(c.Cond)
+	var p pool
+	root, err := p.put(c.Cond)
+	if err != nil {
+		return nil, err
+	}
 	var w writer
 	w.u32(MagicCondition)
 	w.u32(Version)
@@ -263,11 +323,14 @@ func DecodeCondition(buf []byte) (*Condition, error) {
 	if err != nil {
 		return nil, err
 	}
-	words, err := readWords(r, int(poolLen))
+	pool, err := r.words(int(poolLen))
 	if err != nil {
 		return nil, err
 	}
-	pr := newPoolReader(words)
+	if r.off != len(r.buf) {
+		return nil, fmt.Errorf("bcfenc: trailing bytes")
+	}
+	pr := newPoolReader(pool, nil)
 	cond, err := pr.node(root)
 	if err != nil {
 		return nil, err
@@ -276,21 +339,6 @@ func DecodeCondition(buf []byte) (*Condition, error) {
 		return nil, fmt.Errorf("bcfenc: condition root is not boolean")
 	}
 	return &Condition{Cond: cond}, nil
-}
-
-func readWords(r *reader, n int) ([]uint32, error) {
-	words := make([]uint32, n)
-	for i := range words {
-		v, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		words[i] = v
-	}
-	if r.off != len(r.buf) {
-		return nil, fmt.Errorf("bcfenc: trailing bytes")
-	}
-	return words, nil
 }
 
 // ---- proof messages ----
@@ -303,9 +351,11 @@ const (
 
 // EncodeProof serializes a proof. A first pass puts every argument in
 // the pool and counts the message's words; a second writes the message
-// into a buffer of exactly that size.
+// into a buffer of exactly that size. The pool is written from the
+// table of the first argument; arguments from elsewhere are interned
+// into it.
 func EncodeProof(p *proof.Proof) ([]byte, error) {
-	pool := newPool()
+	var pool pool
 	var argOffs []uint32
 	words := 4 // magic, version, pool length, step count
 	for i := range p.Steps {
@@ -317,7 +367,11 @@ func EncodeProof(p *proof.Proof) ([]byte, error) {
 			if a == nil {
 				return nil, fmt.Errorf("bcfenc: step %d: nil arg", i)
 			}
-			argOffs = append(argOffs, pool.put(a))
+			off, err := pool.put(a)
+			if err != nil {
+				return nil, fmt.Errorf("bcfenc: step %d: %w", i, err)
+			}
+			argOffs = append(argOffs, off)
 		}
 		words += 1 + len(s.Premises) + len(s.Args)
 		if kind, _ := stepExtra(s); kind != 0 {
@@ -361,8 +415,30 @@ func stepExtra(s *proof.Step) (kind, extra uint32) {
 	return 0, 0
 }
 
-// DecodeProof parses a proof message.
+// stepCounts returns the premises and arguments the heads of the first
+// nSteps steps laid out in ws declare, each at most the words of ws.
+func stepCounts(ws words, nSteps uint32) (prems, args int) {
+	for i, s := 0, uint32(0); s < nSteps && i < ws.len(); s++ {
+		h := ws.at(uint32(i))
+		np, na := int(h>>16&0xff), int(h>>24&0xf)
+		prems, args = prems+np, args+na
+		i += 1 + np + na
+		if h>>28 != 0 {
+			i++
+		}
+	}
+	return min(prems, ws.len()), min(args, ws.len())
+}
+
+// DecodeProof parses a proof message into a new expr.Table.
 func DecodeProof(buf []byte) (*proof.Proof, error) {
+	return DecodeProofIn(nil, buf)
+}
+
+// DecodeProofIn parses a proof message, building its terms in tab (a new
+// table when tab is nil). Decoding into the condition's table makes a
+// proof term and the condition subterm it names the same node.
+func DecodeProofIn(tab *expr.Table, buf []byte) (*proof.Proof, error) {
 	r := &reader{buf: buf}
 	magic, err := r.u32()
 	if err != nil {
@@ -389,21 +465,19 @@ func DecodeProof(buf []byte) (*proof.Proof, error) {
 	if poolLen > maxPoolWords || nSteps > maxSteps {
 		return nil, fmt.Errorf("bcfenc: message too large")
 	}
-	words := make([]uint32, poolLen)
-	for i := range words {
-		v, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		words[i] = v
+	pool, err := r.words(int(poolLen))
+	if err != nil {
+		return nil, err
 	}
-	pr := newPoolReader(words)
-	// Each step takes at least one of the remaining words and each
-	// premise one more, so they bound the step count and the one array
-	// every step's premises are cut from.
-	rest := (len(buf) - r.off) / 4
-	prems := make([]uint32, 0, rest)
-	out := &proof.Proof{Steps: make([]proof.Step, 0, min(int(nSteps), rest))}
+	pr := newPoolReader(pool, tab)
+	// Every step's premises and arguments are cut from one array each,
+	// sized from the step heads; each step takes at least one of the
+	// remaining words, which bounds the step count.
+	rest := words(buf[r.off:])
+	nPrems, nArgs := stepCounts(rest, nSteps)
+	prems := make([]uint32, 0, nPrems)
+	args := make([]*expr.Expr, 0, nArgs)
+	out := &proof.Proof{Steps: make([]proof.Step, 0, min(int(nSteps), rest.len()))}
 	for i := uint32(0); i < nSteps; i++ {
 		head, err := r.u32()
 		if err != nil {
@@ -433,7 +507,10 @@ func DecodeProof(buf []byte) (*proof.Proof, error) {
 			if err != nil {
 				return nil, err
 			}
-			s.Args = append(s.Args, a)
+			args = append(args, a)
+		}
+		if nargs > 0 {
+			s.Args = args[len(args)-nargs : len(args) : len(args)]
 		}
 		if extras != 0 {
 			ex, err := r.u32()

@@ -254,7 +254,7 @@ func TestDecodeFuzz(t *testing.T) {
 		buf := append([]byte{}, condBuf...)
 		buf[rng.Intn(len(buf))] ^= byte(1 << rng.Intn(8))
 		if c, err := DecodeCondition(buf); err == nil {
-			if werr := c.Cond.CheckWellFormed(nil); werr != nil {
+			if werr := recheck(c.Cond); werr != nil {
 				t.Fatalf("decoder accepted malformed condition: %v", werr)
 			}
 		}
@@ -263,7 +263,7 @@ func TestDecodeFuzz(t *testing.T) {
 		if p, err := DecodeProof(pb); err == nil {
 			for _, s := range p.Steps {
 				for _, a := range s.Args {
-					if werr := a.CheckWellFormed(nil); werr != nil {
+					if werr := recheck(a); werr != nil {
 						t.Fatalf("decoder accepted malformed proof arg: %v", werr)
 					}
 				}

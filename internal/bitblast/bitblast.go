@@ -27,14 +27,28 @@ type CNF struct {
 }
 
 // Encode lowers a width-1 term to CNF that is satisfiable iff some
-// assignment to the term's variables makes it true. f must be
-// well-formed, as every term built or decoded by package expr is.
+// assignment to the term's variables makes it true. Each distinct node
+// is encoded once, by its expr.Table ID: a term outside any table joins
+// its first operand's table (as BoolNot of a decoded condition does) or
+// a new one, which type-checks its nodes.
 func Encode(f *expr.Expr) (*CNF, error) {
 	if f.Width != 1 {
 		return nil, fmt.Errorf("bitblast: formula must have width 1, got %d", f.Width)
 	}
+	tab := f.Table()
+	if tab == nil && len(f.Args) > 0 && f.Args[0] != nil {
+		tab = f.Args[0].Table()
+	}
+	if tab == nil {
+		tab = expr.NewTable(0)
+	}
+	f, err := tab.Intern(f)
+	if err != nil {
+		return nil, fmt.Errorf("bitblast: %w", err)
+	}
 	e := &encoder{
-		heads:  map[uint64]int32{},
+		bits:   make([][]sat.Lit, tab.Len()),
+		lit:    make([]sat.Lit, tab.Len()),
 		inputs: map[uint32][]sat.Lit{},
 	}
 	// Variable 1 is the constant-true anchor.
@@ -56,20 +70,16 @@ func Encode(f *expr.Expr) (*CNF, error) {
 	return &CNF{NVars: e.nVars, Clauses: clauses, Inputs: e.inputs}, nil
 }
 
-// cacheEntry is one structurally hash-consed node; entries whose nodes
-// share a hash are chained through next.
-type cacheEntry struct {
-	node *expr.Expr
-	bits []sat.Lit
-	next int32 // 1 + the index of the next entry in the chain, or 0
-}
-
 type encoder struct {
-	nVars  int
-	lits   []sat.Lit        // every emitted clause's literals, back to back
-	ends   []int32          // clause i ends at lits[ends[i]]
-	heads  map[uint64]int32 // structural hash -> 1 + its chain's first entry
-	cache  []cacheEntry
+	nVars int
+	lits  []sat.Lit // every emitted clause's literals, back to back
+	ends  []int32   // clause i ends at lits[ends[i]]
+	// The literals already encoded for a node, by its table ID: bits for
+	// a bit-vector, lit (0 until encoded) for a boolean. Members of one
+	// table are equal only when they are the same node, so this is the
+	// structural hash-consing the encoding's determinism rests on.
+	bits   [][]sat.Lit
+	lit    []sat.Lit
 	inputs map[uint32][]sat.Lit
 }
 
@@ -92,23 +102,6 @@ func (e *encoder) constLit(b bool) sat.Lit {
 		return litTrue(e)
 	}
 	return litFalse(e)
-}
-
-// lookup finds the cached bits for a structurally equal node.
-func (e *encoder) lookup(n *expr.Expr) ([]sat.Lit, bool) {
-	for i := e.heads[n.Hash()]; i != 0; i = e.cache[i-1].next {
-		if ent := &e.cache[i-1]; expr.Equal(ent.node, n) {
-			return ent.bits, true
-		}
-	}
-	return nil, false
-}
-
-// store caches a node that lookup missed, so a chain never holds two
-// equal nodes and its order does not matter.
-func (e *encoder) store(n *expr.Expr, bits []sat.Lit) {
-	e.cache = append(e.cache, cacheEntry{node: n, bits: bits, next: e.heads[n.Hash()]})
-	e.heads[n.Hash()] = int32(len(e.cache))
 }
 
 // ---- gate constructors (with constant folding) ----
@@ -191,7 +184,7 @@ func (e *encoder) encodeBV(n *expr.Expr) ([]sat.Lit, error) {
 		}
 		return []sat.Lit{l}, nil
 	}
-	if bits, ok := e.lookup(n); ok {
+	if bits := e.bits[n.ID()]; bits != nil {
 		return bits, nil
 	}
 	w := int(n.Width)
@@ -344,7 +337,7 @@ func (e *encoder) encodeBV(n *expr.Expr) ([]sat.Lit, error) {
 	default:
 		return nil, fmt.Errorf("bitblast: unexpected bit-vector op %s", n.Op)
 	}
-	e.store(n, bits)
+	e.bits[n.ID()] = bits
 	return bits, nil
 }
 
@@ -483,8 +476,8 @@ func (e *encoder) shifter(op expr.Op, a, b []sat.Lit) []sat.Lit {
 // ---- boolean encodings ----
 
 func (e *encoder) encodeBool(n *expr.Expr) (sat.Lit, error) {
-	if bits, ok := e.lookup(n); ok {
-		return bits[0], nil
+	if l := e.lit[n.ID()]; l != 0 {
+		return l, nil
 	}
 	var out sat.Lit
 	switch n.Op {
@@ -559,7 +552,7 @@ func (e *encoder) encodeBool(n *expr.Expr) (sat.Lit, error) {
 	default:
 		return 0, fmt.Errorf("bitblast: unexpected boolean op %s", n.Op)
 	}
-	e.store(n, []sat.Lit{out})
+	e.lit[n.ID()] = out
 	return out, nil
 }
 

@@ -94,9 +94,10 @@ func CheckAdversary(p *ebpf.Program, opts loader.Options, rng *rand.Rand, check 
 	loader.Load(p, opts)  // the verdict is irrelevant; the rounds matter
 
 	type round struct {
-		idx  int
-		cond *expr.Expr
-		p    *proof.Proof
+		idx       int
+		condBytes []byte
+		cond      *expr.Expr
+		p         *proof.Proof
 	}
 	// Rounds whose byte streams exceed the session limits can never be
 	// accepted by the kernel side — the session refuses the bytes before
@@ -120,15 +121,11 @@ func CheckAdversary(p *ebpf.Program, opts loader.Options, rng *rand.Rand, check 
 		if len(r.cond) > lim.MaxCondBytes || len(r.proof) > lim.MaxProofBytes {
 			continue
 		}
-		c, err := bcfenc.DecodeCondition(r.cond)
+		c, pr, err := decodeRound(r.cond, r.proof)
 		if err != nil {
 			continue
 		}
-		pr, err := bcfenc.DecodeProof(r.proof)
-		if err != nil {
-			continue
-		}
-		rounds = append(rounds, round{idx: i, cond: c.Cond, p: pr})
+		rounds = append(rounds, round{idx: i, condBytes: r.cond, cond: c, p: pr})
 	}
 	stats.Rounds = len(rounds)
 
@@ -157,11 +154,11 @@ func CheckAdversary(p *ebpf.Program, opts loader.Options, rng *rand.Rand, check 
 				continue
 			}
 			stats.Mutants++
-			pm, err := bcfenc.DecodeProof(enc)
+			cond, pm, err := decodeRound(r.condBytes, enc)
 			if err != nil {
 				continue // the kernel decoder already rejects it
 			}
-			if check(r.cond, pm) != nil {
+			if check(cond, pm) != nil {
 				continue // rejected, as a mutant should be
 			}
 			// The checker recomputes every conclusion, so a mutant can
@@ -169,7 +166,7 @@ func CheckAdversary(p *ebpf.Program, opts loader.Options, rng *rand.Rand, check 
 			// derivation, an edit to a step nothing depends on). Accepting
 			// those is correct; the checker under test is convicted only
 			// when it accepts a proof the reference checker rejects.
-			if proof.Check(r.cond, pm) == nil {
+			if proof.Check(cond, pm) == nil {
 				stats.Skipped++
 				continue
 			}
@@ -177,6 +174,19 @@ func CheckAdversary(p *ebpf.Program, opts loader.Options, rng *rand.Rand, check 
 		}
 	}
 	return stats, viols
+}
+
+// decodeRound decodes a condition, then a proof into the condition's
+// table, as the refiner does for each round. Checking adds its
+// conclusions to that table, so every mutant gets a fresh pair rather
+// than growing one round's table.
+func decodeRound(condBytes, proofBytes []byte) (*expr.Expr, *proof.Proof, error) {
+	c, err := bcfenc.DecodeCondition(condBytes)
+	if err != nil {
+		return nil, nil, err
+	}
+	p, err := bcfenc.DecodeProofIn(c.Cond.Table(), proofBytes)
+	return c.Cond, p, err
 }
 
 type mutant struct {

@@ -12,11 +12,19 @@
 // Well-formedness is one node-local typing rule, applied when a node is
 // built: every constructor panics on a violation, and Rebuild (used by
 // the wire-format decoder) returns it as an error. Since children are
-// checked when they are built, a term made only through this package is
-// well-formed by construction, and checking it costs one rule
-// application per node. CheckWellFormed re-walks terms whose nodes may
-// bypass the constructors (struct literals); the proof checker runs it
-// once at entry.
+// checked when they are built, a term made through this package is
+// well-formed by construction.
+//
+// A Table hash-conses the terms of one refinement round. A node enters
+// it once, after its typing rule, so two members are structurally equal
+// exactly when they are the same pointer, and per-node facts (the wire
+// offset, the bit-blasted literals, the ground value) live in slices
+// indexed by the node's ID. The constructor methods of *Table build
+// members; on a nil *Table they are the plain constructors, which build
+// unshared nodes, as do the package-level functions. Intern brings a
+// term from outside a table in and re-applies the typing rule to each of
+// its nodes: that is how the proof checker admits struct literals and
+// terms from another table.
 package expr
 
 import (
@@ -106,10 +114,19 @@ type Expr struct {
 	Op    Op
 	Width uint8 // result width in bits: 1, 8, 16, 32 or 64
 	Aux   uint8 // Extract: low bit index
+	flags uint8
+	id    uint32 // index in tab
 	K     uint64
 	Args  []*Expr
-	hash  uint64
+	tab   *Table // the table the node is a member of; nil for a plain node
 }
+
+// Node flags.
+const (
+	flagBuilt  = 1 << iota // made by a constructor, so flagGround is set
+	flagGround             // no variable below the node
+	flagValued             // tab.vals[id] holds the node's ground value
+)
 
 // Mask returns the value mask for a width.
 func Mask(width uint8) uint64 {
@@ -128,21 +145,33 @@ func SignExtend(v uint64, width uint8) int64 {
 	return int64(v<<shift) >> shift
 }
 
-func newExpr(op Op, width uint8, aux uint8, k uint64, args ...*Expr) (*Expr, error) {
-	e := &Expr{Op: op, Width: width, Aux: aux, K: k, Args: args}
+// mk builds a node: a member of t, or a plain node when t is nil.
+func (t *Table) mk(op Op, width uint8, aux uint8, k uint64, args ...*Expr) (*Expr, error) {
+	if t != nil {
+		return t.node(op, width, aux, k, args)
+	}
+	e := &Expr{Op: op, Width: width, Aux: aux, K: k, Args: append([]*Expr(nil), args...)}
 	if err := e.typecheck(); err != nil {
 		return nil, err
 	}
-	h := uint64(op)<<56 ^ uint64(width)<<48 ^ uint64(aux)<<40 ^ mix(k)
-	for _, a := range args {
-		h = h*0x9e3779b97f4a7c15 + a.hash
-	}
-	e.hash = h
+	e.flags = flagBuilt | groundFlag(op, e.Args)
 	return e, nil
 }
 
-// must is how the exported constructors apply the typing rule: building
-// an ill-typed term from Go code is a programming error.
+func groundFlag(op Op, args []*Expr) uint8 {
+	if op == OpVar {
+		return 0
+	}
+	for _, a := range args {
+		if !a.IsGround() {
+			return 0
+		}
+	}
+	return flagGround
+}
+
+// must is how the constructors apply the typing rule: building an
+// ill-typed term from Go code is a programming error.
 func must(e *Expr, err error) *Expr {
 	if err != nil {
 		panic(err)
@@ -150,127 +179,194 @@ func must(e *Expr, err error) *Expr {
 	return e
 }
 
-func mix(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	return x
+// adopt returns a as a member of t (a itself on a nil table).
+func (t *Table) adopt(a *Expr) *Expr {
+	if t == nil || a.tab == t {
+		return a
+	}
+	return must(t.Intern(a))
 }
 
 // Const returns the constant term of the given width.
-func Const(v uint64, width uint8) *Expr {
-	return must(newExpr(OpConst, width, 0, v&Mask(width)))
+func (t *Table) Const(v uint64, width uint8) *Expr {
+	return must(t.mk(OpConst, width, 0, v&Mask(width)))
 }
 
 // Bool returns a boolean constant.
-func Bool(v bool) *Expr {
+func (t *Table) Bool(v bool) *Expr {
 	k := uint64(0)
 	if v {
 		k = 1
 	}
-	return must(newExpr(OpConst, 1, 0, k))
+	return must(t.mk(OpConst, 1, 0, k))
 }
 
-// True and False are the boolean constants.
-var (
-	True  = Bool(true)
-	False = Bool(false)
-)
-
 // Var returns the variable term with the given id and width.
-func Var(id uint32, width uint8) *Expr {
-	return must(newExpr(OpVar, width, 0, uint64(id)))
+func (t *Table) Var(id uint32, width uint8) *Expr {
+	return must(t.mk(OpVar, width, 0, uint64(id)))
 }
 
 // Bin builds a binary bit-vector operation.
-func Bin(op Op, a, b *Expr) *Expr { return must(newExpr(op, a.Width, 0, 0, a, b)) }
+func (t *Table) Bin(op Op, a, b *Expr) *Expr { return must(t.mk(op, a.Width, 0, 0, a, b)) }
 
 // Convenience binary constructors.
-func Add(a, b *Expr) *Expr  { return Bin(OpAdd, a, b) }
-func Sub(a, b *Expr) *Expr  { return Bin(OpSub, a, b) }
-func Mul(a, b *Expr) *Expr  { return Bin(OpMul, a, b) }
-func UDiv(a, b *Expr) *Expr { return Bin(OpUDiv, a, b) }
-func URem(a, b *Expr) *Expr { return Bin(OpURem, a, b) }
-func And(a, b *Expr) *Expr  { return Bin(OpAnd, a, b) }
-func Or(a, b *Expr) *Expr   { return Bin(OpOr, a, b) }
-func Xor(a, b *Expr) *Expr  { return Bin(OpXor, a, b) }
-func Shl(a, b *Expr) *Expr  { return Bin(OpShl, a, b) }
-func Lshr(a, b *Expr) *Expr { return Bin(OpLshr, a, b) }
-func Ashr(a, b *Expr) *Expr { return Bin(OpAshr, a, b) }
+func (t *Table) Add(a, b *Expr) *Expr  { return t.Bin(OpAdd, a, b) }
+func (t *Table) Sub(a, b *Expr) *Expr  { return t.Bin(OpSub, a, b) }
+func (t *Table) Mul(a, b *Expr) *Expr  { return t.Bin(OpMul, a, b) }
+func (t *Table) UDiv(a, b *Expr) *Expr { return t.Bin(OpUDiv, a, b) }
+func (t *Table) URem(a, b *Expr) *Expr { return t.Bin(OpURem, a, b) }
+func (t *Table) And(a, b *Expr) *Expr  { return t.Bin(OpAnd, a, b) }
+func (t *Table) Or(a, b *Expr) *Expr   { return t.Bin(OpOr, a, b) }
+func (t *Table) Xor(a, b *Expr) *Expr  { return t.Bin(OpXor, a, b) }
+func (t *Table) Shl(a, b *Expr) *Expr  { return t.Bin(OpShl, a, b) }
+func (t *Table) Lshr(a, b *Expr) *Expr { return t.Bin(OpLshr, a, b) }
+func (t *Table) Ashr(a, b *Expr) *Expr { return t.Bin(OpAshr, a, b) }
 
 // Not returns the bitwise complement.
-func Not(a *Expr) *Expr { return must(newExpr(OpNot, a.Width, 0, 0, a)) }
+func (t *Table) Not(a *Expr) *Expr { return must(t.mk(OpNot, a.Width, 0, 0, a)) }
 
 // Neg returns the two's-complement negation.
-func Neg(a *Expr) *Expr { return must(newExpr(OpNeg, a.Width, 0, 0, a)) }
+func (t *Table) Neg(a *Expr) *Expr { return must(t.mk(OpNeg, a.Width, 0, 0, a)) }
 
 // ZExt zero-extends a to the given width (a itself at equal width).
-func ZExt(a *Expr, width uint8) *Expr {
+func (t *Table) ZExt(a *Expr, width uint8) *Expr {
 	if width == a.Width {
-		return a
+		return t.adopt(a)
 	}
-	return must(newExpr(OpZExt, width, 0, 0, a))
+	return must(t.mk(OpZExt, width, 0, 0, a))
 }
 
 // SExt sign-extends a to the given width (a itself at equal width).
-func SExt(a *Expr, width uint8) *Expr {
+func (t *Table) SExt(a *Expr, width uint8) *Expr {
 	if width == a.Width {
-		return a
+		return t.adopt(a)
 	}
-	return must(newExpr(OpSExt, width, 0, 0, a))
+	return must(t.mk(OpSExt, width, 0, 0, a))
 }
 
 // Extract returns bits [lo, lo+width) of a (a itself for all its bits).
-func Extract(a *Expr, lo uint8, width uint8) *Expr {
+func (t *Table) Extract(a *Expr, lo uint8, width uint8) *Expr {
 	if lo == 0 && width == a.Width {
-		return a
+		return t.adopt(a)
 	}
-	return must(newExpr(OpExtract, width, lo, 0, a))
+	return must(t.mk(OpExtract, width, lo, 0, a))
 }
 
 // Pred builds a comparison predicate.
-func Pred(op Op, a, b *Expr) *Expr { return must(newExpr(op, 1, 0, 0, a, b)) }
+func (t *Table) Pred(op Op, a, b *Expr) *Expr { return must(t.mk(op, 1, 0, 0, a, b)) }
 
 // Convenience predicate constructors.
-func Eq(a, b *Expr) *Expr  { return Pred(OpEq, a, b) }
-func Ult(a, b *Expr) *Expr { return Pred(OpUlt, a, b) }
-func Ule(a, b *Expr) *Expr { return Pred(OpUle, a, b) }
-func Slt(a, b *Expr) *Expr { return Pred(OpSlt, a, b) }
-func Sle(a, b *Expr) *Expr { return Pred(OpSle, a, b) }
+func (t *Table) Eq(a, b *Expr) *Expr  { return t.Pred(OpEq, a, b) }
+func (t *Table) Ult(a, b *Expr) *Expr { return t.Pred(OpUlt, a, b) }
+func (t *Table) Ule(a, b *Expr) *Expr { return t.Pred(OpUle, a, b) }
+func (t *Table) Slt(a, b *Expr) *Expr { return t.Pred(OpSlt, a, b) }
+func (t *Table) Sle(a, b *Expr) *Expr { return t.Pred(OpSle, a, b) }
 
 // Ne returns not(a = b).
-func Ne(a, b *Expr) *Expr { return BoolNot(Eq(a, b)) }
+func (t *Table) Ne(a, b *Expr) *Expr { return t.BoolNot(t.Eq(a, b)) }
 
 // BoolAnd returns the conjunction of a and b.
-func BoolAnd(a, b *Expr) *Expr { return must(newExpr(OpBoolAnd, 1, 0, 0, a, b)) }
+func (t *Table) BoolAnd(a, b *Expr) *Expr { return must(t.mk(OpBoolAnd, 1, 0, 0, a, b)) }
 
 // BoolOr returns the disjunction of a and b.
-func BoolOr(a, b *Expr) *Expr { return must(newExpr(OpBoolOr, 1, 0, 0, a, b)) }
+func (t *Table) BoolOr(a, b *Expr) *Expr { return must(t.mk(OpBoolOr, 1, 0, 0, a, b)) }
 
 // BoolNot returns the negation of a.
-func BoolNot(a *Expr) *Expr { return must(newExpr(OpBoolNot, 1, 0, 0, a)) }
+func (t *Table) BoolNot(a *Expr) *Expr { return must(t.mk(OpBoolNot, 1, 0, 0, a)) }
 
 // Implies returns a => b.
-func Implies(a, b *Expr) *Expr { return must(newExpr(OpImplies, 1, 0, 0, a, b)) }
+func (t *Table) Implies(a, b *Expr) *Expr { return must(t.mk(OpImplies, 1, 0, 0, a, b)) }
 
 // Conj folds a list of booleans into a conjunction; empty list is true.
-func Conj(es ...*Expr) *Expr {
+func (t *Table) Conj(es ...*Expr) *Expr {
 	var out *Expr
 	for _, e := range es {
 		if e == nil {
 			continue
 		}
 		if out == nil {
-			out = e
+			out = t.adopt(e)
 		} else {
-			out = BoolAnd(out, e)
+			out = t.BoolAnd(out, e)
 		}
 	}
 	if out == nil {
-		return True
+		return t.Bool(true)
 	}
 	return out
 }
+
+// Rebuild constructs a node from decoded parts. It applies the same
+// typing rule as the constructors but returns a violation as an error,
+// so the wire-format decoder can build every node from untrusted bytes
+// without panicking. Only the new node is checked: args must themselves
+// be well-formed, as they are when they came from Rebuild or a
+// constructor (args from outside t are interned, which checks them).
+// Unlike Const, Rebuild rejects a constant with bits above its width.
+func (t *Table) Rebuild(op Op, width uint8, aux uint8, k uint64, args []*Expr) (*Expr, error) {
+	return t.mk(op, width, aux, k, args...)
+}
+
+// ReplaceArg returns t with child i replaced by c, built in t's table.
+// The new node is type-checked, so rule application cannot construct
+// ill-typed terms.
+func ReplaceArg(t *Expr, i int, c *Expr) (*Expr, error) {
+	var args [2]*Expr
+	if i < 0 || i >= len(t.Args) || len(t.Args) > len(args) {
+		return nil, fmt.Errorf("expr: child index %d out of range", i)
+	}
+	n := copy(args[:], t.Args)
+	args[i] = c
+	return t.tab.mk(t.Op, t.Width, t.Aux, t.K, args[:n]...)
+}
+
+// plain is the nil table: the package-level constructors below build
+// plain nodes through it.
+var plain *Table
+
+// Plain constructors: see the *Table methods of the same names.
+func Const(v uint64, width uint8) *Expr      { return plain.Const(v, width) }
+func Bool(v bool) *Expr                      { return plain.Bool(v) }
+func Var(id uint32, width uint8) *Expr       { return plain.Var(id, width) }
+func Bin(op Op, a, b *Expr) *Expr            { return plain.Bin(op, a, b) }
+func Add(a, b *Expr) *Expr                   { return plain.Add(a, b) }
+func Sub(a, b *Expr) *Expr                   { return plain.Sub(a, b) }
+func Mul(a, b *Expr) *Expr                   { return plain.Mul(a, b) }
+func UDiv(a, b *Expr) *Expr                  { return plain.UDiv(a, b) }
+func URem(a, b *Expr) *Expr                  { return plain.URem(a, b) }
+func And(a, b *Expr) *Expr                   { return plain.And(a, b) }
+func Or(a, b *Expr) *Expr                    { return plain.Or(a, b) }
+func Xor(a, b *Expr) *Expr                   { return plain.Xor(a, b) }
+func Shl(a, b *Expr) *Expr                   { return plain.Shl(a, b) }
+func Lshr(a, b *Expr) *Expr                  { return plain.Lshr(a, b) }
+func Ashr(a, b *Expr) *Expr                  { return plain.Ashr(a, b) }
+func Not(a *Expr) *Expr                      { return plain.Not(a) }
+func Neg(a *Expr) *Expr                      { return plain.Neg(a) }
+func ZExt(a *Expr, width uint8) *Expr        { return plain.ZExt(a, width) }
+func SExt(a *Expr, width uint8) *Expr        { return plain.SExt(a, width) }
+func Extract(a *Expr, lo, width uint8) *Expr { return plain.Extract(a, lo, width) }
+func Pred(op Op, a, b *Expr) *Expr           { return plain.Pred(op, a, b) }
+func Eq(a, b *Expr) *Expr                    { return plain.Eq(a, b) }
+func Ult(a, b *Expr) *Expr                   { return plain.Ult(a, b) }
+func Ule(a, b *Expr) *Expr                   { return plain.Ule(a, b) }
+func Slt(a, b *Expr) *Expr                   { return plain.Slt(a, b) }
+func Sle(a, b *Expr) *Expr                   { return plain.Sle(a, b) }
+func Ne(a, b *Expr) *Expr                    { return plain.Ne(a, b) }
+func BoolAnd(a, b *Expr) *Expr               { return plain.BoolAnd(a, b) }
+func BoolOr(a, b *Expr) *Expr                { return plain.BoolOr(a, b) }
+func BoolNot(a *Expr) *Expr                  { return plain.BoolNot(a) }
+func Implies(a, b *Expr) *Expr               { return plain.Implies(a, b) }
+func Rebuild(op Op, width, aux uint8, k uint64, args []*Expr) (*Expr, error) {
+	return plain.Rebuild(op, width, aux, k, args)
+}
+
+// True and False are the plain boolean constants.
+var (
+	True  = Bool(true)
+	False = Bool(false)
+)
+
+func Conj(es ...*Expr) *Expr { return plain.Conj(es...) }
 
 // IsConst reports whether e is a constant, returning its value.
 func (e *Expr) IsConst() (uint64, bool) {
@@ -286,18 +382,23 @@ func (e *Expr) IsTrue() bool { return e.Op == OpConst && e.Width == 1 && e.K == 
 // IsFalse reports whether e is the boolean constant false.
 func (e *Expr) IsFalse() bool { return e.Op == OpConst && e.Width == 1 && e.K == 0 }
 
-// Hash returns a structural hash of the term.
-func (e *Expr) Hash() uint64 { return e.hash }
+// Table returns the table e is a member of, or nil for a plain node.
+func (e *Expr) Table() *Table { return e.tab }
 
-// Equal reports structural equality.
+// ID returns e's index in its table: members of one table have the IDs
+// 0 to Len()-1, so per-node data can live in a slice.
+func (e *Expr) ID() uint32 { return e.id }
+
+// Equal reports structural equality. Two members of one table are equal
+// only when they are the same node.
 func Equal(a, b *Expr) bool {
 	if a == b {
 		return true
 	}
-	if a == nil || b == nil {
+	if a == nil || b == nil || (a.tab != nil && a.tab == b.tab) {
 		return false
 	}
-	if a.hash != b.hash || a.Op != b.Op || a.Width != b.Width ||
+	if a.Op != b.Op || a.Width != b.Width ||
 		a.Aux != b.Aux || a.K != b.K || len(a.Args) != len(b.Args) {
 		return false
 	}
@@ -310,31 +411,76 @@ func Equal(a, b *Expr) bool {
 }
 
 // Eval evaluates the term under the assignment env (variable id -> value).
-// Results are truncated to the term's width; booleans are 0 or 1.
+// Results are truncated to the term's width; booleans are 0 or 1. It
+// walks the term as a tree; GroundValue is the DAG-linear form for
+// ground members.
 func (e *Expr) Eval(env func(id uint32) uint64) uint64 {
-	m := Mask(e.Width)
 	switch e.Op {
 	case OpConst:
-		return e.K & m
+		return e.K & Mask(e.Width)
 	case OpVar:
-		return env(uint32(e.K)) & m
-	case OpNot:
-		return ^e.Args[0].Eval(env) & m
-	case OpNeg:
-		return -e.Args[0].Eval(env) & m
-	case OpZExt:
-		return e.Args[0].Eval(env)
-	case OpSExt:
-		return uint64(SignExtend(e.Args[0].Eval(env), e.Args[0].Width)) & m
-	case OpExtract:
-		return (e.Args[0].Eval(env) >> e.Aux) & m
-	case OpBoolNot:
-		return e.Args[0].Eval(env) ^ 1
+		return env(uint32(e.K)) & Mask(e.Width)
 	}
-	a := e.Args[0].Eval(env)
-	b := e.Args[1].Eval(env)
-	aw := e.Args[0].Width
+	var b uint64
+	if len(e.Args) > 1 {
+		b = e.Args[1].Eval(env)
+	}
+	return evalOp(e, e.Args[0].Eval(env), b)
+}
+
+// GroundValue returns the value of e with every variable read as 0,
+// which for a ground term is its value. A member's value is computed
+// once per distinct node and kept in its table; a plain node is
+// evaluated as a tree.
+func (e *Expr) GroundValue() uint64 {
+	t := e.tab
+	switch {
+	case e.Op == OpConst:
+		return e.K
+	case e.Op == OpVar:
+		return 0
+	case t == nil:
+		return e.Eval(func(uint32) uint64 { return 0 })
+	case e.flags&flagValued != 0:
+		return t.vals[e.id]
+	}
+	t.work++
+	var b uint64
+	deep := len(e.Args[0].Args) > 0
+	if len(e.Args) > 1 {
+		b = e.Args[1].GroundValue()
+		deep = deep || len(e.Args[1].Args) > 0
+	}
+	v := evalOp(e, e.Args[0].GroundValue(), b)
+	// A node over leaves costs one step to recompute, so only deeper
+	// nodes are kept: folding a constant expression stores nothing.
+	if deep {
+		if int(e.id) >= len(t.vals) {
+			t.vals = append(t.vals, make([]uint64, t.n-len(t.vals))...)
+		}
+		t.vals[e.id] = v
+		e.flags |= flagValued
+	}
+	return v
+}
+
+// evalOp applies e's operator to its operand values a and b (b is
+// unused by the unary operators).
+func evalOp(e *Expr, a, b uint64) uint64 {
+	m := Mask(e.Width)
 	switch e.Op {
+	case OpNot:
+		return ^a & m
+	case OpNeg:
+		return -a & m
+	case OpZExt:
+		return a
+	case OpSExt:
+		return uint64(SignExtend(a, e.Args[0].Width)) & m
+	case OpExtract:
+		return (a >> e.Aux) & m
+	case OpBoolNot:
+		return a ^ 1
 	case OpAdd:
 		return (a + b) & m
 	case OpSub:
@@ -364,6 +510,9 @@ func (e *Expr) Eval(env func(id uint32) uint64) uint64 {
 	case OpAshr:
 		sh := b % uint64(e.Width)
 		return uint64(SignExtend(a, e.Width)>>sh) & m
+	}
+	aw := e.Args[0].Width
+	switch e.Op {
 	case OpEq:
 		return b2u(a == b)
 	case OpUlt:
@@ -391,25 +540,6 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// Size returns the number of nodes in the term viewed as a DAG-unfolded
-// tree (shared nodes counted once via the visited set).
-func (e *Expr) Size() int {
-	seen := map[*Expr]bool{}
-	var walk func(*Expr) int
-	walk = func(n *Expr) int {
-		if seen[n] {
-			return 0
-		}
-		seen[n] = true
-		total := 1
-		for _, a := range n.Args {
-			total += walk(a)
-		}
-		return total
-	}
-	return walk(e)
-}
-
 // Vars collects the variable ids (with widths) appearing in e.
 func (e *Expr) Vars() map[uint32]uint8 {
 	out := map[uint32]uint8{}
@@ -431,19 +561,12 @@ func (e *Expr) Vars() map[uint32]uint8 {
 	return out
 }
 
-// Rebuild constructs a node from decoded parts, computing its
-// structural hash. It applies the same typing rule as the constructors
-// but returns a violation as an error, so the wire-format decoder can
-// build every node from untrusted bytes without panicking. Only the new
-// node is checked: args must themselves be well-formed, as they are when
-// they came from Rebuild or a constructor. Unlike Const, Rebuild rejects
-// a constant with bits above its width.
-func Rebuild(op Op, width uint8, aux uint8, k uint64, args []*Expr) (*Expr, error) {
-	return newExpr(op, width, aux, k, args...)
-}
-
-// IsGround reports whether the term contains no variables.
+// IsGround reports whether the term contains no variables: a flag set
+// when the node was built, or a walk for a struct literal.
 func (e *Expr) IsGround() bool {
+	if e.flags&flagBuilt != 0 {
+		return e.flags&flagGround != 0
+	}
 	if e.Op == OpVar {
 		return false
 	}
@@ -453,18 +576,6 @@ func (e *Expr) IsGround() bool {
 		}
 	}
 	return true
-}
-
-// ReplaceArg returns a copy of t with child i replaced by c. The new node
-// is type-checked, so rule application cannot construct ill-typed terms.
-func ReplaceArg(t *Expr, i int, c *Expr) (*Expr, error) {
-	if i < 0 || i >= len(t.Args) {
-		return nil, fmt.Errorf("expr: child index %d out of range", i)
-	}
-	args := make([]*Expr, len(t.Args))
-	copy(args, t.Args)
-	args[i] = c
-	return newExpr(t.Op, t.Width, t.Aux, t.K, args...)
 }
 
 // String renders the term in SMT-LIB-like prefix notation.
@@ -514,35 +625,6 @@ func ValidWidth(w uint8) bool {
 		return true
 	}
 	return false
-}
-
-// CheckWellFormed applies the typing rule to every node reachable from
-// e. seen holds the nodes already validated and is updated, so one set
-// shared across several terms walks each distinct node once in total;
-// nil means a fresh set. Terms built through this package are
-// well-formed by construction; this walk is for terms that may contain
-// struct literals, and the proof checker runs it once at entry.
-func (e *Expr) CheckWellFormed(seen map[*Expr]bool) error {
-	if seen == nil {
-		seen = map[*Expr]bool{}
-	}
-	var walk func(*Expr) error
-	walk = func(n *Expr) error {
-		if seen[n] {
-			return nil
-		}
-		seen[n] = true
-		if err := n.typecheck(); err != nil {
-			return err
-		}
-		for _, a := range n.Args {
-			if err := walk(a); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return walk(e)
 }
 
 // typecheck is the typing rule for one node: a legal width and op, the

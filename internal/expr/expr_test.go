@@ -189,12 +189,26 @@ func TestEqualAndHash(t *testing.T) {
 	if !Equal(a, b) {
 		t.Error("structurally equal terms must be Equal")
 	}
-	if a.Hash() != b.Hash() {
-		t.Error("equal terms must hash equally")
-	}
 	c := Add(Var(0, 64), Const(1, 64))
 	if Equal(a, c) {
 		t.Error("different terms must not be Equal")
+	}
+	// A table hash-conses: equal terms interned into it are one node,
+	// and members of one table are Equal only when they are that node.
+	tab := NewTable(0)
+	ta, err := tab.Intern(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tb, _ := tab.Intern(b); tb != ta {
+		t.Error("equal terms interned into one table must be the same node")
+	}
+	if tc, _ := tab.Intern(c); Equal(ta, tc) || !Equal(ta, a) {
+		t.Error("Equal disagrees with the table")
+	}
+	s := tab.Var(0, 64)
+	if built := tab.Add(tab.And(s, tab.Const(0xf, 64)), tab.Sub(tab.Const(0xf, 64), tab.And(s, tab.Const(0xf, 64)))); built != ta {
+		t.Error("the table's constructors must find the interned node")
 	}
 }
 
@@ -219,10 +233,23 @@ func TestSizeAndVars(t *testing.T) {
 	s := Var(0, 64)
 	m := And(s, Const(0xf, 64))
 	e := Add(m, Sub(Const(0xf, 64), m))
-	// Nodes: add, and, var, const(f), sub, const(f)' , and-shared.
-	// m is shared: add(1) + m(3) + sub(1) + const(1) = 6
-	if got := e.Size(); got != 6 {
-		t.Errorf("Size = %d, want 6", got)
+	// Interned, the two 0xf constants are one node: add, m = (and var
+	// 0xf), sub, so five distinct nodes.
+	tab := NewTable(0)
+	te, err := tab.Intern(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.Len() != 5 || tab.Count(100, te) != 5 || tab.Count(100, te.Args[1]) != 4 || tab.Count(100, te.Args[1], te) != 5 {
+		t.Errorf("Len = %d, Count = %d, %d, %d; want 5, 5, 4, 5", tab.Len(),
+			tab.Count(100, te), tab.Count(100, te.Args[1]), tab.Count(100, te.Args[1], te))
+	}
+	// A term from outside is counted as its member, sharing te's nodes.
+	if got := tab.Count(100, te, Add(e, Var(1, 64))); got != 7 {
+		t.Errorf("Count with a foreign term = %d, want 7", got)
+	}
+	if got := tab.Count(2, te); got <= 2 {
+		t.Errorf("Count past its limit = %d, want above 2", got)
 	}
 	vars := e.Vars()
 	if len(vars) != 1 || vars[0] != 64 {

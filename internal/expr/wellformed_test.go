@@ -1,7 +1,9 @@
 package expr_test
 
 import (
+	"encoding/binary"
 	"fmt"
+	"strings"
 	"testing"
 
 	"bcf/internal/bcfenc"
@@ -33,17 +35,20 @@ var malformed = []struct {
 	{"bad op", &expr.Expr{Op: expr.Op(200), Width: 64}, false},
 }
 
+// TestCheckWellFormed: interning a term into a table applies the typing
+// rule to each node from outside it, so every malformed shape is refused
+// on its own and below a well-typed root.
 func TestCheckWellFormed(t *testing.T) {
 	good := expr.Ule(expr.Add(expr.Var(0, 64), expr.Const(1, 64)), expr.Const(15, 64))
-	if err := good.CheckWellFormed(nil); err != nil {
+	if _, err := expr.NewTable(0).Intern(good); err != nil {
 		t.Errorf("good term rejected: %v", err)
 	}
 	for _, c := range malformed {
-		if err := c.e.CheckWellFormed(nil); err == nil {
-			t.Errorf("%s: CheckWellFormed accepted it", c.name)
+		if _, err := expr.NewTable(0).Intern(c.e); err == nil {
+			t.Errorf("%s: Intern accepted it", c.name)
 		}
-		if err := expr.Eq(c.e, c.e).CheckWellFormed(nil); err == nil {
-			t.Errorf("%s: CheckWellFormed accepted it below a well-typed root", c.name)
+		if _, err := expr.NewTable(0).Intern(expr.Eq(c.e, c.e)); err == nil {
+			t.Errorf("%s: Intern accepted it below a well-typed root", c.name)
 		}
 		if _, err := expr.Rebuild(c.e.Op, c.e.Width, c.e.Aux, c.e.K, c.e.Args); err == nil {
 			t.Errorf("%s: Rebuild accepted it", c.name)
@@ -53,20 +58,19 @@ func TestCheckWellFormed(t *testing.T) {
 
 // TestDecodersRejectMalformedShapes feeds the raw encoding of every
 // malformed shape to both decoders: each must return an error, never
-// panic and never hand the shape to the checker.
+// panic and never hand the shape to the checker. The encoders intern
+// what they write, so they refuse the shapes themselves.
 func TestDecodersRejectMalformedShapes(t *testing.T) {
 	for _, c := range malformed {
-		// The encoders write terms as given, so they serialize the shape.
-		condBuf, err := bcfenc.EncodeCondition(&bcfenc.Condition{Cond: expr.Eq(c.e, c.e)})
-		if err != nil {
-			t.Fatalf("%s: encode condition: %v", c.name, err)
+		if _, err := bcfenc.EncodeCondition(&bcfenc.Condition{Cond: expr.Eq(c.e, c.e)}); err == nil {
+			t.Errorf("%s: EncodeCondition wrote it", c.name)
 		}
-		proofBuf, err := bcfenc.EncodeProof(&proof.Proof{Steps: []proof.Step{
+		if _, err := bcfenc.EncodeProof(&proof.Proof{Steps: []proof.Step{
 			{Rule: proof.RuleRefl, Args: []*expr.Expr{c.e}},
-		}})
-		if err != nil {
-			t.Fatalf("%s: encode proof: %v", c.name, err)
+		}}); err == nil {
+			t.Errorf("%s: EncodeProof wrote it", c.name)
 		}
+		condBuf, proofBuf := rawEncodings(c.e)
 		var cond *bcfenc.Condition
 		condErr := noPanic(t, c.name+"/DecodeCondition", func() (err error) {
 			cond, err = bcfenc.DecodeCondition(condBuf)
@@ -93,6 +97,76 @@ func TestDecodersRejectMalformedShapes(t *testing.T) {
 			t.Errorf("%s: DecodeProof accepted it", c.name)
 		}
 	}
+}
+
+// TestCheckerRejectsMalformedShapes hands every malformed shape to the
+// proof checker as a struct literal, once as a step argument and once
+// inside the condition. Neither is a member of the checker's table, so
+// the checker interns it, and interning must refuse it before any rule
+// is applied.
+func TestCheckerRejectsMalformedShapes(t *testing.T) {
+	good := expr.Var(0, 64)
+	// assume ⊢ ¬C; refl(arg) ⊢ (= arg arg); contradiction ⊢ false: a
+	// valid proof of C = (= arg arg).
+	reflProof := func(arg *expr.Expr) *proof.Proof {
+		return &proof.Proof{Steps: []proof.Step{
+			{Rule: proof.RuleAssume},
+			{Rule: proof.RuleRefl, Args: []*expr.Expr{arg}},
+			{Rule: proof.RuleContradiction, Premises: []uint32{1, 0}},
+		}}
+	}
+	if err := proof.Check(expr.Eq(good, good), reflProof(good)); err != nil {
+		t.Fatalf("the well-formed proof is rejected: %v", err)
+	}
+	for _, c := range malformed {
+		err := proof.Check(expr.Eq(good, good), reflProof(c.e))
+		if err == nil || !strings.Contains(err.Error(), "malformed argument") {
+			t.Errorf("%s as an argument: %v, want a malformed argument", c.name, err)
+		}
+		err = proof.Check(expr.Eq(c.e, c.e), reflProof(good))
+		if err == nil || !strings.Contains(err.Error(), "malformed condition") {
+			t.Errorf("%s in the condition: %v, want a malformed condition", c.name, err)
+		}
+	}
+}
+
+// rawEncodings writes the wire encodings the encoders would refuse: a
+// condition (= e e) and a one-step refl proof of e, with e's nodes laid
+// out as given (bcfenc's node layout: a header word of op, width, aux
+// and argument count, a constant's two words or a variable's one, then
+// the argument offsets).
+func rawEncodings(e *expr.Expr) (cond, proofBuf []byte) {
+	var pool []uint32
+	var put func(n *expr.Expr) uint32
+	put = func(n *expr.Expr) uint32 {
+		var args []uint32
+		for _, a := range n.Args {
+			args = append(args, put(a))
+		}
+		off := uint32(len(pool))
+		pool = append(pool, uint32(n.Op)|uint32(n.Width)<<8|uint32(n.Aux)<<16|uint32(len(n.Args))<<24)
+		switch n.Op {
+		case expr.OpConst:
+			pool = append(pool, uint32(n.K), uint32(n.K>>32))
+		case expr.OpVar:
+			pool = append(pool, uint32(n.K))
+		}
+		return off
+	}
+	arg := put(e)
+	words := func(ws ...uint32) []byte {
+		var b []byte
+		for _, w := range ws {
+			b = binary.LittleEndian.AppendUint32(b, w)
+		}
+		return b
+	}
+	eqRoot := uint32(len(pool))
+	condPool := append(append([]uint32(nil), pool...), uint32(expr.OpEq)|1<<8|2<<24, arg, arg)
+	cond = append(words(bcfenc.MagicCondition, bcfenc.Version, uint32(len(condPool)), eqRoot), words(condPool...)...)
+	proofBuf = append(words(bcfenc.MagicProof, bcfenc.Version, uint32(len(pool)), 1), words(pool...)...)
+	proofBuf = append(proofBuf, words(uint32(proof.RuleRefl)|1<<24, arg)...)
+	return cond, proofBuf
 }
 
 func noPanic(t *testing.T, what string, f func() error) (err error) {

@@ -2,6 +2,7 @@ package proof_test
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"bcf/internal/bcf"
@@ -16,15 +17,26 @@ import (
 // proofRound is one corpus round a prover tier proved: the condition
 // the kernel holds and the proof bytes it receives.
 type proofRound struct {
-	cond  *expr.Expr
+	cond  []byte
 	proof []byte
 }
 
+var (
+	corpusOnce   sync.Once
+	corpusByTier map[solver.Tier][]proofRound
+)
+
 // corpusRounds verifies every corpus program at the evaluation budget,
 // proving each condition with solver.Prove at default options, and
-// returns the proved rounds by the tier that proved them.
+// returns the proved rounds by the tier that proved them. The tests of
+// this package share one run.
 func corpusRounds(t *testing.T) map[solver.Tier][]proofRound {
 	t.Helper()
+	corpusOnce.Do(func() { corpusByTier = proveCorpus(t) })
+	return corpusByTier
+}
+
+func proveCorpus(t *testing.T) map[solver.Tier][]proofRound {
 	rounds := map[solver.Tier][]proofRound{}
 	for _, e := range corpus.Generate() {
 		prove := bcf.ProveFunc(func(condBytes []byte) ([]byte, error) {
@@ -43,7 +55,7 @@ func corpusRounds(t *testing.T) map[solver.Tier][]proofRound {
 			if err != nil {
 				t.Fatalf("program %d: encoding proof: %v", e.Index, err)
 			}
-			rounds[out.Tier] = append(rounds[out.Tier], proofRound{cond: cond.Cond, proof: pb})
+			rounds[out.Tier] = append(rounds[out.Tier], proofRound{cond: condBytes, proof: pb})
 			return pb, nil
 		})
 		v := verifier.New(e.Prog, verifier.Config{InsnLimit: 4000, Refiner: bcf.NewRefiner(prove)})
@@ -52,23 +64,38 @@ func corpusRounds(t *testing.T) map[solver.Tier][]proofRound {
 	return rounds
 }
 
+// decodeCondition decodes a round's condition into a table of its own,
+// standing in for the table the refiner builds the condition in.
+func decodeCondition(t *testing.T, b []byte) *expr.Expr {
+	t.Helper()
+	c, err := bcfenc.DecodeCondition(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.Cond
+}
+
 // TestCheckAllocsPerStep bounds what the kernel's side of a round
-// allocates per proof step: DecodeProof and Check, replayed over every
-// proof the corpus's prover produces, each tier with its own bound.
+// allocates per proof step: DecodeProofIn into the condition's table and
+// Check, replayed over every proof the corpus's prover produces, each
+// tier with its own bound. Each run starts from a freshly decoded
+// condition, as each round starts from a freshly tracked one.
 //
 // Bit-blast proofs: decoding cuts every step's premises from one array,
 // resolution dedupes with a stamp array and cuts resolvents from an
 // arena, and a bit-blasting step is a view of the re-derived CNF, so the
 // count per step is a fraction. A map or a slice per step put back on
-// this path shows up as one or more per step. Measured: 0.67 allocations
+// this path shows up as one or more per step. Measured: 0.45 allocations
 // per step over the 224 proofs (21,883 steps; Go 1.24, linux/amd64). A
 // decoder and checker with a map per resolution step and a slice per
 // step's premises read 3.20.
 //
-// Rewrite-tier proofs: each step's argument terms are decoded and each
-// conclusion is a new term, so the count is several per step. Measured:
-// 6.16 per step over the 4,909 proofs (59,997 steps; same toolchain), so
-// one more allocation per step breaks the bound of 7.
+// Rewrite-tier proofs: a proof's terms are hash-consed into the
+// condition's table, which allocates its nodes in slabs and finds most
+// arguments and conclusions already there. Measured: 0.74 per step over
+// the 4,909 proofs (59,997 steps; same toolchain); a node allocated per
+// argument or conclusion again reads several per step (the map-keyed
+// decoder and checker this replaced read 6.16).
 func TestCheckAllocsPerStep(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector perturbs allocation counts")
@@ -79,8 +106,8 @@ func TestCheckAllocsPerStep(t *testing.T) {
 		proofs     int
 		maxPerStep float64
 	}{
-		{solver.TierBitblast, 224, 1.0}, // of the 306 bit-blast conditions; the rest have counterexamples
-		{solver.TierRewrite, 4909, 7.0},
+		{solver.TierBitblast, 224, 0.5}, // of the 306 bit-blast conditions; the rest have counterexamples
+		{solver.TierRewrite, 4909, 0.8},
 	} {
 		t.Run(tc.tier.String(), func(t *testing.T) {
 			rounds := rounds[tc.tier]
@@ -95,10 +122,18 @@ func TestCheckAllocsPerStep(t *testing.T) {
 					t.Fatalf("proof %d: %v", i, err)
 				}
 				steps += len(p.Steps)
+				// AllocsPerRun(3, f) calls f four times.
+				var conds [4]*expr.Expr
+				for k := range conds {
+					conds[k] = decodeCondition(t, rd.cond)
+				}
+				run := 0
 				allocs += testing.AllocsPerRun(3, func() {
-					p, err := bcfenc.DecodeProof(rd.proof)
+					cond := conds[run]
+					run++
+					p, err := bcfenc.DecodeProofIn(cond.Table(), rd.proof)
 					if err == nil {
-						err = proof.Check(rd.cond, p)
+						err = proof.Check(cond, p)
 					}
 					if err != nil {
 						t.Fatalf("proof %d: %v", i, err)

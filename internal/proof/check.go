@@ -12,7 +12,7 @@ import (
 // kernel's defensive posture toward user-space input.
 type Limits struct {
 	MaxSteps     int
-	MaxArgNodes  int // per expression argument
+	MaxArgNodes  int // distinct nodes of all expression arguments together
 	MaxClauseLen int
 }
 
@@ -27,59 +27,81 @@ var DefaultLimits = Limits{
 // of §5: (1) format and type checking, (2) rule application computing
 // every conclusion, (3) comparison of the derivation against the stored
 // condition (the assumption rule only ever introduces ¬cond, and the
-// final step must conclude false).
+// final step must conclude false). The check adds its conclusions, and
+// any argument from outside it, to the condition's table, if it has one.
 func Check(cond *expr.Expr, p *Proof) error {
 	return CheckWithLimits(cond, p, DefaultLimits)
 }
 
 // CheckWithLimits is Check with explicit resource limits.
 func CheckWithLimits(cond *expr.Expr, p *Proof, lim Limits) error {
+	_, err := check(cond, p, lim)
+	return err
+}
+
+// check runs the three stages and returns their work, accepted or not:
+// the table's node operations, one unit per step, and the literals of
+// the clauses bb_clause introduces and resolve reads. Re-deriving the
+// CNF of ¬C depends on the condition alone and is not counted.
+func check(cond *expr.Expr, p *Proof, lim Limits) (work int, err error) {
 	if cond == nil || cond.Width != 1 {
-		return fmt.Errorf("proof: condition must be a boolean term")
+		return 0, fmt.Errorf("proof: condition must be a boolean term")
 	}
-	// Stage 1: format and type checking, the boundary's one whole-term
-	// walk; a shared visited set checks each distinct node once.
-	wellFormed, sized := map[*expr.Expr]bool{}, map[*expr.Expr]bool{}
-	if err := cond.CheckWellFormed(wellFormed); err != nil {
-		return fmt.Errorf("proof: malformed condition: %w", err)
+	// Stage 1: format and type checking. Every term is made a member of
+	// one table, the condition's or a new one; a term from outside it (a
+	// struct literal, another table's term) is interned, which applies
+	// the typing rule to each of its nodes once.
+	tab := cond.Table()
+	if tab == nil {
+		tab = expr.NewTable(0)
+	}
+	ck, work0 := &checker{tab: tab, lim: lim}, tab.Work()
+	defer func() { work = tab.Work() - work0 + len(p.Steps) + ck.lits }()
+	if cond, err = tab.Intern(cond); err != nil {
+		return 0, fmt.Errorf("proof: malformed condition: %w", err)
 	}
 	if len(p.Steps) == 0 {
-		return fmt.Errorf("proof: empty proof")
+		return 0, fmt.Errorf("proof: empty proof")
 	}
 	if len(p.Steps) > lim.MaxSteps {
-		return fmt.Errorf("proof: too many steps (%d)", len(p.Steps))
+		return 0, fmt.Errorf("proof: too many steps (%d)", len(p.Steps))
 	}
 	for i := range p.Steps {
 		s := &p.Steps[i]
 		if !s.Rule.Valid() {
-			return fmt.Errorf("proof: step %d: invalid rule %d", i, s.Rule)
+			return 0, fmt.Errorf("proof: step %d: invalid rule %d", i, s.Rule)
 		}
 		for _, pi := range s.Premises {
 			if int(pi) >= i {
-				return fmt.Errorf("proof: step %d: premise %d not yet derived", i, pi)
+				return 0, fmt.Errorf("proof: step %d: premise %d not yet derived", i, pi)
 			}
 		}
 		for _, a := range s.Args {
-			if a == nil {
-				return fmt.Errorf("proof: step %d: nil argument", i)
-			}
-			if !sized[a] && a.Size() > lim.MaxArgNodes {
-				return fmt.Errorf("proof: step %d: argument too large", i)
-			}
-			sized[a] = true
-			if err := a.CheckWellFormed(wellFormed); err != nil {
-				return fmt.Errorf("proof: step %d: malformed argument: %w", i, err)
+			if _, err := tab.Intern(a); err != nil {
+				return 0, fmt.Errorf("proof: step %d: malformed argument: %w", i, err)
 			}
 		}
 	}
+	// The arguments have no more distinct nodes than the table: only over
+	// the limit are they counted, together, in one walk.
+	if tab.Len() > lim.MaxArgNodes {
+		var args []*expr.Expr
+		for i := range p.Steps {
+			args = append(args, p.Steps[i].Args...)
+		}
+		if tab.Count(lim.MaxArgNodes, args...) > lim.MaxArgNodes {
+			return 0, fmt.Errorf("proof: arguments too large (over %d distinct nodes)", lim.MaxArgNodes)
+		}
+	}
 
-	// Stage 2: rule application.
-	ck := &checker{notCond: expr.BoolNot(cond), lim: lim}
+	// Stage 2: rule application. Every conclusion is built in the table,
+	// so comparing two terms is comparing two pointers.
+	ck.notCond = tab.BoolNot(cond)
 	concl := make([]Conclusion, len(p.Steps))
 	for i := range p.Steps {
 		c, err := ck.apply(&p.Steps[i], concl[:i])
 		if err != nil {
-			return fmt.Errorf("proof: step %d (%s): %w", i, p.Steps[i].Rule, err)
+			return 0, fmt.Errorf("proof: step %d (%s): %w", i, p.Steps[i].Rule, err)
 		}
 		concl[i] = c
 	}
@@ -88,15 +110,17 @@ func CheckWithLimits(cond *expr.Expr, p *Proof, lim Limits) error {
 	// discharges the (sole permitted) assumption ¬cond and establishes
 	// the stored condition.
 	if !concl[len(concl)-1].isFalse() {
-		return fmt.Errorf("proof: final step does not conclude false")
+		return 0, fmt.Errorf("proof: final step does not conclude false")
 	}
-	return nil
+	return 0, nil
 }
 
 type checker struct {
+	tab     *expr.Table // the round's terms: every premise, argument and conclusion
 	notCond *expr.Expr
 	cnf     *bitblast.CNF
 	lim     Limits
+	lits    int // clause literals introduced and read, for the work count
 	// resolve's state, sized by blast: a stamp per literal (2v for +v,
 	// 2v+1 for -v), bumped once per step so it never wraps, and the
 	// arena resolvents are cut from, 1024 literals at a time.
@@ -140,11 +164,12 @@ func (ck *checker) apply(s *Step, prior []Conclusion) (Conclusion, error) {
 		}
 		return c.Clause, nil
 	}
+	// Stage 1 interned every argument: Intern finds its member.
 	arg := func(i int) (*expr.Expr, error) {
 		if i >= len(s.Args) {
 			return nil, fmt.Errorf("missing argument %d", i)
 		}
-		return s.Args[i], nil
+		return ck.tab.Intern(s.Args[i])
 	}
 	boolPrem := func(i int) (*expr.Expr, error) {
 		f, err := form(i)
@@ -193,7 +218,7 @@ func (ck *checker) apply(s *Step, prior []Conclusion) (Conclusion, error) {
 		if s.Rule == RuleNotImplies1 {
 			return formulaC(impl.Args[0]), nil
 		}
-		return formulaC(expr.BoolNot(impl.Args[1])), nil
+		return formulaC(ck.tab.BoolNot(impl.Args[1])), nil
 
 	case RuleAndElim1, RuleAndElim2:
 		p, err := boolPrem(0)
@@ -228,9 +253,9 @@ func (ck *checker) apply(s *Step, prior []Conclusion) (Conclusion, error) {
 		}
 		or := p.Args[0]
 		if s.Rule == RuleNotOrElim1 {
-			return formulaC(expr.BoolNot(or.Args[0])), nil
+			return formulaC(ck.tab.BoolNot(or.Args[0])), nil
 		}
-		return formulaC(expr.BoolNot(or.Args[1])), nil
+		return formulaC(ck.tab.BoolNot(or.Args[1])), nil
 
 	case RuleContradiction:
 		p, err := boolPrem(0)
@@ -241,9 +266,9 @@ func (ck *checker) apply(s *Step, prior []Conclusion) (Conclusion, error) {
 		if err != nil {
 			return Conclusion{}, err
 		}
-		if (q.Op == expr.OpBoolNot && expr.Equal(q.Args[0], p)) ||
-			(p.Op == expr.OpBoolNot && expr.Equal(p.Args[0], q)) {
-			return formulaC(expr.False), nil
+		if (q.Op == expr.OpBoolNot && q.Args[0] == p) ||
+			(p.Op == expr.OpBoolNot && p.Args[0] == q) {
+			return formulaC(ck.tab.Bool(false)), nil
 		}
 		return Conclusion{}, fmt.Errorf("premises are not complementary")
 
@@ -256,10 +281,10 @@ func (ck *checker) apply(s *Step, prior []Conclusion) (Conclusion, error) {
 		if err != nil {
 			return Conclusion{}, err
 		}
-		if np.Op != expr.OpBoolNot || !expr.Equal(np.Args[0], a) || !b.IsTrue() {
+		if np.Op != expr.OpBoolNot || np.Args[0] != a || !b.IsTrue() {
 			return Conclusion{}, fmt.Errorf("premises do not match ¬P, (= P true)")
 		}
-		return formulaC(expr.False), nil
+		return formulaC(ck.tab.Bool(false)), nil
 
 	case RuleFalseElim:
 		p, err := boolPrem(0)
@@ -270,10 +295,10 @@ func (ck *checker) apply(s *Step, prior []Conclusion) (Conclusion, error) {
 		if err != nil {
 			return Conclusion{}, err
 		}
-		if !expr.Equal(p, a) || !b.IsFalse() {
+		if p != a || !b.IsFalse() {
 			return Conclusion{}, fmt.Errorf("premises do not match P, (= P false)")
 		}
-		return formulaC(expr.False), nil
+		return formulaC(ck.tab.Bool(false)), nil
 
 	case RuleEqMp, RuleEqMpRev:
 		p, err := boolPrem(0)
@@ -287,7 +312,7 @@ func (ck *checker) apply(s *Step, prior []Conclusion) (Conclusion, error) {
 		if s.Rule == RuleEqMpRev {
 			a, b = b, a
 		}
-		if a.Width != 1 || !expr.Equal(p, a) {
+		if a.Width != 1 || p != a {
 			return Conclusion{}, fmt.Errorf("premise does not match the equality's left side")
 		}
 		return formulaC(b), nil
@@ -301,7 +326,7 @@ func (ck *checker) apply(s *Step, prior []Conclusion) (Conclusion, error) {
 		if err != nil {
 			return Conclusion{}, err
 		}
-		return formulaC(expr.BoolAnd(p, q)), nil
+		return formulaC(ck.tab.BoolAnd(p, q)), nil
 
 	case RuleLemmaUltUle:
 		p, err := boolPrem(0)
@@ -311,7 +336,7 @@ func (ck *checker) apply(s *Step, prior []Conclusion) (Conclusion, error) {
 		if p.Op != expr.OpUlt {
 			return Conclusion{}, fmt.Errorf("premise is not a bvult")
 		}
-		return formulaC(expr.Ule(p.Args[0], p.Args[1])), nil
+		return formulaC(ck.tab.Ule(p.Args[0], p.Args[1])), nil
 
 	case RuleNotUltElim, RuleNotUleElim:
 		p, err := boolPrem(0)
@@ -328,24 +353,24 @@ func (ck *checker) apply(s *Step, prior []Conclusion) (Conclusion, error) {
 		inner := p.Args[0]
 		if s.Rule == RuleNotUltElim {
 			// ¬(a < b) ⟺ b <= a
-			return formulaC(expr.Ule(inner.Args[1], inner.Args[0])), nil
+			return formulaC(ck.tab.Ule(inner.Args[1], inner.Args[0])), nil
 		}
 		// ¬(a <= b) ⟺ b < a
-		return formulaC(expr.Ult(inner.Args[1], inner.Args[0])), nil
+		return formulaC(ck.tab.Ult(inner.Args[1], inner.Args[0])), nil
 
 	case RuleRefl:
 		t, err := arg(0)
 		if err != nil {
 			return Conclusion{}, err
 		}
-		return formulaC(expr.Eq(t, t)), nil
+		return formulaC(ck.tab.Eq(t, t)), nil
 
 	case RuleSymm:
 		a, b, err := eqPrem(0)
 		if err != nil {
 			return Conclusion{}, err
 		}
-		return formulaC(expr.Eq(b, a)), nil
+		return formulaC(ck.tab.Eq(b, a)), nil
 
 	case RuleTrans:
 		a, b, err := eqPrem(0)
@@ -356,10 +381,10 @@ func (ck *checker) apply(s *Step, prior []Conclusion) (Conclusion, error) {
 		if err != nil {
 			return Conclusion{}, err
 		}
-		if !expr.Equal(b, b2) {
+		if b != b2 {
 			return Conclusion{}, fmt.Errorf("middle terms differ")
 		}
-		return formulaC(expr.Eq(a, c)), nil
+		return formulaC(ck.tab.Eq(a, c)), nil
 
 	case RuleCong:
 		a, b, err := eqPrem(0)
@@ -382,21 +407,21 @@ func (ck *checker) apply(s *Step, prior []Conclusion) (Conclusion, error) {
 		if idx < 0 || idx >= len(t.Args) {
 			return Conclusion{}, fmt.Errorf("cong index out of range")
 		}
-		if !expr.Equal(t.Args[idx], a) {
+		if t.Args[idx] != a {
 			return Conclusion{}, fmt.Errorf("cong child does not match the equality")
 		}
 		t2, err := expr.ReplaceArg(t, idx, b)
 		if err != nil {
 			return Conclusion{}, err
 		}
-		return formulaC(expr.Eq(t, t2)), nil
+		return formulaC(ck.tab.Eq(t, t2)), nil
 
 	case RuleBitblastClause:
 		p, err := boolPrem(0)
 		if err != nil {
 			return Conclusion{}, err
 		}
-		if !expr.Equal(p, ck.notCond) {
+		if p != ck.notCond {
 			return Conclusion{}, fmt.Errorf("bit-blasting must start from the assumed ¬C")
 		}
 		cnf, err := ck.blast()
@@ -406,6 +431,7 @@ func (ck *checker) apply(s *Step, prior []Conclusion) (Conclusion, error) {
 		if s.ClauseIdx < 0 || int(s.ClauseIdx) >= len(cnf.Clauses) {
 			return Conclusion{}, fmt.Errorf("clause index %d out of range", s.ClauseIdx)
 		}
+		ck.lits += len(cnf.Clauses[s.ClauseIdx])
 		return clauseC(cnf.Clauses[s.ClauseIdx]), nil
 
 	case RuleResolve:
@@ -438,6 +464,7 @@ func (ck *checker) resolve(a, b []sat.Lit, pivot int) (Conclusion, error) {
 		ck.arena = make([]sat.Lit, 0, max(1024, n))
 	}
 	ck.stamp++
+	ck.lits += len(a) + len(b)
 	start, polarities := len(ck.arena), 0
 	for _, c := range [2][]sat.Lit{a, b} {
 		for _, l := range c {

@@ -3,6 +3,7 @@ package proof
 import (
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"bcf/internal/expr"
@@ -276,4 +277,22 @@ func allocBytes(f func()) uint64 {
 		best = min(best, after.TotalAlloc-before.TotalAlloc)
 	}
 	return best
+}
+
+// TestArgNodeLimit: once the table holds more nodes than MaxArgNodes,
+// the arguments are counted together, and more distinct nodes than the
+// limit among them is refused. The Figure 3 proof's arguments have 8
+// distinct nodes: the condition's 6 (its 0xf and 15 are one node), the
+// 8-bit 0 and (bvule 0xf 15). No one argument has more than 6.
+func TestArgNodeLimit(t *testing.T) {
+	lim := DefaultLimits
+	lim.MaxArgNodes = 8
+	if err := CheckWithLimits(fig2Cond(15), handProof(), lim); err != nil {
+		t.Fatalf("arguments within the limit refused: %v", err)
+	}
+	lim.MaxArgNodes = 7
+	err := CheckWithLimits(fig2Cond(15), handProof(), lim)
+	if err == nil || !strings.Contains(err.Error(), "arguments too large") {
+		t.Fatalf("arguments over the limit together: %v, want them refused as too large", err)
+	}
 }

@@ -10,7 +10,9 @@ import (
 // safety argument. The oracle is soundness itself: the target condition
 // (x ≤ 5 for an unconstrained 64-bit x) is falsifiable, so NO derivation
 // may check against it. Any accepted proof is a forged certificate — the
-// exact attack §4's "no forged proofs" property rules out.
+// exact attack §4's "no forged proofs" property rules out. The checker's
+// work per byte of the proof's encoding must also stay under
+// MaxWorkPerProofByte, with 40-level shared DAGs among the arguments.
 func FuzzCheckProof(f *testing.F) {
 	x := expr.Var(0, 64)
 	cond := expr.Ule(x, expr.Const(5, 64))
@@ -30,8 +32,12 @@ func FuzzCheckProof(f *testing.F) {
 		if p == nil {
 			return
 		}
-		if err := CheckWithLimits(cond, p, DefaultLimits); err == nil {
+		work, err := check(cond, p, DefaultLimits)
+		if err == nil {
 			t.Fatalf("checker accepted a proof of a falsifiable condition: %d steps", len(p.Steps))
+		}
+		if r := float64(work) / float64(wireBytes(p)); r > MaxWorkPerProofByte {
+			t.Fatalf("%d work units for a %d-B proof: %.2f per byte", work, wireBytes(p), r)
 		}
 	})
 }
@@ -43,6 +49,12 @@ func FuzzCheckProof(f *testing.F) {
 // nonsensical operands; premise indices are taken raw to also exercise
 // the checker's bounds handling.
 func proofFromBytes(data []byte, cond *expr.Expr) *Proof {
+	// A variable and a ground term doubled 40 times: 2^40 leaves as
+	// trees, 41 nodes as DAGs.
+	deep, ground := cond.Args[0], expr.Const(1, 64)
+	for i := 0; i < 40; i++ {
+		deep, ground = expr.Add(deep, deep), expr.Add(ground, ground)
+	}
 	pool := []*expr.Expr{
 		cond,
 		expr.BoolNot(cond),
@@ -54,6 +66,9 @@ func proofFromBytes(data []byte, cond *expr.Expr) *Proof {
 		expr.Ule(expr.Const(0, 8), expr.Const(0, 8)),
 		expr.BoolAnd(cond, cond),
 		expr.Eq(cond.Args[0], expr.Const(5, 64)),
+		deep,
+		ground,
+		expr.Ule(deep, ground),
 	}
 	var p Proof
 	i := 0
@@ -103,4 +118,46 @@ func proofFromBytes(data []byte, cond *expr.Expr) *Proof {
 		return nil
 	}
 	return &p
+}
+
+// wireBytes is the size of p's bcfenc encoding: a four-word header, each
+// distinct argument node once in the pool (a header word, a constant's
+// two payload words or a variable's one, and one word per operand), and
+// per step a head word, a word per premise and argument, and the extra
+// word of a resolve or bb_clause step.
+func wireBytes(p *Proof) int {
+	words := 4
+	seen := map[*expr.Expr]bool{}
+	tab := expr.NewTable(0)
+	var put func(e *expr.Expr)
+	put = func(e *expr.Expr) {
+		if seen[e] {
+			return
+		}
+		seen[e] = true
+		words += 1 + len(e.Args)
+		switch e.Op {
+		case expr.OpConst:
+			words += 2
+		case expr.OpVar:
+			words++
+		}
+		for _, a := range e.Args {
+			put(a)
+		}
+	}
+	for _, s := range p.Steps {
+		words += 1 + len(s.Premises) + len(s.Args)
+		if s.Rule == RuleResolve || s.Rule == RuleBitblastClause {
+			words++
+		}
+		for _, a := range s.Args {
+			m, err := tab.Intern(a)
+			if err != nil {
+				panic(err)
+			}
+			put(m)
+		}
+	}
+	return 4 * words
 }

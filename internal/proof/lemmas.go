@@ -83,7 +83,7 @@ func (ck *checker) applyLemma(s *Step,
 		if !ok {
 			return Conclusion{}, errNoMatch, true
 		}
-		return formulaC(expr.Ule(t, expr.Const(c, t.Width))), nil, true
+		return formulaC(ck.tab.Ule(t, ck.tab.Const(c, t.Width))), nil, true
 	}
 	switch s.Rule {
 	case RuleLemmaUleTrans:
@@ -95,10 +95,10 @@ func (ck *checker) applyLemma(s *Step,
 		if err != nil {
 			return Conclusion{}, err, true
 		}
-		if !expr.Equal(b, b2) {
+		if b != b2 {
 			return Conclusion{}, fmt.Errorf("middle terms differ"), true
 		}
-		return formulaC(expr.Ule(a, c)), nil, true
+		return formulaC(ck.tab.Ule(a, c)), nil, true
 
 	case RuleLemmaUleAdd:
 		// (bvule a c1), (bvule b c2), c1+c2 does not wrap
@@ -120,7 +120,7 @@ func (ck *checker) applyLemma(s *Step,
 		if sum < c1 {
 			return Conclusion{}, fmt.Errorf("bound sum wraps"), true
 		}
-		return formulaC(expr.Ule(expr.Add(a, b), expr.Const(sum, a.Width))), nil, true
+		return formulaC(ck.tab.Ule(ck.tab.Add(a, b), ck.tab.Const(sum, a.Width))), nil, true
 
 	case RuleLemmaUleShl:
 		// (bvule a c), const k, c<<k does not lose bits
@@ -146,7 +146,7 @@ func (ck *checker) applyLemma(s *Step,
 		if shifted>>sh != c {
 			return Conclusion{}, fmt.Errorf("shifted bound overflows"), true
 		}
-		return formulaC(expr.Ule(expr.Shl(a, ke), expr.Const(shifted, a.Width))), nil, true
+		return formulaC(ck.tab.Ule(ck.tab.Shl(a, ke), ck.tab.Const(shifted, a.Width))), nil, true
 
 	case RuleLemmaUleConst:
 		c1e, err := arg(0)
@@ -162,7 +162,7 @@ func (ck *checker) applyLemma(s *Step,
 		if !ok1 || !ok2 || c1e.Width != c2e.Width || c1 > c2 {
 			return Conclusion{}, fmt.Errorf("not constants with c1 <= c2"), true
 		}
-		return formulaC(expr.Ule(c1e, c2e)), nil, true
+		return formulaC(ck.tab.Ule(c1e, c2e)), nil, true
 
 	case RuleLemmaEqBound:
 		a, c, err := eqPrem(0)
@@ -175,7 +175,7 @@ func (ck *checker) applyLemma(s *Step,
 		if a.Width == 1 {
 			return Conclusion{}, fmt.Errorf("bvule needs a bit-vector"), true
 		}
-		return formulaC(expr.Ule(a, c)), nil, true
+		return formulaC(ck.tab.Ule(a, c)), nil, true
 
 	case RuleLemmaZExtMono:
 		// (bvule a c) with c const, arg t = (zext a)
@@ -192,10 +192,10 @@ func (ck *checker) applyLemma(s *Step,
 		if err != nil {
 			return Conclusion{}, err, true
 		}
-		if t.Op != expr.OpZExt || !expr.Equal(t.Args[0], a) {
+		if t.Op != expr.OpZExt || t.Args[0] != a {
 			return Conclusion{}, errPattern("(zero_extend a) with a from the premise"), true
 		}
-		return formulaC(expr.Ule(t, expr.Const(cv, t.Width))), nil, true
+		return formulaC(ck.tab.Ule(t, ck.tab.Const(cv, t.Width))), nil, true
 
 	case RuleLemmaDivRemLe:
 		// eBPF division/remainder never exceed the dividend (including
@@ -208,10 +208,10 @@ func (ck *checker) applyLemma(s *Step,
 		if err != nil {
 			return Conclusion{}, err, true
 		}
-		if (t.Op != expr.OpUDiv && t.Op != expr.OpURem) || !expr.Equal(t.Args[0], a) {
+		if (t.Op != expr.OpUDiv && t.Op != expr.OpURem) || t.Args[0] != a {
 			return Conclusion{}, errPattern("(bvudiv/bvurem a b) with a from the premise"), true
 		}
-		return formulaC(expr.Ule(t, c)), nil, true
+		return formulaC(ck.tab.Ule(t, c)), nil, true
 
 	case RuleLemmaZeroUle:
 		t, err := arg(0)
@@ -221,7 +221,7 @@ func (ck *checker) applyLemma(s *Step,
 		if t.Width == 1 {
 			return Conclusion{}, fmt.Errorf("bvule needs a bit-vector"), true
 		}
-		return formulaC(expr.Ule(expr.Const(0, t.Width), t)), nil, true
+		return formulaC(ck.tab.Ule(ck.tab.Const(0, t.Width), t)), nil, true
 
 	case RuleLemmaUleAndMono:
 		// (bvule a c) ⊢ (bvule (bvand a b) c): masking never increases.
@@ -234,10 +234,10 @@ func (ck *checker) applyLemma(s *Step,
 			return Conclusion{}, err, true
 		}
 		if t.Op != expr.OpAnd ||
-			(!expr.Equal(t.Args[0], a) && !expr.Equal(t.Args[1], a)) {
+			(t.Args[0] != a && t.Args[1] != a) {
 			return Conclusion{}, errPattern("(bvand a b) with a from the premise"), true
 		}
-		return formulaC(expr.Ule(t, c)), nil, true
+		return formulaC(ck.tab.Ule(t, c)), nil, true
 	}
 	return Conclusion{}, nil, false
 }

@@ -12,9 +12,9 @@ type rewriteFn func(t *expr.Expr) (*expr.Expr, bool)
 
 // Rewrite applies the rewrite rule r (the algebraic catalog or eval) to
 // t, returning the rhs of the conclusion (= t rhs); false when r is not a
-// rewrite rule or t does not match its pattern. This is the rule's one
-// definition: the checker applies it, and the prover's rewrite tier
-// calls it to find its steps.
+// rewrite rule or t does not match its pattern. A new rhs is built in
+// t's table. This is the rule's one definition: the checker applies it,
+// and the prover's rewrite tier calls it to find its steps.
 func Rewrite(r RuleID, t *expr.Expr) (*expr.Expr, bool) {
 	if r >= NumRules || rewrites[r] == nil {
 		return nil, false
@@ -29,7 +29,7 @@ var rewrites = [NumRules]rewriteFn{
 		if !t.IsGround() {
 			return nil, false
 		}
-		return expr.Const(t.Eval(func(uint32) uint64 { return 0 }), t.Width), true
+		return t.Table().Const(t.GroundValue(), t.Width), true
 	},
 	RuleRwAddSubCancelR: cancel(expr.OpAdd, 1, expr.OpSub, 1),
 	RuleRwAddSubCancelL: cancel(expr.OpAdd, 0, expr.OpSub, 1),
@@ -51,7 +51,8 @@ var rewrites = [NumRules]rewriteFn{
 		if !ok1 || !ok2 {
 			return nil, false
 		}
-		return expr.And(t.Args[0].Args[0], expr.Const(c1&c2, t.Width)), true
+		tab := t.Table()
+		return tab.And(t.Args[0].Args[0], tab.Const(c1&c2, t.Width)), true
 	},
 	RuleRwOrZeroR:   constOperand(expr.OpOr, 1, 0, operand0),
 	RuleRwOrZeroL:   constOperand(expr.OpOr, 0, 0, operand1),
@@ -105,7 +106,7 @@ func (ck *checker) applyRewrite(s *Step, arg func(int) (*expr.Expr, error)) (Con
 	if rhs.Width != t.Width {
 		return Conclusion{}, fmt.Errorf("rewrite changed width"), true
 	}
-	return formulaC(expr.Eq(t, rhs)), nil, true
+	return formulaC(ck.tab.Eq(t, rhs)), nil, true
 }
 
 var errNoMatch = fmt.Errorf("argument does not match the rule's pattern")
@@ -121,7 +122,7 @@ func isConst(e *expr.Expr, k uint64) bool {
 
 func operand0(t *expr.Expr) *expr.Expr { return t.Args[0] }
 func operand1(t *expr.Expr) *expr.Expr { return t.Args[1] }
-func zeroOf(t *expr.Expr) *expr.Expr   { return expr.Const(0, t.Width) }
+func zeroOf(t *expr.Expr) *expr.Expr   { return t.Table().Const(0, t.Width) }
 
 // cancel matches (op ...) whose operand i is (inner ...) with inner
 // operand j equal to op's other operand, and rewrites to inner's other
@@ -168,6 +169,6 @@ func swap(op expr.Op) rewriteFn {
 		if t.Op != op {
 			return nil, false
 		}
-		return expr.Bin(op, t.Args[1], t.Args[0]), true
+		return t.Table().Bin(op, t.Args[1], t.Args[0]), true
 	}
 }

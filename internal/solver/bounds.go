@@ -59,8 +59,8 @@ func (b *builder) recordFact(lhs *expr.Expr, bound uint64, step uint32) {
 	}
 	// (= lhs lhs') lifts to (= (bvule lhs c) (bvule lhs' c)) by cong,
 	// then eq_mp moves the fact onto the simplified term.
-	pred := expr.Ule(lhs, expr.Const(bound, lhs.Width))
-	congStep := b.add(proof.RuleCong, prems(simp.step), pred, expr.Const(0, 8))
+	pred := b.tab.Ule(lhs, b.tab.Const(bound, lhs.Width))
+	congStep := b.add(proof.RuleCong, prems(simp.step), pred, b.tab.Const(0, 8))
 	moved := b.add(proof.RuleEqMp, prems(step, congStep))
 	b.addFact(simp.term, bound, moved)
 }
@@ -162,7 +162,7 @@ func (b *builder) proveUle(t *expr.Expr, hi uint64) (uint32, bool) {
 	if c < hi {
 		// (bvule c hi) and transitivity lift the derived bound.
 		constStep := b.add(proof.RuleLemmaUleConst, nil,
-			expr.Const(c, t.Width), expr.Const(hi, t.Width))
+			b.tab.Const(c, t.Width), b.tab.Const(hi, t.Width))
 		finalOnSimplified = b.add(proof.RuleLemmaUleTrans, prems(boundStep, constStep))
 	}
 	if !simp.changed {
@@ -170,8 +170,8 @@ func (b *builder) proveUle(t *expr.Expr, hi uint64) (uint32, bool) {
 	}
 	// From (= t t') derive (= (bvule t hi) (bvule t' hi)) by congruence,
 	// then transport the proven bound back with eq_mp_rev.
-	pred := expr.Ule(t, expr.Const(hi, t.Width))
-	congStep := b.add(proof.RuleCong, prems(simp.step), pred, expr.Const(0, 8))
+	pred := b.tab.Ule(t, b.tab.Const(hi, t.Width))
+	congStep := b.add(proof.RuleCong, prems(simp.step), pred, b.tab.Const(0, 8))
 	final := b.add(proof.RuleEqMpRev, prems(finalOnSimplified, congStep))
 	return final, true
 }

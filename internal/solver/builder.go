@@ -18,34 +18,37 @@ import (
 )
 
 // fact is a derived upper bound usable by the interval engine: a step
-// concluding (bvule lhs bound).
+// concluding (bvule lhs bound), kept under lhs.
 type fact struct {
-	lhs   *expr.Expr
 	bound uint64
 	step  uint32
 }
 
 // builder accumulates proof steps plus the premise facts harvested from
-// an implication's hypothesis (path constraints).
+// an implication's hypothesis (path constraints). Its terms are members
+// of the condition's table, so equal terms are the same pointer.
 type builder struct {
+	tab   *expr.Table
 	steps []proof.Step
-	facts map[uint64][]fact
+	facts map[*expr.Expr][]fact
+	// normal marks, by node ID, the terms simplify left unchanged.
+	normal []bool
 }
 
 // addFact records a premise-derived bound.
 func (b *builder) addFact(lhs *expr.Expr, bound uint64, step uint32) {
 	if b.facts == nil {
-		b.facts = map[uint64][]fact{}
+		b.facts = map[*expr.Expr][]fact{}
 	}
-	b.facts[lhs.Hash()] = append(b.facts[lhs.Hash()], fact{lhs: lhs, bound: bound, step: step})
+	b.facts[lhs] = append(b.facts[lhs], fact{bound: bound, step: step})
 }
 
 // lookupFact finds the tightest recorded bound for a term.
 func (b *builder) lookupFact(t *expr.Expr) (uint64, uint32, bool) {
 	best := fact{}
 	found := false
-	for _, f := range b.facts[t.Hash()] {
-		if expr.Equal(f.lhs, t) && (!found || f.bound < best.bound) {
+	for _, f := range b.facts[t] {
+		if !found || f.bound < best.bound {
 			best = f
 			found = true
 		}

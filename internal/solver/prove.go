@@ -69,8 +69,9 @@ type Outcome struct {
 
 // Prove decides the validity of a refinement condition. ctx bounds the
 // search: when it is cancelled or its deadline passes, Prove returns a
-// solver-timeout error (nil ctx means no deadline). cond must be
-// well-formed, as every term built or decoded by package expr is.
+// solver-timeout error (nil ctx means no deadline). The proof's terms
+// are built in cond's expr.Table; a cond outside any table is interned
+// into a new one, which type-checks it.
 func Prove(ctx context.Context, cond *expr.Expr, opts Options) (*Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -80,6 +81,12 @@ func Prove(ctx context.Context, cond *expr.Expr, opts Options) (*Outcome, error)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, bcferr.Wrap(bcferr.ClassSolverTimeout, fmt.Errorf("solver: %w", err))
+	}
+	if cond.Table() == nil {
+		var err error
+		if cond, err = expr.NewTable(0).Intern(cond); err != nil {
+			return nil, fmt.Errorf("solver: %w", err)
+		}
 	}
 	var t0 time.Time
 	if opts.Obs != nil {
@@ -124,7 +131,7 @@ func prove(ctx context.Context, cond *expr.Expr, opts Options) (*Outcome, error)
 // decomposes it structurally, and establishes the positive obligations
 // with the equational simplifier and interval lemmas.
 func rewriteProof(cond *expr.Expr) (*proof.Proof, bool) {
-	b := &builder{}
+	b := &builder{tab: cond.Table()}
 	assume := b.add(proof.RuleAssume, nil) // ⊢ ¬C
 
 	// Split C into hypotheses (available, from an implication) and the
@@ -197,10 +204,11 @@ func (b *builder) proveByEval(f *expr.Expr) (uint32, bool) {
 		return 0, false
 	}
 	// Bootstrap ⊢ true from a trivially-true ground predicate.
-	groundTrue := expr.Ule(expr.Const(0, 8), expr.Const(0, 8))
-	tStep := b.add(proof.RuleLemmaUleConst, nil, expr.Const(0, 8), expr.Const(0, 8)) // ⊢ (bvule 0 0)
-	evalStep := b.add(proof.RuleEvalConst, nil, groundTrue)                          // ⊢ (= (bvule 0 0) true)
-	trueF := b.add(proof.RuleEqMp, prems(tStep, evalStep))                           // ⊢ true
+	zero := b.tab.Const(0, 8)
+	groundTrue := b.tab.Ule(zero, zero)
+	tStep := b.add(proof.RuleLemmaUleConst, nil, zero, zero) // ⊢ (bvule 0 0)
+	evalStep := b.add(proof.RuleEvalConst, nil, groundTrue)  // ⊢ (= (bvule 0 0) true)
+	trueF := b.add(proof.RuleEqMp, prems(tStep, evalStep))   // ⊢ true
 	// simp.step ⊢ (= f true); symm flips it; eq_mp transports ⊢ true to f.
 	symm := b.add(proof.RuleSymm, prems(simp.step))
 	return b.add(proof.RuleEqMp, prems(trueF, symm)), true
@@ -216,7 +224,7 @@ func bitblastProve(ctx context.Context, cond *expr.Expr, opts Options) (out *Out
 		sp := opts.Trace.Start(obs.CatProve, "tier2-bitblast")
 		defer sp.End()
 	}
-	notCond := expr.BoolNot(cond)
+	notCond := cond.Table().BoolNot(cond)
 	cnf, err := bitblast.Encode(notCond)
 	if err != nil {
 		return nil, fmt.Errorf("solver: %w", err)

@@ -15,8 +15,13 @@ type eqResult struct {
 }
 
 // simplify rewrites t bottom-up with the checker's algebraic catalog,
-// emitting a proof of (= t result).
+// emitting a proof of (= t result). Whether a term is already in normal
+// form depends on the term alone, so that outcome is kept per node and a
+// shared normal subterm is visited once.
 func (b *builder) simplify(t *expr.Expr) eqResult {
+	if id := int(t.ID()); id < len(b.normal) && b.normal[id] {
+		return eqResult{term: t}
+	}
 	cur := t
 	var accStep uint32
 	changed := false
@@ -43,7 +48,7 @@ func (b *builder) simplify(t *expr.Expr) eqResult {
 		if err != nil {
 			continue // cannot happen for same-width rewrites; be safe
 		}
-		step := b.add(proof.RuleCong, prems(child.step), cur, expr.Const(uint64(i), 8))
+		step := b.add(proof.RuleCong, prems(child.step), cur, b.tab.Const(uint64(i), 8))
 		chain(next, step)
 	}
 
@@ -65,6 +70,12 @@ func (b *builder) simplify(t *expr.Expr) eqResult {
 		}
 	}
 
+	if !changed {
+		if n := b.tab.Len(); len(b.normal) < n {
+			b.normal = append(b.normal, make([]bool, n-len(b.normal))...)
+		}
+		b.normal[t.ID()] = true
+	}
 	return eqResult{term: cur, step: accStep, changed: changed}
 }
 

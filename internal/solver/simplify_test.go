@@ -53,9 +53,12 @@ func TestSimplifySemanticsPreserved(t *testing.T) {
 	for iter := 0; iter < 200; iter++ {
 		width := []uint8{8, 32, 64}[rng.Intn(3)]
 		vars := []*expr.Expr{expr.Var(0, width), expr.Var(1, width)}
-		term := randSimpTerm(rng, vars, width, 3)
-
-		b := &builder{}
+		// The builder works on members of the round's table.
+		b := &builder{tab: expr.NewTable(0)}
+		term, err := b.tab.Intern(randSimpTerm(rng, vars, width, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
 		b.add(proof.RuleAssume, nil)
 		simp := b.simplify(term)
 
@@ -99,40 +102,50 @@ func TestSimplifySemanticsPreserved(t *testing.T) {
 }
 
 // TestSimplifyChainChecks embeds the equality chain in the real proof
-// skeleton: prove (bvule t hi) for the simplified bound and check it.
+// skeleton: for a random width-8 term t over two variables it computes
+// t's exact maximum over all 65,536 assignments, proves and checks
+// (bvule t max), and, when max is neither 0 nor 0xff, requires a
+// counterexample for (bvule t max-1).
 func TestSimplifyChainChecks(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
+	refuted := 0
 	for iter := 0; iter < 80; iter++ {
-		width := uint8(8)
+		const width = 8
 		vars := []*expr.Expr{expr.Var(0, width), expr.Var(1, width)}
 		term := randSimpTerm(rng, vars, width, 3)
-		// Find the exhaustive maximum and prove t <= max.
-		max := uint64(0)
-		for a0 := 0; a0 < 256; a0 += 5 {
-			for a1 := 0; a1 < 256; a1 += 5 {
-				v := term.Eval(func(id uint32) uint64 {
-					if id == 0 {
-						return uint64(a0)
-					}
-					return uint64(a1)
-				})
-				if v > max {
-					max = v
-				}
+		var a0, a1 uint64
+		env := func(id uint32) uint64 {
+			if id == 0 {
+				return a0
+			}
+			return a1
+		}
+		hi := uint64(0)
+		for a0 = 0; a0 < 256; a0++ {
+			for a1 = 0; a1 < 256; a1++ {
+				hi = max(hi, term.Eval(env))
 			}
 		}
-		// The sampled max may undershoot the true max; use the width cap
-		// when sampling hit it, otherwise prove against the width cap
-		// anyway (always valid and exercises the chain).
-		cond := expr.Ule(term, expr.Const(expr.Mask(width), width))
+		cond := expr.Ule(term, expr.Const(hi, width))
 		out, err := Prove(nil, cond, Options{})
 		if err != nil || !out.Proven {
-			t.Fatalf("width-cap bound must always prove: %v", err)
+			t.Fatalf("%s <= %#x must prove: %v", term, hi, err)
 		}
 		if err := proof.Check(cond, out.Proof); err != nil {
-			t.Fatalf("checker rejected width-cap proof: %v", err)
+			t.Fatalf("checker rejected the proof of %s <= %#x: %v", term, hi, err)
 		}
-		_ = max
+		if hi == 0 || hi == expr.Mask(width) {
+			continue
+		}
+		out, err = Prove(nil, expr.Ule(term, expr.Const(hi-1, width)), Options{})
+		if err != nil || out.Proven || out.Counterexample == nil {
+			t.Fatalf("%s <= %#x is false, want a counterexample: %v", term, hi-1, err)
+		}
+		refuted++
+	}
+	t.Logf("%d of 80 maxima refuted one below", refuted)
+	if refuted == 0 {
+		t.Error("no term had a maximum strictly inside the width")
 	}
 }
 
