@@ -56,7 +56,7 @@ type DomainViolation struct {
 	Step     int   // index into the concrete trace
 	PC       int
 	Reg      int
-	Domain   string // which domain excluded the value (DomainTnum, DomainU64, ...)
+	Domain   string // which domain excluded the value ("tnum", "u64", "s64", "u32" or "s32")
 	Concrete uint64
 	Abstract string // abstract register state at the point of violation
 	Fault    *ebpf.Fault
@@ -204,6 +204,30 @@ func matchTrace(roots []*ObsNode, trace []TraceStep) *DomainViolation {
 	return nil
 }
 
+// admits reports whether concrete value v is admitted by the scalar
+// abstraction r. When it is not, domain names the first violated domain
+// ("tnum", "u64", "s64", "u32" or "s32"), letting soundness reports
+// pinpoint the broken transfer function.
+func admits(r *verifier.RegState, v uint64) (ok bool, domain string) {
+	if !r.Var.Contains(v) {
+		return false, "tnum"
+	}
+	if v < r.UMin || v > r.UMax {
+		return false, "u64"
+	}
+	if int64(v) < r.SMin || int64(v) > r.SMax {
+		return false, "s64"
+	}
+	v32 := uint32(v)
+	if v32 < r.U32Min || v32 > r.U32Max {
+		return false, "u32"
+	}
+	if int32(v32) < r.S32Min || int32(v32) > r.S32Max {
+		return false, "s32"
+	}
+	return true, ""
+}
+
 // containViolation checks one candidate node against one trace step,
 // returning the first register/domain the concrete state escapes. Only
 // Scalar registers are compared: pointers live at synthetic addresses
@@ -214,7 +238,7 @@ func containViolation(c *ObsNode, st *TraceStep) *DomainViolation {
 		if ar.Type != verifier.Scalar {
 			continue
 		}
-		if ok, domain := ar.Admits(st.Regs[r]); !ok {
+		if ok, domain := admits(ar, st.Regs[r]); !ok {
 			return &DomainViolation{
 				Kind: "containment", PC: c.PC, Reg: r, Domain: domain,
 				Concrete: st.Regs[r], Abstract: ar.String(),

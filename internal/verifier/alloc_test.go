@@ -21,16 +21,16 @@ func straightLine(n int) *ebpf.Program {
 	return mapProg(b.String())
 }
 
-// walkAllocs is the heap allocations and bytes of one Verify of p, with
-// its stats. testing.AllocsPerRun counts objects only; bytes come from
-// runtime.MemStats.TotalAlloc over the same runs.
-func walkAllocs(t *testing.T, p *ebpf.Program) (allocs, bytes float64, st Stats) {
+// walkAllocs is the heap allocations and bytes of one Verify of p under
+// cfg, with its stats. testing.AllocsPerRun counts objects only; bytes
+// come from runtime.MemStats.TotalAlloc over the same runs.
+func walkAllocs(t *testing.T, p *ebpf.Program, cfg Config) (allocs, bytes float64, st Stats) {
 	t.Helper()
 	const runs = 5
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	allocs = testing.AllocsPerRun(runs, func() {
-		v := New(p, Config{})
+		v := New(p, cfg)
 		if err := v.Verify(); err != nil {
 			t.Fatal(err)
 		}
@@ -43,14 +43,15 @@ func walkAllocs(t *testing.T, p *ebpf.Program) (allocs, bytes float64, st Stats)
 
 // TestWalkAllocsPerInsn pins the walk's allocation budget: nothing per
 // non-forking instruction beyond the geometric growth of the path-node
-// arena, and a small fraction of an allocation, and a few bytes, per
-// instruction on a forking workload.
+// arena, nothing per fork once the undo trail has grown, and a small
+// fraction of an allocation, and a few bytes, per instruction on a
+// forking workload that records pruning-table entries.
 func TestWalkAllocsPerInsn(t *testing.T) {
 	if RaceEnabled {
 		t.Skip("the race detector perturbs allocation counts")
 	}
-	short, _, _ := walkAllocs(t, straightLine(64))
-	long, _, _ := walkAllocs(t, straightLine(1024))
+	short, _, _ := walkAllocs(t, straightLine(64), Config{})
+	long, _, _ := walkAllocs(t, straightLine(1024), Config{})
 	// The arena's chunks hold 16, 32, 64, … nodes. The 66-insn program
 	// fills the first three; the 1,026-insn one adds chunks of 128, 256,
 	// 512 and 1,024 and grows the chunk list once more.
@@ -59,17 +60,30 @@ func TestWalkAllocsPerInsn(t *testing.T) {
 			extra, long, short)
 	}
 
-	// ParallelStress(8, 96, 0) measures 0.030 allocations and 28 bytes
-	// per instruction; the bounds leave 50% headroom.
-	allocs, bytes, st := walkAllocs(t, corpus.ParallelStress(8, 96, 0))
-	if perInsn := allocs / float64(st.InsnProcessed); perInsn > 0.045 {
-		t.Errorf("ParallelStress(8, 96, 0): %v allocations over %d instructions = %.3f per instruction, want <= 0.045",
+	// Without pruning the fan-out allocates only its tables: its 192 more
+	// forks at depth 8 than at depth 6 reuse the trail, the branch stack
+	// and the arena, which grow by at most a chunk or two.
+	noPrune := Config{NoPruning: true}
+	shallow, _, _ := walkAllocs(t, corpus.ParallelStress(6, 96, 0), noPrune)
+	deep, _, _ := walkAllocs(t, corpus.ParallelStress(8, 96, 0), noPrune)
+	if extra := deep - shallow; extra > 3 {
+		t.Errorf("ParallelStress(8, 96, 0) without pruning costs %v more allocations than depth 6 (%v vs %v), want <= 3",
+			extra, deep, shallow)
+	}
+
+	// ParallelStress(8, 96, 0) measures 0.020 allocations and 18.5 bytes
+	// per instruction, nearly all of them pruning-table entries; the
+	// bounds leave 50% headroom.
+	allocs, bytes, st := walkAllocs(t, corpus.ParallelStress(8, 96, 0), Config{})
+	if perInsn := allocs / float64(st.InsnProcessed); perInsn > 0.030 {
+		t.Errorf("ParallelStress(8, 96, 0): %v allocations over %d instructions = %.3f per instruction, want <= 0.030",
 			allocs, st.InsnProcessed, perInsn)
 	}
-	if perInsn := bytes / float64(st.InsnProcessed); perInsn > 42 {
-		t.Errorf("ParallelStress(8, 96, 0): %.0f bytes over %d instructions = %.1f per instruction, want <= 42",
+	if perInsn := bytes / float64(st.InsnProcessed); perInsn > 28 {
+		t.Errorf("ParallelStress(8, 96, 0): %.0f bytes over %d instructions = %.1f per instruction, want <= 28",
 			bytes, st.InsnProcessed, perInsn)
 	}
-	t.Logf("straight-line 64/1024: %v/%v allocs; ParallelStress(8, 96, 0): %v allocs, %.0f B, %d insns",
-		short, long, allocs, bytes, st.InsnProcessed)
+	t.Logf("straight-line 64/1024: %v/%v allocs; without pruning depth 6/8: %v/%v allocs; "+
+		"ParallelStress(8, 96, 0): %v allocs, %.0f B, %d insns",
+		short, long, shallow, deep, allocs, bytes, st.InsnProcessed)
 }

@@ -295,9 +295,9 @@ func TestAluSourceAliasesDestination(t *testing.T) {
 	for _, w := range widths {
 		for _, op := range ops {
 			run := func(src ebpf.Reg) RegState {
-				st := entryState()
-				st.Regs[ebpf.R1], st.Regs[ebpf.R2] = x, x
 				v := New(mapProg("r0 = 0\nexit"), Config{})
+				st := &v.st
+				st.Regs[ebpf.R1], st.Regs[ebpf.R2] = x, x
 				ins := w.alu(op, ebpf.R1, src)
 				if err := v.checkALU(st, 0, &ins); err != nil {
 					t.Fatalf("%s %s: %v", w.name, ebpf.AluOpName(op), err)

@@ -410,11 +410,11 @@ func TestRegSetMinMaxEdgeSoundness(t *testing.T) {
 								refined[idx] = &[2]RegState{d, s}
 							}
 							d, s := &refined[idx][0], &refined[idx][1]
-							if ok, dom := d.Admits(x); !ok {
+							if ok, dom := d.admits(x); !ok {
 								t.Fatalf("pool[%d] pool[%d] op %#x is32=%v taken=%v: refined dst excludes member %#x (domain %s)\npre  %+v\npost %+v",
 									di, si, op, is32, taken, x, dom, boundsOf(&dstPre), boundsOf(d))
 							}
-							if ok, dom := s.Admits(y); !ok {
+							if ok, dom := s.admits(y); !ok {
 								t.Fatalf("pool[%d] pool[%d] op %#x is32=%v taken=%v: refined src excludes member %#x (domain %s)\npre  %+v\npost %+v",
 									di, si, op, is32, taken, y, dom, boundsOf(&srcPre), boundsOf(s))
 							}

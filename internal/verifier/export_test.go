@@ -1,0 +1,24 @@
+package verifier
+
+import "bcf/internal/ebpf"
+
+// PruneEntry is a state as the pruning table records it, for tests that
+// replay the table's comparisons.
+type PruneEntry exploredEntry
+
+// RecordPruneEntry records st as pruned does on a pc with no entries.
+func RecordPruneEntry(st *VState) *PruneEntry {
+	v := &Verifier{explored: make([][]exploredEntry, 1)}
+	v.pruned(0, st)
+	return (*PruneEntry)(&v.explored[0][0])
+}
+
+// Compare reports whether the entry subsumes st and whether its key
+// admits st.
+func (e *PruneEntry) Compare(st *VState) (subsumes, admitted bool) {
+	var ids idMap
+	return statesSubsume(e.st, st, &ids), keyOf(st, e.key.consts) == e.key
+}
+
+// PrunePoints reports the pcs of p where the walk records states.
+func PrunePoints(p *ebpf.Program) []bool { return computePrunePoints(p) }

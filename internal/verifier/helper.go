@@ -86,7 +86,7 @@ func (v *Verifier) checkCall(st *VState, pc int, ins *ebpf.Instruction, node int
 
 	// Model the call's effect: R1-R5 are clobbered, R0 set per ret type.
 	for r := ebpf.R1; r <= ebpf.R5; r++ {
-		st.Regs[r] = RegState{Type: NotInit}
+		*v.reg(r) = RegState{Type: NotInit}
 	}
 	switch spec.Ret {
 	case ebpf.RetPtrToMapValueOrNull:
@@ -95,11 +95,11 @@ func (v *Verifier) checkCall(st *VState, pc int, ins *ebpf.Instruction, node int
 		}
 		r0 := RegState{Type: PtrToMapValueOrNull, MapIdx: mapIdx, ID: v.newID()}
 		r0.zeroVar()
-		st.Regs[ebpf.R0] = r0
+		*v.reg(ebpf.R0) = r0
 	case ebpf.RetVoid:
-		st.Regs[ebpf.R0] = RegState{Type: NotInit}
+		*v.reg(ebpf.R0) = RegState{Type: NotInit}
 	default:
-		st.Regs[ebpf.R0] = unknownScalar()
+		*v.reg(ebpf.R0) = unknownScalar()
 	}
 	return nil
 }
@@ -113,14 +113,7 @@ func (v *Verifier) checkHelperMemArg(st *VState, pc int, regno ebpf.Reg, size in
 		if err := v.checkMemAccess(st, pc, regno, 0, size, write, node); err != nil {
 			return err
 		}
-		if reg.Type == PtrToStack && reg.Var.IsConst() {
-			fixed := int64(reg.Off) + int64(reg.Var.Value)
-			if !write {
-				return v.checkStackRead(st, pc, fixed, size)
-			}
-			v.markStackWritten(st, fixed, size)
-		}
-		return nil
+		return v.stackArg(st, pc, reg, size, write)
 	}
 	return &Error{InsnIdx: pc, Kind: CheckOther,
 		Msg: fmt.Sprintf("R%d type=%s expected=fp or map_value", regno, reg.Type)}
@@ -205,15 +198,5 @@ func (v *Verifier) checkHelperSizeOnce(st *VState, pc int, memReg, sizeReg ebpf.
 	if err := v.checkMemAccessOnce(st, pc, mem, memReg, 0, int(size.UMax), write); err != nil {
 		return err
 	}
-	if mem.Type == PtrToStack {
-		if mem.Var.IsConst() {
-			fixed := int64(mem.Off) + int64(mem.Var.Value)
-			if write {
-				v.markStackWritten(st, fixed, int(size.UMax))
-			} else {
-				return v.checkStackRead(st, pc, fixed, int(size.UMax))
-			}
-		}
-	}
-	return nil
+	return v.stackArg(st, pc, mem, int(size.UMax), write)
 }

@@ -17,7 +17,7 @@ func (v *Verifier) applyInvariants(st *VState, pc int) error {
 			continue
 		}
 		for _, rr := range inv.Regs {
-			reg := &st.Regs[rr.Reg]
+			reg := v.reg(rr.Reg)
 			if reg.Type != Scalar {
 				return &Error{InsnIdx: pc, Kind: CheckOther,
 					Msg: fmt.Sprintf("loop invariant on R%d: register is %s, not a scalar",

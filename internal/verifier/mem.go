@@ -22,7 +22,7 @@ func (v *Verifier) checkLoad(st *VState, pc int, ins *ebpf.Instruction, node int
 	if err := v.checkMemAccess(st, pc, ins.Src, ins.Off, size, false, node); err != nil {
 		return err
 	}
-	dst := &st.Regs[ins.Dst]
+	dst := v.reg(ins.Dst)
 	switch src.Type {
 	case PtrToStack:
 		*dst = v.readStack(st, src, ins.Off, size)
@@ -285,7 +285,7 @@ func (v *Verifier) writeStack(st *VState, reg *RegState, off int16, size int, sr
 		}
 		for i := s0; i <= s1 && i < NumStackSlots; i++ {
 			if i >= 0 {
-				st.setSlot(i, StackSlot{Kind: SlotMisc})
+				v.setSlot(i, StackSlot{Kind: SlotMisc})
 			}
 		}
 		return
@@ -298,7 +298,7 @@ func (v *Verifier) writeStack(st *VState, reg *RegState, off int16, size int, sr
 	if size == 8 && fixed%8 == 0 && src != nil {
 		// Register-sized aligned spill: preserve the full abstract state.
 		if s0 >= 0 && s0 < NumStackSlots {
-			st.setSlot(s0, StackSlot{Kind: SlotSpill, Spill: *src})
+			v.setSlot(s0, StackSlot{Kind: SlotSpill, Spill: *src})
 		}
 		return
 	}
@@ -323,7 +323,7 @@ func (v *Verifier) writeStack(st *VState, reg *RegState, off int16, size int, sr
 			// (fuzz-domain regression).
 			k = SlotMisc
 		}
-		st.setSlot(i, StackSlot{Kind: k})
+		v.setSlot(i, StackSlot{Kind: k})
 	}
 }
 
@@ -360,29 +360,27 @@ func (v *Verifier) readStack(st *VState, reg *RegState, off int16, size int) Reg
 	return loadedScalar(size)
 }
 
-// checkStackRead validates that [off, off+size) of the frame is
-// initialized, for helper arguments that read stack memory.
-func (v *Verifier) checkStackRead(st *VState, pc int, fixed int64, size int) error {
+// stackArg validates that the size bytes a helper reads through the
+// constant stack pointer reg are initialized, or marks the bytes it
+// writes as untracked data.
+func (v *Verifier) stackArg(st *VState, pc int, reg *RegState, size int, write bool) error {
+	if reg.Type != PtrToStack || !reg.Var.IsConst() {
+		return nil
+	}
+	fixed := int64(reg.Off) + int64(reg.Var.Value)
 	s0, s1 := slotRange(fixed, size)
 	for i := s0; i <= s1; i++ {
-		if i < 0 || i >= NumStackSlots {
+		switch {
+		case write:
+			if i >= 0 && i < NumStackSlots {
+				v.setSlot(i, StackSlot{Kind: SlotMisc})
+			}
+		case i < 0 || i >= NumStackSlots:
 			return &Error{InsnIdx: pc, Kind: CheckStackAccess, Msg: "stack access out of frame"}
-		}
-		if st.slot(i).Kind == SlotInvalid {
+		case st.slot(i).Kind == SlotInvalid:
 			return &Error{InsnIdx: pc, Kind: CheckOther,
 				Msg: fmt.Sprintf("invalid indirect read from stack off %d", fixed)}
 		}
 	}
 	return nil
-}
-
-// markStackWritten marks [off, off+size) as written with untracked data,
-// for helper arguments that write stack memory.
-func (v *Verifier) markStackWritten(st *VState, fixed int64, size int) {
-	s0, s1 := slotRange(fixed, size)
-	for i := s0; i <= s1; i++ {
-		if i >= 0 && i < NumStackSlots {
-			st.setSlot(i, StackSlot{Kind: SlotMisc})
-		}
-	}
 }

@@ -11,16 +11,14 @@ import "bcf/internal/tnum"
 // Step is invoked with the state on arrival at pc, before the
 // instruction's checks and transfer function run. parent is the value
 // Step returned for the previous instruction on the same analysis path
-// (nil at the entry of the initial path); the returned value identifies
-// this step and becomes the parent of its successors, including the first
-// step of any path forked at a conditional jump. Observers therefore see
-// the full analysis tree, with branch forks sharing their prefix.
+// (nil at the entry of the initial path); the returned value becomes the
+// parent of its successors, including the first step of any path forked
+// at a conditional jump, so observers see the analysis tree. Step runs
+// on the goroutine that called Verify, one call at a time, in DFS order.
 //
-// The *VState is live verifier state: observers must copy what they keep
-// and must not mutate it.
-//
-// Step runs on the goroutine that called Verify, one call at a time, in
-// the DFS order of the walk; tokens are handed back unread.
+// The *VState is the walk's one live state: every instruction changes
+// it, and a backtrack to a fork restores it. Observers copy what they
+// keep and never mutate it.
 type Observer interface {
 	Step(parent any, pc int, st *VState) any
 }
@@ -56,37 +54,4 @@ func (s *Sabotage) collapseAdd(r *RegState) {
 	r.SMin, r.SMax = int64(v), int64(v)
 	r.U32Min, r.U32Max = uint32(v), uint32(v)
 	r.S32Min, r.S32Max = int32(uint32(v)), int32(uint32(v))
-}
-
-// Domain names for Admits.
-const (
-	DomainTnum = "tnum"
-	DomainU64  = "u64"
-	DomainS64  = "s64"
-	DomainU32  = "u32"
-	DomainS32  = "s32"
-)
-
-// Admits reports whether concrete value v is admitted by the scalar
-// abstraction. When it is not, domain names the first violated domain
-// (DomainTnum, DomainU64, DomainS64, DomainU32 or DomainS32), letting
-// soundness reports pinpoint the broken transfer function.
-func (r *RegState) Admits(v uint64) (ok bool, domain string) {
-	if !r.Var.Contains(v) {
-		return false, DomainTnum
-	}
-	if v < r.UMin || v > r.UMax {
-		return false, DomainU64
-	}
-	if int64(v) < r.SMin || int64(v) > r.SMax {
-		return false, DomainS64
-	}
-	v32 := uint32(v)
-	if v32 < r.U32Min || v32 > r.U32Max {
-		return false, DomainU32
-	}
-	if int32(v32) < r.S32Min || int32(v32) > r.S32Max {
-		return false, DomainS32
-	}
-	return true, ""
 }

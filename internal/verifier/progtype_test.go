@@ -92,6 +92,23 @@ func TestXDPPacketWriteBounded(t *testing.T) {
 	`))
 }
 
+// The range the fall-through learns is undone when the walk backtracks
+// to the taken side, where the packet is shorter than 14 bytes.
+func TestXDPPacketRangeUndoneOnBacktrack(t *testing.T) {
+	mustReject(t, typedProg(ebpf.ProgXDP, `
+		r2 = *(u32 *)(r1 +0)
+		r3 = *(u32 *)(r1 +4)
+		r4 = r2
+		r4 += 14
+		if r4 > r3 goto out
+		r0 = *(u16 *)(r2 +12)
+		exit
+	out:
+		r0 = *(u8 *)(r2 +0)
+		exit
+	`), "invalid access to packet")
+}
+
 func TestXDPPacketLessThanLearnsOnTaken(t *testing.T) {
 	// The mirrored comparison: if end >= pkt+14 the taken edge is good.
 	mustAccept(t, typedProg(ebpf.ProgXDP, `

@@ -1,6 +1,8 @@
 package verifier
 
 import (
+	"math/bits"
+
 	"bcf/internal/ebpf"
 	"bcf/internal/tnum"
 )
@@ -10,13 +12,36 @@ import (
 // bounding memory like the kernel's state-list heuristics.
 const maxExploredPerInsn = 64
 
-// exploredEntry is one recorded state. dead indexes Verifier.dead, set
-// when a later path-conditional refinement retracts the entry
-// (retractEntries): its "explored without error" claim then holds only
-// under branch constraints a pruned state need not share.
+// exploredEntry is one recorded state. dead is set when a later
+// path-conditional refinement retracts the entry (retractEntries): its
+// "explored without error" claim then holds only under branch
+// constraints a pruned state need not share.
 type exploredEntry struct {
 	st   *VState
-	dead int32
+	key  pruneKey
+	dead bool
+}
+
+// pruneKey, a necessary condition of statesSubsume that refutes most
+// candidates in one comparison, is a recorded state's constant scalar
+// registers (consts; tnum.In admits only that constant) and their values.
+type pruneKey struct {
+	consts uint16
+	sum    uint64
+}
+
+// keyOf is st's key at the registers in consts, or a key no entry has
+// when one of them is not a constant scalar.
+func keyOf(st *VState, consts uint16) pruneKey {
+	k := pruneKey{consts: consts}
+	for m := consts; m != 0; m &= m - 1 {
+		r := &st.Regs[bits.TrailingZeros16(m)]
+		if r.Type != Scalar || !r.IsConst() {
+			return pruneKey{consts: ^uint16(0)}
+		}
+		k.sum = (k.sum ^ r.ConstVal()) * 0x100000001b3
+	}
+	return k
 }
 
 // computePrunePoints marks every jump target and post-branch
@@ -43,27 +68,33 @@ func computePrunePoints(prog *ebpf.Program) []bool {
 }
 
 // pruned reports whether a live explored state at pc subsumes st; if
-// not, st is recorded for future pruning and the entry's index into
-// v.dead is returned for retraction bookkeeping (-1 when the pc's list
-// is full).
+// not, st is recorded for future pruning and the entry's index in
+// explored[pc] is returned for retraction bookkeeping (-1 when the pc's
+// list is full).
 func (v *Verifier) pruned(pc int, st *VState) (bool, int32) {
 	entries := v.explored[pc]
-	if len(entries) > 0 && v.ids == nil {
-		v.ids = new(idMap)
-	}
+	// k is st's key at consts, which the entries of a pc mostly share.
+	k, consts := pruneKey{}, ^uint16(0)
 	for i := range entries {
 		e := &entries[i]
-		if !v.dead[e.dead] && statesSubsume(e.st, st, v.ids) {
+		if e.key.consts != consts {
+			consts, k = e.key.consts, keyOf(st, e.key.consts)
+		}
+		if k == e.key && !e.dead && statesSubsume(e.st, st, &v.ids) {
 			return true, -1
 		}
 	}
 	if len(entries) >= maxExploredPerInsn {
 		return false, -1
 	}
-	dead := int32(len(v.dead))
-	v.dead = append(v.dead, false)
-	v.explored[pc] = append(entries, exploredEntry{st: st.clone(), dead: dead})
-	return false, dead
+	consts = 0
+	for i := range st.Regs {
+		if st.Regs[i].Type == Scalar && st.Regs[i].IsConst() {
+			consts |= 1 << i
+		}
+	}
+	v.explored[pc] = append(entries, exploredEntry{st: st.clone(), key: keyOf(st, consts)})
+	return false, int32(len(entries))
 }
 
 // idMap pairs the register identities of an old (explored) state with

@@ -268,30 +268,6 @@ func (r *RegState) zext32() {
 	r.sync()
 }
 
-// wellFormed reports internal consistency; used in tests and debug mode.
-func (r *RegState) wellFormed() bool {
-	if r.Type != Scalar && !r.Type.IsPtr() {
-		return true
-	}
-	if !r.Var.WellFormed() {
-		return false
-	}
-	if r.UMin > r.UMax || r.SMin > r.SMax {
-		return false
-	}
-	if r.U32Min > r.U32Max || r.S32Min > r.S32Max {
-		return false
-	}
-	return true
-}
-
-// contains reports whether concrete value v is admitted by the scalar
-// abstraction (all five domains). Used by soundness tests.
-func (r *RegState) contains(v uint64) bool {
-	ok, _ := r.Admits(v)
-	return ok
-}
-
 // String renders the register like the kernel verifier log.
 func (r *RegState) String() string {
 	switch r.Type {
@@ -353,7 +329,7 @@ const NumStackSlots = ebpf.StackSize / 8
 //
 // Stack[j] is the frame slot at fp-8*(j+1), only as deep as the deepest
 // slot written (the kernel's allocated_stack); every slot past it is
-// SlotInvalid. Access frame slots through slot and setSlot.
+// SlotInvalid. Access frame slots through slot and Verifier.setSlot.
 //
 // PktRange is the number of bytes past ctx->data proven readable on this
 // path (the kernel's pkt_range analog, learned from data/data_end
@@ -375,19 +351,11 @@ func (s *VState) slot(i int) StackSlot {
 	return StackSlot{}
 }
 
-// setSlot stores frame slot i, growing Stack to reach it.
-func (s *VState) setSlot(i int, slot StackSlot) {
-	j := NumStackSlots - 1 - i
-	if j >= len(s.Stack) {
-		s.Stack = append(s.Stack, make([]StackSlot, j+1-len(s.Stack))...)
-	}
-	s.Stack[j] = slot
-}
-
-// clone deep-copies the state: it copies Stack's backing array, and no
-// other field of VState, RegState or StackSlot is a reference, so a
-// clone shares nothing mutable with its origin. Any reference field
-// added to these types must be copied here too.
+// clone deep-copies the state for the pruning table, whose entries
+// outlive their path: it copies Stack's backing array, and no other
+// field of VState, RegState or StackSlot is a reference, so a clone
+// shares nothing mutable with its origin. Any reference field added to
+// these types must be copied here too.
 func (s *VState) clone() *VState {
 	c := *s
 	c.Stack = slices.Clone(s.Stack)
@@ -395,8 +363,7 @@ func (s *VState) clone() *VState {
 }
 
 // entryState is the verifier state at program entry.
-func entryState() *VState {
-	s := &VState{}
+func entryState() (s VState) {
 	s.Regs[ebpf.R1] = RegState{Type: PtrToCtx}
 	s.Regs[ebpf.R1].zeroVar()
 	s.Regs[ebpf.R10] = RegState{Type: PtrToStack}

@@ -194,3 +194,23 @@ func TestJmp32JsetSignExtendedMask(t *testing.T) {
 		}
 	}
 }
+
+// Each side of a fork refines its own copy of the jump's immediate. The
+// taken side of `if r2 == 4` intersects r2's odd tnum with the constant
+// 4; when both sides shared one immediate, that intersection (5) became
+// the constant the fall-through excluded, so r2 == 5, which reaches the
+// access below, was dropped and a one-byte out-of-bounds read accepted.
+func TestForkSidesRefineOwnImmediate(t *testing.T) {
+	p := mapProg(`
+		r6 = r1
+`+lookupPrologue+`
+		r2 = *(u32 *)(r6 +0)
+		r2 &= 7
+		r2 |= 1
+		if r2 > 5 goto miss
+		if r2 == 4 goto miss
+		r0 += r2
+		r0 = *(u64 *)(r0 +4)
+`+lookupEpilogue, testMap16)
+	mustReject(t, p, "R0 max offset 9")
+}

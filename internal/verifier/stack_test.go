@@ -6,14 +6,22 @@ import (
 	"bcf/internal/ebpf"
 )
 
+// setSlot stores frame slot i of a standalone state through the live
+// state's setSlot, with no branch pending, so nothing is logged.
+func setSlot(st *VState, i int, slot StackSlot) {
+	v := &Verifier{st: *st}
+	v.setSlot(i, slot)
+	*st = v.st
+}
+
 // stackState builds an entry state with the given frame slots, keyed by
 // their fp-relative offset (-8 … -512).
 func stackState(slots map[int]StackSlot) *VState {
 	st := entryState()
 	for off, s := range slots {
-		st.setSlot(NumStackSlots+off/8, s)
+		setSlot(&st, NumStackSlots+off/8, s)
 	}
-	return st
+	return &st
 }
 
 func spillConst(c uint64) StackSlot { return StackSlot{Kind: SlotSpill, Spill: constScalar(c)} }
@@ -49,11 +57,11 @@ func TestStackDepthIsDeepestWrite(t *testing.T) {
 	if len(st.Stack) != 0 {
 		t.Fatalf("entry state has %d stack slots, want 0", len(st.Stack))
 	}
-	st.setSlot(NumStackSlots-8, miscSlot) // fp-64
+	setSlot(&st, NumStackSlots-8, miscSlot) // fp-64
 	if len(st.Stack) != 8 {
 		t.Fatalf("a write at fp-64 gave depth %d, want 8", len(st.Stack))
 	}
-	st.setSlot(NumStackSlots-1, spillConst(1)) // fp-8: no growth
+	setSlot(&st, NumStackSlots-1, spillConst(1)) // fp-8: no growth
 	if len(st.Stack) != 8 {
 		t.Fatalf("a write at fp-8 changed depth to %d, want 8", len(st.Stack))
 	}
@@ -62,7 +70,7 @@ func TestStackDepthIsDeepestWrite(t *testing.T) {
 			t.Fatalf("slot %d past the depth reads %v, want SlotInvalid", i, k)
 		}
 	}
-	st.setSlot(0, miscSlot) // fp-512
+	setSlot(&st, 0, miscSlot) // fp-512
 	if len(st.Stack) != NumStackSlots {
 		t.Fatalf("a write at fp-512 gave depth %d, want %d", len(st.Stack), NumStackSlots)
 	}
@@ -74,8 +82,8 @@ func TestCloneSharesNoStack(t *testing.T) {
 	orig := stackState(map[int]StackSlot{-8: spillConst(5), -16: miscSlot})
 	c := orig.clone()
 	c.Stack[0].Spill.UMax = 99
-	c.setSlot(NumStackSlots-2, zeroSlot)
-	c.setSlot(0, miscSlot)
+	setSlot(c, NumStackSlots-2, zeroSlot)
+	setSlot(c, 0, miscSlot)
 	if got := orig.slot(NumStackSlots - 1); got != spillConst(5) {
 		t.Errorf("mutating the clone's spill changed the origin: %+v", got)
 	}
@@ -85,7 +93,7 @@ func TestCloneSharesNoStack(t *testing.T) {
 	if len(orig.Stack) != 2 {
 		t.Errorf("growing the clone changed the origin's depth to %d", len(orig.Stack))
 	}
-	orig.setSlot(NumStackSlots-1, miscSlot)
+	setSlot(orig, NumStackSlots-1, miscSlot)
 	if got := c.slot(NumStackSlots - 1); got.Kind != SlotSpill || got.Spill.UMax != 99 {
 		t.Errorf("mutating the origin changed the clone: %+v", got)
 	}
@@ -148,9 +156,9 @@ func TestStatesSubsumeAllocsZero(t *testing.T) {
 		r.UMax, r.ID = 100, id
 		r.sync()
 		st.Regs[ebpf.R6], st.Regs[ebpf.R7] = r, r
-		st.setSlot(NumStackSlots-1, StackSlot{Kind: SlotSpill, Spill: r})
-		st.setSlot(NumStackSlots-3, StackSlot{Kind: SlotSpill, Spill: r})
-		return st
+		setSlot(&st, NumStackSlots-1, StackSlot{Kind: SlotSpill, Spill: r})
+		setSlot(&st, NumStackSlots-3, StackSlot{Kind: SlotSpill, Spill: r})
+		return &st
 	}
 	old, cur := linked(7), linked(9)
 	broken := linked(9)
@@ -168,4 +176,24 @@ func TestStatesSubsumeAllocsZero(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("statesSubsume allocates %v times per call pair, want 0", n)
 	}
+}
+
+// A stack slot the fall-through writes, growing the frame, is undone
+// when the walk backtracks to the taken side, which passes it
+// uninitialized as a map key.
+func TestStackWriteUndoneOnBacktrack(t *testing.T) {
+	mustReject(t, mapProg(`
+		r2 = *(u32 *)(r1 +0)
+		if r2 == 0 goto lookup
+		*(u32 *)(r10 -4) = 0
+		r0 = 0
+		exit
+	lookup:
+		r1 = map[0]
+		r2 = r10
+		r2 += -4
+		call 1
+		r0 = 0
+		exit
+	`, testMap16), "invalid indirect read from stack")
 }

@@ -27,24 +27,12 @@ const (
 	CheckOther
 )
 
+var checkKindNames = [...]string{"none", "map-access", "stack-access", "helper-size",
+	"helper-mem", "ctx-access", "pkt-access", "ret-range", "other"}
+
 func (k CheckKind) String() string {
-	switch k {
-	case CheckMapAccess:
-		return "map-access"
-	case CheckStackAccess:
-		return "stack-access"
-	case CheckHelperSize:
-		return "helper-size"
-	case CheckHelperMem:
-		return "helper-mem"
-	case CheckCtxAccess:
-		return "ctx-access"
-	case CheckPktAccess:
-		return "pkt-access"
-	case CheckRetRange:
-		return "ret-range"
-	case CheckOther:
-		return "other"
+	if int(k) < len(checkKindNames) {
+		return checkKindNames[k]
 	}
 	return "none"
 }
@@ -76,7 +64,7 @@ func (e *Error) Unwrap() error { return e.Cause }
 type pathNode struct {
 	parent int32 // the previous step; -1 at the path's first step
 	idx    int32
-	// entry indexes Verifier.dead: the pruning-table entry recorded just
+	// entry indexes explored[idx]: the pruning-table entry recorded just
 	// before this instruction was analyzed, or -1 when none was. A later
 	// path-conditional refinement retracts the entries inside its track
 	// (see retractEntries).
@@ -195,10 +183,11 @@ func (p Path) Len() int {
 }
 
 // RefineRequest describes a failed check that BCF may repair. Path ends
-// at the failing instruction InsnIdx, which has not executed. WantLo and
-// WantHi give the unsigned range the target value (the scalar register's
-// value, or the variable part of a pointer register's offset) must be
-// proven to lie in for the check to pass.
+// at the failing instruction InsnIdx, which has not executed; State is
+// the walk's live state, read-only and, like Path, valid until Refine
+// returns. WantLo and WantHi give the unsigned range the target value
+// (the scalar register's value, or the variable part of a pointer
+// register's offset) must be proven to lie in for the check to pass.
 type RefineRequest struct {
 	Prog    *ebpf.Program
 	State   *VState
@@ -254,7 +243,7 @@ func (v *Verifier) retractEntries(node int32, anchor int) {
 			return
 		}
 		if n.entry >= 0 {
-			v.dead[n.entry] = true
+			v.explored[n.idx][n.entry].dead = true
 		}
 		node = n.parent
 	}
@@ -334,19 +323,22 @@ type Verifier struct {
 
 	// explored is the pruning table: the recorded states of each pc.
 	explored [][]exploredEntry
-	// dead holds the retraction flag of every explored entry.
-	dead []bool
 	// prunePoints marks the pcs where explored states are recorded.
 	prunePoints []bool
 	idGen       uint32
-	// ids is statesSubsume's identity-pair scratch, allocated by the
-	// first comparison and reset per call.
-	ids *idMap
+	// ids is statesSubsume's identity-pair scratch, reset per call.
+	ids idMap
 
 	// stack holds the pending branches, newest last; nodes holds the
 	// history of the current path and of every pending branch.
 	stack []branchItem
 	nodes nodeArena
+
+	// st is the walk's one live state. Every write to it goes through
+	// save, which logs it on trail; popping a branch undoes the trail to
+	// the branch's fork mark.
+	st    VState
+	trail *trail
 
 	// budgetErr is the single instruction-budget rejection. It carries
 	// no pc (InsnIdx -1): the budget is spent by the whole exploration,
@@ -364,6 +356,7 @@ func New(prog *ebpf.Program, cfg Config) *Verifier {
 		cfg:         cfg,
 		explored:    make([][]exploredEntry, len(prog.Insns)),
 		prunePoints: computePrunePoints(prog),
+		st:          entryState(),
 		budgetErr: &Error{InsnIdx: -1, Kind: CheckOther,
 			Msg: fmt.Sprintf("BPF program is too large. Processed %d insn", cfg.InsnLimit)},
 	}
@@ -404,13 +397,11 @@ func pathDone(err error) error {
 	return err
 }
 
-// branchItem is a pending branch: the state and pc of the taken side of
-// a conditional jump, and the jump's node with taken set.
+// branchItem is a pending branch: the taken side of the jump at pc, under
+// node (-1 for the entry), forked when the trail's length was trail.
 type branchItem struct {
-	st   *VState
-	pc   int
-	node int32
-	obs  any // observer token of the forking instruction
+	pc, node, trail int32
+	obs             any // observer token of the forking instruction
 }
 
 // Verify runs the analysis and returns nil if the program is safe. It
@@ -420,35 +411,50 @@ func (v *Verifier) Verify() error {
 	if err := v.prog.Validate(); err != nil {
 		return &Error{InsnIdx: 0, Kind: CheckOther, Msg: err.Error()}
 	}
-	v.stack = append(v.stack, branchItem{st: entryState(), node: -1})
+	defer func() {
+		if t := v.trail; t != nil {
+			t.log, t.stamps, v.trail = t.log[:0], [locFrame + 1]uint32{}, nil
+			trails.Put(t)
+		}
+	}()
+	v.stack = append(v.stack, branchItem{node: -1})
 	for len(v.stack) > 0 {
 		v.stats.PeakStackDepth = max(v.stats.PeakStackDepth, len(v.stack))
 		item := v.stack[len(v.stack)-1]
-		v.stack[len(v.stack)-1] = branchItem{}
 		v.stack = v.stack[:len(v.stack)-1]
 		// Every node past the item's own belongs to a finished walk: the
 		// walk that forked it, or a branch pushed later and popped earlier.
 		v.nodes.n = item.node + 1
 		v.stats.PathsExplored++
-		if err := v.walk(item); err != nil {
+		pc := 0
+		if item.node >= 0 {
+			// Back to the state before the fork, then onto its taken side.
+			v.undo(int(item.trail))
+			pc = v.takeBranch(int(item.pc), true)
+		}
+		if err := v.walk(pc, item.node, item.obs); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// fork queues the taken side of the conditional jump at node: st at pc,
-// under a copy of the jump's node with taken set.
-func (v *Verifier) fork(node int32, st *VState, pc int, obsTok any) {
+// fork queues the taken side of the conditional jump at pc, whose node
+// is node; writes from now on are logged under its mark.
+func (v *Verifier) fork(node int32, pc int, obsTok any) {
+	if v.trail == nil {
+		v.trail = trails.Get().(*trail)
+	}
 	n := *v.nodes.at(node)
 	n.taken = true
-	v.stack = append(v.stack, branchItem{st: st, pc: pc, node: v.nodes.add(n), obs: obsTok})
+	v.stack = append(v.stack, branchItem{pc: int32(pc), node: v.nodes.add(n),
+		trail: int32(len(v.trail.log)), obs: obsTok})
 }
 
-// walk analyzes one path until exit, prune or error, pushing the taken
-// sides of undecided branches onto the stack.
-func (v *Verifier) walk(item branchItem) error {
-	st, pc, node, obsTok := item.st, item.pc, item.node, item.obs
+// walk analyzes one path from pc until exit, prune or error, pushing the
+// taken sides of undecided branches onto the stack.
+func (v *Verifier) walk(pc int, node int32, obsTok any) error {
+	st := &v.st
 	for {
 		if !v.chargeInsn() {
 			return v.budgetErr
@@ -499,7 +505,7 @@ func (v *Verifier) walk(item branchItem) error {
 			if !ins.IsLoadImm64() {
 				return &Error{InsnIdx: pc, Kind: CheckOther, Msg: "unsupported ld mode"}
 			}
-			dst := &st.Regs[ins.Dst]
+			dst := v.reg(ins.Dst)
 			if ins.Src == ebpf.PseudoMapFD {
 				*dst = RegState{Type: ConstPtrToMap, MapIdx: int32(uint32(ins.Imm))}
 				dst.zeroVar()
@@ -593,7 +599,7 @@ func (v *Verifier) checkExit(st *VState, pc int, node int32) error {
 func (v *Verifier) checkALU(st *VState, pc int, ins *ebpf.Instruction) error {
 	is32 := ins.Class() == ebpf.ClassALU
 	op := ins.AluOp()
-	dst := &st.Regs[ins.Dst]
+	dst := v.reg(ins.Dst)
 
 	if ins.Dst == ebpf.R10 {
 		return &Error{InsnIdx: pc, Kind: CheckOther, Msg: "frame pointer is read only"}
@@ -628,7 +634,7 @@ func (v *Verifier) checkALU(st *VState, pc int, ins *ebpf.Instruction) error {
 			if ins.UsesSrcReg() && src.Type == Scalar && src.ID == 0 {
 				// Track scalar aliases so branch refinements propagate
 				// (find_equal_scalars).
-				src.ID = v.newID()
+				v.reg(ins.Src).ID = v.newID()
 			}
 			*dst = *src
 		}
@@ -816,7 +822,7 @@ func (v *Verifier) refine(st *VState, pc int, regno ebpf.Reg, kind CheckKind,
 		}
 		return errInfeasiblePath
 	}
-	reg := &st.Regs[regno]
+	reg := v.reg(regno)
 	before := *reg
 	applyRefinedRange(reg, res.Lo, res.Hi)
 	if before == *reg {
