@@ -146,8 +146,12 @@ type Report struct {
 	Stats VerifierStats
 	// Refinements is the number of proof-checked refinements adopted.
 	Refinements int
-	// RefinementRequests is the number of conditions sent to user space.
+	// RefinementRequests is the number of conditions shipped to user
+	// space.
 	RefinementRequests int
+	// RefinementsReused counts refinements granted without shipping,
+	// their condition having been proven earlier in the same load.
+	RefinementsReused int
 	// ProofBytes and ConditionBytes total the wire traffic.
 	ProofBytes, ConditionBytes int
 	// KernelNanos/UserNanos split the analysis time (§6.3).
@@ -319,6 +323,7 @@ func Verify(prog *Program, opts ...Option) *Report {
 	if res.RefineStats != nil {
 		rep.Refinements = res.RefineStats.Granted
 		rep.RefinementRequests = len(res.RefineStats.Requests)
+		rep.RefinementsReused = res.RefineStats.Reused
 	}
 	return rep
 }

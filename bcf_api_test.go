@@ -30,9 +30,9 @@ func TestPublicVerifyBaselineVsBCF(t *testing.T) {
 	if !rep.Accepted {
 		t.Fatalf("BCF must accept: %v", rep.Err)
 	}
-	if rep.Refinements != 1 || rep.RefinementRequests != 1 {
-		t.Fatalf("expected exactly one refinement, got %d/%d",
-			rep.Refinements, rep.RefinementRequests)
+	if rep.Refinements != 1 || rep.RefinementRequests != 1 || rep.RefinementsReused != 0 {
+		t.Fatalf("expected exactly one refinement, shipped, got %d/%d/%d",
+			rep.Refinements, rep.RefinementRequests, rep.RefinementsReused)
 	}
 	if rep.ProofBytes == 0 || rep.ConditionBytes == 0 {
 		t.Fatal("wire traffic not recorded")

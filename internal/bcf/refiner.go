@@ -51,7 +51,7 @@ type RequestStats struct {
 // Stats aggregates refiner activity over one program load.
 type Stats struct {
 	// Requests holds one entry per condition shipped to user space, in
-	// order.
+	// order; a reused condition is not shipped.
 	Requests []RequestStats
 	// Unshipped is the refinement that failed before its condition was
 	// shipped (nil if none). A failed refinement ends the load, so there
@@ -59,6 +59,7 @@ type Stats struct {
 	Unshipped *RequestStats
 	Granted   int
 	Failed    int
+	Reused    int // granted, unshipped: the condition was already proven in this load
 	UserTime  time.Duration
 }
 
@@ -70,7 +71,8 @@ type Refiner struct {
 	// of the computed suffix (ablation).
 	DisableBackward bool
 
-	stats Stats
+	stats  Stats
+	proven map[string]struct{} // encodings of the conditions proven in this load
 }
 
 // NewRefiner returns a refiner delegating to the given service.
@@ -93,9 +95,12 @@ func (r *Refiner) Refine(req *verifier.RefineRequest) (*verifier.RefineResult, e
 		r.stats.Failed++
 	}
 	// Only a shipped condition has bytes; an encoding is never empty.
-	if rs.CondBytes > 0 {
+	switch {
+	case rs.CondBytes > 0:
 		r.stats.Requests = append(r.stats.Requests, rs)
-	} else {
+	case err == nil:
+		r.stats.Reused++
+	default:
 		u := rs
 		r.stats.Unshipped = &u
 	}
@@ -184,6 +189,9 @@ func (r *Refiner) refine(req *verifier.RefineRequest, rs *RequestStats) (*verifi
 // proof with the in-kernel checker (§4 steps 2 and 3). The condition
 // object itself never leaves kernel space; only its encoding does, and
 // the proof must establish exactly the stored condition.
+// A repeat of a condition proven earlier in this load is granted at once:
+// the condition is closed and its encoding injective (bcfenc's round-trip
+// tests), so equal bytes are the same valid formula, whatever the path.
 func (r *Refiner) delegate(cond *expr.Expr, tk *tracker, rs *RequestStats) error {
 	encStart := time.Now()
 	condBytes, err := bcfenc.EncodeCondition(&bcfenc.Condition{Cond: cond})
@@ -192,6 +200,10 @@ func (r *Refiner) delegate(cond *expr.Expr, tk *tracker, rs *RequestStats) error
 	if err != nil {
 		return fmt.Errorf("bcf: encoding condition: %w", err)
 	}
+	if _, ok := r.proven[string(condBytes)]; ok {
+		return nil
+	}
+	key := string(condBytes) // kernel-private: user space may rewrite condBytes
 
 	// The user time covers the whole kernel→user→kernel round trip:
 	// session accounting, loader work and prover time.
@@ -218,5 +230,9 @@ func (r *Refiner) delegate(cond *expr.Expr, tk *tracker, rs *RequestStats) error
 		return bcferr.Wrap(bcferr.ClassProofRejected,
 			fmt.Errorf("bcf: proof rejected: %w", err))
 	}
+	if r.proven == nil {
+		r.proven = map[string]struct{}{}
+	}
+	r.proven[key] = struct{}{}
 	return nil
 }

@@ -16,9 +16,9 @@ import (
 // in its own diff, and says why in CHANGES.md; a change that shrinks one
 // lowers it.
 var kernelSideCeiling = map[string]int{
-	"Verifier":              2682,
+	"Verifier":              2676,
 	"Proof Checker":         1048,
-	"Refinement (BCF core)": 768,
+	"Refinement (BCF core)": 784,
 	"tnum domain":           222,
 }
 

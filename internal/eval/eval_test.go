@@ -118,7 +118,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	for i := range seq.Results {
 		s, p := seq.Results[i], par.Results[i]
 		if s.Accepted != p.Accepted || s.ErrClass != p.ErrClass ||
-			s.Requests != p.Requests || s.Refinements != p.Refinements ||
+			s.Requests != p.Requests || s.Refinements != p.Refinements || s.Attempts != p.Attempts ||
 			!reflect.DeepEqual(s.ProofSizes, p.ProofSizes) ||
 			!reflect.DeepEqual(s.CondSizes, p.CondSizes) ||
 			!reflect.DeepEqual(s.TrackLens, p.TrackLens) {

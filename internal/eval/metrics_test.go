@@ -47,14 +47,16 @@ func TestEvaluationPopulatesTelemetry(t *testing.T) {
 		}
 	}
 
-	// Counter/aggregate cross-checks: refinement requests equal the wire
-	// ledger's round count, and the registry cond-byte sum equals the
-	// per-program totals the tables are built from.
-	var wantCond, wantProof, wantRequests int64
+	// Counter/aggregate cross-checks: the cond-byte histogram counts the
+	// wire ledger's rounds, the refinement counter every refinement, and
+	// the registry cond-byte sum equals the per-program totals the tables
+	// are built from.
+	var wantCond, wantProof, wantRequests, wantAttempts int64
 	for _, r := range ev.Results {
 		wantCond += int64(r.CondBytes)
 		wantProof += int64(r.ProofBytes)
 		wantRequests += int64(r.Requests)
+		wantAttempts += int64(r.Attempts)
 	}
 	if wantRequests == 0 {
 		t.Fatal("corpus slice produced no refinements; widen the slice")
@@ -68,8 +70,8 @@ func TestEvaluationPopulatesTelemetry(t *testing.T) {
 	if int64(ph.Sum) != wantProof {
 		t.Errorf("proof bytes: metric sum %v != results %d", ph.Sum, wantProof)
 	}
-	if got := snap.Counter(obs.MRefineRequests); got != wantRequests {
-		t.Errorf("%s = %d, want %d", obs.MRefineRequests, got, wantRequests)
+	if got := snap.Counter(obs.MRefineRequests); got != wantAttempts {
+		t.Errorf("%s = %d, want %d", obs.MRefineRequests, got, wantAttempts)
 	}
 
 	// Cache traffic counted in both the cache stats and the registry.

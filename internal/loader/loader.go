@@ -127,8 +127,12 @@ type Result struct {
 	VerifierStats verifier.Stats
 	// Refinement statistics (nil when BCF disabled).
 	RefineStats *bcf.Stats
-	// Rounds counts protocol round-trips driven by this load.
+	// Rounds counts protocol round-trips driven by this load: one per
+	// condition shipped.
 	Rounds int
+	// Reused counts refinements the kernel granted without a round trip,
+	// their condition having been proven earlier in the load.
+	Reused int
 	// Escalations counts solver escalation retries that ran.
 	Escalations int
 	// Wall-clock split.
@@ -294,6 +298,7 @@ func Load(prog *ebpf.Program, opts Options) *Result {
 	res.VerifierStats = sess.Verifier().Stats()
 	res.Log = sess.Verifier().Log()
 	res.RefineStats = sess.Refiner().Stats()
+	res.Reused = res.RefineStats.Reused
 	// One clock for the §6.3 split: the refiner times every call into
 	// user space, and the kernel side is the rest of the run.
 	res.UserTime = res.RefineStats.UserTime
@@ -336,6 +341,9 @@ func kernelTelemetry(reg *obs.Registry, tr *obs.Tracer, start time.Time, dur tim
 	}
 	if st.Failed > 0 {
 		reg.Counter(obs.MRefinementsFailed).Add(int64(st.Failed))
+	}
+	if st.Reused > 0 {
+		reg.Counter(obs.MRefinementsReused).Add(int64(st.Reused))
 	}
 	reqs := st.Requests
 	if st.Unshipped != nil {

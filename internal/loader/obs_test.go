@@ -9,6 +9,7 @@ import (
 	"bcf/internal/ebpf"
 	"bcf/internal/faultinject"
 	"bcf/internal/obs"
+	"bcf/internal/verifier"
 )
 
 // obsFig2 is the Figure 2 program (baseline rejects, BCF rescues with
@@ -204,8 +205,8 @@ func TestKernelTelemetryFromRecord(t *testing.T) {
 		t.Errorf("%s: count=%d, record: %d rounds returned a proof", obs.MCheckSeconds, h.Count, proved)
 	}
 	for _, c := range snap.Counters {
-		if c.Name == obs.MRefinementsFailed {
-			t.Errorf("accepted load created a %s series", obs.MRefinementsFailed)
+		if c.Name == obs.MRefinementsFailed || c.Name == obs.MRefinementsReused {
+			t.Errorf("a load with two distinct granted conditions created a %s series", c.Name)
 		}
 	}
 
@@ -294,5 +295,39 @@ func TestUnshippedRefinementReported(t *testing.T) {
 	}
 	if names["verify"] != 1 || names["refine"] != 1 || names["track"] != 1 || len(names) != 3 {
 		t.Errorf("kernel track spans %v, want verify, refine and track once each", names)
+	}
+}
+
+// TestReusedRefinementsCounted pins the record of a load whose
+// refinements repeat one condition (a corpus loop program): one round,
+// every later refinement granted from that proof, and the reused count
+// in the Result, the record and the bcf_refinements_reused_total series.
+func TestReusedRefinementsCounted(t *testing.T) {
+	var prog *ebpf.Program
+	for _, e := range corpus.Generate() {
+		if e.Family == corpus.Loop {
+			prog = e.Prog
+			break
+		}
+	}
+	reg := obs.NewRegistry()
+	res := Load(prog, Options{EnableBCF: true, Obs: reg, Verifier: verifier.Config{InsnLimit: 4000}})
+	st := res.RefineStats
+	if res.Rounds != 1 || len(st.Requests) != 1 {
+		t.Fatalf("%d rounds, %d requests recorded; want 1 and 1", res.Rounds, len(st.Requests))
+	}
+	if res.Reused == 0 || res.Reused != st.Reused || st.Reused != st.Granted-1 || st.Failed != 0 {
+		t.Fatalf("Result.Reused %d, record: %d reused, %d granted, %d failed; want reused = granted - 1",
+			res.Reused, st.Reused, st.Granted, st.Failed)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counter(obs.MRefinementsReused); got != int64(st.Reused) {
+		t.Errorf("%s = %d, record: %d", obs.MRefinementsReused, got, st.Reused)
+	}
+	if got := snap.Counter(obs.MRefineRequests); got != int64(st.Granted) {
+		t.Errorf("%s = %d, record: %d refinements", obs.MRefineRequests, got, st.Granted)
+	}
+	if h, _ := snap.Histogram(obs.MCondBytes); h.Count != 1 {
+		t.Errorf("%s: count=%d, want the one shipped condition", obs.MCondBytes, h.Count)
 	}
 }

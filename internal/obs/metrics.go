@@ -34,6 +34,7 @@ const (
 	MRefineRequests     = "bcf_refine_requests_total"
 	MRefinementsGranted = "bcf_refinements_granted_total"
 	MRefinementsFailed  = "bcf_refinements_failed_total"
+	MRefinementsReused  = "bcf_refinements_reused_total"
 	MProveTier          = "bcf_prove_tier_total" // label: tier=rewrite|bitblast|counterexample
 	MEscalations        = "bcf_solver_escalations_total"
 	MCacheHits          = "bcf_proof_cache_hits_total"

@@ -144,7 +144,7 @@ func (v *Verifier) checkHelperSize(st *VState, pc int, memReg, sizeReg ebpf.Reg,
 			// Unsatisfiable in any range: only path pruning can help.
 			lo, hi = 1, 0
 		}
-		if rerr := v.refine(st, pc, sizeReg, CheckHelperSize, lo, hi, node, err); rerr != nil {
+		if rerr := v.refine(st, pc, sizeReg, CheckHelperSize, lo, hi, node, func() error { return err }); rerr != nil {
 			return rerr
 		}
 	}
@@ -195,7 +195,7 @@ func (v *Verifier) checkHelperSizeOnce(st *VState, pc int, memReg, sizeReg ebpf.
 		return nil // zero-size access touches nothing
 	}
 	// The base access itself (min position, max extent) must be valid.
-	if err := v.checkMemAccessOnce(st, pc, mem, memReg, 0, int(size.UMax), write); err != nil {
+	if _, err := v.memFault(st, pc, mem, memReg, 0, int(size.UMax), write, true); err != nil {
 		return err
 	}
 	return v.stackArg(st, pc, mem, int(size.UMax), write)

@@ -111,151 +111,140 @@ func (v *Verifier) checkStore(st *VState, pc int, ins *ebpf.Instruction, node in
 func (v *Verifier) checkMemAccess(st *VState, pc int, regno ebpf.Reg, off int16, size int, write bool, node int32) error {
 	for {
 		reg := &st.Regs[regno]
-		err := v.checkMemAccessOnce(st, pc, reg, regno, off, size, write)
-		if err == nil {
+		kind, _ := v.memFault(st, pc, reg, regno, off, size, write, false)
+		if kind == CheckNone || v.cfg.Sabotage.skipsBounds(kind) {
 			return nil
 		}
-		verr, ok := err.(*Error)
-		if !ok {
-			return err
-		}
-		if v.cfg.Sabotage.skipsBounds(verr.Kind) {
-			return nil
-		}
-		var want struct {
-			lo, hi uint64
-			ok     bool
-		}
-		switch verr.Kind {
+		// Where no variable range can satisfy the check (e.g. the fixed
+		// offset alone is out of bounds), the only way out is a proof that
+		// the path itself is infeasible (paper Listing 8): lo > hi asks it.
+		lo, hi := uint64(1), uint64(0)
+		switch kind {
 		case CheckMapAccess:
 			valSize := int64(v.prog.Maps[reg.MapIdx].ValueSize)
-			hi := valSize - int64(size) - int64(reg.Off) - int64(off)
-			if hi >= 0 {
-				want.lo, want.hi, want.ok = 0, uint64(hi), true
+			if h := valSize - int64(size) - int64(reg.Off) - int64(off); h >= 0 {
+				lo, hi = 0, uint64(h)
 			}
 		case CheckStackAccess:
 			// Variable stack offset: the variable part must keep the whole
 			// access within [-StackSize, 0). fixed + var + size <= 0 and
 			// fixed + var >= -StackSize, with var proven unsigned-bounded.
 			fixed := int64(reg.Off) + int64(off)
-			hi := -int64(size) - fixed
-			lo := -int64(ebpf.StackSize) - fixed
-			if lo < 0 {
-				lo = 0
-			}
-			if hi >= lo {
-				want.lo, want.hi, want.ok = uint64(lo), uint64(hi), true
+			h := -int64(size) - fixed
+			l := max(-int64(ebpf.StackSize)-fixed, 0)
+			if h >= l {
+				lo, hi = uint64(l), uint64(h)
 			}
 		case CheckPktAccess:
 			// The variable offset must keep fixed + var + size within the
 			// proven packet range.
-			hi := int64(st.PktRange) - int64(size) - int64(reg.Off) - int64(off)
-			if hi >= 0 {
-				want.lo, want.hi, want.ok = 0, uint64(hi), true
+			if h := int64(st.PktRange) - int64(size) - int64(reg.Off) - int64(off); h >= 0 {
+				lo, hi = 0, uint64(h)
 			}
 		}
-		if !want.ok {
-			// No variable range can satisfy the check (e.g. the fixed
-			// offset alone is out of bounds); the only way out is a proof
-			// that the path itself is infeasible (paper Listing 8).
-			want.lo, want.hi = 1, 0
-		}
-		if rerr := v.refine(st, pc, regno, verr.Kind, want.lo, want.hi, node, err); rerr != nil {
+		orig := func() error { _, err := v.memFault(st, pc, reg, regno, off, size, write, true); return err }
+		if rerr := v.refine(st, pc, regno, kind, lo, hi, node, orig); rerr != nil {
 			return rerr
 		}
 		// Refinement adopted: re-check the same access.
 	}
 }
 
-func (v *Verifier) checkMemAccessOnce(st *VState, pc int, reg *RegState, regno ebpf.Reg, off int16, size int, write bool) error {
+// memFault returns the check an access of size bytes at reg+off fails,
+// or CheckNone, and with describe set also the rejection: a failure that
+// a refinement repairs is never formatted.
+func (v *Verifier) memFault(st *VState, pc int, reg *RegState, regno ebpf.Reg, off int16, size int, write, describe bool) (CheckKind, error) {
+	fail := func(kind CheckKind, msg func() string) (CheckKind, error) {
+		if !describe {
+			return kind, nil
+		}
+		return kind, &Error{InsnIdx: pc, Kind: kind, Msg: msg()}
+	}
 	switch reg.Type {
 	case PtrToStack:
 		fixed := int64(reg.Off) + int64(off)
 		// Guard against overflow in the bound arithmetic below: a variable
 		// part outside a generous window is out of bounds regardless.
 		if reg.SMin < -4*ebpf.StackSize || reg.SMax > 4*ebpf.StackSize {
-			return &Error{InsnIdx: pc, Kind: CheckStackAccess,
-				Msg: fmt.Sprintf("invalid unbounded variable-offset %s stack R%d", rw(write), regno)}
+			return fail(CheckStackAccess, func() string {
+				return fmt.Sprintf("invalid unbounded variable-offset %s stack R%d", rw(write), regno)
+			})
 		}
 		minOff := fixed + reg.SMin
 		maxOff := fixed + reg.SMax
 		if minOff < -ebpf.StackSize || maxOff+int64(size) > 0 {
-			return &Error{InsnIdx: pc, Kind: CheckStackAccess,
-				Msg: fmt.Sprintf("invalid %s stack R%d off=%d size=%d (range [%d,%d])",
-					rw(write), regno, off, size, minOff, maxOff)}
+			return fail(CheckStackAccess, func() string {
+				return fmt.Sprintf("invalid %s stack R%d off=%d size=%d (range [%d,%d])",
+					rw(write), regno, off, size, minOff, maxOff)
+			})
 		}
-		return nil
+		return CheckNone, nil
 
 	case PtrToMapValue:
 		valSize := int64(v.prog.Maps[reg.MapIdx].ValueSize)
 		fixed := int64(reg.Off) + int64(off)
 		// Lower bound: the signed minimum of the full offset must be >= 0.
 		if fixed+reg.SMin < 0 {
-			return &Error{InsnIdx: pc, Kind: CheckMapAccess,
-				Msg: fmt.Sprintf("R%d min value is negative, either use unsigned index or do a if (index >=0) check", regno)}
+			return fail(CheckMapAccess, func() string {
+				return fmt.Sprintf("R%d min value is negative, either use unsigned index or do a if (index >=0) check", regno)
+			})
 		}
 		// Upper bound: umax of the full offset plus access size must fit.
 		if reg.UMax > uint64(valSize) || fixed+int64(reg.UMax)+int64(size) > valSize {
-			return &Error{InsnIdx: pc, Kind: CheckMapAccess,
-				Msg: fmt.Sprintf("invalid access to map value, value_size=%d off=%d size=%d (R%d max offset %d)",
-					valSize, fixed, size, regno, fixed+int64(reg.UMax))}
+			return fail(CheckMapAccess, func() string {
+				return fmt.Sprintf("invalid access to map value, value_size=%d off=%d size=%d (R%d max offset %d)",
+					valSize, fixed, size, regno, fixed+int64(reg.UMax))
+			})
 		}
-		return nil
+		return CheckNone, nil
 
 	case PtrToCtx:
 		// Context accesses require a constant offset; this rejection site
 		// is deliberately NOT instrumented for refinement (paper §6.2:
 		// a small number of sites remain uninstrumented).
 		if !reg.Var.IsConst() {
-			return &Error{InsnIdx: pc, Kind: CheckCtxAccess,
-				Msg: fmt.Sprintf("variable ctx access var_off=%s off=%d size=%d", reg.Var, off, size)}
+			return fail(CheckCtxAccess, func() string {
+				return fmt.Sprintf("variable ctx access var_off=%s off=%d size=%d", reg.Var, off, size)
+			})
 		}
 		if write && v.prog.Type == ebpf.ProgTracepoint {
 			// The tracepoint context is the raw trace record: read-only.
-			return &Error{InsnIdx: pc, Kind: CheckCtxAccess,
-				Msg: fmt.Sprintf("invalid bpf_context access off=%d size=%d (tracepoint ctx is read-only)", off, size)}
+			return fail(CheckCtxAccess, func() string {
+				return fmt.Sprintf("invalid bpf_context access off=%d size=%d (tracepoint ctx is read-only)", off, size)
+			})
 		}
 		coff := int64(reg.Off) + int64(off) + int64(reg.Var.Value)
 		ctxSize := int64(v.prog.Type.CtxSize())
 		if coff < 0 || coff+int64(size) > ctxSize {
-			return &Error{InsnIdx: pc, Kind: CheckCtxAccess,
-				Msg: fmt.Sprintf("invalid bpf_context access off=%d size=%d", coff, size)}
+			return fail(CheckCtxAccess, func() string {
+				return fmt.Sprintf("invalid bpf_context access off=%d size=%d", coff, size)
+			})
 		}
-		return nil
+		return CheckNone, nil
 
 	case PtrToPacket:
 		fixed := int64(reg.Off) + int64(off)
 		if fixed+reg.SMin < 0 {
-			return &Error{InsnIdx: pc, Kind: CheckPktAccess,
-				Msg: fmt.Sprintf("R%d min packet offset is negative (%d)", regno, fixed+reg.SMin)}
+			return fail(CheckPktAccess, func() string {
+				return fmt.Sprintf("R%d min packet offset is negative (%d)", regno, fixed+reg.SMin)
+			})
 		}
 		// The unsigned-max guard doubles as the overflow guard: a variable
 		// part past the kernel's MAX_PACKET_OFF can never be in range.
 		if reg.UMax > maxPacketOff || fixed+int64(reg.UMax)+int64(size) > int64(st.PktRange) {
-			return &Error{InsnIdx: pc, Kind: CheckPktAccess,
-				Msg: fmt.Sprintf("invalid access to packet, off=%d size=%d, R%d pkt range=%d",
-					fixed, size, regno, st.PktRange)}
+			return fail(CheckPktAccess, func() string {
+				return fmt.Sprintf("invalid access to packet, off=%d size=%d, R%d pkt range=%d",
+					fixed, size, regno, st.PktRange)
+			})
 		}
-		return nil
+		return CheckNone, nil
 
-	case PtrToPacketEnd:
-		return &Error{InsnIdx: pc, Kind: CheckOther,
-			Msg: fmt.Sprintf("R%d invalid mem access 'pkt_end'", regno)}
-
-	case PtrToMapValueOrNull:
-		return &Error{InsnIdx: pc, Kind: CheckOther,
-			Msg: fmt.Sprintf("R%d invalid mem access 'map_value_or_null'", regno)}
-
-	case ConstPtrToMap:
-		return &Error{InsnIdx: pc, Kind: CheckOther,
-			Msg: fmt.Sprintf("R%d invalid mem access 'map_ptr'", regno)}
-
-	case Scalar:
-		return &Error{InsnIdx: pc, Kind: CheckOther,
-			Msg: fmt.Sprintf("R%d invalid mem access 'scalar'", regno)}
+	case NotInit:
+		return fail(CheckOther, func() string { return fmt.Sprintf("R%d invalid mem access", regno) })
 	}
-	return &Error{InsnIdx: pc, Kind: CheckOther,
-		Msg: fmt.Sprintf("R%d invalid mem access", regno)}
+	// Every other type (pkt_end, map_value_or_null, map_ptr, scalar) is
+	// not a pointer to accessible memory.
+	return fail(CheckOther, func() string { return fmt.Sprintf("R%d invalid mem access '%s'", regno, reg.Type) })
 }
 
 func rw(write bool) string {

@@ -11,26 +11,27 @@ import (
 )
 
 // corpusP1Golden pins the exploration of the whole corpus with BCF on:
-// per-family sums of every verifier.Stats field, the protocol rounds, and
-// the accept count, at the corpus evaluation budget. Each load is one
-// sequential DFS on the caller's goroutine, so every column here is
-// deterministic.
-const corpusP1Golden = `family             loads accepted    insns  paths pruned  peak  refined attempts rounds
-split-access          97       97     2108    194      0    97       97       97     97
-helper-size           80       80     2235    240      0   160       80       80     80
-unreachable-path      72       72     1722    288      0   216       72       72     72
-reg-alias             82       82     1822    246      0   164       82       82     82
-shift-compare         72       72     1574    216      0   144       72       72     72
-subreg-spill          82        0     1553     82      0    82        0       82     82
-loop                  23        0    92000   4743      0  4743     4730     4730   4730
-uninstrumented         4        0       16      4      0     4        0        4      0
-total                512      403   103030   6013      0  5610     5133     5219   5215
+// per-family sums of every verifier.Stats field, the protocol rounds (one
+// per shipped condition), the refinements granted without a round trip
+// (a condition already proven in the same load), and the accept count, at
+// the corpus evaluation budget. Each load is one sequential DFS on the
+// caller's goroutine, so every column here is deterministic.
+const corpusP1Golden = `family             loads accepted    insns  paths pruned  peak  refined attempts rounds reused
+split-access          97       97     2108    194      0    97       97       97     97      0
+helper-size           80       80     2235    240      0   160       80       80     80      0
+unreachable-path      72       72     1722    288      0   216       72       72     72      0
+reg-alias             82       82     1822    246      0   164       82       82     82      0
+shift-compare         72       72     1574    216      0   144       72       72     72      0
+subreg-spill          82        0     1553     82      0    82        0       82     82      0
+loop                  23        0    92000   4743      0  4743     4730     4730     23   4707
+uninstrumented         4        0       16      4      0     4        0        4      0      0
+total                512      403   103030   6013      0  5610     5133     5219    508   4707
 `
 
 func TestCorpusP1StatsGolden(t *testing.T) {
 	type sums struct {
-		loads, accepted, rounds int
-		st                      verifier.Stats
+		loads, accepted, rounds, reused int
+		st                              verifier.Stats
 	}
 	var order []corpus.Family
 	byFamily := map[corpus.Family]*sums{}
@@ -41,6 +42,7 @@ func TestCorpusP1StatsGolden(t *testing.T) {
 			s.accepted++
 		}
 		s.rounds += res.Rounds
+		s.reused += res.Reused
 		st := res.VerifierStats
 		s.st.InsnProcessed += st.InsnProcessed
 		s.st.PathsExplored += st.PathsExplored
@@ -65,12 +67,12 @@ func TestCorpusP1StatsGolden(t *testing.T) {
 	}
 	var b strings.Builder
 	row := func(name string, s *sums) {
-		fmt.Fprintf(&b, "%-18s %5d %8d %8d %6d %6d %5d %8d %8d %6d\n", name, s.loads, s.accepted,
+		fmt.Fprintf(&b, "%-18s %5d %8d %8d %6d %6d %5d %8d %8d %6d %6d\n", name, s.loads, s.accepted,
 			s.st.InsnProcessed, s.st.PathsExplored, s.st.StatesPruned, s.st.PeakStackDepth,
-			s.st.Refinements, s.st.RefineAttempts, s.rounds)
+			s.st.Refinements, s.st.RefineAttempts, s.rounds, s.reused)
 	}
-	fmt.Fprintf(&b, "%-18s %5s %8s %8s %6s %6s %5s %8s %8s %6s\n", "family", "loads", "accepted",
-		"insns", "paths", "pruned", "peak", "refined", "attempts", "rounds")
+	fmt.Fprintf(&b, "%-18s %5s %8s %8s %6s %6s %5s %8s %8s %6s %6s\n", "family", "loads", "accepted",
+		"insns", "paths", "pruned", "peak", "refined", "attempts", "rounds", "reused")
 	for _, f := range order {
 		row(f.String(), byFamily[f])
 	}

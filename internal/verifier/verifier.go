@@ -588,7 +588,7 @@ func (v *Verifier) checkExit(st *VState, pc int, node int32) error {
 		orig := &Error{InsnIdx: pc, Kind: CheckRetRange,
 			Msg: fmt.Sprintf("At program exit the register R0 has value (umin=%d, umax=%d) should have been in [0, 1]",
 				r0.UMin, r0.UMax)}
-		if rerr := v.refine(st, pc, ebpf.R0, CheckRetRange, 0, 1, node, orig); rerr != nil {
+		if rerr := v.refine(st, pc, ebpf.R0, CheckRetRange, 0, 1, node, func() error { return orig }); rerr != nil {
 			return rerr
 		}
 		// Refinement adopted: re-check the return range.
@@ -774,10 +774,11 @@ func applyRefinedRange(reg *RegState, lo, hi uint64) {
 // refinement succeeded and analysis may retry the instruction.
 // A request with wantLo > wantHi asks the refiner to prove the current
 // path infeasible instead (no variable range can make the check pass).
+// orig builds the failed check's error, needed only if none is adopted.
 func (v *Verifier) refine(st *VState, pc int, regno ebpf.Reg, kind CheckKind,
-	wantLo, wantHi uint64, node int32, orig error) error {
+	wantLo, wantHi uint64, node int32, orig func() error) error {
 	if v.cfg.Refiner == nil {
-		return orig
+		return orig()
 	}
 	// Loops legitimately re-refine the same instruction on every
 	// iteration (§6.3: up to 16k refinements per program), so there is no
@@ -810,10 +811,11 @@ func (v *Verifier) refine(st *VState, pc int, regno ebpf.Reg, kind CheckKind,
 		// safety error: the rejection reason stays the failed check, but
 		// the class of the failure (proof rejected, timeout, protocol)
 		// remains reachable for errors.Is and eval bucketing.
-		if oe, ok := orig.(*Error); ok && oe.Cause == nil {
+		oerr := orig()
+		if oe, ok := oerr.(*Error); ok && oe.Cause == nil {
 			return &Error{InsnIdx: oe.InsnIdx, Kind: oe.Kind, Msg: oe.Msg, Cause: err}
 		}
-		return orig
+		return oerr
 	}
 	if res.Pruned {
 		v.stats.Refinements++
@@ -827,7 +829,7 @@ func (v *Verifier) refine(st *VState, pc int, regno ebpf.Reg, kind CheckKind,
 	applyRefinedRange(reg, res.Lo, res.Hi)
 	if before == *reg {
 		// No progress; avoid looping forever.
-		return orig
+		return orig()
 	}
 	v.stats.Refinements++
 	if v.cfg.Debug {
