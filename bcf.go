@@ -71,7 +71,7 @@ type (
 	// ErrClass buckets a rejection by root cause (see the Class*
 	// constants); use errors.Is with the bcferr sentinels for matching.
 	ErrClass = bcferr.Class
-	// SessionLimits bound the kernel-side resources of one load session.
+	// SessionLimits bound the kernel-side resources of one load.
 	SessionLimits = bcf.SessionLimits
 	// Registry is the telemetry metrics registry (counters, gauges,
 	// fixed-bucket histograms) threaded through a load by WithTelemetry.
@@ -231,8 +231,8 @@ func NewRemoteFleet(opts FleetOptions) (*Fleet, error) {
 
 // WithTelemetry attaches a metrics registry and/or span tracer to the
 // load. The user-space layers (loader, cache, remote client, solver)
-// report into them as they run; the kernel side (verifier, session,
-// refiner) reports nothing, and the loader derives its metrics, spans
+// report into them as they run; the kernel side (verifier, refiner)
+// reports nothing, and the loader derives its metrics, spans
 // and journal entries from the load's record once the verdict is in.
 // Either argument may be nil; a disabled layer costs only a nil check.
 func WithTelemetry(reg *Registry, tr *Tracer) Option {
@@ -274,7 +274,7 @@ func WithProveTimeout(d time.Duration) Option {
 	return func(o *loader.Options) { o.ProveTimeout = d }
 }
 
-// WithSessionLimits overrides the kernel-side per-session resource
+// WithSessionLimits overrides the kernel-side per-load resource
 // budget: refinement requests (the round cap) and boundary bytes.
 func WithSessionLimits(l SessionLimits) Option {
 	return func(o *loader.Options) { o.Session = l }
@@ -316,8 +316,8 @@ func Verify(prog *Program, opts ...Option) *Report {
 		Log:             res.Log,
 		raw:             res,
 	}
-	// Wire totals come from the session's traffic accounting, the totals
-	// its limits are checked against, not from re-summing refiner stats.
+	// Wire totals are the refiner's traffic totals, the ones its limits
+	// are checked against, not a re-sum of the per-request sizes.
 	rep.ConditionBytes = res.CondBytes
 	rep.ProofBytes = res.ProofBytes
 	if res.RefineStats != nil {

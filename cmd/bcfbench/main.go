@@ -223,7 +223,7 @@ func main() {
 		}
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "running the %d-program evaluation (insn limit %d, parallelism %d)...\n",
-				size, *limit, effectiveParallelism(*parallel, size))
+				size, *limit, eval.Workers(*parallel, size))
 		}
 		runOnce := func(cache *loader.ProofCache) *eval.Evaluation {
 			return eval.RunOpts(eval.Options{
@@ -350,19 +350,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nothing selected; see -h")
 		os.Exit(2)
 	}
-}
-
-// effectiveParallelism mirrors eval.RunOpts's worker-count selection for
-// the progress banner.
-func effectiveParallelism(requested, size int) int {
-	p := requested
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > size && size > 0 {
-		p = size
-	}
-	return p
 }
 
 // reportMeta carries the invocation context into the JSON report.

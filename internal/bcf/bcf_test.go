@@ -301,16 +301,15 @@ func TestSessionAbort(t *testing.T) {
 			exit
 		`),
 	}
-	sess := NewSession(p, verifier.Config{})
 	var condition []byte
-	err := sess.Run(ProveFunc(func(cond []byte) ([]byte, error) {
+	_, err := load(p, verifier.Config{}, NewRefiner(ProveFunc(func(cond []byte) ([]byte, error) {
 		condition = cond
 		return nil, errAbandoned
-	}))
+	})))
 	if len(condition) == 0 {
 		t.Fatal("empty condition buffer")
 	}
-	// User space walked away: the session is finished and rejected.
+	// User space walked away: the load is finished and rejected.
 	if err == nil || bcferr.ClassOf(err) != bcferr.ClassProtocol {
 		t.Fatalf("abandoned session should be rejected as protocol: %v", err)
 	}
@@ -342,10 +341,9 @@ func TestRefinerRejectsForgedProof(t *testing.T) {
 			exit
 		`),
 	}
-	sess := NewSession(p, verifier.Config{})
-	err := sess.Run(ProveFunc(func([]byte) ([]byte, error) {
+	_, err := load(p, verifier.Config{}, NewRefiner(ProveFunc(func([]byte) ([]byte, error) {
 		return []byte("not a proof"), nil
-	}))
+	})))
 	if err == nil {
 		t.Fatal("forged proof led to acceptance")
 	}

@@ -41,10 +41,10 @@ func counted(t *testing.T, calls *int) ProofService {
 // later refinement is granted from that proof.
 func TestLoopShipsOneCondition(t *testing.T) {
 	calls := 0
-	sess := NewSession(loopProg(t), loopConfig)
-	_ = sess.Run(counted(t, &calls)) // the loop runs out of budget; the rounds are what matter
-	st := sess.Refiner().Stats()
-	refinements := sess.Verifier().Stats().Refinements
+	ref := NewRefiner(counted(t, &calls))
+	v, _ := load(loopProg(t), loopConfig, ref) // the loop runs out of budget; the rounds are what matter
+	st := ref.Stats()
+	refinements := v.Stats().Refinements
 	if calls != 1 || len(st.Requests) != 1 {
 		t.Fatalf("user space called %d times, %d requests recorded; want 1 and 1", calls, len(st.Requests))
 	}
@@ -52,22 +52,23 @@ func TestLoopShipsOneCondition(t *testing.T) {
 		t.Fatalf("%d refinements: granted %d, failed %d, reused %d; want reused = refinements - 1",
 			refinements, st.Granted, st.Failed, st.Reused)
 	}
-	if cond, _ := sess.Traffic(); cond != st.Requests[0].CondBytes {
-		t.Fatalf("Traffic() shipped %d condition bytes, the one request %d", cond, st.Requests[0].CondBytes)
+	if st.CondBytes != st.Requests[0].CondBytes {
+		t.Fatalf("%d condition bytes shipped in total, the one request %d", st.CondBytes, st.Requests[0].CondBytes)
 	}
 }
 
 // TestMemoLivesOneLoad pins that nothing proven crosses loads: a second
-// session of the same program ships its condition again.
+// load of the same program, with its own refiner, ships its condition
+// again.
 func TestMemoLivesOneLoad(t *testing.T) {
 	prog := loopProg(t)
-	for load := range 2 {
+	for i := range 2 {
 		calls := 0
-		sess := NewSession(prog, loopConfig)
-		_ = sess.Run(counted(t, &calls))
-		if st := sess.Refiner().Stats(); calls != 1 || len(st.Requests) != 1 || st.Reused == 0 {
+		ref := NewRefiner(counted(t, &calls))
+		_, _ = load(prog, loopConfig, ref)
+		if st := ref.Stats(); calls != 1 || len(st.Requests) != 1 || st.Reused == 0 {
 			t.Fatalf("load %d: user space called %d times, %d requests, %d reused; want 1, 1 and some",
-				load, calls, len(st.Requests), st.Reused)
+				i, calls, len(st.Requests), st.Reused)
 		}
 	}
 }
@@ -77,11 +78,11 @@ func TestMemoLivesOneLoad(t *testing.T) {
 func recordProofs(t *testing.T, prog *ebpf.Program) (proofs [][]byte) {
 	t.Helper()
 	h := honest(t)
-	err := NewSession(prog, verifier.Config{}).Run(ProveFunc(func(cond []byte) ([]byte, error) {
+	_, err := load(prog, verifier.Config{}, NewRefiner(ProveFunc(func(cond []byte) ([]byte, error) {
 		pf, err := h.Prove(cond)
 		proofs = append(proofs, pf)
 		return pf, err
-	}))
+	})))
 	if err != nil {
 		t.Fatalf("%s: honest load rejected: %v", prog.Name, err)
 	}
@@ -137,16 +138,15 @@ func TestMemoKeyIsKernelCopy(t *testing.T) {
 	// The second condition's bytes, from a load that shows it invalid.
 	var second []byte
 	h := honest(t)
-	err := NewSession(prog, verifier.Config{}).Run(ProveFunc(func(cond []byte) ([]byte, error) {
+	_, err := load(prog, verifier.Config{}, NewRefiner(ProveFunc(func(cond []byte) ([]byte, error) {
 		second = bytes.Clone(cond)
 		return h.Prove(cond)
-	}))
+	})))
 	if err == nil || second == nil {
 		t.Fatalf("honest load: %v, want a rejection at the second access", err)
 	}
 	calls := 0
-	sess := NewSession(prog, verifier.Config{})
-	err = sess.Run(ProveFunc(func(cond []byte) ([]byte, error) {
+	ref := NewRefiner(ProveFunc(func(cond []byte) ([]byte, error) {
 		calls++
 		pf, err := h.Prove(cond)
 		if calls == 1 {
@@ -157,10 +157,10 @@ func TestMemoKeyIsKernelCopy(t *testing.T) {
 		}
 		return pf, err
 	}))
-	if err == nil {
+	if _, err = load(prog, verifier.Config{}, ref); err == nil {
 		t.Fatal("a rewritten condition buffer let an invalid condition be granted")
 	}
-	if st := sess.Refiner().Stats(); calls != 2 || st.Reused != 0 {
+	if st := ref.Stats(); calls != 2 || st.Reused != 0 {
 		t.Fatalf("user space called %d times, %d reused; want 2 and 0", calls, st.Reused)
 	}
 }

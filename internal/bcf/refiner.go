@@ -56,17 +56,63 @@ type Stats struct {
 	// Unshipped is the refinement that failed before its condition was
 	// shipped (nil if none). A failed refinement ends the load, so there
 	// is at most one.
-	Unshipped *RequestStats
-	Granted   int
-	Failed    int
-	Reused    int // granted, unshipped: the condition was already proven in this load
-	UserTime  time.Duration
+	Unshipped  *RequestStats
+	Granted    int
+	Failed     int
+	Reused     int           // granted, unshipped: the condition was already proven in this load
+	ReusedTime time.Duration // the reused refinements' summed Duration
+	UserTime   time.Duration
+	// CondBytes and ProofBytes total the bytes that crossed, which Limits
+	// cap; proof bytes count even when they came with an error.
+	CondBytes  int
+	ProofBytes int
+}
+
+// SessionLimits bound what one load may consume at the user-space
+// boundary: a loader that floods the kernel with requests or traffic must
+// not pin kernel memory. Its liveness is bounded on the loader side.
+type SessionLimits struct {
+	// MaxRequests caps refinement requests for one load (0 = default).
+	MaxRequests int
+	// MaxCondBytes caps the cumulative condition bytes shipped to user
+	// space (0 = default).
+	MaxCondBytes int
+	// MaxProofBytes caps the cumulative proof bytes accepted from user
+	// space (0 = default).
+	MaxProofBytes int
+}
+
+// DefaultSessionLimits are generous for every honest loader: the paper's
+// heaviest program issues ~16k refinement requests with kilobyte-sized
+// messages.
+var DefaultSessionLimits = SessionLimits{
+	MaxRequests:   1 << 16,
+	MaxCondBytes:  1 << 28,
+	MaxProofBytes: 1 << 28,
+}
+
+// WithDefaults returns l with its zero fields from DefaultSessionLimits.
+func (l SessionLimits) WithDefaults() SessionLimits {
+	if l.MaxRequests == 0 {
+		l.MaxRequests = DefaultSessionLimits.MaxRequests
+	}
+	if l.MaxCondBytes == 0 {
+		l.MaxCondBytes = DefaultSessionLimits.MaxCondBytes
+	}
+	if l.MaxProofBytes == 0 {
+		l.MaxProofBytes = DefaultSessionLimits.MaxProofBytes
+	}
+	return l
 }
 
 // Refiner implements verifier.Refiner using symbolic tracking, the BCF
 // wire format, a delegated ProofService and the in-kernel proof checker.
+// It is the kernel side of §5's extended BPF_PROG_LOAD: one Service call
+// per condition stands for the suspended load and its resume. A Refiner
+// serves one load and is not safe for concurrent use (nor is a load).
 type Refiner struct {
 	Service ProofService
+	Limits  SessionLimits // zero fields take DefaultSessionLimits
 	// DisableBackward runs symbolic tracking from the path start instead
 	// of the computed suffix (ablation).
 	DisableBackward bool
@@ -100,6 +146,7 @@ func (r *Refiner) Refine(req *verifier.RefineRequest) (*verifier.RefineResult, e
 		r.stats.Requests = append(r.stats.Requests, rs)
 	case err == nil:
 		r.stats.Reused++
+		r.stats.ReusedTime += rs.Duration
 	default:
 		u := rs
 		r.stats.Unshipped = &u
@@ -206,10 +253,10 @@ func (r *Refiner) delegate(cond *expr.Expr, tk *tracker, rs *RequestStats) error
 	key := string(condBytes) // kernel-private: user space may rewrite condBytes
 
 	// The user time covers the whole kernel→user→kernel round trip:
-	// session accounting, loader work and prover time.
+	// the limit checks, loader work and prover time.
 	rs.TrackLen = tk.steps
 	rs.CondBytes = len(condBytes)
-	proofBytes, err := r.Service.Prove(condBytes)
+	proofBytes, err := r.ship(condBytes)
 	checkStart := time.Now()
 	rs.UserDuration = checkStart.Sub(userStart)
 	r.stats.UserTime += rs.UserDuration
@@ -235,4 +282,26 @@ func (r *Refiner) delegate(cond *expr.Expr, tk *tracker, rs *RequestStats) error
 	}
 	r.proven[key] = struct{}{}
 	return nil
+}
+
+// ship calls user space with one condition within the load's Limits,
+// keeping the traffic totals they are checked against.
+func (r *Refiner) ship(cond []byte) ([]byte, error) {
+	lim := r.Limits.WithDefaults()
+	if len(r.stats.Requests) >= lim.MaxRequests {
+		return nil, bcferr.New(bcferr.ClassResourceLimit,
+			"bcf: session exceeded %d refinement requests", lim.MaxRequests)
+	}
+	r.stats.CondBytes += len(cond)
+	if r.stats.CondBytes > lim.MaxCondBytes {
+		return nil, bcferr.New(bcferr.ClassResourceLimit,
+			"bcf: session exceeded %d cumulative condition bytes", lim.MaxCondBytes)
+	}
+	pb, err := r.Service.Prove(cond)
+	r.stats.ProofBytes += len(pb)
+	if r.stats.ProofBytes > lim.MaxProofBytes {
+		return nil, bcferr.New(bcferr.ClassResourceLimit,
+			"bcf: session exceeded %d cumulative proof bytes", lim.MaxProofBytes)
+	}
+	return pb, err
 }

@@ -3,6 +3,7 @@ package bcf
 import (
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -33,27 +34,24 @@ var errAbandoned = bcferr.New(bcferr.ClassProtocol, "test: user space abandoned 
 
 // TestSessionWatchdogReclaimsAbandonedSession: user space that stalls on
 // a condition and then walks away costs the kernel nothing beyond the
-// stall. Run returns a protocol verdict on the caller's goroutine, the
-// stall is booked as user-space time, no goroutine is left behind, and a
-// straggling second Run is refused.
+// stall. Verify returns a protocol verdict on the caller's goroutine,
+// the stall is booked as user-space time, and no goroutine is left
+// behind.
 func TestSessionWatchdogReclaimsAbandonedSession(t *testing.T) {
 	base := runtime.NumGoroutine()
 	const stall = 30 * time.Millisecond
-	sess := NewSession(sessionProg(), verifier.Config{})
-	err := sess.Run(ProveFunc(func([]byte) ([]byte, error) {
+	ref := NewRefiner(ProveFunc(func([]byte) ([]byte, error) {
 		time.Sleep(stall)
 		return nil, errAbandoned
 	}))
+	_, err := load(sessionProg(), verifier.Config{}, ref)
 	if bcferr.ClassOf(err) != bcferr.ClassProtocol {
 		t.Fatalf("abandoned session verdict: %v, want a protocol error", err)
 	}
-	if got := sess.Refiner().Stats().UserTime; got < stall {
+	if got := ref.Stats().UserTime; got < stall {
 		t.Fatalf("user time %v does not cover the %v stall", got, stall)
 	}
 	waitBaseline(t, base)
-	if err := sess.Run(honest(t)); bcferr.ClassOf(err) != bcferr.ClassProtocol {
-		t.Fatalf("post-abandon run: %v, want a protocol error", err)
-	}
 }
 
 // TestSessionAbortMidCondition: user space proves the first of two
@@ -61,90 +59,97 @@ func TestSessionWatchdogReclaimsAbandonedSession(t *testing.T) {
 // the verifier asks nothing further, and no goroutine is left behind.
 func TestSessionAbortMidCondition(t *testing.T) {
 	base := runtime.NumGoroutine()
-	sess := NewSession(twoRefinementProg(), verifier.Config{})
 	user, calls := honest(t), 0
-	err := sess.Run(ProveFunc(func(cond []byte) ([]byte, error) {
+	ref := NewRefiner(ProveFunc(func(cond []byte) ([]byte, error) {
 		if calls++; calls > 1 {
 			return nil, errAbandoned
 		}
 		return user.Prove(cond)
 	}))
+	_, err := load(twoRefinementProg(), verifier.Config{}, ref)
 	if err == nil || bcferr.ClassOf(err) != bcferr.ClassProtocol {
 		t.Fatalf("aborted session must be rejected as protocol: %v", err)
 	}
-	if st := sess.Refiner().Stats(); calls != 2 || st.Granted != 1 || st.Failed != 1 {
+	if st := ref.Stats(); calls != 2 || st.Granted != 1 || st.Failed != 1 {
 		t.Fatalf("calls %d, stats %+v; want 2 calls, 1 granted, 1 failed", calls, st)
 	}
 	waitBaseline(t, base)
 }
 
-func TestSessionDoubleLoad(t *testing.T) {
-	// A Run from inside user space, while a condition is pending, is a
-	// protocol violation that leaves the running session undisturbed.
-	sess := NewSession(sessionProg(), verifier.Config{})
-	user := honest(t)
-	var second error
-	err := sess.Run(ProveFunc(func(cond []byte) ([]byte, error) {
-		second = sess.Run(user)
-		return user.Prove(cond)
-	}))
-	if err != nil {
-		t.Fatalf("first run disturbed by the second: %v", err)
-	}
-	if second == nil || bcferr.ClassOf(second) != bcferr.ClassProtocol {
-		t.Fatalf("double load class: %v", second)
-	}
-}
-
 func TestSessionRequestBudget(t *testing.T) {
 	// Two refinements against a one-request budget: the second condition
-	// must be refused kernel-side with a resource-limit error.
-	sess := NewSession(twoRefinementProg(), verifier.Config{})
-	sess.Limits = SessionLimits{MaxRequests: 1}
-	err := driveManually(t, sess)
-	if err == nil {
-		t.Fatal("accepted past the request budget")
-	}
-	if bcferr.ClassOf(err) != bcferr.ClassResourceLimit {
-		t.Fatalf("class: %v", err)
+	// must be refused kernel-side with a resource-limit error. The
+	// refused request is recorded, but its bytes never left.
+	ref := NewRefiner(honest(t))
+	ref.Limits = SessionLimits{MaxRequests: 1}
+	_, err := load(twoRefinementProg(), verifier.Config{}, ref)
+	checkLimit(t, err, "bcf: session exceeded 1 refinement requests")
+	if st := ref.Stats(); len(st.Requests) != 2 || st.CondBytes != st.Requests[0].CondBytes {
+		t.Fatalf("%d requests, %d condition bytes; want 2 requests and only the first one's bytes", len(st.Requests), st.CondBytes)
 	}
 }
 
 func TestSessionCondByteBudget(t *testing.T) {
-	sess := NewSession(sessionProg(), verifier.Config{})
-	sess.Limits = SessionLimits{MaxCondBytes: 1}
-	err := driveManually(t, sess)
-	if err == nil {
-		t.Fatal("accepted past the condition byte budget")
-	}
-	if !errors.Is(err, bcferr.ErrResourceLimit) {
-		t.Fatalf("sentinel: %v", err)
+	// The refused condition's bytes count: they are what broke the cap.
+	ref := NewRefiner(honest(t))
+	ref.Limits = SessionLimits{MaxCondBytes: 1}
+	_, err := load(sessionProg(), verifier.Config{}, ref)
+	checkLimit(t, err, "bcf: session exceeded 1 cumulative condition bytes")
+	if st := ref.Stats(); len(st.Requests) != 1 || st.CondBytes != st.Requests[0].CondBytes || st.ProofBytes != 0 {
+		t.Fatalf("%d requests, totals (%d, %d); want the one refused condition's bytes and no proof", len(st.Requests), st.CondBytes, st.ProofBytes)
 	}
 }
 
 func TestSessionProofByteBudget(t *testing.T) {
-	sess := NewSession(sessionProg(), verifier.Config{})
-	sess.Limits = SessionLimits{MaxProofBytes: 1}
-	err := driveManually(t, sess)
-	if err == nil {
-		t.Fatal("accepted past the proof byte budget")
+	// The proof over the cap counts in the total but is never decoded.
+	ref := NewRefiner(honest(t))
+	ref.Limits = SessionLimits{MaxProofBytes: 1}
+	_, err := load(sessionProg(), verifier.Config{}, ref)
+	checkLimit(t, err, "bcf: session exceeded 1 cumulative proof bytes")
+	if st := ref.Stats(); st.ProofBytes <= 1 || st.Requests[0].ProofBytes != 0 || st.Requests[0].CheckDuration != 0 {
+		t.Fatalf("proof total %d, request %+v; want the refused proof counted and not checked", st.ProofBytes, st.Requests[0])
 	}
-	if bcferr.ClassOf(err) != bcferr.ClassResourceLimit {
+}
+
+// TestProofBytesCountWithError: bytes user space sends back alongside an
+// error crossed the boundary, so they count toward the cap.
+func TestProofBytesCountWithError(t *testing.T) {
+	ref := NewRefiner(ProveFunc(func([]byte) ([]byte, error) {
+		return make([]byte, 40), errNoProof
+	}))
+	if _, err := load(sessionProg(), verifier.Config{}, ref); err == nil {
+		t.Fatal("a failed proof led to acceptance")
+	}
+	if st := ref.Stats(); st.ProofBytes != 40 || st.Requests[0].ProofBytes != 0 {
+		t.Fatalf("proof total %d, request %d; want 40 and 0", st.ProofBytes, st.Requests[0].ProofBytes)
+	}
+}
+
+// checkLimit fails unless err is a resource-limit rejection with the
+// given message.
+func checkLimit(t *testing.T, err error, msg string) {
+	t.Helper()
+	if err == nil {
+		t.Fatal("accepted past the budget")
+	}
+	if bcferr.ClassOf(err) != bcferr.ClassResourceLimit || !errors.Is(err, bcferr.ErrResourceLimit) {
 		t.Fatalf("class: %v", err)
+	}
+	if !strings.Contains(err.Error(), msg) {
+		t.Fatalf("error %q does not say %q", err, msg)
 	}
 }
 
 // TestSessionKernelSideFaultHook corrupts the bytes at the kernel
-// boundary by wrapping the ProofService passed to Run: the condition as
+// boundary by wrapping the refiner's ProofService: the condition as
 // it leaves the kernel, or the proof as it enters. In both cases the
 // honest prover/checker pair must reject the load rather than accept
 // corrupted state.
 func TestSessionKernelSideFaultHook(t *testing.T) {
 	run := func(p faultinject.Point) error {
 		inj := faultinject.New(7).Arm(p, 0)
-		sess := NewSession(sessionProg(), verifier.Config{})
 		round := 0
-		return sess.Run(ProveFunc(func(condBytes []byte) ([]byte, error) {
+		_, err := load(sessionProg(), verifier.Config{}, NewRefiner(ProveFunc(func(condBytes []byte) ([]byte, error) {
 			r := round
 			round++
 			cond, err := bcfenc.DecodeCondition(inj.Condition(r, condBytes))
@@ -161,7 +166,8 @@ func TestSessionKernelSideFaultHook(t *testing.T) {
 			}
 			buf, _ = inj.Proof(r, buf)
 			return buf, nil
-		}))
+		})))
+		return err
 	}
 	if err := run(faultinject.CondCorrupt); err == nil {
 		t.Fatal("kernel-side condition corruption led to acceptance")

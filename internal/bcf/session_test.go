@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"bcf/internal/bcfenc"
-	"bcf/internal/bcferr"
 	"bcf/internal/ebpf"
 	"bcf/internal/expr"
 	"bcf/internal/solver"
@@ -61,20 +60,22 @@ func honest(t *testing.T) ProofService {
 	})
 }
 
-// driveManually runs sess against honest user space.
-func driveManually(t *testing.T, sess *Session) error {
-	t.Helper()
-	return sess.Run(honest(t))
+// load verifies prog with ref as its refiner, the kernel side of one
+// load, and returns the verifier and its verdict.
+func load(prog *ebpf.Program, cfg verifier.Config, ref *Refiner) (*verifier.Verifier, error) {
+	cfg.Refiner = ref
+	v := verifier.New(prog, cfg)
+	return v, v.Verify()
 }
 
 var errNoProof = &verifier.Error{Msg: "no proof"}
 
 func TestSessionManualDrive(t *testing.T) {
-	sess := NewSession(sessionProg(), verifier.Config{})
-	if err := driveManually(t, sess); err != nil {
+	ref := NewRefiner(honest(t))
+	if _, err := load(sessionProg(), verifier.Config{}, ref); err != nil {
 		t.Fatalf("manual session rejected: %v", err)
 	}
-	st := sess.Refiner().Stats()
+	st := ref.Stats()
 	if st.Granted != 1 || st.Failed != 0 {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -83,39 +84,12 @@ func TestSessionManualDrive(t *testing.T) {
 	}
 }
 
-func TestSessionResumeAfterDone(t *testing.T) {
-	sess := NewSession(sessionProg(), verifier.Config{})
-	if err := driveManually(t, sess); err != nil {
-		t.Fatal(err)
-	}
-	// A second Run on a finished session is refused: user space is not
-	// consulted and the first load's accounting is untouched.
-	called := false
-	err := sess.Run(ProveFunc(func([]byte) ([]byte, error) {
-		called = true
-		return []byte("junk"), nil
-	}))
-	if bcferr.ClassOf(err) != bcferr.ClassProtocol {
-		t.Fatalf("second run: %v, want a protocol error", err)
-	}
-	if called {
-		t.Fatal("second run consulted user space")
-	}
-	cond, proof := sess.Traffic()
-	st := sess.Refiner().Stats()
-	if st.Granted != 1 || len(st.Requests) != 1 ||
-		cond != st.Requests[0].CondBytes || proof != st.Requests[0].ProofBytes {
-		t.Fatalf("second run disturbed the session: %+v, traffic (%d, %d)", st, cond, proof)
-	}
-}
-
 func TestSessionProofFailureRejects(t *testing.T) {
-	sess := NewSession(sessionProg(), verifier.Config{})
 	calls := 0
-	err := sess.Run(ProveFunc(func([]byte) ([]byte, error) {
+	_, err := load(sessionProg(), verifier.Config{}, NewRefiner(ProveFunc(func([]byte) ([]byte, error) {
 		calls++
 		return nil, errNoProof
-	}))
+	})))
 	if calls == 0 {
 		t.Fatal("expected a condition")
 	}
@@ -125,13 +99,12 @@ func TestSessionProofFailureRejects(t *testing.T) {
 }
 
 func TestSessionTruncatedProofRejected(t *testing.T) {
-	sess := NewSession(sessionProg(), verifier.Config{})
 	user := honest(t)
 	// A valid proof, truncated: must be rejected by decode or check.
-	err := sess.Run(ProveFunc(func(condBytes []byte) ([]byte, error) {
+	_, err := load(sessionProg(), verifier.Config{}, NewRefiner(ProveFunc(func(condBytes []byte) ([]byte, error) {
 		buf, err := user.Prove(condBytes)
 		return buf[:len(buf)/2], err
-	}))
+	})))
 	if err == nil {
 		t.Fatal("truncated proof led to acceptance")
 	}
@@ -140,9 +113,8 @@ func TestSessionTruncatedProofRejected(t *testing.T) {
 func TestSessionConditionBytesAreSelfContained(t *testing.T) {
 	// The condition crossing the boundary must decode standalone and
 	// reference only well-formed terms (nothing kernel-internal leaks).
-	sess := NewSession(sessionProg(), verifier.Config{})
 	calls := 0
-	sess.Run(ProveFunc(func(condBytes []byte) ([]byte, error) {
+	load(sessionProg(), verifier.Config{}, NewRefiner(ProveFunc(func(condBytes []byte) ([]byte, error) {
 		calls++
 		cond, err := bcfenc.DecodeCondition(condBytes)
 		if err != nil {
@@ -155,7 +127,7 @@ func TestSessionConditionBytesAreSelfContained(t *testing.T) {
 			t.Fatal("condition is not boolean")
 		}
 		return nil, errNoProof
-	}))
+	})))
 	if calls == 0 {
 		t.Fatal("expected a condition")
 	}
@@ -196,11 +168,11 @@ func TestMultipleRefinementsOneLoad(t *testing.T) {
 			exit
 		`),
 	}
-	sess := NewSession(p, verifier.Config{})
-	if err := driveManually(t, sess); err != nil {
+	ref := NewRefiner(honest(t))
+	if _, err := load(p, verifier.Config{}, ref); err != nil {
 		t.Fatalf("rejected: %v", err)
 	}
-	if got := sess.Refiner().Stats().Granted; got != 2 {
+	if got := ref.Stats().Granted; got != 2 {
 		t.Fatalf("expected 2 refinements, got %d", got)
 	}
 }

@@ -45,10 +45,11 @@ func twoRoundProg() *ebpf.Program {
 	}
 }
 
-// TestTrafficLedgerInvariant pins the session's traffic totals to the
-// refiner's record: in a fault-free load, Traffic() must equal the sum
-// of the per-request wire sizes byte for byte. A regression here means
-// the session and the refiner count boundary bytes differently.
+// TestTrafficLedgerInvariant pins the refiner's traffic totals to its
+// per-request record: in a fault-free load, Stats.CondBytes and
+// Stats.ProofBytes must equal the sums of the per-request wire sizes byte
+// for byte. A regression here means the limits and the record count
+// boundary bytes differently.
 func TestTrafficLedgerInvariant(t *testing.T) {
 	progs := map[string]*ebpf.Program{
 		"one-round":  sessionProg(),
@@ -56,32 +57,26 @@ func TestTrafficLedgerInvariant(t *testing.T) {
 	}
 	for name, prog := range progs {
 		t.Run(name, func(t *testing.T) {
-			sess := NewSession(prog, verifier.Config{})
-			if err := driveManually(t, sess); err != nil {
+			ref := NewRefiner(honest(t))
+			if _, err := load(prog, verifier.Config{}, ref); err != nil {
 				t.Fatalf("rejected: %v", err)
 			}
-			checkLedger(t, sess)
+			st := ref.Stats()
+			if len(st.Requests) == 0 {
+				t.Fatal("no requests recorded")
+			}
+			var condSum, proofSum int
+			for _, q := range st.Requests {
+				if q.CondBytes <= 0 || q.ProofBytes <= 0 {
+					t.Fatalf("request with empty wire traffic: %+v", q)
+				}
+				condSum += q.CondBytes
+				proofSum += q.ProofBytes
+			}
+			if st.CondBytes != condSum || st.ProofBytes != proofSum {
+				t.Fatalf("totals (%d, %d), record sums (%d, %d)",
+					st.CondBytes, st.ProofBytes, condSum, proofSum)
+			}
 		})
-	}
-}
-
-func checkLedger(t *testing.T, sess *Session) {
-	t.Helper()
-	condTotal, proofTotal := sess.Traffic()
-	st := sess.Refiner().Stats()
-	if len(st.Requests) == 0 {
-		t.Fatal("no requests recorded")
-	}
-	var condSum, proofSum int
-	for _, q := range st.Requests {
-		if q.CondBytes <= 0 || q.ProofBytes <= 0 {
-			t.Fatalf("request with empty wire traffic: %+v", q)
-		}
-		condSum += q.CondBytes
-		proofSum += q.ProofBytes
-	}
-	if condTotal != condSum || proofTotal != proofSum {
-		t.Fatalf("Traffic() = (%d, %d), record sums = (%d, %d)",
-			condTotal, proofTotal, condSum, proofSum)
 	}
 }

@@ -3,7 +3,7 @@
 // of classes, mirroring §6.2's rejection buckets and extending them with
 // the protocol/robustness failures a hostile or broken user space can
 // provoke. The classes survive wrapping (errors.Is / errors.As), so the
-// loader, the kernel-side session and the evaluation harness all agree
+// loader, the kernel-side refiner and the evaluation harness all agree
 // on how a failure is bucketed no matter how deep the cause is buried.
 //
 // The package is a leaf: it imports only the standard library, so any
@@ -36,13 +36,12 @@ const (
 	// (deadline exceeded, SAT budget exhausted).
 	ClassSolverTimeout
 	// ClassResourceLimit: a protocol resource budget was exhausted — the
-	// session's refinement-request cap (the one round cap) or its
-	// boundary-byte accounting.
+	// load's refinement-request cap (the one round cap) or its
+	// boundary-byte caps (bcf.SessionLimits).
 	ClassResourceLimit
 	// ClassProtocol: the protocol itself broke down — user space
 	// abandoning a pending condition (a dropped resume), an undecodable
-	// condition, a session run twice, a remote-only prover whose
-	// transport failed.
+	// condition, a remote-only prover whose transport failed.
 	ClassProtocol
 )
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"bcf/internal/bcf"
 	"bcf/internal/bcfenc"
 	"bcf/internal/ebpf"
 	"bcf/internal/expr"
@@ -99,18 +98,12 @@ func CheckAdversary(p *ebpf.Program, opts loader.Options, rng *rand.Rand, check 
 		cond      *expr.Expr
 		p         *proof.Proof
 	}
-	// Rounds whose byte streams exceed the session limits can never be
-	// accepted by the kernel side — the session refuses the bytes before
+	// Rounds whose byte streams exceed the load's limits can never be
+	// accepted by the kernel side — the refiner refuses the bytes before
 	// the checker ever runs — so mutating them proves nothing and can be
 	// arbitrarily expensive (a budget-blown prover emits proofs orders of
 	// magnitude over the cap).
-	lim := opts.Session
-	if lim.MaxCondBytes == 0 {
-		lim.MaxCondBytes = bcf.DefaultSessionLimits.MaxCondBytes
-	}
-	if lim.MaxProofBytes == 0 {
-		lim.MaxProofBytes = bcf.DefaultSessionLimits.MaxProofBytes
-	}
+	lim := opts.Session.WithDefaults()
 
 	var rounds []round
 	for i := range hook.rounds {

@@ -13,7 +13,7 @@ import (
 // simplification (immediates and offsets driven to zero). Every candidate
 // must still pass Program.Validate before pred is consulted.
 func Minimize(prog *ebpf.Program, pred func(*ebpf.Program) bool, budget int) *ebpf.Program {
-	cur := cloneProg(prog)
+	cur := CloneProg(prog)
 	calls := 0
 	try := func(cand *ebpf.Program) bool {
 		if cand == nil || calls >= budget {
@@ -37,7 +37,7 @@ func Minimize(prog *ebpf.Program, pred func(*ebpf.Program) bool, budget int) *eb
 			if cur.Insns[i].IsPlaceholder() {
 				continue // removed together with its ld_imm64 head
 			}
-			if try(deleteInsn(cur, i)) {
+			if try(Splice(cur, i, cur.Insns[i].Slots(), nil)) {
 				changed = true
 				i = -1
 			}
@@ -49,11 +49,11 @@ func Minimize(prog *ebpf.Program, pred func(*ebpf.Program) bool, budget int) *eb
 				continue
 			}
 			if ins.Imm != 0 && !ins.IsCall() && !ins.IsLoadFromMap() {
-				if try(withInsn(cur, i, func(s *ebpf.Instruction) { s.Imm = 0 })) {
+				if try(WithInsn(cur, i, func(s *ebpf.Instruction) { s.Imm = 0 })) {
 					changed = true
 					continue
 				}
-				if ins.Imm != 1 && try(withInsn(cur, i, func(s *ebpf.Instruction) { s.Imm = 1 })) {
+				if ins.Imm != 1 && try(WithInsn(cur, i, func(s *ebpf.Instruction) { s.Imm = 1 })) {
 					changed = true
 					continue
 				}
@@ -61,7 +61,7 @@ func Minimize(prog *ebpf.Program, pred func(*ebpf.Program) bool, budget int) *eb
 			cls := ins.Class()
 			memCls := cls == ebpf.ClassLDX || cls == ebpf.ClassST || cls == ebpf.ClassSTX
 			if memCls && ins.Off != 0 {
-				if try(withInsn(cur, i, func(s *ebpf.Instruction) { s.Off = 0 })) {
+				if try(WithInsn(cur, i, func(s *ebpf.Instruction) { s.Off = 0 })) {
 					changed = true
 				}
 			}
@@ -70,60 +70,61 @@ func Minimize(prog *ebpf.Program, pred func(*ebpf.Program) bool, budget int) *eb
 	return cur
 }
 
-// cloneProg copies the program with a private instruction slice (maps and
-// metadata are shared; the minimizer never edits them).
-func cloneProg(p *ebpf.Program) *ebpf.Program {
+// CloneProg copies the program with a private instruction slice (maps and
+// metadata are shared; the minimizer and the fuzz mutator never edit
+// them).
+func CloneProg(p *ebpf.Program) *ebpf.Program {
 	q := *p
 	q.Insns = append([]ebpf.Instruction(nil), p.Insns...)
 	return &q
 }
 
-// withInsn returns a copy of p with insns[i] edited.
-func withInsn(p *ebpf.Program, i int, edit func(*ebpf.Instruction)) *ebpf.Program {
-	q := cloneProg(p)
+// WithInsn returns a copy of p with insns[i] edited.
+func WithInsn(p *ebpf.Program, i int, edit func(*ebpf.Instruction)) *ebpf.Program {
+	q := CloneProg(p)
 	edit(&q.Insns[i])
 	return q
 }
 
-// deleteInsn returns a copy of p with the instruction at `at` removed
-// (both slots for ld_imm64) and every jump offset retargeted. Jumps into
-// the removed range land on its successor. Returns nil when a retargeted
-// offset leaves int16 range.
-func deleteInsn(p *ebpf.Program, at int) *ebpf.Program {
-	w := p.Insns[at].Slots()
-	if at+w > len(p.Insns) {
+// Splice returns a copy of p with the n slots at `at` replaced by block
+// and every jump outside them retargeted across the edit. A jump whose
+// target was in the replaced range, or just past it, lands just after
+// block: a deleted instruction's jumps go to its successor, and an
+// insertion leaves existing control flow as it was (forward jumps stay
+// forward). The block's own offsets are kept. Returns nil when the range
+// leaves the program or a retargeted offset leaves int16 range.
+func Splice(p *ebpf.Program, at, n int, block []ebpf.Instruction) *ebpf.Program {
+	if at < 0 || n < 0 || at+n > len(p.Insns) {
 		return nil
 	}
-	// newIdx[i]: index of old instruction i after deletion; targets inside
-	// the removed range resolve to the successor.
-	newIdx := make([]int, len(p.Insns)+1)
-	for i := 0; i <= len(p.Insns); i++ {
+	w := len(block)
+	newIdx := func(i int) int {
 		switch {
 		case i < at:
-			newIdx[i] = i
-		case i < at+w:
-			newIdx[i] = at
+			return i
+		case i < at+n:
+			return at + w
 		default:
-			newIdx[i] = i - w
+			return i - n + w
 		}
 	}
-	out := make([]ebpf.Instruction, 0, len(p.Insns)-w)
+	out := make([]ebpf.Instruction, 0, len(p.Insns)-n+w)
+	out = append(out, p.Insns[:at]...)
+	out = append(out, block...)
+	out = append(out, p.Insns[at+n:]...)
 	for i, ins := range p.Insns {
-		if i >= at && i < at+w {
+		if (i >= at && i < at+n) || !ins.IsJump() || ins.IsCall() || ins.IsExit() {
 			continue
 		}
-		if ins.IsJump() && !ins.IsCall() && !ins.IsExit() {
-			t := i + 1 + int(ins.Off)
-			if t < 0 || t > len(p.Insns) {
-				return nil
-			}
-			no := newIdx[t] - (newIdx[i] + 1)
-			if no < math.MinInt16 || no > math.MaxInt16 {
-				return nil
-			}
-			ins.Off = int16(no)
+		t := i + 1 + int(ins.Off)
+		if t < 0 || t > len(p.Insns) {
+			return nil
 		}
-		out = append(out, ins)
+		no := newIdx(t) - (newIdx(i) + 1)
+		if no < math.MinInt16 || no > math.MaxInt16 {
+			return nil
+		}
+		out[newIdx(i)].Off = int16(no)
 	}
 	q := *p
 	q.Insns = out

@@ -18,7 +18,7 @@ import (
 var kernelSideCeiling = map[string]int{
 	"Verifier":              2676,
 	"Proof Checker":         1048,
-	"Refinement (BCF core)": 784,
+	"Refinement (BCF core)": 729,
 	"tnum domain":           222,
 }
 

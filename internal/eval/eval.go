@@ -41,8 +41,8 @@ type ProgramResult struct {
 	ProofSizes     []int
 	CheckDurations []time.Duration
 
-	// Wire totals from the session's traffic accounting (see
-	// bcf.Session.Traffic).
+	// Wire totals: the refiner's record of the bytes that crossed (see
+	// bcf.Stats).
 	CondBytes  int
 	ProofBytes int
 
@@ -122,6 +122,19 @@ func Run(insnLimit int, progress func(done, total int)) *Evaluation {
 	return RunOpts(Options{InsnLimit: insnLimit, Progress: progress})
 }
 
+// Workers is the worker count RunOpts uses for size programs when
+// asked for requested: GOMAXPROCS when requested <= 0, and never more
+// workers than programs.
+func Workers(requested, size int) int {
+	if requested <= 0 {
+		requested = runtime.GOMAXPROCS(0)
+	}
+	if requested > size && size > 0 {
+		requested = size
+	}
+	return requested
+}
+
 // RunOpts executes the acceptance experiment with explicit options,
 // fanning the corpus out across a bounded worker pool. Each worker runs
 // whole programs (the baseline load followed by the BCF load), all
@@ -136,13 +149,7 @@ func RunOpts(opts Options) *Evaluation {
 	if opts.Limit > 0 && opts.Limit < len(entries) {
 		entries = entries[:opts.Limit]
 	}
-	par := opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > len(entries) && len(entries) > 0 {
-		par = len(entries)
-	}
+	par := Workers(opts.Parallelism, len(entries))
 	cache := opts.Cache
 	if cache == nil {
 		cache = loader.NewProofCache()

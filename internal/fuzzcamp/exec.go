@@ -64,7 +64,7 @@ type ExecOptions struct {
 // discovery and minimization alike — runs under. Mutated programs can be
 // pathological for refinement (conditions whose CNFs and proofs explode),
 // so the load carries tight, fully deterministic budgets: CNF clauses,
-// SAT conflicts, refinement rounds, and session byte caps, never
+// SAT conflicts, refinement rounds, and boundary byte caps, never
 // wall-clock. A program that blows a budget is rejected identically on
 // every worker and every machine, preserving the campaign's determinism
 // contract; it is never a violation (budget exhaustion means "not

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 
+	"bcf/internal/difftest"
 	"bcf/internal/ebpf"
 )
 
@@ -41,9 +42,10 @@ func NewMutator(rng *rand.Rand) *Mutator { return &Mutator{rng: rng} }
 // applied. Donors are splice sources (p itself is always a donor). The
 // result, when non-nil, always passes Program.Validate: each operator
 // either preserves well-formedness by construction (jump retargeting
-// mirrors the minimizer's deletion pass) or its candidate is discarded.
+// is difftest.Splice, shared with the minimizer) or its candidate is
+// discarded.
 func (m *Mutator) Mutate(p *ebpf.Program, donors []*ebpf.Program) *ebpf.Program {
-	cur := cloneProg(p)
+	cur := difftest.CloneProg(p)
 	mutated := false
 	n := 1 + m.rng.Intn(3)
 	for i := 0; i < n; i++ {
@@ -95,7 +97,7 @@ func (m *Mutator) nudgeConst(p *ebpf.Program) *ebpf.Program {
 		return nil
 	}
 	i := idxs[m.rng.Intn(len(idxs))]
-	return withInsn(p, i, func(ins *ebpf.Instruction) {
+	return difftest.WithInsn(p, i, func(ins *ebpf.Instruction) {
 		if ins.IsALU() {
 			switch ins.AluOp() {
 			case ebpf.AluLSH, ebpf.AluRSH, ebpf.AluARSH:
@@ -135,7 +137,7 @@ func (m *Mutator) nudgeOffset(p *ebpf.Program) *ebpf.Program {
 	}
 	i := idxs[m.rng.Intn(len(idxs))]
 	steps := []int16{-8, -4, -1, 1, 4, 8}
-	return withInsn(p, i, func(ins *ebpf.Instruction) {
+	return difftest.WithInsn(p, i, func(ins *ebpf.Instruction) {
 		ins.Off += steps[m.rng.Intn(len(steps))]
 	})
 }
@@ -159,7 +161,7 @@ func (m *Mutator) flipBranch(p *ebpf.Program) *ebpf.Program {
 	if op == cur {
 		op = condJmpOps[(indexOfOp(cur)+1)%len(condJmpOps)]
 	}
-	return withInsn(p, i, func(ins *ebpf.Instruction) {
+	return difftest.WithInsn(p, i, func(ins *ebpf.Instruction) {
 		ins.Op = ins.Op&^uint8(0xf0) | op
 	})
 }
@@ -258,55 +260,13 @@ func (m *Mutator) insertionPoint(p *ebpf.Program) int {
 }
 
 // insertInsns returns a copy of p with block inserted before index at,
-// every jump retargeted across the gap (the inverse of the minimizer's
-// deleteInsn). Jumps whose target was exactly `at` now land after the
-// inserted block, so existing control flow is unchanged and forward
-// jumps stay forward. Returns nil when an offset leaves int16 range or
-// the program would outgrow maxProgSlots.
+// every jump retargeted across the gap (difftest.Splice), or nil when
+// the program would outgrow maxProgSlots. Jumps whose target was exactly
+// `at` land after the inserted block, so existing control flow is
+// unchanged.
 func insertInsns(p *ebpf.Program, at int, block []ebpf.Instruction) *ebpf.Program {
-	w := len(block)
-	if len(p.Insns)+w > maxProgSlots || at < 0 || at > len(p.Insns) {
+	if len(p.Insns)+len(block) > maxProgSlots {
 		return nil
 	}
-	newIdx := func(i int) int {
-		if i >= at {
-			return i + w
-		}
-		return i
-	}
-	out := make([]ebpf.Instruction, 0, len(p.Insns)+w)
-	out = append(out, p.Insns[:at]...)
-	out = append(out, block...)
-	out = append(out, p.Insns[at:]...)
-	for i, ins := range p.Insns {
-		if !ins.IsJump() || ins.IsCall() || ins.IsExit() {
-			continue
-		}
-		t := i + 1 + int(ins.Off)
-		if t < 0 || t > len(p.Insns) {
-			return nil
-		}
-		no := newIdx(t) - (newIdx(i) + 1)
-		if no < math.MinInt16 || no > math.MaxInt16 {
-			return nil
-		}
-		out[newIdx(i)].Off = int16(no)
-	}
-	q := *p
-	q.Insns = out
-	return &q
-}
-
-// cloneProg copies the program with a private instruction slice.
-func cloneProg(p *ebpf.Program) *ebpf.Program {
-	q := *p
-	q.Insns = append([]ebpf.Instruction(nil), p.Insns...)
-	return &q
-}
-
-// withInsn returns a copy of p with insns[i] edited.
-func withInsn(p *ebpf.Program, i int, edit func(*ebpf.Instruction)) *ebpf.Program {
-	q := cloneProg(p)
-	edit(&q.Insns[i])
-	return q
+	return difftest.Splice(p, at, 0, block)
 }

@@ -147,14 +147,6 @@ func (c *ProofCache) GetOrCompute(cond []byte, compute func() ([]byte, error)) (
 	return append([]byte(nil), f.proof...), false, false, nil
 }
 
-// Coalesced counts lookups that piggybacked on a concurrent in-flight
-// computation of the same key instead of running their own.
-func (c *ProofCache) Coalesced() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.coalesced
-}
-
 // Stats reports cache effectiveness.
 func (c *ProofCache) Stats() (hits, misses, size int) {
 	c.mu.Lock()

@@ -175,7 +175,7 @@ func TestProofCacheSingleflight(t *testing.T) {
 	if leaderless != 1 {
 		t.Fatalf("%d workers claim to have led the flight, want 1", leaderless)
 	}
-	if c.Coalesced() == 0 {
+	if c.Snapshot().Coalesced == 0 {
 		t.Fatal("no coalesced lookups recorded")
 	}
 	// The result must be cached for later callers.

@@ -208,7 +208,7 @@ func TestEscalationRetryRuns(t *testing.T) {
 
 	opts := Options{Solver: solver.Options{MaxConflicts: 1, DisableRewriteTier: true}}
 	var res Result
-	_, _, _, perr := prove(context.Background(), condBytes, opts, &res)
+	_, perr := prove(context.Background(), condBytes, opts, &res)
 	if res.Escalations != 1 {
 		t.Fatalf("escalations = %d, want 1 (err=%v)", res.Escalations, perr)
 	}
@@ -219,7 +219,7 @@ func TestEscalationRetryRuns(t *testing.T) {
 	// Control: with escalation disabled the budget error surfaces directly.
 	opts.DisableEscalation = true
 	var ctrl Result
-	_, _, _, perr = prove(context.Background(), condBytes, opts, &ctrl)
+	_, perr = prove(context.Background(), condBytes, opts, &ctrl)
 	if perr == nil {
 		t.Fatal("control: 1-conflict budget cannot bit-blast mul commutativity")
 	}
@@ -232,7 +232,7 @@ func TestEscalationRetryRuns(t *testing.T) {
 
 	// With the rewrite tier on and no cap, the same condition is easy.
 	var easy Result
-	if _, _, _, perr = prove(context.Background(), condBytes, Options{}, &easy); perr != nil {
+	if _, perr = prove(context.Background(), condBytes, Options{}, &easy); perr != nil {
 		t.Fatalf("rewrite tier should prove commutativity: %v", perr)
 	}
 }

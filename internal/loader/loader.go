@@ -5,7 +5,7 @@
 //
 // The protocol loop is hardened against a slow or failing prover and a
 // hostile environment: the whole load and each individual condition run
-// under deadlines, the kernel session caps refinement rounds, a solver
+// under deadlines, the refiner's limits cap refinement rounds, a solver
 // that exhausts its conflict budget gets exactly one escalation retry
 // (straight to bit-blasting with a larger budget), and every failure
 // carries a bcferr.Class so callers can bucket outcomes (§6.2).
@@ -139,8 +139,8 @@ type Result struct {
 	KernelTime time.Duration
 	UserTime   time.Duration
 	TotalTime  time.Duration
-	// Boundary traffic totals, sourced from the session's traffic
-	// accounting (bcf.Session.Traffic; zero when BCF is disabled).
+	// Boundary traffic totals, the refiner's record of the bytes that
+	// crossed (bcf.Stats; zero when BCF is disabled).
 	CondBytes  int
 	ProofBytes int
 	// Counterexample from the last failed condition, if any.
@@ -172,141 +172,130 @@ func (r *Result) classify() {
 // Load verifies a program, driving the full BCF protocol when enabled.
 // Everything runs on the calling goroutine: the verifier calls into the
 // loader's prover for each refinement condition. Load always returns:
-// deadlines and the kernel session's limits bound every path.
+// deadlines and the refiner's limits bound every path.
 func Load(prog *ebpf.Program, opts Options) *Result {
 	startAll := time.Now()
 	res := &Result{}
 	reg := opts.Obs
 	reg.Counter(obs.MLoadsTotal).Inc()
 	lsp := opts.Trace.Start(obs.CatLoad, "load")
-	var runStart time.Time
-	var runTime time.Duration
-	record := func() {
-		kernelTelemetry(reg, opts.Trace, runStart, runTime, res)
-		lsp.End()
-		if reg == nil {
-			return
-		}
-		reg.StageHistogram(obs.MLoadSeconds).ObserveDuration(res.TotalTime)
-		reg.StageHistogram(obs.MKernelSeconds).ObserveDuration(res.KernelTime)
-		reg.StageHistogram(obs.MUserSeconds).ObserveDuration(res.UserTime)
-		if res.Accepted {
-			reg.Counter(obs.MLoadsAccepted).Inc()
-			return
-		}
-		origin := "organic"
-		if f, ok := opts.Fault.(interface{ FiredAny() bool }); ok && f.FiredAny() {
-			origin = "injected"
-		}
-		reg.Counter(obs.Labels(obs.MLoadFailures,
-			"class", res.ErrClass.String(), "origin", origin)).Inc()
-		// Record every failed load; dump the recorder only for abnormal
-		// failures (protocol breaches, timeouts, exhausted budgets) — an
-		// ordinary safety rejection is a verdict, not a black-box event,
-		// and evals reject programs by the hundred.
-		if j := reg.Journal(); j != nil {
-			j.Recordf(obs.JKindLoadFail, "loader", int64(res.Rounds),
-				"load failed (%s): %v", res.ErrClass, res.Err)
-			if res.ErrClass != bcferr.ClassUnsafe {
-				j.Dump(os.Stderr)
-			}
-		}
-	}
-	if !opts.EnableBCF {
-		v := verifier.New(prog, opts.Verifier)
-		runStart = time.Now()
-		err := v.Verify()
-		runTime = time.Since(runStart)
-		res.Accepted = err == nil
-		res.Err = err
-		res.classify()
-		res.VerifierStats = v.Stats()
-		res.Log = v.Log()
-		res.KernelTime = time.Since(startAll)
-		res.TotalTime = res.KernelTime
-		record()
-		return res
-	}
 
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
+	cfg := opts.Verifier
+	var user *userSpace
+	var ref *bcf.Refiner
+	if opts.EnableBCF {
+		ctx := opts.Context
+		if ctx == nil {
+			ctx = context.Background()
+		}
+		// Seed the context with the load span so downstream RPC spans (the
+		// remote prover client) nest under this load in the trace timeline.
+		ctx = obs.ContextWithSpan(ctx, lsp.Context())
+		if opts.LoadTimeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, opts.LoadTimeout)
+			defer cancel()
+		}
+		user = &userSpace{ctx: ctx, opts: opts, res: res}
+		ref = bcf.NewRefiner(user)
+		ref.Limits = opts.Session
+		ref.DisableBackward = opts.DisableBackward
+		cfg.Refiner = ref
 	}
-	// Seed the context with the load span so downstream RPC spans (the
-	// remote prover client) nest under this load in the trace timeline.
-	ctx = obs.ContextWithSpan(ctx, lsp.Context())
-	if opts.LoadTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.LoadTimeout)
-		defer cancel()
-	}
-	sess := bcf.NewSession(prog, opts.Verifier)
-	sess.Limits = opts.Session
-	sess.Refiner().DisableBackward = opts.DisableBackward
-
-	// cause is a loader-side reason to give up on the load; it supersedes
-	// the verifier's verdict.
-	var cause error
-	user := bcf.ProveFunc(func(condBytes []byte) ([]byte, error) {
-		round := res.Rounds
-		res.Rounds++
-		if err := ctx.Err(); err != nil {
-			cause = bcferr.Wrap(bcferr.ClassSolverTimeout,
-				fmt.Errorf("loader: load deadline: %w", err))
-			return nil, cause
-		}
-		if opts.Fault != nil {
-			condBytes = opts.Fault.Condition(round, condBytes)
-		}
-
-		var proofBytes []byte
-		var perr error
-		if opts.Fault != nil {
-			perr = opts.Fault.Prove(round)
-		}
-		if perr == nil {
-			var cex map[uint32]uint64
-			var hit bool
-			proofBytes, cex, hit, perr = prove(ctx, condBytes, opts, res)
-			if hit {
-				res.CacheHits++
-			}
-			if cex != nil {
-				res.Counterexample = cex
-			}
-		}
-		if opts.Fault != nil {
-			var drop bool
-			proofBytes, drop = opts.Fault.Proof(round, proofBytes)
-			if drop {
-				cause = bcferr.New(bcferr.ClassProtocol,
-					"loader: resume dropped (session abandoned)")
-				return nil, cause
-			}
-		}
-		return proofBytes, perr
-	})
-
-	runStart = time.Now()
-	res.Err = sess.Run(user)
-	runTime = time.Since(runStart)
-	if cause != nil {
-		res.Err = cause
+	v := verifier.New(prog, cfg)
+	runStart := time.Now()
+	res.Err = v.Verify()
+	runTime := time.Since(runStart)
+	if user != nil && user.cause != nil {
+		res.Err = user.cause
 	}
 	res.Accepted = res.Err == nil
 	res.classify()
-	res.VerifierStats = sess.Verifier().Stats()
-	res.Log = sess.Verifier().Log()
-	res.RefineStats = sess.Refiner().Stats()
-	res.Reused = res.RefineStats.Reused
-	// One clock for the §6.3 split: the refiner times every call into
-	// user space, and the kernel side is the rest of the run.
-	res.UserTime = res.RefineStats.UserTime
-	res.KernelTime = runTime - res.UserTime
-	res.TotalTime = time.Since(startAll)
-	res.CondBytes, res.ProofBytes = sess.Traffic()
-	record()
+	res.VerifierStats = v.Stats()
+	res.Log = v.Log()
+	if ref == nil {
+		res.KernelTime = time.Since(startAll)
+		res.TotalTime = res.KernelTime
+	} else {
+		st := ref.Stats()
+		res.RefineStats = st
+		res.Reused = st.Reused
+		// One clock for the §6.3 split: the refiner times every call into
+		// user space, and the kernel side is the rest of the run.
+		res.UserTime = st.UserTime
+		res.KernelTime = runTime - res.UserTime
+		res.TotalTime = time.Since(startAll)
+		res.CondBytes, res.ProofBytes = st.CondBytes, st.ProofBytes
+	}
+
+	kernelTelemetry(reg, opts.Trace, runStart, runTime, res)
+	lsp.End()
+	if reg == nil {
+		return res
+	}
+	reg.StageHistogram(obs.MLoadSeconds).ObserveDuration(res.TotalTime)
+	reg.StageHistogram(obs.MKernelSeconds).ObserveDuration(res.KernelTime)
+	reg.StageHistogram(obs.MUserSeconds).ObserveDuration(res.UserTime)
+	if res.Accepted {
+		reg.Counter(obs.MLoadsAccepted).Inc()
+		return res
+	}
+	origin := "organic"
+	if f, ok := opts.Fault.(interface{ FiredAny() bool }); ok && f.FiredAny() {
+		origin = "injected"
+	}
+	reg.Counter(obs.Labels(obs.MLoadFailures,
+		"class", res.ErrClass.String(), "origin", origin)).Inc()
+	// Record every failed load; dump the recorder only for abnormal
+	// failures (protocol breaches, timeouts, exhausted budgets) — an
+	// ordinary safety rejection is a verdict, not a black-box event,
+	// and evals reject programs by the hundred.
+	if j := reg.Journal(); j != nil {
+		j.Recordf(obs.JKindLoadFail, "loader", int64(res.Rounds),
+			"load failed (%s): %v", res.ErrClass, res.Err)
+		if res.ErrClass != bcferr.ClassUnsafe {
+			j.Dump(os.Stderr)
+		}
+	}
 	return res
+}
+
+// userSpace is the loader's half of one BCF load: the bcf.ProofService
+// the refiner calls with each condition. cause is a loader-side reason
+// to give up on the load; it supersedes the verifier's verdict.
+type userSpace struct {
+	ctx   context.Context
+	opts  Options
+	res   *Result
+	cause error
+}
+
+func (u *userSpace) Prove(condBytes []byte) ([]byte, error) {
+	fault, round := u.opts.Fault, u.res.Rounds
+	u.res.Rounds++
+	if err := u.ctx.Err(); err != nil {
+		u.cause = bcferr.Wrap(bcferr.ClassSolverTimeout,
+			fmt.Errorf("loader: load deadline: %w", err))
+		return nil, u.cause
+	}
+	var proofBytes []byte
+	var err error
+	if fault != nil {
+		condBytes = fault.Condition(round, condBytes)
+		err = fault.Prove(round)
+	}
+	if err == nil {
+		proofBytes, err = prove(u.ctx, condBytes, u.opts, u.res)
+	}
+	if fault != nil {
+		var drop bool
+		if proofBytes, drop = fault.Proof(round, proofBytes); drop {
+			u.cause = bcferr.New(bcferr.ClassProtocol,
+				"loader: resume dropped (session abandoned)")
+			return nil, u.cause
+		}
+	}
+	return proofBytes, err
 }
 
 // kernelTelemetry reports the kernel side of a finished load from its
@@ -314,7 +303,8 @@ func Load(prog *ebpf.Program, opts Options) *Result {
 // Stats, and the refiner's Stats. It records the verifier and
 // refinement metrics, one refine-round journal entry per granted
 // request, and the "kernel" track (tid 1 of tr): a verify span and each
-// request's spans (refineSpans).
+// request's spans (refineSpans); the verify span carries the count and
+// time of the reused refinements.
 func kernelTelemetry(reg *obs.Registry, tr *obs.Tracer, start time.Time, dur time.Duration, res *Result) {
 	if reg == nil && tr == nil {
 		return
@@ -326,9 +316,12 @@ func kernelTelemetry(reg *obs.Registry, tr *obs.Tracer, start time.Time, dur tim
 	reg.Counter(obs.MStatesPruned).Add(int64(vs.StatesPruned))
 	tr.WithThread(0, "loader") // emits the track's name; nil-safe
 	kt := tr.WithThread(1, "kernel")
-	kt.Complete(obs.CatVerifier, "verify", start, start.Add(dur), nil)
-
 	st := res.RefineStats
+	var args map[string]any // reused refinements get no spans of their own
+	if kt != nil && st != nil && st.Reused > 0 {
+		args = map[string]any{"reused": st.Reused, "reused_us": float64(st.ReusedTime) / 1e3}
+	}
+	kt.Complete(obs.CatVerifier, "verify", start, start.Add(dur), args)
 	if st == nil {
 		return
 	}
@@ -396,10 +389,14 @@ func refineSpans(kt *obs.Tracer, round int, q bcf.RequestStats) {
 }
 
 // prove resolves one condition: cache (with singleflight), then the
-// remote service when configured, then the in-process solver.
-func prove(ctx context.Context, condBytes []byte, opts Options, res *Result) (proofBytes []byte, cex map[uint32]uint64, cacheHit bool, err error) {
+// remote service when configured, then the in-process solver. It counts
+// a cache hit in res and keeps a counterexample there.
+func prove(ctx context.Context, condBytes []byte, opts Options, res *Result) ([]byte, error) {
+	var p []byte
+	var hit, shared bool
+	var err error
 	if opts.ProofCache != nil {
-		p, hit, shared, err := opts.ProofCache.GetOrCompute(condBytes, func() ([]byte, error) {
+		p, hit, shared, err = opts.ProofCache.GetOrCompute(condBytes, func() ([]byte, error) {
 			return proveUncached(ctx, condBytes, opts, res)
 		})
 		switch {
@@ -410,16 +407,19 @@ func prove(ctx context.Context, condBytes []byte, opts Options, res *Result) (pr
 		default:
 			opts.Obs.Counter(obs.MCacheMisses).Inc()
 		}
-		if err != nil {
-			return nil, bcferr.CounterexampleOf(err), false, err
-		}
-		return p, nil, hit || shared, nil
+	} else {
+		p, err = proveUncached(ctx, condBytes, opts, res)
 	}
-	p, err := proveUncached(ctx, condBytes, opts, res)
 	if err != nil {
-		return nil, bcferr.CounterexampleOf(err), false, err
+		if cex := bcferr.CounterexampleOf(err); cex != nil {
+			res.Counterexample = cex
+		}
+		return nil, err
 	}
-	return p, nil, false, nil
+	if hit || shared {
+		res.CacheHits++
+	}
+	return p, nil
 }
 
 // proveUncached resolves one obligation without consulting the cache.
@@ -452,17 +452,22 @@ func proveUncached(ctx context.Context, condBytes []byte, opts Options, res *Res
 			}
 		}
 	}
-	return proveLocal(ctx, condBytes, opts, res)
+	out, escalated, err := ProveLocal(ctx, condBytes, opts)
+	if escalated {
+		res.Escalations++
+	}
+	return out, err
 }
 
-// proveLocal translates one condition and invokes the in-process solver
-// under the per-condition deadline. A conflict-budget exhaustion is
-// retried once, escalated straight to bit-blasting with a larger
-// budget, provided the deadlines still have room.
-func proveLocal(ctx context.Context, condBytes []byte, opts Options, res *Result) ([]byte, error) {
+// ProveLocal proves one encoded condition with the in-process solver
+// under opts.ProveTimeout, for the loader and the proofd daemon alike. A
+// conflict-budget exhaustion is retried once (escalated, counted in
+// opts.Obs), straight to bit-blasting with a larger budget, provided the
+// deadlines still have room and opts.DisableEscalation is unset.
+func ProveLocal(ctx context.Context, condBytes []byte, opts Options) (proof []byte, escalated bool, err error) {
 	cond, err := bcfenc.DecodeCondition(condBytes)
 	if err != nil {
-		return nil, bcferr.Wrap(bcferr.ClassProtocol,
+		return nil, false, bcferr.Wrap(bcferr.ClassProtocol,
 			fmt.Errorf("loader: bad condition from kernel: %w", err))
 	}
 	if opts.ProveTimeout > 0 {
@@ -486,21 +491,21 @@ func proveLocal(ctx context.Context, condBytes []byte, opts Options, res *Result
 		if esc.MaxConflicts > 0 {
 			esc.MaxConflicts *= escalationBudgetFactor
 		}
-		res.Escalations++
+		escalated = true
 		opts.Obs.Counter(obs.MEscalations).Inc()
 		out, err = solver.Prove(ctx, cond.Cond, esc)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("loader: solver: %w", err)
+		return nil, escalated, fmt.Errorf("loader: solver: %w", err)
 	}
 	if !out.Proven {
-		return nil, bcferr.WithCounterexample(bcferr.New(bcferr.ClassUnsafe,
+		return nil, escalated, bcferr.WithCounterexample(bcferr.New(bcferr.ClassUnsafe,
 			"loader: condition violated (counterexample found)"), out.Counterexample)
 	}
 	buf, err := bcfenc.EncodeProof(out.Proof)
 	if err != nil {
-		return nil, bcferr.Wrap(bcferr.ClassProtocol,
+		return nil, escalated, bcferr.Wrap(bcferr.ClassProtocol,
 			fmt.Errorf("loader: encoding proof: %w", err))
 	}
-	return buf, nil
+	return buf, escalated, nil
 }

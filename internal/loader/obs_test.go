@@ -300,8 +300,9 @@ func TestUnshippedRefinementReported(t *testing.T) {
 
 // TestReusedRefinementsCounted pins the record of a load whose
 // refinements repeat one condition (a corpus loop program): one round,
-// every later refinement granted from that proof, and the reused count
-// in the Result, the record and the bcf_refinements_reused_total series.
+// every later refinement granted from that proof, the reused count in
+// the Result, the record and the bcf_refinements_reused_total series,
+// and the reused count and time on the kernel track's verify span.
 func TestReusedRefinementsCounted(t *testing.T) {
 	var prog *ebpf.Program
 	for _, e := range corpus.Generate() {
@@ -311,7 +312,8 @@ func TestReusedRefinementsCounted(t *testing.T) {
 		}
 	}
 	reg := obs.NewRegistry()
-	res := Load(prog, Options{EnableBCF: true, Obs: reg, Verifier: verifier.Config{InsnLimit: 4000}})
+	tr := obs.NewTracer()
+	res := Load(prog, Options{EnableBCF: true, Obs: reg, Trace: tr, Verifier: verifier.Config{InsnLimit: 4000}})
 	st := res.RefineStats
 	if res.Rounds != 1 || len(st.Requests) != 1 {
 		t.Fatalf("%d rounds, %d requests recorded; want 1 and 1", res.Rounds, len(st.Requests))
@@ -329,5 +331,26 @@ func TestReusedRefinementsCounted(t *testing.T) {
 	}
 	if h, _ := snap.Histogram(obs.MCondBytes); h.Count != 1 {
 		t.Errorf("%s: count=%d, want the one shipped condition", obs.MCondBytes, h.Count)
+	}
+
+	// The reused refinements' count and time ride on the verify span.
+	if st.ReusedTime <= 0 {
+		t.Fatalf("ReusedTime = %v over %d reused refinements", st.ReusedTime, st.Reused)
+	}
+	var verify []obs.TraceEvent
+	for _, e := range kernelTrack(t, tr) {
+		if e.Name == "verify" {
+			verify = append(verify, e)
+		}
+	}
+	if len(verify) != 1 {
+		t.Fatalf("kernel track: %d verify spans, want 1", len(verify))
+	}
+	args := verify[0].Args
+	if args["reused"] != float64(st.Reused) || args["reused_us"] != float64(st.ReusedTime)/1e3 {
+		t.Errorf("verify span args %v, record: %d reused in %v", args, st.Reused, st.ReusedTime)
+	}
+	if us, _ := args["reused_us"].(float64); us > verify[0].Dur {
+		t.Errorf("reused refinements took %v µs of a %v µs verify span", us, verify[0].Dur)
 	}
 }

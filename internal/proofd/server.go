@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"bcf/internal/bcfenc"
 	"bcf/internal/bcferr"
 	"bcf/internal/loader"
 	"bcf/internal/obs"
@@ -376,35 +375,13 @@ func (s *Server) prove(cond []byte, tr *obs.Tracer) (*proofrpc.Frame, byte) {
 	return &proofrpc.Frame{Type: proofrpc.TProofOK, Payload: append([]byte{src}, proofBytes...)}, src
 }
 
-// solve runs the solver on a cache-missing obligation.
+// solve proves a cache-missing obligation with the loader's own
+// condition-to-proof function, budget escalation included, so a
+// daemon's verdict is the one the in-process loader would reach.
 func (s *Server) solve(condBytes []byte) ([]byte, error) {
-	cond, err := bcfenc.DecodeCondition(condBytes)
-	if err != nil {
-		return nil, bcferr.Wrap(bcferr.ClassProtocol,
-			fmt.Errorf("bad condition: %w", err))
-	}
-	ctx := context.Background()
-	if s.opts.ProveTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opts.ProveTimeout)
-		defer cancel()
-	}
-	sopts := s.opts.Solver
-	if sopts.Obs == nil {
-		sopts.Obs = s.opts.Obs
-	}
-	if sopts.Trace == nil {
-		sopts.Trace = s.opts.Trace
-	}
-	out, err := solver.Prove(ctx, cond.Cond, sopts)
-	if err != nil {
-		return nil, err
-	}
-	if !out.Proven {
-		return nil, bcferr.WithCounterexample(bcferr.New(bcferr.ClassUnsafe,
-			"condition violated (counterexample found)"), out.Counterexample)
-	}
-	return bcfenc.EncodeProof(out.Proof)
+	out, _, err := loader.ProveLocal(context.Background(), condBytes, loader.Options{
+		Solver: s.opts.Solver, ProveTimeout: s.opts.ProveTimeout, Obs: s.opts.Obs, Trace: s.opts.Trace})
+	return out, err
 }
 
 // errorReply maps a proving error to its wire form: counterexamples

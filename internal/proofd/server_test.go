@@ -1,6 +1,7 @@
 package proofd
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -12,8 +13,10 @@ import (
 	"bcf/internal/bcfenc"
 	"bcf/internal/bcferr"
 	"bcf/internal/expr"
+	"bcf/internal/loader"
 	"bcf/internal/obs"
 	"bcf/internal/prooffleet"
+	"bcf/internal/solver"
 )
 
 // startServer runs a server on a Unix socket and returns its endpoint.
@@ -275,5 +278,39 @@ func TestServerPing(t *testing.T) {
 	}
 	if n := reg.Counter(obs.Label(obs.MDaemonRequests, "type", "ping")).Value(); n != 1 {
 		t.Fatalf("ping counter = %d, want 1", n)
+	}
+}
+
+// TestDaemonEscalatesLikeLoader: a condition that exhausts a one-conflict
+// budget gets the same single escalation retry in the daemon as in the
+// in-process loader, so the remote outcome is the local one. 8-bit
+// multiplication commutativity is valid but needs real CDCL search once
+// the rewrite tier is off.
+func TestDaemonEscalatesLikeLoader(t *testing.T) {
+	x, y := expr.Var(0, 8), expr.Var(1, 8)
+	cond, err := bcfenc.EncodeCondition(&bcfenc.Condition{Cond: expr.Eq(expr.Mul(x, y), expr.Mul(y, x))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sopts := solver.Options{MaxConflicts: 1, DisableRewriteTier: true}
+
+	local, escalated, lerr := loader.ProveLocal(context.Background(), cond, loader.Options{Solver: sopts})
+	if !escalated {
+		t.Fatalf("the loader did not escalate (err=%v)", lerr)
+	}
+	t.Logf("escalated local outcome: %v", lerr)
+	reg := obs.NewRegistry()
+	_, endpoint := startServer(t, Options{Solver: sopts, Obs: reg})
+	remote, rerr := dialClient(t, endpoint, nil).ProveBytes(context.Background(), cond)
+	if n := reg.Snapshot().Counter(obs.MEscalations); n != 1 {
+		t.Errorf("daemon escalations = %d, want 1", n)
+	}
+	switch {
+	case (lerr == nil) != (rerr == nil):
+		t.Fatalf("local outcome %v, remote %v", lerr, rerr)
+	case lerr != nil && bcferr.ClassOf(lerr) != bcferr.ClassOf(rerr):
+		t.Fatalf("local class %v, remote %v", bcferr.ClassOf(lerr), bcferr.ClassOf(rerr))
+	case lerr == nil && !bytes.Equal(local, remote):
+		t.Fatal("the daemon's proof differs from the loader's")
 	}
 }

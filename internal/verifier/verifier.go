@@ -313,7 +313,7 @@ type Config struct {
 const DefaultInsnLimit = 1_000_000
 
 // Verifier analyzes one program. A Verifier is single-use: create a new
-// one (or a new load session) for every Verify call.
+// one for every Verify call.
 type Verifier struct {
 	prog *ebpf.Program
 	cfg  Config
