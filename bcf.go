@@ -187,7 +187,7 @@ func WithInsnLimit(n int) Option {
 
 // WithDebug records a verifier log into the report.
 func WithDebug() Option {
-	return func(o *loader.Options) { o.Verifier.Debug = true }
+	return func(o *loader.Options) { o.Verifier.Observer = &loader.DebugLog{} }
 }
 
 // WithoutPruning disables state pruning (ablation).
@@ -313,8 +313,10 @@ func Verify(prog *Program, opts ...Option) *Report {
 		RemoteProofs:    res.RemoteProofs,
 		RemoteFallbacks: res.RemoteFallbacks,
 		Counterexample:  res.Counterexample,
-		Log:             res.Log,
 		raw:             res,
+	}
+	if d, ok := lo.Verifier.Observer.(*loader.DebugLog); ok {
+		rep.Log = d.Lines
 	}
 	// Wire totals are the refiner's traffic totals, the ones its limits
 	// are checked against, not a re-sum of the per-request sizes.

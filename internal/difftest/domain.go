@@ -26,10 +26,13 @@ type TreeObserver struct {
 	Nodes int
 }
 
-// Step records one observation and returns the new node as the token for
-// the instruction that follows it.
-func (o *TreeObserver) Step(parent any, pc int, st *verifier.VState) any {
-	n := &ObsNode{PC: pc, Regs: st.Regs}
+// Observe records one instruction event and returns the new node as the
+// token for the instruction that follows it.
+func (o *TreeObserver) Observe(parent any, ev verifier.Event) any {
+	if ev.Kind != verifier.EventInsn {
+		return nil
+	}
+	n := &ObsNode{PC: ev.PC, Regs: ev.State.Regs}
 	o.Nodes++
 	if parent == nil {
 		o.Roots = append(o.Roots, n)
@@ -76,7 +79,7 @@ func (v *DomainViolation) String() string {
 	}
 }
 
-// Tee fans one observer callback out to two observers, threading a
+// Tee fans every event out to two observers, threading a
 // token pair so each sees its own consistent analysis tree. It lets a
 // caller-supplied observer (e.g. the fuzz campaign's coverage bitmap)
 // ride along with an oracle's internal TreeObserver.
@@ -86,13 +89,17 @@ type teeObserver struct{ a, b verifier.Observer }
 
 type teeToken struct{ a, b any }
 
-func (t *teeObserver) Step(parent any, pc int, st *verifier.VState) any {
+func (t *teeObserver) Observe(parent any, ev verifier.Event) any {
 	var pa, pb any
 	if parent != nil {
 		p := parent.(*teeToken)
 		pa, pb = p.a, p.b
 	}
-	return &teeToken{a: t.a.Step(pa, pc, st), b: t.b.Step(pb, pc, st)}
+	a, b := t.a.Observe(pa, ev), t.b.Observe(pb, ev)
+	if ev.Kind != verifier.EventInsn {
+		return nil
+	}
+	return &teeToken{a: a, b: b}
 }
 
 // CheckDomain runs the domain-soundness oracle on one program: verify

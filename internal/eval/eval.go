@@ -22,40 +22,11 @@ import (
 	"bcf/internal/verifier"
 )
 
-// ProgramResult is one dataset program's outcome under BCF.
+// ProgramResult is one dataset program's outcome under BCF: the corpus
+// entry and the record of its BCF load.
 type ProgramResult struct {
-	Entry    corpus.Entry
-	Accepted bool
-	Err      error
-	ErrClass bcferr.Class
-
-	// Refinements counts the granted refinements and Attempts every
-	// refinement asked for (granted or failed, shipped or not); Requests
-	// counts the conditions shipped to user space, which leaves out a
-	// repeat the kernel had already proven in the same load.
-	Refinements    int
-	Attempts       int
-	Requests       int
-	TrackLens      []int
-	CondSizes      []int
-	ProofSizes     []int
-	CheckDurations []time.Duration
-
-	// Wire totals: the refiner's record of the bytes that crossed (see
-	// bcf.Stats).
-	CondBytes  int
-	ProofBytes int
-
-	KernelTime time.Duration
-	UserTime   time.Duration
-	TotalTime  time.Duration
-
-	InsnProcessed int
-
-	// RemoteProofs/RemoteFallbacks count obligations proven by the
-	// remote daemon versus degraded to the in-process solver.
-	RemoteProofs    int
-	RemoteFallbacks int
+	Entry corpus.Entry
+	*loader.Result
 }
 
 // Evaluation aggregates the full run.
@@ -205,7 +176,7 @@ func RunOpts(opts Options) *Evaluation {
 					Obs:        opts.Obs,
 					Trace:      tr,
 				})
-				ev.Results[i] = newProgramResult(e, res)
+				ev.Results[i] = ProgramResult{Entry: e, Result: res}
 				finished()
 			}
 		}()
@@ -223,38 +194,6 @@ func RunOpts(opts Options) *Evaluation {
 		ev.RemoteFallbacks += r.RemoteFallbacks
 	}
 	return ev
-}
-
-// newProgramResult flattens one load result into the evaluation row.
-func newProgramResult(e corpus.Entry, res *loader.Result) ProgramResult {
-	pr := ProgramResult{
-		Entry:           e,
-		Accepted:        res.Accepted,
-		Err:             res.Err,
-		ErrClass:        res.ErrClass,
-		CondBytes:       res.CondBytes,
-		ProofBytes:      res.ProofBytes,
-		KernelTime:      res.KernelTime,
-		UserTime:        res.UserTime,
-		TotalTime:       res.TotalTime,
-		InsnProcessed:   res.VerifierStats.InsnProcessed,
-		RemoteProofs:    res.RemoteProofs,
-		RemoteFallbacks: res.RemoteFallbacks,
-	}
-	if res.RefineStats != nil {
-		pr.Refinements = res.RefineStats.Granted
-		pr.Attempts = res.RefineStats.Granted + res.RefineStats.Failed
-		pr.Requests = len(res.RefineStats.Requests)
-		for _, q := range res.RefineStats.Requests {
-			pr.TrackLens = append(pr.TrackLens, q.TrackLen)
-			pr.CondSizes = append(pr.CondSizes, q.CondBytes)
-			if q.ProofBytes > 0 {
-				pr.ProofSizes = append(pr.ProofSizes, q.ProofBytes)
-				pr.CheckDurations = append(pr.CheckDurations, q.CheckDuration)
-			}
-		}
-	}
-	return pr
 }
 
 // ---- §6.2 acceptance headline ----
@@ -289,7 +228,7 @@ func (ev *Evaluation) Acceptance() AcceptanceSummary {
 			s.Untriggered++
 		default:
 			// An expected-accept that failed: count it by observed cause.
-			if r.Requests == 0 {
+			if len(r.RefineStats.Requests) == 0 {
 				s.Untriggered++
 			} else {
 				s.WeakCondition++
@@ -512,20 +451,17 @@ func distOf(vals []int64) dist {
 func (ev *Evaluation) Table3() map[string]dist {
 	var freq, track, cond, checkUS, psize []int64
 	for _, r := range ev.Results {
-		if r.Requests > 0 {
-			freq = append(freq, int64(r.Attempts))
+		st := r.RefineStats
+		if len(st.Requests) > 0 {
+			freq = append(freq, int64(st.Granted+st.Failed))
 		}
-		for _, t := range r.TrackLens {
-			track = append(track, int64(t))
-		}
-		for _, c := range r.CondSizes {
-			cond = append(cond, int64(c))
-		}
-		for _, d := range r.CheckDurations {
-			checkUS = append(checkUS, d.Microseconds())
-		}
-		for _, p := range r.ProofSizes {
-			psize = append(psize, int64(p))
+		for _, q := range st.Requests {
+			track = append(track, int64(q.TrackLen))
+			cond = append(cond, int64(q.CondBytes))
+			if q.ProofBytes > 0 {
+				checkUS = append(checkUS, q.CheckDuration.Microseconds())
+				psize = append(psize, int64(q.ProofBytes))
+			}
 		}
 	}
 	return map[string]dist{
@@ -569,7 +505,11 @@ func (ev *Evaluation) Figure8() (buckets map[string]int, below4096 float64) {
 	buckets = map[string]int{}
 	total, below := 0, 0
 	for _, r := range ev.Results {
-		for _, p := range r.ProofSizes {
+		for _, q := range r.RefineStats.Requests {
+			p := q.ProofBytes
+			if p == 0 {
+				continue
+			}
 			total++
 			if p < 4096 {
 				below++
@@ -638,9 +578,9 @@ func (ev *Evaluation) DurationString() string {
 		if r.TotalTime > maxT {
 			maxT = r.TotalTime
 		}
-		refReqs += r.Attempts
-		shipped += r.Requests
-		insns += r.InsnProcessed
+		refReqs += r.RefineStats.Granted + r.RefineStats.Failed
+		shipped += len(r.RefineStats.Requests)
+		insns += r.VerifierStats.InsnProcessed
 	}
 	fmt.Fprintf(&b, "  total analysis time: %v (avg %v/program, min %v, max %v)\n",
 		total.Round(time.Millisecond), (total / time.Duration(len(ev.Results))).Round(time.Microsecond),
@@ -681,11 +621,4 @@ func (ev *Evaluation) CacheTableString() string {
 	fmt.Fprintf(&b, "  %-12s %8d\n", "evictions", s.Evictions)
 	fmt.Fprintf(&b, "  %-12s %8d / %d\n", "size", s.Size, s.Cap)
 	return b.String()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

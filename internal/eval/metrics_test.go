@@ -55,8 +55,8 @@ func TestEvaluationPopulatesTelemetry(t *testing.T) {
 	for _, r := range ev.Results {
 		wantCond += int64(r.CondBytes)
 		wantProof += int64(r.ProofBytes)
-		wantRequests += int64(r.Requests)
-		wantAttempts += int64(r.Attempts)
+		wantRequests += int64(len(r.RefineStats.Requests))
+		wantAttempts += int64(r.RefineStats.Granted + r.RefineStats.Failed)
 	}
 	if wantRequests == 0 {
 		t.Fatal("corpus slice produced no refinements; widen the slice")

@@ -25,7 +25,6 @@ package fuzzcamp
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"bcf/internal/ebpf"
 	"bcf/internal/verifier"
@@ -121,12 +120,7 @@ func DecodeBitmap(buf []byte) (*Bitmap, int, error) {
 //     register by constness, unsigned-range width and signedness. A new
 //     bucket at a pc means the verifier's domains entered a state they
 //     had never held there.
-//
-// Step is mutex-serialized, so the observer is safe with several path
-// workers; campaigns keep the verifier at one worker anyway, because only
-// there is the explored-path set (and thus the bitmap) reproducible.
 type CovObserver struct {
-	mu sync.Mutex
 	bm *Bitmap
 }
 
@@ -135,13 +129,16 @@ func NewCovObserver(bm *Bitmap) *CovObserver { return &CovObserver{bm: bm} }
 
 type covToken struct{ pc int }
 
-// Step records the coverage bits for one analyzed instruction.
-func (o *CovObserver) Step(parent any, pc int, st *verifier.VState) any {
+// Observe records the coverage bits for one analyzed instruction.
+func (o *CovObserver) Observe(parent any, ev verifier.Event) any {
+	if ev.Kind != verifier.EventInsn {
+		return nil
+	}
+	pc, st := ev.PC, ev.State
 	prev := -1
 	if parent != nil {
 		prev = parent.(covToken).pc
 	}
-	o.mu.Lock()
 	o.bm.Set(edgeBit(prev, pc))
 	for r := 0; r < ebpf.MaxReg; r++ {
 		reg := &st.Regs[r]
@@ -150,7 +147,6 @@ func (o *CovObserver) Step(parent any, pc int, st *verifier.VState) any {
 		}
 		o.bm.Set(domainBit(pc, r, domainShape(reg)))
 	}
-	o.mu.Unlock()
 	return covToken{pc: pc}
 }
 

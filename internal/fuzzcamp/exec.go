@@ -106,10 +106,7 @@ type ExecResult struct {
 
 // Execute runs one program through the differential oracles with the
 // coverage observer attached, entirely deterministically: equal
-// (program, execSeed, adversary, opt) always produce equal results. The
-// verifier stays sequential — parallel path exploration changes which
-// states the pruning table suppresses and with them the observed
-// coverage, which would break cross-worker reproducibility.
+// (program, execSeed, adversary, opt) always produce equal results.
 func Execute(p *ebpf.Program, execSeed int64, adversary bool, opt ExecOptions) *ExecResult {
 	inputs := opt.Inputs
 	if inputs <= 0 {

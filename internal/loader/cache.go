@@ -147,13 +147,6 @@ func (c *ProofCache) GetOrCompute(cond []byte, compute func() ([]byte, error)) (
 	return append([]byte(nil), f.proof...), false, false, nil
 }
 
-// Stats reports cache effectiveness.
-func (c *ProofCache) Stats() (hits, misses, size int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, len(c.entries)
-}
-
 // CacheStats is a consistent snapshot of a ProofCache's counters.
 type CacheStats struct {
 	Hits      int
@@ -187,13 +180,3 @@ func (c *ProofCache) Snapshot() CacheStats {
 		Cap:       c.capacity,
 	}
 }
-
-// Evictions reports how many entries have been evicted.
-func (c *ProofCache) Evictions() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictions
-}
-
-// Cap reports the capacity.
-func (c *ProofCache) Cap() int { return c.capacity }

@@ -27,12 +27,8 @@ func TestProofCacheLRUEviction(t *testing.T) {
 	if _, ok := c.Get([]byte("c")); !ok {
 		t.Fatal("c should be cached")
 	}
-	if ev := c.Evictions(); ev != 1 {
-		t.Fatalf("evictions = %d, want 1", ev)
-	}
-	hits, misses, size := c.Stats()
-	if hits != 3 || misses != 1 || size != 2 {
-		t.Fatalf("stats hits=%d misses=%d size=%d, want 3/1/2", hits, misses, size)
+	if s := c.Snapshot(); s.Evictions != 1 || s.Hits != 3 || s.Misses != 1 || s.Size != 2 {
+		t.Fatalf("snapshot %+v, want 1 eviction, hits/misses/size 3/1/2", s)
 	}
 }
 
@@ -43,7 +39,7 @@ func TestProofCachePutUpdatesInPlace(t *testing.T) {
 	if p, ok := c.Get([]byte("k")); !ok || string(p) != "v2" {
 		t.Fatalf("update lost: %q %v", p, ok)
 	}
-	if _, _, size := c.Stats(); size != 1 {
+	if c.Snapshot().Size != 1 {
 		t.Fatal("duplicate key grew the cache")
 	}
 }
@@ -53,14 +49,8 @@ func TestProofCacheStaysBounded(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		c.Put([]byte(fmt.Sprintf("cond-%d", i)), []byte("p"))
 	}
-	if _, _, size := c.Stats(); size != 8 {
-		t.Fatalf("size = %d, want 8", size)
-	}
-	if ev := c.Evictions(); ev != 992 {
-		t.Fatalf("evictions = %d, want 992", ev)
-	}
-	if c.Cap() != 8 {
-		t.Fatalf("cap = %d", c.Cap())
+	if s := c.Snapshot(); s.Size != 8 || s.Evictions != 992 || s.Cap != 8 {
+		t.Fatalf("snapshot %+v, want size 8, 992 evictions, cap 8", s)
 	}
 }
 
@@ -116,10 +106,10 @@ func TestProofCacheSnapshot(t *testing.T) {
 }
 
 func TestProofCacheDefaultCap(t *testing.T) {
-	if NewProofCache().Cap() != DefaultProofCacheCap {
+	if NewProofCache().Snapshot().Cap != DefaultProofCacheCap {
 		t.Fatal("default capacity not applied")
 	}
-	if NewProofCacheCap(0).Cap() != DefaultProofCacheCap {
+	if NewProofCacheCap(0).Snapshot().Cap != DefaultProofCacheCap {
 		t.Fatal("zero capacity should select the default")
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"bcf/internal/ebpf"
 	"bcf/internal/expr"
 	"bcf/internal/faultinject"
+	"bcf/internal/obs"
 	"bcf/internal/solver"
 )
 
@@ -208,7 +209,7 @@ func TestEscalationRetryRuns(t *testing.T) {
 
 	opts := Options{Solver: solver.Options{MaxConflicts: 1, DisableRewriteTier: true}}
 	var res Result
-	_, perr := prove(context.Background(), condBytes, opts, &res)
+	_, perr := prove(context.Background(), condBytes, &opts, &res)
 	if res.Escalations != 1 {
 		t.Fatalf("escalations = %d, want 1 (err=%v)", res.Escalations, perr)
 	}
@@ -219,7 +220,7 @@ func TestEscalationRetryRuns(t *testing.T) {
 	// Control: with escalation disabled the budget error surfaces directly.
 	opts.DisableEscalation = true
 	var ctrl Result
-	_, perr = prove(context.Background(), condBytes, opts, &ctrl)
+	_, perr = prove(context.Background(), condBytes, &opts, &ctrl)
 	if perr == nil {
 		t.Fatal("control: 1-conflict budget cannot bit-blast mul commutativity")
 	}
@@ -232,8 +233,27 @@ func TestEscalationRetryRuns(t *testing.T) {
 
 	// With the rewrite tier on and no cap, the same condition is easy.
 	var easy Result
-	if _, perr = prove(context.Background(), condBytes, Options{}, &easy); perr != nil {
+	if _, perr = prove(context.Background(), condBytes, &Options{}, &easy); perr != nil {
 		t.Fatalf("rewrite tier should prove commutativity: %v", perr)
+	}
+}
+
+// TestProveLocalLeavesOptions checks that ProveLocal fills the solver's
+// telemetry and escalates on its own copy of the caller's options.
+func TestProveLocalLeavesOptions(t *testing.T) {
+	x, y := expr.Var(0, 8), expr.Var(1, 8)
+	condBytes, err := bcfenc.EncodeCondition(&bcfenc.Condition{Cond: expr.Eq(expr.Mul(x, y), expr.Mul(y, x))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Solver: solver.Options{MaxConflicts: 1, DisableRewriteTier: true},
+		Obs: obs.NewRegistry(), Trace: obs.NewTracer()}
+	want := opts.Solver
+	if _, escalated, _ := ProveLocal(context.Background(), condBytes, &opts); !escalated {
+		t.Fatal("no escalation: the check below is vacuous")
+	}
+	if opts.Solver != want {
+		t.Fatalf("ProveLocal changed the caller's solver options: %+v, want %+v", opts.Solver, want)
 	}
 }
 

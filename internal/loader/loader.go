@@ -152,8 +152,6 @@ type Result struct {
 	// in-process prover.
 	RemoteProofs    int
 	RemoteFallbacks int
-	// Log is the verifier debug log (Config.Debug only).
-	Log []string
 }
 
 // classify fills ErrClass from Err.
@@ -212,7 +210,6 @@ func Load(prog *ebpf.Program, opts Options) *Result {
 	res.Accepted = res.Err == nil
 	res.classify()
 	res.VerifierStats = v.Stats()
-	res.Log = v.Log()
 	if ref == nil {
 		res.KernelTime = time.Since(startAll)
 		res.TotalTime = res.KernelTime
@@ -285,7 +282,7 @@ func (u *userSpace) Prove(condBytes []byte) ([]byte, error) {
 		err = fault.Prove(round)
 	}
 	if err == nil {
-		proofBytes, err = prove(u.ctx, condBytes, u.opts, u.res)
+		proofBytes, err = prove(u.ctx, condBytes, &u.opts, u.res)
 	}
 	if fault != nil {
 		var drop bool
@@ -391,7 +388,7 @@ func refineSpans(kt *obs.Tracer, round int, q bcf.RequestStats) {
 // prove resolves one condition: cache (with singleflight), then the
 // remote service when configured, then the in-process solver. It counts
 // a cache hit in res and keeps a counterexample there.
-func prove(ctx context.Context, condBytes []byte, opts Options, res *Result) ([]byte, error) {
+func prove(ctx context.Context, condBytes []byte, opts *Options, res *Result) ([]byte, error) {
 	var p []byte
 	var hit, shared bool
 	var err error
@@ -427,7 +424,7 @@ func prove(ctx context.Context, condBytes []byte, opts Options, res *Result) ([]
 // first; only transport-level failures (bcferr.ErrRemoteUnavailable)
 // degrade to the in-process solver — a counterexample or solver failure
 // reported by the daemon is the authoritative outcome.
-func proveUncached(ctx context.Context, condBytes []byte, opts Options, res *Result) ([]byte, error) {
+func proveUncached(ctx context.Context, condBytes []byte, opts *Options, res *Result) ([]byte, error) {
 	if opts.Remote != nil {
 		out, rerr := opts.Remote.ProveBytes(ctx, condBytes)
 		switch {
@@ -463,8 +460,9 @@ func proveUncached(ctx context.Context, condBytes []byte, opts Options, res *Res
 // under opts.ProveTimeout, for the loader and the proofd daemon alike. A
 // conflict-budget exhaustion is retried once (escalated, counted in
 // opts.Obs), straight to bit-blasting with a larger budget, provided the
-// deadlines still have room and opts.DisableEscalation is unset.
-func ProveLocal(ctx context.Context, condBytes []byte, opts Options) (proof []byte, escalated bool, err error) {
+// deadlines still have room and opts.DisableEscalation is unset. opts is
+// only read.
+func ProveLocal(ctx context.Context, condBytes []byte, opts *Options) (proof []byte, escalated bool, err error) {
 	cond, err := bcfenc.DecodeCondition(condBytes)
 	if err != nil {
 		return nil, false, bcferr.Wrap(bcferr.ClassProtocol,

@@ -323,9 +323,8 @@ func TestProofCacheAcrossLoads(t *testing.T) {
 	if second.CacheHits == 0 {
 		t.Fatal("second load should hit the proof cache (deterministic conditions)")
 	}
-	hits, _, size := cache.Stats()
-	if hits == 0 || size == 0 {
-		t.Fatalf("cache stats: hits=%d size=%d", hits, size)
+	if s := cache.Snapshot(); s.Hits == 0 || s.Size == 0 {
+		t.Fatalf("cache stats: %+v", s)
 	}
 }
 

@@ -379,7 +379,7 @@ func (s *Server) prove(cond []byte, tr *obs.Tracer) (*proofrpc.Frame, byte) {
 // condition-to-proof function, budget escalation included, so a
 // daemon's verdict is the one the in-process loader would reach.
 func (s *Server) solve(condBytes []byte) ([]byte, error) {
-	out, _, err := loader.ProveLocal(context.Background(), condBytes, loader.Options{
+	out, _, err := loader.ProveLocal(context.Background(), condBytes, &loader.Options{
 		Solver: s.opts.Solver, ProveTimeout: s.opts.ProveTimeout, Obs: s.opts.Obs, Trace: s.opts.Trace})
 	return out, err
 }

@@ -294,7 +294,7 @@ func TestDaemonEscalatesLikeLoader(t *testing.T) {
 	}
 	sopts := solver.Options{MaxConflicts: 1, DisableRewriteTier: true}
 
-	local, escalated, lerr := loader.ProveLocal(context.Background(), cond, loader.Options{Solver: sopts})
+	local, escalated, lerr := loader.ProveLocal(context.Background(), cond, &loader.Options{Solver: sopts})
 	if !escalated {
 		t.Fatalf("the loader did not escalate (err=%v)", lerr)
 	}

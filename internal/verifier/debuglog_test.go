@@ -1,4 +1,4 @@
-package verifier
+package verifier_test
 
 import (
 	"fmt"
@@ -6,33 +6,36 @@ import (
 	"testing"
 
 	"bcf/internal/ebpf"
+	"bcf/internal/loader"
+	"bcf/internal/verifier"
 )
 
 // grantRefiner trusts every request and grants exactly the wanted range,
 // anchoring the track at the failing instruction.
 type grantRefiner struct{}
 
-func (grantRefiner) Refine(req *RefineRequest) (*RefineResult, error) {
-	return &RefineResult{Lo: req.WantLo, Hi: req.WantHi, Anchor: 1}, nil
+func (grantRefiner) Refine(req *verifier.RefineRequest) (*verifier.RefineResult, error) {
+	return &verifier.RefineResult{Lo: req.WantLo, Hi: req.WantHi, Anchor: 1}, nil
 }
 
-// TestDebugLogGolden pins the Debug log byte for byte on small programs
-// that between them produce every kind of log line: instructions,
-// forks, prunes, exits, invariant widening, and granted, failed and
-// infeasible-path refinements. Debug must be observation only: with it
-// off the log stays empty and the verdict and Stats are identical.
+// TestDebugLogGolden pins the debug log (loader.DebugLog, the observer
+// that renders walk events) byte for byte on small programs whose walks
+// between them report every kind of event: instructions, forks, prunes,
+// exits, invariant widening, and granted, failed and infeasible-path
+// refinements. The log must be observation only: without it the verdict
+// and Stats are identical.
 func TestDebugLogGolden(t *testing.T) {
 	cases := []struct {
 		name  string
 		prog  *ebpf.Program
-		cfg   func() Config // fresh per run: refiners keep state
+		cfg   func() verifier.Config // fresh per run: refiners keep state
 		err   string
-		stats Stats
+		stats verifier.Stats
 		log   []string
 	}{
 		{
 			name: "fork-prune-exit",
-			prog: mapProg(`
+			prog: verifier.MapProg(`
 				r2 = *(u32 *)(r1 +0)
 				*(u64 *)(r10 -8) = r2
 				r0 = 0
@@ -42,8 +45,8 @@ func TestDebugLogGolden(t *testing.T) {
 				r2 = 0
 				exit
 			`),
-			cfg:   func() Config { return Config{} },
-			stats: Stats{InsnProcessed: 9, PathsExplored: 2, StatesPruned: 1, PeakStackDepth: 1},
+			cfg:   func() verifier.Config { return verifier.Config{} },
+			stats: verifier.Stats{InsnProcessed: 9, PathsExplored: 2, StatesPruned: 1, PeakStackDepth: 1},
 			log: []string{
 				"0: r2 = *(u32 *)(r1 +0)",
 				"1: *(u64 *)(r10 -8) = r2",
@@ -59,13 +62,13 @@ func TestDebugLogGolden(t *testing.T) {
 		},
 		{
 			name: "loop-invariant",
-			prog: mapProg(loopProgSrc),
-			cfg: func() Config {
-				return Config{InsnLimit: 2000, LoopInvariants: []LoopInvariant{
-					{Insn: 2, Regs: []RegRange{{Reg: ebpf.R6, UMin: 0, UMax: ^uint64(0)}}},
+			prog: verifier.MapProg(verifier.LoopProgSrc),
+			cfg: func() verifier.Config {
+				return verifier.Config{InsnLimit: 2000, LoopInvariants: []verifier.LoopInvariant{
+					{Insn: 2, Regs: []verifier.RegRange{{Reg: ebpf.R6, UMin: 0, UMax: ^uint64(0)}}},
 				}}
 			},
-			stats: Stats{InsnProcessed: 8, PathsExplored: 2, StatesPruned: 1, PeakStackDepth: 1},
+			stats: verifier.Stats{InsnProcessed: 8, PathsExplored: 2, StatesPruned: 1, PeakStackDepth: 1},
 			log: []string{
 				"0: r7 = r1",
 				"1: r6 = 0",
@@ -82,16 +85,16 @@ func TestDebugLogGolden(t *testing.T) {
 		},
 		{
 			name: "refine-granted",
-			prog: mapProg(lookupPrologue+`
+			prog: verifier.MapProg(verifier.LookupPrologue+`
 				r6 = r0
 				r8 = *(u32 *)(r6 +0)
 				r8 &= 31
 				r1 = r6
 				r1 += r8
 				r0 = *(u32 *)(r1 +0)
-			`+lookupEpilogue, testMap16),
-			cfg:   func() Config { return Config{Refiner: grantRefiner{}} },
-			stats: Stats{InsnProcessed: 16, PathsExplored: 2, PeakStackDepth: 1, Refinements: 1, RefineAttempts: 1},
+			`+verifier.LookupEpilogue, verifier.TestMap16),
+			cfg:   func() verifier.Config { return verifier.Config{Refiner: grantRefiner{}} },
+			stats: verifier.Stats{InsnProcessed: 16, PathsExplored: 2, PeakStackDepth: 1, Refinements: 1, RefineAttempts: 1},
 			log: []string{
 				"0: r1 = map[0]",
 				"2: r2 = r10",
@@ -116,12 +119,12 @@ func TestDebugLogGolden(t *testing.T) {
 		},
 		{
 			name: "refine-infeasible-then-failed",
-			prog: refinePruneProg(),
-			cfg: func() Config {
-				return Config{Refiner: &anchorRefiner{anchor: Path.Len}}
+			prog: verifier.RefinePruneProg(),
+			cfg: func() verifier.Config {
+				return verifier.Config{Refiner: verifier.NewAnchorRefiner()}
 			},
 			err:   "insn 17: invalid access to map value, value_size=16 off=16 size=4 (R1 max offset 16): no more proofs",
-			stats: Stats{InsnProcessed: 22, PathsExplored: 2, PeakStackDepth: 2, Refinements: 1, RefineAttempts: 2},
+			stats: verifier.Stats{InsnProcessed: 22, PathsExplored: 2, PeakStackDepth: 2, Refinements: 1, RefineAttempts: 2},
 			log: []string{
 				"0: r1 = map[0]",
 				"2: r2 = r10",
@@ -154,8 +157,11 @@ func TestDebugLogGolden(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			for _, debug := range []bool{true, false} {
 				cfg := c.cfg()
-				cfg.Debug = debug
-				v := New(c.prog, cfg)
+				log := &loader.DebugLog{}
+				if debug {
+					cfg.Observer = log
+				}
+				v := verifier.New(c.prog, cfg)
 				err := v.Verify()
 				if got := fmt.Sprint(err); (err == nil) != (c.err == "") || (err != nil && got != c.err) {
 					t.Errorf("debug=%v: verdict %v, want %q", debug, err, c.err)
@@ -163,12 +169,8 @@ func TestDebugLogGolden(t *testing.T) {
 				if st := v.Stats(); st != c.stats {
 					t.Errorf("debug=%v: stats %+v, want %+v", debug, st, c.stats)
 				}
-				want := c.log
-				if !debug {
-					want = nil
-				}
-				if got := v.Log(); !slices.Equal(got, want) {
-					t.Errorf("debug=%v: log\n%q\nwant\n%q", debug, got, want)
+				if debug && !slices.Equal(log.Lines, c.log) {
+					t.Errorf("log\n%q\nwant\n%q", log.Lines, c.log)
 				}
 			}
 		})

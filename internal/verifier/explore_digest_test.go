@@ -22,8 +22,8 @@ import (
 // register bound at one step on one path of any program below moves it.
 const explorationDigest = "ffa7628e64f3d5db"
 
-// digestObserver hashes every Observer step in DFS order: the step's
-// parent step (so the tree's shape is pinned too), its pc, and the
+// digestObserver hashes every instruction event in DFS order: the
+// event's parent (so the tree's shape is pinned too), its pc, and the
 // whole state on arrival.
 type digestObserver struct {
 	h     hash.Hash
@@ -31,7 +31,11 @@ type digestObserver struct {
 	buf   []byte
 }
 
-func (o *digestObserver) Step(parent any, pc int, st *verifier.VState) any {
+func (o *digestObserver) Observe(parent any, ev verifier.Event) any {
+	if ev.Kind != verifier.EventInsn {
+		return nil
+	}
+	pc, st := ev.PC, ev.State
 	p := -1
 	if parent != nil {
 		p = parent.(int)
@@ -74,10 +78,11 @@ func digestOutcome(h hash.Hash, name string, err error, st verifier.Stats) {
 }
 
 // TestExplorationDigest hashes the verdict, error text, Stats and every
-// Observer step of: the generated programs of difftest seeds 0-1999 (the
-// ones that exercise pruning), the corpus with BCF on, the path-explosion
-// fan-out ParallelStress(8, 96, 0), and the 24-rung diamond ladder of
-// TestExplorationStatsPinned, each with pruning on and off.
+// instruction event of: the generated programs of difftest seeds 0-1999
+// (the ones that exercise pruning), the corpus with BCF on, the
+// path-explosion fan-out ParallelStress(8, 96, 0), and the 24-rung
+// diamond ladder of TestExplorationStatsPinned, each with pruning on and
+// off.
 func TestExplorationDigest(t *testing.T) {
 	if verifier.RaceEnabled {
 		// 1.4M hashed steps take ~45 s under the race detector; the walk

@@ -33,10 +33,10 @@ func goid() string {
 	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
 }
 
-// goidObserver records the goroutines the verifier's Step calls run on.
+// goidObserver records the goroutines the verifier's Observe calls run on.
 type goidObserver map[string]bool
 
-func (o goidObserver) Step(parent any, pc int, st *VState) any {
+func (o goidObserver) Observe(any, Event) any {
 	o[goid()] = true
 	return nil
 }

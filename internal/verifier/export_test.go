@@ -22,3 +22,22 @@ func (e *PruneEntry) Compare(st *VState) (subsumes, admitted bool) {
 
 // PrunePoints reports the pcs of p where the walk records states.
 func PrunePoints(p *ebpf.Program) []bool { return computePrunePoints(p) }
+
+// The test programs and refiner that the debug log golden shares with
+// the internal tests.
+var (
+	MapProg         = mapProg
+	TestMap16       = testMap16
+	RefinePruneProg = refinePruneProg
+)
+
+const (
+	LookupPrologue = lookupPrologue
+	LookupEpilogue = lookupEpilogue
+	LoopProgSrc    = loopProgSrc
+)
+
+// NewAnchorRefiner returns a refiner that proves its first request's
+// path infeasible, its track reaching back to the path's start, and
+// fails every later request.
+func NewAnchorRefiner() Refiner { return &anchorRefiner{anchor: Path.Len} }

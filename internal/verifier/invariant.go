@@ -36,9 +36,7 @@ func (v *Verifier) applyInvariants(st *VState, pc int) error {
 			widened.Var = tnum.Range(rr.UMin, rr.UMax)
 			widened.sync()
 			*reg = widened
-			if v.cfg.Debug {
-				v.logf("%d: widened R%d to declared fixpoint [%d,%d]", pc, rr.Reg, rr.UMin, rr.UMax)
-			}
+			v.emit(Event{Kind: EventWidened, PC: pc, Reg: rr.Reg, Lo: rr.UMin, Hi: rr.UMax})
 		}
 	}
 	return nil

@@ -10,7 +10,7 @@ import (
 // the abstraction allows, otherwise forks and takes the fall-through. It
 // returns the next pc and records the direction the walk takes in the
 // jump's node (a fresh node reads not-taken).
-func (v *Verifier) checkCondJmp(st *VState, pc int, ins *ebpf.Instruction, node int32, obsTok any) (int, error) {
+func (v *Verifier) checkCondJmp(st *VState, pc int, ins *ebpf.Instruction, node int32) (int, error) {
 	is32 := ins.Class() == ebpf.ClassJMP32
 	op := ins.JmpOp()
 	dst := &st.Regs[ins.Dst]
@@ -54,7 +54,7 @@ func (v *Verifier) checkCondJmp(st *VState, pc int, ins *ebpf.Instruction, node 
 	case branchNever:
 		return pc + 1, nil
 	}
-	v.fork(node, pc, obsTok)
+	v.fork(node, pc)
 	return v.takeBranch(pc, false), nil
 }
 

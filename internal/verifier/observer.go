@@ -1,26 +1,45 @@
 package verifier
 
-import "bcf/internal/tnum"
+import (
+	"bcf/internal/ebpf"
+	"bcf/internal/tnum"
+)
 
-// Observer receives a callback before every analyzed instruction. It is
-// the instrumentation point for differential soundness testing
-// (internal/difftest): the observer records the abstract register file at
-// each (path, pc) so a concrete execution can later be checked for
-// containment at every step.
-//
-// Step is invoked with the state on arrival at pc, before the
-// instruction's checks and transfer function run. parent is the value
-// Step returned for the previous instruction on the same analysis path
-// (nil at the entry of the initial path); the returned value becomes the
-// parent of its successors, including the first step of any path forked
-// at a conditional jump, so observers see the analysis tree. Step runs
-// on the goroutine that called Verify, one call at a time, in DFS order.
-//
-// The *VState is the walk's one live state: every instruction changes
-// it, and a backtrack to a fork restores it. Observers copy what they
-// keep and never mutate it.
+// EventKind says what an Event reports.
+type EventKind uint8
+
+const (
+	EventInsn         EventKind = iota // Insn at PC is about to be analyzed in State
+	EventPruned                        // the state at PC is subsumed by an explored one
+	EventPathOK                        // the path exited safely at PC
+	EventWidened                       // Reg widened to the declared loop fixpoint [Lo, Hi]
+	EventRefined                       // a granted refinement narrowed Reg to [Lo, Hi]
+	EventInfeasible                    // a granted refinement proved the path infeasible
+	EventRefineFailed                  // the refinement asked for at PC failed with Err
+)
+
+// Event is one step of the walk. Only the fields of its kind are set.
+type Event struct {
+	Kind   EventKind
+	PC     int
+	Insn   *ebpf.Instruction
+	State  *VState
+	Reg    ebpf.Reg
+	Lo, Hi uint64
+	Err    error
+}
+
+// Observer is the walk's one reporting channel, read by differential
+// soundness testing, the fuzz campaign's coverage map and the loader's
+// debug log. Observe runs on Verify's goroutine, once per event, in DFS
+// order. parent is what Observe returned for the path's latest
+// instruction event (nil before the first); an instruction event's value
+// becomes the parent of its successors, forked paths included, so
+// observers see the analysis tree. Other kinds' values are ignored.
+// State is the walk's one live state, restored on backtrack: observers
+// copy what they keep and never mutate it.
 type Observer interface {
-	Step(parent any, pc int, st *VState) any
+	Observe(parent any, ev Event) any
 }
 
 // Sabotage deliberately weakens the verifier. It exists solely so the

@@ -11,9 +11,10 @@ import (
 	"bcf/internal/verifier"
 )
 
-// pruneReplay replays the pruning table of one walk from the states the
-// Observer sees at prune points: each arrival is compared with the
-// entries recorded at its pc, up to the table's 64, and then recorded.
+// pruneReplay replays the pruning table of one walk from the states its
+// instruction events carry at prune points: each arrival is compared
+// with the entries recorded at its pc, up to the table's 64, and then
+// recorded.
 type pruneReplay struct {
 	t       *testing.T
 	name    string
@@ -24,8 +25,9 @@ type pruneReplay struct {
 	subsumed, failing, refuted int
 }
 
-func (r *pruneReplay) Step(_ any, pc int, st *verifier.VState) any {
-	if !r.points[pc] {
+func (r *pruneReplay) Observe(_ any, ev verifier.Event) any {
+	pc, st := ev.PC, ev.State
+	if ev.Kind != verifier.EventInsn || !r.points[pc] {
 		return nil
 	}
 	for _, e := range r.entries[pc] {

@@ -291,14 +291,11 @@ type Config struct {
 	InsnLimit int
 	// Refiner enables BCF when non-nil.
 	Refiner Refiner
-	// Debug records a verifier log retrievable via Log().
-	Debug bool
 	// NoPruning disables state pruning (for ablation benchmarks).
 	NoPruning bool
 	// LoopInvariants supplies precomputed loop fixpoints (§7 extension).
 	LoopInvariants []LoopInvariant
-	// Observer, when non-nil, is invoked before every analyzed
-	// instruction (differential soundness testing).
+	// Observer, when non-nil, receives the walk's events.
 	Observer Observer
 	// Sabotage deliberately weakens the verifier for oracle mutation
 	// tests. Never set outside tests.
@@ -319,7 +316,7 @@ type Verifier struct {
 	cfg  Config
 
 	stats Stats
-	log   []string
+	tok   any // the observer's token for the path's latest instruction event
 
 	// explored is the pruning table: the recorded states of each pc.
 	explored [][]exploredEntry
@@ -365,13 +362,11 @@ func New(prog *ebpf.Program, cfg Config) *Verifier {
 // Stats returns the counters of the last Verify run.
 func (v *Verifier) Stats() Stats { return v.stats }
 
-// Log returns the verifier log (Debug mode only).
-func (v *Verifier) Log() []string { return v.log }
-
-// logf appends a Debug log line. Callers guard it with cfg.Debug: the
-// arguments are built (and allocated) before the call, too late to skip.
-func (v *Verifier) logf(format string, args ...any) {
-	v.log = append(v.log, fmt.Sprintf(format, args...))
+// emit reports an event other than an instruction to the observer, if any.
+func (v *Verifier) emit(ev Event) {
+	if v.cfg.Observer != nil {
+		v.cfg.Observer.Observe(v.tok, ev)
+	}
 }
 
 func (v *Verifier) newID() uint32 {
@@ -432,7 +427,8 @@ func (v *Verifier) Verify() error {
 			v.undo(int(item.trail))
 			pc = v.takeBranch(int(item.pc), true)
 		}
-		if err := v.walk(pc, item.node, item.obs); err != nil {
+		v.tok = item.obs
+		if err := v.walk(pc, item.node); err != nil {
 			return err
 		}
 	}
@@ -441,19 +437,19 @@ func (v *Verifier) Verify() error {
 
 // fork queues the taken side of the conditional jump at pc, whose node
 // is node; writes from now on are logged under its mark.
-func (v *Verifier) fork(node int32, pc int, obsTok any) {
+func (v *Verifier) fork(node int32, pc int) {
 	if v.trail == nil {
 		v.trail = trails.Get().(*trail)
 	}
 	n := *v.nodes.at(node)
 	n.taken = true
 	v.stack = append(v.stack, branchItem{pc: int32(pc), node: v.nodes.add(n),
-		trail: int32(len(v.trail.log)), obs: obsTok})
+		trail: int32(len(v.trail.log)), obs: v.tok})
 }
 
 // walk analyzes one path from pc until exit, prune or error, pushing the
 // taken sides of undecided branches onto the stack.
-func (v *Verifier) walk(pc int, node int32, obsTok any) error {
+func (v *Verifier) walk(pc int, node int32) error {
 	st := &v.st
 	for {
 		if !v.chargeInsn() {
@@ -480,18 +476,13 @@ func (v *Verifier) walk(pc int, node int32, obsTok any) error {
 			var hit bool
 			if hit, entry = v.pruned(pc, st); hit {
 				v.stats.StatesPruned++
-				if v.cfg.Debug {
-					v.logf("%d: pruned", pc)
-				}
+				v.emit(Event{Kind: EventPruned, PC: pc})
 				return nil
 			}
 		}
-		if v.cfg.Debug {
-			v.logf("%d: %s", pc, ins.String())
-		}
 		node = v.nodes.add(pathNode{parent: node, idx: int32(pc), entry: entry})
-		if v.cfg.Observer != nil {
-			obsTok = v.cfg.Observer.Step(obsTok, pc, st)
+		if o := v.cfg.Observer; o != nil {
+			v.tok = o.Observe(v.tok, Event{Kind: EventInsn, PC: pc, Insn: ins, State: st})
 		}
 
 		switch ins.Class() {
@@ -533,9 +524,7 @@ func (v *Verifier) walk(pc int, node int32, obsTok any) error {
 				if err := v.checkExit(st, pc, node); err != nil {
 					return pathDone(err)
 				}
-				if v.cfg.Debug {
-					v.logf("%d: exit, path ok", pc)
-				}
+				v.emit(Event{Kind: EventPathOK, PC: pc})
 				return nil
 			case ebpf.JmpJA:
 				if ins.Class() == ebpf.ClassJMP32 {
@@ -550,7 +539,7 @@ func (v *Verifier) walk(pc int, node int32, obsTok any) error {
 				pc++
 				continue
 			}
-			next, err := v.checkCondJmp(st, pc, ins, node, obsTok)
+			next, err := v.checkCondJmp(st, pc, ins, node)
 			if err != nil {
 				return err
 			}
@@ -804,9 +793,7 @@ func (v *Verifier) refine(st *VState, pc int, regno ebpf.Reg, kind CheckKind,
 		v.retractEntries(node, res.Anchor)
 	}
 	if err != nil {
-		if v.cfg.Debug {
-			v.logf("%d: refinement failed: %v", pc, err)
-		}
+		v.emit(Event{Kind: EventRefineFailed, PC: pc, Err: err})
 		// Surface the refinement failure as the cause of the original
 		// safety error: the rejection reason stays the failed check, but
 		// the class of the failure (proof rejected, timeout, protocol)
@@ -819,9 +806,7 @@ func (v *Verifier) refine(st *VState, pc int, regno ebpf.Reg, kind CheckKind,
 	}
 	if res.Pruned {
 		v.stats.Refinements++
-		if v.cfg.Debug {
-			v.logf("%d: path proven infeasible, pruned", pc)
-		}
+		v.emit(Event{Kind: EventInfeasible, PC: pc})
 		return errInfeasiblePath
 	}
 	reg := v.reg(regno)
@@ -832,8 +817,6 @@ func (v *Verifier) refine(st *VState, pc int, regno ebpf.Reg, kind CheckKind,
 		return orig()
 	}
 	v.stats.Refinements++
-	if v.cfg.Debug {
-		v.logf("%d: refined R%d to [%d, %d]", pc, regno, res.Lo, res.Hi)
-	}
+	v.emit(Event{Kind: EventRefined, PC: pc, Reg: regno, Lo: res.Lo, Hi: res.Hi})
 	return nil
 }
