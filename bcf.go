@@ -30,7 +30,6 @@ import (
 	"bcf/internal/loader"
 	"bcf/internal/obs"
 	"bcf/internal/prooffleet"
-	"bcf/internal/solver"
 	"bcf/internal/verifier"
 )
 
@@ -297,7 +296,6 @@ func WithLoopInvariant(insn int, reg uint8, lo, hi uint64) Option {
 // Verify analyzes a program and returns a detailed report.
 func Verify(prog *Program, opts ...Option) *Report {
 	var lo loader.Options
-	lo.Solver = solver.Options{}
 	for _, o := range opts {
 		o(&lo)
 	}

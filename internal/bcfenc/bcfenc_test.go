@@ -181,7 +181,7 @@ func TestDecodeRejectsBadNodeReferences(t *testing.T) {
 		for _, x := range words {
 			w.u32(x)
 		}
-		w.u32(uint32(proof.RuleRefl) | 1<<24)
+		w.u32(uint32(proof.RuleLemmaZeroUle) | 1<<24)
 		w.u32(arg)
 		return w.buf
 	}
@@ -319,7 +319,7 @@ func TestDecodeLinearInDepth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pf, err = EncodeProof(&proof.Proof{Steps: []proof.Step{{Rule: proof.RuleRefl, Args: []*expr.Expr{c}}}})
+		pf, err = EncodeProof(&proof.Proof{Steps: []proof.Step{{Rule: proof.RuleLemmaZeroUle, Args: []*expr.Expr{c}}}})
 		if err != nil {
 			t.Fatal(err)
 		}

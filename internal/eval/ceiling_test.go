@@ -16,16 +16,16 @@ import (
 // kernel-side component of Table 1, the trusted base the paper argues
 // stays small. A change that grows a component raises its number here,
 // in its own diff, and says why in CHANGES.md; a change that shrinks one
-// lowers it.
+// lowers it in the same diff.
 var kernelSideCeiling = map[string]int{
 	"Verifier":              2674,
-	"Proof Checker":         1048,
+	"Proof Checker":         995,
 	"Refinement (BCF core)": 729,
 	"tnum domain":           222,
 }
 
-// TestKernelSideCeiling fails when a kernel-side component exceeds its
-// committed line count.
+// TestKernelSideCeiling fails when a kernel-side component's line count
+// differs from its committed one, so the count never lags a shrink.
 func TestKernelSideCeiling(t *testing.T) {
 	rows, err := Table1("../..")
 	if err != nil {
@@ -38,8 +38,8 @@ func TestKernelSideCeiling(t *testing.T) {
 			continue
 		}
 		seen++
-		if r.Lines > ceiling {
-			t.Errorf("%s: %d non-test lines, over its committed ceiling of %d", r.Component, r.Lines, ceiling)
+		if r.Lines != ceiling {
+			t.Errorf("%s: %d non-test lines, its committed ceiling is %d", r.Component, r.Lines, ceiling)
 		}
 	}
 	if seen != len(kernelSideCeiling) {

@@ -66,7 +66,7 @@ func TestDecodersRejectMalformedShapes(t *testing.T) {
 			t.Errorf("%s: EncodeCondition wrote it", c.name)
 		}
 		if _, err := bcfenc.EncodeProof(&proof.Proof{Steps: []proof.Step{
-			{Rule: proof.RuleRefl, Args: []*expr.Expr{c.e}},
+			{Rule: proof.RuleLemmaZeroUle, Args: []*expr.Expr{c.e}},
 		}}); err == nil {
 			t.Errorf("%s: EncodeProof wrote it", c.name)
 		}
@@ -106,24 +106,25 @@ func TestDecodersRejectMalformedShapes(t *testing.T) {
 // is applied.
 func TestCheckerRejectsMalformedShapes(t *testing.T) {
 	good := expr.Var(0, 64)
-	// assume ⊢ ¬C; refl(arg) ⊢ (= arg arg); contradiction ⊢ false: a
-	// valid proof of C = (= arg arg).
-	reflProof := func(arg *expr.Expr) *proof.Proof {
+	// assume ⊢ ¬C; lemma_zero_ule(arg) ⊢ (bvule 0 arg); contradiction ⊢
+	// false: a valid proof of C = (bvule 0 arg).
+	cond := expr.Ule(expr.Const(0, 64), good)
+	zeroUleProof := func(arg *expr.Expr) *proof.Proof {
 		return &proof.Proof{Steps: []proof.Step{
 			{Rule: proof.RuleAssume},
-			{Rule: proof.RuleRefl, Args: []*expr.Expr{arg}},
+			{Rule: proof.RuleLemmaZeroUle, Args: []*expr.Expr{arg}},
 			{Rule: proof.RuleContradiction, Premises: []uint32{1, 0}},
 		}}
 	}
-	if err := proof.Check(expr.Eq(good, good), reflProof(good)); err != nil {
+	if err := proof.Check(cond, zeroUleProof(good)); err != nil {
 		t.Fatalf("the well-formed proof is rejected: %v", err)
 	}
 	for _, c := range malformed {
-		err := proof.Check(expr.Eq(good, good), reflProof(c.e))
+		err := proof.Check(cond, zeroUleProof(c.e))
 		if err == nil || !strings.Contains(err.Error(), "malformed argument") {
 			t.Errorf("%s as an argument: %v, want a malformed argument", c.name, err)
 		}
-		err = proof.Check(expr.Eq(c.e, c.e), reflProof(good))
+		err = proof.Check(expr.Eq(c.e, c.e), zeroUleProof(good))
 		if err == nil || !strings.Contains(err.Error(), "malformed condition") {
 			t.Errorf("%s in the condition: %v, want a malformed condition", c.name, err)
 		}
@@ -131,7 +132,7 @@ func TestCheckerRejectsMalformedShapes(t *testing.T) {
 }
 
 // rawEncodings writes the wire encodings the encoders would refuse: a
-// condition (= e e) and a one-step refl proof of e, with e's nodes laid
+// condition (= e e) and a one-step lemma_zero_ule proof of e, with e's nodes laid
 // out as given (bcfenc's node layout: a header word of op, width, aux
 // and argument count, a constant's two words or a variable's one, then
 // the argument offsets).
@@ -165,7 +166,7 @@ func rawEncodings(e *expr.Expr) (cond, proofBuf []byte) {
 	condPool := append(append([]uint32(nil), pool...), uint32(expr.OpEq)|1<<8|2<<24, arg, arg)
 	cond = append(words(bcfenc.MagicCondition, bcfenc.Version, uint32(len(condPool)), eqRoot), words(condPool...)...)
 	proofBuf = append(words(bcfenc.MagicProof, bcfenc.Version, uint32(len(pool)), 1), words(pool...)...)
-	proofBuf = append(proofBuf, words(uint32(proof.RuleRefl)|1<<24, arg)...)
+	proofBuf = append(proofBuf, words(uint32(proof.RuleLemmaZeroUle)|1<<24, arg)...)
 	return cond, proofBuf
 }
 

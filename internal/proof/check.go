@@ -8,16 +8,17 @@ import (
 	"bcf/internal/sat"
 )
 
-// Limits harden the checker against adversarial proofs, mirroring the
-// kernel's defensive posture toward user-space input.
-type Limits struct {
+// limits harden the checker against adversarial proofs, mirroring the
+// kernel's defensive posture toward user-space input. Check always uses
+// defaultLimits; only tests tighten them.
+type limits struct {
 	MaxSteps     int
 	MaxArgNodes  int // distinct nodes of all expression arguments together
 	MaxClauseLen int
 }
 
-// DefaultLimits are generous for every proof the reference prover emits.
-var DefaultLimits = Limits{
+// defaultLimits are generous for every proof the reference prover emits.
+var defaultLimits = limits{
 	MaxSteps:     1 << 21,
 	MaxArgNodes:  1 << 16,
 	MaxClauseLen: 1 << 16,
@@ -30,12 +31,7 @@ var DefaultLimits = Limits{
 // final step must conclude false). The check adds its conclusions, and
 // any argument from outside it, to the condition's table, if it has one.
 func Check(cond *expr.Expr, p *Proof) error {
-	return CheckWithLimits(cond, p, DefaultLimits)
-}
-
-// CheckWithLimits is Check with explicit resource limits.
-func CheckWithLimits(cond *expr.Expr, p *Proof, lim Limits) error {
-	_, err := check(cond, p, lim)
+	_, err := check(cond, p, defaultLimits)
 	return err
 }
 
@@ -43,7 +39,7 @@ func CheckWithLimits(cond *expr.Expr, p *Proof, lim Limits) error {
 // the table's node operations, one unit per step, and the literals of
 // the clauses bb_clause introduces and resolve reads. Re-deriving the
 // CNF of ¬C depends on the condition alone and is not counted.
-func check(cond *expr.Expr, p *Proof, lim Limits) (work int, err error) {
+func check(cond *expr.Expr, p *Proof, lim limits) (work int, err error) {
 	if cond == nil || cond.Width != 1 {
 		return 0, fmt.Errorf("proof: condition must be a boolean term")
 	}
@@ -119,7 +115,7 @@ type checker struct {
 	tab     *expr.Table // the round's terms: every premise, argument and conclusion
 	notCond *expr.Expr
 	cnf     *bitblast.CNF
-	lim     Limits
+	lim     limits
 	lits    int // clause literals introduced and read, for the work count
 	// resolve's state, sized by blast: a stamp per literal (2v for +v,
 	// 2v+1 for -v), bumped once per step so it never wraps, and the
@@ -233,30 +229,6 @@ func (ck *checker) apply(s *Step, prior []Conclusion) (Conclusion, error) {
 		}
 		return formulaC(p.Args[1]), nil
 
-	case RuleNotNotElim:
-		p, err := boolPrem(0)
-		if err != nil {
-			return Conclusion{}, err
-		}
-		if p.Op != expr.OpBoolNot || p.Args[0].Op != expr.OpBoolNot {
-			return Conclusion{}, fmt.Errorf("premise is not ¬¬P")
-		}
-		return formulaC(p.Args[0].Args[0]), nil
-
-	case RuleNotOrElim1, RuleNotOrElim2:
-		p, err := boolPrem(0)
-		if err != nil {
-			return Conclusion{}, err
-		}
-		if p.Op != expr.OpBoolNot || p.Args[0].Op != expr.OpBoolOr {
-			return Conclusion{}, fmt.Errorf("premise is not ¬(P∨Q)")
-		}
-		or := p.Args[0]
-		if s.Rule == RuleNotOrElim1 {
-			return formulaC(ck.tab.BoolNot(or.Args[0])), nil
-		}
-		return formulaC(ck.tab.BoolNot(or.Args[1])), nil
-
 	case RuleContradiction:
 		p, err := boolPrem(0)
 		if err != nil {
@@ -283,20 +255,6 @@ func (ck *checker) apply(s *Step, prior []Conclusion) (Conclusion, error) {
 		}
 		if np.Op != expr.OpBoolNot || np.Args[0] != a || !b.IsTrue() {
 			return Conclusion{}, fmt.Errorf("premises do not match ¬P, (= P true)")
-		}
-		return formulaC(ck.tab.Bool(false)), nil
-
-	case RuleFalseElim:
-		p, err := boolPrem(0)
-		if err != nil {
-			return Conclusion{}, err
-		}
-		a, b, err := eqPrem(1)
-		if err != nil {
-			return Conclusion{}, err
-		}
-		if p != a || !b.IsFalse() {
-			return Conclusion{}, fmt.Errorf("premises do not match P, (= P false)")
 		}
 		return formulaC(ck.tab.Bool(false)), nil
 
@@ -357,13 +315,6 @@ func (ck *checker) apply(s *Step, prior []Conclusion) (Conclusion, error) {
 		}
 		// ¬(a <= b) ⟺ b < a
 		return formulaC(ck.tab.Ult(inner.Args[1], inner.Args[0])), nil
-
-	case RuleRefl:
-		t, err := arg(0)
-		if err != nil {
-			return Conclusion{}, err
-		}
-		return formulaC(ck.tab.Eq(t, t)), nil
 
 	case RuleSymm:
 		a, b, err := eqPrem(0)

@@ -61,9 +61,9 @@ func TestEmptyAndOversizedProofs(t *testing.T) {
 	if err := Check(fig2Cond(15), &Proof{}); err == nil {
 		t.Fatal("empty proof accepted")
 	}
-	lim := DefaultLimits
+	lim := defaultLimits
 	lim.MaxSteps = 3
-	if err := CheckWithLimits(fig2Cond(15), handProof(), lim); err == nil {
+	if _, err := check(fig2Cond(15), handProof(), lim); err == nil {
 		t.Fatal("oversized proof accepted under tight limits")
 	}
 }
@@ -89,6 +89,31 @@ func TestInvalidRuleRejected(t *testing.T) {
 	if err := Check(fig2Cond(15), p2); err == nil {
 		t.Fatal("rule 0 accepted")
 	}
+}
+
+// TestRuleTable: every id between RuleInvalid and NumRules is either
+// reserved, and a step that uses it fails stage 1 as an invalid rule,
+// or named, and a step that uses it reaches the rule's handler.
+func TestRuleTable(t *testing.T) {
+	named := 0
+	for r := RuleInvalid + 1; r < NumRules; r++ {
+		p := &Proof{Steps: []Step{{Rule: RuleAssume}, {Rule: r}}}
+		err := Check(fig2Cond(15), p)
+		if !r.Valid() {
+			if err == nil || !strings.Contains(err.Error(), "step 1: invalid rule") {
+				t.Errorf("reserved id %d: %v, want an invalid rule at step 1", r, err)
+			}
+			continue
+		}
+		named++
+		if strings.HasPrefix(r.String(), "rule(") {
+			t.Errorf("id %d is valid but has no name", r)
+		}
+		if err == nil || strings.Contains(err.Error(), "unhandled rule") {
+			t.Errorf("%s: %v, want its handler's refusal", r, err)
+		}
+	}
+	t.Logf("%d named rules, %d reserved ids", named, int(NumRules)-1-named)
 }
 
 func TestPatternMismatchRejected(t *testing.T) {
@@ -125,8 +150,8 @@ func TestCongChildMismatchRejected(t *testing.T) {
 	pred := fig2Cond(15)
 	p := &Proof{Steps: []Step{
 		{Rule: RuleAssume},
-		{Rule: RuleRefl, Args: []*expr.Expr{expr.Var(3, 64)}},
-		// cong claims child 0 of pred equals Var(3), which it does not.
+		{Rule: RuleRwAddZeroR, Args: []*expr.Expr{expr.Add(expr.Var(3, 64), expr.Const(0, 64))}},
+		// cong claims child 0 of pred is (bvadd v3 0), which it is not.
 		{Rule: RuleCong, Premises: []uint32{1}, Args: []*expr.Expr{pred, expr.Const(0, 8)}},
 	}}
 	if err := Check(pred, p); err == nil {
@@ -249,7 +274,7 @@ func TestStageOneLinearInSharedArgs(t *testing.T) {
 		// last does not conclude false, so Check fails in stage 3.
 		p := &Proof{Steps: make([]Step, n)}
 		for i := range p.Steps {
-			p.Steps[i] = Step{Rule: RuleRefl, Args: []*expr.Expr{arg}}
+			p.Steps[i] = Step{Rule: RuleLemmaZeroUle, Args: []*expr.Expr{arg}}
 		}
 		cond := fig2Cond(15)
 		return allocBytes(func() {
@@ -285,13 +310,13 @@ func allocBytes(f func()) uint64 {
 // distinct nodes: the condition's 6 (its 0xf and 15 are one node), the
 // 8-bit 0 and (bvule 0xf 15). No one argument has more than 6.
 func TestArgNodeLimit(t *testing.T) {
-	lim := DefaultLimits
+	lim := defaultLimits
 	lim.MaxArgNodes = 8
-	if err := CheckWithLimits(fig2Cond(15), handProof(), lim); err != nil {
+	if _, err := check(fig2Cond(15), handProof(), lim); err != nil {
 		t.Fatalf("arguments within the limit refused: %v", err)
 	}
 	lim.MaxArgNodes = 7
-	err := CheckWithLimits(fig2Cond(15), handProof(), lim)
+	_, err := check(fig2Cond(15), handProof(), lim)
 	if err == nil || !strings.Contains(err.Error(), "arguments too large") {
 		t.Fatalf("arguments over the limit together: %v, want them refused as too large", err)
 	}

@@ -26,13 +26,14 @@ func FuzzCheckProof(f *testing.F) {
 	for r := byte(1); r < 64; r += 3 {
 		f.Add([]byte{1, 0, 0, r, 1, 0, 1, 0, 0, r + 1, 2, 0, 1, 2, 3})
 	}
+	f.Add([]byte{1, 0, 0, 0, 6, 1, 0, 0, 0}) // assume + a step with reserved id 6
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := proofFromBytes(data, cond)
 		if p == nil {
 			return
 		}
-		work, err := check(cond, p, DefaultLimits)
+		work, err := check(cond, p, defaultLimits)
 		if err == nil {
 			t.Fatalf("checker accepted a proof of a falsifiable condition: %d steps", len(p.Steps))
 		}

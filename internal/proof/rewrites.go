@@ -71,8 +71,6 @@ var rewrites = [NumRules]rewriteFn{
 		}
 		return t.Args[0].Args[0], true
 	},
-	RuleRwAddComm: swap(expr.OpAdd),
-	RuleRwAndComm: swap(expr.OpAnd),
 	RuleRwZExtZero: func(t *expr.Expr) (*expr.Expr, bool) {
 		if t.Op != expr.OpZExt || !isConst(t.Args[0], 0) {
 			return nil, false
@@ -161,14 +159,4 @@ func shiftZero(t *expr.Expr) (*expr.Expr, bool) {
 		return nil, false
 	}
 	return t.Args[0], true
-}
-
-// swap matches the commutative (op a b) and rewrites to (op b a).
-func swap(op expr.Op) rewriteFn {
-	return func(t *expr.Expr) (*expr.Expr, bool) {
-		if t.Op != op {
-			return nil, false
-		}
-		return t.Table().Bin(op, t.Args[1], t.Args[0]), true
-	}
 }

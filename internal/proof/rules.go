@@ -11,7 +11,7 @@
 //
 //   - Formula steps conclude a boolean term. These cover structural
 //     decomposition (and_elim, not_implies…), an equality calculus
-//     (refl/symm/trans/cong/eq_mp), a catalog of algebraic rewrites each
+//     (symm/trans/cong/eq_mp), a catalog of algebraic rewrites each
 //     checkable by local pattern matching or ground evaluation, and
 //     interval lemmas for the bvule fragment.
 //
@@ -23,7 +23,9 @@
 //
 // With resolution and bit-blasting the system is complete for the
 // fixed-width bit-vector conditions BCF generates (§5 Proof Check); the
-// other rules exist to keep common proofs small.
+// other rules exist to keep common proofs small. The checker accepts
+// only the rules the prover emits, plus not_true_elim, which closes the
+// paper's Figure 3 proof.
 package proof
 
 import "fmt"
@@ -31,7 +33,8 @@ import "fmt"
 // RuleID identifies a primitive proof rule.
 type RuleID uint16
 
-// Primitive rules. The numbering is part of the wire format.
+// Primitive rules. The numbering is part of the wire format; a blank
+// entry is a reserved id that names no rule, and stage 1 rejects it.
 const (
 	RuleInvalid RuleID = iota
 
@@ -41,12 +44,12 @@ const (
 	RuleNotImplies2   // ¬(P⇒Q) ⊢ ¬Q
 	RuleAndElim1      // P∧Q ⊢ P
 	RuleAndElim2      // P∧Q ⊢ Q
-	RuleNotNotElim    // ¬¬P ⊢ P
-	RuleNotOrElim1    // ¬(P∨Q) ⊢ ¬P
-	RuleNotOrElim2    // ¬(P∨Q) ⊢ ¬Q
+	_                 // 6: reserved
+	_                 // 7: reserved
+	_                 // 8: reserved
 	RuleContradiction // P, ¬P ⊢ false
 	RuleNotTrueElim   // ¬P, (= P true) ⊢ false
-	RuleFalseElim     // P, (= P false) ⊢ false
+	_                 // 11: reserved
 	RuleEqMp          // P, (= P Q) ⊢ Q
 	RuleEqMpRev       // P, (= Q P) ⊢ Q
 	RuleAndIntro      // P, Q ⊢ P∧Q
@@ -54,7 +57,7 @@ const (
 	RuleNotUleElim    // ¬(bvule a b) ⊢ (bvult b a)
 
 	// Equality calculus.
-	RuleRefl      // arg t ⊢ (= t t)
+	_             // 17: reserved
 	RuleSymm      // (= a b) ⊢ (= b a)
 	RuleTrans     // (= a b), (= b c) ⊢ (= a c)
 	RuleCong      // (= a b), args [t, i] with t.Args[i] ≡ a ⊢ (= t t[i↦b])
@@ -85,8 +88,8 @@ const (
 	RuleRwMulOneL       // (bvmul 1 a) = a
 	RuleRwShiftZero     // (bvshl/bvlshr/bvashr a 0) = a
 	RuleRwNotNot        // (bvnot (bvnot a)) = a
-	RuleRwAddComm       // (bvadd a b) = (bvadd b a)
-	RuleRwAndComm       // (bvand a b) = (bvand b a)
+	_                   // 46: reserved
+	_                   // 47: reserved
 	RuleRwZExtZero      // (zext 0) = 0
 	RuleRwExtractZExt   // (extract[lo=0,w] (zext_W a)) = a when w = width(a)
 
@@ -100,7 +103,7 @@ const (
 	RuleLemmaUleTrans   // (bvule a b), (bvule b c) ⊢ (bvule a c)
 	RuleLemmaUleAdd     // (bvule a c1), (bvule b c2), c1+c2 no wrap ⊢ (bvule (bvadd a b) c1+c2)
 	RuleLemmaUleShl     // (bvule a c), const k, c<<k no wrap ⊢ (bvule (bvshl a k) c<<k)
-	RuleLemmaUleConst   // consts c1 <= c2 ⊢ (bvule c1 c2)... via eval; kept for direct use
+	RuleLemmaUleConst   // consts c1 <= c2 ⊢ (bvule c1 c2)
 	RuleLemmaEqBound    // (= a c), const c ⊢ (bvule a c)
 	RuleLemmaUleAndMono // (bvule a c) ⊢ (bvule (bvand a b) c)
 	RuleLemmaZeroUle    // arg a ⊢ (bvule 0 a)
@@ -117,17 +120,17 @@ const (
 	NumRules
 )
 
-var ruleNames = map[RuleID]string{
+// ruleNames names every rule; a reserved id has no name.
+var ruleNames = [NumRules]string{
 	RuleAssume: "assume", RuleNotImplies1: "not_implies1", RuleNotImplies2: "not_implies2",
-	RuleAndElim1: "and_elim1", RuleAndElim2: "and_elim2", RuleNotNotElim: "not_not_elim",
-	RuleNotOrElim1: "not_or_elim1", RuleNotOrElim2: "not_or_elim2",
+	RuleAndElim1: "and_elim1", RuleAndElim2: "and_elim2",
 	RuleContradiction: "contradiction", RuleNotTrueElim: "not_true_elim",
-	RuleFalseElim: "false_elim", RuleEqMp: "eq_mp", RuleEqMpRev: "eq_mp_rev",
+	RuleEqMp: "eq_mp", RuleEqMpRev: "eq_mp_rev",
 	RuleAndIntro: "and_intro", RuleLemmaZeroUle: "lemma_zero_ule",
 	RuleNotUltElim: "not_ult_elim", RuleNotUleElim: "not_ule_elim",
 	RuleLemmaZExtMono: "lemma_zext_mono", RuleLemmaUltUle: "lemma_ult_ule",
 	RuleLemmaDivRemLe: "lemma_divrem_le", RuleLemmaURemBound: "lemma_urem_bound",
-	RuleRefl: "refl", RuleSymm: "symm", RuleTrans: "trans", RuleCong: "cong",
+	RuleSymm: "symm", RuleTrans: "trans", RuleCong: "cong",
 	RuleEvalConst:       "eval",
 	RuleRwAddSubCancelR: "rw_add_sub_cancel_r", RuleRwAddSubCancelL: "rw_add_sub_cancel_l",
 	RuleRwSubAddCancelR: "rw_sub_add_cancel_r", RuleRwSubAddCancelL: "rw_sub_add_cancel_l",
@@ -139,7 +142,6 @@ var ruleNames = map[RuleID]string{
 	RuleRwMulZeroR: "rw_mul_zero_r", RuleRwMulZeroL: "rw_mul_zero_l",
 	RuleRwMulOneR: "rw_mul_one_r", RuleRwMulOneL: "rw_mul_one_l",
 	RuleRwShiftZero: "rw_shift_zero", RuleRwNotNot: "rw_not_not",
-	RuleRwAddComm: "rw_add_comm", RuleRwAndComm: "rw_and_comm",
 	RuleRwZExtZero: "rw_zext_zero", RuleRwExtractZExt: "rw_extract_zext",
 	RuleLemmaAndUleR: "lemma_and_ule_r", RuleLemmaAndUleL: "lemma_and_ule_l",
 	RuleLemmaUleMax: "lemma_ule_max", RuleLemmaZExtBound: "lemma_zext_bound",
@@ -151,11 +153,12 @@ var ruleNames = map[RuleID]string{
 }
 
 func (r RuleID) String() string {
-	if n, ok := ruleNames[r]; ok {
-		return n
+	if r.Valid() {
+		return ruleNames[r]
 	}
 	return fmt.Sprintf("rule(%d)", uint16(r))
 }
 
-// Valid reports whether the id names a primitive rule.
-func (r RuleID) Valid() bool { return r > RuleInvalid && r < NumRules }
+// Valid reports whether the id names a primitive rule: neither 0, nor
+// reserved, nor at or above NumRules.
+func (r RuleID) Valid() bool { return r < NumRules && ruleNames[r] != "" }

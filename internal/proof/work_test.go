@@ -111,7 +111,7 @@ func TestCheckWorkPerProofByte(t *testing.T) {
 			}
 			p := &proof.Proof{Steps: make([]proof.Step, n)}
 			for i := range p.Steps {
-				p.Steps[i] = proof.Step{Rule: proof.RuleRefl, Args: []*expr.Expr{arg}}
+				p.Steps[i] = proof.Step{Rule: proof.RuleLemmaZeroUle, Args: []*expr.Expr{arg}}
 			}
 			work, proofBytes, _ := encodedWork(t, fig2Cond(15), p, proof.DefaultLimits)
 			r := perByte(t, fmt.Sprintf("n=%d", n), work, proofBytes)
@@ -133,7 +133,7 @@ func TestCheckWorkPerProofByte(t *testing.T) {
 				if i > 0 {
 					arg = expr.Add(arg, expr.Const(uint64(i), 32))
 				}
-				p.Steps[i] = proof.Step{Rule: proof.RuleRefl, Args: []*expr.Expr{arg}}
+				p.Steps[i] = proof.Step{Rule: proof.RuleLemmaZeroUle, Args: []*expr.Expr{arg}}
 			}
 			lim := proof.DefaultLimits
 			lim.MaxArgNodes = 2*n - 1

@@ -164,9 +164,8 @@ func TestTopRewriteAgreesWithChecker(t *testing.T) {
 		p := &proof.Proof{Steps: []proof.Step{
 			{Rule: proof.RuleAssume},
 			{Rule: rule, Args: []*expr.Expr{term}},
-			// Conclude with a contradiction so only step 1's validity is
-			// at stake... there is none; instead expect failure at stage 3
-			// but NOT at step 1. Use CheckWithLimits and look at the error.
+			// No step concludes false, so the check fails at stage 3;
+			// the error says whether step 1 was accepted first.
 		}}
 		err := proof.Check(expr.Ule(expr.Const(0, 8), expr.Const(0, 8)), p)
 		if err == nil {
