@@ -61,12 +61,14 @@ func fig2Program() *Program {
 }
 
 // fig2Cond is the Figure 2 refinement condition, used by the proof
-// micro-benchmarks.
+// micro-benchmarks. Each call builds it in a new table, as each round's
+// condition is decoded into one.
 func fig2Cond() *expr.Expr {
-	sym := expr.Var(0, 64)
-	m := expr.And(sym, expr.Const(0xf, 64))
-	e := expr.Add(m, expr.Sub(expr.Const(0xf, 64), m))
-	return expr.Ule(e, expr.Const(15, 64))
+	tab := expr.NewTable(0)
+	sym := tab.Var(0, 64)
+	m := tab.And(sym, tab.Const(0xf, 64))
+	e := tab.Add(m, tab.Sub(tab.Const(0xf, 64), m))
+	return tab.Ule(e, tab.Const(15, 64))
 }
 
 // ---- §6.2 acceptance (the headline experiment) ----
@@ -127,8 +129,7 @@ func BenchmarkAcceptanceBCFParallel(b *testing.B) {
 // BenchmarkTable3ProofCheck measures kernel-side proof checking alone
 // (paper: 31/49/1845 µs).
 func BenchmarkTable3ProofCheck(b *testing.B) {
-	cond := fig2Cond()
-	out, err := solver.Prove(nil, cond, solver.Options{})
+	out, err := solver.Prove(nil, fig2Cond(), solver.Options{})
 	if err != nil || !out.Proven {
 		b.Fatalf("prove: %v", err)
 	}
@@ -143,7 +144,8 @@ func BenchmarkTable3ProofCheck(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := proof.Check(cond, pf); err != nil {
+		// A new table per check, as each round's condition has one.
+		if err := proof.Check(fig2Cond(), pf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -152,8 +154,7 @@ func BenchmarkTable3ProofCheck(b *testing.B) {
 // BenchmarkTable3ProofCheckBitblast measures checking of a resolution
 // refutation (the large-proof regime).
 func BenchmarkTable3ProofCheckBitblast(b *testing.B) {
-	cond := fig2Cond()
-	out, err := solver.Prove(nil, cond, solver.Options{DisableRewriteTier: true})
+	out, err := solver.Prove(nil, fig2Cond(), solver.Options{DisableRewriteTier: true})
 	if err != nil || !out.Proven {
 		b.Fatalf("prove: %v", err)
 	}
@@ -168,7 +169,8 @@ func BenchmarkTable3ProofCheckBitblast(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := proof.Check(cond, pf); err != nil {
+		// A new table per check, as each round's condition has one.
+		if err := proof.Check(fig2Cond(), pf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -177,10 +179,9 @@ func BenchmarkTable3ProofCheckBitblast(b *testing.B) {
 // BenchmarkTable3ProofGeneration measures the user-space side (the
 // expensive half of the workload separation).
 func BenchmarkTable3ProofGeneration(b *testing.B) {
-	cond := fig2Cond()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := solver.Prove(nil, cond, solver.Options{})
+		out, err := solver.Prove(nil, fig2Cond(), solver.Options{})
 		if err != nil || !out.Proven {
 			b.Fatal(err)
 		}
@@ -282,12 +283,17 @@ func benchProofBytes(b *testing.B, opts solver.Options) {
 	// (x & 0xf) + (y & 0xf) <= 30: the adder's carry chain defeats pure
 	// gate-level constant folding, so the bit-blast tier must do real
 	// resolution work while the rewrite tier closes it with two lemmas.
-	x, y := expr.Var(0, 16), expr.Var(1, 16)
-	sum := expr.Add(expr.And(x, expr.Const(0xf, 16)), expr.And(y, expr.Const(0xf, 16)))
-	cond := expr.Ule(sum, expr.Const(30, 16))
+	// Each iteration proves it in a new table, as each round's condition
+	// is decoded into one.
+	cond := func() *expr.Expr {
+		tab := expr.NewTable(0)
+		x, y := tab.Var(0, 16), tab.Var(1, 16)
+		sum := tab.Add(tab.And(x, tab.Const(0xf, 16)), tab.And(y, tab.Const(0xf, 16)))
+		return tab.Ule(sum, tab.Const(30, 16))
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := solver.Prove(nil, cond, opts)
+		out, err := solver.Prove(nil, cond(), opts)
 		if err != nil || !out.Proven {
 			b.Fatal(err)
 		}

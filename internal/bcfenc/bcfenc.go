@@ -247,8 +247,8 @@ func (pr *poolReader) node(off uint32) (*expr.Expr, error) {
 		args = append(args, child)
 	}
 	if op == expr.OpConst || op == expr.OpVar {
-		// A leaf keeps only its width and payload, as expr.Const and
-		// expr.Var build it: the header's aux and argument words are
+		// A leaf keeps only its width and payload, as Table.Const and
+		// Table.Var build it: the header's aux and argument words are
 		// ignored, and a constant is masked to its width.
 		aux, args = 0, nil
 		if op == expr.OpConst {
@@ -267,8 +267,8 @@ func (pr *poolReader) node(off uint32) (*expr.Expr, error) {
 
 // ---- condition messages ----
 
-// Condition is the kernel→user message: the refinement condition to be
-// proven, plus bookkeeping that ties the proof back to the request.
+// Condition is the kernel→user message. Its one field is the refinement
+// condition to be proven; the message carries nothing else.
 type Condition struct {
 	Cond *expr.Expr
 }

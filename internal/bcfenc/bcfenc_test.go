@@ -11,25 +11,28 @@ import (
 	"bcf/internal/solver"
 )
 
+// fig2Cond is the paper's Figure 2 refinement condition, in a new table.
 func fig2Cond(hi uint64) *expr.Expr {
-	sym := expr.Var(0, 64)
-	m := expr.And(sym, expr.Const(0xf, 64))
-	e := expr.Add(m, expr.Sub(expr.Const(0xf, 64), m))
-	return expr.Ule(e, expr.Const(hi, 64))
+	tab := expr.NewTable(0)
+	sym := tab.Var(0, 64)
+	m := tab.And(sym, tab.Const(0xf, 64))
+	e := tab.Add(m, tab.Sub(tab.Const(0xf, 64), m))
+	return tab.Ule(e, tab.Const(hi, 64))
 }
 
 func TestConditionRoundTrip(t *testing.T) {
+	tab := expr.NewTable(0)
 	conds := []*expr.Expr{
-		expr.True,
+		tab.Bool(true),
 		fig2Cond(15),
-		expr.Implies(
-			expr.Ule(expr.Var(0, 32), expr.Const(10, 32)),
-			expr.BoolAnd(
-				expr.Ule(expr.Const(0, 64), expr.ZExt(expr.Var(0, 32), 64)),
-				expr.Ne(expr.Extract(expr.Var(1, 64), 32, 32), expr.Const(0, 32)),
+		tab.Implies(
+			tab.Ule(tab.Var(0, 32), tab.Const(10, 32)),
+			tab.BoolAnd(
+				tab.Ule(tab.Const(0, 64), tab.ZExt(tab.Var(0, 32), 64)),
+				tab.Ne(tab.Extract(tab.Var(1, 64), 32, 32), tab.Const(0, 32)),
 			),
 		),
-		expr.Eq(expr.Ashr(expr.Var(2, 64), expr.Const(31, 64)), expr.Const(0, 64)),
+		tab.Eq(tab.Ashr(tab.Var(2, 64), tab.Const(31, 64)), tab.Const(0, 64)),
 	}
 	for i, c := range conds {
 		buf, err := EncodeCondition(&Condition{Cond: c})
@@ -98,9 +101,10 @@ func TestProofRoundTrip(t *testing.T) {
 }
 
 func TestProofRoundTripBitblastTier(t *testing.T) {
-	x, y := expr.Var(0, 16), expr.Var(1, 16)
-	sum := expr.Add(expr.And(x, expr.Const(0xf, 16)), expr.And(y, expr.Const(0xf, 16)))
-	cond := expr.Ule(sum, expr.Const(30, 16))
+	tab := expr.NewTable(0)
+	x, y := tab.Var(0, 16), tab.Var(1, 16)
+	sum := tab.Add(tab.And(x, tab.Const(0xf, 16)), tab.And(y, tab.Const(0xf, 16)))
+	cond := tab.Ule(sum, tab.Const(30, 16))
 	out, err := solver.Prove(nil, cond, solver.Options{DisableRewriteTier: true})
 	if err != nil || !out.Proven {
 		t.Fatalf("prove: %v", err)
@@ -300,11 +304,12 @@ func allocBytes(f func()) uint64 {
 // chainCond is x+c0+c1+...+c(n-1) <= 15: a term n additions deep with
 // no shared subterms.
 func chainCond(n int) *expr.Expr {
-	e := expr.Var(0, 64)
+	tab := expr.NewTable(0)
+	e := tab.Var(0, 64)
 	for i := 0; i < n; i++ {
-		e = expr.Add(e, expr.Const(uint64(i), 64))
+		e = tab.Add(e, tab.Const(uint64(i), 64))
 	}
-	return expr.Ule(e, expr.Const(15, 64))
+	return tab.Ule(e, tab.Const(15, 64))
 }
 
 // TestDecodeLinearInDepth pins decoding to work linear in the pool:

@@ -28,17 +28,14 @@ type CNF struct {
 
 // Encode lowers a width-1 term to CNF that is satisfiable iff some
 // assignment to the term's variables makes it true. Each distinct node
-// is encoded once, by its expr.Table ID: a term outside any table joins
-// its first operand's table (as BoolNot of a decoded condition does) or
-// a new one, which type-checks its nodes.
+// is encoded once, by its expr.Table ID: a term outside any table (a
+// struct literal) is interned into a new one, which type-checks its
+// nodes.
 func Encode(f *expr.Expr) (*CNF, error) {
 	if f.Width != 1 {
 		return nil, fmt.Errorf("bitblast: formula must have width 1, got %d", f.Width)
 	}
 	tab := f.Table()
-	if tab == nil && len(f.Args) > 0 && f.Args[0] != nil {
-		tab = f.Args[0].Table()
-	}
 	if tab == nil {
 		tab = expr.NewTable(0)
 	}

@@ -50,29 +50,32 @@ func mustUNSAT(t *testing.T, f *expr.Expr) {
 }
 
 func TestConstFormulas(t *testing.T) {
-	mustSAT(t, expr.True)
-	mustUNSAT(t, expr.False)
-	mustSAT(t, expr.Eq(expr.Const(5, 8), expr.Const(5, 8)))
-	mustUNSAT(t, expr.Eq(expr.Const(5, 8), expr.Const(6, 8)))
+	tab := expr.NewTable(0)
+	mustSAT(t, tab.Bool(true))
+	mustUNSAT(t, tab.Bool(false))
+	mustSAT(t, tab.Eq(tab.Const(5, 8), tab.Const(5, 8)))
+	mustUNSAT(t, tab.Eq(tab.Const(5, 8), tab.Const(6, 8)))
 }
 
 func TestPaperFigure2ConditionValid(t *testing.T) {
+	tab := expr.NewTable(0)
 	// (sym&0xf) + (0xf - (sym&0xf)) <= 15 is valid: its negation is UNSAT.
-	sym := expr.Var(0, 64)
-	m := expr.And(sym, expr.Const(0xf, 64))
-	e := expr.Add(m, expr.Sub(expr.Const(0xf, 64), m))
-	cond := expr.Ule(e, expr.Const(15, 64))
-	mustUNSAT(t, expr.BoolNot(cond))
+	sym := tab.Var(0, 64)
+	m := tab.And(sym, tab.Const(0xf, 64))
+	e := tab.Add(m, tab.Sub(tab.Const(0xf, 64), m))
+	cond := tab.Ule(e, tab.Const(15, 64))
+	mustUNSAT(t, tab.BoolNot(cond))
 	// The weaker claim <= 14 is falsifiable.
-	bad := expr.Ule(e, expr.Const(14, 64))
-	res := mustSAT(t, expr.BoolNot(bad))
+	bad := tab.Ule(e, tab.Const(14, 64))
+	res := mustSAT(t, tab.BoolNot(bad))
 	_ = res
 }
 
 func TestCounterexampleModel(t *testing.T) {
+	tab := expr.NewTable(0)
 	// x & 0xf0 == 0x10 has solutions; extract one and check it.
-	x := expr.Var(7, 8)
-	f := expr.Eq(expr.And(x, expr.Const(0xf0, 8)), expr.Const(0x10, 8))
+	x := tab.Var(7, 8)
+	f := tab.Eq(tab.And(x, tab.Const(0xf0, 8)), tab.Const(0x10, 8))
 	c, err := Encode(f)
 	if err != nil {
 		t.Fatal(err)
@@ -87,8 +90,10 @@ func TestCounterexampleModel(t *testing.T) {
 	}
 }
 
-// randTerm builds a random bit-vector term over the given variables.
+// randTerm builds a random bit-vector term over the given variables, in
+// their table.
 func randTerm(rng *rand.Rand, vars []*expr.Expr, width uint8, depth int) *expr.Expr {
+	tab := vars[0].Table()
 	if depth == 0 || rng.Intn(4) == 0 {
 		if rng.Intn(2) == 0 {
 			v := vars[rng.Intn(len(vars))]
@@ -97,13 +102,13 @@ func randTerm(rng *rand.Rand, vars []*expr.Expr, width uint8, depth int) *expr.E
 			}
 			if v.Width < width {
 				if rng.Intn(2) == 0 {
-					return expr.ZExt(v, width)
+					return tab.ZExt(v, width)
 				}
-				return expr.SExt(v, width)
+				return tab.SExt(v, width)
 			}
-			return expr.Extract(v, 0, width)
+			return tab.Extract(v, 0, width)
 		}
-		return expr.Const(rng.Uint64(), width)
+		return tab.Const(rng.Uint64(), width)
 	}
 	ops := []expr.Op{
 		expr.OpAdd, expr.OpSub, expr.OpMul, expr.OpAnd, expr.OpOr,
@@ -113,12 +118,12 @@ func randTerm(rng *rand.Rand, vars []*expr.Expr, width uint8, depth int) *expr.E
 	a := randTerm(rng, vars, width, depth-1)
 	b := randTerm(rng, vars, width, depth-1)
 	if rng.Intn(8) == 0 {
-		return expr.Not(a)
+		return tab.Not(a)
 	}
 	if rng.Intn(8) == 0 {
-		return expr.Neg(a)
+		return tab.Neg(a)
 	}
-	return expr.Bin(op, a, b)
+	return tab.Bin(op, a, b)
 }
 
 // TestDifferentialEval cross-checks the CNF encoding against direct
@@ -129,8 +134,9 @@ func TestDifferentialEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	for iter := 0; iter < 150; iter++ {
 		width := []uint8{8, 16, 32}[rng.Intn(3)]
-		v0 := expr.Var(0, width)
-		v1 := expr.Var(1, 8)
+		tab := expr.NewTable(0)
+		v0 := tab.Var(0, width)
+		v1 := tab.Var(1, 8)
 		vars := []*expr.Expr{v0, v1}
 		term := randTerm(rng, vars, width, 3)
 
@@ -144,12 +150,12 @@ func TestDifferentialEval(t *testing.T) {
 		}
 		want := term.Eval(env)
 
-		pin := expr.BoolAnd(
-			expr.Eq(v0, expr.Const(a0, width)),
-			expr.Eq(v1, expr.Const(a1, 8)),
+		pin := tab.BoolAnd(
+			tab.Eq(v0, tab.Const(a0, width)),
+			tab.Eq(v1, tab.Const(a1, 8)),
 		)
-		good := expr.BoolAnd(pin, expr.Eq(term, expr.Const(want, width)))
-		bad := expr.BoolAnd(pin, expr.Ne(term, expr.Const(want, width)))
+		good := tab.BoolAnd(pin, tab.Eq(term, tab.Const(want, width)))
+		bad := tab.BoolAnd(pin, tab.Ne(term, tab.Const(want, width)))
 		mustSAT(t, good)
 		mustUNSAT(t, bad)
 	}
@@ -158,10 +164,11 @@ func TestDifferentialEval(t *testing.T) {
 // TestDifferentialPredicates does the same for comparison predicates.
 func TestDifferentialPredicates(t *testing.T) {
 	rng := rand.New(rand.NewSource(777))
-	preds := []func(a, b *expr.Expr) *expr.Expr{expr.Eq, expr.Ult, expr.Ule, expr.Slt, expr.Sle}
 	for iter := 0; iter < 100; iter++ {
 		width := []uint8{8, 16}[rng.Intn(2)]
-		v0, v1 := expr.Var(0, width), expr.Var(1, width)
+		tab := expr.NewTable(0)
+		preds := []func(a, b *expr.Expr) *expr.Expr{tab.Eq, tab.Ult, tab.Ule, tab.Slt, tab.Sle}
+		v0, v1 := tab.Var(0, width), tab.Var(1, width)
 		a0 := rng.Uint64() & expr.Mask(width)
 		a1 := rng.Uint64() & expr.Mask(width)
 		p := preds[rng.Intn(len(preds))](v0, v1)
@@ -172,11 +179,11 @@ func TestDifferentialPredicates(t *testing.T) {
 			return a1
 		}
 		truth := p.Eval(env) == 1
-		pin := expr.BoolAnd(
-			expr.Eq(v0, expr.Const(a0, width)),
-			expr.Eq(v1, expr.Const(a1, width)),
+		pin := tab.BoolAnd(
+			tab.Eq(v0, tab.Const(a0, width)),
+			tab.Eq(v1, tab.Const(a1, width)),
 		)
-		f := expr.BoolAnd(pin, p)
+		f := tab.BoolAnd(pin, p)
 		if truth {
 			mustSAT(t, f)
 		} else {
@@ -186,11 +193,13 @@ func TestDifferentialPredicates(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	// Encoding the same structure twice (fresh nodes) yields identical CNF.
+	// Encoding the same structure twice (fresh nodes, each in a table of
+	// its own) yields identical CNF.
 	build := func() *expr.Expr {
-		s := expr.Var(0, 64)
-		m := expr.And(s, expr.Const(0xf, 64))
-		return expr.BoolNot(expr.Ule(expr.Add(m, expr.Sub(expr.Const(0xf, 64), m)), expr.Const(15, 64)))
+		tab := expr.NewTable(0)
+		s := tab.Var(0, 64)
+		m := tab.And(s, tab.Const(0xf, 64))
+		return tab.BoolNot(tab.Ule(tab.Add(m, tab.Sub(tab.Const(0xf, 64), m)), tab.Const(15, 64)))
 	}
 	c1, err := Encode(build())
 	if err != nil {
@@ -217,10 +226,11 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestSharedSubtermsReuseVariables(t *testing.T) {
-	s := expr.Var(0, 32)
-	m := expr.And(s, expr.Const(0xff, 32))
+	tab := expr.NewTable(0)
+	s := tab.Var(0, 32)
+	m := tab.And(s, tab.Const(0xff, 32))
 	// m appears twice; sharing must not double the variable count.
-	f := expr.Eq(expr.Add(m, m), expr.Shl(m, expr.Const(1, 32)))
+	f := tab.Eq(tab.Add(m, m), tab.Shl(m, tab.Const(1, 32)))
 	c, err := Encode(f)
 	if err != nil {
 		t.Fatal(err)
@@ -236,46 +246,50 @@ func TestSharedSubtermsReuseVariables(t *testing.T) {
 	} else {
 		t.Fatal("x+x == x<<1 should be satisfiable")
 	}
-	mustUNSAT(t, expr.BoolNot(f))
+	mustUNSAT(t, tab.BoolNot(f))
 }
 
 // Encode trusts its input to be well-formed (package expr type-checks
 // every node it builds or decodes); only the root's width is checked.
 func TestRejectsWidthMismatch(t *testing.T) {
-	if _, err := Encode(expr.Var(0, 64)); err == nil {
+	tab := expr.NewTable(0)
+	if _, err := Encode(tab.Var(0, 64)); err == nil {
 		t.Fatal("expected error for non-boolean root")
 	}
 }
 
 func TestUDivEncodes(t *testing.T) {
+	tab := expr.NewTable(0)
 	// x/x == 1 is falsifiable only at x == 0 (where x/0 = 0).
-	x := expr.Var(0, 8)
-	f := expr.BoolAnd(
-		expr.Ne(x, expr.Const(0, 8)),
-		expr.Ne(expr.UDiv(x, x), expr.Const(1, 8)),
+	x := tab.Var(0, 8)
+	f := tab.BoolAnd(
+		tab.Ne(x, tab.Const(0, 8)),
+		tab.Ne(tab.UDiv(x, x), tab.Const(1, 8)),
 	)
 	mustUNSAT(t, f)
 }
 
 func TestShiftSemanticsModWidth(t *testing.T) {
+	tab := expr.NewTable(0)
 	// eBPF: shift amounts are taken modulo the width. x << 32 (width 32)
 	// equals x << 0 = x.
-	x := expr.Var(0, 32)
-	f := expr.Ne(expr.Shl(x, expr.Const(32, 32)), x)
+	x := tab.Var(0, 32)
+	f := tab.Ne(tab.Shl(x, tab.Const(32, 32)), x)
 	mustUNSAT(t, f)
 	// Arithmetic shift of the sign bit propagates it.
-	g := expr.Ne(
-		expr.Ashr(expr.Const(0x8000_0000, 32), expr.Const(31, 32)),
-		expr.Const(0xffff_ffff, 32),
+	g := tab.Ne(
+		tab.Ashr(tab.Const(0x8000_0000, 32), tab.Const(31, 32)),
+		tab.Const(0xffff_ffff, 32),
 	)
 	mustUNSAT(t, g)
 }
 
 func TestDividerDifferential(t *testing.T) {
+	tab := expr.NewTable(0)
 	// Exhaustive-ish differential over 6-bit-masked 8-bit operands:
 	// pinned operands must force the unique (q, r) pair.
-	x, y := expr.Var(0, 8), expr.Var(1, 8)
-	for _, op := range []func(a, b *expr.Expr) *expr.Expr{expr.UDiv, expr.URem} {
+	x, y := tab.Var(0, 8), tab.Var(1, 8)
+	for _, op := range []func(a, b *expr.Expr) *expr.Expr{tab.UDiv, tab.URem} {
 		term := op(x, y)
 		for _, pair := range [][2]uint64{
 			{0, 0}, {7, 0}, {0, 3}, {17, 5}, {255, 1}, {255, 255},
@@ -288,27 +302,29 @@ func TestDividerDifferential(t *testing.T) {
 				}
 				return b
 			})
-			pin := expr.BoolAnd(
-				expr.Eq(x, expr.Const(a, 8)),
-				expr.Eq(y, expr.Const(b, 8)),
+			pin := tab.BoolAnd(
+				tab.Eq(x, tab.Const(a, 8)),
+				tab.Eq(y, tab.Const(b, 8)),
 			)
-			mustSAT(t, expr.BoolAnd(pin, expr.Eq(term, expr.Const(want, 8))))
-			mustUNSAT(t, expr.BoolAnd(pin, expr.Ne(term, expr.Const(want, 8))))
+			mustSAT(t, tab.BoolAnd(pin, tab.Eq(term, tab.Const(want, 8))))
+			mustUNSAT(t, tab.BoolAnd(pin, tab.Ne(term, tab.Const(want, 8))))
 		}
 	}
 }
 
 func TestDividerZeroSemantics(t *testing.T) {
+	tab := expr.NewTable(0)
 	// eBPF: x/0 == 0 and x%0 == x, for every x.
-	x := expr.Var(0, 8)
-	zero := expr.Const(0, 8)
-	mustUNSAT(t, expr.Ne(expr.UDiv(x, zero), zero))
-	mustUNSAT(t, expr.Ne(expr.URem(x, zero), x))
+	x := tab.Var(0, 8)
+	zero := tab.Const(0, 8)
+	mustUNSAT(t, tab.Ne(tab.UDiv(x, zero), zero))
+	mustUNSAT(t, tab.Ne(tab.URem(x, zero), x))
 }
 
 func TestDividerBoundProperty(t *testing.T) {
+	tab := expr.NewTable(0)
 	// q <= a and r <= a always (the lemma_divrem_le fact, bit-level).
-	x, y := expr.Var(0, 8), expr.Var(1, 8)
-	mustUNSAT(t, expr.Ult(x, expr.UDiv(x, y))) // ¬(x < x/y)
-	mustUNSAT(t, expr.Ult(x, expr.URem(x, y)))
+	x, y := tab.Var(0, 8), tab.Var(1, 8)
+	mustUNSAT(t, tab.Ult(x, tab.UDiv(x, y))) // ¬(x < x/y)
+	mustUNSAT(t, tab.Ult(x, tab.URem(x, y)))
 }

@@ -9,22 +9,21 @@
 // variables, so validity of conditions is decidable (§4, Workload
 // Delegation).
 //
-// Well-formedness is one node-local typing rule, applied when a node is
-// built: every constructor panics on a violation, and Rebuild (used by
-// the wire-format decoder) returns it as an error. Since children are
-// checked when they are built, a term made through this package is
-// well-formed by construction.
+// Every term is built as a member of a Table, which hash-conses the
+// terms of one refinement round: a node enters it once, after its
+// typing rule, so two members are structurally equal exactly when they
+// are the same pointer, and per-node facts (the wire offset, the
+// bit-blasted literals, the ground value) live in slices indexed by the
+// node's ID. The constructors are the methods of *Table; a nil *Table
+// builds nothing.
 //
-// A Table hash-conses the terms of one refinement round. A node enters
-// it once, after its typing rule, so two members are structurally equal
-// exactly when they are the same pointer, and per-node facts (the wire
-// offset, the bit-blasted literals, the ground value) live in slices
-// indexed by the node's ID. The constructor methods of *Table build
-// members; on a nil *Table they are the plain constructors, which build
-// unshared nodes, as do the package-level functions. Intern brings a
-// term from outside a table in and re-applies the typing rule to each of
-// its nodes: that is how the proof checker admits struct literals and
-// terms from another table.
+// Well-formedness is one node-local typing rule, applied when a node
+// enters a table: every constructor panics on a violation, and Rebuild
+// (used by the wire-format decoder) returns it as an error. Since
+// operands are checked when they enter, a member is well-formed by
+// construction. Intern brings a term from outside the table in and
+// re-applies the typing rule to each of its nodes: that is how the proof
+// checker admits struct literals and terms from another table.
 package expr
 
 import (
@@ -118,13 +117,12 @@ type Expr struct {
 	id    uint32 // index in tab
 	K     uint64
 	Args  []*Expr
-	tab   *Table // the table the node is a member of; nil for a plain node
+	tab   *Table // the table the node is a member of; nil for a struct literal
 }
 
-// Node flags.
+// Node flags, set on members only.
 const (
-	flagBuilt  = 1 << iota // made by a constructor, so flagGround is set
-	flagGround             // no variable below the node
+	flagGround = 1 << iota // no variable below the node
 	flagValued             // tab.vals[id] holds the node's ground value
 )
 
@@ -143,19 +141,6 @@ func SignExtend(v uint64, width uint8) int64 {
 	}
 	shift := 64 - uint(width)
 	return int64(v<<shift) >> shift
-}
-
-// mk builds a node: a member of t, or a plain node when t is nil.
-func (t *Table) mk(op Op, width uint8, aux uint8, k uint64, args ...*Expr) (*Expr, error) {
-	if t != nil {
-		return t.node(op, width, aux, k, args)
-	}
-	e := &Expr{Op: op, Width: width, Aux: aux, K: k, Args: append([]*Expr(nil), args...)}
-	if err := e.typecheck(); err != nil {
-		return nil, err
-	}
-	e.flags = flagBuilt | groundFlag(op, e.Args)
-	return e, nil
 }
 
 func groundFlag(op Op, args []*Expr) uint8 {
@@ -179,9 +164,9 @@ func must(e *Expr, err error) *Expr {
 	return e
 }
 
-// adopt returns a as a member of t (a itself on a nil table).
+// adopt returns a as a member of t.
 func (t *Table) adopt(a *Expr) *Expr {
-	if t == nil || a.tab == t {
+	if a.tab == t {
 		return a
 	}
 	return must(t.Intern(a))
@@ -189,7 +174,7 @@ func (t *Table) adopt(a *Expr) *Expr {
 
 // Const returns the constant term of the given width.
 func (t *Table) Const(v uint64, width uint8) *Expr {
-	return must(t.mk(OpConst, width, 0, v&Mask(width)))
+	return must(t.node(OpConst, width, 0, v&Mask(width)))
 }
 
 // Bool returns a boolean constant.
@@ -198,16 +183,16 @@ func (t *Table) Bool(v bool) *Expr {
 	if v {
 		k = 1
 	}
-	return must(t.mk(OpConst, 1, 0, k))
+	return must(t.node(OpConst, 1, 0, k))
 }
 
 // Var returns the variable term with the given id and width.
 func (t *Table) Var(id uint32, width uint8) *Expr {
-	return must(t.mk(OpVar, width, 0, uint64(id)))
+	return must(t.node(OpVar, width, 0, uint64(id)))
 }
 
 // Bin builds a binary bit-vector operation.
-func (t *Table) Bin(op Op, a, b *Expr) *Expr { return must(t.mk(op, a.Width, 0, 0, a, b)) }
+func (t *Table) Bin(op Op, a, b *Expr) *Expr { return must(t.node(op, a.Width, 0, 0, a, b)) }
 
 // Convenience binary constructors.
 func (t *Table) Add(a, b *Expr) *Expr  { return t.Bin(OpAdd, a, b) }
@@ -223,17 +208,17 @@ func (t *Table) Lshr(a, b *Expr) *Expr { return t.Bin(OpLshr, a, b) }
 func (t *Table) Ashr(a, b *Expr) *Expr { return t.Bin(OpAshr, a, b) }
 
 // Not returns the bitwise complement.
-func (t *Table) Not(a *Expr) *Expr { return must(t.mk(OpNot, a.Width, 0, 0, a)) }
+func (t *Table) Not(a *Expr) *Expr { return must(t.node(OpNot, a.Width, 0, 0, a)) }
 
 // Neg returns the two's-complement negation.
-func (t *Table) Neg(a *Expr) *Expr { return must(t.mk(OpNeg, a.Width, 0, 0, a)) }
+func (t *Table) Neg(a *Expr) *Expr { return must(t.node(OpNeg, a.Width, 0, 0, a)) }
 
 // ZExt zero-extends a to the given width (a itself at equal width).
 func (t *Table) ZExt(a *Expr, width uint8) *Expr {
 	if width == a.Width {
 		return t.adopt(a)
 	}
-	return must(t.mk(OpZExt, width, 0, 0, a))
+	return must(t.node(OpZExt, width, 0, 0, a))
 }
 
 // SExt sign-extends a to the given width (a itself at equal width).
@@ -241,7 +226,7 @@ func (t *Table) SExt(a *Expr, width uint8) *Expr {
 	if width == a.Width {
 		return t.adopt(a)
 	}
-	return must(t.mk(OpSExt, width, 0, 0, a))
+	return must(t.node(OpSExt, width, 0, 0, a))
 }
 
 // Extract returns bits [lo, lo+width) of a (a itself for all its bits).
@@ -249,11 +234,11 @@ func (t *Table) Extract(a *Expr, lo uint8, width uint8) *Expr {
 	if lo == 0 && width == a.Width {
 		return t.adopt(a)
 	}
-	return must(t.mk(OpExtract, width, lo, 0, a))
+	return must(t.node(OpExtract, width, lo, 0, a))
 }
 
 // Pred builds a comparison predicate.
-func (t *Table) Pred(op Op, a, b *Expr) *Expr { return must(t.mk(op, 1, 0, 0, a, b)) }
+func (t *Table) Pred(op Op, a, b *Expr) *Expr { return must(t.node(op, 1, 0, 0, a, b)) }
 
 // Convenience predicate constructors.
 func (t *Table) Eq(a, b *Expr) *Expr  { return t.Pred(OpEq, a, b) }
@@ -266,16 +251,16 @@ func (t *Table) Sle(a, b *Expr) *Expr { return t.Pred(OpSle, a, b) }
 func (t *Table) Ne(a, b *Expr) *Expr { return t.BoolNot(t.Eq(a, b)) }
 
 // BoolAnd returns the conjunction of a and b.
-func (t *Table) BoolAnd(a, b *Expr) *Expr { return must(t.mk(OpBoolAnd, 1, 0, 0, a, b)) }
+func (t *Table) BoolAnd(a, b *Expr) *Expr { return must(t.node(OpBoolAnd, 1, 0, 0, a, b)) }
 
 // BoolOr returns the disjunction of a and b.
-func (t *Table) BoolOr(a, b *Expr) *Expr { return must(t.mk(OpBoolOr, 1, 0, 0, a, b)) }
+func (t *Table) BoolOr(a, b *Expr) *Expr { return must(t.node(OpBoolOr, 1, 0, 0, a, b)) }
 
 // BoolNot returns the negation of a.
-func (t *Table) BoolNot(a *Expr) *Expr { return must(t.mk(OpBoolNot, 1, 0, 0, a)) }
+func (t *Table) BoolNot(a *Expr) *Expr { return must(t.node(OpBoolNot, 1, 0, 0, a)) }
 
 // Implies returns a => b.
-func (t *Table) Implies(a, b *Expr) *Expr { return must(t.mk(OpImplies, 1, 0, 0, a, b)) }
+func (t *Table) Implies(a, b *Expr) *Expr { return must(t.node(OpImplies, 1, 0, 0, a, b)) }
 
 // Conj folds a list of booleans into a conjunction; empty list is true.
 func (t *Table) Conj(es ...*Expr) *Expr {
@@ -304,7 +289,7 @@ func (t *Table) Conj(es ...*Expr) *Expr {
 // constructor (args from outside t are interned, which checks them).
 // Unlike Const, Rebuild rejects a constant with bits above its width.
 func (t *Table) Rebuild(op Op, width uint8, aux uint8, k uint64, args []*Expr) (*Expr, error) {
-	return t.mk(op, width, aux, k, args...)
+	return t.node(op, width, aux, k, args...)
 }
 
 // ReplaceArg returns t with child i replaced by c, built in t's table.
@@ -317,56 +302,13 @@ func ReplaceArg(t *Expr, i int, c *Expr) (*Expr, error) {
 	}
 	n := copy(args[:], t.Args)
 	args[i] = c
-	return t.tab.mk(t.Op, t.Width, t.Aux, t.K, args[:n]...)
+	return t.tab.node(t.Op, t.Width, t.Aux, t.K, args[:n]...)
 }
 
-// plain is the nil table: the package-level constructors below build
-// plain nodes through it.
-var plain *Table
-
-// Plain constructors: see the *Table methods of the same names.
-func Const(v uint64, width uint8) *Expr      { return plain.Const(v, width) }
-func Bool(v bool) *Expr                      { return plain.Bool(v) }
-func Var(id uint32, width uint8) *Expr       { return plain.Var(id, width) }
-func Bin(op Op, a, b *Expr) *Expr            { return plain.Bin(op, a, b) }
-func Add(a, b *Expr) *Expr                   { return plain.Add(a, b) }
-func Sub(a, b *Expr) *Expr                   { return plain.Sub(a, b) }
-func Mul(a, b *Expr) *Expr                   { return plain.Mul(a, b) }
-func UDiv(a, b *Expr) *Expr                  { return plain.UDiv(a, b) }
-func URem(a, b *Expr) *Expr                  { return plain.URem(a, b) }
-func And(a, b *Expr) *Expr                   { return plain.And(a, b) }
-func Or(a, b *Expr) *Expr                    { return plain.Or(a, b) }
-func Xor(a, b *Expr) *Expr                   { return plain.Xor(a, b) }
-func Shl(a, b *Expr) *Expr                   { return plain.Shl(a, b) }
-func Lshr(a, b *Expr) *Expr                  { return plain.Lshr(a, b) }
-func Ashr(a, b *Expr) *Expr                  { return plain.Ashr(a, b) }
-func Not(a *Expr) *Expr                      { return plain.Not(a) }
-func Neg(a *Expr) *Expr                      { return plain.Neg(a) }
-func ZExt(a *Expr, width uint8) *Expr        { return plain.ZExt(a, width) }
-func SExt(a *Expr, width uint8) *Expr        { return plain.SExt(a, width) }
-func Extract(a *Expr, lo, width uint8) *Expr { return plain.Extract(a, lo, width) }
-func Pred(op Op, a, b *Expr) *Expr           { return plain.Pred(op, a, b) }
-func Eq(a, b *Expr) *Expr                    { return plain.Eq(a, b) }
-func Ult(a, b *Expr) *Expr                   { return plain.Ult(a, b) }
-func Ule(a, b *Expr) *Expr                   { return plain.Ule(a, b) }
-func Slt(a, b *Expr) *Expr                   { return plain.Slt(a, b) }
-func Sle(a, b *Expr) *Expr                   { return plain.Sle(a, b) }
-func Ne(a, b *Expr) *Expr                    { return plain.Ne(a, b) }
-func BoolAnd(a, b *Expr) *Expr               { return plain.BoolAnd(a, b) }
-func BoolOr(a, b *Expr) *Expr                { return plain.BoolOr(a, b) }
-func BoolNot(a *Expr) *Expr                  { return plain.BoolNot(a) }
-func Implies(a, b *Expr) *Expr               { return plain.Implies(a, b) }
-func Rebuild(op Op, width, aux uint8, k uint64, args []*Expr) (*Expr, error) {
-	return plain.Rebuild(op, width, aux, k, args)
-}
-
-// True and False are the plain boolean constants.
-var (
-	True  = Bool(true)
-	False = Bool(false)
-)
-
-func Conj(es ...*Expr) *Expr { return plain.Conj(es...) }
+// BoolNot returns the negation of a, built in a's table. It is the one
+// constructor that is not a *Table method: the benchmark's ledger
+// bit-blasts the negation of a decoded condition with it.
+func BoolNot(a *Expr) *Expr { return a.tab.BoolNot(a) }
 
 // IsConst reports whether e is a constant, returning its value.
 func (e *Expr) IsConst() (uint64, bool) {
@@ -382,7 +324,7 @@ func (e *Expr) IsTrue() bool { return e.Op == OpConst && e.Width == 1 && e.K == 
 // IsFalse reports whether e is the boolean constant false.
 func (e *Expr) IsFalse() bool { return e.Op == OpConst && e.Width == 1 && e.K == 0 }
 
-// Table returns the table e is a member of, or nil for a plain node.
+// Table returns the table e is a member of, or nil for a struct literal.
 func (e *Expr) Table() *Table { return e.tab }
 
 // ID returns e's index in its table: members of one table have the IDs
@@ -428,10 +370,9 @@ func (e *Expr) Eval(env func(id uint32) uint64) uint64 {
 	return evalOp(e, e.Args[0].Eval(env), b)
 }
 
-// GroundValue returns the value of e with every variable read as 0,
-// which for a ground term is its value. A member's value is computed
-// once per distinct node and kept in its table; a plain node is
-// evaluated as a tree.
+// GroundValue returns the value of the member e with every variable
+// read as 0, which for a ground term is its value. It is computed once
+// per distinct node and kept in e's table.
 func (e *Expr) GroundValue() uint64 {
 	t := e.tab
 	switch {
@@ -439,8 +380,6 @@ func (e *Expr) GroundValue() uint64 {
 		return e.K
 	case e.Op == OpVar:
 		return 0
-	case t == nil:
-		return e.Eval(func(uint32) uint64 { return 0 })
 	case e.flags&flagValued != 0:
 		return t.vals[e.id]
 	}
@@ -562,9 +501,9 @@ func (e *Expr) Vars() map[uint32]uint8 {
 }
 
 // IsGround reports whether the term contains no variables: a flag set
-// when the node was built, or a walk for a struct literal.
+// when a member was built, or a walk for a struct literal.
 func (e *Expr) IsGround() bool {
-	if e.flags&flagBuilt != 0 {
+	if e.tab != nil {
 		return e.flags&flagGround != 0
 	}
 	if e.Op == OpVar {

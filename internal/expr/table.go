@@ -68,7 +68,7 @@ func (t *Table) Intern(e *Expr) (*Expr, error) {
 	if m := t.foreign[e]; m != nil {
 		return m, nil
 	}
-	m, err := t.node(e.Op, e.Width, e.Aux, e.K, e.Args)
+	m, err := t.node(e.Op, e.Width, e.Aux, e.K, e.Args...)
 	if err != nil {
 		return nil, err
 	}
@@ -83,7 +83,7 @@ func (t *Table) Intern(e *Expr) (*Expr, error) {
 
 // node returns the member with the given parts after applying the
 // typing rule; operands from outside t are interned first.
-func (t *Table) node(op Op, width uint8, aux uint8, k uint64, args []*Expr) (*Expr, error) {
+func (t *Table) node(op Op, width uint8, aux uint8, k uint64, args ...*Expr) (*Expr, error) {
 	for _, a := range args {
 		if a == nil {
 			return nil, errNilOperand
@@ -126,7 +126,7 @@ func (t *Table) insert(c *Expr) *Expr {
 	cl := &t.slab[0]
 	t.slab = t.slab[1:]
 	cl.e = Expr{Op: c.Op, Width: c.Width, Aux: c.Aux, K: c.K,
-		flags: flagBuilt | groundFlag(c.Op, c.Args), id: uint32(t.n), tab: t}
+		flags: groundFlag(c.Op, c.Args), id: uint32(t.n), tab: t}
 	if n := copy(cl.args[:], c.Args); n > 0 {
 		cl.e.Args = cl.args[:n:n]
 	}

@@ -11,46 +11,61 @@ import (
 	"bcf/internal/proof"
 )
 
-// malformed is the one table of node shapes the typing rule rejects.
-// They are struct literals because every constructor refuses them; each
-// one's children are well-formed, so the fault is in the node itself.
-var malformed = []struct {
+// shape is a node shape the typing rule rejects.
+type shape struct {
 	name string
 	e    *expr.Expr
 	// masked marks the shape the wire cannot carry: the decoders mask a
-	// constant to its width, as expr.Const does, so they accept its
+	// constant to its width, as Table.Const does, so they accept its
 	// encoding as the masked constant.
 	masked bool
-}{
-	{"arity", &expr.Expr{Op: expr.OpAdd, Width: 64, Args: []*expr.Expr{expr.Var(0, 64)}}, false},
-	{"operand width", &expr.Expr{Op: expr.OpAdd, Width: 64, Args: []*expr.Expr{expr.Var(0, 64), expr.Var(1, 32)}}, false},
-	{"oversized const", &expr.Expr{Op: expr.OpConst, Width: 8, K: 0x1ff}, true},
-	{"predicate width", &expr.Expr{Op: expr.OpEq, Width: 64, Args: []*expr.Expr{expr.Var(0, 64), expr.Var(1, 64)}}, false},
-	{"bad width", &expr.Expr{Op: expr.OpVar, Width: 7, K: 0}, false},
-	{"bool operand", &expr.Expr{Op: expr.OpBoolAnd, Width: 1, Args: []*expr.Expr{expr.Var(0, 64), expr.Var(1, 1)}}, false},
-	{"not operand", &expr.Expr{Op: expr.OpBoolNot, Width: 1, Args: []*expr.Expr{expr.Var(0, 64)}}, false},
-	{"extract range", &expr.Expr{Op: expr.OpExtract, Width: 32, Aux: 40, Args: []*expr.Expr{expr.Var(0, 64)}}, false},
-	{"zext of bool", &expr.Expr{Op: expr.OpZExt, Width: 64, Args: []*expr.Expr{expr.Var(0, 1)}}, false},
-	{"narrowing sext", &expr.Expr{Op: expr.OpSExt, Width: 32, Args: []*expr.Expr{expr.Var(0, 64)}}, false},
-	{"bad op", &expr.Expr{Op: expr.Op(200), Width: 64}, false},
+}
+
+// malformed returns the one table of shapes. They are struct literals
+// because every constructor refuses them; each one's children are
+// well-formed members of a table of their own, so the fault is in the
+// node itself and every consumer interns it from outside its table.
+func malformed() []shape {
+	src := expr.NewTable(0)
+	v := src.Var
+	return []shape{
+		{"arity", &expr.Expr{Op: expr.OpAdd, Width: 64, Args: []*expr.Expr{v(0, 64)}}, false},
+		{"operand width", &expr.Expr{Op: expr.OpAdd, Width: 64, Args: []*expr.Expr{v(0, 64), v(1, 32)}}, false},
+		{"oversized const", &expr.Expr{Op: expr.OpConst, Width: 8, K: 0x1ff}, true},
+		{"predicate width", &expr.Expr{Op: expr.OpEq, Width: 64, Args: []*expr.Expr{v(0, 64), v(1, 64)}}, false},
+		{"bad width", &expr.Expr{Op: expr.OpVar, Width: 7, K: 0}, false},
+		{"bool operand", &expr.Expr{Op: expr.OpBoolAnd, Width: 1, Args: []*expr.Expr{v(0, 64), v(1, 1)}}, false},
+		{"not operand", &expr.Expr{Op: expr.OpBoolNot, Width: 1, Args: []*expr.Expr{v(0, 64)}}, false},
+		{"extract range", &expr.Expr{Op: expr.OpExtract, Width: 32, Aux: 40, Args: []*expr.Expr{v(0, 64)}}, false},
+		{"zext of bool", &expr.Expr{Op: expr.OpZExt, Width: 64, Args: []*expr.Expr{v(0, 1)}}, false},
+		{"narrowing sext", &expr.Expr{Op: expr.OpSExt, Width: 32, Args: []*expr.Expr{v(0, 64)}}, false},
+		{"bad op", &expr.Expr{Op: expr.Op(200), Width: 64}, false},
+	}
+}
+
+// eqLit is (= e e) as a struct literal: a well-typed root over e that no
+// table has checked, as a constructor would refuse a malformed e.
+func eqLit(e *expr.Expr) *expr.Expr {
+	return &expr.Expr{Op: expr.OpEq, Width: 1, Args: []*expr.Expr{e, e}}
 }
 
 // TestCheckWellFormed: interning a term into a table applies the typing
 // rule to each node from outside it, so every malformed shape is refused
 // on its own and below a well-typed root.
 func TestCheckWellFormed(t *testing.T) {
-	good := expr.Ule(expr.Add(expr.Var(0, 64), expr.Const(1, 64)), expr.Const(15, 64))
+	src := expr.NewTable(0)
+	good := src.Ule(src.Add(src.Var(0, 64), src.Const(1, 64)), src.Const(15, 64))
 	if _, err := expr.NewTable(0).Intern(good); err != nil {
 		t.Errorf("good term rejected: %v", err)
 	}
-	for _, c := range malformed {
+	for _, c := range malformed() {
 		if _, err := expr.NewTable(0).Intern(c.e); err == nil {
 			t.Errorf("%s: Intern accepted it", c.name)
 		}
-		if _, err := expr.NewTable(0).Intern(expr.Eq(c.e, c.e)); err == nil {
+		if _, err := expr.NewTable(0).Intern(eqLit(c.e)); err == nil {
 			t.Errorf("%s: Intern accepted it below a well-typed root", c.name)
 		}
-		if _, err := expr.Rebuild(c.e.Op, c.e.Width, c.e.Aux, c.e.K, c.e.Args); err == nil {
+		if _, err := expr.NewTable(0).Rebuild(c.e.Op, c.e.Width, c.e.Aux, c.e.K, c.e.Args); err == nil {
 			t.Errorf("%s: Rebuild accepted it", c.name)
 		}
 	}
@@ -61,8 +76,8 @@ func TestCheckWellFormed(t *testing.T) {
 // panic and never hand the shape to the checker. The encoders intern
 // what they write, so they refuse the shapes themselves.
 func TestDecodersRejectMalformedShapes(t *testing.T) {
-	for _, c := range malformed {
-		if _, err := bcfenc.EncodeCondition(&bcfenc.Condition{Cond: expr.Eq(c.e, c.e)}); err == nil {
+	for _, c := range malformed() {
+		if _, err := bcfenc.EncodeCondition(&bcfenc.Condition{Cond: eqLit(c.e)}); err == nil {
 			t.Errorf("%s: EncodeCondition wrote it", c.name)
 		}
 		if _, err := bcfenc.EncodeProof(&proof.Proof{Steps: []proof.Step{
@@ -82,10 +97,11 @@ func TestDecodersRejectMalformedShapes(t *testing.T) {
 			return err
 		})
 		if c.masked {
-			want := expr.Const(c.e.K, c.e.Width)
+			tab := expr.NewTable(0)
+			want := tab.Const(c.e.K, c.e.Width)
 			if condErr != nil || proofErr != nil {
 				t.Errorf("%s: masked constant rejected: %v / %v", c.name, condErr, proofErr)
-			} else if !expr.Equal(cond.Cond, expr.Eq(want, want)) || !expr.Equal(pf.Steps[0].Args[0], want) {
+			} else if !expr.Equal(cond.Cond, tab.Eq(want, want)) || !expr.Equal(pf.Steps[0].Args[0], want) {
 				t.Errorf("%s: decoded %v / %v, want the masked constant %v", c.name, cond.Cond, pf.Steps[0].Args[0], want)
 			}
 			continue
@@ -105,10 +121,11 @@ func TestDecodersRejectMalformedShapes(t *testing.T) {
 // the checker interns it, and interning must refuse it before any rule
 // is applied.
 func TestCheckerRejectsMalformedShapes(t *testing.T) {
-	good := expr.Var(0, 64)
+	tab := expr.NewTable(0)
+	good := tab.Var(0, 64)
 	// assume ⊢ ¬C; lemma_zero_ule(arg) ⊢ (bvule 0 arg); contradiction ⊢
 	// false: a valid proof of C = (bvule 0 arg).
-	cond := expr.Ule(expr.Const(0, 64), good)
+	cond := tab.Ule(tab.Const(0, 64), good)
 	zeroUleProof := func(arg *expr.Expr) *proof.Proof {
 		return &proof.Proof{Steps: []proof.Step{
 			{Rule: proof.RuleAssume},
@@ -119,12 +136,12 @@ func TestCheckerRejectsMalformedShapes(t *testing.T) {
 	if err := proof.Check(cond, zeroUleProof(good)); err != nil {
 		t.Fatalf("the well-formed proof is rejected: %v", err)
 	}
-	for _, c := range malformed {
+	for _, c := range malformed() {
 		err := proof.Check(cond, zeroUleProof(c.e))
 		if err == nil || !strings.Contains(err.Error(), "malformed argument") {
 			t.Errorf("%s as an argument: %v, want a malformed argument", c.name, err)
 		}
-		err = proof.Check(expr.Eq(c.e, c.e), zeroUleProof(good))
+		err = proof.Check(eqLit(c.e), zeroUleProof(good))
 		if err == nil || !strings.Contains(err.Error(), "malformed condition") {
 			t.Errorf("%s in the condition: %v, want a malformed condition", c.name, err)
 		}

@@ -195,13 +195,14 @@ func TestProofReplayRejected(t *testing.T) {
 }
 
 func TestEscalationRetryRuns(t *testing.T) {
+	tab := expr.NewTable(0)
 	// Verifier-generated conditions resolve by unit propagation, so a
 	// genuine budget exhaustion needs a conflict-heavy condition:
 	// 8-bit multiplication commutativity is valid but forces real CDCL
 	// search once the rewrite tier is off. prove() must escalate exactly
 	// once (4x budget) and either succeed or classify as solver-timeout.
-	x, y := expr.Var(0, 8), expr.Var(1, 8)
-	cond := expr.Eq(expr.Mul(x, y), expr.Mul(y, x))
+	x, y := tab.Var(0, 8), tab.Var(1, 8)
+	cond := tab.Eq(tab.Mul(x, y), tab.Mul(y, x))
 	condBytes, err := bcfenc.EncodeCondition(&bcfenc.Condition{Cond: cond})
 	if err != nil {
 		t.Fatal(err)
@@ -241,8 +242,9 @@ func TestEscalationRetryRuns(t *testing.T) {
 // TestProveLocalLeavesOptions checks that ProveLocal fills the solver's
 // telemetry and escalates on its own copy of the caller's options.
 func TestProveLocalLeavesOptions(t *testing.T) {
-	x, y := expr.Var(0, 8), expr.Var(1, 8)
-	condBytes, err := bcfenc.EncodeCondition(&bcfenc.Condition{Cond: expr.Eq(expr.Mul(x, y), expr.Mul(y, x))})
+	tab := expr.NewTable(0)
+	x, y := tab.Var(0, 8), tab.Var(1, 8)
+	condBytes, err := bcfenc.EncodeCondition(&bcfenc.Condition{Cond: tab.Eq(tab.Mul(x, y), tab.Mul(y, x))})
 	if err != nil {
 		t.Fatal(err)
 	}

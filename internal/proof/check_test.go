@@ -9,22 +9,26 @@ import (
 	"bcf/internal/expr"
 )
 
-// fig2Cond is the paper's Figure 2 refinement condition.
+// fig2Cond is the paper's Figure 2 refinement condition, in a new table,
+// so each check of it starts from the condition's nodes alone.
 func fig2Cond(hi uint64) *expr.Expr {
-	sym := expr.Var(0, 64)
-	m := expr.And(sym, expr.Const(0xf, 64))
-	e := expr.Add(m, expr.Sub(expr.Const(0xf, 64), m))
-	return expr.Ule(e, expr.Const(hi, 64))
+	tab := expr.NewTable(0)
+	sym := tab.Var(0, 64)
+	m := tab.And(sym, tab.Const(0xf, 64))
+	e := tab.Add(m, tab.Sub(tab.Const(0xf, 64), m))
+	return tab.Ule(e, tab.Const(hi, 64))
 }
 
 // handProof builds the Figure 3-style proof for fig2Cond(15) by hand:
 // assume ¬C; sub_elim collapses the sum to 0xf; congruence rewrites the
-// comparison; eval decides it; the contradiction discharges ¬C.
+// comparison; eval decides it; the contradiction discharges ¬C. Its
+// terms are in a table of their own, which the checker interns from.
 func handProof() *Proof {
-	sym := expr.Var(0, 64)
-	m := expr.And(sym, expr.Const(0xf, 64))
-	e := expr.Add(m, expr.Sub(expr.Const(0xf, 64), m)) // (bvadd m (bvsub 0xf m))
-	pred := expr.Ule(e, expr.Const(15, 64))            // C
+	tab := expr.NewTable(0)
+	sym := tab.Var(0, 64)
+	m := tab.And(sym, tab.Const(0xf, 64))
+	e := tab.Add(m, tab.Sub(tab.Const(0xf, 64), m)) // (bvadd m (bvsub 0xf m))
+	pred := tab.Ule(e, tab.Const(15, 64))           // C
 
 	return &Proof{Steps: []Step{
 		// s0: assume ⊢ ¬C
@@ -32,9 +36,9 @@ func handProof() *Proof {
 		// s1: sub_elim ⊢ (= e 0xf)
 		{Rule: RuleRwAddSubCancelR, Args: []*expr.Expr{e}},
 		// s2: cong ⊢ (= (bvule e 15) (bvule 0xf 15))
-		{Rule: RuleCong, Premises: []uint32{1}, Args: []*expr.Expr{pred, expr.Const(0, 8)}},
+		{Rule: RuleCong, Premises: []uint32{1}, Args: []*expr.Expr{pred, tab.Const(0, 8)}},
 		// s3: eval ⊢ (= (bvule 0xf 15) true)
-		{Rule: RuleEvalConst, Args: []*expr.Expr{expr.Ule(expr.Const(0xf, 64), expr.Const(15, 64))}},
+		{Rule: RuleEvalConst, Args: []*expr.Expr{tab.Ule(tab.Const(0xf, 64), tab.Const(15, 64))}},
 		// s4: trans ⊢ (= (bvule e 15) true) = (= C true)
 		{Rule: RuleTrans, Premises: []uint32{2, 3}},
 		// s5: not_true_elim(¬C, (= C true)) ⊢ false
@@ -117,8 +121,9 @@ func TestRuleTable(t *testing.T) {
 }
 
 func TestPatternMismatchRejected(t *testing.T) {
+	tab := expr.NewTable(0)
 	// sub_elim applied to a term that is not (bvadd a (bvsub b a)).
-	wrong := expr.Add(expr.Var(0, 64), expr.Const(1, 64))
+	wrong := tab.Add(tab.Var(0, 64), tab.Const(1, 64))
 	p := &Proof{Steps: []Step{
 		{Rule: RuleAssume},
 		{Rule: RuleRwAddSubCancelR, Args: []*expr.Expr{wrong}},
@@ -137,9 +142,10 @@ func TestNonFalseFinalStepRejected(t *testing.T) {
 }
 
 func TestEvalRejectsNonGround(t *testing.T) {
+	tab := expr.NewTable(0)
 	p := &Proof{Steps: []Step{
 		{Rule: RuleAssume},
-		{Rule: RuleEvalConst, Args: []*expr.Expr{expr.Ule(expr.Var(0, 64), expr.Const(1, 64))}},
+		{Rule: RuleEvalConst, Args: []*expr.Expr{tab.Ule(tab.Var(0, 64), tab.Const(1, 64))}},
 	}}
 	if err := Check(fig2Cond(15), p); err == nil {
 		t.Fatal("eval of non-ground term accepted")
@@ -147,12 +153,13 @@ func TestEvalRejectsNonGround(t *testing.T) {
 }
 
 func TestCongChildMismatchRejected(t *testing.T) {
+	tab := expr.NewTable(0)
 	pred := fig2Cond(15)
 	p := &Proof{Steps: []Step{
 		{Rule: RuleAssume},
-		{Rule: RuleRwAddZeroR, Args: []*expr.Expr{expr.Add(expr.Var(3, 64), expr.Const(0, 64))}},
+		{Rule: RuleRwAddZeroR, Args: []*expr.Expr{tab.Add(tab.Var(3, 64), tab.Const(0, 64))}},
 		// cong claims child 0 of pred is (bvadd v3 0), which it is not.
-		{Rule: RuleCong, Premises: []uint32{1}, Args: []*expr.Expr{pred, expr.Const(0, 8)}},
+		{Rule: RuleCong, Premises: []uint32{1}, Args: []*expr.Expr{pred, tab.Const(0, 8)}},
 	}}
 	if err := Check(pred, p); err == nil {
 		t.Fatal("cong with mismatched child accepted")
@@ -160,14 +167,15 @@ func TestCongChildMismatchRejected(t *testing.T) {
 }
 
 func TestLemmaSideConditions(t *testing.T) {
-	x := expr.Var(0, 8)
+	tab := expr.NewTable(0)
+	x := tab.Var(0, 8)
 	cases := []Step{
 		// and_ule with a non-constant mask.
-		{Rule: RuleLemmaAndUleR, Args: []*expr.Expr{expr.And(x, expr.Var(1, 8))}},
+		{Rule: RuleLemmaAndUleR, Args: []*expr.Expr{tab.And(x, tab.Var(1, 8))}},
 		// ule_const with c1 > c2.
-		{Rule: RuleLemmaUleConst, Args: []*expr.Expr{expr.Const(5, 8), expr.Const(4, 8)}},
+		{Rule: RuleLemmaUleConst, Args: []*expr.Expr{tab.Const(5, 8), tab.Const(4, 8)}},
 		// ule_shl whose shifted bound overflows: premise x <= 0xff.
-		{Rule: RuleLemmaUleShl, Premises: []uint32{1}, Args: []*expr.Expr{expr.Const(4, 8)}},
+		{Rule: RuleLemmaUleShl, Premises: []uint32{1}, Args: []*expr.Expr{tab.Const(4, 8)}},
 	}
 	for i, s := range cases {
 		p := &Proof{Steps: []Step{
@@ -183,8 +191,6 @@ func TestLemmaSideConditions(t *testing.T) {
 
 func TestResolveRequiresPivotBothPolarities(t *testing.T) {
 	cond := fig2Cond(15)
-	notC := expr.BoolNot(cond)
-	_ = notC
 	p := &Proof{Steps: []Step{
 		{Rule: RuleAssume},
 		{Rule: RuleBitblastClause, Premises: []uint32{0}, ClauseIdx: 0},
@@ -266,9 +272,12 @@ func TestStepString(t *testing.T) {
 func TestStageOneLinearInSharedArgs(t *testing.T) {
 	const n = 1000
 	bytesFor := func(n int) uint64 {
-		arg := expr.Var(0, 64)
+		// The argument is built apart from the condition, so the checker
+		// interns it.
+		tab := expr.NewTable(0)
+		arg := tab.Var(0, 64)
 		for i := 0; i < n; i++ {
-			arg = expr.Add(arg, expr.Const(uint64(i), 64))
+			arg = tab.Add(arg, tab.Const(uint64(i), 64))
 		}
 		// Each step is valid, so every one passes stages 1 and 2; the
 		// last does not conclude false, so Check fails in stage 3.
@@ -276,9 +285,8 @@ func TestStageOneLinearInSharedArgs(t *testing.T) {
 		for i := range p.Steps {
 			p.Steps[i] = Step{Rule: RuleLemmaZeroUle, Args: []*expr.Expr{arg}}
 		}
-		cond := fig2Cond(15)
 		return allocBytes(func() {
-			if err := Check(cond, p); err == nil {
+			if err := Check(fig2Cond(15), p); err == nil {
 				t.Fatal("a proof that never concludes false was accepted")
 			}
 		})

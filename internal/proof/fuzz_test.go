@@ -1,6 +1,7 @@
 package proof
 
 import (
+	"slices"
 	"testing"
 
 	"bcf/internal/expr"
@@ -14,21 +15,19 @@ import (
 // work per byte of the proof's encoding must also stay under
 // MaxWorkPerProofByte, with 40-level shared DAGs among the arguments.
 func FuzzCheckProof(f *testing.F) {
-	x := expr.Var(0, 64)
-	cond := expr.Ule(x, expr.Const(5, 64))
-
 	// Structured seeds: plausible step streams for the generator below.
 	f.Add([]byte{})
-	f.Add([]byte{1, 0, 0})                           // lone assume
-	f.Add([]byte{1, 0, 0, 9, 2, 0, 0, 0})            // assume + contradiction
-	f.Add([]byte{1, 0, 0, 22, 0, 1, 0, 0})           // assume + eval_const
-	f.Add([]byte{60, 1, 0, 2, 0, 61, 2, 0, 1, 0, 7}) // bb_clause + resolve
+	last := len(checkProofSeeds) - 1
+	for _, s := range checkProofSeeds[:last] {
+		f.Add(s.data)
+	}
 	for r := byte(1); r < 64; r += 3 {
 		f.Add([]byte{1, 0, 0, r, 1, 0, 1, 0, 0, r + 1, 2, 0, 1, 2, 3})
 	}
-	f.Add([]byte{1, 0, 0, 0, 6, 1, 0, 0, 0}) // assume + a step with reserved id 6
+	f.Add(checkProofSeeds[last].data)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		cond := fuzzCond()
 		p := proofFromBytes(data, cond)
 		if p == nil {
 			return
@@ -43,33 +42,86 @@ func FuzzCheckProof(f *testing.F) {
 	})
 }
 
+// fuzzCond builds FuzzCheckProof's target condition, x ≤ 5, in a new
+// table: the check extends it, so each input gets its own.
+func fuzzCond() *expr.Expr {
+	tab := expr.NewTable(0)
+	return tab.Ule(tab.Var(0, 64), tab.Const(5, 64))
+}
+
+// checkProofSeeds are FuzzCheckProof's named seeds, each with the rules
+// proofFromBytes decodes it to. The last is added after the generated
+// seeds, the others before them.
+var checkProofSeeds = []struct {
+	name  string
+	data  []byte
+	rules []RuleID
+}{
+	{"lone assume", []byte{byte(RuleAssume), 0, 0}, []RuleID{RuleAssume}},
+	{"assume + contradiction", []byte{
+		byte(RuleAssume), 0, 0, 0,
+		byte(RuleContradiction), 2, 0, 0, 0, 0,
+	}, []RuleID{RuleAssume, RuleContradiction}},
+	{"assume + eval_const", []byte{
+		byte(RuleAssume), 0, 0, 0,
+		byte(RuleEvalConst), 0, 1, 11, 0, // the pool's ground DAG
+	}, []RuleID{RuleAssume, RuleEvalConst}},
+	{"bb_clause + resolve", []byte{
+		byte(RuleBitblastClause), 1, 0, 0, 2, // clause 2
+		byte(RuleResolve), 2, 0, 1, 0, 7, // pivot 7
+	}, []RuleID{RuleBitblastClause, RuleResolve}},
+	{"assume + a step with reserved id 6", []byte{
+		byte(RuleAssume), 0, 0, 0,
+		6, 1, 0, 0, 0,
+	}, []RuleID{RuleAssume, 6}},
+}
+
+// TestCheckProofSeeds: each named seed decodes to the rules its name
+// gives.
+func TestCheckProofSeeds(t *testing.T) {
+	cond := fuzzCond()
+	for _, s := range checkProofSeeds {
+		var got []RuleID
+		if p := proofFromBytes(s.data, cond); p != nil {
+			for _, st := range p.Steps {
+				got = append(got, st.Rule)
+			}
+		}
+		if !slices.Equal(got, s.rules) {
+			t.Errorf("%s: decodes to %v, want %v", s.name, got, s.rules)
+		}
+	}
+}
+
 // proofFromBytes interprets fuzz data as a proof: per step one rule byte,
 // one premise-count byte, premise index bytes, one arg-count byte, arg
 // selector bytes and one extra byte (pivot / clause index). Args come
 // from a pool of terms related to cond, so rules see both plausible and
 // nonsensical operands; premise indices are taken raw to also exercise
-// the checker's bounds handling.
+// the checker's bounds handling. The pool is built in a table apart from
+// cond's, so the checker interns what the steps use.
 func proofFromBytes(data []byte, cond *expr.Expr) *Proof {
+	tab := expr.NewTable(0)
 	// A variable and a ground term doubled 40 times: 2^40 leaves as
 	// trees, 41 nodes as DAGs.
-	deep, ground := cond.Args[0], expr.Const(1, 64)
+	deep, ground := cond.Args[0], tab.Const(1, 64)
 	for i := 0; i < 40; i++ {
-		deep, ground = expr.Add(deep, deep), expr.Add(ground, ground)
+		deep, ground = tab.Add(deep, deep), tab.Add(ground, ground)
 	}
 	pool := []*expr.Expr{
 		cond,
-		expr.BoolNot(cond),
+		tab.BoolNot(cond),
 		cond.Args[0],
 		cond.Args[1],
-		expr.Const(0, 64),
-		expr.Const(5, 64),
-		expr.Const(0, 8),
-		expr.Ule(expr.Const(0, 8), expr.Const(0, 8)),
-		expr.BoolAnd(cond, cond),
-		expr.Eq(cond.Args[0], expr.Const(5, 64)),
+		tab.Const(0, 64),
+		tab.Const(5, 64),
+		tab.Const(0, 8),
+		tab.Ule(tab.Const(0, 8), tab.Const(0, 8)),
+		tab.BoolAnd(cond, cond),
+		tab.Eq(cond.Args[0], tab.Const(5, 64)),
 		deep,
 		ground,
-		expr.Ule(deep, ground),
+		tab.Ule(deep, ground),
 	}
 	var p Proof
 	i := 0

@@ -12,21 +12,26 @@ import (
 	"bcf/internal/expr"
 )
 
-// trivially true condition whose refutation skeleton any step list can
-// ride along with.
-var trivCond = expr.Ule(expr.Const(0, 8), expr.Const(0, 8))
+// trivCond builds, in a new table, the trivially true condition whose
+// refutation skeleton any step list can ride along with.
+func trivCond() *expr.Expr {
+	tab := expr.NewTable(0)
+	return tab.Ule(tab.Const(0, 8), tab.Const(0, 8))
+}
 
 // checkSteps wraps the given steps with a closing contradiction against
-// the trivially-true condition and runs the checker.
+// the trivially-true condition and runs the checker. The steps' terms
+// are from outside the condition's table, so the checker interns them.
 func checkSteps(t *testing.T, steps []Step) error {
 	t.Helper()
+	cond := trivCond()
 	// skeleton: s0 assume ⊢ ¬C; then user steps; then:
 	//   eval (= C true); not_true_elim(¬C, (= C true)) ⊢ false
 	all := append([]Step{{Rule: RuleAssume}}, steps...)
 	evalIdx := uint32(len(all))
-	all = append(all, Step{Rule: RuleEvalConst, Args: []*expr.Expr{trivCond}})
+	all = append(all, Step{Rule: RuleEvalConst, Args: []*expr.Expr{cond}})
 	all = append(all, Step{Rule: RuleNotTrueElim, Premises: []uint32{0, evalIdx}})
-	return Check(trivCond, &Proof{Steps: all})
+	return Check(cond, &Proof{Steps: all})
 }
 
 func mustApply(t *testing.T, name string, steps ...Step) {
@@ -52,66 +57,66 @@ type catalogCase struct {
 
 // extended returns a term over x of width w and its zero extension: x
 // widened to 2w bits, or x's low word widened to 64 bits at w = 64.
-func extended(w uint8) (narrow, wide *expr.Expr) {
-	narrow = expr.Var(0, w)
+func extended(tab *expr.Table, w uint8) (narrow, wide *expr.Expr) {
+	narrow = tab.Var(0, w)
 	if w == 64 {
-		narrow = expr.Extract(narrow, 0, 32)
+		narrow = tab.Extract(narrow, 0, 32)
 	}
-	return narrow, expr.ZExt(narrow, min(2*w, 64))
+	return narrow, tab.ZExt(narrow, min(2*w, 64))
 }
 
 // rewriteCases builds one matching argument per rewrite rule at width w.
-func rewriteCases(w uint8) []catalogCase {
-	x, y := expr.Var(0, w), expr.Var(1, w)
-	zero, one := expr.Const(0, w), expr.Const(1, w)
-	narrow, wide := extended(w)
+func rewriteCases(tab *expr.Table, w uint8) []catalogCase {
+	x, y := tab.Var(0, w), tab.Var(1, w)
+	zero, one := tab.Const(0, w), tab.Const(1, w)
+	narrow, wide := extended(tab, w)
 	return []catalogCase{
-		{RuleEvalConst, expr.Add(expr.Const(200, w), expr.Mul(expr.Const(3, w), expr.Const(77, w)))},
-		{RuleRwAddSubCancelR, expr.Add(x, expr.Sub(y, x))},
-		{RuleRwAddSubCancelL, expr.Add(expr.Sub(y, x), x)},
-		{RuleRwSubAddCancelR, expr.Sub(expr.Add(x, y), x)},
-		{RuleRwSubAddCancelL, expr.Sub(expr.Add(x, y), y)},
-		{RuleRwSubSelf, expr.Sub(x, x)},
-		{RuleRwAddZeroR, expr.Add(x, zero)},
-		{RuleRwAddZeroL, expr.Add(zero, x)},
-		{RuleRwSubZero, expr.Sub(x, zero)},
-		{RuleRwAndZeroR, expr.And(x, zero)},
-		{RuleRwAndZeroL, expr.And(zero, x)},
-		{RuleRwAndSelf, expr.And(x, x)},
-		{RuleRwAndConstFold, expr.And(expr.And(x, expr.Const(0xfe, w)), expr.Const(0x3f, w))},
-		{RuleRwOrZeroR, expr.Or(x, zero)},
-		{RuleRwOrZeroL, expr.Or(zero, x)},
-		{RuleRwOrSelf, expr.Or(x, x)},
-		{RuleRwXorSelf, expr.Xor(x, x)},
-		{RuleRwXorZeroR, expr.Xor(x, zero)},
-		{RuleRwXorZeroL, expr.Xor(zero, x)},
-		{RuleRwMulZeroR, expr.Mul(x, zero)},
-		{RuleRwMulZeroL, expr.Mul(zero, x)},
-		{RuleRwMulOneR, expr.Mul(x, one)},
-		{RuleRwMulOneL, expr.Mul(one, x)},
-		{RuleRwShiftZero, expr.Shl(x, zero)},
-		{RuleRwShiftZero, expr.Lshr(x, zero)},
-		{RuleRwShiftZero, expr.Ashr(x, zero)},
-		{RuleRwNotNot, expr.Not(expr.Not(x))},
-		{RuleRwZExtZero, expr.ZExt(expr.Const(0, narrow.Width), wide.Width)},
-		{RuleRwExtractZExt, expr.Extract(wide, 0, narrow.Width)},
+		{RuleEvalConst, tab.Add(tab.Const(200, w), tab.Mul(tab.Const(3, w), tab.Const(77, w)))},
+		{RuleRwAddSubCancelR, tab.Add(x, tab.Sub(y, x))},
+		{RuleRwAddSubCancelL, tab.Add(tab.Sub(y, x), x)},
+		{RuleRwSubAddCancelR, tab.Sub(tab.Add(x, y), x)},
+		{RuleRwSubAddCancelL, tab.Sub(tab.Add(x, y), y)},
+		{RuleRwSubSelf, tab.Sub(x, x)},
+		{RuleRwAddZeroR, tab.Add(x, zero)},
+		{RuleRwAddZeroL, tab.Add(zero, x)},
+		{RuleRwSubZero, tab.Sub(x, zero)},
+		{RuleRwAndZeroR, tab.And(x, zero)},
+		{RuleRwAndZeroL, tab.And(zero, x)},
+		{RuleRwAndSelf, tab.And(x, x)},
+		{RuleRwAndConstFold, tab.And(tab.And(x, tab.Const(0xfe, w)), tab.Const(0x3f, w))},
+		{RuleRwOrZeroR, tab.Or(x, zero)},
+		{RuleRwOrZeroL, tab.Or(zero, x)},
+		{RuleRwOrSelf, tab.Or(x, x)},
+		{RuleRwXorSelf, tab.Xor(x, x)},
+		{RuleRwXorZeroR, tab.Xor(x, zero)},
+		{RuleRwXorZeroL, tab.Xor(zero, x)},
+		{RuleRwMulZeroR, tab.Mul(x, zero)},
+		{RuleRwMulZeroL, tab.Mul(zero, x)},
+		{RuleRwMulOneR, tab.Mul(x, one)},
+		{RuleRwMulOneL, tab.Mul(one, x)},
+		{RuleRwShiftZero, tab.Shl(x, zero)},
+		{RuleRwShiftZero, tab.Lshr(x, zero)},
+		{RuleRwShiftZero, tab.Ashr(x, zero)},
+		{RuleRwNotNot, tab.Not(tab.Not(x))},
+		{RuleRwZExtZero, tab.ZExt(tab.Const(0, narrow.Width), wide.Width)},
+		{RuleRwExtractZExt, tab.Extract(wide, 0, narrow.Width)},
 	}
 }
 
 // boundCases builds matching arguments for the argument-only interval
 // lemmas at width w, with shift amounts past the width included.
-func boundCases(w uint8) []catalogCase {
-	x, y := expr.Var(0, w), expr.Var(1, w)
-	_, wide := extended(w)
+func boundCases(tab *expr.Table, w uint8) []catalogCase {
+	x, y := tab.Var(0, w), tab.Var(1, w)
+	_, wide := extended(tab, w)
 	return []catalogCase{
-		{RuleLemmaAndUleR, expr.And(x, expr.Const(0x2c, w))},
-		{RuleLemmaAndUleL, expr.And(expr.Const(0x71, w), expr.Or(x, y))},
-		{RuleLemmaUleMax, expr.Add(x, y)},
+		{RuleLemmaAndUleR, tab.And(x, tab.Const(0x2c, w))},
+		{RuleLemmaAndUleL, tab.And(tab.Const(0x71, w), tab.Or(x, y))},
+		{RuleLemmaUleMax, tab.Add(x, y)},
 		{RuleLemmaZExtBound, wide},
-		{RuleLemmaLshrBound, expr.Lshr(x, expr.Const(3, w))},
-		{RuleLemmaLshrBound, expr.Lshr(expr.Mul(x, y), expr.Const(uint64(w)+2, w))},
-		{RuleLemmaURemBound, expr.URem(x, expr.Const(10, w))},
-		{RuleLemmaURemBound, expr.URem(expr.Sub(x, y), expr.Const(1, w))},
+		{RuleLemmaLshrBound, tab.Lshr(x, tab.Const(3, w))},
+		{RuleLemmaLshrBound, tab.Lshr(tab.Mul(x, y), tab.Const(uint64(w)+2, w))},
+		{RuleLemmaURemBound, tab.URem(x, tab.Const(10, w))},
+		{RuleLemmaURemBound, tab.URem(tab.Sub(x, y), tab.Const(1, w))},
 	}
 }
 
@@ -124,14 +129,15 @@ func boundCases(w uint8) []catalogCase {
 func TestRewriteCatalogPositive(t *testing.T) {
 	covered := map[RuleID]bool{}
 	for _, w := range []uint8{8, 64} {
-		for _, c := range append(rewriteCases(w), boundCases(w)...) {
+		tab := expr.NewTable(0)
+		for _, c := range append(rewriteCases(tab, w), boundCases(tab, w)...) {
 			covered[c.rule] = true
 			mustApply(t, c.rule.String(), Step{Rule: c.rule, Args: []*expr.Expr{c.arg}})
 			// The same rule on a plain variable never matches (on a
 			// boolean one for lemma_ule_max, which bounds any bit-vector).
-			bad := expr.Var(9, w)
+			bad := tab.Var(9, w)
 			if c.rule == RuleLemmaUleMax {
-				bad = expr.Var(9, 1)
+				bad = tab.Var(9, 1)
 			}
 			mustFail(t, c.rule.String()+"-mismatch", Step{Rule: c.rule, Args: []*expr.Expr{bad}})
 			if w == 8 {
@@ -169,32 +175,34 @@ func checkSemantics(t *testing.T, c catalogCase) {
 // TestCatalogRejectsNonRules: Rewrite and UpperBound answer only for
 // their own rules.
 func TestCatalogRejectsNonRules(t *testing.T) {
-	x := expr.Var(0, 8)
+	tab := expr.NewTable(0)
+	x := tab.Var(0, 8)
 	for _, r := range []RuleID{RuleInvalid, RuleAssume, RuleLemmaUleTrans, RuleResolve, NumRules, NumRules + 7} {
-		if _, ok := Rewrite(r, expr.Add(x, expr.Const(0, 8))); ok {
+		if _, ok := Rewrite(r, tab.Add(x, tab.Const(0, 8))); ok {
 			t.Errorf("Rewrite answered for %s", r)
 		}
-		if _, ok := UpperBound(r, expr.And(x, expr.Const(1, 8))); ok {
+		if _, ok := UpperBound(r, tab.And(x, tab.Const(1, 8))); ok {
 			t.Errorf("UpperBound answered for %s", r)
 		}
 	}
 }
 
 func TestLemmasPositive(t *testing.T) {
-	x := expr.Var(0, 64)
-	c15 := expr.Const(15, 64)
-	c20 := expr.Const(20, 64)
-	masked := expr.And(x, c15)
+	tab := expr.NewTable(0)
+	x := tab.Var(0, 64)
+	c15 := tab.Const(15, 64)
+	c20 := tab.Const(20, 64)
+	masked := tab.And(x, c15)
 
 	// ⊢ (bvule (bvand x 15) 15)
 	mustApply(t, "and_ule_r", Step{Rule: RuleLemmaAndUleR, Args: []*expr.Expr{masked}})
-	mustApply(t, "and_ule_l", Step{Rule: RuleLemmaAndUleL, Args: []*expr.Expr{expr.And(c15, x)}})
+	mustApply(t, "and_ule_l", Step{Rule: RuleLemmaAndUleL, Args: []*expr.Expr{tab.And(c15, x)}})
 	mustApply(t, "ule_max", Step{Rule: RuleLemmaUleMax, Args: []*expr.Expr{x}})
 	mustApply(t, "zero_ule", Step{Rule: RuleLemmaZeroUle, Args: []*expr.Expr{x}})
 	mustApply(t, "zext_bound", Step{Rule: RuleLemmaZExtBound,
-		Args: []*expr.Expr{expr.ZExt(expr.Var(1, 32), 64)}})
+		Args: []*expr.Expr{tab.ZExt(tab.Var(1, 32), 64)}})
 	mustApply(t, "lshr_bound", Step{Rule: RuleLemmaLshrBound,
-		Args: []*expr.Expr{expr.Lshr(x, expr.Const(4, 64))}})
+		Args: []*expr.Expr{tab.Lshr(x, tab.Const(4, 64))}})
 	mustApply(t, "ule_const", Step{Rule: RuleLemmaUleConst, Args: []*expr.Expr{c15, c20}})
 
 	// Premise-based lemmas: build (bvule masked 15) first.
@@ -211,34 +219,35 @@ func TestLemmasPositive(t *testing.T) {
 	)
 	mustApply(t, "ule_shl",
 		base,
-		Step{Rule: RuleLemmaUleShl, Premises: []uint32{1}, Args: []*expr.Expr{expr.Const(2, 64)}},
+		Step{Rule: RuleLemmaUleShl, Premises: []uint32{1}, Args: []*expr.Expr{tab.Const(2, 64)}},
 	)
 	mustApply(t, "ule_and_mono",
 		base,
 		Step{Rule: RuleLemmaUleAndMono, Premises: []uint32{1},
-			Args: []*expr.Expr{expr.And(masked, expr.Var(1, 64))}},
+			Args: []*expr.Expr{tab.And(masked, tab.Var(1, 64))}},
 	)
 	mustApply(t, "eq_bound",
 		Step{Rule: RuleEvalConst, Args: []*expr.Expr{c15}}, // (= 15 15)
 		Step{Rule: RuleLemmaEqBound, Premises: []uint32{1}},
 	)
 	// zext_mono: premise bound on a 32-bit term, conclusion on its zext.
-	m32 := expr.And(expr.Var(1, 32), expr.Const(0xf, 32))
+	m32 := tab.And(tab.Var(1, 32), tab.Const(0xf, 32))
 	mustApply(t, "zext_mono",
 		Step{Rule: RuleLemmaAndUleR, Args: []*expr.Expr{m32}},
 		Step{Rule: RuleLemmaZExtMono, Premises: []uint32{1},
-			Args: []*expr.Expr{expr.ZExt(m32, 64)}},
+			Args: []*expr.Expr{tab.ZExt(m32, 64)}},
 	)
 }
 
 func TestNotComparisonElims(t *testing.T) {
+	tab := expr.NewTable(0)
 	// Build ¬(bvult a b) via structural decomposition is hard without a
 	// matching condition; instead check the rules reject wrong premises
 	// and accept assembled ones through an implication-shaped condition.
-	x := expr.Var(0, 64)
-	cond := expr.Implies(
-		expr.BoolNot(expr.Ult(expr.Const(10, 64), x)), // ¬(10 < x), i.e. x <= 10
-		expr.Ule(x, expr.Const(10, 64)),
+	x := tab.Var(0, 64)
+	cond := tab.Implies(
+		tab.BoolNot(tab.Ult(tab.Const(10, 64), x)), // ¬(10 < x), i.e. x <= 10
+		tab.Ule(x, tab.Const(10, 64)),
 	)
 	p := &Proof{Steps: []Step{
 		{Rule: RuleAssume}, // ¬(P ⇒ Q)
@@ -253,9 +262,9 @@ func TestNotComparisonElims(t *testing.T) {
 	// not_ule_elim + ult_ule: from ¬(x <= 5) derive 5 < x, weaken to
 	// 5 <= x. Without the weakening the checker must refuse: 5 < x does
 	// not contradict ¬(5 <= x) syntactically.
-	cond2 := expr.Implies(
-		expr.BoolNot(expr.Ule(x, expr.Const(5, 64))),
-		expr.Ule(expr.Const(5, 64), x),
+	cond2 := tab.Implies(
+		tab.BoolNot(tab.Ule(x, tab.Const(5, 64))),
+		tab.Ule(tab.Const(5, 64), x),
 	)
 	good := &Proof{Steps: []Step{
 		{Rule: RuleAssume},

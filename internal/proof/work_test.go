@@ -88,9 +88,10 @@ func TestCheckWorkPerProofByte(t *testing.T) {
 	// without a contradiction, so it is rejected, after evaluating.
 	t.Run("eval-const-ground-dag", func(t *testing.T) {
 		for _, depth := range []int{22, 60} {
-			g := expr.Const(1, 64)
+			tab := expr.NewTable(0)
+			g := tab.Const(1, 64)
 			for i := 0; i < depth; i++ {
-				g = expr.Add(g, g)
+				g = tab.Add(g, g)
 			}
 			p := &proof.Proof{Steps: []proof.Step{
 				{Rule: proof.RuleAssume},
@@ -105,9 +106,12 @@ func TestCheckWorkPerProofByte(t *testing.T) {
 	// n steps that share one n-node argument.
 	t.Run("shared-argument", func(t *testing.T) {
 		for _, n := range []int{100, 1000, 4000} {
-			arg := expr.Var(0, 64)
+			// Built apart from the condition, which fig2Cond makes in a
+			// table of its own.
+			tab := expr.NewTable(0)
+			arg := tab.Var(0, 64)
 			for i := 0; i < n; i++ {
-				arg = expr.Add(arg, expr.Const(uint64(i), 64))
+				arg = tab.Add(arg, tab.Const(uint64(i), 64))
 			}
 			p := &proof.Proof{Steps: make([]proof.Step, n)}
 			for i := range p.Steps {
@@ -127,11 +131,12 @@ func TestCheckWorkPerProofByte(t *testing.T) {
 		for _, n := range []int{1000, 4000, 16000} {
 			// 32-bit, so no node is shared with the 64-bit condition:
 			// the arguments have 2n-1 distinct nodes, the table 6 more.
-			arg := expr.Var(7, 32)
+			tab := expr.NewTable(0)
+			arg := tab.Var(7, 32)
 			p := &proof.Proof{Steps: make([]proof.Step, n)}
 			for i := range p.Steps {
 				if i > 0 {
-					arg = expr.Add(arg, expr.Const(uint64(i), 32))
+					arg = tab.Add(arg, tab.Const(uint64(i), 32))
 				}
 				p.Steps[i] = proof.Step{Rule: proof.RuleLemmaZeroUle, Args: []*expr.Expr{arg}}
 			}
@@ -163,11 +168,12 @@ func encodedWork(t *testing.T, cond *expr.Expr, p *proof.Proof, lim proof.Limits
 	return work, len(pb), err
 }
 
-// fig2Cond is the paper's Figure 2 refinement condition.
+// fig2Cond is the paper's Figure 2 refinement condition, in a new table.
 func fig2Cond(hi uint64) *expr.Expr {
-	sym := expr.Var(0, 64)
-	m := expr.And(sym, expr.Const(0xf, 64))
-	return expr.Ule(expr.Add(m, expr.Sub(expr.Const(0xf, 64), m)), expr.Const(hi, 64))
+	tab := expr.NewTable(0)
+	sym := tab.Var(0, 64)
+	m := tab.And(sym, tab.Const(0xf, 64))
+	return tab.Ule(tab.Add(m, tab.Sub(tab.Const(0xf, 64), m)), tab.Const(hi, 64))
 }
 
 // doubledFigure2 is Figure 2 with r5 = r2 doubled k times and cancelled

@@ -63,8 +63,9 @@ func newFleetOfOne(t *testing.T, opts prooffleet.Options) *prooffleet.Fleet {
 // (0 <= var), unique per variable id.
 func encodedCond(t *testing.T, varID uint32) []byte {
 	t.Helper()
+	tab := expr.NewTable(0)
 	b, err := bcfenc.EncodeCondition(&bcfenc.Condition{
-		Cond: expr.Ule(expr.Const(0, 8), expr.Var(varID, 8)),
+		Cond: tab.Ule(tab.Const(0, 8), tab.Var(varID, 8)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,8 +77,9 @@ func encodedCond(t *testing.T, varID uint32) []byte {
 // nonzero assignment.
 func falsifiableCond(t *testing.T) []byte {
 	t.Helper()
+	tab := expr.NewTable(0)
 	b, err := bcfenc.EncodeCondition(&bcfenc.Condition{
-		Cond: expr.Ule(expr.Var(1, 8), expr.Const(0, 8)),
+		Cond: tab.Ule(tab.Var(1, 8), tab.Const(0, 8)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -287,8 +289,9 @@ func TestServerPing(t *testing.T) {
 // multiplication commutativity is valid but needs real CDCL search once
 // the rewrite tier is off.
 func TestDaemonEscalatesLikeLoader(t *testing.T) {
-	x, y := expr.Var(0, 8), expr.Var(1, 8)
-	cond, err := bcfenc.EncodeCondition(&bcfenc.Condition{Cond: expr.Eq(expr.Mul(x, y), expr.Mul(y, x))})
+	tab := expr.NewTable(0)
+	x, y := tab.Var(0, 8), tab.Var(1, 8)
+	cond, err := bcfenc.EncodeCondition(&bcfenc.Condition{Cond: tab.Eq(tab.Mul(x, y), tab.Mul(y, x))})
 	if err != nil {
 		t.Fatal(err)
 	}

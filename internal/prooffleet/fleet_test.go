@@ -49,8 +49,9 @@ func startDaemonAt(t *testing.T, opts proofd.Options, sock string) (*proofd.Serv
 // unique per variable id.
 func encodedCond(t *testing.T, varID uint32) []byte {
 	t.Helper()
+	tab := expr.NewTable(0)
 	b, err := bcfenc.EncodeCondition(&bcfenc.Condition{
-		Cond: expr.Ule(expr.Const(0, 8), expr.Var(varID, 8)),
+		Cond: tab.Ule(tab.Const(0, 8), tab.Var(varID, 8)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,8 +61,9 @@ func encodedCond(t *testing.T, varID uint32) []byte {
 
 func falsifiableCond(t *testing.T) []byte {
 	t.Helper()
+	tab := expr.NewTable(0)
 	b, err := bcfenc.EncodeCondition(&bcfenc.Condition{
-		Cond: expr.Ule(expr.Var(1, 8), expr.Const(0, 8)),
+		Cond: tab.Ule(tab.Var(1, 8), tab.Const(0, 8)),
 	})
 	if err != nil {
 		t.Fatal(err)

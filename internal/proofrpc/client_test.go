@@ -81,7 +81,8 @@ func newTestClient(t *testing.T, endpoint string, reg *obs.Registry) *prooffleet
 // decode.
 func validProof(t *testing.T) []byte {
 	t.Helper()
-	cond := expr.Ule(expr.Const(0, 8), expr.Var(1, 8))
+	tab := expr.NewTable(0)
+	cond := tab.Ule(tab.Const(0, 8), tab.Var(1, 8))
 	out, err := solver.Prove(context.Background(), cond, solver.Options{})
 	if err != nil || !out.Proven {
 		t.Fatalf("proving trivial condition: %v", err)

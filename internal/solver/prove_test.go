@@ -56,10 +56,11 @@ func mustRefute(t *testing.T, cond *expr.Expr) *Outcome {
 // fig2Cond builds the paper's Figure 2 refinement condition:
 // (sym&0xf) + (0xf - (sym&0xf)) <= hi.
 func fig2Cond(hi uint64) *expr.Expr {
-	sym := expr.Var(0, 64)
-	m := expr.And(sym, expr.Const(0xf, 64))
-	e := expr.Add(m, expr.Sub(expr.Const(0xf, 64), m))
-	return expr.Ule(e, expr.Const(hi, 64))
+	tab := expr.NewTable(0)
+	sym := tab.Var(0, 64)
+	m := tab.And(sym, tab.Const(0xf, 64))
+	e := tab.Add(m, tab.Sub(tab.Const(0xf, 64), m))
+	return tab.Ule(e, tab.Const(hi, 64))
 }
 
 func TestFigure2RewriteTier(t *testing.T) {
@@ -84,90 +85,98 @@ func TestFigure2TightBoundRefuted(t *testing.T) {
 }
 
 func TestMaskBoundRewrite(t *testing.T) {
+	tab := expr.NewTable(0)
 	// (x & 0xf) <= 15 — the Listing 1/quickstart pattern.
-	x := expr.Var(0, 64)
-	mustProve(t, expr.Ule(expr.And(x, expr.Const(0xf, 64)), expr.Const(15, 64)), TierRewrite)
+	x := tab.Var(0, 64)
+	mustProve(t, tab.Ule(tab.And(x, tab.Const(0xf, 64)), tab.Const(15, 64)), TierRewrite)
 	// (x & 0xf) <= 20 needs a trans step.
-	mustProve(t, expr.Ule(expr.And(x, expr.Const(0xf, 64)), expr.Const(20, 64)), TierRewrite)
+	mustProve(t, tab.Ule(tab.And(x, tab.Const(0xf, 64)), tab.Const(20, 64)), TierRewrite)
 }
 
 func TestShiftedMaskBound(t *testing.T) {
+	tab := expr.NewTable(0)
 	// ((x & 0xf) << 1) <= 30.
-	x := expr.Var(0, 64)
-	e := expr.Shl(expr.And(x, expr.Const(0xf, 64)), expr.Const(1, 64))
-	mustProve(t, expr.Ule(e, expr.Const(30, 64)), TierRewrite)
-	mustRefute(t, expr.Ule(e, expr.Const(29, 64)))
+	x := tab.Var(0, 64)
+	e := tab.Shl(tab.And(x, tab.Const(0xf, 64)), tab.Const(1, 64))
+	mustProve(t, tab.Ule(e, tab.Const(30, 64)), TierRewrite)
+	mustRefute(t, tab.Ule(e, tab.Const(29, 64)))
 }
 
 func TestSumOfBoundedParts(t *testing.T) {
+	tab := expr.NewTable(0)
 	// (x & 0xf) + (y & 0x7) <= 22.
-	x, y := expr.Var(0, 64), expr.Var(1, 64)
-	e := expr.Add(expr.And(x, expr.Const(0xf, 64)), expr.And(y, expr.Const(7, 64)))
-	mustProve(t, expr.Ule(e, expr.Const(22, 64)), TierRewrite)
-	mustRefute(t, expr.Ule(e, expr.Const(21, 64)))
+	x, y := tab.Var(0, 64), tab.Var(1, 64)
+	e := tab.Add(tab.And(x, tab.Const(0xf, 64)), tab.And(y, tab.Const(7, 64)))
+	mustProve(t, tab.Ule(e, tab.Const(22, 64)), TierRewrite)
+	mustRefute(t, tab.Ule(e, tab.Const(21, 64)))
 }
 
 func TestConjunctionGoal(t *testing.T) {
-	x := expr.Var(0, 64)
-	m := expr.And(x, expr.Const(0xf, 64))
-	cond := expr.BoolAnd(
-		expr.Ule(expr.Const(0, 64), m),
-		expr.Ule(m, expr.Const(15, 64)),
+	tab := expr.NewTable(0)
+	x := tab.Var(0, 64)
+	m := tab.And(x, tab.Const(0xf, 64))
+	cond := tab.BoolAnd(
+		tab.Ule(tab.Const(0, 64), m),
+		tab.Ule(m, tab.Const(15, 64)),
 	)
 	mustProve(t, cond, TierRewrite)
 }
 
 func TestImplicationNeedsPathConstraint(t *testing.T) {
+	tab := expr.NewTable(0)
 	// (x <= 10) => (x + 5 <= 15): the rewrite tier harvests the
 	// hypothesis as a premise fact and closes the goal with ule_add.
-	x := expr.Var(0, 64)
-	cond := expr.Implies(
-		expr.Ule(x, expr.Const(10, 64)),
-		expr.Ule(expr.Add(x, expr.Const(5, 64)), expr.Const(15, 64)),
+	x := tab.Var(0, 64)
+	cond := tab.Implies(
+		tab.Ule(x, tab.Const(10, 64)),
+		tab.Ule(tab.Add(x, tab.Const(5, 64)), tab.Const(15, 64)),
 	)
 	mustProve(t, cond, TierRewrite)
 	// And with an insufficient bound, a counterexample.
-	bad := expr.Implies(
-		expr.Ule(x, expr.Const(10, 64)),
-		expr.Ule(expr.Add(x, expr.Const(5, 64)), expr.Const(14, 64)),
+	bad := tab.Implies(
+		tab.Ule(x, tab.Const(10, 64)),
+		tab.Ule(tab.Add(x, tab.Const(5, 64)), tab.Const(14, 64)),
 	)
 	mustRefute(t, bad)
 }
 
 func TestUnreachablePathVacuousTruth(t *testing.T) {
+	tab := expr.NewTable(0)
 	// Paper Listing 8: the path constraint is unsatisfiable, so the
 	// condition holds vacuously. w = (x s>> 31) & -134 (32-bit); path:
 	// w s<= -1 and w != -136; goal: anything, here 0 <= 1.
 	// w can only be 0 or -134, so the path taking both "w s<= -1" and
 	// "w == -136" is infeasible and the condition holds vacuously.
-	x := expr.Var(0, 32)
-	w := expr.And(expr.Ashr(x, expr.Const(31, 32)), expr.Const(uint64(uint32(0xffffff7a)), 32))
-	pathC := expr.BoolAnd(
-		expr.Sle(w, expr.Const(uint64(uint32(0xffffffff)), 32)), // w s<= -1
-		expr.Eq(w, expr.Const(uint64(uint32(0xffffff78)), 32)),  // w == -136
+	x := tab.Var(0, 32)
+	w := tab.And(tab.Ashr(x, tab.Const(31, 32)), tab.Const(uint64(uint32(0xffffff7a)), 32))
+	pathC := tab.BoolAnd(
+		tab.Sle(w, tab.Const(uint64(uint32(0xffffffff)), 32)), // w s<= -1
+		tab.Eq(w, tab.Const(uint64(uint32(0xffffff78)), 32)),  // w == -136
 	)
-	cond := expr.Implies(pathC, expr.Ule(expr.Var(1, 64), expr.Const(0, 64)))
+	cond := tab.Implies(pathC, tab.Ule(tab.Var(1, 64), tab.Const(0, 64)))
 	mustProve(t, cond, TierBitblast)
 }
 
 func TestRegisterAliasCondition(t *testing.T) {
+	tab := expr.NewTable(0)
 	// Paper Listing 9: w1 and w5 share a source; (x&0xffff) <= 0x3fa8
 	// implies x&0xffff used as size stays within 0x3fa8.
-	x := expr.Var(0, 32)
-	masked := expr.And(x, expr.Const(0xffff, 32))
-	cond := expr.Implies(
-		expr.Ule(masked, expr.Const(0x3fa8, 32)),
-		expr.Ule(masked, expr.Const(0x4000, 32)),
+	x := tab.Var(0, 32)
+	masked := tab.And(x, tab.Const(0xffff, 32))
+	cond := tab.Implies(
+		tab.Ule(masked, tab.Const(0x3fa8, 32)),
+		tab.Ule(masked, tab.Const(0x4000, 32)),
 	)
 	mustProve(t, cond, TierNone)
 }
 
 func TestDisableRewriteTierAblation(t *testing.T) {
+	tab := expr.NewTable(0)
 	// (x & 0xf) + (y & 0xf) <= 30: the adder's carry chain defeats pure
 	// gate-level constant folding, forcing a real resolution refutation.
-	x, y := expr.Var(0, 16), expr.Var(1, 16)
-	sum := expr.Add(expr.And(x, expr.Const(0xf, 16)), expr.And(y, expr.Const(0xf, 16)))
-	cond := expr.Ule(sum, expr.Const(30, 16))
+	x, y := tab.Var(0, 16), tab.Var(1, 16)
+	sum := tab.Add(tab.And(x, tab.Const(0xf, 16)), tab.And(y, tab.Const(0xf, 16)))
+	cond := tab.Ule(sum, tab.Const(30, 16))
 	out := proveAndCheck(t, cond, Options{DisableRewriteTier: true})
 	if !out.Proven || out.Tier != TierBitblast {
 		t.Fatalf("ablation: expected bitblast proof, got tier %s proven=%v", out.Tier, out.Proven)
@@ -184,12 +193,13 @@ func TestRandomValidityDifferential(t *testing.T) {
 	// exhaustive evaluation, and every proof must check.
 	rng := rand.New(rand.NewSource(31337))
 	for iter := 0; iter < 60; iter++ {
-		x := expr.Var(0, 8)
+		tab := expr.NewTable(0)
+		x := tab.Var(0, 8)
 		mask := uint64(rng.Intn(256))
 		add := uint64(rng.Intn(256))
 		hi := uint64(rng.Intn(256))
-		e := expr.Add(expr.And(x, expr.Const(mask, 8)), expr.Const(add, 8))
-		cond := expr.Ule(e, expr.Const(hi, 8))
+		e := tab.Add(tab.And(x, tab.Const(mask, 8)), tab.Const(add, 8))
+		cond := tab.Ule(e, tab.Const(hi, 8))
 		valid := true
 		for v := 0; v < 256; v++ {
 			if cond.Eval(func(uint32) uint64 { return uint64(v) }) == 0 {
@@ -210,7 +220,8 @@ func TestRandomValidityDifferential(t *testing.T) {
 }
 
 func TestMalformedCondition(t *testing.T) {
-	if _, err := Prove(nil, expr.Var(0, 64), Options{}); err == nil {
+	tab := expr.NewTable(0)
+	if _, err := Prove(nil, tab.Var(0, 64), Options{}); err == nil {
 		t.Fatal("expected error for non-boolean condition")
 	}
 	if _, err := Prove(nil, nil, Options{}); err == nil {
@@ -224,10 +235,11 @@ func TestMalformedCondition(t *testing.T) {
 // input fails identically everywhere, which the fuzzing campaign's
 // worker-count determinism relies on.
 func TestMaxClausesBudget(t *testing.T) {
-	x := expr.Var(0, 64)
+	tab := expr.NewTable(0)
+	x := tab.Var(0, 64)
 	// Multiplication bit-blasts into thousands of clauses; force the
 	// bitblast tier so the rewrite tier can't shortcut it.
-	cond := expr.Ule(expr.Mul(x, x), expr.Const(^uint64(0), 64))
+	cond := tab.Ule(tab.Mul(x, x), tab.Const(^uint64(0), 64))
 	opts := Options{DisableRewriteTier: true, MaxClauses: 8}
 	if _, err := Prove(nil, cond, opts); err == nil {
 		t.Fatal("expected clause-budget error")

@@ -9,8 +9,10 @@ import (
 )
 
 // randSimpTerm builds random terms biased toward the simplifier's
-// patterns (cancellations, zero/one identities, shared subterms).
+// patterns (cancellations, zero/one identities, shared subterms), in
+// the variables' table.
 func randSimpTerm(rng *rand.Rand, vars []*expr.Expr, width uint8, depth int) *expr.Expr {
+	tab := vars[0].Table()
 	if depth == 0 || rng.Intn(4) == 0 {
 		if rng.Intn(2) == 0 {
 			return vars[rng.Intn(len(vars))]
@@ -18,11 +20,11 @@ func randSimpTerm(rng *rand.Rand, vars []*expr.Expr, width uint8, depth int) *ex
 		// Bias constants toward 0 and 1 to trigger identity rewrites.
 		switch rng.Intn(4) {
 		case 0:
-			return expr.Const(0, width)
+			return tab.Const(0, width)
 		case 1:
-			return expr.Const(1, width)
+			return tab.Const(1, width)
 		default:
-			return expr.Const(rng.Uint64(), width)
+			return tab.Const(rng.Uint64(), width)
 		}
 	}
 	a := randSimpTerm(rng, vars, width, depth-1)
@@ -30,17 +32,17 @@ func randSimpTerm(rng *rand.Rand, vars []*expr.Expr, width uint8, depth int) *ex
 	switch rng.Intn(10) {
 	case 0:
 		// a + (b - a): the cancellation pattern.
-		return expr.Add(a, expr.Sub(b, a))
+		return tab.Add(a, tab.Sub(b, a))
 	case 1:
 		// (a + b) - b
-		return expr.Sub(expr.Add(a, b), b)
+		return tab.Sub(tab.Add(a, b), b)
 	case 2:
-		return expr.And(a, a)
+		return tab.And(a, a)
 	case 3:
-		return expr.Xor(a, a)
+		return tab.Xor(a, a)
 	default:
 		ops := []expr.Op{expr.OpAdd, expr.OpSub, expr.OpMul, expr.OpAnd, expr.OpOr, expr.OpXor}
-		return expr.Bin(ops[rng.Intn(len(ops))], a, b)
+		return tab.Bin(ops[rng.Intn(len(ops))], a, b)
 	}
 }
 
@@ -52,7 +54,8 @@ func TestSimplifySemanticsPreserved(t *testing.T) {
 	rng := rand.New(rand.NewSource(808))
 	for iter := 0; iter < 200; iter++ {
 		width := []uint8{8, 32, 64}[rng.Intn(3)]
-		vars := []*expr.Expr{expr.Var(0, width), expr.Var(1, width)}
+		src := expr.NewTable(0)
+		vars := []*expr.Expr{src.Var(0, width), src.Var(1, width)}
 		// The builder works on members of the round's table.
 		b := &builder{tab: expr.NewTable(0)}
 		term, err := b.tab.Intern(randSimpTerm(rng, vars, width, 3))
@@ -85,7 +88,7 @@ func TestSimplifySemanticsPreserved(t *testing.T) {
 		// a full prover call on (term == simplified) when ground-free
 		// widths are small.
 		if width == 8 && iter%4 == 0 {
-			cond := expr.Eq(term, simp.term)
+			cond := b.tab.Eq(term, simp.term)
 			out, err := Prove(nil, cond, Options{})
 			if err != nil {
 				t.Fatalf("prove: %v", err)
@@ -111,7 +114,8 @@ func TestSimplifyChainChecks(t *testing.T) {
 	refuted := 0
 	for iter := 0; iter < 80; iter++ {
 		const width = 8
-		vars := []*expr.Expr{expr.Var(0, width), expr.Var(1, width)}
+		tab := expr.NewTable(0)
+		vars := []*expr.Expr{tab.Var(0, width), tab.Var(1, width)}
 		term := randSimpTerm(rng, vars, width, 3)
 		var a0, a1 uint64
 		env := func(id uint32) uint64 {
@@ -126,7 +130,7 @@ func TestSimplifyChainChecks(t *testing.T) {
 				hi = max(hi, term.Eval(env))
 			}
 		}
-		cond := expr.Ule(term, expr.Const(hi, width))
+		cond := tab.Ule(term, tab.Const(hi, width))
 		out, err := Prove(nil, cond, Options{})
 		if err != nil || !out.Proven {
 			t.Fatalf("%s <= %#x must prove: %v", term, hi, err)
@@ -137,7 +141,7 @@ func TestSimplifyChainChecks(t *testing.T) {
 		if hi == 0 || hi == expr.Mask(width) {
 			continue
 		}
-		out, err = Prove(nil, expr.Ule(term, expr.Const(hi-1, width)), Options{})
+		out, err = Prove(nil, tab.Ule(term, tab.Const(hi-1, width)), Options{})
 		if err != nil || out.Proven || out.Counterexample == nil {
 			t.Fatalf("%s <= %#x is false, want a counterexample: %v", term, hi-1, err)
 		}
@@ -155,7 +159,8 @@ func TestTopRewriteAgreesWithChecker(t *testing.T) {
 	rng := rand.New(rand.NewSource(111))
 	for iter := 0; iter < 2000; iter++ {
 		width := []uint8{8, 64}[rng.Intn(2)]
-		vars := []*expr.Expr{expr.Var(0, width), expr.Var(1, width)}
+		tab := expr.NewTable(0)
+		vars := []*expr.Expr{tab.Var(0, width), tab.Var(1, width)}
 		term := randSimpTerm(rng, vars, width, 3)
 		rule, next := topRewrite(term)
 		if rule == proof.RuleInvalid {
@@ -167,7 +172,7 @@ func TestTopRewriteAgreesWithChecker(t *testing.T) {
 			// No step concludes false, so the check fails at stage 3;
 			// the error says whether step 1 was accepted first.
 		}}
-		err := proof.Check(expr.Ule(expr.Const(0, 8), expr.Const(0, 8)), p)
+		err := proof.Check(tab.Ule(tab.Const(0, 8), tab.Const(0, 8)), p)
 		if err == nil {
 			t.Fatal("proof without contradiction unexpectedly accepted")
 		}

@@ -205,7 +205,7 @@ func TestArshOverApproximate(t *testing.T) {
 
 // TestUnaryAndLattice8Bit: the cheap properties run on the full 8-bit
 // model unconditionally — Min/Max bracketing, Cast soundness, and the
-// Intersect/Union/In lattice relations.
+// Intersect/In lattice relations.
 func TestUnaryAndLattice8Bit(t *testing.T) {
 	tnums := enumTnums(8)
 	for _, a := range tnums {
@@ -227,14 +227,8 @@ func TestUnaryAndLattice8Bit(t *testing.T) {
 	for i := 0; i < len(tnums); i += step {
 		for j := 0; j < len(tnums); j += step {
 			a, b := tnums[i], tnums[j]
-			inter, uni := Intersect(a, b), Union(a, b)
-			if !uni.WellFormed() {
-				t.Fatalf("Union(%v, %v) = %v not well-formed", a, b, uni)
-			}
+			inter := Intersect(a, b)
 			for _, x := range concretizations(a, 8) {
-				if !uni.Contains(x) {
-					t.Fatalf("Union(%v, %v) = %v does not contain %#x ∈ γ(a)", a, b, uni, x)
-				}
 				if b.Contains(x) && inter.WellFormed() && !inter.Contains(x) {
 					t.Fatalf("Intersect(%v, %v) = %v does not contain common value %#x", a, b, inter, x)
 				}

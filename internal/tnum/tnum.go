@@ -177,12 +177,6 @@ func Intersect(a, b Tnum) Tnum {
 	return Tnum{Value: v &^ mu, Mask: mu}
 }
 
-// Union returns the smallest tnum containing every member of a and b.
-func Union(a, b Tnum) Tnum {
-	mu := a.Mask | b.Mask | (a.Value ^ b.Value)
-	return Tnum{Value: a.Value &^ mu, Mask: mu}
-}
-
 // In reports whether every member of b is a member of a.
 func In(a, b Tnum) bool {
 	if b.Mask&^a.Mask != 0 {
@@ -215,11 +209,6 @@ func (t Tnum) WithSubreg(subreg Tnum) Tnum {
 	return Tnum{Value: hi.Value | lo.Value, Mask: hi.Mask | lo.Mask}
 }
 
-// ConstSubreg returns t with its low 32 bits set to the constant value.
-func (t Tnum) ConstSubreg(value uint32) Tnum {
-	return t.WithSubreg(Const(uint64(value)))
-}
-
 // String renders the tnum as the kernel does: a constant prints as hex,
 // otherwise as (value; mask).
 func (t Tnum) String() string {
@@ -230,25 +219,4 @@ func (t Tnum) String() string {
 		return "unknown"
 	}
 	return fmt.Sprintf("(%#x; %#x)", t.Value, t.Mask)
-}
-
-// Bits renders per-bit knowledge MSB-first using '0', '1' and 'x',
-// trimmed to width bits. Useful in verifier logs and tests.
-func (t Tnum) Bits(width uint) string {
-	if width == 0 || width > 64 {
-		width = 64
-	}
-	buf := make([]byte, width)
-	for i := uint(0); i < width; i++ {
-		bit := uint64(1) << (width - 1 - i)
-		switch {
-		case t.Mask&bit != 0:
-			buf[i] = 'x'
-		case t.Value&bit != 0:
-			buf[i] = '1'
-		default:
-			buf[i] = '0'
-		}
-	}
-	return string(buf)
 }
