@@ -27,14 +27,14 @@
 // Observability (the telemetry layer of internal/obs):
 //
 //	bcfbench -metrics                 # per-stage latency/traffic table + metrics block in -json
-//	bcfbench -tracefile t.json        # Chrome trace-event timeline (open in ui.perfetto.dev)
+//	bcfbench -tracefile t.json        # Chrome trace-event timeline (open in ui.perfetto.dev);
+//	                                  # with -remote it also holds the daemons' spans
 //	bcfbench -cpuprofile cpu.pprof    # CPU profile of the run (go tool pprof)
 //	bcfbench -memprofile mem.pprof    # heap profile after the run
 //	bcfbench -listen :6060            # serve /metrics (Prometheus) + /debug/pprof while running
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -45,7 +45,6 @@ import (
 	rpprof "runtime/pprof"
 	"strings"
 	"syscall"
-	"time"
 
 	"bcf/internal/corpus"
 	"bcf/internal/elf"
@@ -150,8 +149,9 @@ func main() {
 
 	// -remote builds a prooffleet over its comma-separated endpoints (one
 	// endpoint is a fleet of one) with rendezvous routing and failover.
-	// It propagates the tracer's context on the wire so the daemons
-	// record their spans under this run's trace ID.
+	// It propagates the tracer's context on the wire, and each daemon's
+	// reply carries back the spans it recorded under this run's trace ID,
+	// already merged when the trace file is written.
 	var remoteProver loader.RemoteProver
 	var fleet *prooffleet.Fleet
 	if *remote != "" {
@@ -272,19 +272,6 @@ func main() {
 			}
 		}
 		if *traceFile != "" {
-			// Pull the spans each daemon recorded under this run's trace ID
-			// and merge them — clock-offset corrected — so the single output
-			// file shows client and daemon timelines stitched together.
-			if fleet != nil {
-				sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				serr := fleet.Stitch(sctx)
-				cancel()
-				if serr != nil {
-					fmt.Fprintln(os.Stderr, "bcfbench: span stitch:", serr)
-				} else if !*quiet {
-					fmt.Fprintln(os.Stderr, "stitched daemon spans into the trace")
-				}
-			}
 			if err := tracer.WriteFile(*traceFile); err != nil {
 				fmt.Fprintln(os.Stderr, "bcfbench: trace:", err)
 				os.Exit(1)

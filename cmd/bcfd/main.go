@@ -10,6 +10,11 @@
 //	bcfd -listen :9190                             # serve on TCP
 //	bcfd -unix /run/bcfd.sock -cache-dir /var/cache/bcfd   # persistent proofs
 //	bcfd -http :9191                               # /metrics (Prometheus text)
+//	bcfd -unix /run/bcfd.sock -tracefile bcfd.json # the daemon's own Perfetto trace
+//
+// A client that sends a trace context (bcfbench -remote ... -tracefile)
+// gets each request's daemon-side spans back inside the reply and merges
+// them into its own trace file; the daemon keeps none of them for later.
 //
 // Clients: bcfverify -remote unix:/run/bcfd.sock, bcfbench -remote ...,
 // or any loader configured with a prooffleet.Fleet. A SIGINT/SIGTERM
@@ -39,7 +44,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "content-addressed disk proof store (empty = memory only)")
 	httpAddr := flag.String("http", "", "serve /metrics, /debug/journal and /debug/pprof on this address")
 	traceFile := flag.String("tracefile", "", "write the daemon's own Perfetto trace here on exit")
-	traceCap := flag.Int("trace-cap", 0, "span ring capacity for ship-spans-back (0 = default)")
 	journalSize := flag.Int("journal-size", 0, "flight-recorder ring entries (0 = default)")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrently-proving requests (0 = 2×GOMAXPROCS)")
 	cacheCap := flag.Int("cache-cap", 0, "in-memory proof cache entries (0 = default)")
@@ -57,11 +61,13 @@ func main() {
 	reg := obs.NewRegistry()
 	journal := obs.NewJournal(*journalSize)
 	reg.SetJournal(journal)
-	// The tracer is always on: clients that propagate a trace context ask
-	// the daemon to retain its spans (ship-spans-back), so the ring must
-	// exist before the first traced request arrives. Bounded, so an
-	// untraced long-lived daemon pays one fixed allocation.
-	tracer := obs.NewTracerCap(*traceCap).WithProcess(os.Getpid(), "bcfd")
+	// The daemon records spans for itself only with -tracefile. A client
+	// that sends a trace context gets that request's spans back in the
+	// reply without it, so nothing accumulates for a later fetch.
+	var tracer *obs.Tracer
+	if *traceFile != "" {
+		tracer = obs.NewTracer().WithProcess(os.Getpid(), "bcfd")
+	}
 	opts := proofd.Options{
 		Solver:       solver.Options{MaxConflicts: *maxConflicts},
 		ProveTimeout: *proveTimeout,

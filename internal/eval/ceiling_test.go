@@ -10,6 +10,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"bcf/internal/corpus"
+	"bcf/internal/zone"
 )
 
 // kernelSideCeiling is the committed non-test line count of each
@@ -119,5 +122,95 @@ func TestExperimentsTable1(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Errorf("EXPERIMENTS.md Table 1 rows\n%s\nwant (cmd/bcfbench -table 1)\n%s",
 			strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// commas renders n with thousands separators, as EXPERIMENTS.md does.
+func commas(n int64) string {
+	s := strconv.FormatInt(n, 10)
+	for i := len(s) - 3; i > 0; i -= 3 {
+		s = s[:i] + "," + s[i:]
+	}
+	return s
+}
+
+// TestExperimentsDeterministicRows evaluates the corpus once and fails
+// when a deterministic figure of EXPERIMENTS.md differs from the code at
+// the document's rounding: the §6.2 buckets, the zone row, Table 3's
+// frequency, track-length, condition-size and proof-size rows, Figure
+// 8's one-page share and the §6.3 counts. Timing rows stay out: they
+// move from run to run.
+func TestExperimentsDeterministicRows(t *testing.T) {
+	raw, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := strings.ReplaceAll(string(raw), "**", "")
+	// measured returns the last cell of the table row labelled label.
+	measured := func(label string) string {
+		for _, line := range strings.Split(doc, "\n") {
+			cells := strings.Split(line, "|")
+			if len(cells) >= 4 && strings.TrimSpace(cells[1]) == label {
+				return strings.TrimSpace(cells[len(cells)-2])
+			}
+		}
+		t.Fatalf("EXPERIMENTS.md has no row %q", label)
+		return ""
+	}
+	check := func(label, got, want string) {
+		t.Helper()
+		if got != want {
+			t.Errorf("EXPERIMENTS.md %s: %q, want %q", label, got, want)
+		}
+	}
+
+	ev := Run(4000, nil) // corpus.InsnLimitForEval, as cmd/bcfbench runs it
+	s := ev.Acceptance()
+	share := func(n int) string { return fmt.Sprintf("%d (%.1f%%)", n, pct(n, s.Total)) }
+	check("baseline accepts", measured("baseline accepts"), fmt.Sprintf("%d / %d", s.BaselineAccepted, s.Total))
+	check("BCF accepts", measured("BCF accepts"), share(s.BCFAccepted))
+	check("weakened refinement condition", measured("weakened refinement condition"), share(s.WeakCondition))
+	check("instruction limit", measured("instruction limit (loops)"), share(s.InsnLimit))
+	check("refinement not triggered", measured("refinement not triggered"), share(s.Untriggered))
+
+	zoneAccepted := 0
+	for _, e := range corpus.Generate() {
+		if zone.Analyze(e.Prog) == nil {
+			zoneAccepted++
+		}
+	}
+	zoneRow, _, _ := strings.Cut(measured("zone (PREVAIL analog)"), ",")
+	check("zone row", zoneRow, fmt.Sprintf("%d / %d (%.1f%%", zoneAccepted, s.Total, pct(zoneAccepted, s.Total)))
+
+	t3 := ev.Table3()
+	for _, row := range []struct{ label, key, avg string }{
+		{"refinement frequency", "Refinement Frequency", "%.1f"},
+		{"symbolic track length", "Symbolic Track Length", "%.1f"},
+		{"condition size (bytes)", "Condition Size (bytes)", "%.0f"},
+		{"proof size (bytes)", "Proof Size (bytes)", "%.0f"},
+	} {
+		d := t3[row.key]
+		check("Table 3 "+row.label, measured(row.label),
+			commas(d.Min)+" / "+fmt.Sprintf(row.avg, d.Avg)+" / "+commas(d.Max))
+	}
+
+	_, below := ev.Figure8()
+	check("Figure 8 one-page share", measured("proofs < 4,096 B (one page)"), fmt.Sprintf("%.1f%%", below))
+
+	var refs, insns, shipped int64
+	for _, r := range ev.Results {
+		refs += int64(r.RefineStats.Granted + r.RefineStats.Failed)
+		insns += int64(r.VerifierStats.InsnProcessed)
+		shipped += int64(len(r.RefineStats.Requests))
+	}
+	prose := strings.Join(strings.Fields(doc), " ")
+	for _, want := range []string{
+		fmt.Sprintf("refinement count (%s over %s analyzed instructions, %.1f%%)",
+			commas(refs), commas(insns), 100*float64(refs)/float64(insns)),
+		fmt.Sprintf("shipped to user space (%d)", shipped),
+	} {
+		if !strings.Contains(prose, want) {
+			t.Errorf("EXPERIMENTS.md §6.3 does not say %q", want)
+		}
 	}
 }

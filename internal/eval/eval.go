@@ -7,6 +7,7 @@
 package eval
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -227,10 +228,16 @@ func (ev *Evaluation) Acceptance() AcceptanceSummary {
 		case corpus.ExpectRejectUntriggered:
 			s.Untriggered++
 		default:
-			// An expected-accept that failed: count it by observed cause.
-			if len(r.RefineStats.Requests) == 0 {
+			// An expected-accept that failed, or an entry with no label
+			// (the ELF path): count it by observed cause. The verifier
+			// reports an exhausted instruction budget at InsnIdx -1.
+			var ve *verifier.Error
+			switch {
+			case errors.As(r.Err, &ve) && ve.InsnIdx == -1:
+				s.InsnLimit++
+			case len(r.RefineStats.Requests) == 0:
 				s.Untriggered++
-			} else {
+			default:
 				s.WeakCondition++
 			}
 		}

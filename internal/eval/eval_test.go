@@ -2,6 +2,7 @@ package eval
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -218,5 +219,31 @@ func TestEvaluationEndToEndSampled(t *testing.T) {
 	}
 	if _, below := ev.Figure8(); below < 90 {
 		t.Errorf("proof-size distribution off: %.1f%% under 4K", below)
+	}
+}
+
+// TestAcceptanceUnlabelled evaluates the corpus with every entry's
+// expected outcome zeroed, as bcfbench's ELF path builds its entries,
+// and checks Acceptance buckets each program by its observed cause into
+// the bucket its label names.
+func TestAcceptanceUnlabelled(t *testing.T) {
+	labelled := corpus.Generate()
+	entries := slices.Clone(labelled)
+	for i := range entries {
+		entries[i].Expect = 0
+	}
+	ev := RunOpts(Options{Entries: entries, InsnLimit: 4000})
+	want := AcceptanceSummary{Total: 512, BCFAccepted: 403, WeakCondition: 82, InsnLimit: 23, Untriggered: 4}
+	if got := ev.Acceptance(); got != want {
+		t.Errorf("unlabelled buckets %+v, want %+v", got, want)
+	}
+	for i, r := range ev.Results {
+		one := &Evaluation{Results: []ProgramResult{r}, Baseline: ev.Baseline[i : i+1]}
+		observed := one.Acceptance()
+		one.Results[0].Entry = labelled[i]
+		if byLabel := one.Acceptance(); observed != byLabel {
+			t.Errorf("%s/%s: observed cause %+v, label %v says %+v",
+				labelled[i].Family, labelled[i].Variant, observed, labelled[i].Expect, byLabel)
+		}
 	}
 }

@@ -56,7 +56,7 @@ const (
 
 	// Remote proving, daemon side (internal/proofd).
 	MDaemonConns      = "proofd_conns_total"
-	MDaemonRequests   = "proofd_requests_total" // label: type=prove|ping
+	MDaemonRequests   = "proofd_requests_total" // label: type=prove (the one request type)
 	MDaemonReplies    = "proofd_replies_total"  // label: source=solved|mem|disk|coalesced
 	MDaemonErrors     = "proofd_errors_total"   // label: class
 	MDaemonRejects    = "proofd_frames_rejected_total"

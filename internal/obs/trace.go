@@ -12,26 +12,17 @@ import (
 )
 
 // TraceContext identifies a position in a distributed trace: the
-// 128-bit trace ID names one end-to-end story (a load, a bench run),
+// 128-bit trace ID names one end-to-end story (a load, a bench run), and
 // Span is the 64-bit ID of the span that is the parent of whatever the
-// receiver records, and Flags carries propagation options. It is the
-// unit that crosses process boundaries — proofrpc frames carry exactly
-// this struct, so a daemon can nest its cache-tier spans under the
-// client RPC span that asked for them. The zero value means "no trace":
-// senders omit it from the wire and receivers record unparented spans.
+// receiver records. It is the unit that crosses process boundaries —
+// proofrpc frames carry exactly this struct, so a daemon can nest its
+// cache-tier spans under the client RPC span that asked for them. The
+// zero value means "no trace": senders omit it from the wire and
+// receivers record unparented spans.
 type TraceContext struct {
 	TraceHi, TraceLo uint64
 	Span             uint64
-	Flags            uint32
 }
-
-// Trace-context flags.
-const (
-	// FlagShipSpans asks the server to retain spans recorded under this
-	// trace ID for a later TSpans fetch (the ship-spans-back mode that
-	// stitches one Perfetto file from both sides of the wire).
-	FlagShipSpans uint32 = 1 << 0
-)
 
 // Valid reports whether the context names a real trace.
 func (tc TraceContext) Valid() bool { return tc.TraceHi != 0 || tc.TraceLo != 0 }
@@ -72,8 +63,8 @@ func SpanFromContext(ctx context.Context) TraceContext {
 // TraceEvent is one Chrome trace-event (the JSON array format consumed
 // by Perfetto and chrome://tracing). Complete events (ph "X") carry a
 // duration; instant events (ph "i") and metadata events (ph "M") do
-// not. It is exported because the ship-spans-back path serializes
-// events across the proofrpc boundary (ExportedTrace).
+// not. It is exported because a traced proofrpc reply carries the
+// daemon's events back to the caller (ExportedTrace).
 type TraceEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
@@ -100,32 +91,6 @@ type traceSink struct {
 	traceHi, traceLo uint64
 	spanBase         uint64
 	spanSeq          uint64
-
-	// cap, when positive, bounds retained events as a ring: the oldest
-	// event is dropped for each new one beyond the cap. head is the ring
-	// read position; dropped counts evictions.
-	cap     int
-	head    int
-	dropped int64
-}
-
-// add appends one event under the ring policy.
-func (s *traceSink) add(e TraceEvent) {
-	if s.cap > 0 && len(s.events) == s.cap {
-		s.events[s.head] = e
-		s.head = (s.head + 1) % s.cap
-		s.dropped++
-		return
-	}
-	s.events = append(s.events, e)
-}
-
-// ordered returns the retained events oldest-first (copy).
-func (s *traceSink) ordered() []TraceEvent {
-	out := make([]TraceEvent, 0, len(s.events))
-	out = append(out, s.events[s.head:]...)
-	out = append(out, s.events[:s.head]...)
-	return out
 }
 
 // Tracer records spans and events keyed by a (pid, tid) pair — in this
@@ -153,38 +118,14 @@ type Tracer struct {
 
 // NewTracer returns a tracer writing to a fresh sink (pid 0, tid 0)
 // under a fresh random trace ID.
-func NewTracer() *Tracer { return NewTracerCap(0) }
-
-// NewTracerCap returns a tracer whose sink retains at most cap events,
-// evicting oldest-first (0 = unbounded). Long-running daemons use a cap
-// so the ship-spans-back buffer cannot grow without bound.
-func NewTracerCap(cap int) *Tracer {
+func NewTracer() *Tracer {
 	return &Tracer{sink: &traceSink{
 		start:    time.Now(),
 		named:    map[[2]int64]bool{},
 		traceHi:  rand.Uint64(),
 		traceLo:  rand.Uint64(),
 		spanBase: rand.Uint64() &^ 0xffffffff, // low 32 bits left for the sequence
-		cap:      cap,
 	}}
-}
-
-// TraceID returns the tracer's 128-bit trace ID. Nil-safe (0, 0).
-func (t *Tracer) TraceID() (hi, lo uint64) {
-	if t == nil {
-		return 0, 0
-	}
-	return t.sink.traceHi, t.sink.traceLo
-}
-
-// Dropped reports how many events the ring cap evicted.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.sink.mu.Lock()
-	defer t.sink.mu.Unlock()
-	return t.sink.dropped
 }
 
 // WithProcess derives a handle whose events carry the given pid,
@@ -217,9 +158,9 @@ func (t *Tracer) WithThread(tid int, name string) *Tracer {
 
 // WithParent derives a handle whose spans nest under tc — the serving
 // side of a traced RPC: the daemon records its cache-tier spans under
-// the caller's trace ID with the caller's RPC span as parent, so a
-// merged trace file shows one unbroken tree. An invalid tc returns the
-// handle unchanged. Nil-safe.
+// the caller's trace ID with the caller's RPC span as parent, so the
+// caller's merged trace file shows one unbroken tree. An invalid tc
+// returns the handle unchanged. Nil-safe.
 func (t *Tracer) WithParent(tc TraceContext) *Tracer {
 	if t == nil || !tc.Valid() {
 		return t
@@ -263,7 +204,7 @@ func (t *Tracer) meta(kind, name string, process bool) {
 		return
 	}
 	s.named[mk] = true
-	s.add(TraceEvent{
+	s.events = append(s.events, TraceEvent{
 		Name: kind, Ph: "M", PID: t.pid, TID: t.tid,
 		Args: map[string]any{"name": name},
 	})
@@ -366,7 +307,7 @@ func (s Span) endAt(end time.Time, extra map[string]any) {
 	}
 	sink := s.t.sink
 	sink.mu.Lock()
-	sink.add(TraceEvent{
+	sink.events = append(sink.events, TraceEvent{
 		Name: s.name, Cat: s.cat, Ph: "X",
 		TS:  float64(s.begin.Sub(sink.start).Nanoseconds()) / 1e3,
 		Dur: float64(end.Sub(s.begin).Nanoseconds()) / 1e3,
@@ -392,7 +333,7 @@ func (t *Tracer) Instant(cat, name string, args map[string]any) {
 	}
 	sink := t.sink
 	sink.mu.Lock()
-	sink.add(TraceEvent{
+	sink.events = append(sink.events, TraceEvent{
 		Name: name, Cat: cat, Ph: "i", S: "t",
 		TS:  float64(time.Since(sink.start).Nanoseconds()) / 1e3,
 		PID: t.pid, TID: t.tid, Args: args,
@@ -400,7 +341,7 @@ func (t *Tracer) Instant(cat, name string, args map[string]any) {
 	sink.mu.Unlock()
 }
 
-// Len reports how many events are currently retained.
+// Len reports how many events the sink holds.
 func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
@@ -410,12 +351,11 @@ func (t *Tracer) Len() int {
 	return len(t.sink.events)
 }
 
-// ---- ship-spans-back ----
+// ---- spans across the wire ----
 
-// ExportedTrace is the wire form of one side's spans for a trace:
-// events plus the exporting sink's epoch, so the importer can place
-// them on its own timeline (after estimating the clock offset from an
-// RTT probe). It travels as JSON inside a TSpansOK frame.
+// ExportedTrace is the wire form of one side's spans: events plus the
+// exporting sink's epoch, so the importer can place them on its own
+// timeline. A traced proofrpc reply carries it as JSON.
 type ExportedTrace struct {
 	// StartUnixNano is the exporting sink's epoch: event TS values are
 	// microseconds since this instant, on the exporter's clock.
@@ -423,31 +363,36 @@ type ExportedTrace struct {
 	Events        []TraceEvent `json:"events"`
 }
 
-// Export copies out every event recorded under the given trace ID
-// (spans a remote caller asked to ship back). Nil-safe: a nil tracer
-// exports an empty trace.
-func (t *Tracer) Export(hi, lo uint64) ExportedTrace {
+// Export copies out every event the tracer's sink holds: a daemon
+// records each traced request in a tracer of its own and exports it
+// whole into the reply. Nil-safe: a nil tracer exports an empty trace.
+func (t *Tracer) Export() ExportedTrace {
 	ex := ExportedTrace{Events: []TraceEvent{}}
 	if t == nil {
 		return ex
 	}
-	want := TraceContext{TraceHi: hi, TraceLo: lo}.TraceIDString()
 	t.sink.mu.Lock()
 	defer t.sink.mu.Unlock()
 	ex.StartUnixNano = t.sink.start.UnixNano()
-	for _, e := range t.sink.ordered() {
-		if id, ok := e.Args["trace_id"].(string); ok && id == want {
-			ex.Events = append(ex.Events, e)
-		}
-	}
+	ex.Events = append(ex.Events, t.sink.events...)
 	return ex
+}
+
+// Join records an export from the same host into t's sink under t's
+// pid, with no clock offset: the daemon's -tracefile keeps a copy of
+// every traced request it answered. Nil-safe no-op.
+func (t *Tracer) Join(ex ExportedTrace) {
+	if t != nil {
+		t.Merge(ex, t.pid, "", 0)
+	}
 }
 
 // Merge imports another process's exported events into this tracer's
 // sink, labelling them with the given pid/name (so the remote side
 // appears as its own process track in the viewer) and correcting
-// timestamps by clockOffset — the estimated remoteClock−localClock
-// difference, typically from an RTT-halved ping probe. Nil-safe no-op.
+// timestamps by clockOffset, the remoteClock−localClock difference
+// (prooffleet estimates it from the round trip that carried the
+// events). Nil-safe no-op.
 func (t *Tracer) Merge(ex ExportedTrace, pid int64, name string, clockOffset time.Duration) {
 	if t == nil || len(ex.Events) == 0 {
 		return
@@ -461,13 +406,13 @@ func (t *Tracer) Merge(ex ExportedTrace, pid int64, name string, clockOffset tim
 	mk := [2]int64{pid, -1}
 	if name != "" && !s.named[mk] {
 		s.named[mk] = true
-		s.add(TraceEvent{Name: "process_name", Ph: "M", PID: pid, TID: 0,
+		s.events = append(s.events, TraceEvent{Name: "process_name", Ph: "M", PID: pid, TID: 0,
 			Args: map[string]any{"name": name}})
 	}
 	for _, e := range ex.Events {
 		e.PID = pid
 		e.TS += shiftNS / 1e3
-		s.add(e)
+		s.events = append(s.events, e)
 	}
 }
 
@@ -484,7 +429,7 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 	tf := traceFile{TraceEvents: []TraceEvent{}, DisplayTimeUnit: "ms"}
 	if t != nil {
 		t.sink.mu.Lock()
-		tf.TraceEvents = t.sink.ordered()
+		tf.TraceEvents = append(tf.TraceEvents, t.sink.events...)
 		t.sink.mu.Unlock()
 	}
 	enc := json.NewEncoder(w)

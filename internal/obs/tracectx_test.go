@@ -66,11 +66,10 @@ func spanByName(t *testing.T, evs []TraceEvent, name string) TraceEvent {
 
 func TestSpanIdentityArgs(t *testing.T) {
 	tr := NewTracer()
-	hi, lo := tr.TraceID()
-	if hi == 0 && lo == 0 {
+	parent := tr.Start(CatLoad, "load")
+	if !parent.Context().Valid() {
 		t.Fatal("tracer must mint a nonzero trace ID")
 	}
-	parent := tr.Start(CatLoad, "load")
 	child := tr.StartUnder(parent.Context(), CatRPC, "remote-prove")
 	child.End()
 	parent.End()
@@ -78,7 +77,7 @@ func TestSpanIdentityArgs(t *testing.T) {
 	evs := collect(t, tr)
 	pe := spanByName(t, evs, "load")
 	ce := spanByName(t, evs, "remote-prove")
-	want := TraceContext{TraceHi: hi, TraceLo: lo}.TraceIDString()
+	want := parent.Context().TraceIDString()
 	if pe.Args["trace_id"] != want || ce.Args["trace_id"] != want {
 		t.Fatalf("trace ids: parent=%v child=%v want %v", pe.Args["trace_id"], ce.Args["trace_id"], want)
 	}
@@ -135,27 +134,31 @@ func TestWithParentRecordsUnderRemoteTrace(t *testing.T) {
 
 func TestExportAndMerge(t *testing.T) {
 	client := NewTracer()
-	hi, lo := client.TraceID()
 	rpc := client.Start(CatRPC, "remote-prove")
 
-	daemon := NewTracer()
-	h := daemon.WithParent(rpc.Context())
-	sp := h.Start(CatProve, "proofd-prove")
-	sp.End()
-	// A span on the daemon's own trace must not export.
+	// The daemon records one traced request in a tracer of its own and
+	// exports it whole; its own tracer keeps a copy under its pid.
+	daemon := NewTracer().WithProcess(7, "bcfd")
 	own := daemon.Start(CatProve, "unrelated")
 	own.End()
+	req := NewTracer().WithParent(rpc.Context())
+	sp := req.Start(CatProve, "proofd-prove")
+	sp.End()
 	rpc.End()
 
-	ex := daemon.Export(hi, lo)
+	ex := req.Export()
 	if len(ex.Events) != 1 || ex.Events[0].Name != "proofd-prove" {
-		t.Fatalf("export = %+v, want exactly the caller-trace span", ex.Events)
+		t.Fatalf("export = %+v, want exactly the request's span", ex.Events)
 	}
 	if ex.StartUnixNano == 0 {
 		t.Fatal("export must carry the sink epoch")
 	}
+	daemon.Join(ex)
+	if de := spanByName(t, collect(t, daemon), "proofd-prove"); de.PID != 7 {
+		t.Fatalf("joined span pid = %d, want the daemon's 7", de.PID)
+	}
 
-	// JSON round trip (the wire form inside TSpansOK).
+	// JSON round trip (the wire form inside a traced reply).
 	blob, err := json.Marshal(ex)
 	if err != nil {
 		t.Fatal(err)
@@ -189,19 +192,19 @@ func TestExportAndMerge(t *testing.T) {
 	// Nil client merge must not panic; nil daemon export is empty.
 	var nilT *Tracer
 	nilT.Merge(back, 1, "x", 0)
-	if got := nilT.Export(hi, lo); len(got.Events) != 0 {
+	nilT.Join(back)
+	if got := nilT.Export(); len(got.Events) != 0 {
 		t.Fatal("nil export must be empty")
 	}
 }
 
 func TestMergeClockOffset(t *testing.T) {
 	client := NewTracer()
-	hi, lo := client.TraceID()
 	ex := ExportedTrace{
 		StartUnixNano: time.Now().Add(2 * time.Second).UnixNano(), // daemon clock 2s ahead
 		Events: []TraceEvent{{
 			Name: "proofd-prove", Ph: "X", TS: 100, Dur: 50, PID: 0, TID: 0,
-			Args: map[string]any{"trace_id": TraceContext{TraceHi: hi, TraceLo: lo}.TraceIDString()},
+			Args: map[string]any{"trace_id": TraceContext{TraceHi: 1, TraceLo: 2}.TraceIDString()},
 		}},
 	}
 	client.Merge(ex, 1000, "bcfd", 2*time.Second)
@@ -211,29 +214,6 @@ func TestMergeClockOffset(t *testing.T) {
 	// epoch (within a second of µs 0..1e6), not 2 seconds in the future.
 	if de.TS < -1e6 || de.TS > 1e6 {
 		t.Fatalf("offset-corrected TS = %v µs, want near zero", de.TS)
-	}
-}
-
-func TestTracerCapRing(t *testing.T) {
-	tr := NewTracerCap(4)
-	for i := 0; i < 10; i++ {
-		tr.Instant(CatProve, "tick", nil)
-	}
-	if got := tr.Len(); got != 4 {
-		t.Fatalf("Len = %d, want 4", got)
-	}
-	if got := tr.Dropped(); got != 6 {
-		t.Fatalf("Dropped = %d, want 6", got)
-	}
-	evs := collect(t, tr)
-	if len(evs) != 4 {
-		t.Fatalf("wrote %d events, want 4", len(evs))
-	}
-	// Oldest-first ordering survives the ring.
-	for i := 1; i < len(evs); i++ {
-		if evs[i].TS < evs[i-1].TS {
-			t.Fatal("ring emitted events out of order")
-		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"bcf/internal/obs"
 	"bcf/internal/proofrpc"
 )
 
@@ -77,9 +78,9 @@ func TestDrainFinishesInflightProve(t *testing.T) {
 	}
 }
 
-// TestServerConcurrentMuxRequests: the rewritten per-connection
-// dispatcher must answer interleaved requests on one connection out of
-// order — a slow prove does not block a ping behind it.
+// TestServerConcurrentMuxRequests: the per-connection dispatcher answers
+// interleaved requests on one connection out of order — a slow prove
+// does not block the rejection of a malformed request behind it.
 func TestServerConcurrentMuxRequests(t *testing.T) {
 	s := New(Options{ChaosDelay: 200 * time.Millisecond})
 	sock := filepath.Join(t.TempDir(), "bcfd.sock")
@@ -106,18 +107,22 @@ func TestServerConcurrentMuxRequests(t *testing.T) {
 	defer cancel()
 	proveDone := make(chan error, 1)
 	go func() {
-		_, err := m.Do(ctx, proofrpc.TProve, encodedCond(t, 9))
+		_, err := m.Do(ctx, proofrpc.TProve, encodedCond(t, 9), obs.TraceContext{})
 		proveDone <- err
 	}()
 
-	// The ping must come back while the prove is still being held by
-	// ChaosDelay.
+	// A reply type sent as a request is refused with a TError while the
+	// prove is still held by ChaosDelay.
 	start := time.Now()
-	if err := m.Ping(ctx); err != nil {
-		t.Fatalf("ping: %v", err)
+	rf, err := m.Do(ctx, proofrpc.TProofOK, nil, obs.TraceContext{})
+	if err != nil {
+		t.Fatalf("malformed request: %v", err)
+	}
+	if rf.Type != proofrpc.TError {
+		t.Fatalf("malformed request answered with %s, want TError", proofrpc.TypeString(rf.Type))
 	}
 	if elapsed := time.Since(start); elapsed > 150*time.Millisecond {
-		t.Fatalf("ping waited %v behind a slow prove; connection is not multiplexed", elapsed)
+		t.Fatalf("rejection waited %v behind a slow prove; connection is not multiplexed", elapsed)
 	}
 	if err := <-proveDone; err != nil {
 		t.Fatalf("prove: %v", err)

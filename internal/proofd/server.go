@@ -48,7 +48,10 @@ type Options struct {
 	// before it is served (tests only): it holds a request inflight so
 	// drain and multiplexing tests can act while it waits.
 	ChaosDelay time.Duration
-	// Obs and Trace, when non-nil, receive the daemon's metrics/spans.
+	// Obs, when non-nil, receives the daemon's metrics. Trace, when
+	// non-nil, records the spans of every request (bcfd's -tracefile). A
+	// request that carries a trace context gets its own spans back in the
+	// reply either way.
 	Obs   *obs.Registry
 	Trace *obs.Tracer
 }
@@ -275,53 +278,7 @@ func isClosedErr(err error) bool {
 
 // handle serves one request frame under the inflight semaphore.
 func (s *Server) handle(f *proofrpc.Frame) *proofrpc.Frame {
-	switch f.Type {
-	case proofrpc.TPing:
-		s.opts.Obs.Counter(obs.Label(obs.MDaemonRequests, "type", "ping")).Inc()
-		// The pong carries the daemon's wall clock so clients can estimate
-		// the clock offset for span stitching.
-		return &proofrpc.Frame{Type: proofrpc.TPong,
-			Payload: proofrpc.EncodePongPayload(time.Now().UnixNano())}
-	case proofrpc.TSpans:
-		s.opts.Obs.Counter(obs.Label(obs.MDaemonRequests, "type", "spans")).Inc()
-		hi, lo, err := proofrpc.DecodeSpansRequest(f.Payload)
-		if err != nil {
-			s.opts.Obs.Counter(obs.MDaemonRejects).Inc()
-			return s.errorReply(bcferr.Wrap(bcferr.ClassProtocol, err))
-		}
-		blob, err := json.Marshal(s.opts.Trace.Export(hi, lo))
-		if err != nil {
-			return s.errorReply(bcferr.Wrap(bcferr.ClassProtocol, err))
-		}
-		return &proofrpc.Frame{Type: proofrpc.TSpansOK, Payload: blob}
-	case proofrpc.TProve:
-		s.inflight <- struct{}{} // backpressure beyond MaxInflight
-		s.opts.Obs.Gauge(obs.MDaemonInflight).Add(1)
-		if s.opts.ChaosDelay > 0 {
-			// Stall inside the semaphore, where a slow solve would wait.
-			time.Sleep(s.opts.ChaosDelay)
-		}
-		defer func() {
-			s.opts.Obs.Gauge(obs.MDaemonInflight).Add(-1)
-			<-s.inflight
-		}()
-		s.opts.Obs.Counter(obs.Label(obs.MDaemonRequests, "type", "prove")).Inc()
-		var t0 time.Time
-		if s.opts.Obs != nil {
-			t0 = time.Now()
-		}
-		// When the frame carries the caller's trace context, the daemon's
-		// spans record under the caller's trace ID with the caller's RPC
-		// span as parent — a later TSpans fetch stitches the two timelines.
-		tr := s.opts.Trace.WithParent(f.Trace)
-		sp := tr.Start(obs.CatRPC, "proofd-prove")
-		reply, src := s.prove(f.Payload, tr.WithParent(sp.Context()))
-		sp.EndArgs(map[string]any{"src": proofrpc.SrcString(src)})
-		if s.opts.Obs != nil {
-			s.opts.Obs.StageHistogram(obs.MDaemonSeconds).Since(t0)
-		}
-		return reply
-	default:
+	if f.Type != proofrpc.TProve {
 		s.opts.Obs.Counter(obs.MDaemonRejects).Inc()
 		if j := s.opts.Obs.Journal(); j != nil {
 			j.Recordf(obs.JKindRPC, "proofd", int64(f.Type),
@@ -333,6 +290,41 @@ func (s *Server) handle(f *proofrpc.Frame) *proofrpc.Frame {
 				fmt.Sprintf("unexpected request type %s", proofrpc.TypeString(f.Type))),
 		}
 	}
+	s.inflight <- struct{}{} // backpressure beyond MaxInflight
+	s.opts.Obs.Gauge(obs.MDaemonInflight).Add(1)
+	if s.opts.ChaosDelay > 0 {
+		// Stall inside the semaphore, where a slow solve would wait.
+		time.Sleep(s.opts.ChaosDelay)
+	}
+	defer func() {
+		s.opts.Obs.Gauge(obs.MDaemonInflight).Add(-1)
+		<-s.inflight
+	}()
+	s.opts.Obs.Counter(obs.Label(obs.MDaemonRequests, "type", "prove")).Inc()
+	var t0 time.Time
+	if s.opts.Obs != nil {
+		t0 = time.Now()
+	}
+	// A traced request records its spans, under the caller's trace ID and
+	// RPC span, in a tracer of its own; the reply carries them back, and
+	// the daemon's own tracer, if any, keeps a copy. Nothing is retained
+	// for later.
+	tr := s.opts.Trace
+	if f.Trace.Valid() {
+		tr = obs.NewTracer().WithParent(f.Trace)
+	}
+	sp := tr.Start(obs.CatRPC, "proofd-prove")
+	reply, src := s.prove(f.Payload, tr.WithParent(sp.Context()))
+	sp.EndArgs(map[string]any{"src": proofrpc.SrcString(src)})
+	if f.Trace.Valid() {
+		ex := tr.Export()
+		s.opts.Trace.Join(ex)
+		reply.Spans, _ = json.Marshal(ex) // spans are diagnostics: none on failure
+	}
+	if s.opts.Obs != nil {
+		s.opts.Obs.StageHistogram(obs.MDaemonSeconds).Since(t0)
+	}
+	return reply
 }
 
 // prove resolves one obligation through the cache hierarchy:
@@ -352,7 +344,7 @@ func (s *Server) prove(cond []byte, tr *obs.Tracer) (*proofrpc.Frame, byte) {
 			}
 		}
 		ssp := tr.Start(obs.CatProve, "solve")
-		p, err := s.solve(cond)
+		p, err := s.solve(cond, tr.WithParent(ssp.Context()))
 		ssp.End()
 		if err != nil {
 			return nil, err
@@ -377,10 +369,11 @@ func (s *Server) prove(cond []byte, tr *obs.Tracer) (*proofrpc.Frame, byte) {
 
 // solve proves a cache-missing obligation with the loader's own
 // condition-to-proof function, budget escalation included, so a
-// daemon's verdict is the one the in-process loader would reach.
-func (s *Server) solve(condBytes []byte) ([]byte, error) {
+// daemon's verdict is the one the in-process loader would reach. tr
+// parents the prover's spans under the request's solve span.
+func (s *Server) solve(condBytes []byte, tr *obs.Tracer) ([]byte, error) {
 	out, _, err := loader.ProveLocal(context.Background(), condBytes, &loader.Options{
-		Solver: s.opts.Solver, ProveTimeout: s.opts.ProveTimeout, Obs: s.opts.Obs, Trace: s.opts.Trace})
+		Solver: s.opts.Solver, ProveTimeout: s.opts.ProveTimeout, Obs: s.opts.Obs, Trace: tr})
 	return out, err
 }
 

@@ -270,19 +270,6 @@ func TestServerGracefulShutdown(t *testing.T) {
 	}
 }
 
-// Ping answers without touching the prover.
-func TestServerPing(t *testing.T) {
-	reg := obs.NewRegistry()
-	_, endpoint := startServer(t, Options{Obs: reg})
-	c := dialClient(t, endpoint, nil)
-	if err := c.Ping(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if n := reg.Counter(obs.Label(obs.MDaemonRequests, "type", "ping")).Value(); n != 1 {
-		t.Fatalf("ping counter = %d, want 1", n)
-	}
-}
-
 // TestDaemonEscalatesLikeLoader: a condition that exhausts a one-conflict
 // budget gets the same single escalation retry in the daemon as in the
 // in-process loader, so the remote outcome is the local one. 8-bit

@@ -15,8 +15,10 @@ package prooffleet
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -70,7 +72,9 @@ type Options struct {
 	// backend at a time. The field stays so existing callers compile.
 	HedgeDelay time.Duration
 
-	// Obs and Trace, when non-nil, receive fleet metrics and spans.
+	// Obs and Trace, when non-nil, receive fleet metrics and spans. With
+	// a Trace, each request carries its backend-prove span, and the
+	// daemon spans its reply brings back are merged into Trace.
 	Obs   *obs.Registry
 	Trace *obs.Tracer
 	// Fault injects fleet faults (tests only).
@@ -103,6 +107,7 @@ type Fleet struct {
 type backend struct {
 	id            string // endpoint as configured (metrics label, hashing)
 	network, addr string
+	pid           int64 // trace process of its merged spans: 1000 + its index
 
 	// downUntil is the end of the backend's cooldown in Unix
 	// nanoseconds; the backend is down while the clock is before it.
@@ -144,12 +149,12 @@ func New(opts Options) (*Fleet, error) {
 		opts.RequestTimeout = DefaultRequestTimeout
 	}
 	f := &Fleet{opts: opts}
-	for _, ep := range opts.Endpoints {
+	for i, ep := range opts.Endpoints {
 		network, addr, err := proofrpc.ParseAddr(ep)
 		if err != nil {
 			return nil, fmt.Errorf("prooffleet: endpoint %q: %w", ep, err)
 		}
-		f.backends = append(f.backends, &backend{id: ep, network: network, addr: addr})
+		f.backends = append(f.backends, &backend{id: ep, network: network, addr: addr, pid: int64(1000 + i)})
 	}
 	return f, nil
 }
@@ -218,24 +223,6 @@ func (f *Fleet) rank(key []byte) []*backend {
 		out[i] = s.b
 	}
 	return out
-}
-
-// Ping probes the first reachable backend (connectivity check).
-func (f *Fleet) Ping(ctx context.Context) error {
-	var lastErr error
-	for _, b := range f.backends {
-		conn, err := f.muxConn(b)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if err := conn.Ping(ctx); err != nil {
-			lastErr = err
-			continue
-		}
-		return nil
-	}
-	return unavailable("prooffleet: ping: %v", lastErr)
 }
 
 // ProveBytes ships one encoded condition to the fleet and returns the
@@ -310,11 +297,6 @@ func (f *Fleet) proveOn(ctx context.Context, b *backend, cond []byte, tc obs.Tra
 	defer func() {
 		sp.EndArgs(map[string]any{"backend": b.id, "outcome": outcome})
 	}()
-	// The wire carries this attempt's span, so the daemon's tier spans
-	// nest under the exact backend attempt that caused them.
-	wtc := sp.Context()
-	wtc.Flags |= obs.FlagShipSpans
-
 	fail := func(err error) ([]byte, error, bool) {
 		if ctx.Err() != nil {
 			outcome = "cancelled"
@@ -336,9 +318,16 @@ func (f *Fleet) proveOn(ctx context.Context, b *backend, cond []byte, tc obs.Tra
 	rctx, rcancel := context.WithTimeout(ctx, f.opts.RequestTimeout)
 	defer rcancel()
 
-	rf, derr := conn.DoTraced(rctx, proofrpc.TProve, cond, wtc)
+	// The wire carries this attempt's span, so the daemon's tier spans
+	// nest under the exact backend attempt that caused them, and the
+	// reply brings them back.
+	sent := time.Now()
+	rf, derr := conn.Do(rctx, proofrpc.TProve, cond, sp.Context())
 	if derr != nil {
 		return fail(unavailable("prooffleet: backend %s: %v", b.id, derr))
+	}
+	if len(rf.Spans) > 0 && f.opts.Trace != nil {
+		f.mergeSpans(b, rf.Spans, sent, time.Now())
 	}
 	body := rf.Payload
 	if f.opts.Fault != nil {
@@ -372,41 +361,29 @@ func (f *Fleet) proveOn(ctx context.Context, b *backend, cond []byte, tc obs.Tra
 	return out, nil, false
 }
 
-// Stitch pulls every backend's spans for this fleet's trace and merges
-// them into the fleet tracer, one process track per backend (pids
-// 1000, 1001, …) with clock offsets estimated per backend from a
-// stamped ping. Call it once after a traced run, before writing the
-// trace file. A no-op without a tracer; per-backend failures are
-// skipped (a dead backend should not cost the rest of the stitch).
-func (f *Fleet) Stitch(ctx context.Context) error {
-	if f.opts.Trace == nil {
-		return nil
+// mergeSpans places the spans a reply carried on the fleet's timeline,
+// as backend b's own process track. The daemon did that work between
+// sent and recvd, so the clock offset is the one that centres the
+// exported interval in that round trip: the symmetric-delay assumption,
+// taken from the exchange that carried the spans. Spans that do not
+// parse are dropped; they never touch the obligation's outcome.
+func (f *Fleet) mergeSpans(b *backend, blob []byte, sent, recvd time.Time) {
+	var ex obs.ExportedTrace
+	if json.Unmarshal(blob, &ex) != nil {
+		return
 	}
-	hi, lo := f.opts.Trace.TraceID()
-	var firstErr error
-	for i, b := range f.backends {
-		conn, err := f.muxConn(b)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+	first, last := math.Inf(1), math.Inf(-1) // exporter's µs
+	for _, e := range ex.Events {
+		if e.Ph != "M" {
+			first, last = min(first, e.TS), max(last, e.TS+e.Dur)
 		}
-		var offset time.Duration
-		t0 := time.Now()
-		if nano, rtt, perr := conn.PingTime(ctx); perr == nil && nano != 0 {
-			offset = time.Duration(nano - t0.Add(rtt/2).UnixNano())
-		}
-		ex, err := conn.FetchSpans(ctx, hi, lo)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		f.opts.Trace.Merge(ex, int64(1000+i), "bcfd:"+b.id, offset)
 	}
-	return firstErr
+	if first > last {
+		return
+	}
+	remote := ex.StartUnixNano + int64(first*1e3)
+	local := sent.UnixNano() + (recvd.Sub(sent).Nanoseconds()-int64((last-first)*1e3))/2
+	f.opts.Trace.Merge(ex, b.pid, "bcfd:"+b.id, time.Duration(remote-local))
 }
 
 // muxConn returns the backend's live multiplexed connection, redialing

@@ -94,22 +94,13 @@ func validProof(t *testing.T) []byte {
 	return b
 }
 
-func TestClientPingAndProve(t *testing.T) {
+func TestClientProve(t *testing.T) {
 	proof := validProof(t)
 	endpoint := fakeServer(t, func(f *proofrpc.Frame) *proofrpc.Frame {
-		switch f.Type {
-		case proofrpc.TPing:
-			return &proofrpc.Frame{Type: proofrpc.TPong}
-		case proofrpc.TProve:
-			return &proofrpc.Frame{Type: proofrpc.TProofOK, Payload: append([]byte{proofrpc.SrcDisk}, proof...)}
-		}
-		return nil
+		return &proofrpc.Frame{Type: proofrpc.TProofOK, Payload: append([]byte{proofrpc.SrcDisk}, proof...)}
 	})
 	reg := obs.NewRegistry()
 	c := newTestClient(t, endpoint, reg)
-	if err := c.Ping(context.Background()); err != nil {
-		t.Fatalf("ping: %v", err)
-	}
 	got, err := c.ProveBytes(context.Background(), []byte("cond"))
 	if err != nil {
 		t.Fatalf("prove: %v", err)
@@ -218,28 +209,59 @@ func TestClientRecoversAfterDroppedConn(t *testing.T) {
 	}
 }
 
+// A reply whose spans section is not JSON still delivers its proof: the
+// spans are dropped and nothing is merged into the caller's trace.
+func TestClientBadSpansIgnored(t *testing.T) {
+	proof := validProof(t)
+	endpoint := fakeServer(t, func(f *proofrpc.Frame) *proofrpc.Frame {
+		if !f.Trace.Valid() {
+			t.Errorf("a traced fleet sent an untraced request")
+		}
+		return &proofrpc.Frame{Type: proofrpc.TProofOK, Payload: append([]byte{proofrpc.SrcSolved}, proof...),
+			Spans: []byte("{not json")}
+	})
+	tr := obs.NewTracer()
+	c, err := prooffleet.New(prooffleet.Options{Endpoints: []string{endpoint}, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	got, err := c.ProveBytes(context.Background(), []byte("cond"))
+	if err != nil || string(got) != string(proof) {
+		t.Fatalf("prove with bad spans: err = %v, proof intact = %v", err, string(got) == string(proof))
+	}
+	for _, e := range tr.Export().Events {
+		if e.PID >= 1000 {
+			t.Fatalf("merged %q from a reply whose spans do not parse", e.Name)
+		}
+	}
+}
+
 func TestClientContextCancelled(t *testing.T) {
 	endpoint := fakeServer(t, func(f *proofrpc.Frame) *proofrpc.Frame {
 		time.Sleep(50 * time.Millisecond)
-		return &proofrpc.Frame{Type: proofrpc.TPong}
+		return &proofrpc.Frame{Type: proofrpc.TError, Payload: proofrpc.EncodeErrorPayload(0, "late")}
 	})
 	c := newTestClient(t, endpoint, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	err := c.Ping(ctx)
+	_, err := c.ProveBytes(ctx, []byte("cond"))
 	if !errors.Is(err, bcferr.ErrRemoteUnavailable) {
 		t.Fatalf("err = %v, want ErrRemoteUnavailable", err)
 	}
 }
 
 func TestClientClosed(t *testing.T) {
-	endpoint := fakeServer(t, func(f *proofrpc.Frame) *proofrpc.Frame { return &proofrpc.Frame{Type: proofrpc.TPong} })
+	proof := validProof(t)
+	endpoint := fakeServer(t, func(f *proofrpc.Frame) *proofrpc.Frame {
+		return &proofrpc.Frame{Type: proofrpc.TProofOK, Payload: append([]byte{proofrpc.SrcSolved}, proof...)}
+	})
 	c := newTestClient(t, endpoint, nil)
-	if err := c.Ping(context.Background()); err != nil {
+	if _, err := c.ProveBytes(context.Background(), []byte("cond")); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
-	if err := c.Ping(context.Background()); !errors.Is(err, bcferr.ErrRemoteUnavailable) {
+	if _, err := c.ProveBytes(context.Background(), []byte("cond")); !errors.Is(err, bcferr.ErrRemoteUnavailable) {
 		t.Fatalf("err after close = %v, want ErrRemoteUnavailable", err)
 	}
 }

@@ -29,19 +29,15 @@ const FrameMagic = 0x52464342
 // FrameVersion is the protocol version; frames carrying any other
 // version are rejected (no negotiation — the fleet upgrades in lockstep
 // with the wire format, like bcfenc.Version). Version 2 added the flags
-// header word and the optional trace-context block; version 3 dropped
-// the fuzz-campaign types 9–11, renumbering TSpans/TSpansOK to 9/10;
-// version 4 dropped THealth/THealthOK, renumbering TSpans/TSpansOK to
-// 7/8.
-const FrameVersion = 4
+// header word and the optional trace-context block; version 5 dropped
+// the ping and span-fetch types, renumbering the rest 1–4, dropped the
+// trace block's flags word and added the spans section of a reply.
+const FrameVersion = 5
 
-// Frame types.
+// Frame types. TProve is the one request; the other three answer it.
 const (
-	// TPing / TPong are the liveness handshake.
-	TPing uint32 = iota + 1
-	TPong
 	// TProve carries a bcfenc-encoded condition to the daemon.
-	TProve
+	TProve uint32 = iota + 1
 	// TProofOK answers a TProve: one source byte (Src*) followed by the
 	// bcfenc-encoded proof.
 	TProofOK
@@ -51,15 +47,8 @@ const (
 	// TError answers a TProve that failed: a bcferr class word followed
 	// by the error message.
 	TError
-	// TSpans asks a daemon to ship back the spans it recorded under one
-	// trace ID (the payload: trace hi u64 | trace lo u64). Clients send
-	// it after a traced run so one Perfetto file can stitch both sides of
-	// the wire.
-	TSpans
-	// TSpansOK answers a TSpans: a JSON-encoded obs.ExportedTrace.
-	TSpansOK
 
-	maxFrameType = TSpansOK
+	maxFrameType = TError
 )
 
 // TypeString names a frame type for error messages and journal entries
@@ -67,10 +56,6 @@ const (
 // in chaos-soak output).
 func TypeString(typ uint32) string {
 	switch typ {
-	case TPing:
-		return "TPing"
-	case TPong:
-		return "TPong"
 	case TProve:
 		return "TProve"
 	case TProofOK:
@@ -79,10 +64,6 @@ func TypeString(typ uint32) string {
 		return "TCex"
 	case TError:
 		return "TError"
-	case TSpans:
-		return "TSpans"
-	case TSpansOK:
-		return "TSpansOK"
 	}
 	return fmt.Sprintf("unknown(%d)", typ)
 }
@@ -130,83 +111,81 @@ const (
 	// between the header and the payload: the caller's distributed-trace
 	// position, under which the server records its own spans.
 	FlagTraceContext uint32 = 1 << 0
+	// FlagSpans marks a reply whose payload opens with a spans section:
+	// a u32 length and that many bytes of JSON obs.ExportedTrace, the
+	// spans the daemon recorded for a traced request. The section is
+	// inside the payload, so the CRC and MaxPayload cover it.
+	FlagSpans uint32 = 1 << 1
 
-	knownFlags = FlagTraceContext
+	knownFlags = FlagTraceContext | FlagSpans
 )
 
 // traceBlockLen is the trace-context block size in bytes:
-// trace id hi u64 | trace id lo u64 | parent span id u64 | trace flags u32.
-const traceBlockLen = 28
+// trace id hi u64 | trace id lo u64 | parent span id u64.
+const traceBlockLen = 24
 
 // Frame is one protocol message. Trace, when valid, is the sender's
 // trace context; it rides an optional header extension so untraced
-// traffic pays nothing.
+// traffic pays nothing. Spans, on a reply only, is the JSON
+// obs.ExportedTrace of the request's daemon-side spans; Payload is the
+// rest of the payload, what the frame type defines.
 type Frame struct {
 	Type    uint32
 	ReqID   uint64
 	Payload []byte
 	Trace   obs.TraceContext
+	Spans   []byte
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// extLen returns the length of f's header extensions.
-func (f *Frame) extLen() int {
-	if f.Trace.Valid() {
-		return traceBlockLen
-	}
-	return 0
-}
-
-// AppendFrame serializes f onto dst and returns the extended slice.
-func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
+// EncodeFrame serializes one frame.
+func EncodeFrame(f *Frame) ([]byte, error) {
 	if f.Type == 0 || f.Type > maxFrameType {
 		return nil, fmt.Errorf("proofrpc: unknown frame type %d", f.Type)
 	}
-	if len(f.Payload) > MaxPayload {
-		return nil, fmt.Errorf("proofrpc: payload %d bytes exceeds limit %d", len(f.Payload), MaxPayload)
-	}
 	var flags uint32
+	extLen, plen := 0, len(f.Payload)
 	if f.Trace.Valid() {
 		flags |= FlagTraceContext
+		extLen = traceBlockLen
 	}
-	var hdr [HeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], FrameMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], FrameVersion)
-	binary.LittleEndian.PutUint32(hdr[8:], f.Type)
-	binary.LittleEndian.PutUint32(hdr[12:], flags)
-	binary.LittleEndian.PutUint64(hdr[16:], f.ReqID)
-	binary.LittleEndian.PutUint32(hdr[24:], uint32(len(f.Payload)))
-	binary.LittleEndian.PutUint32(hdr[28:], crc32.Checksum(f.Payload, crcTable))
-	dst = append(dst, hdr[:]...)
-	if f.Trace.Valid() {
-		var tb [traceBlockLen]byte
-		binary.LittleEndian.PutUint64(tb[0:], f.Trace.TraceHi)
-		binary.LittleEndian.PutUint64(tb[8:], f.Trace.TraceLo)
-		binary.LittleEndian.PutUint64(tb[16:], f.Trace.Span)
-		binary.LittleEndian.PutUint32(tb[24:], f.Trace.Flags)
-		dst = append(dst, tb[:]...)
+	if len(f.Spans) > 0 {
+		if f.Type == TProve {
+			return nil, fmt.Errorf("proofrpc: spans on a %s request", TypeString(f.Type))
+		}
+		flags |= FlagSpans
+		plen += 4 + len(f.Spans)
 	}
-	return append(dst, f.Payload...), nil
-}
-
-// EncodeFrame serializes one frame.
-func EncodeFrame(f *Frame) ([]byte, error) { return AppendFrame(nil, f) }
-
-// decodeTraceBlock parses the trace-context block at buf[0:].
-func decodeTraceBlock(buf []byte) obs.TraceContext {
-	return obs.TraceContext{
-		TraceHi: binary.LittleEndian.Uint64(buf[0:]),
-		TraceLo: binary.LittleEndian.Uint64(buf[8:]),
-		Span:    binary.LittleEndian.Uint64(buf[16:]),
-		Flags:   binary.LittleEndian.Uint32(buf[24:]),
+	if plen > MaxPayload {
+		return nil, fmt.Errorf("proofrpc: payload %d bytes exceeds limit %d", plen, MaxPayload)
 	}
+	buf := make([]byte, HeaderLen, HeaderLen+extLen+plen)
+	binary.LittleEndian.PutUint32(buf[0:], FrameMagic)
+	binary.LittleEndian.PutUint32(buf[4:], FrameVersion)
+	binary.LittleEndian.PutUint32(buf[8:], f.Type)
+	binary.LittleEndian.PutUint32(buf[12:], flags)
+	binary.LittleEndian.PutUint64(buf[16:], f.ReqID)
+	binary.LittleEndian.PutUint32(buf[24:], uint32(plen))
+	if extLen > 0 {
+		buf = binary.LittleEndian.AppendUint64(buf, f.Trace.TraceHi)
+		buf = binary.LittleEndian.AppendUint64(buf, f.Trace.TraceLo)
+		buf = binary.LittleEndian.AppendUint64(buf, f.Trace.Span)
+	}
+	if flags&FlagSpans != 0 {
+		buf = append(binary.LittleEndian.AppendUint32(buf, uint32(len(f.Spans))), f.Spans...)
+	}
+	buf = append(buf, f.Payload...)
+	binary.LittleEndian.PutUint32(buf[28:], crc32.Checksum(buf[HeaderLen+extLen:], crcTable))
+	return buf, nil
 }
 
 // DecodeFrame parses one frame from the front of buf, returning the
 // frame and the number of bytes consumed. It is strict: bad magic,
-// unknown version, type or flags, oversized payloads, truncation and
-// CRC mismatches are all errors. The returned payload aliases buf.
+// unknown version, type or flags, spans on a request, oversized
+// payloads, truncation, a spans section that does not fit its payload
+// and CRC mismatches are all errors. The returned payload and spans
+// alias buf.
 func DecodeFrame(buf []byte) (*Frame, int, error) {
 	if len(buf) < HeaderLen {
 		return nil, 0, fmt.Errorf("proofrpc: truncated header (%d bytes)", len(buf))
@@ -225,6 +204,9 @@ func DecodeFrame(buf []byte) (*Frame, int, error) {
 	if flags&^knownFlags != 0 {
 		return nil, 0, fmt.Errorf("proofrpc: unknown frame flags %#x in %s frame", flags&^knownFlags, TypeString(typ))
 	}
+	if flags&FlagSpans != 0 && typ == TProve {
+		return nil, 0, fmt.Errorf("proofrpc: spans flag on a %s request", TypeString(typ))
+	}
 	extLen := 0
 	if flags&FlagTraceContext != 0 {
 		extLen = traceBlockLen
@@ -237,10 +219,14 @@ func DecodeFrame(buf []byte) (*Frame, int, error) {
 	if len(buf) < total {
 		return nil, 0, fmt.Errorf("proofrpc: truncated %s frame (%d of %d bytes)", TypeString(typ), len(buf)-HeaderLen, extLen+int(plen))
 	}
-	var tc obs.TraceContext
+	fr := &Frame{Type: typ, ReqID: binary.LittleEndian.Uint64(buf[16:])}
 	if extLen > 0 {
-		tc = decodeTraceBlock(buf[HeaderLen:])
-		if !tc.Valid() {
+		fr.Trace = obs.TraceContext{
+			TraceHi: binary.LittleEndian.Uint64(buf[HeaderLen:]),
+			TraceLo: binary.LittleEndian.Uint64(buf[HeaderLen+8:]),
+			Span:    binary.LittleEndian.Uint64(buf[HeaderLen+16:]),
+		}
+		if !fr.Trace.Valid() {
 			return nil, 0, fmt.Errorf("proofrpc: %s frame carries an all-zero trace context", TypeString(typ))
 		}
 	}
@@ -248,12 +234,22 @@ func DecodeFrame(buf []byte) (*Frame, int, error) {
 	if c := crc32.Checksum(payload, crcTable); c != binary.LittleEndian.Uint32(buf[28:]) {
 		return nil, 0, fmt.Errorf("proofrpc: payload CRC mismatch in %s frame", TypeString(typ))
 	}
-	return &Frame{
-		Type:    typ,
-		ReqID:   binary.LittleEndian.Uint64(buf[16:]),
-		Payload: payload,
-		Trace:   tc,
-	}, total, nil
+	if flags&FlagSpans != 0 {
+		if len(payload) < 4 {
+			return nil, 0, fmt.Errorf("proofrpc: %s frame too short for its spans section", TypeString(typ))
+		}
+		n := binary.LittleEndian.Uint32(payload)
+		if n == 0 {
+			// Refused like an all-zero trace context: the flag promises spans.
+			return nil, 0, fmt.Errorf("proofrpc: %s frame has an empty spans section", TypeString(typ))
+		}
+		if uint64(n) > uint64(len(payload)-4) {
+			return nil, 0, fmt.Errorf("proofrpc: %s spans section of %d bytes does not fit its %d-byte payload", TypeString(typ), n, len(payload))
+		}
+		fr.Spans, payload = payload[4:4+n], payload[4+n:]
+	}
+	fr.Payload = payload
+	return fr, total, nil
 }
 
 // WriteFrame serializes f to w.
@@ -350,51 +346,4 @@ func DecodeErrorPayload(buf []byte) (class uint32, msg string, err error) {
 		return 0, "", fmt.Errorf("proofrpc: truncated error payload")
 	}
 	return binary.LittleEndian.Uint32(buf), string(buf[4:]), nil
-}
-
-// spansPayloadLen is the fixed TSpans payload size: trace hi u64 |
-// trace lo u64.
-const spansPayloadLen = 16
-
-// EncodeSpansRequest serializes a TSpans payload asking for the spans
-// recorded under one trace ID.
-func EncodeSpansRequest(hi, lo uint64) []byte {
-	buf := make([]byte, spansPayloadLen)
-	binary.LittleEndian.PutUint64(buf[0:], hi)
-	binary.LittleEndian.PutUint64(buf[8:], lo)
-	return buf
-}
-
-// DecodeSpansRequest parses a TSpans payload.
-func DecodeSpansRequest(buf []byte) (hi, lo uint64, err error) {
-	if len(buf) != spansPayloadLen {
-		return 0, 0, fmt.Errorf("proofrpc: %s payload %d bytes, want %d", TypeString(TSpans), len(buf), spansPayloadLen)
-	}
-	return binary.LittleEndian.Uint64(buf[0:]), binary.LittleEndian.Uint64(buf[8:]), nil
-}
-
-// pongPayloadLen is the fixed TPong payload size: daemon wall clock,
-// UnixNano i64. Clients estimate the client↔daemon clock offset from it
-// (offset ≈ daemonNano − (sendNano + RTT/2)) when stitching shipped-back
-// spans onto the local timeline.
-const pongPayloadLen = 8
-
-// EncodePongPayload serializes a TPong payload carrying the daemon's
-// wall clock.
-func EncodePongPayload(unixNano int64) []byte {
-	buf := make([]byte, pongPayloadLen)
-	binary.LittleEndian.PutUint64(buf, uint64(unixNano))
-	return buf
-}
-
-// DecodePongPayload parses a TPong payload. An empty payload (a
-// minimal responder) decodes as 0: no clock information.
-func DecodePongPayload(buf []byte) (int64, error) {
-	if len(buf) == 0 {
-		return 0, nil
-	}
-	if len(buf) != pongPayloadLen {
-		return 0, fmt.Errorf("proofrpc: %s payload %d bytes, want %d", TypeString(TPong), len(buf), pongPayloadLen)
-	}
-	return int64(binary.LittleEndian.Uint64(buf)), nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"hash/crc32"
 	"strings"
 	"testing"
 
@@ -13,25 +14,28 @@ import (
 // Golden frames pin the wire format: any byte-level change to the
 // header layout, CRC polynomial or field order breaks these, which is
 // exactly the point — the daemon and its clients upgrade in lockstep.
-// Version 4 layout: magic | version | type | flags | reqid u64 | len |
-// crc, with an optional 28-byte trace block between header and payload.
+// Version 5 layout: magic | version | type | flags | reqid u64 | len |
+// crc, with an optional 24-byte trace block between header and payload,
+// and on a reply an optional spans section (u32 length | JSON) opening
+// the payload.
 func TestFrameGoldens(t *testing.T) {
 	cases := []struct {
 		name   string
 		frame  Frame
 		golden string
 	}{
-		{"ping", Frame{Type: TPing},
-			"4243465204000000010000000000000000000000000000000000000000000000"},
 		{"prove", Frame{Type: TProve, ReqID: 7, Payload: []byte("hello")},
-			"424346520400000003000000000000000700000000000000050000004cbb719a68656c6c6f"},
+			"424346520500000001000000000000000700000000000000050000004cbb719a68656c6c6f"},
 		{"proof-ok", Frame{Type: TProofOK, ReqID: 0xdeadbeefcafe, Payload: []byte{SrcDisk, 1, 2, 3}},
-			"42434652040000000400000000000000fecaefbeadde0000040000002239546602010203"},
+			"42434652050000000200000000000000fecaefbeadde0000040000002239546602010203"},
 		{"traced-prove", Frame{Type: TProve, ReqID: 7, Payload: []byte("hello"),
-			Trace: obs.TraceContext{TraceHi: 0x1111, TraceLo: 0x2222, Span: 0x3333, Flags: 1}},
-			"424346520400000003000000010000000700000000000000050000004cbb719a" +
+			Trace: obs.TraceContext{TraceHi: 0x1111, TraceLo: 0x2222, Span: 0x3333}},
+			"424346520500000001000000010000000700000000000000050000004cbb719a" +
 				"111100000000000022220000000000003333000000000000" +
-				"0100000068656c6c6f"},
+				"68656c6c6f"},
+		{"spans-reply", Frame{Type: TProofOK, ReqID: 7, Payload: []byte{SrcSolved, 1}, Spans: []byte("{}")},
+			"42434652050000000200000002000000070000000000000008000000afd5f7b8" +
+				"020000007b7d" + "0001"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -49,8 +53,8 @@ func TestFrameGoldens(t *testing.T) {
 			if n != len(got) {
 				t.Fatalf("consumed %d of %d bytes", n, len(got))
 			}
-			if dec.Type != tc.frame.Type || dec.ReqID != tc.frame.ReqID ||
-				!bytes.Equal(dec.Payload, tc.frame.Payload) || dec.Trace != tc.frame.Trace {
+			if dec.Type != tc.frame.Type || dec.ReqID != tc.frame.ReqID || !bytes.Equal(dec.Payload, tc.frame.Payload) ||
+				dec.Trace != tc.frame.Trace || !bytes.Equal(dec.Spans, tc.frame.Spans) {
 				t.Fatalf("round trip: got %+v, want %+v", dec, tc.frame)
 			}
 		})
@@ -60,7 +64,7 @@ func TestFrameGoldens(t *testing.T) {
 func TestFrameTraceContextRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	want := &Frame{Type: TProve, ReqID: 9, Payload: []byte("cond"),
-		Trace: obs.TraceContext{TraceHi: 0xaaa, TraceLo: 0xbbb, Span: 0xccc, Flags: obs.FlagShipSpans}}
+		Trace: obs.TraceContext{TraceHi: 0xaaa, TraceLo: 0xbbb, Span: 0xccc}}
 	if err := WriteFrame(&buf, want); err != nil {
 		t.Fatal(err)
 	}
@@ -72,12 +76,12 @@ func TestFrameTraceContextRoundTrip(t *testing.T) {
 		t.Fatalf("traced round trip: got %+v, want %+v", got, want)
 	}
 	// Untraced frames stay exactly HeaderLen+payload — no extension cost.
-	plain, err := EncodeFrame(&Frame{Type: TPing})
+	plain, err := EncodeFrame(&Frame{Type: TProve, Payload: []byte("cond")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plain) != HeaderLen {
-		t.Fatalf("untraced ping frame is %d bytes, want %d", len(plain), HeaderLen)
+	if len(plain) != HeaderLen+4 {
+		t.Fatalf("untraced prove frame is %d bytes, want %d", len(plain), HeaderLen+4)
 	}
 }
 
@@ -261,26 +265,73 @@ func TestParseAddr(t *testing.T) {
 	}
 }
 
-func TestSpansPayloadRoundTrip(t *testing.T) {
-	hi, lo, err := DecodeSpansRequest(EncodeSpansRequest(0xdead, 0xbeef))
-	if err != nil || hi != 0xdead || lo != 0xbeef {
-		t.Fatalf("got %x %x %v", hi, lo, err)
+// spansReply encodes a TProofOK reply carrying spans, with the spans
+// section's length word set to n and the CRC recomputed, so only the
+// section check can reject it.
+func spansReply(t *testing.T, n uint32) []byte {
+	t.Helper()
+	b, err := EncodeFrame(&Frame{Type: TProofOK, ReqID: 1, Payload: []byte{SrcSolved, 1}, Spans: []byte("{}")})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := DecodeSpansRequest([]byte{1, 2}); err == nil || !strings.Contains(err.Error(), "TSpans") {
-		t.Fatalf("bad spans payload: err = %v, want TSpans-named rejection", err)
-	}
+	binary.LittleEndian.PutUint32(b[HeaderLen:], n)
+	binary.LittleEndian.PutUint32(b[28:], crc32.Checksum(b[HeaderLen:], crcTable))
+	return b
 }
 
-func TestPongPayloadRoundTrip(t *testing.T) {
-	nano, err := DecodePongPayload(EncodePongPayload(123456789))
-	if err != nil || nano != 123456789 {
-		t.Fatalf("got %d %v", nano, err)
+// TestSpansPayloadRoundTrip pins the spans section of a reply: it
+// survives a write and read beside the payload, which InterpretReply
+// alone sees; the payload CRC covers it; it counts toward MaxPayload;
+// only replies may carry it; and its length must fit the payload.
+func TestSpansPayloadRoundTrip(t *testing.T) {
+	spans := []byte(`{"start_unix_nano":1,"events":[]}`)
+	for _, typ := range []uint32{TProofOK, TCex, TError} {
+		var buf bytes.Buffer
+		want := &Frame{Type: typ, ReqID: 3, Payload: []byte("body"), Spans: spans}
+		if err := WriteFrame(&buf, want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadFrame(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Spans, spans) || !bytes.Equal(got.Payload, want.Payload) {
+			t.Fatalf("%s: spans %q payload %q, want %q %q", TypeString(typ), got.Spans, got.Payload, spans, want.Payload)
+		}
 	}
-	if nano, err := DecodePongPayload(nil); err != nil || nano != 0 {
-		t.Fatalf("empty pong: got %d %v, want 0 nil", nano, err)
+
+	b, err := EncodeFrame(&Frame{Type: TProofOK, Payload: []byte{SrcSolved}, Spans: spans})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := DecodePongPayload([]byte{1, 2, 3}); err == nil {
-		t.Fatal("accepted short pong payload")
+	b[HeaderLen+5] ^= 0x40 // inside the JSON
+	if _, _, err := DecodeFrame(b); err == nil || !strings.Contains(err.Error(), "CRC mismatch") {
+		t.Fatalf("corrupt spans section: err = %v, want CRC mismatch", err)
+	}
+	if _, err := EncodeFrame(&Frame{Type: TProofOK, Payload: make([]byte, MaxPayload-4), Spans: []byte("{}")}); err == nil {
+		t.Fatal("spans section did not count toward MaxPayload")
+	}
+	if _, err := EncodeFrame(&Frame{Type: TProve, Spans: spans}); err == nil {
+		t.Fatal("encoded spans on a request")
+	}
+
+	for _, tc := range []struct {
+		name string
+		buf  []byte
+		want string
+	}{
+		{"on-request", mutate(t, 12, FlagSpans), "spans flag on a TProve request"},
+		{"empty", spansReply(t, 0), "empty spans section"},
+		{"overrun", spansReply(t, 5), "does not fit"},
+		{"huge", spansReply(t, 1<<31), "does not fit"},
+	} {
+		if _, _, err := DecodeFrame(tc.buf); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	// The section fills the payload exactly: legal, with an empty body.
+	if f, _, err := DecodeFrame(spansReply(t, 4)); err != nil || len(f.Spans) != 4 || len(f.Payload) != 0 {
+		t.Fatalf("section filling the payload: %+v, %v", f, err)
 	}
 }
 

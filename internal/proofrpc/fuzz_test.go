@@ -20,16 +20,17 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		return b
 	}
-	f.Add(seed(&Frame{Type: TPing}))
+	f.Add(seed(&Frame{Type: TProve}))
 	f.Add(seed(&Frame{Type: TProve, ReqID: 7, Payload: []byte("condition bytes")}))
 	f.Add(seed(&Frame{Type: TProofOK, ReqID: 1, Payload: []byte{SrcMem, 0, 1, 2, 3}}))
 	f.Add(seed(&Frame{Type: TCex, ReqID: 2, Payload: EncodeCexPayload(map[uint32]uint64{1: 99})}))
 	f.Add(seed(&Frame{Type: TError, ReqID: 3, Payload: EncodeErrorPayload(2, "boom")}))
-	// Span stitching: a traced prove, then the fetch and its reply.
+	// Tracing: a traced prove, then replies carrying the request's spans.
 	f.Add(seed(&Frame{Type: TProve, ReqID: 4, Payload: []byte("traced condition"),
-		Trace: obs.TraceContext{TraceHi: 1, TraceLo: 2, Span: 3, Flags: obs.FlagShipSpans}}))
-	f.Add(seed(&Frame{Type: TSpans, ReqID: 5, Payload: EncodeSpansRequest(1, 2)}))
-	f.Add(seed(&Frame{Type: TSpansOK, ReqID: 5, Payload: []byte(`{"events":[]}`)}))
+		Trace: obs.TraceContext{TraceHi: 1, TraceLo: 2, Span: 3}}))
+	f.Add(seed(&Frame{Type: TProofOK, ReqID: 4, Payload: []byte{SrcSolved, 0, 1},
+		Spans: []byte(`{"start_unix_nano":1,"events":[]}`)}))
+	f.Add(seed(&Frame{Type: TError, ReqID: 5, Payload: EncodeErrorPayload(2, "boom"), Spans: []byte(`{}`)}))
 	// Multiplexed traffic: high out-of-order request IDs on prove frames.
 	f.Add(seed(&Frame{Type: TProve, ReqID: 1 << 40, Payload: []byte("mux condition")}))
 	f.Add(seed(&Frame{Type: TProofOK, ReqID: (1 << 40) + 1, Payload: []byte{SrcCoalesced, 9, 8, 7}}))

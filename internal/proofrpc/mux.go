@@ -2,7 +2,6 @@ package proofrpc
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -111,17 +110,12 @@ func (m *MuxConn) Err() error {
 	return m.err
 }
 
-// Do ships one request frame and waits for its reply, honoring ctx. A
-// cancelled request abandons its ID — a late reply for it is discarded
-// by the read loop — without disturbing other in-flight requests; the
-// connection stays usable.
-func (m *MuxConn) Do(ctx context.Context, typ uint32, payload []byte) (*Frame, error) {
-	return m.DoTraced(ctx, typ, payload, obs.TraceContext{})
-}
-
-// DoTraced is Do with a trace context attached to the request frame, so
-// the serving daemon records its spans under the caller's trace.
-func (m *MuxConn) DoTraced(ctx context.Context, typ uint32, payload []byte, tc obs.TraceContext) (*Frame, error) {
+// Do ships one request frame, carrying tc when it is valid so the
+// serving daemon records its spans under the caller's trace, and waits
+// for its reply, honoring ctx. A cancelled request abandons its ID — a
+// late reply for it is discarded by the read loop — without disturbing
+// other in-flight requests; the connection stays usable.
+func (m *MuxConn) Do(ctx context.Context, typ uint32, payload []byte, tc obs.TraceContext) (*Frame, error) {
 	id := m.seq.Add(1)
 	ch := make(chan *Frame, 1)
 
@@ -163,50 +157,4 @@ func (m *MuxConn) abandon(id uint64) {
 	m.mu.Lock()
 	delete(m.pending, id)
 	m.mu.Unlock()
-}
-
-// Ping round-trips a liveness frame.
-func (m *MuxConn) Ping(ctx context.Context) error {
-	rf, err := m.Do(ctx, TPing, nil)
-	if err != nil {
-		return err
-	}
-	if rf.Type != TPong {
-		return fmt.Errorf("proofrpc: unexpected reply type %s to %s", TypeString(rf.Type), TypeString(TPing))
-	}
-	return nil
-}
-
-// PingTime round-trips a liveness frame and returns the daemon's wall
-// clock stamp with the measured RTT (clock-offset estimation for span
-// stitching). A daemon that does not stamp pongs yields nano 0.
-func (m *MuxConn) PingTime(ctx context.Context) (nano int64, rtt time.Duration, err error) {
-	t0 := time.Now()
-	rf, err := m.Do(ctx, TPing, nil)
-	rtt = time.Since(t0)
-	if err != nil {
-		return 0, rtt, err
-	}
-	if rf.Type != TPong {
-		return 0, rtt, fmt.Errorf("proofrpc: unexpected reply type %s to %s", TypeString(rf.Type), TypeString(TPing))
-	}
-	nano, err = DecodePongPayload(rf.Payload)
-	return nano, rtt, err
-}
-
-// FetchSpans asks the daemon for the spans it recorded under the given
-// trace ID.
-func (m *MuxConn) FetchSpans(ctx context.Context, hi, lo uint64) (obs.ExportedTrace, error) {
-	var ex obs.ExportedTrace
-	rf, err := m.Do(ctx, TSpans, EncodeSpansRequest(hi, lo))
-	if err != nil {
-		return ex, err
-	}
-	if rf.Type != TSpansOK {
-		return ex, fmt.Errorf("proofrpc: unexpected reply type %s to %s", TypeString(rf.Type), TypeString(TSpans))
-	}
-	if err := json.Unmarshal(rf.Payload, &ex); err != nil {
-		return ex, fmt.Errorf("proofrpc: bad %s payload: %w", TypeString(TSpansOK), err)
-	}
-	return ex, nil
 }

@@ -7,11 +7,13 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"bcf/internal/obs"
 )
 
 // muxEchoServer speaks the frame protocol on the server end of a pipe:
-// TPing → TPong, TProve → TProofOK echoing
-// the request payload back (so tests can verify reply routing). Replies
+// TProve → TProofOK echoing the request payload back (so tests can
+// verify reply routing). Replies
 // can be held and released out of order via the hold callback.
 func muxEchoServer(t *testing.T, conn net.Conn, hold func(f *Frame) <-chan struct{}) {
 	t.Helper()
@@ -35,12 +37,7 @@ func muxEchoServer(t *testing.T, conn net.Conn, hold func(f *Frame) <-chan struc
 						<-gate
 					}
 				}
-				switch f.Type {
-				case TPing:
-					reply(&Frame{Type: TPong, ReqID: f.ReqID})
-				case TProve:
-					reply(&Frame{Type: TProofOK, ReqID: f.ReqID, Payload: f.Payload})
-				}
+				reply(&Frame{Type: TProofOK, ReqID: f.ReqID, Payload: f.Payload})
 			}(f)
 		}
 	}()
@@ -70,9 +67,6 @@ func TestMuxConcurrentOutOfOrder(t *testing.T) {
 		arrived = make(chan struct{}, n)
 	)
 	hold := func(f *Frame) <-chan struct{} {
-		if f.Type != TProve {
-			return nil
-		}
 		g := make(chan struct{})
 		mu.Lock()
 		gates = append(gates, g)
@@ -91,7 +85,7 @@ func TestMuxConcurrentOutOfOrder(t *testing.T) {
 			payload := []byte{byte(i), 0xBC, 0xF0}
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			rf, err := m.Do(ctx, TProve, payload)
+			rf, err := m.Do(ctx, TProve, payload, obs.TraceContext{})
 			if err != nil {
 				errs[i] = err
 				return
@@ -118,16 +112,6 @@ func TestMuxConcurrentOutOfOrder(t *testing.T) {
 	}
 }
 
-// TestMuxPing exercises the liveness handshake end to end.
-func TestMuxPing(t *testing.T) {
-	m := pipeMux(t, nil)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := m.Ping(ctx); err != nil {
-		t.Fatalf("ping: %v", err)
-	}
-}
-
 // TestMuxDoCancelled: a cancelled caller abandons its request without
 // poisoning the connection — later requests still work even if the
 // stale reply arrives in between.
@@ -137,9 +121,6 @@ func TestMuxDoCancelled(t *testing.T) {
 		gate chan struct{}
 	)
 	hold := func(f *Frame) <-chan struct{} {
-		if f.Type != TProve {
-			return nil
-		}
 		mu.Lock()
 		defer mu.Unlock()
 		if gate == nil {
@@ -155,7 +136,7 @@ func TestMuxDoCancelled(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	if _, err := m.Do(ctx, TProve, []byte{1}); !errors.Is(err, context.Canceled) {
+	if _, err := m.Do(ctx, TProve, []byte{1}, obs.TraceContext{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Do = %v, want context.Canceled", err)
 	}
 
@@ -167,7 +148,7 @@ func TestMuxDoCancelled(t *testing.T) {
 
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel2()
-	rf, err := m.Do(ctx2, TProve, []byte{2})
+	rf, err := m.Do(ctx2, TProve, []byte{2}, obs.TraceContext{})
 	if err != nil {
 		t.Fatalf("Do after cancel: %v", err)
 	}
@@ -191,7 +172,7 @@ func TestMuxPoisonedOnPeerClose(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		_, err := m.Do(ctx, TProve, []byte{1})
+		_, err := m.Do(ctx, TProve, []byte{1}, obs.TraceContext{})
 		done <- err
 	}()
 	// Swallow the request, then hang up mid-flight.
@@ -208,7 +189,7 @@ func TestMuxPoisonedOnPeerClose(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	if _, err := m.Do(ctx, TProve, []byte{2}); err == nil {
+	if _, err := m.Do(ctx, TProve, []byte{2}, obs.TraceContext{}); err == nil {
 		t.Fatal("Do on poisoned conn succeeded")
 	} else if errors.Is(err, context.DeadlineExceeded) {
 		t.Fatal("Do on poisoned conn hung until deadline instead of failing fast")
