@@ -2,7 +2,9 @@ package bcf
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"bcf/internal/corpus"
@@ -204,15 +206,91 @@ func TestMemoRemembersOnlyCheckedProofs(t *testing.T) {
 	}
 }
 
+// longSuffixProg is sessionProg with n jumps to the next instruction
+// between the lookup and the access: the tracked suffix, and with it the
+// memo key, grows by n steps while the condition stays the same.
+func longSuffixProg(n int) *ebpf.Program {
+	var jumps strings.Builder
+	for i := range n {
+		fmt.Fprintf(&jumps, "\tgoto j%d\nj%d:\n", i, i)
+	}
+	prog := sessionProg()
+	prog.Insns = ebpf.MustAssemble(`
+		r1 = map[0]
+		r2 = r10
+		r2 += -4
+		*(u32 *)(r10 -4) = 0
+		call 1
+		if r0 == 0 goto miss
+	` + jumps.String() + `
+		r1 = r0
+		r2 = *(u64 *)(r1 +0)
+		r2 &= 0xf
+		r3 = 0xf
+		r3 -= r2
+		r1 += r2
+		r1 += r3
+		r0 = *(u8 *)(r1 +0)
+		exit
+	miss:
+		r0 = 0
+		exit
+	`)
+	return prog
+}
+
+// TestMemoKeysWithinMaxCondBytes pins the memo's memory bound: the kept
+// keys total at most Limits.MaxCondBytes. Each request is asked twice;
+// under the default limit the repeat is reused, and under a limit that
+// admits two shipped conditions but not the suffix's key it is granted
+// all the same, by shipping again.
+func TestMemoKeysWithinMaxCondBytes(t *testing.T) {
+	prog := longSuffixProg(300)
+	run := func(limit int) *Refiner {
+		calls := 0
+		ref := NewRefiner(counted(t, &calls))
+		ref.Limits.MaxCondBytes = limit
+		v := verifier.New(prog, verifier.Config{Refiner: refinerFunc(
+			func(req *verifier.RefineRequest) (*verifier.RefineResult, error) {
+				if _, err := ref.Refine(req); err != nil {
+					t.Fatalf("first ask: %v", err)
+				}
+				return ref.Refine(req)
+			})})
+		if err := v.Verify(); err != nil {
+			t.Fatalf("limit %d: rejected: %v", limit, err)
+		}
+		if ref.keyBytes > ref.Limits.WithDefaults().MaxCondBytes {
+			t.Fatalf("limit %d: the memo keeps %d key bytes", limit, ref.keyBytes)
+		}
+		return ref
+	}
+	st := run(0).Stats()
+	if len(st.Requests) != 1 || st.Reused != 1 {
+		t.Fatalf("default limit: %d shipped, %d reused; want 1 and 1", len(st.Requests), st.Reused)
+	}
+	condLen, keyLen := st.CondBytes, len(run(0).key)
+	t.Logf("a %d-step suffix: %d-byte key, %d-byte condition", st.Requests[0].TrackLen, keyLen, condLen)
+	if keyLen <= 2*condLen {
+		t.Fatalf("a %d-byte key is not longer than two %d-byte conditions", keyLen, condLen)
+	}
+	ref := run(2 * condLen)
+	if st := ref.Stats(); len(st.Requests) != 2 || st.Reused != 0 || st.Granted != 2 || len(ref.proven) != 0 {
+		t.Fatalf("limit %d: %d shipped, %d reused, %d granted, %d kept; want 2, 0, 2, 0",
+			2*condLen, len(st.Requests), st.Reused, st.Granted, len(ref.proven))
+	}
+}
+
 // memoHitMaxBytes bounds the bytes one refinement granted from the memo
-// allocates. Measured: 2,656 B on average over the loop program's 209
-// hits (Go 1.24, linux/amd64), all of it backward analysis, tracking and
-// the condition's encoding; a memo that kept each proof and decoded and
-// checked it again on every hit read 6,216 B.
-const memoHitMaxBytes = 4000
+// allocates. Measured: 32 B on average over the loop program's 209 hits
+// (Go 1.24, linux/amd64), the RefineResult alone; keying the memo on the
+// encoded condition, so that every hit tracked and encoded first, read
+// 2,656 B, and tracking alone allocates more than this bound.
+const memoHitMaxBytes = 256
 
 // TestMemoHitBytes bounds what a refinement granted from the memo
-// allocates: nothing for a proof, its decode or its check.
+// allocates: nothing for tracking, encoding, a proof, its decode or its
+// check.
 func TestMemoHitBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector perturbs allocation counts")

@@ -1,6 +1,7 @@
 package bcf
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -117,13 +118,15 @@ type Refiner struct {
 	// of the computed suffix (ablation).
 	DisableBackward bool
 
-	stats  Stats
-	proven map[string]struct{} // encodings of the conditions proven in this load
+	stats    Stats
+	proven   map[string]struct{} // keys (memoKey) of the requests proven in this load
+	keyBytes int                 // their total length
+	key      []byte              // the current request's key
 }
 
 // NewRefiner returns a refiner delegating to the given service.
 func NewRefiner(service ProofService) *Refiner {
-	return &Refiner{Service: service}
+	return &Refiner{Service: service, key: make([]byte, 0, 64)}
 }
 
 // Stats returns the accumulated measurements.
@@ -170,13 +173,51 @@ func (r *Refiner) refine(req *verifier.RefineRequest, rs *RequestStats) (*verifi
 		back = backwardAnalysis(req.Prog, req.Path, req.Reg)
 	}
 
+	// A request whose key was proven earlier in this load is granted at once.
+	r.memoKey(req, back)
+	if _, hit := r.proven[string(r.key)]; !hit {
+		if err := r.prove(req, back, rs); err != nil {
+			return nil, err
+		}
+	}
+	if req.WantLo > req.WantHi {
+		return &verifier.RefineResult{Pruned: true, Anchor: back + 1}, nil
+	}
+	return &verifier.RefineResult{Lo: req.WantLo, Hi: req.WantHi, Anchor: back + 1}, nil
+}
+
+// memoKey builds in r.key all that the request's condition depends on.
+// The tracker starts from fresh variables and reads only the program
+// along the suffix's steps, so equal keys track to equal conditions.
+func (r *Refiner) memoKey(req *verifier.RefineRequest, back int) {
+	reg := &req.State.Regs[req.Reg]
+	r.key = append(r.key[:0], byte(req.Reg), byte(reg.Type))
+	if reg.Type.IsPtr() {
+		r.key = binary.AppendVarint(r.key, int64(reg.Off))
+	}
+	r.key = binary.LittleEndian.AppendUint64(r.key, req.WantLo) // WantLo > WantHi asks for a prune
+	r.key = binary.LittleEndian.AppendUint64(r.key, req.WantHi)
+	for step := range req.Path.Backward() { // the back+1 newest steps
+		idx := int64(step.Idx)
+		if step.Taken {
+			idx = ^idx
+		}
+		r.key = binary.AppendVarint(r.key, idx)
+		if back--; back < 0 {
+			break
+		}
+	}
+}
+
+// prove tracks the suffix, builds the refinement condition and delegates it.
+func (r *Refiner) prove(req *verifier.RefineRequest, back int, rs *RequestStats) error {
 	// 2. Symbolic tracking re-executes the suffix, the only part of the
 	// path that is copied, into the round's one term table.
 	tk := newTracker(req.Prog)
 	err := tk.run(req.Path.Tail(back + 1))
 	rs.TrackDuration = time.Since(rs.Start)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Prune requests (WantLo > WantHi): no variable range can satisfy the
@@ -185,13 +226,9 @@ func (r *Refiner) refine(req *verifier.RefineRequest, rs *RequestStats) (*verifi
 	// path). The condition is simply ¬pathC.
 	if req.WantLo > req.WantHi {
 		if len(tk.constr) == 0 {
-			return nil, fmt.Errorf("bcf: no path constraints to refute")
+			return fmt.Errorf("bcf: no path constraints to refute")
 		}
-		cond := tk.tab.BoolNot(tk.tab.Conj(tk.constr...))
-		if err := r.delegate(cond, tk, rs); err != nil {
-			return nil, err
-		}
-		return &verifier.RefineResult{Pruned: true, Anchor: back + 1}, nil
+		return r.delegate(tk.tab.BoolNot(tk.tab.Conj(tk.constr...)), tk, rs)
 	}
 
 	// 3. The target expression: a scalar's value, or the variable part of
@@ -203,16 +240,16 @@ func (r *Refiner) refine(req *verifier.RefineRequest, rs *RequestStats) (*verifi
 	switch {
 	case regState.Type == verifier.Scalar:
 		if tv.kind != kindScalar {
-			return nil, fmt.Errorf("bcf: symbolic state disagrees with verifier (pointer vs scalar)")
+			return fmt.Errorf("bcf: symbolic state disagrees with verifier (pointer vs scalar)")
 		}
 		target = tv.e
 	case regState.Type.IsPtr():
 		if tv.kind == kindScalar {
-			return nil, fmt.Errorf("bcf: pointer target not symbolically tracked")
+			return fmt.Errorf("bcf: pointer target not symbolically tracked")
 		}
 		target = tk.fold(tk.tab.Sub(tv.e, tk.tab.Const(uint64(int64(regState.Off)), 64)))
 	default:
-		return nil, fmt.Errorf("bcf: target register is uninitialized")
+		return fmt.Errorf("bcf: target register is uninitialized")
 	}
 
 	// 4. Build the refinement condition: pathC ⇒ target ∈ [WantLo, WantHi]
@@ -226,19 +263,15 @@ func (r *Refiner) refine(req *verifier.RefineRequest, rs *RequestStats) (*verifi
 	if len(tk.constr) > 0 {
 		cond = tk.tab.Implies(tk.tab.Conj(tk.constr...), bound)
 	}
-	if err := r.delegate(cond, tk, rs); err != nil {
-		return nil, err
-	}
-	return &verifier.RefineResult{Lo: req.WantLo, Hi: req.WantHi, Anchor: back + 1}, nil
+	return r.delegate(cond, tk, rs)
 }
 
 // delegate ships the condition to user space and validates the returned
 // proof with the in-kernel checker (§4 steps 2 and 3). The condition
 // object itself never leaves kernel space; only its encoding does, and
-// the proof must establish exactly the stored condition.
-// A repeat of a condition proven earlier in this load is granted at once:
-// the condition is closed and its encoding injective (bcfenc's round-trip
-// tests), so equal bytes are the same valid formula, whatever the path.
+// the proof must establish exactly the stored condition. A checked
+// request's key enters the memo while the kept keys fit in MaxCondBytes;
+// past that, repeats just ship again.
 func (r *Refiner) delegate(cond *expr.Expr, tk *tracker, rs *RequestStats) error {
 	encStart := time.Now()
 	condBytes, err := bcfenc.EncodeCondition(&bcfenc.Condition{Cond: cond})
@@ -247,11 +280,6 @@ func (r *Refiner) delegate(cond *expr.Expr, tk *tracker, rs *RequestStats) error
 	if err != nil {
 		return fmt.Errorf("bcf: encoding condition: %w", err)
 	}
-	if _, ok := r.proven[string(condBytes)]; ok {
-		return nil
-	}
-	key := string(condBytes) // kernel-private: user space may rewrite condBytes
-
 	// The user time covers the whole kernel→user→kernel round trip:
 	// the limit checks, loader work and prover time.
 	rs.TrackLen = tk.steps
@@ -277,10 +305,13 @@ func (r *Refiner) delegate(cond *expr.Expr, tk *tracker, rs *RequestStats) error
 		return bcferr.Wrap(bcferr.ClassProofRejected,
 			fmt.Errorf("bcf: proof rejected: %w", err))
 	}
-	if r.proven == nil {
-		r.proven = map[string]struct{}{}
+	if r.keyBytes+len(r.key) <= r.Limits.WithDefaults().MaxCondBytes {
+		if r.proven == nil {
+			r.proven = map[string]struct{}{}
+		}
+		r.proven[string(r.key)] = struct{}{}
+		r.keyBytes += len(r.key)
 	}
-	r.proven[key] = struct{}{}
 	return nil
 }
 

@@ -23,7 +23,7 @@ import (
 var kernelSideCeiling = map[string]int{
 	"Verifier":              2674,
 	"Proof Checker":         995,
-	"Refinement (BCF core)": 729,
+	"Refinement (BCF core)": 759,
 	"tnum domain":           193,
 }
 

@@ -200,7 +200,6 @@ func TestZeroAlloc(t *testing.T) {
 			sp := tr.StartUnder(TraceContext{TraceHi: 1, Span: 2}, CatRPC, "remote-prove")
 			sp.EndArgs(nil)
 		}},
-		{"nil-tracer-instant", func() { tr.Instant(CatRPC, "breaker-reject", nil) }},
 		{"nil-tracer-derive", func() {
 			_ = tr.WithProcess(1, "p").WithThread(2, "t").WithParent(TraceContext{TraceHi: 1})
 		}},

@@ -303,7 +303,6 @@ func TestNilSafety(t *testing.T) {
 		var tr *Tracer
 		sp := tr.Start("cat", "name")
 		sp.End()
-		tr.Instant("cat", "name", nil)
 		tr.Complete("cat", "name", time.Time{}, time.Time{}, nil)
 		_ = tr.WithProcess(1, "p")
 		_ = tr.WithThread(1, "t")

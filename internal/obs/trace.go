@@ -62,8 +62,7 @@ func SpanFromContext(ctx context.Context) TraceContext {
 
 // TraceEvent is one Chrome trace-event (the JSON array format consumed
 // by Perfetto and chrome://tracing). Complete events (ph "X") carry a
-// duration; instant events (ph "i") and metadata events (ph "M") do
-// not. It is exported because a traced proofrpc reply carries the
+// duration; metadata events (ph "M") do not. It is exported because a traced proofrpc reply carries the
 // daemon's events back to the caller (ExportedTrace).
 type TraceEvent struct {
 	Name string         `json:"name"`
@@ -73,7 +72,6 @@ type TraceEvent struct {
 	Dur  float64        `json:"dur,omitempty"`
 	PID  int64          `json:"pid"`
 	TID  int64          `json:"tid"`
-	S    string         `json:"s,omitempty"` // instant scope
 	Args map[string]any `json:"args,omitempty"`
 }
 
@@ -312,31 +310,6 @@ func (s Span) endAt(end time.Time, extra map[string]any) {
 		TS:  float64(s.begin.Sub(sink.start).Nanoseconds()) / 1e3,
 		Dur: float64(end.Sub(s.begin).Nanoseconds()) / 1e3,
 		PID: s.t.pid, TID: s.t.tid, Args: args,
-	})
-	sink.mu.Unlock()
-}
-
-// Instant records a zero-duration event (thread scope). When the handle
-// has a parent span, the event carries the trace identity so it lands
-// inside the right story.
-func (t *Tracer) Instant(cat, name string, args map[string]any) {
-	if t == nil {
-		return
-	}
-	if t.parent != 0 {
-		hi, lo := t.traceIDs()
-		if args == nil {
-			args = make(map[string]any, 2)
-		}
-		args["trace_id"] = TraceContext{TraceHi: hi, TraceLo: lo}.TraceIDString()
-		args["parent_span_id"] = spanIDString(t.parent)
-	}
-	sink := t.sink
-	sink.mu.Lock()
-	sink.events = append(sink.events, TraceEvent{
-		Name: name, Cat: cat, Ph: "i", S: "t",
-		TS:  float64(time.Since(sink.start).Nanoseconds()) / 1e3,
-		PID: t.pid, TID: t.tid, Args: args,
 	})
 	sink.mu.Unlock()
 }

@@ -19,7 +19,6 @@ type chromeEvent struct {
 	Dur  float64        `json:"dur"`
 	PID  *int64         `json:"pid"`
 	TID  *int64         `json:"tid"`
-	S    string         `json:"s"`
 	Args map[string]any `json:"args"`
 }
 
@@ -43,21 +42,19 @@ func decodeTrace(t *testing.T, tr *Tracer) chromeTrace {
 
 // TestTraceSchema validates the emitted JSON against the Chrome
 // trace-event contract: every event has name/ph/ts/pid/tid, complete
-// events ("X") carry a duration, instants carry a scope, metadata events
-// carry a name arg.
+// events ("X") carry a duration, and metadata events carry a name arg.
 func TestTraceSchema(t *testing.T) {
 	tr := NewTracer()
 	p := tr.WithProcess(3, "prog-3").WithThread(1, "kernel")
 	sp := p.StartArgs("refine", "round", map[string]any{"round": 0})
 	time.Sleep(time.Millisecond)
 	sp.EndArgs(map[string]any{"granted": true})
-	p.Instant("wire", "cond-out", map[string]any{"bytes": 42})
 
 	ct := decodeTrace(t, tr)
 	if ct.DisplayTimeUnit != "ms" {
 		t.Fatalf("displayTimeUnit = %q", ct.DisplayTimeUnit)
 	}
-	var sawX, sawI, sawProcMeta, sawThreadMeta bool
+	var sawX, sawProcMeta, sawThreadMeta bool
 	for _, e := range ct.TraceEvents {
 		if e.Name == "" || e.Ph == "" {
 			t.Fatalf("event missing name/ph: %+v", e)
@@ -77,11 +74,6 @@ func TestTraceSchema(t *testing.T) {
 			if e.Args["round"] != float64(0) || e.Args["granted"] != true {
 				t.Fatalf("span args not merged: %v", e.Args)
 			}
-		case "i":
-			sawI = true
-			if e.S == "" {
-				t.Fatalf("instant without scope: %+v", e)
-			}
 		case "M":
 			switch e.Name {
 			case "process_name":
@@ -99,8 +91,8 @@ func TestTraceSchema(t *testing.T) {
 			t.Fatalf("unexpected phase %q", e.Ph)
 		}
 	}
-	if !sawX || !sawI || !sawProcMeta || !sawThreadMeta {
-		t.Fatalf("missing event kinds: X=%v i=%v procM=%v thrM=%v", sawX, sawI, sawProcMeta, sawThreadMeta)
+	if !sawX || !sawProcMeta || !sawThreadMeta {
+		t.Fatalf("missing event kinds: X=%v procM=%v thrM=%v", sawX, sawProcMeta, sawThreadMeta)
 	}
 }
 

@@ -118,18 +118,15 @@ func TestWithParentRecordsUnderRemoteTrace(t *testing.T) {
 		t.Fatal("inner daemon span must nest under the daemon request span")
 	}
 
-	// Instants on a parented handle carry the trace identity too.
-	h.Instant(CatProve, "mem-hit", nil)
+	// A span reported afterwards on a parented handle carries the trace
+	// identity too.
+	now := time.Now()
+	h.Complete(CatProve, "mem-hit", now.Add(-time.Millisecond), now, nil)
 	evs = collect(t, daemon)
-	for _, e := range evs {
-		if e.Ph == "i" && e.Name == "mem-hit" {
-			if e.Args["trace_id"] != tc.TraceIDString() {
-				t.Fatal("instant missing remote trace id")
-			}
-			return
-		}
+	if me := spanByName(t, evs, "mem-hit"); me.Args["trace_id"] != tc.TraceIDString() ||
+		me.Args["parent_span_id"] != spanIDString(tc.Span) {
+		t.Fatalf("completed span args %v, want the caller's trace and span", me.Args)
 	}
-	t.Fatal("instant not recorded")
 }
 
 func TestExportAndMerge(t *testing.T) {
