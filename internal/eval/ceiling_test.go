@@ -21,7 +21,7 @@ import (
 // in its own diff, and says why in CHANGES.md; a change that shrinks one
 // lowers it in the same diff.
 var kernelSideCeiling = map[string]int{
-	"Verifier":              2674,
+	"Verifier":              2735,
 	"Proof Checker":         995,
 	"Refinement (BCF core)": 759,
 	"tnum domain":           193,

@@ -106,9 +106,9 @@ func TestProofBytesGolden(t *testing.T) {
 		digest string
 	}{
 		{"rewrite-on", solver.Options{},
-			"6d2ec2ba28ba1e7370f00553c88a5c2cc0d2e45c1da1e03ad31b008357b98185"},
+			"8a5486b68f6bb64257059d002385ed96a84c56a25fee16a7330f5171ea729781"},
 		{"rewrite-off", solver.Options{DisableRewriteTier: true},
-			"2b3911ef6e5257be138a8ddb607d27da53e36d047ba0e40c6d5f7f8158c984b1"},
+			"4b80d32fdd0290f2a9c8a84d23ed8388f3de85fd942feeb7e0dc1f1017ec3489"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := runCorpus(t, tc.opts)

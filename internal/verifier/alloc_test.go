@@ -1,9 +1,11 @@
 package verifier
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"bcf/internal/corpus"
 	"bcf/internal/ebpf"
@@ -71,19 +73,91 @@ func TestWalkAllocsPerInsn(t *testing.T) {
 			extra, deep, shallow)
 	}
 
-	// ParallelStress(8, 96, 0) measures 0.020 allocations and 18.5 bytes
-	// per instruction, nearly all of them pruning-table entries; the
-	// bounds leave 50% headroom.
+	// ParallelStress(8, 96, 0) measures 0.0038 allocations and 2.3 bytes
+	// per instruction: its 255 recorded states (pinned, so a change to
+	// the add rule shows here first) fill 47 snapshots, 208 of them
+	// reusing an evicted entry's. The bounds leave 10% headroom.
 	allocs, bytes, st := walkAllocs(t, corpus.ParallelStress(8, 96, 0), Config{})
-	if perInsn := allocs / float64(st.InsnProcessed); perInsn > 0.030 {
-		t.Errorf("ParallelStress(8, 96, 0): %v allocations over %d instructions = %.3f per instruction, want <= 0.030",
+	if st.StatesRecorded != 255 {
+		t.Errorf("ParallelStress(8, 96, 0) recorded %d states, want 255", st.StatesRecorded)
+	}
+	if perInsn := allocs / float64(st.InsnProcessed); perInsn > 0.0042 {
+		t.Errorf("ParallelStress(8, 96, 0): %v allocations over %d instructions = %.4f per instruction, want <= 0.0042",
 			allocs, st.InsnProcessed, perInsn)
 	}
-	if perInsn := bytes / float64(st.InsnProcessed); perInsn > 28 {
-		t.Errorf("ParallelStress(8, 96, 0): %.0f bytes over %d instructions = %.1f per instruction, want <= 28",
+	if perInsn := bytes / float64(st.InsnProcessed); perInsn > 2.6 {
+		t.Errorf("ParallelStress(8, 96, 0): %.0f bytes over %d instructions = %.2f per instruction, want <= 2.6",
 			bytes, st.InsnProcessed, perInsn)
 	}
 	t.Logf("straight-line 64/1024: %v/%v allocs; without pruning depth 6/8: %v/%v allocs; "+
 		"ParallelStress(8, 96, 0): %v allocs, %.0f B, %d insns",
 		short, long, shallow, deep, allocs, bytes, st.InsnProcessed)
+}
+
+// TestRecycledSnapshotsOwnTheirStack checks that a snapshot recorded
+// into an evicted entry's state shares no Stack backing array with the
+// live state or with another entry, on a fan-out whose incomparable
+// paths spill to the stack on every rung, so entries are evicted and
+// their snapshots reused.
+func TestRecycledSnapshotsOwnTheirStack(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("r6 = *(u32 *)(r1 +0)\n*(u64 *)(r10 -8) = r6\nr0 = 0\n")
+	for i := range 8 {
+		fmt.Fprintf(&b, "r2 = r6\nr2 >>= %d\nr2 &= 1\nif r2 == 0 goto +1\nr0 += 1\nr0 <<= 1\n*(u64 *)(r10 -16) = r0\n", i)
+	}
+	b.WriteString("exit\n")
+	v := New(mapProg(b.String()), Config{})
+	if err := v.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	owner := map[*StackSlot]string{unsafe.SliceData(v.st.Stack[:cap(v.st.Stack)]): "the live state"}
+	live := 0
+	for pc, entries := range v.explored {
+		for i, e := range entries {
+			live++
+			if cap(e.st.Stack) == 0 {
+				t.Fatalf("pc %d entry %d recorded no stack", pc, i)
+			}
+			p, name := unsafe.SliceData(e.st.Stack[:cap(e.st.Stack)]), fmt.Sprintf("pc %d entry %d", pc, i)
+			if other, ok := owner[p]; ok {
+				t.Fatalf("%s shares its Stack backing array with %s", name, other)
+			}
+			owner[p] = name
+		}
+	}
+	// Every snapshot is live or free; recording more states than that
+	// reused evicted ones.
+	if st := v.Stats(); st.StatesRecorded <= live+len(v.free) {
+		t.Fatalf("%d states recorded into %d live and %d free snapshots: none was recycled",
+			st.StatesRecorded, live, len(v.free))
+	}
+}
+
+// TestExploredListsStayBounded runs a counting loop, whose every arrival
+// at the loop head holds a new constant and is never pruned, to the
+// default instruction limit. Its entries are evicted as fast as they are
+// recorded, so the loop head's list, which every arrival scans, and the
+// snapshots behind it stay within maxExploredPerInsn however many states
+// the loop records.
+func TestExploredListsStayBounded(t *testing.T) {
+	v := New(mapProg("r0 = 0\nr1 = 0\nr1 += 1\nif r1 != 0 goto -2\nexit\n"), Config{})
+	if err := v.Verify(); err == nil {
+		t.Fatal("the counting loop was accepted")
+	}
+	st := v.Stats()
+	if st.InsnProcessed != DefaultInsnLimit || st.StatesRecorded < 100_000 {
+		t.Fatalf("%d insns and %d states recorded, want the %d-insn limit and >= 100,000 states",
+			st.InsnProcessed, st.StatesRecorded, DefaultInsnLimit)
+	}
+	snapshots := len(v.free)
+	for pc, entries := range v.explored {
+		if len(entries) > maxExploredPerInsn {
+			t.Errorf("pc %d holds %d entries after %d records, want <= %d",
+				pc, len(entries), st.StatesRecorded, maxExploredPerInsn)
+		}
+		snapshots += len(entries)
+	}
+	if snapshots > maxExploredPerInsn+1 {
+		t.Errorf("%d records allocated %d snapshots, want <= %d", st.StatesRecorded, snapshots, maxExploredPerInsn+1)
+	}
 }

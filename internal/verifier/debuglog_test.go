@@ -38,6 +38,7 @@ func TestDebugLogGolden(t *testing.T) {
 			prog: verifier.MapProg(`
 				r2 = *(u32 *)(r1 +0)
 				*(u64 *)(r10 -8) = r2
+				r3 = 0
 				r0 = 0
 				if r2 > 10 goto +2
 				r2 = 0
@@ -46,18 +47,19 @@ func TestDebugLogGolden(t *testing.T) {
 				exit
 			`),
 			cfg:   func() verifier.Config { return verifier.Config{} },
-			stats: verifier.Stats{InsnProcessed: 9, PathsExplored: 2, StatesPruned: 1, PeakStackDepth: 1},
+			stats: verifier.Stats{InsnProcessed: 10, PathsExplored: 2, StatesPruned: 1, PeakStackDepth: 1, StatesRecorded: 1},
 			log: []string{
 				"0: r2 = *(u32 *)(r1 +0)",
 				"1: *(u64 *)(r10 -8) = r2",
-				"2: r0 = 0",
-				"3: if r2 > 10 goto +2",
-				"4: r2 = 0",
-				"5: goto +1",
-				"7: exit",
-				"7: exit, path ok",
-				"6: r2 = 0",
-				"7: pruned",
+				"2: r3 = 0",
+				"3: r0 = 0",
+				"4: if r2 > 10 goto +2",
+				"5: r2 = 0",
+				"6: goto +1",
+				"8: exit",
+				"8: exit, path ok",
+				"7: r2 = 0",
+				"8: pruned",
 			},
 		},
 		{
@@ -68,7 +70,7 @@ func TestDebugLogGolden(t *testing.T) {
 					{Insn: 2, Regs: []verifier.RegRange{{Reg: ebpf.R6, UMin: 0, UMax: ^uint64(0)}}},
 				}}
 			},
-			stats: verifier.Stats{InsnProcessed: 8, PathsExplored: 2, StatesPruned: 1, PeakStackDepth: 1},
+			stats: verifier.Stats{InsnProcessed: 8, PathsExplored: 2, StatesPruned: 1, PeakStackDepth: 1, StatesRecorded: 1},
 			log: []string{
 				"0: r7 = r1",
 				"1: r6 = 0",
@@ -94,7 +96,7 @@ func TestDebugLogGolden(t *testing.T) {
 				r0 = *(u32 *)(r1 +0)
 			`+verifier.LookupEpilogue, verifier.TestMap16),
 			cfg:   func() verifier.Config { return verifier.Config{Refiner: grantRefiner{}} },
-			stats: verifier.Stats{InsnProcessed: 16, PathsExplored: 2, PeakStackDepth: 1, Refinements: 1, RefineAttempts: 1},
+			stats: verifier.Stats{InsnProcessed: 16, PathsExplored: 2, PeakStackDepth: 1, Refinements: 1, RefineAttempts: 1, StatesRecorded: 1},
 			log: []string{
 				"0: r1 = map[0]",
 				"2: r2 = r10",
@@ -123,33 +125,39 @@ func TestDebugLogGolden(t *testing.T) {
 			cfg: func() verifier.Config {
 				return verifier.Config{Refiner: verifier.NewAnchorRefiner()}
 			},
-			err:   "insn 17: invalid access to map value, value_size=16 off=16 size=4 (R1 max offset 16): no more proofs",
-			stats: verifier.Stats{InsnProcessed: 22, PathsExplored: 2, PeakStackDepth: 2, Refinements: 1, RefineAttempts: 2},
+			err:   "insn 23: invalid access to map value, value_size=16 off=16 size=4 (R1 max offset 16): no more proofs",
+			stats: verifier.Stats{InsnProcessed: 28, PathsExplored: 2, PeakStackDepth: 2, Refinements: 1, RefineAttempts: 2, StatesRecorded: 2},
 			log: []string{
 				"0: r1 = map[0]",
 				"2: r2 = r10",
 				"3: r2 += -4",
 				"4: *(u32 *)(r10 -4) = 0",
 				"5: call 1",
-				"6: if r0 == 0 goto +11",
+				"6: if r0 == 0 goto +17",
 				"7: r6 = r0",
 				"8: call 7",
 				"9: r8 = r0",
-				"10: if r8 & -6 goto +0",
-				"11: r0 = 0",
-				"12: r8 &= 0",
-				"13: if r8 <= 45 goto +1",
-				"15: r1 = r6",
-				"16: r1 += r8",
-				"17: r0 = *(u32 *)(r1 +16)",
-				"17: path proven infeasible, pruned",
-				"11: r0 = 0",
-				"12: r8 &= 0",
-				"13: if r8 <= 45 goto +1",
-				"15: r1 = r6",
-				"16: r1 += r8",
-				"17: r0 = *(u32 *)(r1 +16)",
-				"17: refinement failed: no more proofs",
+				"10: r9 = 0",
+				"11: if r9 != 0 goto +0",
+				"12: r7 = 0",
+				"13: r7 += 1",
+				"14: r7 += 1",
+				"15: r7 += 1",
+				"16: if r8 & -6 goto +0",
+				"17: r0 = 0",
+				"18: r8 &= 0",
+				"19: if r8 <= 45 goto +1",
+				"21: r1 = r6",
+				"22: r1 += r8",
+				"23: r0 = *(u32 *)(r1 +16)",
+				"23: path proven infeasible, pruned",
+				"17: r0 = 0",
+				"18: r8 &= 0",
+				"19: if r8 <= 45 goto +1",
+				"21: r1 = r6",
+				"22: r1 += r8",
+				"23: r0 = *(u32 *)(r1 +16)",
+				"23: refinement failed: no more proofs",
 			},
 		},
 	}

@@ -20,7 +20,7 @@ import (
 // exploration, not just its totals: any change to the walk's state
 // handling (forks, backtracking, pruning, refinement) that moves one
 // register bound at one step on one path of any program below moves it.
-const explorationDigest = "ffa7628e64f3d5db"
+const explorationDigest = "e9adda8cae389ee3"
 
 // digestObserver hashes every instruction event in DFS order: the
 // event's parent (so the tree's shape is pinned too), its pc, and the

@@ -67,7 +67,7 @@ func TestSharedFieldsPrecomputed(t *testing.T) {
 		t.Fatal("budget error not preallocated in New")
 	}
 	// The branch target and the fallthrough are prune points.
-	if !v.prunePoints[2] || !v.prunePoints[4] {
+	if v.prunePoints[2] != prunePoint || v.prunePoints[4] != prunePoint {
 		t.Fatalf("prune points wrong: %v", v.prunePoints)
 	}
 }
@@ -114,14 +114,17 @@ func TestFirstErrorInDFSOrder(t *testing.T) {
 // paths never prune and on a diamond ladder whose paths do, and that
 // every walk runs on the goroutine that called Verify.
 func TestExplorationStatsPinned(t *testing.T) {
-	// 2^10 mutually incomparable paths: one recorded state per rung and
-	// path, none subsumed.
+	// 2^10 mutually incomparable paths, none subsumed. A rung is 5 or 6
+	// instructions and one jump, so the kernel's add rule (2 jumps and 8
+	// instructions since the last record, counted over the whole DFS)
+	// records at most every second prune-point arrival: 1,023 states,
+	// most of them into the snapshots of evicted entries.
 	err, st := verifyStats(corpus.ParallelStress(10, 16, 0), 0)
 	if err != nil {
 		t.Fatalf("stress program should verify: %v", err)
 	}
-	if st.PathsExplored != 1024 || st.StatesPruned != 0 {
-		t.Fatalf("fan-out stats: %+v, want 1,024 paths and no prunes", st)
+	if st.PathsExplored != 1024 || st.StatesPruned != 0 || st.StatesRecorded != 1023 {
+		t.Fatalf("fan-out stats: %+v, want 1,024 paths, no prunes and 1,023 recorded states", st)
 	}
 	ladder := mapProg(`
 		r6 = r1
@@ -133,11 +136,13 @@ func TestExplorationStatsPinned(t *testing.T) {
 	`, 24) + `
 		exit
 	`)
+	// A rung is 3 instructions, so a path records every third rung and
+	// an arrival at an unrecorded rung walks on to the next recorded one.
 	err, st = verifyStats(ladder, 0)
 	if err != nil {
 		t.Fatalf("ladder should verify: %v", err)
 	}
-	if want := (Stats{InsnProcessed: 168, PathsExplored: 48, StatesPruned: 46, PeakStackDepth: 24}); st != want {
+	if want := (Stats{InsnProcessed: 318, PathsExplored: 89, StatesPruned: 84, PeakStackDepth: 24, StatesRecorded: 32}); st != want {
 		t.Fatalf("ladder stats drifted: got %+v, want %+v", st, want)
 	}
 	walkers := goidObserver{}

@@ -6,9 +6,10 @@ import "bcf/internal/ebpf"
 // replay the table's comparisons.
 type PruneEntry exploredEntry
 
-// RecordPruneEntry records st as pruned does on a pc with no entries.
+// RecordPruneEntry records st as pruned does on a pc with no entries, a
+// forced checkpoint so that it records at once.
 func RecordPruneEntry(st *VState) *PruneEntry {
-	v := &Verifier{explored: make([][]exploredEntry, 1)}
+	v := &Verifier{explored: make([][]exploredEntry, 1), prunePoints: []uint8{checkpoint}}
 	v.pruned(0, st)
 	return (*PruneEntry)(&v.explored[0][0])
 }
@@ -21,7 +22,13 @@ func (e *PruneEntry) Compare(st *VState) (subsumes, admitted bool) {
 }
 
 // PrunePoints reports the pcs of p where the walk records states.
-func PrunePoints(p *ebpf.Program) []bool { return computePrunePoints(p) }
+func PrunePoints(p *ebpf.Program) []bool {
+	var points []bool
+	for _, k := range computePrunePoints(p, nil) {
+		points = append(points, k != noPoint)
+	}
+	return points
+}
 
 // The test programs and refiner that the debug log golden shares with
 // the internal tests.

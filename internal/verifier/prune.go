@@ -1,25 +1,29 @@
 package verifier
 
 import (
+	"math"
 	"math/bits"
 
 	"bcf/internal/ebpf"
 	"bcf/internal/tnum"
 )
 
-// maxExploredPerInsn caps the explored-state list per instruction; beyond
-// it we stop recording (still analyzing, just without pruning benefit),
-// bounding memory like the kernel's state-list heuristics.
+// maxExploredPerInsn caps a pc's explored-state list; beyond it we stop
+// recording (still analyzing, just without pruning benefit), like the
+// kernel's BPF_COMPLEXITY_LIMIT_STATES.
 const maxExploredPerInsn = 64
 
-// exploredEntry is one recorded state. dead is set when a later
-// path-conditional refinement retracts the entry (retractEntries): its
-// "explored without error" claim then holds only under branch
-// constraints a pruned state need not share.
+// exploredEntry is one recorded state, named by id (its place in the
+// load's record order). dead is set when a later path-conditional
+// refinement retracts the entry (retractEntries): its "explored without
+// error" claim then holds only under branch constraints a pruned state
+// need not share. hits and misses count the arrivals it pruned and
+// failed to prune.
 type exploredEntry struct {
-	st   *VState
-	key  pruneKey
-	dead bool
+	st               *VState
+	key              pruneKey
+	dead             bool
+	id, hits, misses int32
 }
 
 // pruneKey, a necessary condition of statesSubsume that refutes most
@@ -44,10 +48,19 @@ func keyOf(st *VState, consts uint16) pruneKey {
 	return k
 }
 
+// A pc's kind: only prune points search and record explored states. A
+// checkpoint, a prune point with a loop invariant, records every arrival:
+// pruning against its widened state proves the loop inductive.
+const (
+	noPoint uint8 = iota
+	prunePoint
+	checkpoint
+)
+
 // computePrunePoints marks every jump target and post-branch
-// instruction, the positions where explored states are recorded.
-func computePrunePoints(prog *ebpf.Program) []bool {
-	points := make([]bool, len(prog.Insns))
+// instruction a prune point, and those with a loop invariant checkpoints.
+func computePrunePoints(prog *ebpf.Program, invs []LoopInvariant) []uint8 {
+	points := make([]uint8, len(prog.Insns))
 	for i, ins := range prog.Insns {
 		if !ins.IsJump() {
 			continue
@@ -58,34 +71,65 @@ func computePrunePoints(prog *ebpf.Program) []bool {
 		}
 		tgt := i + 1 + int(ins.Off)
 		if tgt >= 0 && tgt < len(prog.Insns) {
-			points[tgt] = true
+			points[tgt] = prunePoint
 		}
 		if op != ebpf.JmpJA && i+1 < len(prog.Insns) {
-			points[i+1] = true
+			points[i+1] = prunePoint
+		}
+	}
+	for _, inv := range invs {
+		if inv.Insn >= 0 && inv.Insn < len(points) && points[inv.Insn] == prunePoint {
+			points[inv.Insn] = checkpoint
 		}
 	}
 	return points
 }
 
-// pruned reports whether a live explored state at pc subsumes st; if
-// not, st is recorded for future pruning and the entry's index in
-// explored[pc] is returned for retraction bookkeeping (-1 when the pc's
-// list is full).
+// pruned reports whether a live explored state at pc subsumes st; if not,
+// st may be recorded, and its id (else -1) is returned for retraction.
+// As the kernel's is_state_visited, it records at a checkpoint or 2
+// jumps and 8 insns after the last record, into an evicted entry's state
+// when there is one, and evicts an entry from the list (which keeps its
+// order) once misses > hits*n + n, n = 3 or 64 at a checkpoint, counting
+// misses only when st is to be recorded.
 func (v *Verifier) pruned(pc int, st *VState) (bool, int32) {
+	forced := v.prunePoints[pc] == checkpoint
+	add := forced || v.jmps-v.prevJmps >= 2 && v.stats.InsnProcessed-v.prevInsns >= 8
+	n := int32(3)
+	if forced {
+		n = 64
+	}
 	entries := v.explored[pc]
 	// k is st's key at consts, which the entries of a pc mostly share.
 	k, consts := pruneKey{}, ^uint16(0)
+	w := 0 // entries[:w] are the entries kept so far
 	for i := range entries {
 		e := &entries[i]
 		if e.key.consts != consts {
 			consts, k = e.key.consts, keyOf(st, e.key.consts)
 		}
 		if k == e.key && !e.dead && statesSubsume(e.st, st, &v.ids) {
+			e.hits++
+			v.explored[pc] = append(entries[:w], entries[i:]...)
 			return true, -1
 		}
+		if add {
+			e.misses++
+		}
+		if e.misses > e.hits*n+n {
+			v.free = append(v.free, e.st)
+			continue
+		}
+		entries[w] = *e
+		w++
 	}
-	if len(entries) >= maxExploredPerInsn {
+	v.explored[pc] = entries[:w]
+	if !add || w >= maxExploredPerInsn {
 		return false, -1
+	}
+	var c *VState
+	if f := len(v.free); f > 0 {
+		c, v.free = v.free[f-1], v.free[:f-1]
 	}
 	consts = 0
 	for i := range st.Regs {
@@ -93,8 +137,12 @@ func (v *Verifier) pruned(pc int, st *VState) (bool, int32) {
 			consts |= 1 << i
 		}
 	}
-	v.explored[pc] = append(entries, exploredEntry{st: st.clone(), key: keyOf(st, consts)})
-	return false, int32(len(entries))
+	// Ids wrap past MaxInt32 records; a shared id only over-retracts.
+	id := int32(v.stats.StatesRecorded & math.MaxInt32)
+	v.stats.StatesRecorded++
+	v.prevJmps, v.prevInsns = v.jmps, v.stats.InsnProcessed
+	v.explored[pc] = append(entries[:w], exploredEntry{st: st.clone(c), key: keyOf(st, consts), id: id})
+	return false, id
 }
 
 // idMap pairs the register identities of an old (explored) state with

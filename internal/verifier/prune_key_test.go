@@ -31,7 +31,7 @@ func edgeState(rng *rand.Rand) *VState {
 // concretize copies st with each scalar register, one time in two,
 // narrowed to the constant of one of its members: a state st subsumes.
 func concretize(rng *rand.Rand, st *VState) *VState {
-	c := st.clone()
+	c := st.clone(nil)
 	for i := range c.Regs {
 		r := &c.Regs[i]
 		if m := sampleMember(rng, r, r.UMin); r.Type == Scalar && rng.Intn(2) == 0 && r.contains(m) {

@@ -11,10 +11,11 @@ import (
 	"bcf/internal/verifier"
 )
 
-// pruneReplay replays the pruning table of one walk from the states its
+// pruneReplay replays a pruning table of one walk from the states its
 // instruction events carry at prune points: each arrival is compared
-// with the entries recorded at its pc, up to the table's 64, and then
-// recorded.
+// with the entries recorded at its pc, up to 64, and then recorded. It
+// records every arrival the kernel's add rule would skip, and evicts
+// none, so its comparisons are a superset of the walk's.
 type pruneReplay struct {
 	t       *testing.T
 	name    string

@@ -11,7 +11,6 @@ package verifier
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"bcf/internal/ebpf"
 	"bcf/internal/tnum"
@@ -351,15 +350,20 @@ func (s *VState) slot(i int) StackSlot {
 	return StackSlot{}
 }
 
-// clone deep-copies the state for the pruning table, whose entries
-// outlive their path: it copies Stack's backing array, and no other
-// field of VState, RegState or StackSlot is a reference, so a clone
-// shares nothing mutable with its origin. Any reference field added to
-// these types must be copied here too.
-func (s *VState) clone() *VState {
-	c := *s
-	c.Stack = slices.Clone(s.Stack)
-	return &c
+// clone deep-copies the state into c, or into a new state when c is
+// nil, for the pruning table, whose entries outlive their path: it
+// copies Stack into c's own backing array, and no other field of VState,
+// RegState or StackSlot is a reference, so a clone shares nothing
+// mutable with its origin. Any reference field added to these types
+// must be copied here too.
+func (s *VState) clone(c *VState) *VState {
+	if c == nil {
+		c = new(VState)
+	}
+	stack := c.Stack
+	*c = *s
+	c.Stack = append(stack[:0], s.Stack...)
+	return c
 }
 
 // entryState is the verifier state at program entry.

@@ -84,12 +84,21 @@ func (r *anchorRefiner) Refine(req *RefineRequest) (*RefineResult, error) {
 // then fails a bounds check on both. The first path's "infeasibility"
 // proof must not let the explored-state table prune the second path
 // past the check when the proof's track reaches back across the
-// recorded entries.
+// recorded entries. The resolved `if r9 != 0` and the r7 padding make
+// the kernel's add rule record the first path's state just before the
+// fork and again at the join (`r1 = r6`, pc refineJoin), not at the
+// fork's target, where the two paths still differ.
 func refinePruneProg() *ebpf.Program {
 	return mapProg(lookupPrologue+`
 	r6 = r0
 	call 7
 	r8 = r0
+	r9 = 0
+	if r9 != 0 goto +0
+	r7 = 0
+	r7 += 1
+	r7 += 1
+	r7 += 1
 	if r8 & -6 goto +0
 	r0 = 0
 	r8 &= 0
@@ -99,6 +108,19 @@ func refinePruneProg() *ebpf.Program {
 	r1 += r8
 	r0 = *(u32 *)(r1 +16)
 `+lookupEpilogue, testMap16)
+}
+
+// refineJoin is the pc of refinePruneProg's `r1 = r6`.
+const refineJoin = 21
+
+// joinEntry is the state refinePruneProg's first path recorded at the
+// join: the test fails if the kernel's add rule no longer records it.
+func joinEntry(t *testing.T, v *Verifier) *exploredEntry {
+	t.Helper()
+	if len(v.explored[refineJoin]) == 0 {
+		t.Fatalf("no state recorded at the join (pc %d): the test is vacuous", refineJoin)
+	}
+	return &v.explored[refineJoin][0]
 }
 
 // Track anchored at the path start: every entry the first path recorded
@@ -124,7 +146,10 @@ func TestRefinementRetractsTrackEntries(t *testing.T) {
 		if ref.calls < 2 {
 			t.Fatalf("%s: refiner called %d times, want 2: the second path never reached the check", a.name, ref.calls)
 		}
-		want := Stats{InsnProcessed: 22, PathsExplored: 2, PeakStackDepth: 2, Refinements: 1, RefineAttempts: 2}
+		if !joinEntry(t, v).dead {
+			t.Fatalf("%s: the join's entry, inside the track, was not retracted", a.name)
+		}
+		want := Stats{InsnProcessed: 28, PathsExplored: 2, PeakStackDepth: 2, Refinements: 1, RefineAttempts: 2, StatesRecorded: 2}
 		if st := v.Stats(); st != want {
 			t.Fatalf("%s: stats drifted: got %+v, want %+v", a.name, st, want)
 		}
@@ -144,7 +169,10 @@ func TestRefinementKeepsPreTrackEntries(t *testing.T) {
 	if ref.calls != 1 {
 		t.Fatalf("refiner called %d times, want 1", ref.calls)
 	}
-	want := Stats{InsnProcessed: 22, PathsExplored: 3, StatesPruned: 1, PeakStackDepth: 2, Refinements: 1, RefineAttempts: 1}
+	if e := joinEntry(t, v); e.dead || e.hits != 1 {
+		t.Fatalf("the join's entry: dead %v, %d hits; want live, pruning the second path", e.dead, e.hits)
+	}
+	want := Stats{InsnProcessed: 28, PathsExplored: 3, StatesPruned: 1, PeakStackDepth: 2, Refinements: 1, RefineAttempts: 1, StatesRecorded: 2}
 	if st := v.Stats(); st != want {
 		t.Fatalf("stats drifted: got %+v, want %+v", st, want)
 	}

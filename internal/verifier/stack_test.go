@@ -80,7 +80,7 @@ func TestStackDepthIsDeepestWrite(t *testing.T) {
 // and whether or not a write grows the stack.
 func TestCloneSharesNoStack(t *testing.T) {
 	orig := stackState(map[int]StackSlot{-8: spillConst(5), -16: miscSlot})
-	c := orig.clone()
+	c := orig.clone(nil)
 	c.Stack[0].Spill.UMax = 99
 	setSlot(c, NumStackSlots-2, zeroSlot)
 	setSlot(c, 0, miscSlot)

@@ -64,7 +64,7 @@ func (e *Error) Unwrap() error { return e.Cause }
 type pathNode struct {
 	parent int32 // the previous step; -1 at the path's first step
 	idx    int32
-	// entry indexes explored[idx]: the pruning-table entry recorded just
+	// entry is the id of the pruning-table entry recorded at idx just
 	// before this instruction was analyzed, or -1 when none was. A later
 	// path-conditional refinement retracts the entries inside its track
 	// (see retractEntries).
@@ -235,7 +235,7 @@ var errInfeasiblePath = &Error{Kind: CheckNone, Msg: "path proven infeasible"}
 // the anchor, so the proof covers every execution their subtrees admit.
 // The sweep walks only the track. Forked siblings share the prefix's
 // entries, and killing one is idempotent, so re-sweeping after a second
-// refinement is harmless.
+// refinement is harmless; an entry evicted since matches no id.
 func (v *Verifier) retractEntries(node int32, anchor int) {
 	for k := 1; anchor == 0 || k < anchor; k++ {
 		n := v.nodes.at(node)
@@ -243,7 +243,11 @@ func (v *Verifier) retractEntries(node int32, anchor int) {
 			return
 		}
 		if n.entry >= 0 {
-			v.explored[n.idx][n.entry].dead = true
+			for i := range v.explored[n.idx] {
+				if e := &v.explored[n.idx][i]; e.id == n.entry {
+					e.dead = true
+				}
+			}
 		}
 		node = n.parent
 	}
@@ -265,6 +269,7 @@ type Stats struct {
 	PeakStackDepth int // largest branch stack seen before a pop
 	Refinements    int // granted refinements
 	RefineAttempts int // requests issued to the Refiner
+	StatesRecorded int // pruning-table entries added (kernel: total_states)
 }
 
 // RegRange declares the fixpoint range of one register at a loop head.
@@ -320,8 +325,12 @@ type Verifier struct {
 
 	// explored is the pruning table: the recorded states of each pc.
 	explored [][]exploredEntry
-	// prunePoints marks the pcs where explored states are recorded.
-	prunePoints []bool
+	free     []*VState // evicted entries' states, for pruned to reuse
+	// jmps counts jump-class insns (kernel: jmps_processed); prevJmps and
+	// prevInsns are it and InsnProcessed at the last record.
+	jmps, prevJmps, prevInsns int
+	// prunePoints holds each pc's kind (noPoint, prunePoint, checkpoint).
+	prunePoints []uint8
 	idGen       uint32
 	// ids is statesSubsume's identity-pair scratch, reset per call.
 	ids idMap
@@ -352,7 +361,7 @@ func New(prog *ebpf.Program, cfg Config) *Verifier {
 		prog:        prog,
 		cfg:         cfg,
 		explored:    make([][]exploredEntry, len(prog.Insns)),
-		prunePoints: computePrunePoints(prog),
+		prunePoints: computePrunePoints(prog, cfg.LoopInvariants),
 		st:          entryState(),
 		budgetErr: &Error{InsnIdx: -1, Kind: CheckOther,
 			Msg: fmt.Sprintf("BPF program is too large. Processed %d insn", cfg.InsnLimit)},
@@ -472,7 +481,7 @@ func (v *Verifier) walk(pc int, node int32) error {
 		}
 		// Pruning at jump targets.
 		entry := int32(-1)
-		if !v.cfg.NoPruning && v.prunePoints[pc] {
+		if !v.cfg.NoPruning && v.prunePoints[pc] != noPoint {
 			var hit bool
 			if hit, entry = v.pruned(pc, st); hit {
 				v.stats.StatesPruned++
@@ -518,6 +527,7 @@ func (v *Verifier) walk(pc int, node int32) error {
 			pc++
 
 		case ebpf.ClassJMP, ebpf.ClassJMP32:
+			v.jmps++
 			op := ins.JmpOp()
 			switch op {
 			case ebpf.JmpEXIT:
