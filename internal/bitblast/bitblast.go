@@ -12,6 +12,7 @@ package bitblast
 
 import (
 	"fmt"
+	"slices"
 
 	"bcf/internal/expr"
 	"bcf/internal/sat"
@@ -30,8 +31,37 @@ type CNF struct {
 // assignment to the term's variables makes it true. Each distinct node
 // is encoded once, by its expr.Table ID: a term outside any table (a
 // struct literal) is interned into a new one, which type-checks its
-// nodes.
+// nodes. It is new(Encoder).Encode(f).
 func Encode(f *expr.Expr) (*CNF, error) {
+	return new(Encoder).Encode(f)
+}
+
+// Encoder bit-blasts one formula after another, keeping its buffers: the
+// clause literals and headers, the per-node literal tables, the input map
+// and a slab every node's bit vector is cut from. The CNF an Encode
+// returns is valid until the Encoder's next Encode. The zero Encoder is
+// ready to use; an Encoder is single-goroutine.
+type Encoder struct {
+	nVars int
+	lits  []sat.Lit // every emitted clause's literals, back to back
+	ends  []int32   // clause i ends at lits[ends[i]]
+	// The literals already encoded for a node, by its table ID: bits for
+	// a bit-vector, lit (0 until encoded) for a boolean. Members of one
+	// table are equal only when they are the same node, so this is the
+	// structural hash-consing the encoding's determinism rests on.
+	bits   [][]sat.Lit
+	lit    []sat.Lit
+	inputs map[uint32][]sat.Lit
+	// slab holds the bit vectors vec cuts; slabNeed counts what this
+	// Encode has asked vec for.
+	slab     []sat.Lit
+	slabNeed int
+	clauses  [][]sat.Lit
+}
+
+// Encode lowers a width-1 term to CNF, as the package-level Encode does,
+// reusing the buffers of the Encoder's previous Encode.
+func (e *Encoder) Encode(f *expr.Expr) (*CNF, error) {
 	if f.Width != 1 {
 		return nil, fmt.Errorf("bitblast: formula must have width 1, got %d", f.Width)
 	}
@@ -43,11 +73,7 @@ func Encode(f *expr.Expr) (*CNF, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bitblast: %w", err)
 	}
-	e := &encoder{
-		bits:   make([][]sat.Lit, tab.Len()),
-		lit:    make([]sat.Lit, tab.Len()),
-		inputs: map[uint32][]sat.Lit{},
-	}
+	e.reset(tab.Len())
 	// Variable 1 is the constant-true anchor.
 	e.newVar()
 	e.emit(litTrue(e))
@@ -58,43 +84,66 @@ func Encode(f *expr.Expr) (*CNF, error) {
 	e.emit(root)
 	// Each clause is a full-slice view of the literal buffer, so no
 	// clause can grow into its neighbour.
-	clauses := make([][]sat.Lit, len(e.ends))
+	e.clauses = slices.Grow(e.clauses[:0], len(e.ends))
 	start := int32(0)
-	for i, end := range e.ends {
-		clauses[i] = e.lits[start:end:end]
+	for _, end := range e.ends {
+		e.clauses = append(e.clauses, e.lits[start:end:end])
 		start = end
 	}
-	return &CNF{NVars: e.nVars, Clauses: clauses, Inputs: e.inputs}, nil
+	// A new CNF header, not one kept in the Encoder, lets a one-shot
+	// Encoder stay on the stack.
+	return &CNF{NVars: e.nVars, Clauses: e.clauses, Inputs: e.inputs}, nil
 }
 
-type encoder struct {
-	nVars int
-	lits  []sat.Lit // every emitted clause's literals, back to back
-	ends  []int32   // clause i ends at lits[ends[i]]
-	// The literals already encoded for a node, by its table ID: bits for
-	// a bit-vector, lit (0 until encoded) for a boolean. Members of one
-	// table are equal only when they are the same node, so this is the
-	// structural hash-consing the encoding's determinism rests on.
-	bits   [][]sat.Lit
-	lit    []sat.Lit
-	inputs map[uint32][]sat.Lit
+// reset empties the encoder for a formula whose table has n nodes. A
+// slab the last Encode outgrew is replaced by one that would have held
+// all of its vectors; a new Encoder has none, so a one-shot Encode
+// allocates each vector on its own and no more than that.
+func (e *Encoder) reset(n int) {
+	e.nVars = 0
+	e.lits = e.lits[:0]
+	e.ends = e.ends[:0]
+	clear(e.bits) // drop the last formula's vectors
+	e.bits = append(e.bits[:0], make([][]sat.Lit, n)...)
+	e.lit = append(e.lit[:0], make([]sat.Lit, n)...)
+	if e.inputs == nil {
+		e.inputs = map[uint32][]sat.Lit{}
+	}
+	clear(e.inputs)
+	e.slab = slices.Grow(e.slab[:0], e.slabNeed)
+	e.slabNeed = 0
+	clear(e.clauses) // the old headers would keep the old literals alive
 }
 
-func litTrue(e *encoder) sat.Lit  { return 1 }
-func litFalse(e *encoder) sat.Lit { return -1 }
+// vec returns w zero literals for a bit vector, cut from the slab when it
+// has room and allocated on their own otherwise.
+func (e *Encoder) vec(w int) []sat.Lit {
+	e.slabNeed += w
+	n := len(e.slab)
+	if cap(e.slab)-n < w {
+		return make([]sat.Lit, w)
+	}
+	e.slab = e.slab[:n+w]
+	v := e.slab[n : n+w : n+w]
+	clear(v)
+	return v
+}
 
-func (e *encoder) newVar() sat.Lit {
+func litTrue(e *Encoder) sat.Lit  { return 1 }
+func litFalse(e *Encoder) sat.Lit { return -1 }
+
+func (e *Encoder) newVar() sat.Lit {
 	e.nVars++
 	return sat.Lit(e.nVars)
 }
 
 // emit appends a clause to the literal buffer.
-func (e *encoder) emit(lits ...sat.Lit) {
+func (e *Encoder) emit(lits ...sat.Lit) {
 	e.lits = append(e.lits, lits...)
 	e.ends = append(e.ends, int32(len(e.lits)))
 }
 
-func (e *encoder) constLit(b bool) sat.Lit {
+func (e *Encoder) constLit(b bool) sat.Lit {
 	if b {
 		return litTrue(e)
 	}
@@ -103,9 +152,9 @@ func (e *encoder) constLit(b bool) sat.Lit {
 
 // ---- gate constructors (with constant folding) ----
 
-func (e *encoder) mkNot(a sat.Lit) sat.Lit { return -a }
+func (e *Encoder) mkNot(a sat.Lit) sat.Lit { return -a }
 
-func (e *encoder) mkAnd(a, b sat.Lit) sat.Lit {
+func (e *Encoder) mkAnd(a, b sat.Lit) sat.Lit {
 	t, f := litTrue(e), litFalse(e)
 	switch {
 	case a == f || b == f:
@@ -126,11 +175,11 @@ func (e *encoder) mkAnd(a, b sat.Lit) sat.Lit {
 	return o
 }
 
-func (e *encoder) mkOr(a, b sat.Lit) sat.Lit {
+func (e *Encoder) mkOr(a, b sat.Lit) sat.Lit {
 	return -e.mkAnd(-a, -b)
 }
 
-func (e *encoder) mkXor(a, b sat.Lit) sat.Lit {
+func (e *Encoder) mkXor(a, b sat.Lit) sat.Lit {
 	t, f := litTrue(e), litFalse(e)
 	switch {
 	case a == f:
@@ -154,32 +203,34 @@ func (e *encoder) mkXor(a, b sat.Lit) sat.Lit {
 	return o
 }
 
-func (e *encoder) mkXor3(a, b, c sat.Lit) sat.Lit {
+func (e *Encoder) mkXor3(a, b, c sat.Lit) sat.Lit {
 	return e.mkXor(e.mkXor(a, b), c)
 }
 
 // mkMaj returns the majority of three literals (the carry function).
-func (e *encoder) mkMaj(a, b, c sat.Lit) sat.Lit {
+func (e *Encoder) mkMaj(a, b, c sat.Lit) sat.Lit {
 	return e.mkOr(e.mkAnd(a, b), e.mkOr(e.mkAnd(a, c), e.mkAnd(b, c)))
 }
 
 // mkITE returns c ? t : f.
-func (e *encoder) mkITE(c, t, f sat.Lit) sat.Lit {
+func (e *Encoder) mkITE(c, t, f sat.Lit) sat.Lit {
 	return e.mkOr(e.mkAnd(c, t), e.mkAnd(-c, f))
 }
 
-func (e *encoder) mkEqLit(a, b sat.Lit) sat.Lit { return -e.mkXor(a, b) }
+func (e *Encoder) mkEqLit(a, b sat.Lit) sat.Lit { return -e.mkXor(a, b) }
 
 // ---- bit-vector encodings ----
 
 // encodeBV returns the bit literals (LSB first) of a bit-vector term.
-func (e *encoder) encodeBV(n *expr.Expr) ([]sat.Lit, error) {
+func (e *Encoder) encodeBV(n *expr.Expr) ([]sat.Lit, error) {
 	if n.Width == 1 {
 		l, err := e.encodeBool(n)
 		if err != nil {
 			return nil, err
 		}
-		return []sat.Lit{l}, nil
+		v := e.vec(1)
+		v[0] = l
+		return v, nil
 	}
 	if bits := e.bits[n.ID()]; bits != nil {
 		return bits, nil
@@ -188,7 +239,7 @@ func (e *encoder) encodeBV(n *expr.Expr) ([]sat.Lit, error) {
 	var bits []sat.Lit
 	switch n.Op {
 	case expr.OpConst:
-		bits = make([]sat.Lit, w)
+		bits = e.vec(w)
 		for i := 0; i < w; i++ {
 			bits[i] = e.constLit(n.K&(1<<uint(i)) != 0)
 		}
@@ -197,7 +248,7 @@ func (e *encoder) encodeBV(n *expr.Expr) ([]sat.Lit, error) {
 		if in, ok := e.inputs[id]; ok {
 			bits = in
 		} else {
-			bits = make([]sat.Lit, w)
+			bits = e.vec(w)
 			for i := range bits {
 				bits[i] = e.newVar()
 			}
@@ -208,7 +259,7 @@ func (e *encoder) encodeBV(n *expr.Expr) ([]sat.Lit, error) {
 		if err != nil {
 			return nil, err
 		}
-		bits = make([]sat.Lit, w)
+		bits = e.vec(w)
 		for i := range bits {
 			bits[i] = -a[i]
 		}
@@ -217,7 +268,7 @@ func (e *encoder) encodeBV(n *expr.Expr) ([]sat.Lit, error) {
 		if err != nil {
 			return nil, err
 		}
-		na := make([]sat.Lit, w)
+		na := e.vec(w)
 		for i := range na {
 			na[i] = -a[i]
 		}
@@ -231,7 +282,7 @@ func (e *encoder) encodeBV(n *expr.Expr) ([]sat.Lit, error) {
 		if err != nil {
 			return nil, err
 		}
-		bits = make([]sat.Lit, w)
+		bits = e.vec(w)
 		for i := 0; i < w; i++ {
 			switch n.Op {
 			case expr.OpAnd:
@@ -261,7 +312,7 @@ func (e *encoder) encodeBV(n *expr.Expr) ([]sat.Lit, error) {
 		if err != nil {
 			return nil, err
 		}
-		nb := make([]sat.Lit, w)
+		nb := e.vec(w)
 		for i := range nb {
 			nb[i] = -b[i]
 		}
@@ -291,7 +342,7 @@ func (e *encoder) encodeBV(n *expr.Expr) ([]sat.Lit, error) {
 		if err != nil {
 			return nil, err
 		}
-		bits = make([]sat.Lit, w)
+		bits = e.vec(w)
 		copy(bits, a)
 		for i := len(a); i < w; i++ {
 			bits[i] = litFalse(e)
@@ -301,7 +352,7 @@ func (e *encoder) encodeBV(n *expr.Expr) ([]sat.Lit, error) {
 		if err != nil {
 			return nil, err
 		}
-		bits = make([]sat.Lit, w)
+		bits = e.vec(w)
 		copy(bits, a)
 		for i := len(a); i < w; i++ {
 			bits[i] = a[len(a)-1]
@@ -311,7 +362,7 @@ func (e *encoder) encodeBV(n *expr.Expr) ([]sat.Lit, error) {
 		if err != nil {
 			return nil, err
 		}
-		bits = make([]sat.Lit, w)
+		bits = e.vec(w)
 		copy(bits, a[n.Aux:int(n.Aux)+w])
 	case expr.OpUDiv, expr.OpURem:
 		a, err := e.encodeBV(n.Args[0])
@@ -338,8 +389,8 @@ func (e *encoder) encodeBV(n *expr.Expr) ([]sat.Lit, error) {
 	return bits, nil
 }
 
-func (e *encoder) constBits(v uint64, w int) []sat.Lit {
-	bits := make([]sat.Lit, w)
+func (e *Encoder) constBits(v uint64, w int) []sat.Lit {
+	bits := e.vec(w)
 	for i := 0; i < w; i++ {
 		bits[i] = e.constLit(v&(1<<uint(i)) != 0)
 	}
@@ -347,9 +398,9 @@ func (e *encoder) constBits(v uint64, w int) []sat.Lit {
 }
 
 // adder builds a ripple-carry adder a + b + cin (result truncated to w).
-func (e *encoder) adder(a, b []sat.Lit, cin sat.Lit) []sat.Lit {
+func (e *Encoder) adder(a, b []sat.Lit, cin sat.Lit) []sat.Lit {
 	w := len(a)
-	out := make([]sat.Lit, w)
+	out := e.vec(w)
 	carry := cin
 	for i := 0; i < w; i++ {
 		out[i] = e.mkXor3(a[i], b[i], carry)
@@ -361,12 +412,12 @@ func (e *encoder) adder(a, b []sat.Lit, cin sat.Lit) []sat.Lit {
 }
 
 // multiplier builds a shift-and-add multiplier (truncated to w).
-func (e *encoder) multiplier(a, b []sat.Lit) []sat.Lit {
+func (e *Encoder) multiplier(a, b []sat.Lit) []sat.Lit {
 	w := len(a)
 	acc := e.constBits(0, w)
 	for i := 0; i < w; i++ {
 		// partial = (a << i) & b[i]
-		partial := make([]sat.Lit, w)
+		partial := e.vec(w)
 		for j := 0; j < w; j++ {
 			if j < i {
 				partial[j] = litFalse(e)
@@ -383,13 +434,13 @@ func (e *encoder) multiplier(a, b []sat.Lit) []sat.Lit {
 // defining relation a = q·b + r ∧ r < b (computed at double width so the
 // product cannot wrap), with eBPF's total semantics for b = 0 (quotient
 // 0, remainder a).
-func (e *encoder) divider(a, b []sat.Lit) ([]sat.Lit, []sat.Lit, error) {
+func (e *Encoder) divider(a, b []sat.Lit) ([]sat.Lit, []sat.Lit, error) {
 	w := len(a)
 	if w > 64 {
 		return nil, nil, fmt.Errorf("bitblast: divider width %d", w)
 	}
-	q := make([]sat.Lit, w)
-	r := make([]sat.Lit, w)
+	q := e.vec(w)
+	r := e.vec(w)
 	for i := 0; i < w; i++ {
 		q[i] = e.newVar()
 		r[i] = e.newVar()
@@ -402,7 +453,7 @@ func (e *encoder) divider(a, b []sat.Lit) ([]sat.Lit, []sat.Lit, error) {
 	}
 	// Double-width product q·b plus r must equal a (zero-extended).
 	ext := func(v []sat.Lit) []sat.Lit {
-		out := make([]sat.Lit, 2*w)
+		out := e.vec(2 * w)
 		copy(out, v)
 		for i := w; i < 2*w; i++ {
 			out[i] = f
@@ -431,7 +482,7 @@ func (e *encoder) divider(a, b []sat.Lit) ([]sat.Lit, []sat.Lit, error) {
 
 // shifter builds a logarithmic barrel shifter. eBPF semantics take the
 // shift amount modulo the width, so only log2(w) bits of b participate.
-func (e *encoder) shifter(op expr.Op, a, b []sat.Lit) []sat.Lit {
+func (e *Encoder) shifter(op expr.Op, a, b []sat.Lit) []sat.Lit {
 	w := len(a)
 	stages := 0
 	for 1<<uint(stages) < w {
@@ -440,7 +491,7 @@ func (e *encoder) shifter(op expr.Op, a, b []sat.Lit) []sat.Lit {
 	cur := a
 	for s := 0; s < stages; s++ {
 		amt := 1 << uint(s)
-		next := make([]sat.Lit, w)
+		next := e.vec(w)
 		for i := 0; i < w; i++ {
 			var shifted sat.Lit
 			switch op {
@@ -472,7 +523,7 @@ func (e *encoder) shifter(op expr.Op, a, b []sat.Lit) []sat.Lit {
 
 // ---- boolean encodings ----
 
-func (e *encoder) encodeBool(n *expr.Expr) (sat.Lit, error) {
+func (e *Encoder) encodeBool(n *expr.Expr) (sat.Lit, error) {
 	if l := e.lit[n.ID()]; l != 0 {
 		return l, nil
 	}
@@ -486,7 +537,9 @@ func (e *encoder) encodeBool(n *expr.Expr) (sat.Lit, error) {
 			out = in[0]
 		} else {
 			out = e.newVar()
-			e.inputs[id] = []sat.Lit{out}
+			v := e.vec(1)
+			v[0] = out
+			e.inputs[id] = v
 		}
 	case expr.OpBoolNot:
 		a, err := e.encodeBool(n.Args[0])
@@ -535,8 +588,8 @@ func (e *encoder) encodeBool(n *expr.Expr) (sat.Lit, error) {
 		}
 		if n.Op == expr.OpSlt || n.Op == expr.OpSle {
 			// Flip sign bits to reduce signed to unsigned comparison.
-			a = append([]sat.Lit(nil), a...)
-			b = append([]sat.Lit(nil), b...)
+			a = append(e.vec(len(a))[:0], a...)
+			b = append(e.vec(len(b))[:0], b...)
 			a[len(a)-1] = -a[len(a)-1]
 			b[len(b)-1] = -b[len(b)-1]
 		}
@@ -554,7 +607,7 @@ func (e *encoder) encodeBool(n *expr.Expr) (sat.Lit, error) {
 }
 
 // unsignedLess builds the a < b comparator from MSB down.
-func (e *encoder) unsignedLess(a, b []sat.Lit) sat.Lit {
+func (e *Encoder) unsignedLess(a, b []sat.Lit) sat.Lit {
 	lt := litFalse(e)
 	eq := litTrue(e)
 	for i := len(a) - 1; i >= 0; i-- {

@@ -259,6 +259,37 @@ func TestProveLocalLeavesOptions(t *testing.T) {
 	}
 }
 
+// TestEscalatesOnlyWhenBudgetRises pins when ProveLocal retries a
+// failed proof: only a solver timeout under a conflict budget the caller
+// set, which the retry multiplies, with the deadline still open. Under
+// the default budget the retry would run the same deterministic search
+// under the same budget and stall as long again.
+func TestEscalatesOnlyWhenBudgetRises(t *testing.T) {
+	bg := context.Background()
+	done, cancel := context.WithCancel(bg)
+	cancel()
+	timeout := bcferr.New(bcferr.ClassSolverTimeout, "sat: conflict budget exhausted (1)")
+	budget := solver.Options{MaxConflicts: 1}
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		err  error
+		opts Options
+		want bool
+	}{
+		{"caller's budget", bg, timeout, Options{Solver: budget}, true},
+		{"default budget", bg, timeout, Options{}, false},
+		{"escalation disabled", bg, timeout, Options{Solver: budget, DisableEscalation: true}, false},
+		{"deadline passed", done, timeout, Options{Solver: budget}, false},
+		{"other failure", bg, bcferr.New(bcferr.ClassResourceLimit, "too many clauses"), Options{Solver: budget}, false},
+		{"no failure", bg, nil, Options{Solver: budget}, false},
+	} {
+		if got := escalates(tc.ctx, tc.err, &tc.opts); got != tc.want {
+			t.Errorf("%s: escalates = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestSessionLimitsForwarded(t *testing.T) {
 	// The request budget is TestRoundCapClassified's; this one forwards
 	// a byte budget.

@@ -6,9 +6,10 @@
 // The protocol loop is hardened against a slow or failing prover and a
 // hostile environment: the whole load and each individual condition run
 // under deadlines, the refiner's limits cap refinement rounds, a solver
-// that exhausts its conflict budget gets exactly one escalation retry
-// (straight to bit-blasting with a larger budget), and every failure
-// carries a bcferr.Class so callers can bucket outcomes (§6.2).
+// that exhausts a conflict budget the caller set gets exactly one
+// escalation retry (straight to bit-blasting with a larger budget), and
+// every failure carries a bcferr.Class so callers can bucket outcomes
+// (§6.2).
 package loader
 
 import (
@@ -16,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sync"
 	"time"
 
 	"bcf/internal/bcf"
@@ -97,7 +99,8 @@ type Options struct {
 	// ProveTimeout bounds the prover on each individual condition
 	// (0 = none beyond the whole-load deadline).
 	ProveTimeout time.Duration
-	// DisableEscalation turns off the budget-exhaustion retry.
+	// DisableEscalation turns off the budget-exhaustion retry, which
+	// runs only when Solver.MaxConflicts sets a budget to raise.
 	DisableEscalation bool
 
 	// Obs and Trace, when non-nil, receive the load's telemetry:
@@ -456,12 +459,18 @@ func proveUncached(ctx context.Context, condBytes []byte, opts *Options, res *Re
 	return out, err
 }
 
+// provers holds the Provers ProveLocal proves with. Every load and
+// every proofd connection in the process shares them, and the collector
+// drops the ones left idle.
+var provers = sync.Pool{New: func() any { return new(solver.Prover) }}
+
 // ProveLocal proves one encoded condition with the in-process solver
-// under opts.ProveTimeout, for the loader and the proofd daemon alike. A
-// conflict-budget exhaustion is retried once (escalated, counted in
-// opts.Obs), straight to bit-blasting with a larger budget, provided the
-// deadlines still have room and opts.DisableEscalation is unset. opts is
-// only read.
+// under opts.ProveTimeout, for the loader and the proofd daemon alike. It
+// takes a solver.Prover from a pool shared by both and puts it back once
+// the proof is encoded. A conflict-budget exhaustion under a budget the
+// caller set is retried once (escalated, counted in opts.Obs), straight
+// to bit-blasting with a larger budget, provided the deadlines still
+// have room and opts.DisableEscalation is unset. opts is only read.
 func ProveLocal(ctx context.Context, condBytes []byte, opts *Options) (proof []byte, escalated bool, err error) {
 	cond, err := bcfenc.DecodeCondition(condBytes)
 	if err != nil {
@@ -480,18 +489,17 @@ func ProveLocal(ctx context.Context, condBytes []byte, opts *Options) (proof []b
 	if sopts.Trace == nil {
 		sopts.Trace = opts.Trace
 	}
-	out, err := solver.Prove(ctx, cond.Cond, sopts)
-	if err != nil && !opts.DisableEscalation &&
-		bcferr.ClassOf(err) == bcferr.ClassSolverTimeout && ctx.Err() == nil {
+	p := provers.Get().(*solver.Prover)
+	defer provers.Put(p)
+	out, err := p.Prove(ctx, cond.Cond, sopts)
+	if escalates(ctx, err, opts) {
 		// Budget exhausted with wall-clock to spare: one escalation.
 		esc := sopts
 		esc.DisableRewriteTier = true
-		if esc.MaxConflicts > 0 {
-			esc.MaxConflicts *= escalationBudgetFactor
-		}
+		esc.MaxConflicts *= escalationBudgetFactor
 		escalated = true
 		opts.Obs.Counter(obs.MEscalations).Inc()
-		out, err = solver.Prove(ctx, cond.Cond, esc)
+		out, err = p.Prove(ctx, cond.Cond, esc)
 	}
 	if err != nil {
 		return nil, escalated, fmt.Errorf("loader: solver: %w", err)
@@ -506,4 +514,14 @@ func ProveLocal(ctx context.Context, condBytes []byte, opts *Options) (proof []b
 			fmt.Errorf("loader: encoding proof: %w", err))
 	}
 	return buf, escalated, nil
+}
+
+// escalates reports whether a proof that failed with err gets the one
+// escalation retry: the search ran out of a conflict budget the caller
+// set, which the retry multiplies, and the deadline has not passed. The
+// default budget (MaxConflicts 0) is not raised, and the same
+// deterministic search under it would only stall as long again.
+func escalates(ctx context.Context, err error, opts *Options) bool {
+	return err != nil && !opts.DisableEscalation && opts.Solver.MaxConflicts > 0 &&
+		bcferr.ClassOf(err) == bcferr.ClassSolverTimeout && ctx.Err() == nil
 }

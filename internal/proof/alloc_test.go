@@ -2,6 +2,7 @@ package proof_test
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -148,5 +149,44 @@ func TestCheckAllocsPerStep(t *testing.T) {
 				t.Errorf("DecodeProof and Check allocate %.2f times per %s proof step, bound %.1f", perStep, tc.tier, tc.maxPerStep)
 			}
 		})
+	}
+}
+
+// TestCheckBytesPerBitblastProof bounds the bytes Check allocates per
+// bit-blast proof over the corpus, most of them the CNF it re-derives with
+// the one-shot bitblast.Encode. That Encode is the prover's reusable
+// encoder run once: it cuts bit vectors from a slab only after an
+// earlier Encode has sized one, so a one-shot run allocates each vector
+// on its own, and its Encoder stays on the stack. A slab sized up front
+// for a warm prover would show up here as bytes every check pays for
+// nothing. Measured: 20,887 B per check over the 224 proofs (Go 1.24,
+// linux/amd64), the same as an encoder that allocates every vector on
+// its own.
+func TestCheckBytesPerBitblastProof(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector perturbs allocation counts")
+	}
+	const maxBytesPerCheck = 20_900
+	rounds := corpusRounds(t)[solver.TierBitblast]
+	var bytes uint64
+	for i, rd := range rounds {
+		cond := decodeCondition(t, rd.cond)
+		p, err := bcfenc.DecodeProofIn(cond.Table(), rd.proof)
+		if err != nil {
+			t.Fatalf("proof %d: %v", i, err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = proof.Check(cond, p)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("proof %d: %v", i, err)
+		}
+		bytes += after.TotalAlloc - before.TotalAlloc
+	}
+	perCheck := float64(bytes) / float64(len(rounds))
+	t.Logf("%d B over %d checks: %.0f B per check", bytes, len(rounds), perCheck)
+	if perCheck > maxBytesPerCheck {
+		t.Errorf("Check allocates %.0f B per bit-blast proof, bound %d", perCheck, maxBytesPerCheck)
 	}
 }

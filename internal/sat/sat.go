@@ -18,10 +18,16 @@
 // variables in per-variable arrays they reuse. None of this changes a
 // decision: the same clauses in the same order give the same model or the
 // same refutation, step for step.
+//
+// A Solver is reusable: Reset empties it for a new problem and keeps the
+// arrays it has grown, so a prover that solves one condition after
+// another stops allocating per clause once its arrays fit. New is a new
+// Solver followed by Reset.
 package sat
 
 import (
 	"fmt"
+	"slices"
 
 	"bcf/internal/bcferr"
 )
@@ -87,8 +93,9 @@ type clause struct {
 
 // The bit-blaster's CNF has at most about two clauses per variable
 // (gates with constant inputs fold away, and input bits have none) and
-// two and a half literals per clause; reserve sizes the clause storage
-// for that, leaving room for learned clauses.
+// two and a half literals per clause; Reset sizes the clause storage
+// for that, leaving room for learned clauses, so a bit-blasted
+// condition's clauses fit in one array each.
 const (
 	clausesPerVar = 2
 	litsPerClause = 3
@@ -103,23 +110,31 @@ type watcher struct {
 	blocker Lit
 }
 
-// Solver holds the CDCL state. Create with New, add clauses, then Solve.
+// Solver holds the CDCL state. Create with New (or Reset a Solver, the
+// zero value included), add clauses, then Solve.
 type Solver struct {
 	nVars    int
 	watches  [][]watcher // indexed by Lit.index; Solve watches the inputs
 	assign   []int8      // per variable
+	ints     []int32     // level, pos, heapIdx and reason, back to back
 	level    []int32     // decision level per variable
 	pos      []int32     // trail position per variable
 	reason   []int32     // per variable: the implying clause, or noClause
 	trail    []Lit
 	trailLim []int32
 	qhead    int
+	// watchInputs' watcher count per literal, and the array it cuts the
+	// input watch lists from.
+	watchN   []int32
+	watchAll []watcher
 
 	activity []float64
 	varInc   float64
 	heapIdx  []int32 // position in heap, -1 if absent
 	heap     []int32 // max-heap of variables by activity
 	phase    []bool
+	bools    []bool // phase, seen and lvl0, back to back
+	model    []bool // the last SAT answer's model
 
 	// Clause storage: headers (inputs first, then learned clauses) over
 	// one literal slice.
@@ -154,33 +169,54 @@ type Solver struct {
 // New returns a solver over nVars variables. If logProof is set, an UNSAT
 // answer carries a resolution refutation.
 func New(nVars int, logProof bool) *Solver {
+	s := new(Solver)
+	s.Reset(nVars, logProof)
+	return s
+}
+
+// Reset empties the solver for a new problem over nVars variables and
+// leaves it in the state New returns, reusing every array that has room.
+// A Result the solver returned, its Model and Proof included, is valid
+// until the next Reset.
+func (s *Solver) Reset(nVars int, logProof bool) {
 	n := nVars + 1
-	ints := make([]int32, 4*n)
-	bools := make([]bool, 3*n)
-	s := &Solver{
-		nVars:    nVars,
-		watches:  make([][]watcher, 2*n),
-		assign:   make([]int8, n),
-		level:    ints[:n:n],
-		pos:      ints[n : 2*n : 2*n],
-		heapIdx:  ints[2*n : 3*n : 3*n],
-		reason:   ints[3*n:],
-		trail:    make([]Lit, 0, nVars),
-		activity: make([]float64, n),
-		heap:     make([]int32, 0, nVars),
-		phase:    bools[:n:n],
-		seen:     bools[n : 2*n : 2*n],
-		lvl0:     bools[2*n:],
-		litStamp: make([]uint32, 2*n),
-		varInc:   1.0,
-		logProof: logProof,
-	}
+	s.nVars = nVars
+	clear(s.watches) // drop the lists the last search grew on their own
+	s.watches = append(s.watches[:0], make([][]watcher, 2*n)...)
+	s.assign = append(s.assign[:0], make([]int8, n)...)
+	s.ints = append(s.ints[:0], make([]int32, 4*n)...)
+	s.level = s.ints[:n:n]
+	s.pos = s.ints[n : 2*n : 2*n]
+	s.heapIdx = s.ints[2*n : 3*n : 3*n]
+	s.reason = s.ints[3*n:]
+	s.trail = slices.Grow(s.trail[:0], nVars)
+	s.trailLim = s.trailLim[:0]
+	s.qhead = 0
+	s.activity = append(s.activity[:0], make([]float64, n)...)
+	s.varInc = 1.0
+	s.heap = slices.Grow(s.heap[:0], nVars)
+	s.bools = append(s.bools[:0], make([]bool, 3*n)...)
+	s.phase = s.bools[:n:n]
+	s.seen = s.bools[n : 2*n : 2*n]
+	s.lvl0 = s.bools[2*n:]
+	s.clauses = slices.Grow(s.clauses[:0], clausesPerVar*nVars)
+	s.lits = slices.Grow(s.lits[:0], litsPerClause*clausesPerVar*nVars)
+	s.litStamp = append(s.litStamp[:0], make([]uint32, 2*n)...)
+	s.stamp = 0
+	s.learnt = s.learnt[:0]
+	s.lvl0N, s.lvl0Top = 0, 0
+	s.logProof = logProof
+	s.proof = Proof{Steps: s.proof.Steps[:0]}
+	s.nextID = 0
+	s.emptySeen = false
+	s.conflCount = 0
+	s.MaxConflicts = 0
+	s.Interrupt = nil
 	for v := 1; v <= nVars; v++ {
 		s.heapIdx[v] = -1
 		s.reason[v] = noClause
 		s.heapInsert(int32(v))
 	}
-	return s
 }
 
 func (s *Solver) value(l Lit) int8 {
@@ -208,7 +244,6 @@ func (s *Solver) AddClause(lits ...Lit) error {
 		clear(s.litStamp)
 		s.stamp = 1
 	}
-	s.reserve()
 	start := len(s.lits)
 	for _, l := range lits {
 		if s.litStamp[l.Neg().index()] == s.stamp {
@@ -230,17 +265,6 @@ func (s *Solver) AddClause(lits ...Lit) error {
 	return nil
 }
 
-// reserve sizes the clause storage on the first AddClause, so a
-// bit-blasted condition's clauses fit in one allocation each; a denser
-// input grows by appending.
-func (s *Solver) reserve() {
-	if s.clauses == nil {
-		nc := clausesPerVar * s.nVars
-		s.clauses = make([]clause, 0, nc)
-		s.lits = make([]Lit, 0, litsPerClause*nc)
-	}
-}
-
 // learn stores a learned clause, copying its literals into the literal
 // slice, and returns its header index.
 func (s *Solver) learn(lits []Lit, id int32) int32 {
@@ -256,12 +280,15 @@ func (s *Solver) litsOf(ci int32) []Lit {
 	return s.lits[c.start : c.start+c.n : c.start+c.n]
 }
 
-// watchInputs builds the input clauses' watch lists in one allocation.
-// Each list gets exactly its count of watchers, appended in clause order,
-// so it holds what watching each clause as it arrived would have put
-// there, in the same order.
+// watchInputs builds the input clauses' watch lists in one array, which
+// the next problem reuses. Each list gets its count of watchers, appended
+// in clause order, so it holds what watching each clause as it arrived
+// would have put there, in the same order. It has room for as many again,
+// so the watches the search moves onto it and learns seldom outgrow it
+// (a list that does moves to an array of its own).
 func (s *Solver) watchInputs() {
-	counts := make([]int32, len(s.watches))
+	s.watchN = append(s.watchN[:0], make([]int32, len(s.watches))...)
+	counts := s.watchN
 	total := 0
 	for _, c := range s.clauses {
 		if c.n >= 2 {
@@ -270,10 +297,11 @@ func (s *Solver) watchInputs() {
 			total += 2
 		}
 	}
-	all := make([]watcher, total)
+	s.watchAll = slices.Grow(s.watchAll[:0], 2*total)
+	all := s.watchAll[:2*total]
 	off := 0
 	for i, n := range counts {
-		end := off + int(n)
+		end := off + 2*int(n)
 		s.watches[i] = all[off:off:end]
 		off = end
 	}
@@ -640,11 +668,11 @@ func (s *Solver) Solve() (Result, error) {
 		v := s.pickBranchVar()
 		if v == 0 {
 			// All variables assigned: SAT.
-			model := make([]bool, s.nVars+1)
+			s.model = append(s.model[:0], make([]bool, s.nVars+1)...)
 			for i := 1; i <= s.nVars; i++ {
-				model[i] = s.assign[i] == valTrue
+				s.model[i] = s.assign[i] == valTrue
 			}
-			return Result{SAT: true, Model: model}, nil
+			return Result{SAT: true, Model: s.model}, nil
 		}
 		s.trailLim = append(s.trailLim, int32(len(s.trail)))
 		l := Lit(v)
@@ -671,8 +699,7 @@ func (s *Solver) proofOut() *Proof {
 	if !s.logProof {
 		return nil
 	}
-	p := s.proof
-	return &p
+	return &s.proof
 }
 
 // markLevel0 queues a falsified level-0 literal's variable for

@@ -35,6 +35,17 @@ type builder struct {
 	normal []bool
 }
 
+// reset empties the builder for a proof over tab's terms, keeping its
+// arrays and map. It clears the old steps, whose arguments would keep the
+// last condition's table alive.
+func (b *builder) reset(tab *expr.Table) {
+	b.tab = tab
+	clear(b.steps)
+	b.steps = b.steps[:0]
+	b.normal = b.normal[:0]
+	clear(b.facts)
+}
+
 // addFact records a premise-derived bound.
 func (b *builder) addFact(lhs *expr.Expr, bound uint64, step uint32) {
 	if b.facts == nil {
@@ -66,10 +77,6 @@ func (b *builder) add(rule proof.RuleID, prems []uint32, args ...*expr.Expr) uin
 func (b *builder) addClauseStep(s proof.Step) uint32 {
 	b.steps = append(b.steps, s)
 	return uint32(len(b.steps) - 1)
-}
-
-func (b *builder) proof() *proof.Proof {
-	return &proof.Proof{Steps: b.steps}
 }
 
 // prems is sugar for premise lists.

@@ -29,14 +29,16 @@ type corpusRun struct {
 }
 
 // runCorpus verifies every corpus program at the evaluation budget with a
-// refiner that proves each condition by calling solver.Prove. The digest
-// covers each round's condition bytes followed by its proof bytes, its
-// sorted counterexample or its error, and each program's verdict and
-// Stats.
-func runCorpus(t testing.TB, opts solver.Options) corpusRun {
+// refiner that proves each condition with a new solver.Prover (the
+// one-shot solver.Prove) or, when shared is set, with one Prover kept
+// for the whole corpus, as a warm ProveLocal proves. The digest covers
+// each round's condition bytes followed by its proof bytes, its sorted
+// counterexample or its error, and each program's verdict and Stats.
+func runCorpus(t testing.TB, opts solver.Options, shared bool) corpusRun {
 	t.Helper()
 	h := sha256.New()
 	var run corpusRun
+	var warm solver.Prover
 	for _, e := range corpus.Generate() {
 		fmt.Fprintf(h, "program %d\n", e.Index)
 		prove := bcf.ProveFunc(func(condBytes []byte) ([]byte, error) {
@@ -46,7 +48,11 @@ func runCorpus(t testing.TB, opts solver.Options) corpusRun {
 			if err != nil {
 				t.Fatalf("program %d: decoding condition: %v", e.Index, err)
 			}
-			out, err := solver.Prove(nil, cond.Cond, opts)
+			p := &warm
+			if !shared {
+				p = new(solver.Prover)
+			}
+			out, err := p.Prove(nil, cond.Cond, opts)
 			if err != nil {
 				fmt.Fprintf(h, "error %v\n", err)
 				return nil, err
@@ -97,7 +103,9 @@ func writeBytes(h hash.Hash, tag string, b []byte) {
 // and every verdict and Stats, once with the rewrite tier and once with
 // every condition bit-blasted. A change to the SAT solver
 // or the encoder that alters a search decision, a clause or a proof step
-// moves a digest.
+// moves a digest. Each digest is required twice: with a new Prover per
+// round and with one Prover shared by every round, so state a Prover
+// carries from one Prove into the next moves the shared digest.
 func TestProofBytesGolden(t *testing.T) {
 	const corpusRounds = 508 // TestCorpusP1StatsGolden's round total
 	for _, tc := range []struct {
@@ -110,14 +118,18 @@ func TestProofBytesGolden(t *testing.T) {
 		{"rewrite-off", solver.Options{DisableRewriteTier: true},
 			"4b80d32fdd0290f2a9c8a84d23ed8388f3de85fd942feeb7e0dc1f1017ec3489"},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			run := runCorpus(t, tc.opts)
+		check := func(t *testing.T, shared bool) {
+			run := runCorpus(t, tc.opts, shared)
 			if run.rounds != corpusRounds {
 				t.Errorf("rounds = %d, want %d", run.rounds, corpusRounds)
 			}
 			if run.digest != tc.digest {
 				t.Errorf("digest = %s, want %s (bit-blast rounds %d)", run.digest, tc.digest, len(run.bitblast))
 			}
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			check(t, false)
+			t.Run("shared-prover", func(t *testing.T) { check(t, true) })
 		})
 	}
 }

@@ -3,6 +3,7 @@ package solver
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"bcf/internal/bcferr"
@@ -71,8 +72,36 @@ type Outcome struct {
 // search: when it is cancelled or its deadline passes, Prove returns a
 // solver-timeout error (nil ctx means no deadline). The proof's terms
 // are built in cond's expr.Table; a cond outside any table is interned
-// into a new one, which type-checks it.
+// into a new one, which type-checks it. It is new(Prover).Prove.
 func Prove(ctx context.Context, cond *expr.Expr, opts Options) (*Outcome, error) {
+	return new(Prover).Prove(ctx, cond, opts)
+}
+
+// Prover proves one condition after another, keeping what the tiers
+// build from one Prove to the next: the rewrite tier's proof steps and
+// memos, the bit-blast encoder, the SAT solver and the buffers that
+// translate a refutation into proof steps. Each Prove starts from the
+// state a new Prover has, so a shared Prover returns the same outcomes,
+// byte for byte, as a new one per call. The Outcome a Prove returns, its
+// Proof included, is valid until the Prover's next Prove; the
+// counterexample map is the caller's. The zero Prover is ready to use; a
+// Prover is single-goroutine.
+type Prover struct {
+	b   builder // the rewrite tier's, then proofSteps'
+	enc bitblast.Encoder
+	sat sat.Solver
+	// proofSteps' marks and maps per resolution clause, and the array
+	// it cuts every step's premises from.
+	need   []bool
+	stepOf []uint32
+	prem   []uint32
+	proof  proof.Proof
+	out    Outcome
+}
+
+// Prove decides the validity of a refinement condition, as the
+// package-level Prove does.
+func (p *Prover) Prove(ctx context.Context, cond *expr.Expr, opts Options) (*Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -93,7 +122,7 @@ func Prove(ctx context.Context, cond *expr.Expr, opts Options) (*Outcome, error)
 		t0 = time.Now()
 	}
 	sp := opts.Trace.Start(obs.CatProve, "prove")
-	out, err := prove(ctx, cond, opts)
+	out, err := p.prove(ctx, cond, opts)
 	sp.End()
 	if opts.Obs != nil {
 		opts.Obs.StageHistogram(obs.MProveSeconds).Since(t0)
@@ -108,30 +137,32 @@ func Prove(ctx context.Context, cond *expr.Expr, opts Options) (*Outcome, error)
 	return out, err
 }
 
-func prove(ctx context.Context, cond *expr.Expr, opts Options) (*Outcome, error) {
+func (p *Prover) prove(ctx context.Context, cond *expr.Expr, opts Options) (*Outcome, error) {
 	if !opts.DisableRewriteTier {
 		var t0 time.Time
 		if opts.Obs != nil {
 			t0 = time.Now()
 		}
 		sp := opts.Trace.Start(obs.CatProve, "tier1-rewrite")
-		p, ok := rewriteProof(cond)
+		pf, ok := p.rewriteProof(cond)
 		sp.End()
 		if opts.Obs != nil {
 			opts.Obs.StageHistogram(obs.MProveRewriteSeconds).Since(t0)
 		}
 		if ok {
-			return &Outcome{Proven: true, Proof: p, Tier: TierRewrite}, nil
+			p.out = Outcome{Proven: true, Proof: pf, Tier: TierRewrite}
+			return &p.out, nil
 		}
 	}
-	return bitblastProve(ctx, cond, opts)
+	return p.bitblastProve(ctx, cond, opts)
 }
 
 // rewriteProof attempts the cheap tier: a refutation that assumes ¬C,
 // decomposes it structurally, and establishes the positive obligations
 // with the equational simplifier and interval lemmas.
-func rewriteProof(cond *expr.Expr) (*proof.Proof, bool) {
-	b := &builder{tab: cond.Table()}
+func (p *Prover) rewriteProof(cond *expr.Expr) (*proof.Proof, bool) {
+	b := &p.b
+	b.reset(cond.Table())
 	assume := b.add(proof.RuleAssume, nil) // ⊢ ¬C
 
 	// Split C into hypotheses (available, from an implication) and the
@@ -150,7 +181,8 @@ func rewriteProof(cond *expr.Expr) (*proof.Proof, bool) {
 		return nil, false
 	}
 	b.add(proof.RuleContradiction, prems(goalStep, goalNegStep))
-	return b.proof(), true
+	p.proof = proof.Proof{Steps: b.steps}
+	return &p.proof, true
 }
 
 // proveFormula derives ⊢ f for the fragment the rewrite tier understands:
@@ -215,7 +247,7 @@ func (b *builder) proveByEval(f *expr.Expr) (uint32, bool) {
 }
 
 // bitblastProve is the complete tier.
-func bitblastProve(ctx context.Context, cond *expr.Expr, opts Options) (out *Outcome, err error) {
+func (p *Prover) bitblastProve(ctx context.Context, cond *expr.Expr, opts Options) (out *Outcome, err error) {
 	if opts.Obs != nil {
 		t0 := time.Now()
 		defer func() { opts.Obs.StageHistogram(obs.MProveBitblastSeconds).Since(t0) }()
@@ -225,7 +257,7 @@ func bitblastProve(ctx context.Context, cond *expr.Expr, opts Options) (out *Out
 		defer sp.End()
 	}
 	notCond := cond.Table().BoolNot(cond)
-	cnf, err := bitblast.Encode(notCond)
+	cnf, err := p.enc.Encode(notCond)
 	if err != nil {
 		return nil, fmt.Errorf("solver: %w", err)
 	}
@@ -234,7 +266,8 @@ func bitblastProve(ctx context.Context, cond *expr.Expr, opts Options) (out *Out
 			"solver: bit-blasted CNF has %d clauses (budget %d)",
 			len(cnf.Clauses), opts.MaxClauses)
 	}
-	s := sat.New(cnf.NVars, true)
+	s := &p.sat
+	s.Reset(cnf.NVars, true)
 	s.MaxConflicts = opts.MaxConflicts
 	if s.MaxConflicts == 0 {
 		s.MaxConflicts = 4_000_000
@@ -253,24 +286,28 @@ func bitblastProve(ctx context.Context, cond *expr.Expr, opts Options) (out *Out
 	}
 	if res.SAT {
 		// ¬C satisfiable: the condition is violated; extract the model.
-		cex := map[uint32]uint64{}
-		for id := range cond.Vars() {
+		// The encoder visits every node, so its inputs are cond's
+		// variables.
+		cex := make(map[uint32]uint64, len(cnf.Inputs))
+		for id := range cnf.Inputs {
 			cex[id] = cnf.EvalModel(res.Model, id)
 		}
-		return &Outcome{Proven: false, Counterexample: cex, Tier: TierBitblast}, nil
+		p.out = Outcome{Proven: false, Counterexample: cex, Tier: TierBitblast}
+		return &p.out, nil
 	}
-	p, err := satProofToSteps(res.Proof, len(cnf.Clauses))
+	pf, err := p.proofSteps(res.Proof, len(cnf.Clauses))
 	if err != nil {
 		return nil, fmt.Errorf("solver: %w", err)
 	}
-	return &Outcome{Proven: true, Proof: p, Tier: TierBitblast}, nil
+	p.out = Outcome{Proven: true, Proof: pf, Tier: TierBitblast}
+	return &p.out, nil
 }
 
-// satProofToSteps translates a resolution refutation into checker steps:
-// an assume step introduces ¬C, bb_clause steps materialize the input
+// proofSteps translates a resolution refutation into checker steps: an
+// assume step introduces ¬C, bb_clause steps materialize the input
 // clauses the refutation touches, and each resolution becomes a resolve
 // step. Only steps reachable from the final empty clause are emitted.
-func satProofToSteps(rp *sat.Proof, numInputs int) (*proof.Proof, error) {
+func (p *Prover) proofSteps(rp *sat.Proof, numInputs int) (*proof.Proof, error) {
 	if rp == nil {
 		return nil, fmt.Errorf("missing resolution proof")
 	}
@@ -285,7 +322,8 @@ func satProofToSteps(rp *sat.Proof, numInputs int) (*proof.Proof, error) {
 	// clauses derived before it, so one backward sweep finds them all.
 	n := numInputs + len(rp.Steps)
 	inRange := func(id int32) bool { return id >= 0 && int(id) < n }
-	need := make([]bool, n)
+	p.need = append(p.need[:0], make([]bool, n)...)
+	need := p.need
 	need[n-1] = true
 	needInputs, needSteps := 0, 0
 	for si := len(rp.Steps) - 1; si >= 0; si-- {
@@ -304,9 +342,15 @@ func satProofToSteps(rp *sat.Proof, numInputs int) (*proof.Proof, error) {
 	}
 
 	// Step 0 is the assume step, so 0 marks a clause with no step.
-	stepOf := make([]uint32, n)
-	prem := make([]uint32, 0, needInputs+2*needSteps)
-	b := &builder{steps: make([]proof.Step, 0, 1+needInputs+needSteps)}
+	p.stepOf = append(p.stepOf[:0], make([]uint32, n)...)
+	stepOf := p.stepOf
+	// prem has room for every premise, so appending never moves what a
+	// step already holds a view of.
+	p.prem = slices.Grow(p.prem[:0], needInputs+2*needSteps)
+	prem := p.prem
+	b := &p.b
+	b.reset(nil)
+	b.steps = slices.Grow(b.steps[:0], 1+needInputs+needSteps)
 	assume := b.add(proof.RuleAssume, nil)
 	for cid := 0; cid < numInputs; cid++ {
 		if !need[cid] {
@@ -337,5 +381,6 @@ func satProofToSteps(rp *sat.Proof, numInputs int) (*proof.Proof, error) {
 			Pivot:    st.Pivot,
 		})
 	}
-	return b.proof(), nil
+	p.proof = proof.Proof{Steps: b.steps}
+	return &p.proof, nil
 }
