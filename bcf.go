@@ -246,11 +246,6 @@ func WithoutRewriteTier() Option {
 	return func(o *loader.Options) { o.Solver.DisableRewriteTier = true }
 }
 
-// WithSolverBudget bounds the SAT search in conflicts.
-func WithSolverBudget(maxConflicts int64) Option {
-	return func(o *loader.Options) { o.Solver.MaxConflicts = maxConflicts }
-}
-
 // WithoutBackwardAnalysis starts symbolic tracking at the path head
 // instead of the dependency-closed suffix (ablation of §4).
 func WithoutBackwardAnalysis() Option {

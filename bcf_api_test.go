@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"bcf/internal/difftest"
 	"bcf/internal/proofd"
 )
 
@@ -126,12 +127,14 @@ func TestPublicCounterexampleSurface(t *testing.T) {
 	}
 }
 
+// TestPublicSolverBudget: the one condition difftest seed 544 asks is
+// one no search within the solver's budget decides, so the public API
+// rejects the program with a classified solver timeout, under its
+// default options and with no deadline.
 func TestPublicSolverBudget(t *testing.T) {
-	// A one-conflict budget may or may not suffice; the API must not
-	// panic and must return a definite verdict either way.
-	rep := Verify(apiFig2(), WithBCF(), WithSolverBudget(1))
-	if rep.Accepted && rep.Refinements == 0 {
-		t.Fatal("inconsistent report")
+	rep := Verify(difftest.NewGen(544).Generate(), WithBCF())
+	if rep.Accepted || rep.Class != ClassSolverTimeout {
+		t.Fatalf("accepted %v, class %v (%v), want a solver-timeout rejection", rep.Accepted, rep.Class, rep.Err)
 	}
 }
 

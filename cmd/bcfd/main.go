@@ -35,7 +35,6 @@ import (
 	"bcf/internal/loader"
 	"bcf/internal/obs"
 	"bcf/internal/proofd"
-	"bcf/internal/solver"
 )
 
 func main() {
@@ -48,7 +47,6 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 0, "max concurrently-proving requests (0 = 2×GOMAXPROCS)")
 	cacheCap := flag.Int("cache-cap", 0, "in-memory proof cache entries (0 = default)")
 	proveTimeout := flag.Duration("prove-timeout", 0, "per-obligation solver deadline (0 = none)")
-	maxConflicts := flag.Int64("max-conflicts", 0, "SAT conflict budget per obligation (0 = solver default)")
 	drain := flag.Duration("drain", proofd.DefaultDrainTimeout, "graceful shutdown drain budget")
 	quiet := flag.Bool("q", false, "suppress the startup banner")
 	flag.Parse()
@@ -69,7 +67,6 @@ func main() {
 		tracer = obs.NewTracer().WithProcess(os.Getpid(), "bcfd")
 	}
 	opts := proofd.Options{
-		Solver:       solver.Options{MaxConflicts: *maxConflicts},
 		ProveTimeout: *proveTimeout,
 		Cache:        loader.NewProofCacheCap(*cacheCap),
 		MaxInflight:  *maxInflight,

@@ -201,14 +201,8 @@ func TestTrackerSubRegisterSpillIsFresh(t *testing.T) {
 	v := tk.reg(ebpf.R3)
 	// The fill must be a fresh (width-32, zero-extended) variable, not
 	// the masked expression.
-	vars := v.e.Vars()
-	if len(vars) != 1 {
-		t.Fatalf("expected exactly one fresh var, got %v", vars)
-	}
-	for _, w := range vars {
-		if w != 32 {
-			t.Fatalf("fresh fill var width = %d, want 32", w)
-		}
+	if v.e.Op != expr.OpZExt || v.e.Args[0].Op != expr.OpVar || v.e.Args[0].Width != 32 {
+		t.Fatalf("fill = %s, want a zero-extended width-32 variable", v.e)
 	}
 }
 
@@ -222,13 +216,11 @@ func TestTrackerCallClobbers(t *testing.T) {
 		exit
 	`, nil)
 	// After the call, both r1 and the stack slot are untracked.
-	r1Vars := tk.reg(ebpf.R1).e.Vars()
-	if len(r1Vars) == 0 {
-		t.Fatal("r1 should be fresh after call")
+	if r1 := tk.reg(ebpf.R1).e; r1.Op != expr.OpVar {
+		t.Fatalf("r1 = %s, should be fresh after call", r1)
 	}
-	r2Vars := tk.reg(ebpf.R2).e.Vars()
-	if len(r2Vars) == 0 {
-		t.Fatal("stack slot should be dropped across the call")
+	if r2 := tk.reg(ebpf.R2).e; r2.Op != expr.OpVar {
+		t.Fatalf("r2 = %s: the stack slot should be dropped across the call", r2)
 	}
 }
 

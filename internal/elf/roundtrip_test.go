@@ -22,7 +22,6 @@ type loadFingerprint struct {
 	ErrClass      string
 	VerifierStats verifier.Stats
 	Rounds        int
-	Escalations   int
 	CondBytes     int
 	ProofBytes    int
 	CacheHits     int
@@ -37,7 +36,6 @@ func fingerprint(res *loader.Result) loadFingerprint {
 		ErrClass:      res.ErrClass.String(),
 		VerifierStats: res.VerifierStats,
 		Rounds:        res.Rounds,
-		Escalations:   res.Escalations,
 		CondBytes:     res.CondBytes,
 		ProofBytes:    res.ProofBytes,
 		CacheHits:     res.CacheHits,

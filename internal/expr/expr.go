@@ -479,27 +479,6 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// Vars collects the variable ids (with widths) appearing in e.
-func (e *Expr) Vars() map[uint32]uint8 {
-	out := map[uint32]uint8{}
-	seen := map[*Expr]bool{}
-	var walk func(*Expr)
-	walk = func(n *Expr) {
-		if seen[n] {
-			return
-		}
-		seen[n] = true
-		if n.Op == OpVar {
-			out[uint32(n.K)] = n.Width
-		}
-		for _, a := range n.Args {
-			walk(a)
-		}
-	}
-	walk(e)
-	return out
-}
-
 // IsGround reports whether the term contains no variables: a flag set
 // when a member was built, or a walk for a struct literal.
 func (e *Expr) IsGround() bool {

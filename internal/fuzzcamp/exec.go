@@ -8,7 +8,6 @@ import (
 	"bcf/internal/difftest"
 	"bcf/internal/ebpf"
 	"bcf/internal/loader"
-	"bcf/internal/solver"
 	"bcf/internal/verifier"
 )
 
@@ -63,30 +62,30 @@ type ExecOptions struct {
 // campaignLoaderOpts are the BCF-loader settings every campaign load —
 // discovery and minimization alike — runs under. Mutated programs can be
 // pathological for refinement (conditions whose CNFs and proofs explode),
-// so the load carries tight, fully deterministic budgets: CNF clauses,
-// SAT conflicts, refinement rounds, and boundary byte caps, never
-// wall-clock. A program that blows a budget is rejected identically on
-// every worker and every machine, preserving the campaign's determinism
-// contract; it is never a violation (budget exhaustion means "not
-// accepted", and the oracles only police accepted programs).
+// so the load carries tight, fully deterministic budgets: refinement
+// rounds and boundary byte caps here, and the solver's one budget, which
+// each condition's CNF sets, never wall-clock. A program that blows a
+// budget is rejected identically on every worker and every machine,
+// preserving the campaign's determinism contract; it is never a
+// violation (budget exhaustion means "not accepted", and the oracles
+// only police accepted programs).
 //
-// The budgets are an order of magnitude above what legitimate generator
+// The caps are an order of magnitude above what legitimate generator
 // programs need (conditions are small — the paper's average proof is
-// ~541 bytes — and refinements converge in a handful of rounds), yet
-// tight enough that the worst rejected mutant costs well under a second:
-// a 10k-conflict search over a <=64k-clause CNF, at most 64 times.
+// ~541 bytes — and refinements converge in a handful of rounds). The
+// solver budget is the one every other load proves under, so a program
+// the campaign promotes is judged by the same prover as loader.Load
+// judges it.
 func campaignLoaderOpts(vcfg verifier.Config, remote loader.RemoteProver) loader.Options {
 	return loader.Options{
 		EnableBCF: true,
 		Verifier:  vcfg,
 		Remote:    remote,
-		Solver:    solver.Options{MaxConflicts: 10_000, MaxClauses: 1 << 16},
 		Session: bcf.SessionLimits{
 			MaxRequests:   64,
 			MaxCondBytes:  1 << 18,
 			MaxProofBytes: 1 << 18,
 		},
-		DisableEscalation: true,
 	}
 }
 

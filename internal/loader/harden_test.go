@@ -194,53 +194,11 @@ func TestProofReplayRejected(t *testing.T) {
 	}
 }
 
-func TestEscalationRetryRuns(t *testing.T) {
-	tab := expr.NewTable(0)
-	// Verifier-generated conditions resolve by unit propagation, so a
-	// genuine budget exhaustion needs a conflict-heavy condition:
-	// 8-bit multiplication commutativity is valid but forces real CDCL
-	// search once the rewrite tier is off. prove() must escalate exactly
-	// once (4x budget) and either succeed or classify as solver-timeout.
-	x, y := tab.Var(0, 8), tab.Var(1, 8)
-	cond := tab.Eq(tab.Mul(x, y), tab.Mul(y, x))
-	condBytes, err := bcfenc.EncodeCondition(&bcfenc.Condition{Cond: cond})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	opts := Options{Solver: solver.Options{MaxConflicts: 1, DisableRewriteTier: true}}
-	var res Result
-	_, perr := prove(context.Background(), condBytes, &opts, &res)
-	if res.Escalations != 1 {
-		t.Fatalf("escalations = %d, want 1 (err=%v)", res.Escalations, perr)
-	}
-	if perr != nil && bcferr.ClassOf(perr) != bcferr.ClassSolverTimeout {
-		t.Fatalf("failed escalation must classify as solver-timeout: %v", perr)
-	}
-
-	// Control: with escalation disabled the budget error surfaces directly.
-	opts.DisableEscalation = true
-	var ctrl Result
-	_, perr = prove(context.Background(), condBytes, &opts, &ctrl)
-	if perr == nil {
-		t.Fatal("control: 1-conflict budget cannot bit-blast mul commutativity")
-	}
-	if bcferr.ClassOf(perr) != bcferr.ClassSolverTimeout {
-		t.Fatalf("control class: %v", perr)
-	}
-	if ctrl.Escalations != 0 {
-		t.Fatal("control: escalation ran despite being disabled")
-	}
-
-	// With the rewrite tier on and no cap, the same condition is easy.
-	var easy Result
-	if _, perr = prove(context.Background(), condBytes, &Options{}, &easy); perr != nil {
-		t.Fatalf("rewrite tier should prove commutativity: %v", perr)
-	}
-}
-
 // TestProveLocalLeavesOptions checks that ProveLocal fills the solver's
-// telemetry and escalates on its own copy of the caller's options.
+// telemetry on its own copy of the caller's options. 8-bit
+// multiplication commutativity is valid but takes real CDCL search once
+// the rewrite tier is off, so a one-conflict cut-off fails it as a
+// solver timeout; under the default options it is proven.
 func TestProveLocalLeavesOptions(t *testing.T) {
 	tab := expr.NewTable(0)
 	x, y := tab.Var(0, 8), tab.Var(1, 8)
@@ -251,42 +209,14 @@ func TestProveLocalLeavesOptions(t *testing.T) {
 	opts := Options{Solver: solver.Options{MaxConflicts: 1, DisableRewriteTier: true},
 		Obs: obs.NewRegistry(), Trace: obs.NewTracer()}
 	want := opts.Solver
-	if _, escalated, _ := ProveLocal(context.Background(), condBytes, &opts); !escalated {
-		t.Fatal("no escalation: the check below is vacuous")
+	if _, err := ProveLocal(context.Background(), condBytes, &opts); bcferr.ClassOf(err) != bcferr.ClassSolverTimeout {
+		t.Fatalf("a 1-conflict budget must cut the search off, got %v", err)
 	}
 	if opts.Solver != want {
 		t.Fatalf("ProveLocal changed the caller's solver options: %+v, want %+v", opts.Solver, want)
 	}
-}
-
-// TestEscalatesOnlyWhenBudgetRises pins when ProveLocal retries a
-// failed proof: only a solver timeout under a conflict budget the caller
-// set, which the retry multiplies, with the deadline still open. Under
-// the default budget the retry would run the same deterministic search
-// under the same budget and stall as long again.
-func TestEscalatesOnlyWhenBudgetRises(t *testing.T) {
-	bg := context.Background()
-	done, cancel := context.WithCancel(bg)
-	cancel()
-	timeout := bcferr.New(bcferr.ClassSolverTimeout, "sat: conflict budget exhausted (1)")
-	budget := solver.Options{MaxConflicts: 1}
-	for _, tc := range []struct {
-		name string
-		ctx  context.Context
-		err  error
-		opts Options
-		want bool
-	}{
-		{"caller's budget", bg, timeout, Options{Solver: budget}, true},
-		{"default budget", bg, timeout, Options{}, false},
-		{"escalation disabled", bg, timeout, Options{Solver: budget, DisableEscalation: true}, false},
-		{"deadline passed", done, timeout, Options{Solver: budget}, false},
-		{"other failure", bg, bcferr.New(bcferr.ClassResourceLimit, "too many clauses"), Options{Solver: budget}, false},
-		{"no failure", bg, nil, Options{Solver: budget}, false},
-	} {
-		if got := escalates(tc.ctx, tc.err, &tc.opts); got != tc.want {
-			t.Errorf("%s: escalates = %v, want %v", tc.name, got, tc.want)
-		}
+	if _, err := ProveLocal(context.Background(), condBytes, &Options{}); err != nil {
+		t.Fatalf("the default options should prove commutativity: %v", err)
 	}
 }
 

@@ -5,11 +5,11 @@
 //
 // The protocol loop is hardened against a slow or failing prover and a
 // hostile environment: the whole load and each individual condition run
-// under deadlines, the refiner's limits cap refinement rounds, a solver
-// that exhausts a conflict budget the caller set gets exactly one
-// escalation retry (straight to bit-blasting with a larger budget), and
-// every failure carries a bcferr.Class so callers can bucket outcomes
-// (§6.2).
+// under deadlines, the refiner's limits cap refinement rounds, the
+// solver searches each condition under one deterministic budget that
+// the condition's own CNF sets (a search that exhausts it fails as a
+// solver timeout, with no retry), and every failure carries a
+// bcferr.Class so callers can bucket outcomes (§6.2).
 package loader
 
 import (
@@ -28,10 +28,6 @@ import (
 	"bcf/internal/solver"
 	"bcf/internal/verifier"
 )
-
-// escalationBudgetFactor multiplies the SAT conflict budget on the single
-// escalation retry after a budget exhaustion.
-const escalationBudgetFactor = 4
 
 // FaultHook intercepts the user-space protocol steps (test
 // instrumentation, e.g. internal/faultinject). A nil hook costs nothing.
@@ -99,9 +95,6 @@ type Options struct {
 	// ProveTimeout bounds the prover on each individual condition
 	// (0 = none beyond the whole-load deadline).
 	ProveTimeout time.Duration
-	// DisableEscalation turns off the budget-exhaustion retry, which
-	// runs only when Solver.MaxConflicts sets a budget to raise.
-	DisableEscalation bool
 
 	// Obs and Trace, when non-nil, receive the load's telemetry:
 	// per-stage latency histograms, outcome counters, the span timeline
@@ -136,8 +129,6 @@ type Result struct {
 	// Reused counts refinements the kernel granted without a round trip,
 	// their condition having been proven earlier in the load.
 	Reused int
-	// Escalations counts solver escalation retries that ran.
-	Escalations int
 	// Wall-clock split.
 	KernelTime time.Duration
 	UserTime   time.Duration
@@ -452,11 +443,7 @@ func proveUncached(ctx context.Context, condBytes []byte, opts *Options, res *Re
 			}
 		}
 	}
-	out, escalated, err := ProveLocal(ctx, condBytes, opts)
-	if escalated {
-		res.Escalations++
-	}
-	return out, err
+	return ProveLocal(ctx, condBytes, opts)
 }
 
 // provers holds the Provers ProveLocal proves with. Every load and
@@ -467,14 +454,13 @@ var provers = sync.Pool{New: func() any { return new(solver.Prover) }}
 // ProveLocal proves one encoded condition with the in-process solver
 // under opts.ProveTimeout, for the loader and the proofd daemon alike. It
 // takes a solver.Prover from a pool shared by both and puts it back once
-// the proof is encoded. A conflict-budget exhaustion under a budget the
-// caller set is retried once (escalated, counted in opts.Obs), straight
-// to bit-blasting with a larger budget, provided the deadlines still
-// have room and opts.DisableEscalation is unset. opts is only read.
-func ProveLocal(ctx context.Context, condBytes []byte, opts *Options) (proof []byte, escalated bool, err error) {
+// the proof is encoded. The solver's budget is set by the condition
+// alone, so a search that exhausts it fails the same way on every
+// machine and is not retried. opts is only read.
+func ProveLocal(ctx context.Context, condBytes []byte, opts *Options) ([]byte, error) {
 	cond, err := bcfenc.DecodeCondition(condBytes)
 	if err != nil {
-		return nil, false, bcferr.Wrap(bcferr.ClassProtocol,
+		return nil, bcferr.Wrap(bcferr.ClassProtocol,
 			fmt.Errorf("loader: bad condition from kernel: %w", err))
 	}
 	if opts.ProveTimeout > 0 {
@@ -492,36 +478,17 @@ func ProveLocal(ctx context.Context, condBytes []byte, opts *Options) (proof []b
 	p := provers.Get().(*solver.Prover)
 	defer provers.Put(p)
 	out, err := p.Prove(ctx, cond.Cond, sopts)
-	if escalates(ctx, err, opts) {
-		// Budget exhausted with wall-clock to spare: one escalation.
-		esc := sopts
-		esc.DisableRewriteTier = true
-		esc.MaxConflicts *= escalationBudgetFactor
-		escalated = true
-		opts.Obs.Counter(obs.MEscalations).Inc()
-		out, err = p.Prove(ctx, cond.Cond, esc)
-	}
 	if err != nil {
-		return nil, escalated, fmt.Errorf("loader: solver: %w", err)
+		return nil, fmt.Errorf("loader: solver: %w", err)
 	}
 	if !out.Proven {
-		return nil, escalated, bcferr.WithCounterexample(bcferr.New(bcferr.ClassUnsafe,
+		return nil, bcferr.WithCounterexample(bcferr.New(bcferr.ClassUnsafe,
 			"loader: condition violated (counterexample found)"), out.Counterexample)
 	}
 	buf, err := bcfenc.EncodeProof(out.Proof)
 	if err != nil {
-		return nil, escalated, bcferr.Wrap(bcferr.ClassProtocol,
+		return nil, bcferr.Wrap(bcferr.ClassProtocol,
 			fmt.Errorf("loader: encoding proof: %w", err))
 	}
-	return buf, escalated, nil
-}
-
-// escalates reports whether a proof that failed with err gets the one
-// escalation retry: the search ran out of a conflict budget the caller
-// set, which the retry multiplies, and the deadline has not passed. The
-// default budget (MaxConflicts 0) is not raised, and the same
-// deterministic search under it would only stall as long again.
-func escalates(ctx context.Context, err error, opts *Options) bool {
-	return err != nil && !opts.DisableEscalation && opts.Solver.MaxConflicts > 0 &&
-		bcferr.ClassOf(err) == bcferr.ClassSolverTimeout && ctx.Err() == nil
+	return buf, nil
 }

@@ -36,7 +36,6 @@ const (
 	MRefinementsFailed  = "bcf_refinements_failed_total"
 	MRefinementsReused  = "bcf_refinements_reused_total"
 	MProveTier          = "bcf_prove_tier_total" // label: tier=rewrite|bitblast|counterexample
-	MEscalations        = "bcf_solver_escalations_total"
 	MCacheHits          = "bcf_proof_cache_hits_total"
 	MCacheMisses        = "bcf_proof_cache_misses_total"
 	MCacheCoalesced     = "bcf_proof_cache_coalesced_total" // singleflight piggybacks

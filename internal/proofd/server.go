@@ -16,7 +16,6 @@ import (
 	"bcf/internal/loader"
 	"bcf/internal/obs"
 	"bcf/internal/proofrpc"
-	"bcf/internal/solver"
 )
 
 // Server defaults.
@@ -31,8 +30,6 @@ const (
 
 // Options configure a Server.
 type Options struct {
-	// Solver options for obligations that miss every cache layer.
-	Solver solver.Options
 	// ProveTimeout bounds the solver on each obligation (0 = none).
 	ProveTimeout time.Duration
 	// Cache is the in-memory LRU + singleflight layer; nil allocates a
@@ -368,13 +365,12 @@ func (s *Server) prove(cond []byte, tr *obs.Tracer) (*proofrpc.Frame, byte) {
 }
 
 // solve proves a cache-missing obligation with the loader's own
-// condition-to-proof function, budget escalation included, so a
+// condition-to-proof function under the loader's one budget, so a
 // daemon's verdict is the one the in-process loader would reach. tr
 // parents the prover's spans under the request's solve span.
 func (s *Server) solve(condBytes []byte, tr *obs.Tracer) ([]byte, error) {
-	out, _, err := loader.ProveLocal(context.Background(), condBytes, &loader.Options{
-		Solver: s.opts.Solver, ProveTimeout: s.opts.ProveTimeout, Obs: s.opts.Obs, Trace: tr})
-	return out, err
+	return loader.ProveLocal(context.Background(), condBytes, &loader.Options{
+		ProveTimeout: s.opts.ProveTimeout, Obs: s.opts.Obs, Trace: tr})
 }
 
 // errorReply maps a proving error to its wire form: counterexamples

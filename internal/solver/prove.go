@@ -39,17 +39,9 @@ type Options struct {
 	// DisableRewriteTier forces every condition through bit-blasting
 	// (ablation: proof-size impact of the rewrite tier).
 	DisableRewriteTier bool
-	// MaxConflicts bounds the SAT search (0 = default budget). Exceeding
-	// it returns an error, modeling the paper's rare solver timeouts.
+	// MaxConflicts cuts the SAT search off after this many conflicts
+	// (tests only; 0 = the budget the CNF earns, see searchWork).
 	MaxConflicts int64
-	// MaxClauses rejects a condition whose bit-blasted CNF exceeds this
-	// many clauses before any search starts (0 = unlimited). Unlike a
-	// wall-clock deadline this budget is deterministic across machines:
-	// the same condition is accepted or rejected everywhere, which
-	// fuzzing campaigns rely on for worker-count-independent results. A
-	// conflict budget alone does not bound a pathological condition —
-	// per-conflict cost and solver memory scale with the CNF.
-	MaxClauses int
 	// Obs and Trace, when non-nil, receive per-tier latency histograms,
 	// outcome counters and prove/tier spans. Nil costs only a nil check.
 	Obs   *obs.Registry
@@ -246,6 +238,17 @@ func (b *builder) proveByEval(f *expr.Expr) (uint32, bool) {
 	return b.add(proof.RuleEqMp, prems(trueF, symm)), true
 }
 
+// searchWork is the one proving budget, in clause-conflicts: a CNF of n
+// clauses gets searchWork/n SAT conflicts. The cost of a conflict grows
+// with the CNF, so the product bounds the search's work on a large
+// condition and a small one alike, and the budget depends on the
+// condition alone: it ends the same way, proven, refuted or timed out,
+// on every machine. The corpus needs at most 1,638 (558 clauses, 8
+// conflicts). Among difftest seeds 0-1999 the costliest condition
+// decided within a second, seed 1431's counterexample, needs 3.2e8;
+// seeds 544, 1389 and 1800 are still undecided past 8e8.
+const searchWork = 350_000_000
+
 // bitblastProve is the complete tier.
 func (p *Prover) bitblastProve(ctx context.Context, cond *expr.Expr, opts Options) (out *Outcome, err error) {
 	if opts.Obs != nil {
@@ -261,16 +264,11 @@ func (p *Prover) bitblastProve(ctx context.Context, cond *expr.Expr, opts Option
 	if err != nil {
 		return nil, fmt.Errorf("solver: %w", err)
 	}
-	if opts.MaxClauses > 0 && len(cnf.Clauses) > opts.MaxClauses {
-		return nil, bcferr.New(bcferr.ClassResourceLimit,
-			"solver: bit-blasted CNF has %d clauses (budget %d)",
-			len(cnf.Clauses), opts.MaxClauses)
-	}
 	s := &p.sat
 	s.Reset(cnf.NVars, true)
 	s.MaxConflicts = opts.MaxConflicts
 	if s.MaxConflicts == 0 {
-		s.MaxConflicts = 4_000_000
+		s.MaxConflicts = max(1, searchWork/int64(len(cnf.Clauses)))
 	}
 	if ctx.Done() != nil {
 		s.Interrupt = ctx.Err

@@ -20,7 +20,7 @@ func TestProverReuseAfterAbort(t *testing.T) {
 	tab := expr.NewTable(0)
 	x, y := tab.Var(0, 8), tab.Var(1, 8)
 	// Valid, but it takes real CDCL search once the rewrite tier is off
-	// (TestEscalationRetryRuns in internal/loader uses it the same way).
+	// (TestProveLocalLeavesOptions in internal/loader uses it the same way).
 	commute := tab.Eq(tab.Mul(x, y), tab.Mul(y, x))
 	// The same over the low nibbles takes a search too, a short one.
 	x4, y4 := tab.And(x, tab.Const(15, 8)), tab.And(y, tab.Const(15, 8))
